@@ -128,9 +128,23 @@ impl Rng64 {
     /// Standard normal via Box–Muller (one value per call; the pair's
     /// second member is discarded for simplicity and statelessness).
     pub fn normal(&mut self) -> f64 {
-        // Avoid ln(0) by shifting u into (0, 1].
+        let (u, v) = self.normal_uv();
+        Rng64::box_muller(u, v)
+    }
+
+    /// The two uniforms one [`Rng64::normal`] call draws, in draw order:
+    /// `u ∈ (0, 1]` (shifted so `ln(u)` is finite) then `v ∈ [0, 1)`.
+    #[inline]
+    pub fn normal_uv(&mut self) -> (f64, f64) {
         let u = 1.0 - self.next_f64();
         let v = self.next_f64();
+        (u, v)
+    }
+
+    /// Box–Muller's transform of a [`Rng64::normal_uv`] pair; its
+    /// magnitude is at most `sqrt(-2 ln u)`.
+    #[inline]
+    pub fn box_muller(u: f64, v: f64) -> f64 {
         (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
     }
 

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use crate::mcu::Mcu;
 use crate::power::{Battery, Harvester};
 use crate::radio::Radio;
-use xxi_approx::signal::SignalGen;
+use xxi_approx::signal::{NoiseBound, SignalDraws, SignalGen};
 use xxi_core::des::fault::{FaultInjector, FaultPlan};
 use xxi_core::metrics::Metrics;
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, Trace};
@@ -245,6 +245,8 @@ impl SensorNode {
             anomaly_rate: 0.0002,
             ..SignalGen::default()
         };
+        let mut draws = gen.draws();
+        let mut detector = Detector::new(&gen, cfg.epoch_samples, cfg.window, cfg.threshold);
         let mut elapsed = 0.0f64;
         let mut bits_sent = 0u64;
         let mut radio_energy = Energy::ZERO;
@@ -270,8 +272,9 @@ impl SensorNode {
                 ledger.charge("harvester", Layer::Harvest, e_h);
             }
             epoch_seed = epoch_seed.wrapping_mul(6364136223846793005).wrapping_add(7);
-            let (signal, mask) = gen.generate(cfg.epoch_samples, epoch_seed);
-            let has_anomaly = mask.iter().any(|&m| m);
+            // SendRaw and CompressThenSend read only the anomaly mask, so
+            // only the filter ever looks at the noise.
+            let has_anomaly = gen.draw_into(cfg.epoch_samples, epoch_seed, &mut draws);
             if has_anomaly {
                 anomaly_epochs += 1;
             }
@@ -288,7 +291,7 @@ impl SensorNode {
                 }
                 NodePolicy::FilterThenSend => {
                     ops += cfg.ops_per_sample_filter * cfg.epoch_samples as u64;
-                    if detect(&signal, cfg.window, cfg.threshold) {
+                    if detector.detect(&gen, &draws) {
                         bits = cfg.epoch_samples as u64 * cfg.bits_per_sample as u64;
                         reported = has_anomaly;
                     }
@@ -427,6 +430,110 @@ fn detect(signal: &[f64], window: usize, threshold: f64) -> bool {
         }
     }
     false
+}
+
+/// Relative margin on the screen's cut-offs. Why: the screen bounds real
+/// sums, but [`detect`] compares rounded f64 ones. Each of its running and
+/// epoch sums errs by at most ~2n·ε·S, where S is the epoch's sum of
+/// squares (no partial sum exceeds it), against a cut-off of at least
+/// T·S/n (T = threshold²); the screen's own sums err alike, and each
+/// squared sample by a few ε relative. So the cut-off moves by under
+/// 8n²ε/T relative, which this margin covers while `8n²ε ≤ T·margin`
+/// (E10's n = 250, T = 3.24: 1.1e-10 against 3.2e-7). Past that the screen
+/// stands down and every epoch takes the exact transform.
+const SCREEN_MARGIN: f64 = 1e-7;
+
+/// [`detect`] for one epoch, decided from the epoch's draws wherever
+/// bounds on its noise settle it; the exact transform is the fallback.
+struct Detector {
+    window: usize,
+    threshold: f64,
+    bound: NoiseBound,
+    /// Whether the rounding budget behind [`SCREEN_MARGIN`] holds.
+    screening: bool,
+    /// Prefix sums of per-sample lower and upper bounds on the squared
+    /// signal.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// The exact signal, for epochs the screen leaves open.
+    signal: Vec<f64>,
+}
+
+impl Detector {
+    fn new(gen: &SignalGen, n: usize, window: usize, threshold: f64) -> Detector {
+        let t = threshold * threshold;
+        Detector {
+            window,
+            threshold,
+            bound: gen.noise_bound(),
+            screening: 8.0 * (n as f64).powi(2) * f64::EPSILON <= t * SCREEN_MARGIN,
+            lo: Vec::with_capacity(n),
+            hi: Vec::with_capacity(n),
+            signal: Vec::with_capacity(n),
+        }
+    }
+
+    /// Exactly `detect(signal)` for the signal `draws` transform into.
+    fn detect(&mut self, gen: &SignalGen, draws: &SignalDraws) -> bool {
+        match self.screen(draws) {
+            Some(fired) => fired,
+            None => {
+                gen.signal_into(draws, &mut self.signal);
+                detect(&self.signal, self.window, self.threshold)
+            }
+        }
+    }
+
+    /// `Some(detect(signal))` when the noise bounds prove the answer:
+    /// some window's lowest mean square clears the highest cut-off, or
+    /// every window's highest stays under the lowest. `None` otherwise.
+    fn screen(&mut self, draws: &SignalDraws) -> Option<bool> {
+        if !self.screening {
+            return None;
+        }
+        let n = draws.clean().len();
+        self.lo.resize(n, 0.0);
+        self.hi.resize(n, 0.0);
+        let (mut s_lo, mut s_hi) = (0.0, 0.0);
+        let sums = self.lo.iter_mut().zip(&mut self.hi);
+        for ((&c, &u), (lo_sum, hi_sum)) in draws.clean().iter().zip(draws.u()).zip(sums) {
+            let b = self.bound.at(u);
+            let lo = (c.abs() - b).max(0.0);
+            let hi = c.abs() + b;
+            s_lo += lo * lo;
+            s_hi += hi * hi;
+            (*lo_sum, *hi_sum) = (s_lo, s_hi);
+        }
+        // With prefix sums each window is one difference, independent of
+        // the other windows.
+        let (lo, hi) = (&self.lo, &self.hi);
+        let t = self.threshold * self.threshold;
+        let cut_lo = t * (s_lo / n as f64) * (1.0 - SCREEN_MARGIN);
+        let cut_hi = t * (s_hi / n as f64) * (1.0 + SCREEN_MARGIN);
+        let (mut above, mut below) = (false, true);
+        // The first `window` windows start at sample 0 and grow.
+        for (i, (&l, &h)) in lo.iter().zip(hi).take(self.window).enumerate() {
+            let k = (i + 1) as f64;
+            above |= l > cut_hi * k;
+            below &= h <= cut_lo * k;
+        }
+        let w = self.window as f64;
+        let (cut_lo_w, cut_hi_w) = (cut_lo * w, cut_hi * w);
+        let full = lo
+            .iter()
+            .skip(self.window)
+            .zip(lo)
+            .zip(hi.iter().skip(self.window).zip(hi));
+        for ((&l, &l0), (&h, &h0)) in full {
+            above |= l - l0 > cut_hi_w;
+            below &= h - h0 <= cut_lo_w;
+        }
+        if above {
+            Some(true)
+        } else {
+            below.then_some(false)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -681,6 +788,77 @@ mod tests {
             "recall={}",
             dead.outcome.recall
         );
+    }
+
+    /// Chains `epochs` epoch seeds as `run_inner` does and checks the draw
+    /// phase and the screen against `generate` and the exact `detect`.
+    /// Returns `(decided, open)`: epochs the screen settled / left open.
+    fn check_screen(epochs: u64, rate: f64, seed: u64) -> (u64, u64) {
+        let cfg = SensorNodeConfig::default();
+        let gen = SignalGen {
+            anomaly_rate: rate,
+            ..SignalGen::default()
+        };
+        let mut draws = gen.draws();
+        let mut det = Detector::new(&gen, cfg.epoch_samples, cfg.window, cfg.threshold);
+        assert!(
+            det.screening,
+            "E10's configuration is inside the rounding budget"
+        );
+        let (mut decided, mut open) = (0, 0);
+        let mut epoch_seed = seed;
+        for _ in 0..epochs {
+            epoch_seed = epoch_seed.wrapping_mul(6364136223846793005).wrapping_add(7);
+            let any = gen.draw_into(cfg.epoch_samples, epoch_seed, &mut draws);
+            let (signal, mask) = gen.generate(cfg.epoch_samples, epoch_seed);
+            assert_eq!(any, mask.iter().any(|&m| m), "epoch seed {epoch_seed}");
+            let exact = detect(&signal, cfg.window, cfg.threshold);
+            match det.screen(&draws) {
+                Some(fired) => {
+                    assert_eq!(fired, exact, "rate {rate}, epoch seed {epoch_seed}");
+                    decided += 1;
+                }
+                None => open += 1,
+            }
+            assert_eq!(det.detect(&gen, &draws), exact);
+        }
+        (decided, open)
+    }
+
+    fn screen_sweep(epochs: u64) {
+        let mut open_total = 0;
+        for (i, rate) in [0.0, 0.0002, 0.002, 0.02].into_iter().enumerate() {
+            let (decided, open) = check_screen(epochs, rate, i as u64 + 1);
+            eprintln!(
+                "rate {rate}: screen decided {decided} of {epochs} epochs ({:.2}%)",
+                100.0 * decided as f64 / epochs as f64
+            );
+            open_total += open;
+        }
+        assert!(open_total > 0, "the exact fallback never ran");
+    }
+
+    #[test]
+    fn screen_agrees_with_exact_detect() {
+        screen_sweep(100_000);
+    }
+
+    #[test]
+    #[ignore = "4M epochs per rate; CI runs it in release with --include-ignored"]
+    fn screen_agrees_with_exact_detect_large() {
+        screen_sweep(4_000_000);
+    }
+
+    #[test]
+    fn screen_stands_down_outside_its_rounding_budget() {
+        let gen = SignalGen::default();
+        let mut draws = gen.draws();
+        gen.draw_into(250, 1, &mut draws);
+        // A zero threshold leaves no room for the margin.
+        let mut det = Detector::new(&gen, 250, 8, 0.0);
+        assert_eq!(det.screen(&draws), None);
+        let (signal, _) = gen.generate(250, 1);
+        assert_eq!(det.detect(&gen, &draws), detect(&signal, 8, 0.0));
     }
 
     #[test]
