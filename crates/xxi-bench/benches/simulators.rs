@@ -12,9 +12,6 @@ use xxi_core::time::SimTime;
 use xxi_mem::cache::{AccessKind, Cache, CacheConfig, Replacement};
 use xxi_mem::dram::{Dram, DramConfig};
 use xxi_mem::trace::TraceGen;
-use xxi_noc::sim::{NocConfig, NocSim};
-use xxi_noc::topology::Mesh;
-use xxi_noc::traffic::Pattern;
 
 fn bench_des_engine(h: &mut Bench) {
     let mut g = h.group("des");
@@ -116,20 +113,6 @@ fn bench_dram(h: &mut Bench) {
     }
 }
 
-fn bench_noc(h: &mut Bench) {
-    let mut g = h.group("noc");
-    g.bench("mesh8x8_5k_cycles_rate0.2", || {
-        let cfg = NocConfig {
-            mesh: Mesh::new_2d(8, 8),
-            queue_depth: 4,
-            pattern: Pattern::Uniform,
-            injection_rate: 0.2,
-            seed: 3,
-        };
-        NocSim::new(cfg).run(1_000, 4_000).delivered
-    });
-}
-
 fn bench_queueing(h: &mut Bench) {
     let mut g = h.group("queueing");
     g.bench("mg1_50k_requests", || {
@@ -169,7 +152,6 @@ fn main() {
     bench_des_trace_overhead(&mut h);
     bench_cache(&mut h);
     bench_dram(&mut h);
-    bench_noc(&mut h);
     bench_queueing(&mut h);
     bench_rng(&mut h);
     h.finish();

@@ -29,7 +29,7 @@ commands:
                                 per line); `-` reads stdin
   bench <id>...|--all [flags]   time experiments (--iters N, --warmup K,
                                 --threads N, --seed S, --out bench.json);
-                                also accepts the des-* scheduler
+                                also accepts the des-* and noc-mesh
                                 microbenches, and --all includes them
   compare <base> <new>          diff two bench JSON files by median wall
                                 time; --threshold <pct> (default 10) sets

@@ -212,10 +212,10 @@ pub fn select(flags: &Flags) -> Result<Vec<&'static dyn Experiment>, String> {
 }
 
 /// Resolve the experiments `xxi bench` should time. Same id grammar as
-/// [`select`], plus the `des-*` scheduler microbenches: ids resolve
-/// against both registries, and `--all` means the full paper registry
-/// followed by every microbench. The run/list/golden paths never see the
-/// micro registry — benching is the only consumer.
+/// [`select`], plus the kernel microbenches (`des-*`, `noc-mesh`): ids
+/// resolve against both registries, and `--all` means the full paper
+/// registry followed by every microbench. The run/list/golden paths never
+/// see the micro registry — benching is the only consumer.
 pub fn select_bench(flags: &Flags) -> Result<Vec<&'static dyn Experiment>, String> {
     if flags.all {
         if !flags.ids.is_empty() {
@@ -481,5 +481,27 @@ mod tests {
         assert!(select(&f).err().unwrap().contains("unknown experiment"));
         let f = parse_flags(&args(&[])).unwrap();
         assert!(select(&f).is_err());
+    }
+
+    #[test]
+    fn select_bench_adds_the_micro_registry() {
+        let f = parse_flags(&args(&["--all"])).unwrap();
+        let ids: Vec<&str> = select_bench(&f).unwrap().iter().map(|e| e.id()).collect();
+        assert_eq!(ids.len(), 21 + 5);
+        assert_eq!(
+            ids[21..],
+            [
+                "des-hold",
+                "des-churn",
+                "des-cancel",
+                "des-drain",
+                "noc-mesh"
+            ]
+        );
+        let f = parse_flags(&args(&["NOC-MESH", "e13"])).unwrap();
+        let ids: Vec<&str> = select_bench(&f).unwrap().iter().map(|e| e.id()).collect();
+        assert_eq!(ids, ["noc-mesh", "e13"]);
+        let f = parse_flags(&args(&["noc-mesh"])).unwrap();
+        assert!(select(&f).is_err(), "run/list never see the micro registry");
     }
 }

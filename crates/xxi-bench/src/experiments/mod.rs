@@ -38,6 +38,7 @@ mod e6_multicore;
 mod e7_specialization;
 mod e8_pyramid;
 mod e9_tail;
+mod noc_micro;
 
 /// Run configuration shared by every experiment: deterministic seeding,
 /// the executor seam, tracing, and the run's metrics sink, parsed once by
@@ -265,16 +266,18 @@ pub fn find(id: &str) -> Option<&'static dyn Experiment> {
         .find(|e| e.id().eq_ignore_ascii_case(id))
 }
 
-/// The `des-*` scheduler microbenches, in fixed order. A separate
-/// registry on purpose: `xxi run`/`xxi list` and the golden suite stay
-/// pinned to the 21 paper experiments; only the bench path
+/// The kernel microbenches, in fixed order: the `des-*` scheduler
+/// patterns, then the `noc-mesh` switch loop. A separate registry on
+/// purpose: `xxi run`/`xxi list` and the golden suite stay pinned to the
+/// 21 paper experiments; only the bench path
 /// ([`crate::cli::select_bench`]) reaches these.
 pub fn micro_registry() -> &'static [&'static dyn Experiment] {
-    static MICRO: [&dyn Experiment; 4] = [
+    static MICRO: [&dyn Experiment; 5] = [
         &des_micro::DesHold,
         &des_micro::DesChurn,
         &des_micro::DesCancel,
         &des_micro::DesDrain,
+        &noc_micro::NocMesh,
     ];
     &MICRO
 }

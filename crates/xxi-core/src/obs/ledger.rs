@@ -100,6 +100,37 @@ impl EnergyLedger {
         e.events += 1;
     }
 
+    /// Attribute `events` charges totalling `energy` to `component` in one
+    /// call, for hot loops that sum their charges locally. Adds no entry
+    /// when `events == 0`.
+    ///
+    /// Callers must sum in charge order, starting from [`Energy::ZERO`]:
+    /// then, for a component with no earlier charges, the ledger is bit
+    /// for bit what `events` separate [`EnergyLedger::charge`] calls would
+    /// leave (otherwise it differs only by floating-point reassociation).
+    pub fn charge_batch(
+        &mut self,
+        component: &'static str,
+        layer: Layer,
+        energy: Energy,
+        events: u64,
+    ) {
+        if events == 0 {
+            return;
+        }
+        let e = self.entries.entry(component).or_insert(Entry {
+            layer,
+            energy: Energy::ZERO,
+            events: 0,
+        });
+        debug_assert_eq!(
+            e.layer, layer,
+            "component {component:?} charged under two layers"
+        );
+        e.energy += energy;
+        e.events += events;
+    }
+
     /// Number of distinct components charged.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -250,6 +281,47 @@ mod tests {
         assert!((l.component("l1").pj() - 15.0).abs() < 1e-9);
         assert!((l.layer_total(Layer::Memory).pj() - 15.0).abs() < 1e-9);
         assert!((l.total_spent().pj() - 18.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn batch_charge_matches_individual_charges_bit_for_bit() {
+        // Uneven energies, so the running sum's rounding is order-sensitive.
+        let charges = [0.1, 0.2, 0.3, 1e-12, 7.0, 0.1].map(Energy);
+        let mut single = EnergyLedger::new();
+        let mut sum = Energy::ZERO;
+        for e in charges {
+            single.charge("link", Layer::Network, e);
+            sum += e;
+        }
+        single.charge("alu", Layer::Compute, Energy(3.0));
+        let mut batched = EnergyLedger::new();
+        batched.charge_batch("link", Layer::Network, sum, charges.len() as u64);
+        batched.charge("alu", Layer::Compute, Energy(3.0));
+
+        let bits = |l: &EnergyLedger| {
+            l.components()
+                .map(|(name, layer, e, n)| (name, layer, e.value().to_bits(), n))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&single), bits(&batched));
+        assert_eq!(single.table().render(), batched.table().render());
+        assert_eq!(
+            single.total_spent().value().to_bits(),
+            batched.total_spent().value().to_bits()
+        );
+        for layer in Layer::ALL {
+            assert_eq!(
+                single.layer_total(layer).value().to_bits(),
+                batched.layer_total(layer).value().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn empty_batch_adds_no_entry() {
+        let mut l = EnergyLedger::new();
+        l.charge_batch("link", Layer::Network, Energy::ZERO, 0);
+        assert!(l.is_empty());
     }
 
     #[test]

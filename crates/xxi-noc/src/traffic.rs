@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::topology::Mesh;
+use crate::topology::{Dir, Mesh};
 use xxi_core::rng::Rng64;
 
 /// Destination-selection pattern.
@@ -66,15 +66,19 @@ impl Pattern {
                 }
             }
             Pattern::Neighbor => {
-                let neighbors: Vec<usize> = crate::topology::Dir::ALL
-                    .iter()
-                    .filter(|d| **d != crate::topology::Dir::Local)
-                    .filter_map(|d| mesh.neighbor(src, *d))
-                    .collect();
-                if neighbors.is_empty() {
+                // Filled in `Dir::ALL` order, so the draw is stable.
+                let mut neighbors = [0usize; 6];
+                let mut n = 0;
+                for d in Dir::ALL.into_iter().filter(|d| *d != Dir::Local) {
+                    if let Some(nb) = mesh.neighbor(src, d) {
+                        neighbors[n] = nb;
+                        n += 1;
+                    }
+                }
+                if n == 0 {
                     None
                 } else {
-                    Some(*rng.choose(&neighbors))
+                    Some(*rng.choose(&neighbors[..n]))
                 }
             }
         }
@@ -135,6 +139,36 @@ mod tests {
             for _ in 0..20 {
                 let d = Pattern::Neighbor.dest(&m, src, &mut rng).unwrap();
                 assert_eq!(m.hops(src, d), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_draws_match_the_vec_selection() {
+        // The selection as it was: collect the neighbors, then choose.
+        fn collected(mesh: &Mesh, src: usize, rng: &mut Rng64) -> Option<usize> {
+            let neighbors: Vec<usize> = Dir::ALL
+                .iter()
+                .filter(|d| **d != Dir::Local)
+                .filter_map(|d| mesh.neighbor(src, *d))
+                .collect();
+            (!neighbors.is_empty()).then(|| *rng.choose(&neighbors))
+        }
+        for m in [
+            Mesh::new_2d(1, 1),
+            Mesh::new_2d(1, 5),
+            Mesh::new_2d(4, 4),
+            Mesh::new_3d(3, 4, 2),
+            Mesh::new_3d(3, 3, 3),
+        ] {
+            let (mut a, mut b) = (Rng64::new(6), Rng64::new(6));
+            for i in 0..2_000 {
+                let src = (i * 7) % m.nodes();
+                assert_eq!(
+                    Pattern::Neighbor.dest(&m, src, &mut a),
+                    collected(&m, src, &mut b),
+                    "{m:?} src {src} draw {i}"
+                );
             }
         }
     }
