@@ -1,10 +1,8 @@
 //! Benches for the analytic models and codecs: ECC, wear leveling,
-//! compression, Hill–Marty, fan-out Monte Carlo. Run with
+//! compression, Hill–Marty, Zipf sampling. Run with
 //! `cargo bench --bench models` (optionally a substring filter).
 
 use xxi_bench::Bench;
-use xxi_cloud::fanout::fanout_latency;
-use xxi_cloud::latency::LatencyDist;
 use xxi_core::rng::{Rng64, Zipf};
 use xxi_cpu::hillmarty::{best_symmetric_r, speedup_symmetric};
 use xxi_mem::compress::{compressed_bits, Line};
@@ -99,13 +97,6 @@ fn bench_hillmarty(h: &mut Bench) {
     });
 }
 
-fn bench_fanout(h: &mut Bench) {
-    let mut g = h.group("fanout");
-    g.bench("mc_fanout100_5k_trials", || {
-        fanout_latency(LatencyDist::typical_leaf(), 100, 5_000, 7).p99
-    });
-}
-
 fn bench_zipf(h: &mut Bench) {
     let mut g = h.group("zipf");
     g.throughput(1_000_000);
@@ -126,7 +117,6 @@ fn main() {
     bench_wear_leveling(&mut h);
     bench_compression(&mut h);
     bench_hillmarty(&mut h);
-    bench_fanout(&mut h);
     bench_zipf(&mut h);
     h.finish();
 }

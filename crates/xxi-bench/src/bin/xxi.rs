@@ -29,8 +29,9 @@ commands:
                                 per line); `-` reads stdin
   bench <id>...|--all [flags]   time experiments (--iters N, --warmup K,
                                 --threads N, --seed S, --out bench.json);
-                                also accepts the des-* and noc-mesh
-                                microbenches, and --all includes them
+                                also accepts the des-*, noc-mesh and
+                                cloud-fanout microbenches, and --all
+                                includes them
   compare <base> <new>          diff two bench JSON files by median wall
                                 time; --threshold <pct> (default 10) sets
                                 the regression gate (exit 3 when exceeded)

@@ -212,9 +212,9 @@ pub fn select(flags: &Flags) -> Result<Vec<&'static dyn Experiment>, String> {
 }
 
 /// Resolve the experiments `xxi bench` should time. Same id grammar as
-/// [`select`], plus the kernel microbenches (`des-*`, `noc-mesh`): ids
-/// resolve against both registries, and `--all` means the full paper
-/// registry followed by every microbench. The run/list/golden paths never
+/// [`select`], plus the kernel microbenches (`des-*`, `noc-mesh`,
+/// `cloud-fanout`): ids resolve against both registries, and `--all`
+/// means the full paper registry followed by every microbench. The run/list/golden paths never
 /// see the micro registry — benching is the only consumer.
 pub fn select_bench(flags: &Flags) -> Result<Vec<&'static dyn Experiment>, String> {
     if flags.all {
@@ -487,7 +487,7 @@ mod tests {
     fn select_bench_adds_the_micro_registry() {
         let f = parse_flags(&args(&["--all"])).unwrap();
         let ids: Vec<&str> = select_bench(&f).unwrap().iter().map(|e| e.id()).collect();
-        assert_eq!(ids.len(), 21 + 5);
+        assert_eq!(ids.len(), 21 + 6);
         assert_eq!(
             ids[21..],
             [
@@ -495,7 +495,8 @@ mod tests {
                 "des-churn",
                 "des-cancel",
                 "des-drain",
-                "noc-mesh"
+                "noc-mesh",
+                "cloud-fanout"
             ]
         );
         let f = parse_flags(&args(&["NOC-MESH", "e13"])).unwrap();

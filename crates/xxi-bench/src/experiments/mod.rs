@@ -16,6 +16,7 @@ use xxi_core::par::Parallelism;
 use xxi_core::Report;
 use xxi_stack::pool::Pool;
 
+mod cloud_micro;
 mod des_micro;
 mod e10_sensor;
 mod e11_ntv;
@@ -267,17 +268,18 @@ pub fn find(id: &str) -> Option<&'static dyn Experiment> {
 }
 
 /// The kernel microbenches, in fixed order: the `des-*` scheduler
-/// patterns, then the `noc-mesh` switch loop. A separate registry on
+/// patterns, the `noc-mesh` switch loop, then the `cloud-fanout` max. A separate registry on
 /// purpose: `xxi run`/`xxi list` and the golden suite stay pinned to the
 /// 21 paper experiments; only the bench path
 /// ([`crate::cli::select_bench`]) reaches these.
 pub fn micro_registry() -> &'static [&'static dyn Experiment] {
-    static MICRO: [&dyn Experiment; 5] = [
+    static MICRO: [&dyn Experiment; 6] = [
         &des_micro::DesHold,
         &des_micro::DesChurn,
         &des_micro::DesCancel,
         &des_micro::DesDrain,
         &noc_micro::NocMesh,
+        &cloud_micro::CloudFanout,
     ];
     &MICRO
 }

@@ -574,32 +574,38 @@ const OUT_REFUSED: f64 = 1.0;
 const OUT_TIMEOUT: f64 = 2.0;
 const OUT_CANCELLED: f64 = 3.0;
 
+/// One dispatched attempt of a shard query.
+struct Attempt {
+    /// An answer arrived, the connection was refused, or the timeout
+    /// fired. Guards double-handling.
+    resolved: bool,
+    /// In-flight accounting flag: set exactly when the attempt's
+    /// connection closes and the replica's outstanding counter is
+    /// decremented.
+    settled: bool,
+    /// When the attempt was dispatched (feeds the shard latency digest).
+    sent_at: SimTime,
+    /// Local replica index the attempt was routed to.
+    replica: u32,
+    /// Open trace span (`SpanId::DISABLED` when untraced).
+    span: SpanId,
+    /// The pending timeout timer; cancelled when the attempt settles
+    /// first (`None` on the refused path, which schedules none).
+    timeout_timer: Option<TimerHandle>,
+}
+
 struct ShardSlot {
     answered: bool,
     given_up: bool,
-    /// Attempts dispatched so far (retries and hedges included).
-    attempts: u32,
-    /// Per-attempt resolution flag: an answer arrived, the connection was
-    /// refused, or the timeout fired. Guards double-handling.
-    resolved: Vec<bool>,
-    /// Per-attempt in-flight accounting flag: set exactly when the
-    /// attempt's connection closes and the replica's outstanding counter
-    /// is decremented.
-    settled: Vec<bool>,
-    /// When each attempt was dispatched (feeds the shard latency digest).
-    sent_at: Vec<SimTime>,
-    /// Local replica index each attempt was routed to.
-    replica: Vec<u32>,
-    /// Open trace span per attempt (`SpanId::DISABLED` when untraced).
-    span: Vec<SpanId>,
-    /// The attempt's pending timeout timer; cancelled when the attempt
-    /// settles first (`None` on the refused path, which schedules none).
-    timeout_timer: Vec<Option<TimerHandle>>,
+    /// Attempts dispatched so far (retries and hedges included), in
+    /// dispatch order.
+    attempts: Vec<Attempt>,
     /// The shard query's pending hedge timer; cancelled as soon as a
     /// second attempt exists or the query closes.
     hedge_timer: Option<TimerHandle>,
-    /// Replicas tried since the failover permutation last restarted.
-    tried: Vec<bool>,
+    /// Bit `r` set: replica `r` tried since the failover permutation last
+    /// restarted.
+    tried: u64,
     /// Start of the failover rotation (drawn per shard query).
     first_pick: u32,
 }
@@ -635,6 +641,8 @@ struct CState {
     /// Per-shard online attempt-latency digest — the signal
     /// [`AdaptiveHedge`] hedges on.
     digests: Vec<TailDigest>,
+    /// The failover walk's output, reused by every dispatch.
+    candidates: Vec<u32>,
     latencies_ms: Vec<f64>,
     full: u32,
     partial: u32,
@@ -656,14 +664,17 @@ fn ms_to_sim(ms: f64) -> SimTime {
     SimTime::from_ps((ms * 1e9).round().max(0.0) as u64)
 }
 
-/// The failover walk: local replica indices in rotation order from
-/// `first_pick`, restricted to replicas not yet tried — a permutation
-/// that never revisits a replica until every one has been offered.
-fn failover_candidates(replicas: u32, first_pick: u32, tried: &[bool]) -> Vec<u32> {
-    (0..replicas)
-        .map(|k| (first_pick + k) % replicas)
-        .filter(|&r| !tried[r as usize])
-        .collect()
+/// The failover walk into `out`: local replica indices in rotation order
+/// from `first_pick`, restricted to replicas not yet tried (bit `r` of
+/// `tried`) — a permutation that never revisits a replica until every
+/// one has been offered.
+fn failover_candidates(replicas: u32, first_pick: u32, tried: u64, out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(
+        (first_pick..replicas)
+            .chain(0..first_pick)
+            .filter(|&r| tried >> r & 1 == 0),
+    );
 }
 
 impl ClusterConfig {
@@ -694,6 +705,10 @@ impl ClusterConfig {
     /// the simulation: results are bit-identical with [`Trace::disabled`].
     pub fn run_traced(&self, plan: &FaultPlan, trace: Trace) -> (ClusterOutcome, Trace) {
         assert!(self.shards >= 1 && self.replicas >= 1 && self.requests >= 1);
+        assert!(
+            self.replicas <= 64,
+            "the failover walk tracks replicas in a u64 mask"
+        );
         assert!((0.0..=1.0).contains(&self.min_coverage));
         let state = CState {
             cfg: *self,
@@ -706,6 +721,7 @@ impl ClusterConfig {
             reqs: Vec::with_capacity(self.requests as usize),
             inflight: vec![0; self.components() as usize],
             digests: vec![TailDigest::new(); self.shards as usize],
+            candidates: Vec::with_capacity(self.replicas as usize),
             latencies_ms: Vec::with_capacity(self.requests as usize),
             full: 0,
             partial: 0,
@@ -790,15 +806,9 @@ fn arrive(sim: &mut Sim<CState>) {
         .map(|_| ShardSlot {
             answered: false,
             given_up: false,
-            attempts: 0,
-            resolved: Vec::new(),
-            settled: Vec::new(),
-            sent_at: Vec::new(),
-            replica: Vec::new(),
-            span: Vec::new(),
-            timeout_timer: Vec::new(),
+            attempts: Vec::new(),
             hedge_timer: None,
-            tried: vec![false; cfg.replicas as usize],
+            tried: 0,
             first_pick: sim.state.rng.below(cfg.replicas as u64) as u32,
         })
         .collect();
@@ -854,26 +864,19 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
     let (attempt, local) = {
         let s = &mut sim.state;
         let slot = &mut s.reqs[req].slots[shard];
-        let attempt = slot.attempts as usize;
-        slot.attempts += 1;
-        slot.resolved.push(false);
-        slot.settled.push(false);
-        slot.sent_at.push(now);
-        slot.timeout_timer.push(None);
-        debug_assert_eq!(slot.resolved.len(), slot.attempts as usize);
-        if slot.tried.iter().all(|&t| t) {
+        let attempt = slot.attempts.len();
+        if slot.tried == u64::MAX >> (64 - cfg.replicas) {
             // Every replica has been offered: start a fresh permutation.
-            slot.tried.fill(false);
+            slot.tried = 0;
         }
-        let candidates = failover_candidates(cfg.replicas, slot.first_pick, &slot.tried);
+        failover_candidates(cfg.replicas, slot.first_pick, slot.tried, &mut s.candidates);
         let local = cfg.routing.pick_with(
-            &candidates,
+            &s.candidates,
             &s.inflight[base..base + cfg.replicas as usize],
             &mut s.route_rng,
         );
-        debug_assert!(candidates.contains(&local), "policy picked a candidate");
-        slot.tried[local as usize] = true;
-        slot.replica.push(local);
+        debug_assert!(s.candidates.contains(&local), "policy picked a candidate");
+        slot.tried |= 1 << local;
         s.inflight[base + local as usize] += 1;
         (attempt, local)
     };
@@ -885,7 +888,14 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
     let replica = (base + local as usize) as u32;
     sim.state.attempts += 1;
     let span = sim.trace_begin("attempt", "cluster", 1 + shard as u64);
-    sim.state.reqs[req].slots[shard].span.push(span);
+    sim.state.reqs[req].slots[shard].attempts.push(Attempt {
+        resolved: false,
+        settled: false,
+        sent_at: now,
+        replica: local,
+        span,
+        timeout_timer: None,
+    });
 
     if !sim.state.faults.is_up(replica, now) {
         // Connection refused: the dead/paused replica is detected after
@@ -897,7 +907,7 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
             if r.done || r.slots[shard].answered || r.slots[shard].given_up {
                 return;
             }
-            r.slots[shard].resolved[attempt] = true;
+            r.slots[shard].attempts[attempt].resolved = true;
             maybe_retry(sim, req, shard);
         });
     } else {
@@ -913,7 +923,7 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
         let h = sim.schedule_in_handle(ms_to_sim(timeout_ms), move |sim| {
             attempt_timeout(sim, req, shard, attempt);
         });
-        sim.state.reqs[req].slots[shard].timeout_timer[attempt] = Some(h);
+        sim.state.reqs[req].slots[shard].attempts[attempt].timeout_timer = Some(h);
     }
 
     // Hedge the first attempt (only): a duplicate to another replica
@@ -940,17 +950,12 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
 /// Idempotent per attempt; returns whether this call did the settling.
 fn settle(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize, outcome: f64) -> bool {
     let (local, span, timer) = {
-        let s = &mut sim.state;
-        let slot = &mut s.reqs[req].slots[shard];
-        if slot.settled[attempt] {
+        let a = &mut sim.state.reqs[req].slots[shard].attempts[attempt];
+        if a.settled {
             return false;
         }
-        slot.settled[attempt] = true;
-        (
-            slot.replica[attempt],
-            slot.span[attempt],
-            slot.timeout_timer[attempt].take(),
-        )
+        a.settled = true;
+        (a.replica, a.span, a.timeout_timer.take())
     };
     if let Some(h) = timer {
         // A settled attempt's timeout fire would be a pure no-op (the
@@ -981,7 +986,7 @@ fn settle_request(sim: &mut Sim<CState>, req: usize) {
     }
     for shard in 0..sim.state.cfg.shards as usize {
         cancel_hedge(sim, req, shard);
-        let attempts = sim.state.reqs[req].slots[shard].attempts as usize;
+        let attempts = sim.state.reqs[req].slots[shard].attempts.len();
         for attempt in 0..attempts {
             settle(sim, req, shard, attempt, OUT_CANCELLED);
         }
@@ -1001,14 +1006,14 @@ fn respond(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize, repl
     settle(sim, req, shard, attempt, OUT_RESPONSE);
     // Every arrived response feeds the shard's online latency digest —
     // the signal adaptive hedging reads.
-    let sent = sim.state.reqs[req].slots[shard].sent_at[attempt];
+    let sent = sim.state.reqs[req].slots[shard].attempts[attempt].sent_at;
     let observed = now.since(sent).ms();
     sim.state.digests[shard].add(observed);
     let shards = sim.state.cfg.shards;
     let mut answered_now = false;
     let full_close = {
         let r = &mut sim.state.reqs[req];
-        r.slots[shard].resolved[attempt] = true;
+        r.slots[shard].attempts[attempt].resolved = true;
         if r.done || r.slots[shard].answered {
             None
         } else {
@@ -1042,7 +1047,7 @@ fn attempt_timeout(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usi
     {
         let r = &sim.state.reqs[req];
         let slot = &r.slots[shard];
-        if r.done || slot.answered || slot.given_up || slot.resolved[attempt] {
+        if r.done || slot.answered || slot.given_up || slot.attempts[attempt].resolved {
             if !settled_now {
                 // The fire did literally nothing — a stale timer that
                 // cancellation should have reaped. Kept as a tripwire.
@@ -1051,7 +1056,7 @@ fn attempt_timeout(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usi
             return;
         }
     }
-    sim.state.reqs[req].slots[shard].resolved[attempt] = true;
+    sim.state.reqs[req].slots[shard].attempts[attempt].resolved = true;
     sim.state.timeouts += 1;
     maybe_retry(sim, req, shard);
 }
@@ -1061,7 +1066,7 @@ fn attempt_timeout(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usi
 fn maybe_retry(sim: &mut Sim<CState>, req: usize, shard: usize) {
     let now = sim.now();
     let cfg = sim.state.cfg;
-    let attempts = sim.state.reqs[req].slots[shard].attempts;
+    let attempts = sim.state.reqs[req].slots[shard].attempts.len() as u32;
     if attempts >= cfg.retry.max_attempts {
         sim.state.reqs[req].slots[shard].given_up = true;
         cancel_hedge(sim, req, shard);
@@ -1090,7 +1095,7 @@ fn maybe_retry(sim: &mut Sim<CState>, req: usize, shard: usize) {
 fn hedge_fire(sim: &mut Sim<CState>, req: usize, shard: usize) {
     let r = &sim.state.reqs[req];
     let slot = &r.slots[shard];
-    if r.done || slot.answered || slot.given_up || slot.attempts != 1 {
+    if r.done || slot.answered || slot.given_up || slot.attempts.len() != 1 {
         // Permanent conditions: cancellation reaps these timers before
         // they fire, so reaching here means a stale fire slipped through.
         sim.state.stale_fires += 1;
@@ -1098,7 +1103,7 @@ fn hedge_fire(sim: &mut Sim<CState>, req: usize, shard: usize) {
     }
     // Only hedge while hedging leaves room for a retry, and shed hedging
     // load entirely in Safe mode — transient conditions, not staleness.
-    if slot.attempts >= sim.state.cfg.retry.max_attempts {
+    if slot.attempts.len() as u32 >= sim.state.cfg.retry.max_attempts {
         return;
     }
     if sim.state.machine.mode() == Mode::Safe {
@@ -1272,18 +1277,52 @@ mod tests {
         }
     }
 
+    /// The failover walk as it was over a `&[bool]` tried list: the
+    /// reference the mask walk must reproduce.
+    fn failover_candidates_by_flags(replicas: u32, first_pick: u32, tried: &[bool]) -> Vec<u32> {
+        (0..replicas)
+            .map(|k| (first_pick + k) % replicas)
+            .filter(|&r| !tried[r as usize])
+            .collect()
+    }
+
+    fn walk(replicas: u32, first_pick: u32, tried: u64) -> Vec<u32> {
+        let mut out = vec![99; 3];
+        failover_candidates(replicas, first_pick, tried, &mut out);
+        out
+    }
+
+    #[test]
+    fn mask_walk_matches_the_flag_walk_exhaustively() {
+        for replicas in 1u32..=8 {
+            for first in 0..replicas {
+                for mask in 0..(1u64 << replicas) {
+                    let tried: Vec<bool> = (0..replicas).map(|r| mask & (1 << r) != 0).collect();
+                    assert_eq!(
+                        walk(replicas, first, mask),
+                        failover_candidates_by_flags(replicas, first, &tried),
+                        "replicas={replicas} first_pick={first} mask={mask:#b}"
+                    );
+                }
+            }
+        }
+        // The top bit of a full 64-replica mask.
+        assert_eq!(walk(64, 63, u64::MAX >> 1), [63]);
+        assert_eq!(walk(64, 5, u64::MAX), Vec::<u32>::new());
+    }
+
     #[test]
     fn failover_candidates_form_a_permutation() {
         // Whatever has been tried, the candidates are distinct untried
         // replicas in rotation order from the first pick.
         for replicas in [1u32, 2, 3, 5] {
             for first in 0..replicas {
-                for mask in 0..(1u32 << replicas) {
-                    let tried: Vec<bool> = (0..replicas).map(|r| mask & (1 << r) != 0).collect();
-                    let c = failover_candidates(replicas, first, &tried);
+                for mask in 0..(1u64 << replicas) {
+                    let untried = |r: u32| mask & (1 << r) == 0;
+                    let c = walk(replicas, first, mask);
                     assert_eq!(
                         c.len(),
-                        tried.iter().filter(|&&t| !t).count(),
+                        (0..replicas).filter(|&r| untried(r)).count(),
                         "every untried replica is offered exactly once"
                     );
                     for w in c.windows(2) {
@@ -1291,11 +1330,22 @@ mod tests {
                         assert!(pos(w[0]) < pos(w[1]), "rotation order from first_pick");
                     }
                     for &r in &c {
-                        assert!(!tried[r as usize]);
+                        assert!(untried(r));
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "u64 mask")]
+    fn more_than_64_replicas_are_refused() {
+        ClusterConfig {
+            replicas: 65,
+            requests: 1,
+            ..ClusterConfig::default()
+        }
+        .run(&FaultPlan::new());
     }
 
     #[test]
