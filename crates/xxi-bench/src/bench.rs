@@ -1,7 +1,8 @@
-//! `xxi bench` and `xxi compare`: per-experiment wall-clock measurement
-//! and the perf-regression gate.
+//! `xxi bench` and `xxi compare`: the one place host code is timed, and
+//! the perf-regression gate.
 //!
-//! `run_bench` times whole experiment runs (`Experiment::run` under a
+//! `run_bench` times whole experiment runs and the per-layer kernels of
+//! [`crate::experiments::kernels`] alike (`Experiment::run` under a
 //! reused [`RunCtx`], so the pool is warm and its stats can be windowed
 //! with [`PoolStats::since`]) and emits a stable hand-rolled JSON schema —
 //! the generator of the repo's `BENCH_*.json` trajectory. `compare` diffs
@@ -17,11 +18,11 @@
 use std::time::{Instant, SystemTime};
 
 use xxi_core::report::json::{self, Json};
+use xxi_core::table::fnum;
 use xxi_core::Table;
 use xxi_stack::pool::PoolStats;
 
 use crate::experiments::{Experiment, RunCtx};
-use crate::harness::fmt_secs;
 
 /// Version of the bench JSON layout. Bump on any breaking change.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
@@ -143,8 +144,12 @@ pub fn run_bench(
                 .map(|p| p.stats().since(&pool_before.expect("pool existed before"))), // xxi-allow: panic-path -- see the expect message
             wall,
         };
+        let rate = match &r.throughput {
+            Some((unit, per_s)) => format!("  {} M {unit}/s", fnum(per_s / 1e6)),
+            None => String::new(),
+        };
         progress(&format!(
-            "{:<5} p50 {}  ({} iters)",
+            "{:<20} p50 {}{rate}  ({} iters)",
             r.id,
             fmt_secs(wall.p50_s),
             cfg.iters
@@ -469,6 +474,20 @@ impl Comparison {
     }
 }
 
+/// Human-readable duration with an auto-picked unit (`xxi bench`'s
+/// progress lines and `xxi compare`'s table).
+fn fmt_secs(s: f64) -> String {
+    if s < 1e-6 {
+        format!("{:.1} ns", s * 1e9)
+    } else if s < 1e-3 {
+        format!("{:.2} us", s * 1e6)
+    } else if s < 1.0 {
+        format!("{:.2} ms", s * 1e3)
+    } else {
+        format!("{s:.3} s")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,6 +513,14 @@ mod tests {
                 std::hint::black_box((0..100).sum::<u64>());
             });
         }
+    }
+
+    #[test]
+    fn fmt_secs_picks_sane_units() {
+        assert_eq!(fmt_secs(3.2e-9), "3.2 ns");
+        assert_eq!(fmt_secs(4.5e-5), "45.00 us");
+        assert_eq!(fmt_secs(0.012), "12.00 ms");
+        assert_eq!(fmt_secs(2.5), "2.500 s");
     }
 
     #[test]

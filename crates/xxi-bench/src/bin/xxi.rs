@@ -5,12 +5,12 @@
 //! xxi run <id>... [flags]      run experiments by id (e1 .. e21)
 //! xxi run --all [flags]        run the whole registry in id order
 //! xxi validate <file|->        validate a JSON report file (one doc/line)
-//! xxi bench <id>...|--all      time experiments, emit bench JSON
+//! xxi bench <id>...|--all      time experiments and kernels, emit bench JSON
 //! xxi compare <base> <new>     diff two bench files (the CI perf gate)
 //! ```
 //!
-//! `xxi run e9` prints exactly what the historical `exp_e9_tail` binary
-//! printed; `--format json` emits the schema-version-2 report documents.
+//! `xxi run e9` prints the text report pinned by the goldens; `--format
+//! json` emits the schema-version-3 report documents.
 //! Unknown commands and flags exit 2 with usage; `xxi compare` exits 3
 //! when a regression exceeds the threshold.
 
@@ -27,11 +27,12 @@ commands:
   run --all [flags]             run every experiment in id order
   validate <file|->             validate a JSON report file (one document
                                 per line); `-` reads stdin
-  bench <id>...|--all [flags]   time experiments (--iters N, --warmup K,
-                                --threads N, --seed S, --out bench.json);
-                                also accepts the des-*, noc-mesh and
-                                cloud-fanout microbenches, and --all
-                                includes them
+  bench <id>...|--all [flags]   time experiments and the layer/kernel
+                                throughput kernels (mem/dram-random,
+                                stack/pool-sum, ...; --all is every
+                                experiment, then every kernel); --iters N,
+                                --warmup K, --threads N, --seed S,
+                                --out bench.json
   compare <base> <new>          diff two bench JSON files by median wall
                                 time; --threshold <pct> (default 10) sets
                                 the regression gate (exit 3 when exceeded)

@@ -1,20 +1,19 @@
-//! The unified experiment CLI: one flag parser shared by the `xxi` driver
-//! and every `exp_*` shim binary.
+//! The unified experiment CLI: the flag parser and report plumbing behind
+//! the `xxi` driver.
 //!
 //! All experiments accept the same flags:
 //!
 //! ```text
 //! --seed <u64>          reseed every RNG stream (default: canonical seeds)
 //! --threads <N>         worker threads, N >= 1 (output is byte-identical)
-//! --trace <path>        Chrome trace_event JSON (e10/e17/e18 only)
+//! --trace <path>        Chrome trace_event JSON (e10/e17/e18/e21 only)
 //! --format <text|json>  report format (default: text)
 //! --out <path>          write the report(s) to a file instead of stdout
 //! ```
 //!
-//! Unknown flags are an error (exit 2 with usage) — historically
-//! `exp_e9_tail --thraeds 8` would silently run serial; now it fails
-//! loudly. `--trace` on an experiment that declares no trace capability
-//! is likewise exit 2.
+//! Unknown flags are an error (exit 2 with usage), so `xxi run e9
+//! --thraeds 8` fails loudly instead of running serial. `--trace` on an
+//! experiment that declares no trace capability is likewise exit 2.
 
 use std::path::PathBuf;
 
@@ -68,8 +67,8 @@ impl Default for Flags {
 }
 
 impl Flags {
-    /// The first bench/compare-only flag present, for contexts (`xxi run`,
-    /// the shim binaries) that must reject them.
+    /// The first bench/compare-only flag present, for `xxi run`, which
+    /// must reject them.
     pub fn bench_only_flag(&self) -> Option<&'static str> {
         if self.iters.is_some() {
             Some("--iters")
@@ -83,7 +82,7 @@ impl Flags {
     }
 }
 
-/// The flag block of the usage message (shared by driver and shims).
+/// The flag block of the `xxi` usage message.
 pub const FLAG_USAGE: &str = "\
 flags:
   --seed <u64>          reseed every RNG stream (default: the canonical seeds)
@@ -211,19 +210,23 @@ pub fn select(flags: &Flags) -> Result<Vec<&'static dyn Experiment>, String> {
     Ok(exps)
 }
 
-/// Resolve the experiments `xxi bench` should time. Same id grammar as
-/// [`select`], plus the kernel microbenches (`des-*`, `noc-mesh`,
-/// `cloud-fanout`): ids resolve against both registries, and `--all`
-/// means the full paper registry followed by every microbench. The run/list/golden paths never
-/// see the micro registry — benching is the only consumer.
+/// Resolve what `xxi bench` should time. Same id grammar as [`select`],
+/// plus the `layer/kernel` ids of the kernel registry: ids resolve against
+/// both, and `--all` means the 21 experiments followed by every kernel.
+/// The run/list/golden paths never see the kernels.
 pub fn select_bench(flags: &Flags) -> Result<Vec<&'static dyn Experiment>, String> {
+    let kernels = experiments::kernels::KERNELS
+        .iter()
+        .map(|k| k as &dyn Experiment);
     if flags.all {
         if !flags.ids.is_empty() {
             return Err("pass either --all or experiment ids, not both".into());
         }
-        let mut v = experiments::registry().to_vec();
-        v.extend_from_slice(experiments::micro_registry());
-        return Ok(v);
+        return Ok(experiments::registry()
+            .iter()
+            .copied()
+            .chain(kernels)
+            .collect());
     }
     if flags.ids.is_empty() {
         return Err("no experiment ids given (try `xxi bench --all`)".into());
@@ -232,17 +235,20 @@ pub fn select_bench(flags: &Flags) -> Result<Vec<&'static dyn Experiment>, Strin
     for id in &flags.ids {
         v.push(
             experiments::find(id)
-                .or_else(|| experiments::find_micro(id))
-                .ok_or_else(|| format!("unknown experiment: {id} (see `xxi list`)"))?,
+                .or_else(|| experiments::find_kernel(id).map(|k| k as &dyn Experiment))
+                .ok_or_else(|| {
+                    format!(
+                        "unknown experiment or kernel: {id} (see `xxi list` and EXPERIMENTS.md)"
+                    )
+                })?,
         );
     }
     Ok(v)
 }
 
 /// Run `exps` under `flags` and render them in the requested format:
-/// text reports are concatenated with a blank line between experiments
-/// (one report is byte-identical to the historical binary); JSON is one
-/// document per line.
+/// text reports are concatenated with a blank line between experiments;
+/// JSON is one document per line.
 pub fn render_reports(exps: &[&dyn Experiment], flags: &Flags) -> String {
     let mut out = String::new();
     for (i, e) in exps.iter().enumerate() {
@@ -345,54 +351,6 @@ pub fn validate_file(path: &std::path::Path) -> (bool, String) {
     )
 }
 
-/// The whole main() of an `exp_*` shim binary: parse the unified flags,
-/// run the one registered experiment, print/save the report. Never
-/// returns.
-pub fn run_shim(id: &str) -> ! {
-    let exp = experiments::find(id).expect("shim id is registered"); // xxi-allow: panic-path -- see the expect message
-    let prog = std::env::args()
-        .next()
-        .map(|p| {
-            PathBuf::from(p)
-                .file_name()
-                .map(|f| f.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "exp".into())
-        })
-        .unwrap_or_else(|| "exp".into());
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut flags = match parse_flags(&args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\nusage: {prog} [flags]\n{FLAG_USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if flags.all || !flags.ids.is_empty() {
-        eprintln!(
-            "error: {prog} runs exactly one experiment (use the `xxi` driver for sets)\n\n\
-             usage: {prog} [flags]\n{FLAG_USAGE}"
-        );
-        std::process::exit(2);
-    }
-    if let Some(flag) = flags.bench_only_flag() {
-        eprintln!(
-            "error: {flag} is only valid with `xxi bench`/`xxi compare`\n\n\
-             usage: {prog} [flags]\n{FLAG_USAGE}"
-        );
-        std::process::exit(2);
-    }
-    flags.ids = vec![exp.id().to_string()];
-    let exps = match select(&flags) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rendered = render_reports(&exps, &flags);
-    std::process::exit(deliver(&rendered, &flags));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,25 +442,30 @@ mod tests {
     }
 
     #[test]
-    fn select_bench_adds_the_micro_registry() {
+    fn select_bench_adds_the_kernel_registry() {
         let f = parse_flags(&args(&["--all"])).unwrap();
         let ids: Vec<&str> = select_bench(&f).unwrap().iter().map(|e| e.id()).collect();
-        assert_eq!(ids.len(), 21 + 6);
-        assert_eq!(
-            ids[21..],
-            [
-                "des-hold",
-                "des-churn",
-                "des-cancel",
-                "des-drain",
-                "noc-mesh",
-                "cloud-fanout"
-            ]
-        );
-        let f = parse_flags(&args(&["NOC-MESH", "e13"])).unwrap();
+        assert_eq!(ids.len(), 21 + experiments::kernels::KERNELS.len());
+        assert_eq!(ids[20], "e21");
+        assert!(ids[21..].iter().all(|id| id.contains('/')), "{ids:?}");
+        for id in [
+            "des/hold",
+            "des/churn",
+            "des/cancel",
+            "des/drain",
+            "noc/mesh",
+            "cloud/fanout",
+            "stack/pool-sum",
+            "stack/stm-bank",
+        ] {
+            assert!(ids.contains(&id), "{id} missing");
+        }
+        let f = parse_flags(&args(&["NOC/MESH", "e13"])).unwrap();
         let ids: Vec<&str> = select_bench(&f).unwrap().iter().map(|e| e.id()).collect();
-        assert_eq!(ids, ["noc-mesh", "e13"]);
+        assert_eq!(ids, ["noc/mesh", "e13"]);
+        let f = parse_flags(&args(&["noc/mesh"])).unwrap();
+        assert!(select(&f).is_err(), "run/list never see the kernels");
         let f = parse_flags(&args(&["noc-mesh"])).unwrap();
-        assert!(select(&f).is_err(), "run/list never see the micro registry");
+        assert!(select_bench(&f).is_err());
     }
 }

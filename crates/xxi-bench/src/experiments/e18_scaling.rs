@@ -1,10 +1,9 @@
 //! E18 — §2.2: "1,000-way parallelism … communication energy will outgrow
-//! computation energy." Real scaling on the work-stealing runtime, plus
-//! the modeled 1000-way energy balance.
+//! computation energy." The modeled 1000-way energy balance, plus the
+//! observed mesh that carries the halo traffic.
 //!
-//! The strong-scaling table reports wall-clock times on real threads, so
-//! it is marked volatile: the golden harness pins its shape but not its
-//! machine-dependent numbers.
+//! Real-thread scaling of the work-stealing pool is a host measurement, so
+//! it lives in the bench registry: `xxi bench stack/pool-sum --threads N`.
 
 use xxi_core::table::fnum;
 use xxi_core::{Report, Table};
@@ -13,21 +12,12 @@ use xxi_noc::link::{Link, LinkKind};
 use xxi_noc::sim::{NocConfig, NocSim};
 use xxi_noc::topology::Mesh;
 use xxi_noc::traffic::Pattern;
-use xxi_stack::Pool;
 use xxi_tech::ops::OpEnergies;
 use xxi_tech::NodeDb;
 
 use crate::{quantile_row, quantile_table};
 
 use super::{Experiment, RunCtx};
-
-fn kernel(i: usize) -> f64 {
-    let mut x = i as f64 + 1.0;
-    for _ in 0..1_500 {
-        x = (x * 1.0000001).sqrt() + 0.25;
-    }
-    x
-}
 
 pub struct E18Scaling;
 
@@ -37,7 +27,7 @@ impl Experiment for E18Scaling {
     }
 
     fn title(&self) -> &'static str {
-        "1000-way parallelism: real scaling and the communication-energy wall"
+        "1000-way parallelism: the communication-energy wall"
     }
 
     fn paper_claim(&self) -> &'static str {
@@ -49,38 +39,6 @@ impl Experiment for E18Scaling {
     }
 
     fn fill(&self, ctx: &RunCtx, r: &mut Report) {
-        r.section("Real strong scaling on the work-stealing pool (this machine)");
-        let hw = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let n = 150_000usize;
-        let base = {
-            let pool = Pool::new(1);
-            pool.parallel_sum(1000, kernel);
-            // xxi-allow: determinism -- measures real speedup; reported as volatile
-            let t0 = std::time::Instant::now();
-            pool.parallel_sum(n, kernel);
-            t0.elapsed().as_secs_f64()
-        };
-        let mut t = Table::new(&["threads", "time (s)", "speedup", "efficiency"]);
-        let mut threads = 1usize;
-        while threads <= hw.min(16) {
-            let pool = Pool::new(threads);
-            pool.parallel_sum(1000, kernel);
-            // xxi-allow: determinism -- measures real speedup; reported as volatile
-            let t0 = std::time::Instant::now();
-            pool.parallel_sum(n, kernel);
-            let dt = t0.elapsed().as_secs_f64();
-            t.row(&[
-                threads.to_string(),
-                fnum(dt),
-                fnum(base / dt),
-                fnum(base / dt / threads as f64),
-            ]);
-            threads *= 2;
-        }
-        r.volatile_table(t);
-
         r.section("Modeled 1000-way stencil: compute vs communication energy per sweep");
         // A 1000-core 22nm chip runs a 2D stencil: each core owns a tile of
         // 256x256 points (f64), computes 5 FMA/point, and exchanges halos
@@ -167,11 +125,11 @@ impl Experiment for E18Scaling {
         ctx.emit_trace(r, &heavy.trace);
 
         r.text(
-            "\nHeadline: the runtime scales near-linearly on real cores; in the model,\n\
-             neighbor-only communication stays affordable but its share grows every\n\
-             node, and communication-oblivious (all-to-all) patterns already cost\n\
-             multiples of compute at 22nm — 'rethink how we design for 1,000-way\n\
-             parallelism' is an energy statement, not a scheduling one.",
+            "\nHeadline: in the model, neighbor-only communication stays affordable\n\
+             but its share grows every node, and communication-oblivious\n\
+             (all-to-all) patterns already cost multiples of compute at 22nm —\n\
+             'rethink how we design for 1,000-way parallelism' is an energy\n\
+             statement, not a scheduling one.",
         );
     }
 }

@@ -1,11 +1,12 @@
 //! The experiment registry: every experiment from DESIGN.md's index as an
 //! [`Experiment`] implementation producing a structured
 //! [`Report`], plus the [`RunCtx`] that carries the unified run
-//! configuration (seed, threads/executor, tracing) to all of them.
+//! configuration (seed, threads/executor, tracing) to all of them, and the
+//! [`kernels`] registry that only `xxi bench` reaches.
 //!
-//! The `xxi` driver binary (`xxi list` / `xxi run`) and the per-experiment
-//! shim binaries (`exp_e1_scaling` …) are both thin wrappers over this
-//! module; the golden-output tests run it in-process.
+//! The `xxi` driver binary (`xxi list` / `xxi run` / `xxi bench`) is a
+//! thin wrapper over this module; the golden-output tests run it
+//! in-process.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -16,8 +17,7 @@ use xxi_core::par::Parallelism;
 use xxi_core::Report;
 use xxi_stack::pool::Pool;
 
-mod cloud_micro;
-mod des_micro;
+mod des_kernels;
 mod e10_sensor;
 mod e11_ntv;
 mod e12_nvm;
@@ -39,7 +39,7 @@ mod e6_multicore;
 mod e7_specialization;
 mod e8_pyramid;
 mod e9_tail;
-mod noc_micro;
+pub mod kernels;
 
 /// Run configuration shared by every experiment: deterministic seeding,
 /// the executor seam, tracing, and the run's metrics sink, parsed once by
@@ -121,7 +121,7 @@ impl RunCtx {
     /// The seed for a call site whose canonical seed is `default`.
     ///
     /// Without `--seed`, returns `default` unchanged so output stays
-    /// byte-identical to the historical binaries. With `--seed s`, derives
+    /// byte-identical to the goldens. With `--seed s`, derives
     /// a per-call-site substream by mixing `s` with `default` (splitmix64
     /// finalizer), so one override reseeds every stream without
     /// correlating them.
@@ -149,8 +149,7 @@ impl RunCtx {
     }
 
     /// Save `trace` to the `--trace` path (no-op when tracing is off) and
-    /// append the confirmation line to the report, exactly where and how
-    /// the historical binaries printed it.
+    /// append the confirmation line to the report.
     pub fn emit_trace(&self, r: &mut Report, trace: &Trace) {
         let Some(path) = &self.trace_path else {
             return;
@@ -267,29 +266,12 @@ pub fn find(id: &str) -> Option<&'static dyn Experiment> {
         .find(|e| e.id().eq_ignore_ascii_case(id))
 }
 
-/// The kernel microbenches, in fixed order: the `des-*` scheduler
-/// patterns, the `noc-mesh` switch loop, then the `cloud-fanout` max. A separate registry on
-/// purpose: `xxi run`/`xxi list` and the golden suite stay pinned to the
-/// 21 paper experiments; only the bench path
-/// ([`crate::cli::select_bench`]) reaches these.
-pub fn micro_registry() -> &'static [&'static dyn Experiment] {
-    static MICRO: [&dyn Experiment; 6] = [
-        &des_micro::DesHold,
-        &des_micro::DesChurn,
-        &des_micro::DesCancel,
-        &des_micro::DesDrain,
-        &noc_micro::NocMesh,
-        &cloud_micro::CloudFanout,
-    ];
-    &MICRO
-}
-
-/// Look up a microbench by id, case-insensitively (`des-hold`).
-pub fn find_micro(id: &str) -> Option<&'static dyn Experiment> {
-    micro_registry()
+/// Look up a kernel by its `layer/kernel` id, case-insensitively
+/// (`mem/dram-random`).
+pub fn find_kernel(id: &str) -> Option<&'static kernels::Kernel> {
+    kernels::KERNELS
         .iter()
-        .copied()
-        .find(|e| e.id().eq_ignore_ascii_case(id))
+        .find(|k| k.id.eq_ignore_ascii_case(id))
 }
 
 #[cfg(test)]

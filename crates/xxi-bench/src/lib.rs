@@ -1,12 +1,12 @@
 //! The experiment suite: every experiment from DESIGN.md's index behind
-//! the [`experiments::Experiment`] trait, the unified [`cli`], and the
-//! `xxi` driver binary (`xxi list` / `xxi run` / `xxi validate` /
-//! `xxi bench` / `xxi compare`).
+//! the [`experiments::Experiment`] trait, the per-layer throughput
+//! kernels in [`experiments::kernels`], the unified [`cli`], and the `xxi`
+//! driver binary (`xxi list` / `xxi run` / `xxi validate` / `xxi bench` /
+//! `xxi compare`).
 //!
-//! The per-experiment `exp_*` binaries are thin shims over
-//! [`cli::run_shim`]; their stdout is byte-identical to the historical
-//! stand-alone implementations and is pinned by `tests/golden.rs`. Keep
-//! experiments deterministic: canonical seeds via `RunCtx::seed_or`.
+//! `xxi run <id>`'s stdout is pinned by `tests/golden.rs`. Keep
+//! experiments deterministic: canonical seeds via `RunCtx::seed_or`, and
+//! host timing only in [`bench`].
 
 use xxi_core::obs::LogHistogram;
 use xxi_core::table::fnum;
@@ -15,8 +15,6 @@ use xxi_core::Table;
 pub mod bench;
 pub mod cli;
 pub mod experiments;
-pub mod harness;
-pub use harness::Bench;
 
 /// One table row of tail quantiles from a [`LogHistogram`]:
 /// `[label, n, mean, p50, p90, p99, p99.9, max]`.

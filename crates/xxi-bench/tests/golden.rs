@@ -2,26 +2,21 @@
 //! pinned byte-for-byte against `tests/golden/<id>.txt`.
 //!
 //! The goldens hold [`Report::render_text_golden`] output: identical to
-//! the stdout of `xxi run <id>` (and the historical `exp_*` binaries)
-//! except that items an experiment marks *volatile* — wall-clock timings
-//! in e18, real-thread STM races in e20 — are replaced by a placeholder
-//! that still pins their caption/headers/shape.
+//! the stdout of `xxi run <id>` except that the trailing Runtime section,
+//! whose pool counters vary with `--threads`, collapses to a placeholder
+//! that pins its member counts. Every other line is a pure function of
+//! the seed; host timing lives only in `xxi bench`.
 //!
 //! Regenerate after an intentional output change with:
 //!
 //! ```text
-//! XXI_BLESS=1 cargo test --release -p xxi-bench --test golden -- --include-ignored
+//! XXI_BLESS=1 cargo test -p xxi-bench --test golden
 //! ```
 //!
-//! Each test also pins the structured side of the tentpole contract: the
-//! JSON document round-trips losslessly, and every non-volatile table's
-//! classic `Table::render` text appears verbatim inside `render_text`
-//! (i.e. the Report layer changed nothing about how tables print).
-//!
-//! The slowest experiment (e18's real scaling measurement) is
-//! `#[ignore]`d in debug builds to keep `cargo test -q` inside the tier-1
-//! budget; the CI experiments job runs the full suite in release with
-//! `--include-ignored`.
+//! Each test also pins the structured side of the report contract: the
+//! JSON document round-trips losslessly, and every table's classic
+//! `Table::render` text appears verbatim inside `render_text` (i.e. the
+//! Report layer changed nothing about how tables print).
 
 use std::fs;
 use std::path::PathBuf;
@@ -54,16 +49,14 @@ fn check(id: &str) {
     let ctx = RunCtx::new(None, 1, None);
     let report = exp.run(&ctx);
 
-    // The Report layer must not reformat tables: every non-volatile
-    // table's classic render appears verbatim in the text output.
+    // The Report layer must not reformat tables: every table's classic
+    // render appears verbatim in the text output.
     let text = report.render_text();
-    for (t, volatile) in report.tables() {
-        if !volatile {
-            assert!(
-                text.contains(&t.render()),
-                "{id}: a table's Table::render text is not embedded verbatim"
-            );
-        }
+    for t in report.tables() {
+        assert!(
+            text.contains(&t.render()),
+            "{id}: a table's Table::render text is not embedded verbatim"
+        );
     }
 
     // The JSON document is lossless: parse(render) == report, and the
@@ -77,7 +70,7 @@ fn check(id: &str) {
         "{id}: JSON round-trip changed the text rendering"
     );
 
-    // The golden comparison itself (volatile items masked).
+    // The golden comparison itself (Runtime section masked).
     let golden = report.render_text_golden();
     let path = golden_path(id);
     if std::env::var_os("XXI_BLESS").is_some() {
@@ -106,16 +99,6 @@ macro_rules! golden {
             check($id);
         }
     };
-    ($name:ident, $id:literal, slow) => {
-        #[test]
-        #[cfg_attr(
-            debug_assertions,
-            ignore = "slow in debug; CI runs it in release with --include-ignored"
-        )]
-        fn $name() {
-            check($id);
-        }
-    };
 }
 
 golden!(golden_e1, "e1");
@@ -135,7 +118,7 @@ golden!(golden_e14, "e14");
 golden!(golden_e15, "e15");
 golden!(golden_e16, "e16");
 golden!(golden_e17, "e17");
-golden!(golden_e18, "e18", slow);
+golden!(golden_e18, "e18");
 golden!(golden_e19, "e19");
 golden!(golden_e20, "e20");
 golden!(golden_e21, "e21");

@@ -21,7 +21,7 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "determinism",
         "wall-clock time, sleeps, and unseeded randomness are forbidden outside \
-         sanctioned timing code (bench harness, pool parking, host metadata)",
+         sanctioned timing code (`xxi bench`, pool parking, host metadata)",
     ),
     (
         "hashmap-order",
@@ -445,7 +445,7 @@ fn followed_by_question(f: &ScannedFile<'_>, open: usize) -> bool {
 }
 
 fn panic_path(f: &ScannedFile<'_>, out: &mut Vec<Finding>) {
-    // Binaries and the bench harness own their process; the warning is
+    // Binaries own their process; the warning is
     // aimed at library code that a caller can't recover around.
     if f.rel_path.ends_with("main.rs") || f.rel_path.contains("/bin/") {
         return;

@@ -10,7 +10,7 @@
 //! fabric RPCs, root idle-wait). With tracing disabled the simulation
 //! runs identically and records only histograms and the ledger.
 //!
-//! Experiment E17 (`exp_e17_availability`) drives this model and can dump
+//! Experiment E17 (`xxi run e17`) drives this model and can dump
 //! the trace with `--trace <path>` for chrome://tracing.
 
 use xxi_core::des::Sim;

@@ -20,9 +20,8 @@
 //!   memory, interconnect, sensor-node, and warehouse-scale models, with a
 //!   seeded fault-injection seam ([`des::fault`]) that kills, pauses, or
 //!   slows named components at scheduled sim-times.
-//! * [`stats`] — streaming statistics: Welford moments, exact and P²
-//!   (streaming) quantiles, histograms. Tail-latency experiments depend on
-//!   faithful percentile math.
+//! * [`stats`] — Welford streaming moments and exact percentiles.
+//!   Tail-latency experiments depend on faithful percentile math.
 //! * [`rng`] — deterministic, splittable pseudo-random generation plus the
 //!   distributions the workload generators need (exponential, log-normal,
 //!   Pareto, Zipf, normal).
@@ -66,9 +65,9 @@ pub use des::{ArenaStats, DesStats, Sim, TimerHandle};
 pub use error::{Result, XxiError};
 pub use obs::{EnergyLedger, Layer, LogHistogram, SpanId, Trace};
 pub use par::{Parallelism, Serial};
-pub use report::{Finding, Item, ItemBody, Report};
+pub use report::{Finding, Item, Report};
 pub use rng::Rng64;
-pub use stats::{Histogram, P2Quantile, Streaming, Summary};
+pub use stats::{Streaming, Summary};
 pub use table::Table;
 pub use time::SimTime;
 pub use units::{Area, Energy, Frequency, Ops, Power, Seconds, Volts};

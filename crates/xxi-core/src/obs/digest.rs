@@ -14,7 +14,7 @@
 //! about values near a request budget; anything outside saturates into
 //! the edge octaves and is still clamped by the exact min/max.
 //!
-//! Unlike P²-style estimators ([`crate::stats::P2Quantile`]), the digest
+//! Unlike P²-style marker estimators, the digest
 //! is insertion-order independent: merging shard digests or replaying
 //! samples in any order yields bit-identical quantiles, which is what the
 //! parallel-determinism contract demands of anything a policy reads.

@@ -5,15 +5,14 @@
 //!
 //! The text renderer is the source of truth for golden-output regression
 //! tests; the JSON renderer is the scriptable surface (`xxi run --format
-//! json`). Items that depend on the host machine (wall-clock timings, real
-//! thread races) are flagged *volatile* so the golden renderer can mask
-//! them while still pinning their shape.
+//! json`). Every item is a pure function of the seed: host timing lives
+//! only in `xxi bench`, never in a report.
 //!
-//! ## JSON schema (version 2)
+//! ## JSON schema (version 3)
 //!
 //! ```json
 //! {
-//!   "schema_version": 2,
+//!   "schema_version": 3,
 //!   "experiment": "e9",
 //!   "paper_claim": "…",
 //!   "seed": 0,
@@ -21,10 +20,10 @@
 //!   "findings": [{"name": "straggler_frac", "value": 0.652, "unit": "frac"}],
 //!   "items": [
 //!     {"kind": "section", "title": "…"},
-//!     {"kind": "table", "volatile": false, "caption": null,
+//!     {"kind": "table", "caption": null,
 //!      "headers": ["fan-out", "p99 (ms)"],
 //!      "rows": [[{"text": "100", "value": 100.0}, {"text": "63.4", "value": 63.4}]]},
-//!     {"kind": "text", "volatile": false, "text": "…"}
+//!     {"kind": "text", "text": "…"}
 //!   ],
 //!   "runtime": {
 //!     "counters": {"mc.trials": 1020000, "pool.steals": 37},
@@ -43,10 +42,10 @@
 //! `runtime` (version 2, `null` when the run recorded no telemetry) is the
 //! run's [`RunMetrics`]: counters/gauges/histogram summaries snapshotted
 //! from the experiment's metrics sink and the thread pool's scheduler
-//! stats. It renders as a trailing "Runtime" text section that is always
-//! treated as *volatile* — masked in golden renderings — because scheduler
-//! counters and timings depend on the host. Version-1 documents (no
-//! `runtime` key) still parse.
+//! stats. It renders as a trailing "Runtime" text section that golden
+//! renderings mask, because pool counters vary with `--threads`.
+//! Version-1 documents (no `runtime` key) still parse, and so do version-2
+//! documents, whose per-item `volatile` key is ignored.
 
 use std::fmt::Write as _;
 
@@ -62,8 +61,9 @@ use json::Json;
 
 /// Version of the JSON document layout. Bump on any breaking change.
 /// Version history: 1 = initial report model; 2 = added the `runtime`
-/// telemetry member (older documents still parse).
-pub const SCHEMA_VERSION: u64 = 2;
+/// telemetry member; 3 = dropped the per-item `volatile` flag (older
+/// documents still parse).
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// A named scalar result, e.g. the headline number of an experiment.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -120,10 +120,9 @@ impl HistSummary {
 }
 
 /// Runtime telemetry attached to a report: the run's [`Metrics`] flattened
-/// into serializable, name-ordered lists. Always rendered as a *volatile*
-/// trailing "Runtime" section — scheduler counters and timing histograms
-/// depend on the host and thread count, so golden renderings mask the
-/// values while pinning the member counts.
+/// into serializable, name-ordered lists. Rendered as a trailing "Runtime"
+/// section; pool counters depend on the thread count, so golden renderings
+/// mask the values while pinning the member counts.
 #[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Monotonic counters, name-ordered.
@@ -165,24 +164,15 @@ impl RunMetrics {
     }
 }
 
-/// The payload of one report item, in document order.
+/// One report item, in document order.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ItemBody {
+pub enum Item {
     /// A section header (`== title ==`).
     Section(String),
     /// A rendered table.
     Table(Table),
     /// One free-text block, printed followed by a newline.
     Text(String),
-}
-
-/// One item plus its volatility flag.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Item {
-    pub body: ItemBody,
-    /// True when the content depends on the host machine (wall-clock
-    /// timings, real thread interleavings); masked in golden renderings.
-    pub volatile: bool,
 }
 
 /// A structured experiment report.
@@ -236,42 +226,17 @@ impl Report {
 
     /// Append a section header.
     pub fn section(&mut self, title: impl Into<String>) {
-        self.items.push(Item {
-            body: ItemBody::Section(title.into()),
-            volatile: false,
-        });
+        self.items.push(Item::Section(title.into()));
     }
 
     /// Append a table.
     pub fn table(&mut self, t: Table) {
-        self.items.push(Item {
-            body: ItemBody::Table(t),
-            volatile: false,
-        });
-    }
-
-    /// Append a machine-dependent table (masked in golden renderings).
-    pub fn volatile_table(&mut self, t: Table) {
-        self.items.push(Item {
-            body: ItemBody::Table(t),
-            volatile: true,
-        });
+        self.items.push(Item::Table(t));
     }
 
     /// Append a text block (rendered as the string plus a newline).
     pub fn text(&mut self, s: impl Into<String>) {
-        self.items.push(Item {
-            body: ItemBody::Text(s.into()),
-            volatile: false,
-        });
-    }
-
-    /// Append a machine-dependent text block (masked in golden renderings).
-    pub fn volatile_text(&mut self, s: impl Into<String>) {
-        self.items.push(Item {
-            body: ItemBody::Text(s.into()),
-            volatile: true,
-        });
+        self.items.push(Item::Text(s.into()));
     }
 
     /// Record a scalar finding.
@@ -292,10 +257,8 @@ impl Report {
     }
 
     /// Render for golden-output comparison: identical to
-    /// [`Report::render_text`] except volatile items are replaced by a
-    /// deterministic placeholder that still pins their shape (a volatile
-    /// table keeps its caption and headers; volatile text collapses to a
-    /// marker line).
+    /// [`Report::render_text`] except the Runtime section collapses to a
+    /// placeholder that pins its member counts.
     pub fn render_text_golden(&self) -> String {
         self.render_text_with(true)
     }
@@ -308,22 +271,13 @@ impl Report {
         let _ = writeln!(out, "# Paper anchor: {}", self.paper_claim);
         let _ = writeln!(out, "{rule}");
         for item in &self.items {
-            match (&item.body, golden && item.volatile) {
-                (ItemBody::Section(t), _) => {
+            match item {
+                Item::Section(t) => {
                     let _ = writeln!(out, "\n== {t} ==\n");
                 }
-                (ItemBody::Table(t), false) => out.push_str(&t.render()),
-                (ItemBody::Table(t), true) => {
-                    if let Some(c) = t.caption_text() {
-                        let _ = writeln!(out, "{c}");
-                    }
-                    let _ = writeln!(out, "<volatile table: {}>", t.headers().join(" | "));
-                }
-                (ItemBody::Text(s), false) => {
+                Item::Table(t) => out.push_str(&t.render()),
+                Item::Text(s) => {
                     let _ = writeln!(out, "{s}");
-                }
-                (ItemBody::Text(s), true) => {
-                    let _ = writeln!(out, "<volatile text: {} line(s)>", s.lines().count());
                 }
             }
         }
@@ -331,7 +285,7 @@ impl Report {
             if !rt.is_empty() {
                 let _ = writeln!(out, "\n== Runtime ==\n");
                 if golden {
-                    // Host-dependent values are masked; the member counts
+                    // Thread-dependent values are masked; the member counts
                     // pin the section's shape (a lost counter still fails
                     // the golden diff).
                     let _ = writeln!(
@@ -365,7 +319,7 @@ impl Report {
         out
     }
 
-    /// Render the schema-version-2 JSON document (see the module docs).
+    /// Render the schema-version-3 JSON document (see the module docs).
     pub fn render_json(&self) -> String {
         let mut s = String::new();
         s.push('{');
@@ -402,24 +356,23 @@ impl Report {
             if i > 0 {
                 s.push(',');
             }
-            match &item.body {
-                ItemBody::Section(t) => {
+            match item {
+                Item::Section(t) => {
                     let _ = write!(
                         s,
                         "{{\"kind\":\"section\",\"title\":\"{}\"}}",
                         json::escape(t)
                     );
                 }
-                ItemBody::Text(txt) => {
+                Item::Text(txt) => {
                     let _ = write!(
                         s,
-                        "{{\"kind\":\"text\",\"volatile\":{},\"text\":\"{}\"}}",
-                        item.volatile,
+                        "{{\"kind\":\"text\",\"text\":\"{}\"}}",
                         json::escape(txt)
                     );
                 }
-                ItemBody::Table(t) => {
-                    let _ = write!(s, "{{\"kind\":\"table\",\"volatile\":{}", item.volatile);
+                Item::Table(t) => {
+                    s.push_str("{\"kind\":\"table\"");
                     match t.caption_text() {
                         Some(c) => {
                             let _ = write!(s, ",\"caption\":\"{}\"", json::escape(c));
@@ -501,13 +454,14 @@ impl Report {
         s
     }
 
-    /// Parse a JSON document (schema version 1 or 2) back into a
+    /// Parse a JSON document (schema version 1, 2 or 3) back into a
     /// [`Report`].
     ///
     /// The inverse of [`Report::render_json`]: `parse_json(render_json(r))
     /// == r` for every report (the round-trip is tested over all golden
     /// reports). Also the validator behind `xxi validate`. Version-1
-    /// documents (pre-telemetry) parse with `runtime: None`.
+    /// documents (pre-telemetry) parse with `runtime: None`; version-2
+    /// items' `volatile` keys are ignored.
     pub fn parse_json(text: &str) -> Result<Report, String> {
         let v = json::parse(text)?;
         Report::from_json(&v)
@@ -555,12 +509,9 @@ impl Report {
             .ok_or("items: expected an array")?
         {
             let io = item.as_object().ok_or("item: expected an object")?;
-            let volatile = json::find(io, "volatile")
-                .and_then(Json::as_bool)
-                .unwrap_or(false);
-            let body = match json::get_str(io, "kind")?.as_str() {
-                "section" => ItemBody::Section(json::get_str(io, "title")?),
-                "text" => ItemBody::Text(json::get_str(io, "text")?),
+            let item = match json::get_str(io, "kind")?.as_str() {
+                "section" => Item::Section(json::get_str(io, "title")?),
+                "text" => Item::Text(json::get_str(io, "text")?),
                 "table" => {
                     let headers: Vec<String> = json::get(io, "headers")?
                         .as_array()
@@ -590,11 +541,11 @@ impl Report {
                             .collect::<Result<_, _>>()?;
                         t.row(&cells);
                     }
-                    ItemBody::Table(t)
+                    Item::Table(t)
                 }
                 k => return Err(format!("item: unknown kind {k:?}")),
             };
-            r.items.push(Item { body, volatile });
+            r.items.push(item);
         }
         // `runtime` arrived with schema v2; absent (v1) and null both mean
         // "no telemetry recorded".
@@ -653,10 +604,10 @@ impl Report {
         Ok(r)
     }
 
-    /// Tables in document order (with their volatility flags).
-    pub fn tables(&self) -> impl Iterator<Item = (&Table, bool)> {
-        self.items.iter().filter_map(|i| match &i.body {
-            ItemBody::Table(t) => Some((t, i.volatile)),
+    /// Tables in document order.
+    pub fn tables(&self) -> impl Iterator<Item = &Table> {
+        self.items.iter().filter_map(|i| match i {
+            Item::Table(t) => Some(t),
             _ => None,
         })
     }
@@ -678,10 +629,6 @@ mod tests {
         t.row(&["90nm".into(), "12.5".into()]);
         r.table(t);
         r.text("a free\nmultiline block");
-        let mut v = Table::new(&["threads", "time (s)"]);
-        v.row(&["1".into(), "0.123".into()]);
-        r.volatile_table(v);
-        r.volatile_text("took 0.5 s");
         r.finding("ratio", 3.6, "x");
         let mut m = Metrics::new();
         m.count("pool.steals", 37);
@@ -703,9 +650,6 @@ mod tests {
         assert!(s.contains("\n== First section ==\n\n"));
         assert!(s.contains("cap\nnode"));
         assert!(s.contains("a free\nmultiline block\n"));
-        // Non-golden render includes volatile content verbatim.
-        assert!(s.contains("0.123"));
-        assert!(s.contains("took 0.5 s"));
         // Runtime telemetry renders as an aligned trailing section.
         assert!(s.contains("\n== Runtime ==\n\n"));
         assert!(s.contains("pool.steals   37"));
@@ -714,23 +658,19 @@ mod tests {
     }
 
     #[test]
-    fn golden_render_masks_volatile_items_only() {
+    fn golden_render_masks_only_the_runtime_section() {
         let r = sample();
         let g = r.render_text_golden();
-        assert!(g.contains("45.0"), "deterministic table kept");
-        assert!(!g.contains("0.123"), "volatile table masked");
-        assert!(g.contains("<volatile table: threads | time (s)>"));
-        assert!(!g.contains("took 0.5 s"));
-        assert!(g.contains("<volatile text: 1 line(s)>"));
-        // The runtime section is always masked, but its shape is pinned.
+        let t = r.render_text();
+        // The runtime section is masked, but its shape is pinned.
         assert!(g.contains("\n== Runtime ==\n\n"));
         assert!(!g.contains("pool.steals"));
         assert!(g.contains("<volatile runtime: 2 counter(s), 1 gauge(s), 1 histogram(s)>"));
-        // Identical up to the first volatile item.
-        let t = r.render_text();
+        // Everything before it is rendered verbatim.
+        let cut = "== Runtime ==\n\n";
         assert_eq!(
-            &g[..g.find("<volatile table").unwrap()],
-            &t[..t.find("threads  time (s)").unwrap()]
+            &g[..g.find(cut).unwrap() + cut.len()],
+            &t[..t.find(cut).unwrap() + cut.len()]
         );
     }
 
@@ -745,11 +685,12 @@ mod tests {
     #[test]
     fn json_has_typed_cells_and_schema_fields() {
         let j = sample().render_json();
-        assert!(j.starts_with("{\"schema_version\":2,\"experiment\":\"e0\""));
+        assert!(j.starts_with("{\"schema_version\":3,\"experiment\":\"e0\""));
         assert!(j.contains("{\"text\":\"45.0\",\"value\":45}"));
         assert!(j.contains("{\"text\":\"180nm\"}"));
         assert!(j.contains("\"findings\":[{\"name\":\"ratio\",\"value\":3.6,\"unit\":\"x\"}]"));
-        assert!(j.contains("\"volatile\":true"));
+        assert!(j.contains("{\"kind\":\"text\",\"text\":\"a free\\nmultiline block\"}"));
+        assert!(!j.contains("volatile"));
         // Runtime telemetry: counters stay integer (2^55 > f64 mantissa),
         // histograms carry the fixed quantile set.
         assert!(j.contains(&format!("\"mc.trials\":{}", 1u64 << 55)));
@@ -761,7 +702,7 @@ mod tests {
     fn parse_rejects_wrong_schema_version() {
         let j = sample()
             .render_json()
-            .replacen("\"schema_version\":2", "\"schema_version\":99", 1);
+            .replacen("\"schema_version\":3", "\"schema_version\":99", 1);
         assert!(Report::parse_json(&j).is_err());
     }
 
@@ -772,11 +713,30 @@ mod tests {
         r.runtime = None;
         let j = r
             .render_json()
-            .replacen("\"schema_version\":2", "\"schema_version\":1", 1)
+            .replacen("\"schema_version\":3", "\"schema_version\":1", 1)
             .replace(",\"runtime\":null", "");
         let back = Report::parse_json(&j).expect("v1 parses");
         assert_eq!(back.runtime, None);
         assert_eq!(back.items, r.items);
+    }
+
+    #[test]
+    fn parse_ignores_version_2_volatile_flags() {
+        let r = sample();
+        let j = r
+            .render_json()
+            .replacen("\"schema_version\":3", "\"schema_version\":2", 1)
+            .replace(
+                "{\"kind\":\"table\"",
+                "{\"kind\":\"table\",\"volatile\":true",
+            )
+            .replace(
+                "{\"kind\":\"text\"",
+                "{\"kind\":\"text\",\"volatile\":false",
+            );
+        assert!(j.contains("\"volatile\":true"));
+        let back = Report::parse_json(&j).expect("v2 parses");
+        assert_eq!(back, r);
     }
 
     #[test]
@@ -836,7 +796,7 @@ mod tests {
                     "case {case}: table block not rendered verbatim"
                 );
             }
-            assert_eq!(text, r.render_text_golden(), "no volatile items => equal");
+            assert_eq!(text, r.render_text_golden(), "no runtime section => equal");
             let back = Report::parse_json(&r.render_json()).expect("parses");
             assert_eq!(back, r, "case {case}: JSON round-trip");
         }

@@ -7,9 +7,8 @@
 //!
 //! * [`Streaming`] — Welford's online mean/variance plus min/max/count.
 //! * [`Summary`] — exact percentiles from a collected sample (sorting copy).
-//! * [`P2Quantile`] — the Jain–Chlamtac P² streaming quantile estimator, for
-//!   simulations too long to retain every sample.
-//! * [`Histogram`] — fixed-width linear histogram with percentile queries.
+//!
+//! Streaming percentiles live in [`crate::obs::LogHistogram`].
 
 use serde::{Deserialize, Serialize};
 
@@ -186,222 +185,6 @@ impl Summary {
     }
 }
 
-/// P² (Jain & Chlamtac 1985) streaming quantile estimator.
-///
-/// Maintains five markers whose heights converge to the target quantile
-/// without retaining the sample — O(1) memory for arbitrarily long
-/// simulations. Accuracy is typically within a percent or two of exact for
-/// smooth distributions; the tests quantify this against [`Summary`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct P2Quantile {
-    p: f64,
-    /// Marker heights.
-    q: [f64; 5],
-    /// Marker positions (1-based as in the paper).
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Position increments.
-    dn: [f64; 5],
-    count: u64,
-    init: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Estimator for quantile `p ∈ (0, 1)` — e.g. `0.99` for p99.
-    pub fn new(p: f64) -> P2Quantile {
-        assert!(p > 0.0 && p < 1.0);
-        P2Quantile {
-            p,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-            init: Vec::with_capacity(5),
-        }
-    }
-
-    /// The quantile this estimator tracks.
-    pub fn quantile(&self) -> f64 {
-        self.p
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Add one observation.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        if self.init.len() < 5 {
-            self.init.push(x);
-            if self.init.len() == 5 {
-                self.init.sort_by(|a, b| a.partial_cmp(b).unwrap()); // xxi-allow: panic-path -- samples are finite by construction
-                for i in 0..5 {
-                    self.q[i] = self.init[i];
-                }
-            }
-            return;
-        }
-
-        // Find the cell k such that q[k] <= x < q[k+1], adjusting extremes.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.q[i] <= x && x < self.q[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-
-        // Adjust interior markers with the parabolic (P²) formula, falling
-        // back to linear when the parabolic prediction would break
-        // monotonicity.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let d = d.signum();
-                let qp = self.parabolic(i, d);
-                if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    self.q[i] = qp;
-                } else {
-                    self.q[i] = self.linear(i, d);
-                }
-                self.n[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.q;
-        let n = &self.n;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    /// Current estimate. With fewer than five observations, falls back to
-    /// the exact nearest-rank quantile of what has been seen.
-    pub fn estimate(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.init.len() < 5 && self.count < 5 {
-            let mut v = self.init.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap()); // xxi-allow: panic-path -- samples are finite by construction
-            let rank = ((self.p * v.len() as f64).ceil() as usize).clamp(1, v.len());
-            return v[rank - 1];
-        }
-        self.q[2]
-    }
-}
-
-/// Fixed-width linear histogram over `[lo, hi)` with saturating outer bins.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Histogram with `nbins` equal bins spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Histogram {
-        assert!(hi > lo && nbins > 0);
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record an observation.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total observations (including out-of-range).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Observations below `lo` / at-or-above `hi`.
-    pub fn outliers(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Approximate quantile by interpolating within the containing bin.
-    /// Returns `lo`/`hi` if the quantile falls in an outer saturating bin.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.count == 0 {
-            return self.lo;
-        }
-        let target = q * self.count as f64;
-        let mut acc = self.underflow as f64;
-        if acc >= target && self.underflow > 0 {
-            return self.lo;
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &b) in self.bins.iter().enumerate() {
-            if acc + b as f64 >= target {
-                let within = if b == 0 {
-                    0.0
-                } else {
-                    (target - acc) / b as f64
-                };
-                return self.lo + (i as f64 + within) * w;
-            }
-            acc += b as f64;
-        }
-        self.hi
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,73 +275,6 @@ mod tests {
     #[should_panic]
     fn summary_rejects_nan() {
         Summary::from_slice(&[1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn p2_tracks_median_of_uniform() {
-        let mut rng = Rng64::new(1);
-        let mut p2 = P2Quantile::new(0.5);
-        for _ in 0..100_000 {
-            p2.add(rng.next_f64());
-        }
-        assert!((p2.estimate() - 0.5).abs() < 0.01, "est={}", p2.estimate());
-    }
-
-    #[test]
-    fn p2_tracks_p99_of_exponential_close_to_exact() {
-        let mut rng = Rng64::new(2);
-        let xs: Vec<f64> = (0..200_000).map(|_| rng.exp(1.0)).collect();
-        let mut p2 = P2Quantile::new(0.99);
-        for &x in &xs {
-            p2.add(x);
-        }
-        let exact = Summary::from_slice(&xs).percentile(99.0);
-        let rel = (p2.estimate() - exact).abs() / exact;
-        assert!(rel < 0.05, "p2={} exact={exact}", p2.estimate());
-        // Analytic p99 of Exp(1) is ln(100) ≈ 4.605.
-        assert!((exact - 4.605).abs() < 0.15);
-    }
-
-    #[test]
-    fn p2_small_sample_fallback() {
-        let mut p2 = P2Quantile::new(0.5);
-        assert_eq!(p2.estimate(), 0.0);
-        p2.add(3.0);
-        assert_eq!(p2.estimate(), 3.0);
-        p2.add(1.0);
-        p2.add(2.0);
-        assert_eq!(p2.count(), 3);
-        let e = p2.estimate();
-        assert!((1.0..=3.0).contains(&e));
-    }
-
-    #[test]
-    fn histogram_counts_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 25.0] {
-            h.add(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.outliers(), (1, 2));
-        assert_eq!(h.bins()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.bins()[5], 1); // 5.0
-        assert_eq!(h.bins()[9], 1); // 9.99
-    }
-
-    #[test]
-    fn histogram_quantile_tracks_uniform() {
-        let mut h = Histogram::new(0.0, 1.0, 1000);
-        let mut rng = Rng64::new(3);
-        for _ in 0..100_000 {
-            h.add(rng.next_f64());
-        }
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert!(
-                (h.quantile(q) - q).abs() < 0.01,
-                "q={q} got={}",
-                h.quantile(q)
-            );
-        }
     }
 
     #[test]
