@@ -5,11 +5,10 @@
 //! simulated job) fans out on the executor from [`RunCtx`]; every number
 //! is byte-identical for every `--threads` count.
 
-use std::sync::Mutex;
-
 use xxi_cloud::obs::ObservedFanout;
 use xxi_core::des::fault::{FaultMix, FaultPlan, Topology};
 use xxi_core::obs::Trace;
+use xxi_core::par;
 use xxi_core::table::fnum;
 use xxi_core::units::Seconds;
 use xxi_core::{Report, SimTime, Table};
@@ -71,13 +70,11 @@ impl Experiment for E17Availability {
         let yd = young_daly_interval(delta, mtbf);
         let mut t = Table::new(&["tau / tau*", "efficiency", "failures survived"]);
         let mults = [0.0625, 0.25, 1.0, 4.0, 16.0];
-        // All (interval, seed) pairs fan out together; each slot holds one
-        // run's (efficiency, failures). Aggregation below walks the slots in
-        // a fixed order, so the table is executor-independent.
+        // All (interval, seed) pairs fan out together; each result is one
+        // run's (efficiency, failures). Aggregation below walks them in a
+        // fixed order, so the table is executor-independent.
         let seeds: Vec<u64> = (0..8).map(|s| ctx.seed_or(s)).collect();
-        let slots: Vec<Mutex<Option<(f64, u64)>>> =
-            (0..mults.len() * 8).map(|_| Mutex::new(None)).collect();
-        exec.for_tasks(slots.len(), &|k| {
+        let runs = par::map(exec, mults.len() * 8, |k| {
             let sim = CheckpointSim {
                 tau: Seconds(yd.value() * mults[k / 8]),
                 delta,
@@ -85,14 +82,14 @@ impl Experiment for E17Availability {
                 mtbf,
             };
             let o = sim.run(Seconds::from_hours(100.0), seeds[k % 8]);
-            *slots[k].lock().unwrap() = Some((o.efficiency, o.failures));
+            (o.efficiency, o.failures)
         });
-        ctx.count("ckpt.sims", slots.len() as u64);
+        ctx.count("ckpt.sims", runs.len() as u64);
         for (m, mult) in mults.iter().enumerate() {
             let mut eff = 0.0;
             let mut fails = 0u64;
             for s in 0..8 {
-                let (e, f) = slots[m * 8 + s].lock().unwrap().expect("sweep task ran"); // xxi-allow: panic-path -- see the expect message
+                let (e, f) = runs[m * 8 + s];
                 eff += e / 8.0;
                 fails += f / 8;
             }

@@ -23,11 +23,10 @@
 //! winning grid cell re-runs with per-attempt spans (dispatch, retry,
 //! hedge, and failover instants) on the Chrome timeline.
 
-use std::sync::Mutex;
-
 use xxi_cloud::cluster::{cluster_sweep_on, ClusterConfig, Hedging, RetryPolicy, Routing};
 use xxi_cloud::qos::Budget;
 use xxi_core::des::fault::{Fault, FaultMix, FaultPlan, Topology};
+use xxi_core::par;
 use xxi_core::table::fnum;
 use xxi_core::Report;
 use xxi_core::{SimTime, Table};
@@ -35,10 +34,6 @@ use xxi_core::{SimTime, Table};
 use super::{Experiment, RunCtx};
 
 pub struct E21Faults;
-
-fn ms_to_sim(ms: f64) -> SimTime {
-    SimTime::from_ps((ms * 1e9).round().max(0.0) as u64)
-}
 
 /// The correlated two-rack blast: under the striped topology (rack `r` =
 /// replica column `r` of every shard), rack 0's switch degrades — a
@@ -52,12 +47,12 @@ fn two_rack_blast(cfg: &ClusterConfig) -> (Topology, FaultPlan) {
     let mut plan = FaultPlan::new();
     for (rack, start) in [(0, 0.20), (1, 0.575)] {
         plan.at_scope(
-            ms_to_sim(horizon * start),
+            SimTime::from_ms_f64(horizon * start),
             &topo,
             rack,
             Fault::Slow {
                 factor: 6.0,
-                for_time: ms_to_sim(horizon * 0.35),
+                for_time: SimTime::from_ms_f64(horizon * 0.35),
             },
         );
     }
@@ -200,12 +195,12 @@ impl Experiment for E21Faults {
         };
         let mut plan = FaultPlan::seeded(
             gray.seed,
-            ms_to_sim(gray.horizon_ms()),
+            SimTime::from_ms_f64(gray.horizon_ms()),
             gray.components(),
             1.0,
             FaultMix::gray(),
         );
-        let quarter = ms_to_sim(gray.horizon_ms() / 4.0);
+        let quarter = SimTime::from_ms_f64(gray.horizon_ms() / 4.0);
         for comp in 0..2 * gray.replicas {
             plan.at(quarter, comp, Fault::Kill);
         }
@@ -273,20 +268,15 @@ impl Experiment for E21Faults {
             (Routing::PowerOfTwo, Hedging::adaptive(0.80)),
             (Routing::PowerOfTwo, Hedging::adaptive_capped(0.80)),
         ];
-        let slots: Vec<Mutex<Option<_>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-        exec.for_tasks(cells.len(), &|i| {
+        let grid = par::map(exec, cells.len(), |i| {
             let (routing, hedging) = cells[i];
             let cfg = ClusterConfig {
                 routing,
                 hedging,
                 ..grid_base
             };
-            *slots[i].lock().unwrap() = Some(cfg.run(&blast));
+            cfg.run(&blast)
         });
-        let grid: Vec<_> = slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("grid cell completed")) // xxi-allow: panic-path -- see the expect message
-            .collect();
 
         let mut t = Table::new(&[
             "routing",

@@ -16,10 +16,6 @@ use super::{Experiment, RunCtx};
 
 pub struct E9Tail;
 
-fn ms_to_sim(ms: f64) -> SimTime {
-    SimTime::from_ps((ms * 1e9).round().max(0.0) as u64)
-}
-
 impl Experiment for E9Tail {
     fn id(&self) -> &'static str {
         "e9"
@@ -119,14 +115,14 @@ impl Experiment for E9Tail {
         let end_ms = 150_000.0 / q.lambda_per_ms;
         let mut reboot = FaultPlan::new();
         reboot.at(
-            ms_to_sim(end_ms * 0.5),
+            SimTime::from_ms_f64(end_ms * 0.5),
             0,
             Fault::Pause {
-                for_time: ms_to_sim(30_000.0),
+                for_time: SimTime::from_ms_f64(30_000.0),
             },
         );
         let mut crash = FaultPlan::new();
-        crash.at(ms_to_sim(end_ms * 0.8), 0, Fault::Kill);
+        crash.at(SimTime::from_ms_f64(end_ms * 0.8), 0, Fault::Kill);
         let empty = FaultPlan::new();
         let scenarios = [
             ("fault-free", &empty),

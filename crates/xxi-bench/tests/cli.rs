@@ -125,6 +125,30 @@ fn validate_dash_reads_reports_from_stdin() {
 }
 
 #[test]
+fn validate_reports_malformed_input_and_exits_1() {
+    let wide_row = r#"{"schema_version":3,"experiment":"e0","paper_claim":"c","seed":1,"params":{},"findings":[],"items":[{"kind":"table","caption":null,"headers":["a"],"rows":[[{"text":"1"},{"text":"2"}]]}],"runtime":null}"#;
+    let deep = "[".repeat(100_000);
+    for (name, doc, message) in [
+        (
+            "wide.jsonl",
+            wide_row,
+            "row has 2 cells but table has 1 columns",
+        ),
+        ("deep.jsonl", deep.as_str(), "nesting deeper than"),
+    ] {
+        let file = TempFile::new(name);
+        std::fs::write(&file.0, doc).unwrap();
+        let out = xxi(&["validate", file.path()]);
+        assert_eq!(out.status.code(), Some(1), "{name}: {}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).contains(message),
+            "{name}: {}",
+            stderr_of(&out)
+        );
+    }
+}
+
+#[test]
 fn bench_then_self_compare_passes_and_doctored_regression_fails() {
     let bench_file = TempFile::new("bench.json");
     let out = xxi(&[

@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xxi_check::lint::{check_ledger_text, LintReport, Registry, Severity};
+use xxi_check::lint::{self, check_ledger_text, LintReport, Severity, RULES};
 use xxi_check::srclint;
 
 const USAGE: &str = "\
@@ -69,20 +69,19 @@ fn lint(args: &[String]) -> ExitCode {
         }
     }
 
-    let registry = Registry::standard();
     if list {
-        for (id, desc) in registry.list() {
-            println!("{id:<20} {desc}");
+        for r in &RULES {
+            println!("{:<20} {}", r.id, r.description);
         }
         return ExitCode::SUCCESS;
     }
     if let Some(id) = &rule {
-        if !registry.list().iter().any(|(rid, _)| rid == id) {
+        if !RULES.iter().any(|r| r.id == id) {
             return usage_error(&format!("unknown rule {id:?} (see --list)"));
         }
     }
 
-    let mut report: LintReport = registry.run(rule.as_deref());
+    let mut report: LintReport = lint::run(rule.as_deref());
     for path in &ledgers {
         match std::fs::read_to_string(path) {
             Ok(text) => report.diags.extend(check_ledger_text(path, &text)),

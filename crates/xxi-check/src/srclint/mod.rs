@@ -33,8 +33,9 @@ pub mod scan;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::lint::{json_escape, Severity};
+use crate::lint::Severity;
 use scan::ScannedFile;
+use xxi_core::report::json;
 
 /// JSON schema version for `SrcReport::to_json`.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -124,11 +125,11 @@ impl SrcReport {
             }
             s.push_str(&format!(
                 "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-                json_escape(&d.rule),
+                json::escape(&d.rule),
                 d.severity.name(),
-                json_escape(&d.path),
+                json::escape(&d.path),
                 d.line,
-                json_escape(&d.message)
+                json::escape(&d.message)
             ));
         }
         if !self.diags.is_empty() {

@@ -1,12 +1,12 @@
 //! Integration tests for the cross-layer model linter.
 
-use xxi_check::lint::{check_ledger_text, Registry, Severity};
+use xxi_check::lint::{self, check_ledger_text, Severity};
 
 /// The shipped model configurations must lint clean — this is the same
 /// gate the `xxi-check lint` CLI (and CI) enforces.
 #[test]
 fn shipped_configs_lint_clean() {
-    let report = Registry::standard().run(None);
+    let report = lint::run(None);
     assert_eq!(report.rules_run, 9, "a rule went missing from the registry");
     assert!(report.checks > 1_000, "suspiciously few checks ran");
     assert!(
@@ -18,10 +18,9 @@ fn shipped_configs_lint_clean() {
 /// Rule filters restrict execution to one rule.
 #[test]
 fn rule_filter_runs_only_that_rule() {
-    let registry = Registry::standard();
-    let report = registry.run(Some("units-dimensional"));
+    let report = lint::run(Some("units-dimensional"));
     assert_eq!(report.rules_run, 1);
-    let none = registry.run(Some("no-such-rule"));
+    let none = lint::run(Some("no-such-rule"));
     assert_eq!(none.rules_run, 0);
 }
 
@@ -29,8 +28,7 @@ fn rule_filter_runs_only_that_rule() {
 /// and one object per diagnostic.
 #[test]
 fn json_report_is_well_formed() {
-    let registry = Registry::standard();
-    let report = registry.run(Some("cache-geometry"));
+    let report = lint::run(Some("cache-geometry"));
     let json = report.to_json();
     assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
     assert!(json.contains("\"rules_run\": 1"), "{json}");
@@ -39,7 +37,7 @@ fn json_report_is_well_formed() {
     // Diagnostics embed correctly too, including string escaping.
     let diags = check_ledger_text("mem", "mcu net\"work 0.25\n");
     assert!(!diags.is_empty());
-    let mut report = registry.run(Some("no-such-rule"));
+    let mut report = lint::run(Some("no-such-rule"));
     report.diags.extend(diags);
     let json = report.to_json();
     assert!(

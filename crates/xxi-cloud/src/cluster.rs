@@ -1,5 +1,5 @@
-//! Fault-injected cluster serving: pluggable routing and hedging policies
-//! on the DES engine.
+//! Fault-injected cluster serving: routing and hedging policies on the
+//! DES engine.
 //!
 //! §2.1's tail-latency agenda and §2.4's dependability agenda meet here:
 //! *"architectural innovations can guarantee strict worst-case latency
@@ -9,28 +9,29 @@
 //! [`FaultPlan`](xxi_core::des::fault::FaultPlan) kills, pauses, and slows
 //! replicas underneath it, and measures what the serving policy buys.
 //!
-//! The two decisions a root makes per attempt are *policy seams*, not
-//! constants:
+//! The two decisions a root makes per attempt are configuration values,
+//! not constants: [`ClusterConfig`] carries one [`Routing`] and one
+//! [`Hedging`] value, and each enum implements its policies directly.
 //!
-//! * **Routing** ([`RoutingPolicy`]): which replica gets the next attempt.
-//!   [`RoundRobin`] walks the shard's replicas from a random first pick;
-//!   [`LeastOutstanding`] picks the candidate with the fewest in-flight
-//!   requests (live per-replica counters), steering around slow and
-//!   backed-up replicas; [`PowerOfTwoChoices`] samples two candidates on a
-//!   dedicated [`Rng64::stream`] substream and keeps the less loaded one —
-//!   most of least-outstanding's benefit without reading every counter.
-//!   Either way the walk is a *permutation*: no replica is revisited until
-//!   every one has been tried.
-//! * **Hedging** ([`HedgePolicy`]): when to duplicate the first attempt.
-//!   [`FixedHedge`] waits a constant delay (the classic Tail-at-Scale
-//!   mitigation); [`AdaptiveHedge`] waits for the shard's *online* latency
-//!   quantile, read from a per-shard [`TailDigest`] fed by every observed
-//!   attempt — hedges fire early when the shard is fast and back off on
-//!   their own when it degrades. [`CappedAdaptiveHedge`] additionally caps
-//!   the online delay at the static fallback — the digest-poisoning guard:
-//!   a blast window of stragglers can inflate the raw quantile past the
-//!   attempt timeout and silently disable hedging exactly when it is
-//!   needed most.
+//! * **Routing** ([`Routing`]): which replica gets the next attempt.
+//!   [`Routing::RoundRobin`] walks the shard's replicas from a random
+//!   first pick; [`Routing::LeastOutstanding`] picks the candidate with
+//!   the fewest in-flight requests (live per-replica counters), steering
+//!   around slow and backed-up replicas; [`Routing::PowerOfTwo`] samples
+//!   two candidates on a dedicated [`Rng64::stream`] substream and keeps
+//!   the less loaded one — most of least-outstanding's benefit without
+//!   reading every counter. Either way the walk is a *permutation*: no
+//!   replica is revisited until every one has been tried.
+//! * **Hedging** ([`Hedging`]): when to duplicate the first attempt.
+//!   [`Hedging::Fixed`] waits a constant delay (the classic Tail-at-Scale
+//!   mitigation); [`Hedging::Adaptive`] waits for the shard's *online*
+//!   latency quantile, read from a per-shard [`TailDigest`] fed by every
+//!   observed attempt — hedges fire early when the shard is fast and back
+//!   off on their own when it degrades. [`Hedging::AdaptiveCapped`]
+//!   additionally caps the online delay at the static fallback — the
+//!   digest-poisoning guard: a blast window of stragglers can inflate the
+//!   raw quantile past the attempt timeout and silently disable hedging
+//!   exactly when it is needed most.
 //!
 //! Per-attempt timeout timers, hedge timers, and the request deadline are
 //! scheduled through the DES's cancellable `_handle` API and cancelled the
@@ -40,8 +41,8 @@
 //! counts the timer fires whose guards found nothing to do (zero under
 //! cancellation, asserted in tests).
 //!
-//! Around the seams, the serving discipline is fixed: every shard query
-//! carries a per-attempt timeout sliced from the request's QoS
+//! Around the two policies, the serving discipline is fixed: every shard
+//! query carries a per-attempt timeout sliced from the request's QoS
 //! [`Budget`](crate::qos::Budget); lost attempts retry with jittered
 //! exponential backoff and fail over along the permutation; and a
 //! root-side [`FailsafeMachine`](xxi_rel::failsafe::FailsafeMachine)
@@ -56,8 +57,6 @@
 //! the deterministic executor seam — byte-identical output at every
 //! `--threads` count (experiment E21).
 
-use std::sync::Mutex;
-
 use serde::Serialize;
 
 use crate::latency::LatencyDist;
@@ -66,269 +65,95 @@ use xxi_core::des::fault::{FaultInjector, FaultMix, FaultPlan};
 use xxi_core::des::{Sim, TimerHandle};
 use xxi_core::metrics::Metrics;
 use xxi_core::obs::{SpanId, TailDigest, Trace};
-use xxi_core::par::Parallelism;
+use xxi_core::par::{self, Parallelism};
 use xxi_core::rng::Rng64;
 use xxi_core::stats::Summary;
 use xxi_core::time::SimTime;
 use xxi_rel::failsafe::{FailsafeMachine, Mode};
 
-/// Replica-selection seam: given the failover candidates for one shard
-/// attempt, pick the replica to try next.
-pub trait RoutingPolicy {
-    /// Choose from `candidates` (local replica indices in failover
-    /// preference order, never empty, none tried since the permutation
-    /// restarted). `outstanding[r]` is the live in-flight count of the
-    /// shard's local replica `r`. Must return a member of `candidates`
-    /// and must be deterministic — no RNG, no ambient state.
-    fn pick(&self, candidates: &[u32], outstanding: &[u32]) -> u32;
-
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Random-start round-robin: take the candidates in failover order. The
-/// random first pick (drawn per shard query at arrival) spreads load;
-/// the rotation spreads retries.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoundRobin;
-
-impl RoutingPolicy for RoundRobin {
-    fn pick(&self, candidates: &[u32], _outstanding: &[u32]) -> u32 {
-        candidates[0]
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Least-outstanding-requests routing: pick the candidate with the
-/// fewest in-flight requests, breaking ties in failover order. Slow or
-/// paused replicas accumulate outstanding attempts and shed new load
-/// automatically.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LeastOutstanding;
-
-impl RoutingPolicy for LeastOutstanding {
-    fn pick(&self, candidates: &[u32], outstanding: &[u32]) -> u32 {
-        let mut best = candidates[0];
-        for &c in &candidates[1..] {
-            if outstanding[c as usize] < outstanding[best as usize] {
-                best = c;
-            }
-        }
-        best
-    }
-
-    fn name(&self) -> &'static str {
-        "least-outstanding"
-    }
-}
-
-/// Power-of-two-choices routing: sample two of the untried candidates and
-/// keep the one with fewer in-flight requests, ties in failover order.
-/// The classic load-balancing result: two random probes get most of the
-/// benefit of scanning every counter, without the herd behavior of
-/// deterministic least-loaded picks.
-///
-/// The two probes come from a *dedicated* [`Rng64::stream`] substream of
-/// the cluster seed (never the service-time RNG), so enabling this policy
-/// cannot shift any other random draw in the run. [`RoutingPolicy::pick`]
-/// is RNG-free by contract, so this type's trait impl degrades to
-/// comparing the first two failover candidates; the cluster dispatch path
-/// uses [`PowerOfTwoChoices::pick_with`] with the live substream.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PowerOfTwoChoices;
-
-impl PowerOfTwoChoices {
-    /// The real power-of-two pick: two substream probes into `candidates`
-    /// (with replacement), keeping the less-loaded, ties in failover
-    /// order.
-    pub fn pick_with(&self, candidates: &[u32], outstanding: &[u32], rng: &mut Rng64) -> u32 {
-        let n = candidates.len() as u64;
-        let i = rng.below(n) as usize;
-        let j = rng.below(n) as usize;
-        // Earlier failover position wins ties.
-        let x = candidates[i.min(j)];
-        let y = candidates[i.max(j)];
-        if outstanding[y as usize] < outstanding[x as usize] {
-            y
-        } else {
-            x
-        }
-    }
-}
-
-impl RoutingPolicy for PowerOfTwoChoices {
-    fn pick(&self, candidates: &[u32], outstanding: &[u32]) -> u32 {
-        // RNG-free fallback: probe the first two failover candidates.
-        let two = &candidates[..candidates.len().min(2)];
-        LeastOutstanding.pick(two, outstanding)
-    }
-
-    fn name(&self) -> &'static str {
-        "power-of-two"
-    }
-}
-
-/// The routing policies a [`ClusterConfig`] can carry by value.
+/// Replica selection: given the failover candidates for one shard
+/// attempt, which replica to try next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Routing {
-    /// [`RoundRobin`].
+    /// Random-start round-robin: take the candidates in failover order.
+    /// The random first pick (drawn per shard query at arrival) spreads
+    /// load; the rotation spreads retries.
     RoundRobin,
-    /// [`LeastOutstanding`].
+    /// Least-outstanding-requests: the candidate with the fewest
+    /// in-flight requests, ties in failover order. Slow or paused
+    /// replicas accumulate outstanding attempts and shed new load
+    /// automatically.
     LeastOutstanding,
-    /// [`PowerOfTwoChoices`].
+    /// Power-of-two-choices: two probes into the candidates (with
+    /// replacement), keeping the one with fewer in-flight requests, ties
+    /// in failover order. Two random probes get most of the benefit of
+    /// scanning every counter, without the herd behavior of
+    /// deterministic least-loaded picks.
     PowerOfTwo,
 }
 
 impl Routing {
-    /// Short human name for reports (same as [`RoutingPolicy::name`]).
+    /// Short human name for reports.
     pub fn describe(&self) -> &'static str {
-        self.name()
-    }
-
-    /// Replica selection with the cluster's dedicated routing substream.
-    /// Only [`Routing::PowerOfTwo`] draws from `rng`; the deterministic
-    /// policies delegate to their RNG-free [`RoutingPolicy`] impls.
-    fn pick_with(&self, candidates: &[u32], outstanding: &[u32], rng: &mut Rng64) -> u32 {
         match self {
-            Routing::PowerOfTwo => PowerOfTwoChoices.pick_with(candidates, outstanding, rng),
-            _ => self.pick(candidates, outstanding),
+            Routing::RoundRobin => "round-robin",
+            Routing::LeastOutstanding => "least-outstanding",
+            Routing::PowerOfTwo => "power-of-two",
         }
     }
-}
 
-impl RoutingPolicy for Routing {
-    fn pick(&self, candidates: &[u32], outstanding: &[u32]) -> u32 {
+    /// Choose from `candidates` (local replica indices in failover
+    /// preference order, never empty, none tried since the permutation
+    /// restarted); `outstanding[r]` is the live in-flight count of the
+    /// shard's local replica `r`. Only [`Routing::PowerOfTwo`] draws from
+    /// `rng` — two `below(n)` probes per pick — and the cluster passes a
+    /// dedicated substream, never the service-time RNG, so enabling it
+    /// cannot shift any other random draw in the run.
+    fn pick(&self, candidates: &[u32], outstanding: &[u32], rng: &mut Rng64) -> u32 {
         match self {
-            Routing::RoundRobin => RoundRobin.pick(candidates, outstanding),
-            Routing::LeastOutstanding => LeastOutstanding.pick(candidates, outstanding),
-            Routing::PowerOfTwo => PowerOfTwoChoices.pick(candidates, outstanding),
+            Routing::RoundRobin => candidates[0],
+            Routing::LeastOutstanding => {
+                let mut best = candidates[0];
+                for &c in &candidates[1..] {
+                    if outstanding[c as usize] < outstanding[best as usize] {
+                        best = c;
+                    }
+                }
+                best
+            }
+            Routing::PowerOfTwo => {
+                let n = candidates.len() as u64;
+                let i = rng.below(n) as usize;
+                let j = rng.below(n) as usize;
+                // Earlier failover position wins ties.
+                let x = candidates[i.min(j)];
+                let y = candidates[i.max(j)];
+                if outstanding[y as usize] < outstanding[x as usize] {
+                    y
+                } else {
+                    x
+                }
+            }
         }
     }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Routing::RoundRobin => RoundRobin.name(),
-            Routing::LeastOutstanding => LeastOutstanding.name(),
-            Routing::PowerOfTwo => PowerOfTwoChoices.name(),
-        }
-    }
 }
 
-/// Hedging seam: how long after the first attempt of a shard query to
-/// launch a duplicate to another replica.
-pub trait HedgePolicy {
-    /// Delay (ms) before hedging, or `None` to never hedge. `digest` is
-    /// the shard's online attempt-latency digest; fixed policies ignore
-    /// it. Consulted once per shard query, at first dispatch.
-    fn delay_ms(&self, digest: &TailDigest) -> Option<f64>;
-
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Never hedge.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoHedge;
-
-impl HedgePolicy for NoHedge {
-    fn delay_ms(&self, _digest: &TailDigest) -> Option<f64> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "no-hedge"
-    }
-}
-
-/// Hedge after a fixed delay (ms) — the constant every deployment guide
-/// suggests and no deployment retunes.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedHedge(pub f64);
-
-impl HedgePolicy for FixedHedge {
-    fn delay_ms(&self, _digest: &TailDigest) -> Option<f64> {
-        Some(self.0)
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-hedge"
-    }
-}
-
-/// Hedge at the shard's *online* latency quantile: the delay is
-/// `digest.quantile(quantile)` once `warmup` attempts have been
-/// observed, `fallback_ms` before that. A fast shard hedges early; a
-/// degraded shard stops wasting duplicates on a tail that moved.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveHedge {
-    /// Quantile of observed attempt latency to hedge at (e.g. 0.95).
-    pub quantile: f64,
-    /// Delay used until the digest has seen `warmup` attempts (ms).
-    pub fallback_ms: f64,
-    /// Observations required before the quantile is trusted.
-    pub warmup: u64,
-}
-
-impl HedgePolicy for AdaptiveHedge {
-    fn delay_ms(&self, digest: &TailDigest) -> Option<f64> {
-        if digest.count() < self.warmup {
-            Some(self.fallback_ms)
-        } else {
-            Some(digest.quantile(self.quantile))
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "adaptive-hedge"
-    }
-}
-
-/// [`AdaptiveHedge`] with the online delay capped at `fallback_ms` — the
-/// digest-poisoning guard. The raw adaptive policy trusts the observed
-/// quantile unconditionally, so a correlated blast window full of
-/// stragglers drags the quantile above the attempt timeout and hedging
-/// silently turns itself off for the rest of the run (observable as the
-/// round-robin + adaptive regression in E21's policy grid). Capping at
-/// the static fallback keeps the "hedge earlier when the shard is fast"
-/// upside while bounding the downside at exactly the fixed policy.
-#[derive(Clone, Copy, Debug)]
-pub struct CappedAdaptiveHedge {
-    /// Quantile of observed attempt latency to hedge at (e.g. 0.95).
-    pub quantile: f64,
-    /// Warmup delay *and* the upper bound on the online delay (ms).
-    pub fallback_ms: f64,
-    /// Observations required before the quantile is consulted.
-    pub warmup: u64,
-}
-
-impl HedgePolicy for CappedAdaptiveHedge {
-    fn delay_ms(&self, digest: &TailDigest) -> Option<f64> {
-        if digest.count() < self.warmup {
-            Some(self.fallback_ms)
-        } else {
-            Some(digest.quantile(self.quantile).min(self.fallback_ms))
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "capped-adaptive-hedge"
-    }
-}
-
-/// The hedging policies a [`ClusterConfig`] can carry by value.
+/// When to duplicate the first attempt of a shard query to another
+/// replica.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum Hedging {
-    /// [`NoHedge`].
+    /// Never hedge.
     None,
-    /// [`FixedHedge`] at `after_ms`.
+    /// Hedge after a fixed delay — the constant every deployment guide
+    /// suggests and no deployment retunes.
     Fixed {
         /// Hedge delay (ms).
         after_ms: f64,
     },
-    /// [`AdaptiveHedge`] (see its field docs).
+    /// Hedge at the shard's *online* latency quantile: the delay is the
+    /// digest's `quantile` once `warmup` attempts have been observed,
+    /// `fallback_ms` before that. A fast shard hedges early; a degraded
+    /// shard stops wasting duplicates on a tail that moved.
     Adaptive {
         /// Quantile of observed attempt latency to hedge at.
         quantile: f64,
@@ -337,8 +162,15 @@ pub enum Hedging {
         /// Observations required before the quantile is trusted.
         warmup: u64,
     },
-    /// [`CappedAdaptiveHedge`]: adaptive, with the online delay capped at
-    /// `fallback_ms` (the digest-poisoning guard).
+    /// [`Hedging::Adaptive`] with the online delay capped at
+    /// `fallback_ms` — the digest-poisoning guard. The raw adaptive
+    /// policy trusts the observed quantile unconditionally, so a
+    /// correlated blast window full of stragglers drags the quantile
+    /// above the attempt timeout and hedging silently turns itself off
+    /// for the rest of the run (observable as the round-robin + adaptive
+    /// regression in E21's policy grid). Capping at the static fallback
+    /// keeps the "hedge earlier when the shard is fast" upside while
+    /// bounding the downside at exactly the fixed policy.
     AdaptiveCapped {
         /// Quantile of observed attempt latency to hedge at.
         quantile: f64,
@@ -367,7 +199,7 @@ impl Hedging {
     }
 
     /// [`Hedging::adaptive`] with the online delay capped at the same
-    /// 10 ms fallback (see [`CappedAdaptiveHedge`]).
+    /// 10 ms fallback (see [`Hedging::AdaptiveCapped`]).
     pub fn adaptive_capped(quantile: f64) -> Hedging {
         assert!((0.0..1.0).contains(&quantile));
         Hedging::AdaptiveCapped {
@@ -390,52 +222,36 @@ impl Hedging {
             }
         }
     }
-}
 
-impl HedgePolicy for Hedging {
+    /// Delay (ms) before hedging, or `None` to never hedge. `digest` is
+    /// the shard's online attempt-latency digest; the fixed policies
+    /// ignore it. Consulted once per shard query, at first dispatch.
     fn delay_ms(&self, digest: &TailDigest) -> Option<f64> {
         match *self {
-            Hedging::None => NoHedge.delay_ms(digest),
-            Hedging::Fixed { after_ms } => FixedHedge(after_ms).delay_ms(digest),
+            Hedging::None => None,
+            Hedging::Fixed { after_ms } => Some(after_ms),
             Hedging::Adaptive {
                 quantile,
                 fallback_ms,
                 warmup,
-            } => AdaptiveHedge {
-                quantile,
-                fallback_ms,
-                warmup,
+            } => {
+                if digest.count() < warmup {
+                    Some(fallback_ms)
+                } else {
+                    Some(digest.quantile(quantile))
+                }
             }
-            .delay_ms(digest),
             Hedging::AdaptiveCapped {
                 quantile,
                 fallback_ms,
                 warmup,
-            } => CappedAdaptiveHedge {
-                quantile,
-                fallback_ms,
-                warmup,
+            } => {
+                if digest.count() < warmup {
+                    Some(fallback_ms)
+                } else {
+                    Some(digest.quantile(quantile).min(fallback_ms))
+                }
             }
-            .delay_ms(digest),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match *self {
-            Hedging::None => NoHedge.name(),
-            Hedging::Fixed { .. } => FixedHedge(0.0).name(),
-            Hedging::Adaptive { .. } => AdaptiveHedge {
-                quantile: 0.0,
-                fallback_ms: 0.0,
-                warmup: 0,
-            }
-            .name(),
-            Hedging::AdaptiveCapped { .. } => CappedAdaptiveHedge {
-                quantile: 0.0,
-                fallback_ms: 0.0,
-                warmup: 0,
-            }
-            .name(),
         }
     }
 }
@@ -628,7 +444,7 @@ const ROUTING_STREAM: u64 = 0xFA_207;
 struct CState {
     cfg: ClusterConfig,
     rng: Rng64,
-    /// Dedicated substream for [`PowerOfTwoChoices`] probes; drawn from
+    /// Dedicated substream for [`Routing::PowerOfTwo`] probes; drawn from
     /// only when that policy is configured, so the other policies' runs
     /// see exactly the seed repo's draw sequence.
     route_rng: Rng64,
@@ -636,10 +452,10 @@ struct CState {
     machine: FailsafeMachine,
     reqs: Vec<Req>,
     /// Live in-flight attempts per replica (global component id) — the
-    /// signal [`LeastOutstanding`] routes on.
+    /// signal [`Routing::LeastOutstanding`] routes on.
     inflight: Vec<u32>,
-    /// Per-shard online attempt-latency digest — the signal
-    /// [`AdaptiveHedge`] hedges on.
+    /// Per-shard online attempt-latency digest — the signal the adaptive
+    /// [`Hedging`] policies hedge on.
     digests: Vec<TailDigest>,
     /// The failover walk's output, reused by every dispatch.
     candidates: Vec<u32>,
@@ -658,10 +474,6 @@ struct CState {
     /// pure no-ops. Real cancellation keeps this at zero (tested); the
     /// seed engine burned one heap pop + closure call on each.
     stale_fires: u64,
-}
-
-fn ms_to_sim(ms: f64) -> SimTime {
-    SimTime::from_ps((ms * 1e9).round().max(0.0) as u64)
 }
 
 /// The failover walk into `out`: local replica indices in rotation order
@@ -737,7 +549,7 @@ impl ClusterConfig {
         };
         let mut sim = Sim::with_trace(state, trace);
         for r in 0..self.requests {
-            let at = ms_to_sim(r as f64 * self.interarrival_ms);
+            let at = SimTime::from_ms_f64(r as f64 * self.interarrival_ms);
             sim.schedule_at(at, arrive);
         }
         sim.run();
@@ -824,7 +636,7 @@ fn arrive(sim: &mut Sim<CState>) {
     for shard in 0..cfg.shards as usize {
         dispatch(sim, req, shard, false);
     }
-    let h = sim.schedule_in_handle(ms_to_sim(cfg.budget.deadline_ms), move |sim| {
+    let h = sim.schedule_in_handle(SimTime::from_ms_f64(cfg.budget.deadline_ms), move |sim| {
         deadline(sim, req);
     });
     sim.state.reqs[req].deadline_timer = Some(h);
@@ -870,7 +682,7 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
             slot.tried = 0;
         }
         failover_candidates(cfg.replicas, slot.first_pick, slot.tried, &mut s.candidates);
-        let local = cfg.routing.pick_with(
+        let local = cfg.routing.pick(
             &s.candidates,
             &s.inflight[base..base + cfg.replicas as usize],
             &mut s.route_rng,
@@ -901,7 +713,7 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
         // Connection refused: the dead/paused replica is detected after
         // one RTT, far cheaper than waiting out the timeout.
         sim.state.refused += 1;
-        sim.schedule_in(ms_to_sim(cfg.rpc_ms), move |sim| {
+        sim.schedule_in(SimTime::from_ms_f64(cfg.rpc_ms), move |sim| {
             settle(sim, req, shard, attempt, OUT_REFUSED);
             let r = &mut sim.state.reqs[req];
             if r.done || r.slots[shard].answered || r.slots[shard].given_up {
@@ -914,13 +726,13 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
         let slowdown = sim.state.faults.slowdown(replica, now);
         let service = cfg.dist.sample(&mut sim.state.rng) * slowdown;
         let latency = cfg.rpc_ms + service;
-        sim.schedule_in(ms_to_sim(latency), move |sim| {
+        sim.schedule_in(SimTime::from_ms_f64(latency), move |sim| {
             respond(sim, req, shard, attempt, replica);
         });
         // The timeout declares the attempt lost; late answers that beat
         // the *deadline* still count (work isn't thrown away). Cancelled
         // if the attempt settles first.
-        let h = sim.schedule_in_handle(ms_to_sim(timeout_ms), move |sim| {
+        let h = sim.schedule_in_handle(SimTime::from_ms_f64(timeout_ms), move |sim| {
             attempt_timeout(sim, req, shard, attempt);
         });
         sim.state.reqs[req].slots[shard].attempts[attempt].timeout_timer = Some(h);
@@ -933,7 +745,7 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
     if !hedge && attempt == 0 {
         if let Some(h) = cfg.hedging.delay_ms(&sim.state.digests[shard]) {
             if h < timeout_ms {
-                let timer = sim.schedule_in_handle(ms_to_sim(h), move |sim| {
+                let timer = sim.schedule_in_handle(SimTime::from_ms_f64(h), move |sim| {
                     hedge_fire(sim, req, shard);
                 });
                 sim.state.reqs[req].slots[shard].hedge_timer = Some(timer);
@@ -1087,7 +899,7 @@ fn maybe_retry(sim: &mut Sim<CState>, req: usize, shard: usize) {
         now,
         &[("req", req as f64), ("backoff_ms", backoff)],
     );
-    sim.schedule_in(ms_to_sim(backoff), move |sim| {
+    sim.schedule_in(SimTime::from_ms_f64(backoff), move |sim| {
         dispatch(sim, req, shard, false);
     });
 }
@@ -1179,9 +991,7 @@ pub fn cluster_sweep_on(
     mix: FaultMix,
     exec: &dyn Parallelism,
 ) -> Vec<ClusterOutcome> {
-    let slots: Vec<Mutex<Option<ClusterOutcome>>> =
-        rates.iter().map(|_| Mutex::new(None)).collect();
-    exec.for_tasks(rates.len(), &|i| {
+    par::map(exec, rates.len(), |i| {
         let sub_seed = Rng64::stream(base.seed, i as u64).next_u64();
         let cfg = ClusterConfig {
             seed: sub_seed,
@@ -1189,17 +999,13 @@ pub fn cluster_sweep_on(
         };
         let plan = FaultPlan::seeded(
             sub_seed,
-            ms_to_sim(cfg.horizon_ms()),
+            SimTime::from_ms_f64(cfg.horizon_ms()),
             cfg.components(),
             rates[i],
             mix,
         );
-        *slots[i].lock().unwrap() = Some(cfg.run(&plan));
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("sweep task completed")) // xxi-allow: panic-path -- see the expect message
-        .collect()
+        cfg.run(&plan)
+    })
 }
 
 #[cfg(test)]
@@ -1410,7 +1216,7 @@ mod tests {
                 0,
                 Fault::Slow {
                     factor: 8.0,
-                    for_time: ms_to_sim(cfg.horizon_ms()),
+                    for_time: SimTime::from_ms_f64(cfg.horizon_ms()),
                 },
             );
             plan
@@ -1467,7 +1273,7 @@ mod tests {
         };
         let plan = FaultPlan::seeded(
             cfg.seed,
-            ms_to_sim(cfg.horizon_ms()),
+            SimTime::from_ms_f64(cfg.horizon_ms()),
             cfg.components(),
             0.1,
             FaultMix::gray(),
@@ -1523,7 +1329,7 @@ mod tests {
         let kills = |cfg: &ClusterConfig| {
             FaultPlan::seeded(
                 cfg.seed,
-                ms_to_sim(cfg.horizon_ms()),
+                SimTime::from_ms_f64(cfg.horizon_ms()),
                 cfg.components(),
                 0.01,
                 FaultMix::kills_only(),
@@ -1567,7 +1373,7 @@ mod tests {
         };
         let mut plan = FaultPlan::seeded(
             cfg.seed,
-            ms_to_sim(cfg.horizon_ms()),
+            SimTime::from_ms_f64(cfg.horizon_ms()),
             cfg.components(),
             1.0,
             FaultMix::gray(),
@@ -1575,7 +1381,7 @@ mod tests {
         // On top of the storm, take out every replica of two shards a
         // quarter into the run: coverage caps at 18/20 < min_coverage, so
         // the failsafe machine must degrade for requests to keep landing.
-        let quarter = ms_to_sim(cfg.horizon_ms() / 4.0);
+        let quarter = SimTime::from_ms_f64(cfg.horizon_ms() / 4.0);
         for comp in 0..2 * cfg.replicas {
             plan.at(quarter, comp, Fault::Kill);
         }
@@ -1623,7 +1429,7 @@ mod tests {
         let cfg = small();
         let plan = FaultPlan::seeded(
             cfg.seed,
-            ms_to_sim(cfg.horizon_ms()),
+            SimTime::from_ms_f64(cfg.horizon_ms()),
             cfg.components(),
             0.2,
             FaultMix::gray(),
@@ -1648,15 +1454,15 @@ mod tests {
 
     #[test]
     fn policy_names_surface_for_reports() {
-        assert_eq!(Routing::RoundRobin.name(), "round-robin");
-        assert_eq!(Routing::LeastOutstanding.name(), "least-outstanding");
-        assert_eq!(Routing::PowerOfTwo.name(), "power-of-two");
-        assert_eq!(Hedging::None.name(), "no-hedge");
-        assert_eq!(Hedging::fixed(10.0).name(), "fixed-hedge");
-        assert_eq!(Hedging::adaptive(0.95).name(), "adaptive-hedge");
+        assert_eq!(Routing::RoundRobin.describe(), "round-robin");
+        assert_eq!(Routing::LeastOutstanding.describe(), "least-outstanding");
+        assert_eq!(Routing::PowerOfTwo.describe(), "power-of-two");
+        assert_eq!(Hedging::None.describe(), "no hedge");
+        assert_eq!(Hedging::fixed(10.0).describe(), "hedge at 10 ms");
+        assert_eq!(Hedging::adaptive(0.95).describe(), "hedge at online p95");
         assert_eq!(
-            Hedging::adaptive_capped(0.95).name(),
-            "capped-adaptive-hedge"
+            Hedging::adaptive_capped(0.95).describe(),
+            "hedge at online p95 (capped)"
         );
     }
 
@@ -1674,7 +1480,7 @@ mod tests {
         };
         let plan = FaultPlan::seeded(
             cfg.seed,
-            ms_to_sim(cfg.horizon_ms()),
+            SimTime::from_ms_f64(cfg.horizon_ms()),
             cfg.components(),
             0.5,
             FaultMix::gray(),
@@ -1748,7 +1554,7 @@ mod tests {
                 0,
                 Fault::Slow {
                     factor: 8.0,
-                    for_time: ms_to_sim(cfg.horizon_ms()),
+                    for_time: SimTime::from_ms_f64(cfg.horizon_ms()),
                 },
             );
             plan
@@ -1772,12 +1578,30 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_routings_pick_without_drawing() {
+        let candidates = [3u32, 1, 4];
+        let outstanding = [9u32, 2, 0, 7, 2];
+        let mut rng = Rng64::new(7);
+        let mut untouched = rng.clone();
+        assert_eq!(
+            Routing::RoundRobin.pick(&candidates, &outstanding, &mut rng),
+            3
+        );
+        // Replicas 1 and 4 tie at 2 outstanding: failover order wins.
+        assert_eq!(
+            Routing::LeastOutstanding.pick(&candidates, &outstanding, &mut rng),
+            1
+        );
+        assert_eq!(rng.next_u64(), untouched.next_u64());
+    }
+
+    #[test]
     fn two_probe_pick_prefers_less_loaded_and_breaks_ties_by_failover_order() {
         let candidates = [3u32, 1, 4];
         let outstanding = [9u32, 2, 0, 7, 2];
         let mut rng = Rng64::new(7);
         for _ in 0..200 {
-            let pick = PowerOfTwoChoices.pick_with(&candidates, &outstanding, &mut rng);
+            let pick = Routing::PowerOfTwo.pick(&candidates, &outstanding, &mut rng);
             assert!(candidates.contains(&pick));
             // Replica 3 carries the heaviest load of the candidate set; a
             // two-probe pick only returns it when both probes land on it.
@@ -1793,7 +1617,7 @@ mod tests {
         let tied = [1u32, 4];
         let (mut first, mut second) = (0, 0);
         for _ in 0..400 {
-            match PowerOfTwoChoices.pick_with(&tied, &outstanding, &mut rng) {
+            match Routing::PowerOfTwo.pick(&tied, &outstanding, &mut rng) {
                 1 => first += 1,
                 4 => second += 1,
                 other => panic!("picked {other} outside the candidate set"),
@@ -1816,16 +1640,8 @@ mod tests {
         for _ in 0..100 {
             digest.add(120.0);
         }
-        let adaptive = AdaptiveHedge {
-            quantile: 0.8,
-            fallback_ms: 10.0,
-            warmup: 64,
-        };
-        let capped = CappedAdaptiveHedge {
-            quantile: 0.8,
-            fallback_ms: 10.0,
-            warmup: 64,
-        };
+        let adaptive = Hedging::adaptive(0.8);
+        let capped = Hedging::adaptive_capped(0.8);
         assert!(adaptive.delay_ms(&digest).unwrap() > 100.0);
         assert_eq!(capped.delay_ms(&digest).unwrap(), 10.0);
         // On a fast shard both track the digest below the cap.
@@ -1865,12 +1681,12 @@ mod tests {
             let mut plan = FaultPlan::new();
             for (rack, start) in [(0u32, 0.20), (1, 0.575)] {
                 plan.at_scope(
-                    ms_to_sim(horizon * start),
+                    SimTime::from_ms_f64(horizon * start),
                     &topo,
                     rack,
                     Fault::Slow {
                         factor: 6.0,
-                        for_time: ms_to_sim(horizon * 0.35),
+                        for_time: SimTime::from_ms_f64(horizon * 0.35),
                     },
                 );
             }

@@ -29,10 +29,10 @@
 //!   the per-request [`qos::Budget`] (deadline + per-attempt timeout).
 //! * [`cluster`] — fault-injected cluster serving on the DES (experiment
 //!   E21): per-request deadlines, retries with jittered exponential
-//!   backoff, pluggable routing ([`cluster::RoutingPolicy`]) and hedging
-//!   ([`cluster::HedgePolicy`]) policies, replica failover along a
-//!   no-revisit permutation, and failsafe-driven graceful degradation,
-//!   driven by `xxi_core::des::fault` fault plans.
+//!   backoff, routing ([`cluster::Routing`]) and hedging
+//!   ([`cluster::Hedging`]) policies chosen as config values, replica
+//!   failover along a no-revisit permutation, and failsafe-driven
+//!   graceful degradation, driven by `xxi_core::des::fault` fault plans.
 
 pub mod cluster;
 pub mod fanout;
@@ -44,10 +44,7 @@ pub mod qos;
 pub mod queueing;
 pub mod replication;
 
-pub use cluster::{
-    cluster_sweep_on, ClusterConfig, ClusterOutcome, HedgePolicy, Hedging, RetryPolicy, Routing,
-    RoutingPolicy,
-};
+pub use cluster::{cluster_sweep_on, ClusterConfig, ClusterOutcome, Hedging, RetryPolicy, Routing};
 pub use fanout::{analytic_straggler_prob, fanout_latency};
 pub use hedge::{hedged_request, HedgeOutcome};
 pub use latency::LatencyDist;

@@ -14,15 +14,13 @@
 //! pause expiry. [`MG1Queue::run`] is the empty-plan special case —
 //! bit-identical to the pre-fault-seam behavior.
 
-use std::sync::Mutex;
-
 use serde::Serialize;
 
 use crate::latency::LatencyDist;
 use xxi_core::des::fault::{FaultInjector, FaultPlan};
 use xxi_core::des::Sim;
 use xxi_core::metrics::Metrics;
-use xxi_core::par::Parallelism;
+use xxi_core::par::{self, Parallelism};
 use xxi_core::rng::Rng64;
 use xxi_core::stats::Summary;
 use xxi_core::time::SimTime;
@@ -79,10 +77,6 @@ struct QState {
     refused: usize,
 }
 
-fn ms_to_sim(ms: f64) -> SimTime {
-    SimTime::from_ps((ms * 1e9).round().max(0.0) as u64)
-}
-
 /// The server is fault-plan component 0.
 const SERVER: u32 = 0;
 
@@ -92,7 +86,7 @@ fn arrival(sim: &mut Sim<QState>) {
     s.arrived += 1;
     if s.arrived < s.max_requests {
         let gap = s.rng.exp(s.lambda_per_ms);
-        let gap = ms_to_sim(gap);
+        let gap = SimTime::from_ms_f64(gap);
         sim.schedule_in(gap, arrival);
     }
     // Serve this one: FIFO single server.
@@ -111,7 +105,7 @@ fn arrival(sim: &mut Sim<QState>) {
     // expiry; the slowdown in effect at arrival stretches the service.
     let service_ms = service_ms * s.faults.slowdown(SERVER, now);
     let start = s.server_free_at.max(now).max(ready);
-    let finish = start.saturating_add(ms_to_sim(service_ms));
+    let finish = start.saturating_add(SimTime::from_ms_f64(service_ms));
     s.server_free_at = finish;
     // Jobs resident (queued or in service) when a kill/pause fires are
     // wiped with the server's memory: compare disruption epochs.
@@ -213,14 +207,7 @@ pub fn mg1_sweep_on(
     seed: u64,
     exec: &dyn Parallelism,
 ) -> Vec<QueueResult> {
-    let slots: Vec<Mutex<Option<QueueResult>>> = queues.iter().map(|_| Mutex::new(None)).collect();
-    exec.for_tasks(queues.len(), &|i| {
-        *slots[i].lock().unwrap() = Some(queues[i].run(requests, seed));
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("sweep task completed")) // xxi-allow: panic-path -- see the expect message
-        .collect()
+    par::map(exec, queues.len(), |i| queues[i].run(requests, seed))
 }
 
 #[cfg(test)]
@@ -352,7 +339,7 @@ mod tests {
         // Kill the server mid-run at high utilization: jobs queued at the
         // kill instant are lost, everything after is refused.
         let mut plan = FaultPlan::new();
-        plan.at(ms_to_sim(5_000.0), SERVER, Fault::Kill);
+        plan.at(SimTime::from_ms_f64(5_000.0), SERVER, Fault::Kill);
         let r = mm1(0.9).run_faulted(20_000, 7, &plan);
         assert!(r.lost > 0, "a hot server holds jobs when the kill lands");
         assert!(r.refused > 0, "post-kill arrivals must be refused");
@@ -366,10 +353,10 @@ mod tests {
         // during the pause wait for the expiry instead of being refused.
         let mut plan = FaultPlan::new();
         plan.at(
-            ms_to_sim(1_000.0),
+            SimTime::from_ms_f64(1_000.0),
             SERVER,
             Fault::Pause {
-                for_time: ms_to_sim(2_000.0),
+                for_time: SimTime::from_ms_f64(2_000.0),
             },
         );
         let r = mm1(0.8).run_faulted(20_000, 8, &plan);
@@ -385,19 +372,19 @@ mod tests {
         let mut plan = FaultPlan::new();
         for k in 0..6 {
             plan.at(
-                ms_to_sim(1_000.0 * (k + 1) as f64),
+                SimTime::from_ms_f64(1_000.0 * (k + 1) as f64),
                 SERVER,
                 Fault::Pause {
-                    for_time: ms_to_sim(200.0),
+                    for_time: SimTime::from_ms_f64(200.0),
                 },
             );
         }
         plan.at(
-            ms_to_sim(8_000.0),
+            SimTime::from_ms_f64(8_000.0),
             SERVER,
             Fault::Slow {
                 factor: 4.0,
-                for_time: ms_to_sim(500.0),
+                for_time: SimTime::from_ms_f64(500.0),
             },
         );
         let r = mm1(0.8).run_faulted(20_000, 5, &plan);

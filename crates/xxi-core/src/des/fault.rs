@@ -308,10 +308,6 @@ impl FaultPlan {
     }
 }
 
-fn ms_time(ms: f64) -> SimTime {
-    SimTime::from_ps((ms * 1e9).round().max(0.0) as u64)
-}
-
 /// Draw one fault kind from `mix` — shared by [`FaultPlan::seeded`] and
 /// [`FaultPlan::correlated`] so both consume the mix identically.
 fn draw_fault(rng: &mut Rng64, mix: &FaultMix) -> Fault {
@@ -323,12 +319,12 @@ fn draw_fault(rng: &mut Rng64, mix: &FaultMix) -> Fault {
     } else if pick < mix.kill + mix.pause {
         let (lo, hi) = mix.pause_ms;
         Fault::Pause {
-            for_time: ms_time(rng.range_f64(lo, hi)),
+            for_time: SimTime::from_ms_f64(rng.range_f64(lo, hi)),
         }
     } else {
         Fault::Slow {
             factor: rng.range_f64(mix.slow_factor.0, mix.slow_factor.1),
-            for_time: ms_time(rng.range_f64(mix.slow_ms.0, mix.slow_ms.1)),
+            for_time: SimTime::from_ms_f64(rng.range_f64(mix.slow_ms.0, mix.slow_ms.1)),
         }
     }
 }

@@ -32,6 +32,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use crate::report::json::escape;
 use crate::time::SimTime;
 
 /// Default cap on recorded events; beyond it new events are counted in
@@ -390,25 +391,6 @@ impl Trace {
         }
         s
     }
-}
-
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

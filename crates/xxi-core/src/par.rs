@@ -18,6 +18,9 @@
 //!
 //! Under those three rules, `--threads 4` and `--threads 1` print the
 //! same tables, which is what makes the parallel experiments auditable.
+//! Sweeps that run one independent job per grid point (a fault rate, a
+//! queue, a policy pair) use [`map`], the ordered parallel map
+//! underneath [`mc_chunks`].
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -59,6 +62,23 @@ impl Parallelism for Serial {
 /// order — are a function of the experiment alone.
 pub const MC_GRAIN: usize = 8192;
 
+/// Run `f(i)` for every `i in 0..n` on `exec` and return the results in
+/// index order, whatever order the executor ran them in.
+pub fn map<R, F>(exec: &dyn Parallelism, n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    exec.for_tasks(n, &|i| {
+        *slots[i].lock().unwrap() = Some(f(i));
+    });
+    slots
+        .into_iter()
+        .map(|m| m.into_inner().unwrap().expect("task completed")) // xxi-allow: panic-path -- see the expect message
+        .collect()
+}
+
 /// Run a Monte Carlo trial loop on `exec`, deterministically.
 ///
 /// Splits `0..trials` into [`MC_GRAIN`]-sized chunks and calls
@@ -71,23 +91,30 @@ where
     R: Send,
     F: Fn(Range<usize>, &mut Rng64) -> R + Sync,
 {
-    let n = trials.div_ceil(MC_GRAIN);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    exec.for_tasks(n, &|c| {
+    map(exec, trials.div_ceil(MC_GRAIN), |c| {
         let lo = c * MC_GRAIN;
         let hi = ((c + 1) * MC_GRAIN).min(trials);
-        let mut rng = Rng64::stream(seed, c as u64);
-        *slots[c].lock().unwrap() = Some(f(lo..hi, &mut rng));
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("chunk completed")) // xxi-allow: panic-path -- see the expect message
-        .collect()
+        f(lo..hi, &mut Rng64::stream(seed, c as u64))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs every task inline in reverse index order.
+    struct Reversed;
+
+    impl Parallelism for Reversed {
+        fn threads(&self) -> usize {
+            1
+        }
+        fn for_tasks(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
+            for i in (0..tasks).rev() {
+                f(i);
+            }
+        }
+    }
 
     #[test]
     fn serial_runs_in_index_order() {
@@ -95,6 +122,13 @@ mod tests {
         Serial.for_tasks(5, &|i| seen.lock().unwrap().push(i));
         assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
         assert_eq!(Serial.threads(), 1);
+    }
+
+    #[test]
+    fn map_returns_results_in_index_order_on_any_schedule() {
+        assert_eq!(map(&Serial, 4, |i| i * 10), vec![0, 10, 20, 30]);
+        assert_eq!(map(&Reversed, 4, |i| i * 10), vec![0, 10, 20, 30]);
+        assert!(map(&Serial, 0, |i| i).is_empty());
     }
 
     #[test]
@@ -130,17 +164,6 @@ mod tests {
     fn chunk_substreams_do_not_depend_on_execution_order() {
         // Reversed-order execution must produce the same per-chunk values:
         // the substream is a function of (seed, chunk), not of history.
-        struct Reversed;
-        impl Parallelism for Reversed {
-            fn threads(&self) -> usize {
-                1
-            }
-            fn for_tasks(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-                for i in (0..tasks).rev() {
-                    f(i);
-                }
-            }
-        }
         let fwd = mc_chunks(&Serial, 4 * MC_GRAIN, 7, |r, rng| {
             r.map(|_| rng.next_u64()).fold(0u64, u64::wrapping_add)
         });

@@ -539,6 +539,13 @@ impl Report {
                                     .ok_or("cell: expected an object with text")
                             })
                             .collect::<Result<_, _>>()?;
+                        if cells.len() > headers.len() {
+                            return Err(format!(
+                                "row has {} cells but table has {} columns",
+                                cells.len(),
+                                headers.len()
+                            ));
+                        }
                         t.row(&cells);
                     }
                     Item::Table(t)
@@ -704,6 +711,17 @@ mod tests {
             .render_json()
             .replacen("\"schema_version\":3", "\"schema_version\":99", 1);
         assert!(Report::parse_json(&j).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_row_wider_than_its_headers() {
+        let j = sample().render_json();
+        assert!(j.contains("\"headers\":[\"node\",\"pJ\"]"));
+        let j = j.replacen("\"headers\":[\"node\",\"pJ\"]", "\"headers\":[\"node\"]", 1);
+        assert_eq!(
+            Report::parse_json(&j).unwrap_err(),
+            "row has 2 cells but table has 1 columns"
+        );
     }
 
     #[test]

@@ -113,11 +113,17 @@ pub fn number(v: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The report schema
+/// nests four levels; the cap keeps hostile input from overflowing the
+/// recursive descent's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Errors carry the byte offset.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -131,6 +137,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -168,8 +176,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -177,6 +185,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.num(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse an array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -331,6 +354,23 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\" 1}", "tru", "\"abc", "1 2", ""] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_byte_offset() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            parse(&deep).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // Far past the cap, in the shape that used to overflow the stack.
+        let hostile = format!("{}1", "[{\"a\":".repeat(50_000));
+        assert!(parse(&hostile)
+            .unwrap_err()
+            .starts_with("nesting deeper than"));
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -54,6 +54,14 @@ impl SimTime {
         SimTime(s * 1_000_000_000_000)
     }
 
+    /// Convert a duration in (fractional) milliseconds to sim time,
+    /// rounding to the nearest picosecond. Negative and NaN inputs give
+    /// [`SimTime::ZERO`]; inputs past the horizon give [`SimTime::MAX`].
+    #[inline]
+    pub fn from_ms_f64(ms: f64) -> SimTime {
+        SimTime((ms * 1e9).round().max(0.0) as u64)
+    }
+
     /// Convert a (non-negative, finite) physical duration to sim time,
     /// rounding to the nearest picosecond and saturating at the horizon.
     pub fn from_seconds(s: Seconds) -> SimTime {
@@ -177,6 +185,18 @@ mod tests {
         assert_eq!(SimTime::from_seconds(Seconds(-1.0)), SimTime::ZERO);
         assert_eq!(SimTime::from_seconds(Seconds(f64::NAN)), SimTime::ZERO);
         assert_eq!(SimTime::from_seconds(Seconds(1e30)), SimTime::MAX);
+    }
+
+    #[test]
+    fn from_ms_f64_rounds_and_clamps() {
+        assert_eq!(SimTime::from_ms_f64(1.5), SimTime::from_us(1_500));
+        assert_eq!(SimTime::from_ms_f64(0.000_000_000_4), SimTime::ZERO);
+        assert_eq!(SimTime::from_ms_f64(0.000_000_000_6), SimTime::from_ps(1));
+        assert_eq!(SimTime::from_ms_f64(-3.0), SimTime::ZERO);
+        assert_eq!(SimTime::from_ms_f64(f64::NEG_INFINITY), SimTime::ZERO);
+        assert_eq!(SimTime::from_ms_f64(f64::NAN), SimTime::ZERO);
+        assert_eq!(SimTime::from_ms_f64(1e300), SimTime::MAX);
+        assert_eq!(SimTime::from_ms_f64(f64::INFINITY), SimTime::MAX);
     }
 
     #[test]
