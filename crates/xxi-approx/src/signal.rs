@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use xxi_core::rng::Rng64;
+use xxi_core::rng::{chance_cut, Rng64, RngLanes, LANES};
 
 /// Signal generator configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -87,9 +87,10 @@ impl SignalGen {
 
     /// Draw `n` samples' randomness from `seed` into `out` (built by this
     /// generator's [`SignalGen::draws`]) without transforming it; returns
-    /// whether any sample is anomalous. This is the one place that knows
-    /// the draw order: per sample, the anomaly-onset chance (only outside
-    /// an event), then [`Rng64::normal_uv`]'s `u` and `v`.
+    /// whether any sample is anomalous. This and [`SignalGen::draw_lanes`]
+    /// are the one place that knows the draw order: per sample, the
+    /// anomaly-onset chance (only outside an event), then
+    /// [`Rng64::normal_uv`]'s `u` and `v`.
     pub fn draw_into(&self, n: usize, seed: u64, out: &mut SignalDraws) -> bool {
         debug_assert_eq!(out.carrier.len(), self.period, "draws of another generator");
         let mut rng = Rng64::new(seed);
@@ -115,6 +116,56 @@ impl SignalGen {
             any |= *anomalous;
             *clean = out.carrier[phase] * gain;
             (*u, *v) = rng.normal_uv();
+            phase += 1;
+            if phase == self.period {
+                phase = 0;
+            }
+        }
+        any
+    }
+
+    /// [`SignalGen::draw_into`]'s answer for [`LANES`] seeds at once, with
+    /// the lanes stepped in lockstep. Lockstep assumes every sample draws
+    /// the onset chance, `u` and `v`. That holds until a lane's first onset
+    /// (inside an event the chance is skipped), and that onset makes the
+    /// answer `true`, so every lane's answer is exact. An onset that marks
+    /// nothing (`anomaly_len == 0`) keeps the order, so it is not one.
+    ///
+    /// `sample(i, carrier, u)` sees sample `i`'s carrier value and each
+    /// lane's `u`. For a lane answering `false` these are exactly
+    /// `draw_into`'s `clean[i]` (no gain applies) and `u[i]`; for a lane
+    /// answering `true` they are meaningless. `draws` (built by this
+    /// generator's [`SignalGen::draws`]) supplies only the carrier table.
+    #[inline(always)]
+    pub fn draw_lanes(
+        &self,
+        n: usize,
+        seeds: &[u64; LANES],
+        draws: &SignalDraws,
+        mut sample: impl FnMut(usize, f64, &[f64; LANES]),
+    ) -> [bool; LANES] {
+        debug_assert_eq!(
+            draws.carrier.len(),
+            self.period,
+            "draws of another generator"
+        );
+        let mut rng = RngLanes::new(seeds);
+        let cut = if self.anomaly_len == 0 {
+            0
+        } else {
+            chance_cut(self.anomaly_rate)
+        };
+        let mut any = [false; LANES];
+        let mut phase = 0;
+        for i in 0..n {
+            let onset = rng.chance(cut);
+            let mut u = rng.next_f64();
+            rng.next_u64(); // v
+            for l in 0..LANES {
+                any[l] |= onset[l];
+                u[l] = 1.0 - u[l];
+            }
+            sample(i, draws.carrier[phase], &u);
             phase += 1;
             if phase == self.period {
                 phase = 0;
@@ -149,13 +200,12 @@ impl SignalGen {
     /// Upper bounds on a sample's noise keyed by its `u` alone (see
     /// [`NoiseBound`]).
     pub fn noise_bound(&self) -> NoiseBound {
-        let table = (FIRST_BUCKET..=LAST_BUCKET)
-            .map(|b| {
-                let u_lo = f64::from_bits(b << BUCKET_SHIFT);
-                let r = (-2.0 * u_lo.ln()).max(0.0).sqrt();
-                self.noise_sigma.abs() * r * (1.0 + BOUND_SLACK)
-            })
-            .collect();
+        let mut table = Box::new([0.0; TABLE_LEN]);
+        for (bound, b) in table.iter_mut().zip(FIRST_BUCKET..=LAST_BUCKET) {
+            let u_lo = f64::from_bits(b << BUCKET_SHIFT);
+            let r = (-2.0 * u_lo.ln()).max(0.0).sqrt();
+            *bound = self.noise_sigma.abs() * r * (1.0 + BOUND_SLACK);
+        }
         NoiseBound { table }
     }
 }
@@ -167,6 +217,9 @@ const BUCKET_SHIFT: u32 = 52 - 6;
 const FIRST_BUCKET: u64 = (1023 - 53) << 6;
 /// Bucket of `u = 1`.
 const LAST_BUCKET: u64 = 1023 << 6;
+/// [`NoiseBound`]'s table length: the buckets rounded up to a power of two,
+/// so a masked index needs no bounds check (and the lookup no branch).
+const TABLE_LEN: usize = ((LAST_BUCKET - FIRST_BUCKET) as usize + 1).next_power_of_two();
 /// Relative slack on each bound. Why: the signal's noise is computed as
 /// `σ · sqrt(-2 ln u) · cos(τv)` in f64, with `ln` within an ulp and each
 /// other step rounded once, so it can exceed the real-valued bound by a few
@@ -179,7 +232,7 @@ const BOUND_SLACK: f64 = 1e-9;
 /// holds for every `u` in the bucket because `-ln` falls as `u` grows.
 #[derive(Clone, Debug)]
 pub struct NoiseBound {
-    table: Vec<f64>,
+    table: Box<[f64; TABLE_LEN]>,
 }
 
 impl NoiseBound {
@@ -187,7 +240,12 @@ impl NoiseBound {
     /// any `v`; `u` must be a [`SignalDraws::u`] value.
     #[inline]
     pub fn at(&self, u: f64) -> f64 {
-        self.table[((u.to_bits() >> BUCKET_SHIFT) - FIRST_BUCKET) as usize]
+        let bucket = (u.to_bits() >> BUCKET_SHIFT).wrapping_sub(FIRST_BUCKET);
+        debug_assert!(
+            bucket <= LAST_BUCKET - FIRST_BUCKET,
+            "u = {u} is not a draw"
+        );
+        self.table[bucket as usize & (TABLE_LEN - 1)]
     }
 }
 

@@ -18,9 +18,10 @@ use std::sync::{Mutex, OnceLock};
 
 use xxi_cloud::latency::LatencyDist;
 use xxi_cloud::queueing::MG1Queue;
-use xxi_core::obs::LogHistogram;
+use xxi_core::obs::{LogHistogram, Trace};
 use xxi_core::rng::{Rng64, Zipf};
 use xxi_core::stats::Summary;
+use xxi_core::units::{Power, Seconds};
 use xxi_core::Report;
 use xxi_cpu::hillmarty::{best_symmetric_r, speedup_symmetric};
 use xxi_mem::cache::{AccessKind, Cache, CacheConfig, Replacement};
@@ -33,6 +34,10 @@ use xxi_noc::sim::{NocConfig, NocSim};
 use xxi_noc::traffic::Pattern;
 use xxi_rel::ecc::{decode, encode, flip, Codeword};
 use xxi_sec::ift::{Instr, Machine, Outcome, Policy};
+use xxi_sensor::mcu::Mcu;
+use xxi_sensor::node::{NodePolicy, SensorNode, SensorNodeConfig};
+use xxi_sensor::power::{Battery, HarvestProfile, Harvester};
+use xxi_sensor::radio::{Radio, RadioTech};
 use xxi_stack::deque::deque;
 use xxi_stack::stm::TxArray;
 
@@ -94,7 +99,7 @@ const fn k(
 
 /// Every kernel, grouped by layer in stack order.
 #[rustfmt::skip]
-pub static KERNELS: [Kernel; 37] = [
+pub static KERNELS: [Kernel; 38] = [
     k("core/rng-u64", "xoshiro256++: 1M next_u64", "draws", 1_000_000, rng_u64),
     k("core/rng-lognormal", "1M lognormal draws", "draws", 1_000_000, rng_lognormal),
     k("core/zipf", "1M Zipf(0.99) samples over 100k ranks", "samples", 1_000_000, zipf),
@@ -125,6 +130,7 @@ pub static KERNELS: [Kernel; 37] = [
     k("cpu/hillmarty-grid", "Hill-Marty symmetric speedup over a 100x100 grid", "evaluations", 10_000, hillmarty_grid),
     k("cloud/mg1", "M/G/1 queue on the DES: 50k requests", "requests", 50_000, mg1),
     k("cloud/fanout", "Cloud: fan-out 100 max over the typical leaf", "leaf-draws", FANOUT_LEAF_DRAWS, fanout),
+    k("sensor/epochs", "sensor node: FilterThenSend epochs with a solar harvester (run_observed)", "samples", SENSOR_SAMPLES, sensor_epochs),
     k("sec/dift", "DIFT machine: a tracked 150k-instruction loop", "instructions", 150_001, dift),
     k("stack/chase-lev", "Chase-Lev deque: 100k push then pop", "items", 100_000, chase_lev),
     k("stack/mutex-queue", "Mutex<VecDeque>: 100k push then pop", "items", 100_000, mutex_queue),
@@ -381,6 +387,38 @@ fn fanout(_: &RunCtx) -> f64 {
         .sum()
 }
 
+// --- sensor ---------------------------------------------------------------
+
+const SENSOR_EPOCHS: u64 = 20_000;
+/// E10's 250-sample epochs.
+const SENSOR_SAMPLES: u64 = 250 * SENSOR_EPOCHS;
+
+/// E10's long harvested run, shortened: a BLE node filtering on-node
+/// while a 150 uW solar cell tops up its coin cell, through
+/// [`SensorNode::run_observed`]. The battery outlives the horizon, so
+/// every call runs exactly [`SENSOR_EPOCHS`] epochs.
+fn sensor_epochs(_: &RunCtx) -> f64 {
+    let cfg = SensorNodeConfig::default();
+    let epoch_s = cfg.epoch_samples as f64 / cfg.sample_hz;
+    let node = SensorNode::new(cfg, Mcu::cortex_m_class(), Radio::new(RadioTech::BleClass));
+    let day_epochs = (86_400.0 / epoch_s) as u64;
+    let sun = Harvester::new(HarvestProfile::Solar, Power::from_uw(150.0), day_epochs, 3);
+    let (out, obs) = node.run_observed(
+        NodePolicy::FilterThenSend,
+        Battery::coin_cell(),
+        Some(sun),
+        Seconds(SENSOR_EPOCHS as f64 * epoch_s),
+        3,
+        Trace::disabled(),
+    );
+    assert_eq!(
+        obs.epoch_energy.count(),
+        SENSOR_EPOCHS,
+        "the node died early"
+    );
+    out.bits_sent as f64 + obs.ledger.total_spent().value()
+}
+
 // --- sec ------------------------------------------------------------------
 
 /// A tight arithmetic loop, 50k iterations of three instructions, then
@@ -497,6 +535,8 @@ mod tests {
             assert!(kernel.units > 0, "{} declares no work", kernel.id);
             assert!(super::super::find_kernel(&kernel.id.to_uppercase()).is_some());
         }
+        let epoch_samples = SensorNodeConfig::default().epoch_samples as u64;
+        assert_eq!(epoch_samples * SENSOR_EPOCHS, SENSOR_SAMPLES);
         let mesh = NocConfig::mesh8x8(Pattern::Uniform, 0.2, 3).mesh;
         assert_eq!(
             mesh.nodes() as u64 * (NOC_WARMUP + NOC_MEASURE),

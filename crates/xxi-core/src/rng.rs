@@ -188,6 +188,105 @@ impl Rng64 {
     }
 }
 
+/// Lanes in an [`RngLanes`] bank.
+pub const LANES: usize = 16;
+
+/// [`Rng64::chance`]'s test as an integer cut: `next_f64() < p` exactly
+/// when `next_u64() >> 11 < chance_cut(p)`. Why it is exact: `next_f64`
+/// is `k · 2⁻⁵³` for the integer `k = next_u64() >> 11 < 2⁵³`, and
+/// `p · 2⁵³` is exact in f64 (a power-of-two scale), so `k · 2⁻⁵³ < p`
+/// holds exactly for `k < ⌈p · 2⁵³⌉`.
+pub fn chance_cut(p: f64) -> u64 {
+    let unit = (1u64 << 53) as f64;
+    if p >= 1.0 {
+        1 << 53
+    } else if p > 0.0 {
+        (p * unit).ceil() as u64
+    } else {
+        0 // p ≤ 0 or NaN: never
+    }
+}
+
+/// `k as f64` for `k < 2⁵³`, exactly, from integer ops and two f64 adds:
+/// the high and low 32-bit halves each land in a double's mantissa under
+/// a magic exponent (2⁸⁴ and 2⁵²), and subtracting the magic leaves the
+/// exact sum. Unlike `as f64`, this vectorizes without AVX-512's
+/// u64 → f64 instruction.
+#[inline(always)]
+fn u53_to_f64(k: u64) -> f64 {
+    let hi = f64::from_bits(0x4530_0000_0000_0000 | (k >> 32)); // 2⁸⁴ + hi·2³²
+    let lo = f64::from_bits(0x4330_0000_0000_0000 | (k & 0xFFFF_FFFF)); // 2⁵² + lo
+    (hi - f64::from_bits(0x4530_0000_0010_0000)) + lo // − (2⁸⁴ + 2⁵²)
+}
+
+/// [`LANES`] independent [`Rng64`] streams stepped in lockstep, stored as
+/// struct-of-arrays so each step is a handful of vector ops: lane `l`
+/// yields exactly the values `Rng64::new(seeds[l])` would.
+#[derive(Clone, Debug)]
+pub struct RngLanes {
+    s: [[u64; LANES]; 4],
+}
+
+impl RngLanes {
+    /// Lane `l` seeded as `Rng64::new(seeds[l])`.
+    pub fn new(seeds: &[u64; LANES]) -> RngLanes {
+        let mut s = [[0; LANES]; 4];
+        for (l, &seed) in seeds.iter().enumerate() {
+            let one = Rng64::new(seed);
+            for (word, v) in s.iter_mut().zip(one.s) {
+                word[l] = v;
+            }
+        }
+        RngLanes { s }
+    }
+
+    /// Every lane's [`Rng64::next_u64`].
+    #[inline(always)]
+    pub fn next_u64(&mut self) -> [u64; LANES] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut out = [0; LANES];
+        for l in 0..LANES {
+            out[l] = s0[l]
+                .wrapping_add(s3[l])
+                .rotate_left(23)
+                .wrapping_add(s0[l]);
+            let t = s1[l] << 17;
+            s2[l] ^= s0[l];
+            s3[l] ^= s1[l];
+            s1[l] ^= s2[l];
+            s0[l] ^= s3[l];
+            s2[l] ^= t;
+            s3[l] = s3[l].rotate_left(45);
+        }
+        out
+    }
+
+    // The lane loops below are spelled out: `<[T; N]>::map` is not
+    // reliably inlined, and a call per step stops the vectorizer.
+
+    /// Every lane's [`Rng64::next_f64`], bit for bit.
+    #[inline(always)]
+    pub fn next_f64(&mut self) -> [f64; LANES] {
+        let x = self.next_u64();
+        let mut out = [0.0; LANES];
+        for l in 0..LANES {
+            out[l] = u53_to_f64(x[l] >> 11) * (1.0 / (1u64 << 53) as f64);
+        }
+        out
+    }
+
+    /// Every lane's [`Rng64::chance`]`(p)`, given `cut = chance_cut(p)`.
+    #[inline(always)]
+    pub fn chance(&mut self, cut: u64) -> [bool; LANES] {
+        let x = self.next_u64();
+        let mut out = [false; LANES];
+        for l in 0..LANES {
+            out[l] = x[l] >> 11 < cut;
+        }
+        out
+    }
+}
+
 /// Zipf-distributed ranks over `{0, 1, …, n−1}` with skew `s`.
 ///
 /// Rank `k` (0-based) has probability ∝ 1/(k+1)^s. Sampling is by binary
@@ -464,6 +563,86 @@ mod tests {
         let xs = [10, 20, 30];
         for _ in 0..100 {
             assert!(xs.contains(r.choose(&xs)));
+        }
+    }
+
+    #[test]
+    fn lanes_match_scalar_streams_bit_for_bit() {
+        let seeds: [u64; LANES] = std::array::from_fn(|l| match l {
+            0 => 0,
+            1 => u64::MAX,
+            _ => (l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        });
+        let mut lanes = RngLanes::new(&seeds);
+        let mut one: Vec<Rng64> = seeds.iter().map(|&s| Rng64::new(s)).collect();
+        let p = 0.3;
+        let cut = chance_cut(p);
+        for step in 0..3_000 {
+            match step % 3 {
+                0 => {
+                    let xs = lanes.next_u64();
+                    for (x, r) in xs.iter().zip(&mut one) {
+                        assert_eq!(*x, r.next_u64(), "step {step}");
+                    }
+                }
+                1 => {
+                    let xs = lanes.next_f64();
+                    for (x, r) in xs.iter().zip(&mut one) {
+                        assert_eq!(x.to_bits(), r.next_f64().to_bits(), "step {step}");
+                    }
+                }
+                _ => {
+                    let hits = lanes.chance(cut);
+                    for (&hit, r) in hits.iter().zip(&mut one) {
+                        assert_eq!(hit, r.chance(p), "step {step}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn u53_conversion_and_chance_cut_are_exact_at_the_edges() {
+        let top = (1u64 << 53) - 1;
+        for k in [
+            0,
+            1,
+            2,
+            0xFFFF_FFFF,
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 52,
+            top - 1,
+            top,
+        ] {
+            assert_eq!(u53_to_f64(k).to_bits(), (k as f64).to_bits(), "k = {k}");
+        }
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let ps = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            ulp / 2.0,
+            ulp,
+            ulp * 1.5,
+            0.0002,
+            0.5,
+            1.0 - ulp,
+            1.0,
+            2.0,
+            f64::INFINITY,
+        ];
+        for p in ps {
+            let cut = chance_cut(p);
+            // The cut sits where `k · 2⁻⁵³ < p` flips.
+            for k in [cut.saturating_sub(1), cut, cut + 1, 0, top] {
+                let k = k.min(top);
+                let exact = (k as f64) * ulp < p;
+                assert_eq!(k < cut, exact, "p = {p:e}, k = {k}, cut = {cut}");
+            }
         }
     }
 

@@ -33,6 +33,7 @@ use xxi_approx::signal::{NoiseBound, SignalDraws, SignalGen};
 use xxi_core::des::fault::{FaultInjector, FaultPlan};
 use xxi_core::metrics::Metrics;
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, Trace};
+use xxi_core::rng::LANES;
 use xxi_core::time::SimTime;
 use xxi_core::units::{Energy, Seconds};
 
@@ -182,7 +183,7 @@ impl SensorNode {
             battery,
             harvester,
             horizon,
-            seed,
+            Epochs::new(&self.cfg, policy, seed),
             trace,
             &FaultPlan::new(),
         );
@@ -209,22 +210,11 @@ impl SensorNode {
             battery,
             None,
             horizon,
-            seed,
+            Epochs::new(&self.cfg, policy, seed),
             Trace::disabled(),
             plan,
         );
-        let mut metrics = Metrics::new();
-        metrics.count("sensor.epochs", stats.epochs);
-        metrics.count("sensor.deferred_epochs", stats.deferred);
-        metrics.count("sensor.anomaly_epochs", stats.anomaly_epochs);
-        metrics.count("sensor.reported_epochs", stats.reported_epochs);
-        stats.faults.record(&mut metrics);
-        FaultedNodeOutcome {
-            outcome,
-            deferred_epochs: stats.deferred,
-            probe_energy: stats.probe_energy,
-            metrics,
-        }
+        stats.outcome(outcome)
     }
 
     #[allow(clippy::too_many_arguments)] // the one shared body behind run/run_observed/run_faulted
@@ -234,26 +224,18 @@ impl SensorNode {
         mut battery: Battery,
         mut harvester: Option<Harvester>,
         horizon: Seconds,
-        seed: u64,
+        mut epochs: Epochs,
         trace: Trace,
         plan: &FaultPlan,
     ) -> (NodeOutcome, NodeObservation, FaultStats) {
         let cfg = &self.cfg;
         let epoch_dt = Seconds(cfg.epoch_samples as f64 / cfg.sample_hz);
-        // Clinically interesting events are rare: ~5% of epochs.
-        let gen = SignalGen {
-            anomaly_rate: 0.0002,
-            ..SignalGen::default()
-        };
-        let mut draws = gen.draws();
-        let mut detector = Detector::new(&gen, cfg.epoch_samples, cfg.window, cfg.threshold);
         let mut elapsed = 0.0f64;
         let mut bits_sent = 0u64;
         let mut radio_energy = Energy::ZERO;
         let mut compute_energy = Energy::ZERO;
         let mut anomaly_epochs = 0u64;
         let mut reported_anomaly_epochs = 0u64;
-        let mut epoch_seed = seed;
         let mut ledger = EnergyLedger::new();
         let mut epoch_energy = LogHistogram::new();
         let mut trace = trace;
@@ -262,19 +244,18 @@ impl SensorNode {
         let mut pending_reports = 0u64;
         let mut deferred = 0u64;
         let mut probe_energy = Energy::ZERO;
-        let mut epochs = 0u64;
+        let mut lived = 0u64;
 
         while elapsed < horizon.value() && !battery.dead() {
-            epochs += 1;
+            lived += 1;
             if let Some(h) = harvester.as_mut() {
                 let e_h = h.harvest(epoch_dt);
                 battery.charge(e_h);
                 ledger.charge("harvester", Layer::Harvest, e_h);
             }
-            epoch_seed = epoch_seed.wrapping_mul(6364136223846793005).wrapping_add(7);
             // SendRaw and CompressThenSend read only the anomaly mask, so
             // only the filter ever looks at the noise.
-            let has_anomaly = gen.draw_into(cfg.epoch_samples, epoch_seed, &mut draws);
+            let has_anomaly = epochs.advance();
             if has_anomaly {
                 anomaly_epochs += 1;
             }
@@ -291,7 +272,7 @@ impl SensorNode {
                 }
                 NodePolicy::FilterThenSend => {
                     ops += cfg.ops_per_sample_filter * cfg.epoch_samples as u64;
-                    if detector.detect(&gen, &draws) {
+                    if epochs.detect() {
                         bits = cfg.epoch_samples as u64 * cfg.bits_per_sample as u64;
                         reported = has_anomaly;
                     }
@@ -390,7 +371,7 @@ impl SensorNode {
                 trace,
             },
             FaultStats {
-                epochs,
+                epochs: lived,
                 deferred,
                 anomaly_epochs,
                 reported_epochs: reported_anomaly_epochs,
@@ -409,6 +390,146 @@ struct FaultStats {
     reported_epochs: u64,
     probe_energy: Energy,
     faults: FaultInjector,
+}
+
+impl FaultStats {
+    /// [`SensorNode::run_faulted`]'s answer: the outcome plus the
+    /// `sensor.*` and `fault.*` counters.
+    fn outcome(self, outcome: NodeOutcome) -> FaultedNodeOutcome {
+        let mut metrics = Metrics::new();
+        metrics.count("sensor.epochs", self.epochs);
+        metrics.count("sensor.deferred_epochs", self.deferred);
+        metrics.count("sensor.anomaly_epochs", self.anomaly_epochs);
+        metrics.count("sensor.reported_epochs", self.reported_epochs);
+        self.faults.record(&mut metrics);
+        FaultedNodeOutcome {
+            outcome,
+            deferred_epochs: self.deferred,
+            probe_energy: self.probe_energy,
+            metrics,
+        }
+    }
+}
+
+/// The epoch-seed chain: epoch `k` of a run draws its signal from the
+/// `k`-th LCG step after the run seed.
+fn next_epoch_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(6364136223846793005).wrapping_add(7)
+}
+
+/// A run's epochs in order, each answering `draw_into`'s `has_anomaly` and
+/// (for the filter) the exact `detect` of its signal. Epochs are decided
+/// [`LANES`] at a time by [`Detector::lanes`], ahead of the run; an epoch
+/// the lanes leave open is redrawn alone and decided exactly. Epochs
+/// decided ahead but never lived leave no trace: the run reads only the
+/// epochs it advances to.
+struct Epochs {
+    gen: SignalGen,
+    /// The policy reads `detect`, so the lanes run the screen.
+    filter: bool,
+    /// Decide epochs in lanes; off, each epoch is drawn and decided alone
+    /// (the screen cannot run, so lanes would only draw each epoch twice).
+    lanes: bool,
+    isa: Isa,
+    detector: Detector,
+    draws: SignalDraws,
+    /// The last seed of the chain handed out.
+    seed: u64,
+    batch: Batch,
+    /// The current epoch's lane; `LANES - 1` before the first epoch.
+    lane: usize,
+}
+
+/// One batch of [`LANES`] chained epochs.
+#[derive(Debug, PartialEq)]
+struct Batch {
+    seeds: [u64; LANES],
+    has_anomaly: [bool; LANES],
+    /// `detect`, where the lanes settle it.
+    fired: [Option<bool>; LANES],
+}
+
+impl Epochs {
+    fn new(cfg: &SensorNodeConfig, policy: NodePolicy, seed: u64) -> Epochs {
+        // Clinically interesting events are rare: ~5% of epochs.
+        let gen = SignalGen {
+            anomaly_rate: 0.0002,
+            ..SignalGen::default()
+        };
+        let detector = Detector::new(&gen, cfg.epoch_samples, cfg.window, cfg.threshold);
+        let filter = policy == NodePolicy::FilterThenSend;
+        Epochs {
+            filter,
+            lanes: !filter || detector.screening,
+            isa: Isa::detect(),
+            detector,
+            draws: gen.draws(),
+            gen,
+            seed,
+            batch: Batch {
+                seeds: [seed; LANES],
+                has_anomaly: [false; LANES],
+                fired: [None; LANES],
+            },
+            lane: LANES - 1,
+        }
+    }
+
+    /// Step to the next epoch; returns whether its signal has an anomaly.
+    fn advance(&mut self) -> bool {
+        if !self.lanes {
+            self.seed = next_epoch_seed(self.seed);
+            return self
+                .gen
+                .draw_into(self.detector.n, self.seed, &mut self.draws);
+        }
+        self.lane = (self.lane + 1) % LANES;
+        if self.lane == 0 {
+            let seeds = std::array::from_fn(|_| {
+                self.seed = next_epoch_seed(self.seed);
+                self.seed
+            });
+            self.batch = self
+                .detector
+                .lanes(&self.gen, &self.draws, seeds, self.filter, self.isa);
+        }
+        self.batch.has_anomaly[self.lane]
+    }
+
+    /// The exact `detect` of the current epoch's signal.
+    fn detect(&mut self) -> bool {
+        if self.lanes {
+            if let Some(fired) = self.batch.fired[self.lane] {
+                return fired;
+            }
+            let seed = self.batch.seeds[self.lane];
+            let any = self.gen.draw_into(self.detector.n, seed, &mut self.draws);
+            debug_assert_eq!(any, self.batch.has_anomaly[self.lane]);
+        }
+        self.detector.detect(&self.gen, &self.draws)
+    }
+}
+
+/// The instruction set [`Detector::lanes`] runs on, chosen once per run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    /// The target's baseline (SSE2 on x86-64).
+    Plain,
+    /// 256-bit vectors. Built only by [`Isa::detect`], after the CPU
+    /// reported AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest instruction set the lane kernel has a build for.
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Plain
+    }
 }
 
 /// Moving-mean-of-squares anomaly detector: fires when any window's RMS
@@ -446,6 +567,8 @@ const SCREEN_MARGIN: f64 = 1e-7;
 /// [`detect`] for one epoch, decided from the epoch's draws wherever
 /// bounds on its noise settle it; the exact transform is the fallback.
 struct Detector {
+    /// Samples per epoch.
+    n: usize,
     window: usize,
     threshold: f64,
     bound: NoiseBound,
@@ -457,12 +580,16 @@ struct Detector {
     hi: Vec<f64>,
     /// The exact signal, for epochs the screen leaves open.
     signal: Vec<f64>,
+    /// `lo`/`hi` for [`LANES`] epochs at once, one row per sample.
+    lane_lo: Vec<[f64; LANES]>,
+    lane_hi: Vec<[f64; LANES]>,
 }
 
 impl Detector {
     fn new(gen: &SignalGen, n: usize, window: usize, threshold: f64) -> Detector {
         let t = threshold * threshold;
         Detector {
+            n,
             window,
             threshold,
             bound: gen.noise_bound(),
@@ -470,6 +597,8 @@ impl Detector {
             lo: Vec::with_capacity(n),
             hi: Vec::with_capacity(n),
             signal: Vec::with_capacity(n),
+            lane_lo: Vec::new(),
+            lane_hi: Vec::new(),
         }
     }
 
@@ -532,6 +661,125 @@ impl Detector {
             Some(true)
         } else {
             below.then_some(false)
+        }
+    }
+
+    /// The [`Batch`] of the epochs drawn from `seeds`: each one's
+    /// `has_anomaly`, exact, and, with `filter`, [`Detector::screen`]'s
+    /// answer wherever the epoch has no anomaly. Runs on `isa`; every
+    /// build returns the same bits.
+    fn lanes(
+        &mut self,
+        gen: &SignalGen,
+        draws: &SignalDraws,
+        seeds: [u64; LANES],
+        filter: bool,
+        isa: Isa,
+    ) -> Batch {
+        match isa {
+            Isa::Plain => self.lanes_body(gen, draws, seeds, filter),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx2` is built only after
+            // `is_x86_feature_detected!("avx2")` held, so this CPU runs
+            // AVX2 instructions.
+            Isa::Avx2 => unsafe { self.lanes_avx2(gen, draws, seeds, filter) },
+        }
+    }
+
+    /// [`Detector::lanes_body`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn lanes_avx2(
+        &mut self,
+        gen: &SignalGen,
+        draws: &SignalDraws,
+        seeds: [u64; LANES],
+        filter: bool,
+    ) -> Batch {
+        self.lanes_body(gen, draws, seeds, filter)
+    }
+
+    /// [`Detector::lanes`]' one body, inlined into each build. Per lane it
+    /// is [`Detector::screen`] step for step, over the `clean` and `u`
+    /// that [`SignalGen::draw_lanes`] hands a lane without an anomaly.
+    #[inline(always)]
+    fn lanes_body(
+        &mut self,
+        gen: &SignalGen,
+        draws: &SignalDraws,
+        seeds: [u64; LANES],
+        filter: bool,
+    ) -> Batch {
+        let n = self.n;
+        let mut fired = [None; LANES];
+        if !(filter && self.screening) {
+            let has_anomaly = gen.draw_lanes(n, &seeds, draws, |_, _, _| {});
+            return Batch {
+                seeds,
+                has_anomaly,
+                fired,
+            };
+        }
+        self.lane_lo.resize(n, [0.0; LANES]);
+        self.lane_hi.resize(n, [0.0; LANES]);
+        let (mut s_lo, mut s_hi) = ([0.0f64; LANES], [0.0f64; LANES]);
+        let (bound, lane_lo, lane_hi) = (&self.bound, &mut self.lane_lo, &mut self.lane_hi);
+        let has_anomaly = gen.draw_lanes(n, &seeds, draws, |i, c, u| {
+            let c = c.abs();
+            for l in 0..LANES {
+                let b = bound.at(u[l]);
+                let lo = (c - b).max(0.0);
+                let hi = c + b;
+                s_lo[l] += lo * lo;
+                s_hi[l] += hi * hi;
+            }
+            (lane_lo[i], lane_hi[i]) = (s_lo, s_hi);
+        });
+        let (t, w) = (self.threshold * self.threshold, self.window as f64);
+        let (mut cut_lo, mut cut_hi) = ([0.0; LANES], [0.0; LANES]);
+        let (mut cut_lo_w, mut cut_hi_w) = ([0.0; LANES], [0.0; LANES]);
+        for l in 0..LANES {
+            cut_lo[l] = t * (s_lo[l] / n as f64) * (1.0 - SCREEN_MARGIN);
+            cut_hi[l] = t * (s_hi[l] / n as f64) * (1.0 + SCREEN_MARGIN);
+            (cut_lo_w[l], cut_hi_w[l]) = (cut_lo[l] * w, cut_hi[l] * w);
+        }
+        let (mut above, mut below) = ([false; LANES], [true; LANES]);
+        for (i, (lo, hi)) in lane_lo
+            .iter()
+            .zip(lane_hi.iter())
+            .take(self.window)
+            .enumerate()
+        {
+            let k = (i + 1) as f64;
+            for l in 0..LANES {
+                above[l] |= lo[l] > cut_hi[l] * k;
+                below[l] &= hi[l] <= cut_lo[l] * k;
+            }
+        }
+        let full = lane_lo
+            .iter()
+            .skip(self.window)
+            .zip(lane_lo.iter())
+            .zip(lane_hi.iter().skip(self.window).zip(lane_hi.iter()));
+        for ((lo, lo0), (hi, hi0)) in full {
+            for l in 0..LANES {
+                above[l] |= lo[l] - lo0[l] > cut_hi_w[l];
+                below[l] &= hi[l] - hi0[l] <= cut_lo_w[l];
+            }
+        }
+        for l in 0..LANES {
+            if !has_anomaly[l] {
+                fired[l] = if above[l] {
+                    Some(true)
+                } else {
+                    below[l].then_some(false)
+                };
+            }
+        }
+        Batch {
+            seeds,
+            has_anomaly,
+            fired,
         }
     }
 }
@@ -808,7 +1056,7 @@ mod tests {
         let (mut decided, mut open) = (0, 0);
         let mut epoch_seed = seed;
         for _ in 0..epochs {
-            epoch_seed = epoch_seed.wrapping_mul(6364136223846793005).wrapping_add(7);
+            epoch_seed = next_epoch_seed(epoch_seed);
             let any = gen.draw_into(cfg.epoch_samples, epoch_seed, &mut draws);
             let (signal, mask) = gen.generate(cfg.epoch_samples, epoch_seed);
             assert_eq!(any, mask.iter().any(|&m| m), "epoch seed {epoch_seed}");
@@ -849,6 +1097,197 @@ mod tests {
         screen_sweep(4_000_000);
     }
 
+    /// The builds of the lane kernel this CPU runs: plain, and AVX2 when
+    /// detected.
+    fn isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::Plain];
+        if Isa::detect() != Isa::Plain {
+            isas.push(Isa::detect());
+        }
+        isas
+    }
+
+    /// Decides `batches` batches of chained epochs of `n` samples in lanes
+    /// on every build, which must agree bit for bit, and checks each lane
+    /// against `draw_into` and the exact `detect`: `has_anomaly` always,
+    /// `detect` wherever the lanes settle it, and the lane screen against
+    /// the scalar one on lanes without an anomaly. Returns the epochs left
+    /// open.
+    fn check_lanes(batches: u64, rate: f64, n: usize, seed: u64) -> u64 {
+        let cfg = SensorNodeConfig::default();
+        let gen = SignalGen {
+            anomaly_rate: rate,
+            ..SignalGen::default()
+        };
+        let (table, mut draws) = (gen.draws(), gen.draws());
+        let mut det = Detector::new(&gen, n, cfg.window, cfg.threshold);
+        assert!(det.screening);
+        let mut signal = Vec::new();
+        let mut open = 0;
+        let mut epoch_seed = seed;
+        for _ in 0..batches {
+            let seeds = std::array::from_fn(|_| {
+                epoch_seed = next_epoch_seed(epoch_seed);
+                epoch_seed
+            });
+            let batch = det.lanes(&gen, &table, seeds, true, Isa::Plain);
+            for isa in isas() {
+                let at = format!("{isa:?}, rate {rate}, n {n}, seeds {seeds:?}");
+                assert_eq!(det.lanes(&gen, &table, seeds, true, isa), batch, "{at}");
+                let bare = det.lanes(&gen, &table, seeds, false, isa);
+                assert_eq!(bare.seeds, seeds, "{at}");
+                assert_eq!(bare.has_anomaly, batch.has_anomaly, "{at}");
+                assert_eq!(
+                    bare.fired, [None; LANES],
+                    "{at}: no screen without the filter"
+                );
+            }
+            for (l, &epoch_seed) in seeds.iter().enumerate() {
+                let at = format!("rate {rate}, n {n}, epoch seed {epoch_seed}");
+                let any = gen.draw_into(n, epoch_seed, &mut draws);
+                assert_eq!(batch.has_anomaly[l], any, "{at}");
+                if any {
+                    assert_eq!(batch.fired[l], None, "{at}");
+                } else {
+                    assert_eq!(batch.fired[l], det.screen(&draws), "{at}");
+                }
+                gen.signal_into(&draws, &mut signal);
+                let exact = detect(&signal, cfg.window, cfg.threshold);
+                match batch.fired[l] {
+                    Some(fired) => assert_eq!(fired, exact, "{at}"),
+                    None => open += 1,
+                }
+            }
+        }
+        open
+    }
+
+    /// [`check_lanes`] at every anomaly rate and each of `sizes`.
+    fn lanes_sweep(batches: u64, sizes: &[usize]) {
+        let mut open = 0;
+        for (i, rate) in [0.0, 0.0002, 0.002, 0.02].into_iter().enumerate() {
+            for &n in sizes {
+                open += check_lanes(batches, rate, n, i as u64 + 1);
+            }
+        }
+        assert!(open > 0, "the exact fallback never ran");
+    }
+
+    /// At 250 samples (E10's) and 77: neither is a multiple of the lane
+    /// count or the carrier period. At 5, no window is full.
+    #[test]
+    fn lanes_agree_with_draw_into_and_exact_detect() {
+        lanes_sweep(1_000, &[250, 77, 5]);
+    }
+
+    #[test]
+    #[ignore = "4M epochs per rate; CI runs it in release with --include-ignored"]
+    fn lanes_agree_with_draw_into_and_exact_detect_large() {
+        lanes_sweep(4_000_000 / LANES as u64, &[250]);
+    }
+
+    /// `run_inner` with every epoch drawn and decided on its own: the
+    /// one-epoch-at-a-time loop the lanes must reproduce.
+    fn one_at_a_time(
+        n: &SensorNode,
+        policy: NodePolicy,
+        battery: Battery,
+        harvester: Option<Harvester>,
+        seed: u64,
+        plan: &FaultPlan,
+    ) -> (NodeOutcome, NodeObservation, FaultStats) {
+        let mut epochs = Epochs::new(&n.cfg, policy, seed);
+        epochs.lanes = false;
+        let horizon = Seconds::from_hours(1_000.0);
+        n.run_inner(
+            policy,
+            battery,
+            harvester,
+            horizon,
+            epochs,
+            Trace::disabled(),
+            plan,
+        )
+    }
+
+    #[test]
+    fn lanes_match_one_epoch_at_a_time_wherever_the_node_dies() {
+        use crate::power::HarvestProfile;
+        use xxi_core::des::fault::Fault;
+        use xxi_core::units::Power;
+        let n = node();
+        let horizon = Seconds::from_hours(1_000.0);
+        let epoch_s = n.cfg.epoch_samples as f64 / n.cfg.sample_hz;
+        let mut kill = FaultPlan::new();
+        kill.at(
+            SimTime::from_seconds(Seconds(20.0 * epoch_s)),
+            0,
+            Fault::Kill,
+        );
+        let harvester = Harvester::new(HarvestProfile::Constant, Power::from_uw(1.0), 10, 5);
+        let empty = FaultPlan::new();
+        let seed = 31;
+        let same = |what: &str, a: String, b: String| assert_eq!(a, b, "{what}");
+        for policy in [
+            NodePolicy::SendRaw,
+            NodePolicy::CompressThenSend,
+            NodePolicy::FilterThenSend,
+        ] {
+            // Grow the battery by the cheapest epoch's spend per step, so the
+            // node dies one epoch later at most, until it has died in every
+            // lane of a batch.
+            let (_, obs, _) = one_at_a_time(&n, policy, small_battery(), None, seed, &empty);
+            let step = obs.epoch_energy.min();
+            let mut died_at_lane = [false; LANES];
+            for k in 16.. {
+                if died_at_lane == [true; LANES] {
+                    break;
+                }
+                assert!(k < 1_000, "{policy:?}: died only at lanes {died_at_lane:?}");
+                let battery = Battery::new(Energy(step * (k as f64 + 0.5)));
+                let at = format!("{policy:?}, battery for {k} epochs");
+                let (out, _, stats) =
+                    one_at_a_time(&n, policy, battery.clone(), None, seed, &empty);
+                assert!(
+                    out.lifetime.value() < horizon.value(),
+                    "{at}: outlived the horizon"
+                );
+                died_at_lane[(stats.epochs as usize - 1) % LANES] = true;
+                let run = n.run(policy, battery.clone(), horizon, seed);
+                same(&at, format!("{run:?}"), format!("{out:?}"));
+
+                let (out, obs, _) = one_at_a_time(
+                    &n,
+                    policy,
+                    battery.clone(),
+                    Some(harvester.clone()),
+                    seed,
+                    &empty,
+                );
+                let observed = n.run_observed(
+                    policy,
+                    battery.clone(),
+                    Some(harvester.clone()),
+                    horizon,
+                    seed,
+                    Trace::disabled(),
+                );
+                same(&at, format!("{observed:?}"), format!("{:?}", (out, obs)));
+
+                for plan in [&empty, &kill] {
+                    let (out, _, stats) =
+                        one_at_a_time(&n, policy, battery.clone(), None, seed, plan);
+                    let faulted = n.run_faulted(policy, battery.clone(), horizon, seed, plan);
+                    same(
+                        &at,
+                        format!("{faulted:?}"),
+                        format!("{:?}", stats.outcome(out)),
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn screen_stands_down_outside_its_rounding_budget() {
         let gen = SignalGen::default();
@@ -859,6 +1298,17 @@ mod tests {
         assert_eq!(det.screen(&draws), None);
         let (signal, _) = gen.generate(250, 1);
         assert_eq!(det.detect(&gen, &draws), detect(&signal, 8, 0.0));
+        // Nor do the lanes screen, so a filter run decides each epoch alone.
+        for isa in isas() {
+            let batch = det.lanes(&gen, &draws, [1; LANES], true, isa);
+            assert_eq!(batch.fired, [None; LANES]);
+        }
+        let cfg = SensorNodeConfig {
+            threshold: 0.0,
+            ..SensorNodeConfig::default()
+        };
+        assert!(!Epochs::new(&cfg, NodePolicy::FilterThenSend, 1).lanes);
+        assert!(Epochs::new(&cfg, NodePolicy::SendRaw, 1).lanes);
     }
 
     #[test]
