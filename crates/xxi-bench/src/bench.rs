@@ -103,6 +103,10 @@ pub struct BenchRun {
     pub arch: String,
     /// Host logical CPU count (0 when undetectable).
     pub cpus: usize,
+    /// The build E10's sensor lane kernel runs on
+    /// ([`xxi_sensor::lane_isa`]); sensor timings differ ~1.5× by build.
+    /// `None` for files written before it was recorded.
+    pub simd: Option<String>,
     pub config: BenchConfig,
     pub results: Vec<BenchResult>,
 }
@@ -164,6 +168,7 @@ pub fn run_bench(
         os: std::env::consts::OS.to_string(),
         arch: std::env::consts::ARCH.to_string(),
         cpus: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        simd: Some(xxi_sensor::lane_isa().to_string()),
         config: cfg,
         results,
     }
@@ -177,12 +182,16 @@ impl BenchRun {
         let _ = write!(
             s,
             "{{\"bench_schema_version\":{BENCH_SCHEMA_VERSION},\"created_unix\":{},\
-             \"os\":\"{}\",\"arch\":\"{}\",\"cpus\":{},\"threads\":{},\"iters\":{},\
-             \"warmup\":{},\"seed\":{},\"results\":[",
+             \"os\":\"{}\",\"arch\":\"{}\",\"cpus\":{},\"simd\":{},\"threads\":{},\
+             \"iters\":{},\"warmup\":{},\"seed\":{},\"results\":[",
             self.created_unix,
             json::escape(&self.os),
             json::escape(&self.arch),
             self.cpus,
+            match &self.simd {
+                Some(v) => format!("\"{}\"", json::escape(v)),
+                None => "null".to_string(),
+            },
             self.config.threads,
             self.config.iters,
             self.config.warmup,
@@ -266,6 +275,7 @@ impl BenchRun {
             os: json::get_str(obj, "os")?,
             arch: json::get_str(obj, "arch")?,
             cpus: u64_of("cpus")? as usize,
+            simd: json::find(obj, "simd").and_then(Json::as_str),
             config: BenchConfig {
                 iters: u64_of("iters")?,
                 warmup: u64_of("warmup")?,
@@ -368,6 +378,8 @@ pub struct CompareRow {
 pub struct Comparison {
     pub rows: Vec<CompareRow>,
     pub threshold_pct: f64,
+    /// Set when the two runs name different sensor lane builds.
+    pub simd_note: Option<String>,
 }
 
 /// Diff two bench runs by median wall time. A row regresses when the new
@@ -423,9 +435,19 @@ pub fn compare(base: &BenchRun, new: &BenchRun, threshold_pct: f64) -> Compariso
             });
         }
     }
+    fn simd(run: &BenchRun) -> &str {
+        run.simd.as_deref().unwrap_or("unrecorded")
+    }
     Comparison {
         rows,
         threshold_pct,
+        simd_note: (base.simd != new.simd).then(|| {
+            format!(
+                "note: sensor lane build differs (base {}, new {}); sensor timings differ by build\n",
+                simd(base),
+                simd(new)
+            )
+        }),
     }
 }
 
@@ -454,6 +476,9 @@ impl Comparison {
             ]);
         }
         let mut out = t.render();
+        if let Some(note) = &self.simd_note {
+            out.push_str(note);
+        }
         let regs = self
             .rows
             .iter()
@@ -560,7 +585,29 @@ mod tests {
             assert_eq!(back.results[0].wall, r.wall);
             assert_eq!(back.results[0].pool, r.pool);
             assert_eq!(back.config.threads, threads);
+            assert_eq!(back.simd.as_deref(), Some(xxi_sensor::lane_isa()));
+            assert!(["avx512f", "avx2", "plain"].contains(&xxi_sensor::lane_isa()));
         }
+    }
+
+    #[test]
+    fn files_without_the_simd_field_parse_and_compare_notes_a_change() {
+        let old = include_str!("../../../tests/bench/baseline.json");
+        assert!(!old.contains("\"simd\""));
+        let old = BenchRun::parse_json(old.trim()).expect("the committed baseline parses");
+        assert_eq!(old.simd, None);
+        assert_eq!(old.render_json().matches("\"simd\":null").count(), 1);
+
+        let base = run_with_p50("e10", 1.0);
+        assert_eq!(compare(&base, &base.clone(), 10.0).simd_note, None);
+        let mut wide = run_with_p50("e10", 1.0);
+        wide.simd = Some("avx512f".into());
+        let text = compare(&base, &wide, 10.0).render_text();
+        assert_eq!(text.matches("note:").count(), 1, "{text}");
+        assert!(text.contains("base avx2, new avx512f"), "{text}");
+        wide.simd = None;
+        let text = compare(&base, &wide, 10.0).render_text();
+        assert!(text.contains("base avx2, new unrecorded"), "{text}");
     }
 
     #[test]
@@ -580,6 +627,7 @@ mod tests {
             os: "linux".into(),
             arch: "x86_64".into(),
             cpus: 1,
+            simd: Some("avx2".into()),
             config: BenchConfig::default(),
             results: vec![BenchResult {
                 id: id.into(),

@@ -305,6 +305,12 @@ pub fn validate_file(path: &std::path::Path) -> (bool, String) {
             Err(e) => return (false, format!("cannot read {}: {e}", path.display())),
         }
     };
+    validate_text(&text, &name)
+}
+
+/// [`validate_file`]'s checks over documents already read; `name` labels
+/// an input with no documents.
+pub fn validate_text(text: &str, name: &str) -> (bool, String) {
     let mut n = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {

@@ -122,13 +122,23 @@ impl Table {
         if let Some(c) = &self.caption {
             let _ = writeln!(out, "{c}");
         }
+        // The first column pads on the right, the others on the left.
+        // (Padding by hand: `format!`'s width panics past `u16::MAX`, which
+        // a cell parsed from a hostile file can reach.)
+        let cell = |out: &mut String, i: usize, text: &str| {
+            let fill = std::iter::repeat_n(' ', widths[i].saturating_sub(text.chars().count()));
+            if i == 0 {
+                out.push_str(text);
+                out.extend(fill);
+            } else {
+                out.push_str("  ");
+                out.extend(fill);
+                out.push_str(text);
+            }
+        };
         // Header.
         for (i, h) in self.headers.iter().enumerate() {
-            if i == 0 {
-                let _ = write!(out, "{:<w$}", h, w = widths[i]);
-            } else {
-                let _ = write!(out, "  {:>w$}", h, w = widths[i]);
-            }
+            cell(&mut out, i, h);
         }
         out.push('\n');
         // Rule.
@@ -137,12 +147,8 @@ impl Table {
         out.push('\n');
         // Rows.
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                if i == 0 {
-                    let _ = write!(out, "{:<w$}", cell.text, w = widths[i]);
-                } else {
-                    let _ = write!(out, "  {:>w$}", cell.text, w = widths[i]);
-                }
+            for (i, c) in row.iter().enumerate() {
+                cell(&mut out, i, &c.text);
             }
             out.push('\n');
         }
@@ -224,6 +230,18 @@ mod tests {
         let mut t = Table::new(&["a", "b", "c"]);
         t.row(&["only".into()]);
         assert_eq!(t.render().lines().count(), 3);
+    }
+
+    #[test]
+    fn cells_wider_than_a_format_width_render() {
+        let wide = "x".repeat(100_000);
+        let mut t = Table::new(&["id", "v"]);
+        t.row(&[wide.clone(), "1".into()]);
+        t.row(&["é".into(), wide.clone()]);
+        let out = t.render();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[2], format!("{wide}  {}1", " ".repeat(99_999)));
+        assert_eq!(lines[3], format!("é{}  {wide}", " ".repeat(99_999)));
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub mod radio;
 
 pub use intermittent::{IntermittentTask, RunStats};
 pub use mcu::Mcu;
-pub use node::{FaultedNodeOutcome, NodeObservation, NodePolicy, SensorNode, SensorNodeConfig};
+pub use node::{
+    lane_isa, FaultedNodeOutcome, NodeObservation, NodePolicy, SensorNode, SensorNodeConfig,
+};
 pub use power::{Battery, Harvester};
 pub use radio::{Radio, RadioTech};

@@ -232,18 +232,16 @@ impl SensorNode {
         let epoch_dt = Seconds(cfg.epoch_samples as f64 / cfg.sample_hz);
         let mut elapsed = 0.0f64;
         let mut bits_sent = 0u64;
-        let mut radio_energy = Energy::ZERO;
-        let mut compute_energy = Energy::ZERO;
         let mut anomaly_epochs = 0u64;
         let mut reported_anomaly_epochs = 0u64;
-        let mut ledger = EnergyLedger::new();
+        // The ledger's components, posted once after the loop.
+        let [mut harvest, mut compute, mut sleep, mut radio, mut probe] = [Tally::ZERO; 5];
         let mut epoch_energy = LogHistogram::new();
         let mut trace = trace;
         let mut faults = FaultInjector::new(plan, 1);
         let mut pending_bits = 0u64;
         let mut pending_reports = 0u64;
         let mut deferred = 0u64;
-        let mut probe_energy = Energy::ZERO;
         let mut lived = 0u64;
 
         while elapsed < horizon.value() && !battery.dead() {
@@ -251,7 +249,7 @@ impl SensorNode {
             if let Some(h) = harvester.as_mut() {
                 let e_h = h.harvest(epoch_dt);
                 battery.charge(e_h);
-                ledger.charge("harvester", Layer::Harvest, e_h);
+                harvest.add(e_h);
             }
             // SendRaw and CompressThenSend read only the anomaly mask, so
             // only the filter ever looks at the noise.
@@ -312,9 +310,6 @@ impl SensorNode {
             if !battery.draw(e_total) {
                 break;
             }
-            compute_energy += e_compute;
-            radio_energy += e_radio;
-            probe_energy += e_probe;
             bits_sent += tx_bits;
             if reported && has_anomaly {
                 if radio_up {
@@ -329,13 +324,13 @@ impl SensorNode {
                 pending_reports = 0;
             }
 
-            ledger.charge("mcu_compute", Layer::Compute, e_compute);
-            ledger.charge("mcu_sleep", Layer::Idle, e_sleep);
+            compute.add(e_compute);
+            sleep.add(e_sleep);
             if tx_bits > 0 {
-                ledger.charge("radio_tx", Layer::Network, e_radio);
+                radio.add(e_radio);
             }
             if e_probe.value() > 0.0 {
-                ledger.charge("radio_probe", Layer::Network, e_probe);
+                probe.add(e_probe);
             }
             epoch_energy.add(e_total.value());
             if trace.is_enabled() {
@@ -351,6 +346,16 @@ impl SensorNode {
         }
         // Fire any plan remainder so the accounting covers the whole plan.
         faults.advance(SimTime::MAX);
+        let mut ledger = EnergyLedger::new();
+        for (component, layer, t) in [
+            ("harvester", Layer::Harvest, harvest),
+            ("mcu_compute", Layer::Compute, compute),
+            ("mcu_sleep", Layer::Idle, sleep),
+            ("radio_tx", Layer::Network, radio),
+            ("radio_probe", Layer::Network, probe),
+        ] {
+            ledger.charge_batch(component, layer, t.energy, t.events);
+        }
 
         let outcome = NodeOutcome {
             lifetime: Seconds(elapsed),
@@ -360,8 +365,8 @@ impl SensorNode {
             } else {
                 reported_anomaly_epochs as f64 / anomaly_epochs as f64
             },
-            radio_energy,
-            compute_energy,
+            radio_energy: radio.energy,
+            compute_energy: compute.energy,
         };
         (
             outcome,
@@ -375,10 +380,32 @@ impl SensorNode {
                 deferred,
                 anomaly_epochs,
                 reported_epochs: reported_anomaly_epochs,
-                probe_energy,
+                probe_energy: probe.energy,
                 faults,
             },
         )
+    }
+}
+
+/// One ledger component's charges in a run, summed in charge order from
+/// zero so that one [`EnergyLedger::charge_batch`] posts them bit for bit.
+/// The outcome's energies read the same sums: the epochs that add nothing
+/// to a tally would have added an exact zero.
+#[derive(Clone, Copy)]
+struct Tally {
+    energy: Energy,
+    events: u64,
+}
+
+impl Tally {
+    const ZERO: Tally = Tally {
+        energy: Energy::ZERO,
+        events: 0,
+    };
+
+    fn add(&mut self, e: Energy) {
+        self.energy += e;
+        self.events += 1;
     }
 }
 
@@ -515,21 +542,51 @@ impl Epochs {
 enum Isa {
     /// The target's baseline (SSE2 on x86-64).
     Plain,
-    /// 256-bit vectors. Built only by [`Isa::detect`], after the CPU
+    /// 256-bit vectors. Built only by [`Isa::available`], after the CPU
     /// reported AVX2.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// 512-bit vectors with a 64-bit rotate and native gathers. Built only
+    /// by [`Isa::available`], after the CPU reported AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
-    /// The widest instruction set the lane kernel has a build for.
-    fn detect() -> Isa {
+    /// Every build of the lane kernel this CPU runs, narrowest first.
+    fn available() -> impl Iterator<Item = Isa> {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
-        }
-        Isa::Plain
+        let wide = [
+            std::arch::is_x86_feature_detected!("avx2").then_some(Isa::Avx2),
+            std::arch::is_x86_feature_detected!("avx512f").then_some(Isa::Avx512),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide: [Option<Isa>; 0] = [];
+        std::iter::once(Isa::Plain).chain(wide.into_iter().flatten())
     }
+
+    /// The widest instruction set the lane kernel has a build for:
+    /// AVX-512F, else AVX2, else plain.
+    fn detect() -> Isa {
+        Isa::available().last().unwrap_or(Isa::Plain)
+    }
+
+    /// The target feature the build is compiled for.
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Plain => "plain",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512f",
+        }
+    }
+}
+
+/// The build of the lane kernel this CPU decides E10's epochs on:
+/// `"avx512f"`, `"avx2"` or `"plain"`. Sensor timings differ by build.
+pub fn lane_isa() -> &'static str {
+    Isa::detect().name()
 }
 
 /// Moving-mean-of-squares anomaly detector: fires when any window's RMS
@@ -683,6 +740,11 @@ impl Detector {
             // `is_x86_feature_detected!("avx2")` held, so this CPU runs
             // AVX2 instructions.
             Isa::Avx2 => unsafe { self.lanes_avx2(gen, draws, seeds, filter) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx512` is built only after
+            // `is_x86_feature_detected!("avx512f")` held, so this CPU runs
+            // AVX-512F instructions.
+            Isa::Avx512 => unsafe { self.lanes_avx512(gen, draws, seeds, filter) },
         }
     }
 
@@ -690,6 +752,19 @@ impl Detector {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn lanes_avx2(
+        &mut self,
+        gen: &SignalGen,
+        draws: &SignalDraws,
+        seeds: [u64; LANES],
+        filter: bool,
+    ) -> Batch {
+        self.lanes_body(gen, draws, seeds, filter)
+    }
+
+    /// [`Detector::lanes_body`] compiled for AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn lanes_avx512(
         &mut self,
         gen: &SignalGen,
         draws: &SignalDraws,
@@ -1097,18 +1172,9 @@ mod tests {
         screen_sweep(4_000_000);
     }
 
-    /// The builds of the lane kernel this CPU runs: plain, and AVX2 when
-    /// detected.
-    fn isas() -> Vec<Isa> {
-        let mut isas = vec![Isa::Plain];
-        if Isa::detect() != Isa::Plain {
-            isas.push(Isa::detect());
-        }
-        isas
-    }
-
     /// Decides `batches` batches of chained epochs of `n` samples in lanes
-    /// on every build, which must agree bit for bit, and checks each lane
+    /// on every build this CPU runs ([`Isa::available`]), which must all
+    /// agree bit for bit with the plain one, and checks each lane
     /// against `draw_into` and the exact `detect`: `has_anomaly` always,
     /// `detect` wherever the lanes settle it, and the lane screen against
     /// the scalar one on lanes without an anomaly. Returns the epochs left
@@ -1131,7 +1197,7 @@ mod tests {
                 epoch_seed
             });
             let batch = det.lanes(&gen, &table, seeds, true, Isa::Plain);
-            for isa in isas() {
+            for isa in Isa::available() {
                 let at = format!("{isa:?}, rate {rate}, n {n}, seeds {seeds:?}");
                 assert_eq!(det.lanes(&gen, &table, seeds, true, isa), batch, "{at}");
                 let bare = det.lanes(&gen, &table, seeds, false, isa);
@@ -1164,6 +1230,7 @@ mod tests {
 
     /// [`check_lanes`] at every anomaly rate and each of `sizes`.
     fn lanes_sweep(batches: u64, sizes: &[usize]) {
+        eprintln!("lane builds: {:?}", Isa::available().collect::<Vec<_>>());
         let mut open = 0;
         for (i, rate) in [0.0, 0.0002, 0.002, 0.02].into_iter().enumerate() {
             for &n in sizes {
@@ -1299,7 +1366,7 @@ mod tests {
         let (signal, _) = gen.generate(250, 1);
         assert_eq!(det.detect(&gen, &draws), detect(&signal, 8, 0.0));
         // Nor do the lanes screen, so a filter run decides each epoch alone.
-        for isa in isas() {
+        for isa in Isa::available() {
             let batch = det.lanes(&gen, &draws, [1; LANES], true, isa);
             assert_eq!(batch.fired, [None; LANES]);
         }
