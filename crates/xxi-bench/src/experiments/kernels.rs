@@ -27,6 +27,7 @@ use xxi_cpu::hillmarty::{best_symmetric_r, speedup_symmetric};
 use xxi_mem::cache::{AccessKind, Cache, CacheConfig, Replacement};
 use xxi_mem::compress::{compressed_bits, Line};
 use xxi_mem::dram::{Dram, DramConfig};
+use xxi_mem::hybrid::{HybridConfig, HybridMemory};
 use xxi_mem::nvm::{NvmDevice, NvmTech};
 use xxi_mem::trace::{Access, TraceGen};
 use xxi_mem::wear::StartGap;
@@ -99,7 +100,7 @@ const fn k(
 
 /// Every kernel, grouped by layer in stack order.
 #[rustfmt::skip]
-pub static KERNELS: [Kernel; 38] = [
+pub static KERNELS: [Kernel; 39] = [
     k("core/rng-u64", "xoshiro256++: 1M next_u64", "draws", 1_000_000, rng_u64),
     k("core/rng-lognormal", "1M lognormal draws", "draws", 1_000_000, rng_lognormal),
     k("core/zipf", "1M Zipf(0.99) samples over 100k ranks", "samples", 1_000_000, zipf),
@@ -122,6 +123,7 @@ pub static KERNELS: [Kernel; 38] = [
     k("mem/dram-random", "DRAM: 100k uniform-random accesses", "accesses", 100_000, dram_random),
     k("mem/start-gap", "PCM behind Start-Gap: 100k writes", "writes", 100_000, start_gap),
     k("mem/nvm-raw", "raw PCM: 100k writes", "writes", 100_000, nvm_raw),
+    k("mem/hybrid", "hybrid DRAM+PCM: E12's 300k-access Zipf trace, 1k DRAM pages", "accesses", HYBRID_ACCESSES as u64, hybrid),
     k("mem/fpc", "FPC-compress 10k cache lines", "lines", 10_000, fpc),
     k("noc/mesh", "NoC: 8x8 uniform mesh at 0.2 flits/node/cycle", "router-cycles", NOC_ROUTER_CYCLES, noc_mesh),
     k("rel/ecc-encode", "SECDED-encode 10k words", "words", 10_000, ecc_encode),
@@ -284,6 +286,19 @@ fn nvm_raw(_: &RunCtx) -> f64 {
         dev.write(i % 4096);
     }
     dev.max_wear() as f64
+}
+
+const HYBRID_ACCESSES: usize = 300_000;
+
+/// E12's hybrid design: its Zipf page trace (seed 7, 30 % writes) through
+/// the default 1 024-page DRAM tier in front of PCM.
+fn hybrid(_: &RunCtx) -> f64 {
+    static TRACE: OnceLock<Vec<Access>> = OnceLock::new();
+    let trace =
+        TRACE.get_or_init(|| TraceGen::new(7).zipf(HYBRID_ACCESSES, 0, 100_000, 4096, 1.1, 0.3));
+    let mut m = HybridMemory::new(HybridConfig::default());
+    m.run(trace);
+    m.metrics.counter("promotions") as f64 + m.avg_latency().value()
 }
 
 fn fpc(_: &RunCtx) -> f64 {

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::obs::LogHistogram;
+use crate::table::fill;
 
 /// Named counters (u64, monotonic), gauges (f64, last-write-wins), and
 /// sample distributions ([`LogHistogram`], fed via [`Metrics::observe`]).
@@ -130,13 +131,13 @@ impl fmt::Display for Metrics {
             .max()
             .unwrap_or(0);
         for (k, v) in &self.counters {
-            writeln!(f, "{k:<width$}  {v}")?;
+            writeln!(f, "{k}{}  {v}", fill(width, k))?;
         }
         for (k, v) in &self.gauges {
-            writeln!(f, "{k:<width$}  {v}")?;
+            writeln!(f, "{k}{}  {v}", fill(width, k))?;
         }
         for (k, h) in &self.hists {
-            writeln!(f, "{k:<width$}  {}", h.summary_line())?;
+            writeln!(f, "{k}{}  {}", fill(width, k), h.summary_line())?;
         }
         Ok(())
     }
@@ -230,6 +231,20 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.hist("x").unwrap().count(), 2);
         assert_eq!(a.hist("y").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn display_pads_names_longer_than_a_format_width() {
+        let long: &'static str = "k".repeat(70_000).leak();
+        let mut m = Metrics::new();
+        m.count(long, 1);
+        m.count("é", 2);
+        m.gauge("g", 0.5);
+        let s = m.to_string();
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[0], format!("{long}  1"));
+        assert_eq!(lines[1], format!("é{}  2", " ".repeat(69_999)));
+        assert_eq!(lines[2], format!("g{}  0.5", " ".repeat(69_999)));
     }
 
     #[test]

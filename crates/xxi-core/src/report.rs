@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::metrics::Metrics;
 use crate::obs::LogHistogram;
-use crate::table::Table;
+use crate::table::{fill, Table};
 
 pub mod json;
 
@@ -305,13 +305,13 @@ impl Report {
                         .max()
                         .unwrap_or(0);
                     for (k, v) in &rt.counters {
-                        let _ = writeln!(out, "{k:<width$}  {v}");
+                        let _ = writeln!(out, "{k}{}  {v}", fill(width, k));
                     }
                     for (k, v) in &rt.gauges {
-                        let _ = writeln!(out, "{k:<width$}  {v}");
+                        let _ = writeln!(out, "{k}{}  {v}", fill(width, k));
                     }
                     for (k, h) in &rt.hists {
-                        let _ = writeln!(out, "{k:<width$}  {}", h.summary_line());
+                        let _ = writeln!(out, "{k}{}  {}", fill(width, k), h.summary_line());
                     }
                 }
             }
@@ -662,6 +662,19 @@ mod tests {
         assert!(s.contains("pool.steals   37"));
         assert!(s.contains("pool.threads  4"));
         assert!(s.contains("op_ms         n=2 mean=2.25"));
+    }
+
+    #[test]
+    fn runtime_names_longer_than_a_format_width_render() {
+        let long = "k".repeat(70_000);
+        let mut r = sample();
+        let rt = r.runtime.as_mut().unwrap();
+        rt.counters.push((long.clone(), 5));
+        rt.gauges.push(("é".into(), 0.5));
+        let s = r.render_text();
+        assert!(s.contains(&format!("\n{long}  5\n")));
+        assert!(s.contains(&format!("\npool.steals{}  37\n", " ".repeat(70_000 - 11))));
+        assert!(s.contains(&format!("\né{}  0.5\n", " ".repeat(69_999))));
     }
 
     #[test]

@@ -5,7 +5,26 @@
 //! those tables consistently: left-aligned first column (row label),
 //! right-aligned numeric columns, a header rule, and an optional caption.
 
+use std::fmt;
 use std::fmt::Write as _;
+
+/// The spaces that pad `text` to `width` chars (none when it is already
+/// that wide); `Display` writes them. Every aligned dump pads through
+/// this rather than `format!`'s `{:<width$}`, which panics once `width`
+/// passes `u16::MAX`, a width that a long name or a cell parsed from a
+/// hostile file can reach.
+pub(crate) fn fill(width: usize, text: &str) -> Fill {
+    Fill(width.saturating_sub(text.chars().count()))
+}
+
+/// A run of spaces; see [`fill`].
+pub(crate) struct Fill(usize);
+
+impl fmt::Display for Fill {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (0..self.0).try_for_each(|_| f.write_char(' '))
+    }
+}
 
 /// One table cell: the exact text that is rendered, plus the numeric
 /// value behind it when the text is a plain finite number. The text is
@@ -123,18 +142,13 @@ impl Table {
             let _ = writeln!(out, "{c}");
         }
         // The first column pads on the right, the others on the left.
-        // (Padding by hand: `format!`'s width panics past `u16::MAX`, which
-        // a cell parsed from a hostile file can reach.)
         let cell = |out: &mut String, i: usize, text: &str| {
-            let fill = std::iter::repeat_n(' ', widths[i].saturating_sub(text.chars().count()));
-            if i == 0 {
-                out.push_str(text);
-                out.extend(fill);
+            let fill = fill(widths[i], text);
+            let _ = if i == 0 {
+                write!(out, "{text}{fill}")
             } else {
-                out.push_str("  ");
-                out.extend(fill);
-                out.push_str(text);
-            }
+                write!(out, "  {fill}{text}")
+            };
         };
         // Header.
         for (i, h) in self.headers.iter().enumerate() {

@@ -15,7 +15,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use xxi_core::metrics::Metrics;
 use xxi_core::units::{Energy, Seconds};
 
 /// Non-volatile memory technology.
@@ -102,9 +101,9 @@ pub struct NvmDevice {
     tech: NvmTech,
     params: NvmParams,
     wear: Vec<u64>,
+    reads: u64,
+    writes: u64,
     failed_lines: u64,
-    /// `reads`, `writes`, `line_failures`.
-    pub metrics: Metrics,
     energy: Energy,
 }
 
@@ -116,8 +115,9 @@ impl NvmDevice {
             tech,
             params: tech.params(),
             wear: vec![0; lines],
+            reads: 0,
+            writes: 0,
             failed_lines: 0,
-            metrics: Metrics::new(),
             energy: Energy::ZERO,
         }
     }
@@ -139,7 +139,7 @@ impl NvmDevice {
 
     /// Read line `idx`; returns latency (energy is accumulated).
     pub fn read(&mut self, idx: usize) -> Seconds {
-        self.metrics.incr("reads");
+        self.reads += 1;
         self.energy += self.params.read_energy;
         let _ = self.wear[idx]; // bounds-check as the real device would
         self.params.read_latency
@@ -149,14 +149,23 @@ impl NvmDevice {
     /// line whose wear crosses the endurance budget is counted as failed
     /// (it keeps "working" so experiments can count total failures).
     pub fn write(&mut self, idx: usize) -> Seconds {
-        self.metrics.incr("writes");
+        self.writes += 1;
         self.energy += self.params.write_energy;
         self.wear[idx] += 1;
         if self.wear[idx] == self.params.endurance {
             self.failed_lines += 1;
-            self.metrics.incr("line_failures");
         }
         self.params.write_latency
+    }
+
+    /// Reads served so far.
+    pub fn reads(&self) -> u64 {
+        self.reads
+    }
+
+    /// Writes served so far (the sum of every line's wear).
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 
     /// Writes absorbed by line `idx` so far.
@@ -261,8 +270,8 @@ mod tests {
             d.write(3);
         }
         assert_eq!(d.wear_of(3), 10);
-        assert_eq!(d.metrics.counter("reads"), 10);
-        assert_eq!(d.metrics.counter("writes"), 10);
+        assert_eq!(d.reads(), 10);
+        assert_eq!(d.writes(), 10);
     }
 
     #[test]

@@ -225,7 +225,7 @@ mod tests {
         for i in 0..demand {
             sg.write((i % 32) as usize);
         }
-        let device_writes = sg.device().metrics.counter("writes");
+        let device_writes = sg.device().writes();
         let overhead = device_writes as f64 / demand as f64 - 1.0;
         // Some gap moves (the wrap step) don't cost a write, so overhead is
         // at most 1/psi.
@@ -240,7 +240,7 @@ mod tests {
             sg.read(3);
         }
         assert_eq!(sg.gap_moves(), 0);
-        assert_eq!(sg.device().metrics.counter("reads"), 100);
+        assert_eq!(sg.device().reads(), 100);
     }
 
     #[test]

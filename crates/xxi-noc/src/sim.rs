@@ -43,9 +43,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::topology::{Dir, Mesh};
-use crate::traffic::Pattern;
+use crate::traffic::{neighbors, Pattern};
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, Trace};
-use xxi_core::rng::Rng64;
+use xxi_core::rng::{chance_cut, Rng64};
 use xxi_core::stats::Streaming;
 use xxi_core::time::SimTime;
 use xxi_core::units::Energy;
@@ -105,6 +105,16 @@ struct Flit {
     hops: u32,
     /// Output port requested at the router whose queue holds the flit.
     out: u8,
+}
+
+/// What [`Pattern::dest`] computes for one source from the mesh alone:
+/// `to[..n]` are its Neighbor candidates in `Dir::ALL` order, of which
+/// injection draws one, or its one Transpose destination, which it takes
+/// without a draw. `n == 0`: the source does not inject.
+#[derive(Clone, Copy)]
+struct Dests {
+    to: [usize; 6],
+    n: usize,
 }
 
 /// One decision of a cycle: pop the head of input queue `from` and push
@@ -189,6 +199,9 @@ pub struct NocSim {
     rr: Vec<[u8; PORTS]>,
     /// This cycle's decisions (kept to reuse the allocation).
     moves: Vec<Move>,
+    /// Per source, its [`Dests`] under a Neighbor or Transpose pattern;
+    /// empty for Uniform and Hotspot, which draw through [`Pattern::dest`].
+    dests: Vec<Dests>,
     rng: Rng64,
     cycle: u64,
     latency: Streaming,
@@ -230,6 +243,25 @@ impl NocSim {
                     .unwrap_or(NO_QUEUE)
             })
             .collect();
+        let dests = match cfg.pattern {
+            Pattern::Neighbor => (0..nodes)
+                .map(|src| {
+                    let (to, n) = neighbors(&mesh, src);
+                    Dests { to, n }
+                })
+                .collect(),
+            Pattern::Transpose => (0..nodes)
+                .map(|src| {
+                    // Transpose never draws.
+                    let dest = cfg.pattern.dest(&mesh, src, &mut Rng64::new(0));
+                    Dests {
+                        to: [dest.unwrap_or(0); 6],
+                        n: usize::from(dest.is_some()),
+                    }
+                })
+                .collect(),
+            Pattern::Uniform | Pattern::Hotspot { .. } => Vec::new(),
+        };
         let queues = nodes * STRIDE;
         NocSim {
             rng: Rng64::new(cfg.seed),
@@ -242,6 +274,7 @@ impl NocSim {
             busy: vec![0; nodes],
             rr: vec![[0; PORTS]; nodes],
             moves: Vec::new(),
+            dests,
             cycle: 0,
             latency: Streaming::new(),
             hops: Streaming::new(),
@@ -295,14 +328,29 @@ impl NocSim {
         f
     }
 
+    /// Offer one flit per source with probability `injection_rate`. The
+    /// coin is `Rng64::chance`'s draw tested as an integer cut, taken from
+    /// the rate each cycle (a caller may change it between steps).
     fn inject(&mut self) {
         let nodes = self.cfg.mesh.nodes();
+        let cut = chance_cut(self.cfg.injection_rate);
         for src in 0..nodes {
-            if !self.rng.chance(self.cfg.injection_rate) {
+            if self.rng.next_u64() >> 11 >= cut {
                 continue;
             }
-            let Some(dest) = self.cfg.pattern.dest(&self.cfg.mesh, src, &mut self.rng) else {
-                continue;
+            let dest = match self.cfg.pattern {
+                Pattern::Neighbor => match self.dests[src] {
+                    Dests { n: 0, .. } => continue,
+                    Dests { to, n } => to[self.rng.below(n as u64) as usize],
+                },
+                Pattern::Transpose => match self.dests[src] {
+                    Dests { n: 0, .. } => continue,
+                    Dests { to, .. } => to[0],
+                },
+                pattern => match pattern.dest(&self.cfg.mesh, src, &mut self.rng) {
+                    Some(dest) => dest,
+                    None => continue,
+                },
             };
             if self.measuring {
                 self.offered += 1;

@@ -66,15 +66,7 @@ impl Pattern {
                 }
             }
             Pattern::Neighbor => {
-                // Filled in `Dir::ALL` order, so the draw is stable.
-                let mut neighbors = [0usize; 6];
-                let mut n = 0;
-                for d in Dir::ALL.into_iter().filter(|d| *d != Dir::Local) {
-                    if let Some(nb) = mesh.neighbor(src, d) {
-                        neighbors[n] = nb;
-                        n += 1;
-                    }
-                }
+                let (neighbors, n) = neighbors(mesh, src);
                 if n == 0 {
                     None
                 } else {
@@ -83,6 +75,20 @@ impl Pattern {
             }
         }
     }
+}
+
+/// `src`'s mesh neighbors, the first `n` entries of the array, filled in
+/// `Dir::ALL` order so that a draw among them is stable.
+pub(crate) fn neighbors(mesh: &Mesh, src: usize) -> ([usize; 6], usize) {
+    let mut neighbors = [0usize; 6];
+    let mut n = 0;
+    for d in Dir::ALL.into_iter().filter(|d| *d != Dir::Local) {
+        if let Some(nb) = mesh.neighbor(src, d) {
+            neighbors[n] = nb;
+            n += 1;
+        }
+    }
+    (neighbors, n)
 }
 
 #[cfg(test)]

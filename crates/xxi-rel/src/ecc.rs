@@ -36,9 +36,45 @@ const PARITY_POS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// Overall-parity position.
 const OVERALL_POS: u32 = 72;
 
-/// Data positions: 1..=71 excluding powers of two (64 of them).
-fn data_positions() -> impl Iterator<Item = u32> {
-    (1..=71u32).filter(|p| !p.is_power_of_two())
+/// `GROUPS[i]`: the positions 1..=71 whose index has bit `i` set, i.e.
+/// parity position `1 << i` and every position it covers. A syndrome bit
+/// is the parity of one group, so decoding is seven `count_ones`.
+const GROUPS: [u128; 7] = {
+    let mut groups = [0u128; 7];
+    let mut pos = 1;
+    while pos <= 71 {
+        let mut i = 0;
+        while i < 7 {
+            if pos >> i & 1 == 1 {
+                groups[i] |= 1 << pos;
+            }
+            i += 1;
+        }
+        pos += 1;
+    }
+    groups
+};
+
+/// The data bits in codeword order: `(first position, first data bit,
+/// length)` of each run between two parity positions. Data bit `i` sits
+/// at the `i`-th position of 1..=71 that is not a power of two.
+const RUNS: [(u32, u32, u32); 6] = [
+    (3, 0, 1),
+    (5, 1, 3),
+    (9, 4, 7),
+    (17, 11, 15),
+    (33, 26, 31),
+    (65, 57, 7),
+];
+
+/// The 7-bit syndrome of `cw`: bit `i` is the parity of `GROUPS[i]`.
+#[inline]
+fn syndrome(cw: u128) -> u32 {
+    let mut s = 0;
+    for (i, group) in GROUPS.iter().enumerate() {
+        s |= ((cw & group).count_ones() & 1) << i;
+    }
+    s
 }
 
 /// Result of decoding a codeword.
@@ -66,24 +102,17 @@ impl DecodeResult {
 /// Encode 64 data bits into a SECDED codeword.
 pub fn encode(data: u64) -> Codeword {
     let mut cw: u128 = 0;
-    // Scatter data bits.
-    for (i, pos) in data_positions().enumerate() {
-        if (data >> i) & 1 == 1 {
-            cw |= 1u128 << pos;
-        }
+    // Scatter data bits, one run at a time.
+    for (pos, bit, len) in RUNS {
+        cw |= u128::from((data >> bit) & ((1 << len) - 1)) << pos;
     }
     // Hamming parities: parity bit p makes the XOR over all positions with
-    // (index & p) != 0 even.
-    for p in PARITY_POS {
-        let mut parity = 0u32;
-        for pos in 1..=71u32 {
-            if pos != p && (pos & p) != 0 && (cw >> pos) & 1 == 1 {
-                parity ^= 1;
-            }
-        }
-        if parity == 1 {
-            cw |= 1u128 << p;
-        }
+    // (index & p) != 0 even. The parity positions are still clear, and no
+    // group covers another parity position, so the data syndrome is the
+    // parity vector.
+    let s = syndrome(cw);
+    for (i, p) in PARITY_POS.into_iter().enumerate() {
+        cw |= u128::from(s >> i & 1) << p;
     }
     // Overall parity over positions 1..=71.
     let ones = (cw & ((1u128 << 72) - 2)).count_ones(); // bits 1..=71 (72 not yet set)
@@ -96,10 +125,8 @@ pub fn encode(data: u64) -> Codeword {
 /// Extract the data bits from a codeword (no checking).
 pub fn extract(cw: Codeword) -> u64 {
     let mut data = 0u64;
-    for (i, pos) in data_positions().enumerate() {
-        if (cw.0 >> pos) & 1 == 1 {
-            data |= 1u64 << i;
-        }
+    for (pos, bit, len) in RUNS {
+        data |= ((cw.0 >> pos) as u64 & ((1 << len) - 1)) << bit;
     }
     data
 }
@@ -107,18 +134,7 @@ pub fn extract(cw: Codeword) -> u64 {
 /// Decode with single-error correction and double-error detection.
 pub fn decode(cw: Codeword) -> DecodeResult {
     // Syndrome: XOR of positions of failing parity groups.
-    let mut syndrome = 0u32;
-    for p in PARITY_POS {
-        let mut parity = 0u32;
-        for pos in 1..=71u32 {
-            if (pos & p) != 0 && (cw.0 >> pos) & 1 == 1 {
-                parity ^= 1;
-            }
-        }
-        if parity == 1 {
-            syndrome |= p;
-        }
-    }
+    let syndrome = syndrome(cw.0);
     // Overall parity of positions 1..=72 must be even.
     let mask = ((1u128 << 73) - 1) & !1u128; // bits 1..=72
     let overall_odd = (cw.0 & mask).count_ones() % 2 == 1;
@@ -151,10 +167,167 @@ pub fn flip(cw: Codeword, pos: u32) -> Codeword {
 /// ECC overhead: 8 check bits per 64 data bits (12.5%).
 pub const OVERHEAD_FRACTION: f64 = 8.0 / 64.0;
 
+/// The bit-loop codec the masks replaced, verbatim: the oracle the
+/// mask-and-run codec must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{Codeword, DecodeResult, OVERALL_POS, PARITY_POS};
+
+    /// Data positions: 1..=71 excluding powers of two (64 of them).
+    pub(super) fn data_positions() -> impl Iterator<Item = u32> {
+        (1..=71u32).filter(|p| !p.is_power_of_two())
+    }
+
+    /// Encode 64 data bits into a SECDED codeword.
+    pub(super) fn encode(data: u64) -> Codeword {
+        let mut cw: u128 = 0;
+        // Scatter data bits.
+        for (i, pos) in data_positions().enumerate() {
+            if (data >> i) & 1 == 1 {
+                cw |= 1u128 << pos;
+            }
+        }
+        // Hamming parities: parity bit p makes the XOR over all positions with
+        // (index & p) != 0 even.
+        for p in PARITY_POS {
+            let mut parity = 0u32;
+            for pos in 1..=71u32 {
+                if pos != p && (pos & p) != 0 && (cw >> pos) & 1 == 1 {
+                    parity ^= 1;
+                }
+            }
+            if parity == 1 {
+                cw |= 1u128 << p;
+            }
+        }
+        // Overall parity over positions 1..=71.
+        let ones = (cw & ((1u128 << 72) - 2)).count_ones(); // bits 1..=71 (72 not yet set)
+        if ones % 2 == 1 {
+            cw |= 1u128 << OVERALL_POS;
+        }
+        Codeword(cw)
+    }
+
+    /// Extract the data bits from a codeword (no checking).
+    pub(super) fn extract(cw: Codeword) -> u64 {
+        let mut data = 0u64;
+        for (i, pos) in data_positions().enumerate() {
+            if (cw.0 >> pos) & 1 == 1 {
+                data |= 1u64 << i;
+            }
+        }
+        data
+    }
+
+    /// Decode with single-error correction and double-error detection.
+    pub(super) fn decode(cw: Codeword) -> DecodeResult {
+        // Syndrome: XOR of positions of failing parity groups.
+        let mut syndrome = 0u32;
+        for p in PARITY_POS {
+            let mut parity = 0u32;
+            for pos in 1..=71u32 {
+                if (pos & p) != 0 && (cw.0 >> pos) & 1 == 1 {
+                    parity ^= 1;
+                }
+            }
+            if parity == 1 {
+                syndrome |= p;
+            }
+        }
+        // Overall parity of positions 1..=72 must be even.
+        let mask = ((1u128 << 73) - 1) & !1u128; // bits 1..=72
+        let overall_odd = (cw.0 & mask).count_ones() % 2 == 1;
+
+        match (syndrome, overall_odd) {
+            (0, false) => DecodeResult::Clean(extract(cw)),
+            (0, true) => {
+                // The overall parity bit itself flipped.
+                let fixed = Codeword(cw.0 ^ (1u128 << OVERALL_POS));
+                DecodeResult::Corrected(extract(fixed), OVERALL_POS)
+            }
+            (s, true) => {
+                if s > 71 {
+                    // Syndrome points outside the codeword: multi-bit upset.
+                    return DecodeResult::DoubleError;
+                }
+                let fixed = Codeword(cw.0 ^ (1u128 << s));
+                DecodeResult::Corrected(extract(fixed), s)
+            }
+            (_, false) => DecodeResult::DoubleError,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{self, data_positions};
     use super::*;
     use xxi_core::rng::Rng64;
+
+    /// `k` distinct positions in 1..=72.
+    fn distinct_positions(rng: &mut Rng64, k: usize) -> Vec<u32> {
+        let mut positions = Vec::with_capacity(k);
+        while positions.len() < k {
+            let p = rng.range_u64(1, 72) as u32;
+            if !positions.contains(&p) {
+                positions.push(p);
+            }
+        }
+        positions
+    }
+
+    /// Checks the codec against [`reference`] on `words` seeded random
+    /// words: the encoding and extraction of each, its decode clean, after
+    /// every single flip, after a random double and a random triple flip,
+    /// and on one arbitrary 128-bit pattern (bits outside 1..=72 included).
+    fn check_against_reference(words: usize, seed: u64) {
+        let mut rng = Rng64::new(seed);
+        let same = |cw: Codeword, what: &str| {
+            assert_eq!(decode(cw), reference::decode(cw), "{what}: {:#x}", cw.0);
+            assert_eq!(extract(cw), reference::extract(cw), "{what}: {:#x}", cw.0);
+        };
+        for _ in 0..words {
+            let data = rng.next_u64();
+            let cw = encode(data);
+            assert_eq!(cw, reference::encode(data), "encode({data:#x})");
+            same(cw, "clean");
+            for pos in 1..=72 {
+                same(flip(cw, pos), "single flip");
+            }
+            for k in [2, 3] {
+                let flipped = distinct_positions(&mut rng, k).into_iter().fold(cw, flip);
+                same(flipped, "multi flip");
+            }
+            let raw = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+            same(Codeword(raw), "raw pattern");
+        }
+    }
+
+    #[test]
+    fn masks_match_the_bit_loop_codec() {
+        check_against_reference(10_000, 0xECC);
+    }
+
+    #[test]
+    #[ignore = "~200k words; run in release with --include-ignored"]
+    fn masks_match_the_bit_loop_codec_large() {
+        check_against_reference(200_000, 0xECC2);
+    }
+
+    #[test]
+    fn runs_cover_the_data_positions_in_order() {
+        let from_runs: Vec<u32> = RUNS
+            .iter()
+            .flat_map(|&(pos, bit, len)| {
+                assert_eq!(
+                    bit,
+                    RUNS.iter().take_while(|r| r.0 < pos).map(|r| r.2).sum()
+                );
+                pos..pos + len
+            })
+            .collect();
+        assert_eq!(from_runs, data_positions().collect::<Vec<_>>());
+    }
 
     #[test]
     fn roundtrip_without_errors() {

@@ -26,6 +26,26 @@ pub enum Outcome {
     Sdc,
 }
 
+impl Outcome {
+    /// Every outcome, in declaration order.
+    const ALL: [Outcome; 4] = [
+        Outcome::Clean,
+        Outcome::Corrected,
+        Outcome::Due,
+        Outcome::Sdc,
+    ];
+
+    /// The `metrics` counter that tallies this outcome.
+    fn counter(self) -> &'static str {
+        match self {
+            Outcome::Clean => "clean",
+            Outcome::Corrected => "corrected",
+            Outcome::Due => "due",
+            Outcome::Sdc => "sdc",
+        }
+    }
+}
+
 /// An ECC-protected word array with fault injection.
 pub struct FaultInjector {
     words: Vec<(u64, Codeword)>,
@@ -68,16 +88,23 @@ impl FaultInjector {
             let w = self.rng.below(self.words.len() as u64) as usize;
             let pos = self.rng.range_u64(1, 72) as u32;
             self.words[w].1 = flip(self.words[w].1, pos);
-            self.metrics.incr("flips_injected");
         }
+        post(&mut self.metrics, "flips_injected", n);
     }
 
     /// Read word `i`, classify, and (as hardware would) write back the
     /// corrected codeword on correction.
     pub fn read(&mut self, i: usize) -> Outcome {
+        let out = self.classify(i);
         self.metrics.incr("reads");
+        self.metrics.incr(out.counter());
+        out
+    }
+
+    /// [`FaultInjector::read`] without the counters.
+    fn classify(&mut self, i: usize) -> Outcome {
         let (golden, cw) = self.words[i];
-        let out = match decode(cw) {
+        match decode(cw) {
             DecodeResult::Clean(d) => {
                 if d == golden {
                     Outcome::Clean
@@ -95,33 +122,30 @@ impl FaultInjector {
                 }
             }
             DecodeResult::DoubleError => Outcome::Due,
-        };
-        match out {
-            Outcome::Clean => self.metrics.incr("clean"),
-            Outcome::Corrected => self.metrics.incr("corrected"),
-            Outcome::Due => self.metrics.incr("due"),
-            Outcome::Sdc => self.metrics.incr("sdc"),
         }
-        out
     }
 
-    /// Read the whole array, returning (clean, corrected, due, sdc).
+    /// Read the whole array, returning (clean, corrected, due, sdc). The
+    /// outcomes are tallied locally and posted to `metrics` once.
     pub fn scrub_pass(&mut self) -> (u64, u64, u64, u64) {
-        let before = (
-            self.metrics.counter("clean"),
-            self.metrics.counter("corrected"),
-            self.metrics.counter("due"),
-            self.metrics.counter("sdc"),
-        );
+        let mut tally = [0u64; 4];
         for i in 0..self.words.len() {
-            self.read(i);
+            tally[self.classify(i) as usize] += 1;
         }
-        (
-            self.metrics.counter("clean") - before.0,
-            self.metrics.counter("corrected") - before.1,
-            self.metrics.counter("due") - before.2,
-            self.metrics.counter("sdc") - before.3,
-        )
+        post(&mut self.metrics, "reads", self.words.len() as u64);
+        for (out, n) in Outcome::ALL.into_iter().zip(tally) {
+            post(&mut self.metrics, out.counter(), n);
+        }
+        let [clean, corrected, due, sdc] = tally;
+        (clean, corrected, due, sdc)
+    }
+}
+
+/// Adds `n` to counter `name`, creating it only when `n > 0`, as `n`
+/// single increments would.
+fn post(metrics: &mut Metrics, name: &'static str, n: u64) {
+    if n > 0 {
+        metrics.count(name, n);
     }
 }
 
@@ -172,6 +196,25 @@ mod tests {
         // 3+ aliased flips *can* in principle mis-correct; with 8 words and
         // this seed the expected SDC count is ~0-1. Just bound it.
         assert!(sdc <= 1, "sdc={sdc}");
+    }
+
+    #[test]
+    fn scrub_pass_posts_what_reading_every_word_counts() {
+        for (words, flips) in [(0, 0), (64, 0), (256, 40), (8, 24)] {
+            let (mut pass, mut reads) =
+                (FaultInjector::new(words, 9), FaultInjector::new(words, 9));
+            pass.inject(flips);
+            reads.inject(flips);
+            let tally = pass.scrub_pass();
+            let mut by_read = [0u64; 4];
+            for i in 0..words {
+                by_read[reads.read(i) as usize] += 1;
+            }
+            assert_eq!(tally, (by_read[0], by_read[1], by_read[2], by_read[3]));
+            let counters = |fi: &FaultInjector| fi.metrics.counters().collect::<Vec<_>>();
+            assert_eq!(counters(&pass), counters(&reads), "{words} words");
+            assert_eq!(pass.words, reads.words, "{words} words");
+        }
     }
 
     #[test]
