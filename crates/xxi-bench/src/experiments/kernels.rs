@@ -20,7 +20,7 @@ use xxi_cloud::latency::LatencyDist;
 use xxi_cloud::queueing::MG1Queue;
 use xxi_core::obs::{LogHistogram, Trace};
 use xxi_core::rng::{Rng64, Zipf};
-use xxi_core::stats::Summary;
+use xxi_core::stats::{percentiles, Summary};
 use xxi_core::units::{Power, Seconds};
 use xxi_core::Report;
 use xxi_cpu::hillmarty::{best_symmetric_r, speedup_symmetric};
@@ -100,12 +100,13 @@ const fn k(
 
 /// Every kernel, grouped by layer in stack order.
 #[rustfmt::skip]
-pub static KERNELS: [Kernel; 39] = [
+pub static KERNELS: [Kernel; 40] = [
     k("core/rng-u64", "xoshiro256++: 1M next_u64", "draws", 1_000_000, rng_u64),
     k("core/rng-lognormal", "1M lognormal draws", "draws", 1_000_000, rng_lognormal),
     k("core/zipf", "1M Zipf(0.99) samples over 100k ranks", "samples", 1_000_000, zipf),
     k("core/log-histogram", "p99 of 200k samples via LogHistogram", "samples", 200_000, log_histogram),
     k("core/sort-p99", "p99 of 200k samples via retain-and-sort", "samples", 200_000, sort_p99),
+    k("core/select-p99", "p99 of 200k samples via order-key selection", "samples", 200_000, select_p99),
     k("des/chain", "DES: one self-rescheduling event, 100k times", "events", 100_000, des::chain),
     k("des/spans-off", "DES chain calling the span API, tracing off", "events", 100_000, des::spans_off),
     k("des/spans-on", "DES chain calling the span API, tracing on", "events", 100_000, des::spans_on),
@@ -180,6 +181,10 @@ fn log_histogram(_: &RunCtx) -> f64 {
 
 fn sort_p99(_: &RunCtx) -> f64 {
     Summary::from_slice(samples()).percentile(99.0)
+}
+
+fn select_p99(_: &RunCtx) -> f64 {
+    percentiles(samples(), [99.0])[0]
 }
 
 // --- mem ------------------------------------------------------------------

@@ -20,7 +20,7 @@ use serde::Serialize;
 use crate::latency::LatencyDist;
 use xxi_core::par::{mc_chunks, Parallelism, Serial};
 use xxi_core::rng::Rng64;
-use xxi_core::stats::Summary;
+use xxi_core::stats::{percentiles, Summary};
 
 /// `P(at least one of n leaves exceeds its own q-quantile) = 1 − q^n`.
 ///
@@ -73,8 +73,7 @@ pub fn fanout_latency_on(
     let calib_seed = root.next_u64();
     let trial_seed = root.next_u64();
     // Estimate the single-leaf p99 first.
-    let leaf = dist.sample_summary_on(200_000, calib_seed, exec);
-    let leaf_p99 = leaf.percentile(99.0);
+    let [leaf_p99] = percentiles(&dist.draws_on(200_000, calib_seed, exec), [99.0]);
 
     let per_chunk = mc_chunks(exec, trials, trial_seed, |r, rng| {
         let mut maxima = Vec::with_capacity(r.len());

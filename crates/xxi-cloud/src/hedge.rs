@@ -15,7 +15,7 @@ use serde::Serialize;
 use crate::latency::LatencyDist;
 use xxi_core::par::{mc_chunks, Parallelism, Serial};
 use xxi_core::rng::Rng64;
-use xxi_core::stats::Summary;
+use xxi_core::stats::percentiles;
 
 /// Outcome of a hedged-request experiment.
 #[derive(Clone, Debug, Serialize)]
@@ -77,8 +77,10 @@ pub fn hedge_experiment_on(
     let mut root = Rng64::new(seed);
     let calib_seed = root.next_u64();
     let trial_seed = root.next_u64();
-    let base = dist.sample_summary_on(200_000, calib_seed, exec);
-    let deadline = base.percentile(deadline_quantile * 100.0);
+    let [deadline] = percentiles(
+        &dist.draws_on(200_000, calib_seed, exec),
+        [deadline_quantile * 100.0],
+    );
     let per_chunk = mc_chunks(exec, trials, trial_seed, |r, rng| {
         let mut xs = Vec::with_capacity(r.len());
         let mut hedged = 0usize;
@@ -95,12 +97,12 @@ pub fn hedge_experiment_on(
         xs.extend(x);
         hedged += h;
     }
-    let s = Summary::from_slice(&xs);
+    let [p50, p99, p999] = percentiles(&xs, [50.0, 99.0, 99.9]);
     HedgeOutcome {
         deadline_ms: deadline,
-        p50: s.median(),
-        p99: s.percentile(99.0),
-        p999: s.percentile(99.9),
+        p50,
+        p99,
+        p999,
         extra_load: hedged as f64 / trials as f64,
     }
 }
@@ -149,13 +151,14 @@ pub fn tied_experiment_on(
             .collect::<Vec<f64>>()
     });
     let xs: Vec<f64> = chunks.into_iter().flatten().collect();
-    let s = Summary::from_slice(&xs);
-    (s.median(), s.percentile(99.0), s.percentile(99.9))
+    let [p50, p99, p999] = percentiles(&xs, [50.0, 99.0, 99.9]);
+    (p50, p99, p999)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xxi_core::stats::Summary;
 
     #[test]
     fn hedging_collapses_the_far_tail_cheaply() {

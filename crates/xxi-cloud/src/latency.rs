@@ -132,11 +132,16 @@ impl LatencyDist {
     /// (It differs from [`LatencyDist::sample_summary`] on a fresh
     /// generator with the same seed; the substream layout is different.)
     pub fn sample_summary_on(&self, n: usize, seed: u64, exec: &dyn Parallelism) -> Summary {
+        Summary::from_slice(&self.draws_on(n, seed, exec))
+    }
+
+    /// The `n` draws behind [`LatencyDist::sample_summary_on`], in chunk
+    /// order, for callers that only select percentiles from them.
+    pub(crate) fn draws_on(&self, n: usize, seed: u64, exec: &dyn Parallelism) -> Vec<f64> {
         let chunks = mc_chunks(exec, n, seed, |r, rng| {
             r.map(|_| self.sample(rng)).collect::<Vec<f64>>()
         });
-        let xs: Vec<f64> = chunks.into_iter().flatten().collect();
-        Summary::from_slice(&xs)
+        chunks.into_iter().flatten().collect()
     }
 }
 

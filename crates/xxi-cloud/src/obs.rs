@@ -17,6 +17,7 @@ use xxi_core::des::Sim;
 use xxi_core::metrics::Metrics;
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, SpanId, Trace};
 use xxi_core::rng::Rng64;
+use xxi_core::stats::percentiles;
 use xxi_core::time::SimTime;
 use xxi_core::units::{Energy, Power, Seconds};
 
@@ -107,9 +108,8 @@ impl ObservedFanout {
         let mut rng = Rng64::new(self.seed);
         let deadline_ms = self.hedge_quantile.map(|q| {
             assert!((0.0..1.0).contains(&q));
-            self.dist
-                .sample_summary(200_000, &mut rng)
-                .percentile(q * 100.0)
+            let xs: Vec<f64> = (0..200_000).map(|_| self.dist.sample(&mut rng)).collect();
+            percentiles(&xs, [q * 100.0])[0]
         });
 
         let state = State {

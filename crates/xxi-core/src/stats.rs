@@ -7,6 +7,14 @@
 //!
 //! * [`Streaming`] — Welford's online mean/variance plus min/max/count.
 //! * [`Summary`] — exact percentiles from a collected sample (sorting copy).
+//! * [`percentiles`] — the same nearest-rank percentiles by selection, for
+//!   callers that read nothing else.
+//!
+//! Both order the sample by integer *order keys*: the f64 total-order
+//! bits with `-0.0` folded onto `+0.0`, so two keys tie exactly where
+//! `partial_cmp` says `Equal`. Tied keys are equal values with equal bits,
+//! except the zeros, which are put back in input order. So every result
+//! has the bits a stable `partial_cmp` sort would give.
 //!
 //! Streaming percentiles live in [`crate::obs::LogHistogram`].
 
@@ -67,11 +75,6 @@ impl Streaming {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -124,13 +127,23 @@ pub struct Summary {
 
 impl Summary {
     /// Build from a sample (copies and sorts; NaNs are rejected).
+    ///
+    /// The copy is sorted as order keys, then turned back into values in
+    /// place; the result has the bits of a stable `partial_cmp` sort.
     pub fn from_slice(xs: &[f64]) -> Summary {
-        assert!(
-            xs.iter().all(|x| !x.is_nan()),
-            "Summary over NaN-containing sample"
-        );
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap()); // xxi-allow: panic-path -- samples are finite by construction
+        let mut keys = order_keys(xs);
+        keys.sort_unstable();
+        let zeros =
+            keys.partition_point(|&k| k < ZERO_KEY)..keys.partition_point(|&k| k <= ZERO_KEY);
+        let mut sorted: Vec<f64> = keys.into_iter().map(from_key).collect();
+        // Every zero came back as +0.0; a stable sort leaves them in
+        // input order, signs included.
+        for (slot, &z) in sorted[zeros]
+            .iter_mut()
+            .zip(xs.iter().filter(|&&x| x == 0.0))
+        {
+            *slot = z;
+        }
         let mean = if sorted.is_empty() {
             0.0
         } else {
@@ -167,12 +180,7 @@ impl Summary {
     /// Nearest-rank percentile, `p ∈ [0, 100]` (panics when empty).
     pub fn percentile(&self, p: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "percentile of empty summary");
-        assert!((0.0..=100.0).contains(&p));
-        if p == 0.0 {
-            return self.sorted[0];
-        }
-        let rank = (p / 100.0 * self.sorted.len() as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, self.sorted.len()) - 1]
+        self.sorted[rank_index(p, self.sorted.len())]
     }
 
     /// Fraction of samples strictly greater than `x`.
@@ -185,10 +193,288 @@ impl Summary {
     }
 }
 
+/// Nearest-rank percentiles of `xs`, one per entry of `ps`, by selection
+/// rather than a full sort.
+///
+/// Each result has the bits of `Summary::from_slice(xs).percentile(p)`,
+/// zeros included, and panics on the same inputs: an empty or
+/// NaN-containing sample, or a `p` outside `[0, 100]`. `ps` must be
+/// ascending: each percentile is selected from the keys the previous one
+/// left above it.
+///
+/// ```
+/// use xxi_core::stats::percentiles;
+/// let xs = [3.0, 1.0, 2.0, 4.0];
+/// assert_eq!(percentiles(&xs, [50.0, 100.0]), [2.0, 4.0]);
+/// ```
+pub fn percentiles<const K: usize>(xs: &[f64], ps: [f64; K]) -> [f64; K] {
+    let mut keys = order_keys(xs);
+    assert!(!keys.is_empty(), "percentile of empty summary");
+    // Every key below `settled` is in its sorted place and no greater
+    // than any key above it.
+    let mut settled = 0;
+    let mut last_p = 0.0;
+    ps.map(|p| {
+        let i = rank_index(p, keys.len());
+        assert!(p >= last_p, "percentiles must be ascending");
+        last_p = p;
+        if i >= settled {
+            keys[settled..].select_nth_unstable(i - settled);
+            settled = i + 1;
+        }
+        if keys[i] == ZERO_KEY {
+            // The zero run starts after the negatives, in input order.
+            let negatives = xs.iter().filter(|&&x| x < 0.0).count();
+            return xs
+                .iter()
+                .filter(|&&x| x == 0.0)
+                .nth(i - negatives)
+                .copied()
+                .unwrap_or(0.0);
+        }
+        from_key(keys[i])
+    })
+}
+
+/// The 0-based nearest-rank index of percentile `p` in a sorted sample
+/// of `n > 0` values.
+fn rank_index(p: f64, n: usize) -> usize {
+    assert!((0.0..=100.0).contains(&p));
+    let rank = (p / 100.0 * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
+}
+
+/// The order key of `+0.0`, and of `-0.0`.
+const ZERO_KEY: u64 = 1 << 63;
+
+/// The order key of `x`: its bits mapped so that `u64` order is the f64
+/// total order (negatives flipped whole, positives above them), with
+/// `-0.0` first folded onto `+0.0`.
+fn order_key(x: f64) -> u64 {
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    bits ^ (((bits as i64 >> 63) as u64) | ZERO_KEY)
+}
+
+/// The value whose order key is `k` (`+0.0` for the zero key).
+fn from_key(k: u64) -> f64 {
+    f64::from_bits(k ^ (((!k as i64) >> 63) as u64 | ZERO_KEY))
+}
+
+/// The order keys of `xs`, in input order (panics on a NaN).
+fn order_keys(xs: &[f64]) -> Vec<u64> {
+    assert!(
+        xs.iter().all(|x| !x.is_nan()),
+        "Summary over NaN-containing sample"
+    );
+    xs.iter().map(|&x| order_key(x)).collect()
+}
+
+/// The stable `partial_cmp` summary the order keys replaced, verbatim:
+/// the oracle that `Summary` and [`percentiles`] must match bit for bit.
+#[cfg(test)]
+mod reference {
+    pub(super) struct Summary {
+        pub(super) sorted: Vec<f64>,
+        pub(super) mean: f64,
+    }
+
+    impl Summary {
+        pub(super) fn from_slice(xs: &[f64]) -> Summary {
+            assert!(
+                xs.iter().all(|x| !x.is_nan()),
+                "Summary over NaN-containing sample"
+            );
+            let mut sorted = xs.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mean = if sorted.is_empty() {
+                0.0
+            } else {
+                sorted.iter().sum::<f64>() / sorted.len() as f64
+            };
+            Summary { sorted, mean }
+        }
+
+        pub(super) fn percentile(&self, p: f64) -> f64 {
+            assert!(!self.sorted.is_empty(), "percentile of empty summary");
+            assert!((0.0..=100.0).contains(&p));
+            if p == 0.0 {
+                return self.sorted[0];
+            }
+            let rank = (p / 100.0 * self.sorted.len() as f64).ceil() as usize;
+            self.sorted[rank.clamp(1, self.sorted.len()) - 1]
+        }
+
+        pub(super) fn frac_above(&self, x: f64) -> f64 {
+            if self.sorted.is_empty() {
+                return 0.0;
+            }
+            let idx = self.sorted.partition_point(|&v| v <= x);
+            (self.sorted.len() - idx) as f64 / self.sorted.len() as f64
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng64;
+
+    /// Percentiles every oracle case reads, ascending, ends included.
+    const GRID: [f64; 12] = [
+        0.0, 0.1, 1.0, 10.0, 25.0, 50.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0,
+    ];
+
+    /// Values whose order is easy to get wrong: both zeros, subnormals,
+    /// the infinities and the finite extremes.
+    const AWKWARD: [f64; 12] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        1.0,
+        -1.0,
+    ];
+
+    /// A seeded sample of `n` values: awkward values, heavy duplicates
+    /// from a small palette, subnormals and signed log-normals, mixed in
+    /// a per-sample proportion, then left shuffled or laid out as a sorted
+    /// run, a reversed run, or sorted runs.
+    fn awkward_sample(rng: &mut Rng64, n: usize) -> Vec<f64> {
+        let palette: Vec<f64> = (0..1 + rng.below(6))
+            .map(|_| AWKWARD[rng.below(12) as usize] * rng.range_f64(0.5, 2.0))
+            .collect();
+        let favourite = rng.below(5);
+        let mut xs: Vec<f64> = (0..n)
+            .map(|_| {
+                let kind = if rng.chance(0.7) {
+                    favourite
+                } else {
+                    rng.below(4)
+                };
+                let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+                match kind {
+                    0 => AWKWARD[rng.below(12) as usize],
+                    1 => *rng.choose(&palette),
+                    2 => sign * f64::from_bits(rng.below(1 << 52)),
+                    _ => sign * rng.lognormal(0.0, 2.0),
+                }
+            })
+            .collect();
+        let by_value = |a: &f64, b: &f64| a.partial_cmp(b).unwrap();
+        match rng.below(4) {
+            0 => xs.sort_by(by_value),
+            1 => xs.sort_by(|a, b| by_value(b, a)),
+            2 => {
+                for run in xs.chunks_mut(1 + rng.below(64) as usize) {
+                    run.sort_by(by_value);
+                }
+            }
+            _ => {}
+        }
+        xs
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `Summary` and `percentiles` against the reference, bit for bit.
+    fn check_against_reference(xs: &[f64]) {
+        let want = reference::Summary::from_slice(xs);
+        let got = Summary::from_slice(xs);
+        let n = xs.len();
+        assert_eq!(bits(&got.sorted), bits(&want.sorted), "sorted, n={n}");
+        assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "mean, n={n}");
+        let mut probes = vec![0.0, -0.0, 1.0, f64::INFINITY, f64::NEG_INFINITY];
+        probes.extend(xs.iter().step_by(1 + n / 16));
+        for x in probes {
+            let (g, w) = (got.frac_above(x), want.frac_above(x));
+            assert_eq!(g.to_bits(), w.to_bits(), "frac_above({x}), n={n}");
+        }
+        if xs.is_empty() {
+            return;
+        }
+        let want_grid = GRID.map(|p| want.percentile(p).to_bits());
+        assert_eq!(
+            GRID.map(|p| got.percentile(p).to_bits()),
+            want_grid,
+            "n={n}"
+        );
+        assert_eq!(percentiles(xs, GRID).map(f64::to_bits), want_grid, "n={n}");
+        for p in GRID {
+            let one = percentiles(xs, [p])[0];
+            assert_eq!(one.to_bits(), want.percentile(p).to_bits(), "p{p}, n={n}");
+        }
+        let tail = percentiles(xs, [50.0, 99.0, 99.9]).map(f64::to_bits);
+        let want_tail = [50.0, 99.0, 99.9].map(|p| want.percentile(p).to_bits());
+        assert_eq!(tail, want_tail, "n={n}");
+    }
+
+    #[test]
+    fn order_keys_match_the_stable_partial_cmp_summary() {
+        let mut rng = Rng64::new(21);
+        for n in 0..=48 {
+            check_against_reference(&awkward_sample(&mut rng, n));
+        }
+        for _ in 0..200 {
+            let n = rng.below(2_001) as usize;
+            check_against_reference(&awkward_sample(&mut rng, n));
+        }
+        // Zeros alone, in every sign pattern of length 4.
+        for signs in 0..16u32 {
+            let xs: Vec<f64> = (0..4)
+                .map(|i| if signs >> i & 1 == 1 { -0.0 } else { 0.0 })
+                .collect();
+            check_against_reference(&xs);
+        }
+    }
+
+    #[test]
+    #[ignore = "2 M samples; run in release with --include-ignored"]
+    fn order_keys_match_the_stable_partial_cmp_summary_large() {
+        let mut rng = Rng64::new(2_000_000);
+        check_against_reference(&awkward_sample(&mut rng, 2_000_000));
+        let leaf: Vec<f64> = (0..2_000_000)
+            .map(|_| {
+                if rng.chance(0.01) {
+                    rng.pareto(50.0, 1.5)
+                } else {
+                    rng.lognormal(5f64.ln(), 0.3)
+                }
+            })
+            .collect();
+        check_against_reference(&leaf);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn percentiles_reject_an_empty_sample() {
+        percentiles(&[], [50.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn percentiles_reject_nan() {
+        percentiles(&[1.0, f64::NAN], [50.0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn percentiles_reject_p_above_100() {
+        percentiles(&[1.0, 2.0], [100.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn percentiles_must_be_ascending() {
+        percentiles(&[1.0, 2.0], [99.0, 50.0]);
+    }
 
     #[test]
     fn streaming_moments_exact_small_case() {
