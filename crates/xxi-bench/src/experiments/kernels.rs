@@ -19,6 +19,7 @@ use std::sync::{Mutex, OnceLock};
 use xxi_cloud::latency::LatencyDist;
 use xxi_cloud::queueing::MG1Queue;
 use xxi_core::obs::{LogHistogram, Trace};
+use xxi_core::par;
 use xxi_core::rng::{Rng64, Zipf};
 use xxi_core::stats::{percentiles, Summary};
 use xxi_core::units::{Power, Seconds};
@@ -137,7 +138,7 @@ pub static KERNELS: [Kernel; 40] = [
     k("sec/dift", "DIFT machine: a tracked 150k-instruction loop", "instructions", 150_001, dift),
     k("stack/chase-lev", "Chase-Lev deque: 100k push then pop", "items", 100_000, chase_lev),
     k("stack/mutex-queue", "Mutex<VecDeque>: 100k push then pop", "items", 100_000, mutex_queue),
-    k("stack/pool-sum", "work-stealing pool: parallel_sum over 60k sqrt chains at --threads", "items", POOL_ITEMS as u64, pool_sum),
+    k("stack/pool-sum", "work-stealing pool: par::map over 60 chunks of 1k sqrt chains at --threads", "items", POOL_ITEMS as u64, pool_sum),
     k("stack/stm-counter", "STM: 50k single-thread counter transactions", "transactions", 50_000, stm_counter),
     k("stack/mutex-counter", "Mutex<u64>: 50k single-thread increments", "increments", 50_000, mutex_counter),
     k("stack/stm-bank", "STM bank: 80k random transfers over 64 accounts at --threads", "transfers", BANK_TRANSFERS as u64, stm_bank),
@@ -491,6 +492,9 @@ fn mutex_queue(_: &RunCtx) -> f64 {
 }
 
 const POOL_ITEMS: usize = 60_000;
+/// Items per `stack/pool-sum` task: fixed, so the chunk sums and their
+/// order, and with them the checksum, do not depend on `--threads`.
+const POOL_GRAIN: usize = 1_000;
 
 fn sqrt_chain(i: usize) -> f64 {
     let mut x = i as f64 + 1.0;
@@ -500,13 +504,17 @@ fn sqrt_chain(i: usize) -> f64 {
     x
 }
 
-/// `Pool::parallel_sum` on the bench's pool; at `--threads 1` (no pool)
-/// the serial sum is the baseline the scaling rows divide by.
+/// `par::map` over fixed chunks on the bench's executor, summed in chunk
+/// order; at `--threads 1` (`Serial`) it is the baseline the scaling rows
+/// divide by.
 fn pool_sum(ctx: &RunCtx) -> f64 {
-    match ctx.pool() {
-        Some(pool) => pool.parallel_sum(POOL_ITEMS, sqrt_chain),
-        None => (0..POOL_ITEMS).map(sqrt_chain).sum(),
-    }
+    par::map(ctx.exec(), POOL_ITEMS / POOL_GRAIN, |c| {
+        (c * POOL_GRAIN..(c + 1) * POOL_GRAIN)
+            .map(sqrt_chain)
+            .sum::<f64>()
+    })
+    .into_iter()
+    .sum()
 }
 
 fn stm_counter(_: &RunCtx) -> f64 {
@@ -565,23 +573,22 @@ mod tests {
     }
 
     /// Every kernel runs, and a second call returns the same checksum: a
-    /// kernel is a pure function of its fixed seeds at any thread count
-    /// (`parallel_sum` combines per-thread partials in a fixed order).
+    /// kernel is a pure function of its fixed seeds, bit-equal at 1 and 2
+    /// threads.
     #[test]
     fn every_kernel_runs_and_is_deterministic() {
-        for threads in [1, 2] {
-            let ctx = RunCtx::new(None, threads, None);
-            for kernel in &KERNELS {
-                let a = (kernel.run)(&ctx);
-                let b = (kernel.run)(&ctx);
-                assert!(a.is_finite(), "{}: checksum {a}", kernel.id);
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} at {threads} thread(s)",
-                    kernel.id
-                );
-            }
+        let ctxs = [RunCtx::new(None, 1, None), RunCtx::new(None, 2, None)];
+        for kernel in &KERNELS {
+            let sums: Vec<f64> = ctxs
+                .iter()
+                .flat_map(|ctx| [(kernel.run)(ctx), (kernel.run)(ctx)])
+                .collect();
+            assert!(sums[0].is_finite(), "{}: checksum {}", kernel.id, sums[0]);
+            assert!(
+                sums.iter().all(|s| s.to_bits() == sums[0].to_bits()),
+                "{}: checksums at 1, 1, 2, 2 threads: {sums:?}",
+                kernel.id
+            );
         }
     }
 }

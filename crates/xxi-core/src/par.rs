@@ -18,9 +18,14 @@
 //!
 //! Under those three rules, `--threads 4` and `--threads 1` print the
 //! same tables, which is what makes the parallel experiments auditable.
-//! Sweeps that run one independent job per grid point (a fault rate, a
-//! queue, a policy pair) use [`map`], the ordered parallel map
-//! underneath [`mc_chunks`].
+//! The seam does not expose a thread count, so code written against it
+//! has nothing to make its results depend on.
+//!
+//! [`map`] is the one index-ordered parallel map, underneath
+//! [`mc_chunks`] and every sweep that runs one independent job per grid
+//! point (a fault rate, a queue, a policy pair). On a `Pool` it boxes one
+//! task per index, so callers with fine-grain work chunk it first and map
+//! over the chunks, as [`mc_chunks`] does.
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -32,10 +37,6 @@ use crate::rng::Rng64;
 /// The closure may borrow from the caller's stack: implementations must
 /// not return from `for_tasks` until every invocation has finished.
 pub trait Parallelism: Sync {
-    /// Worker count (1 for [`Serial`]); callers may use it for grain
-    /// decisions but **must not** let it change results.
-    fn threads(&self) -> usize;
-
     /// Invoke `f(i)` for every `i in 0..tasks`, possibly concurrently,
     /// and return only when all invocations have completed.
     fn for_tasks(&self, tasks: usize, f: &(dyn Fn(usize) + Sync));
@@ -46,10 +47,6 @@ pub trait Parallelism: Sync {
 pub struct Serial;
 
 impl Parallelism for Serial {
-    fn threads(&self) -> usize {
-        1
-    }
-
     fn for_tasks(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
         for i in 0..tasks {
             f(i);
@@ -106,9 +103,6 @@ mod tests {
     struct Reversed;
 
     impl Parallelism for Reversed {
-        fn threads(&self) -> usize {
-            1
-        }
         fn for_tasks(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
             for i in (0..tasks).rev() {
                 f(i);
@@ -121,7 +115,6 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         Serial.for_tasks(5, &|i| seen.lock().unwrap().push(i));
         assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(Serial.threads(), 1);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! start. Integer time makes event ordering exact (no floating-point
 //! tie-break ambiguity) and picosecond resolution is fine enough to express
 //! a single cycle of a 100 GHz photonic link while still giving a simulated
-//! horizon of ~5 months in a `u64`.
+//! horizon of ~213 days in a `u64`. Integer constructors and `+`, `+=`
+//! and `-` panic past either end of that range in every build, rather
+//! than wrapping in release; [`SimTime::saturating_add`],
+//! [`SimTime::since`] and [`SimTime::from_seconds`] saturate instead.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -33,25 +36,25 @@ impl SimTime {
     /// Construct from nanoseconds.
     #[inline]
     pub const fn from_ns(ns: u64) -> SimTime {
-        SimTime(ns * 1_000)
+        checked(ns.checked_mul(1_000))
     }
 
     /// Construct from microseconds.
     #[inline]
     pub const fn from_us(us: u64) -> SimTime {
-        SimTime(us * 1_000_000)
+        checked(us.checked_mul(1_000_000))
     }
 
     /// Construct from milliseconds.
     #[inline]
     pub const fn from_ms(ms: u64) -> SimTime {
-        SimTime(ms * 1_000_000_000)
+        checked(ms.checked_mul(1_000_000_000))
     }
 
     /// Construct from whole seconds.
     #[inline]
     pub const fn from_secs(s: u64) -> SimTime {
-        SimTime(s * 1_000_000_000_000)
+        checked(s.checked_mul(1_000_000_000_000))
     }
 
     /// Convert a duration in (fractional) milliseconds to sim time,
@@ -118,28 +121,40 @@ impl SimTime {
     }
 }
 
+/// The picosecond count `ps`, or a panic when the arithmetic that made it
+/// left the `u64` range.
+#[inline]
+const fn checked(ps: Option<u64>) -> SimTime {
+    match ps {
+        Some(ps) => SimTime(ps),
+        None => panic!("SimTime out of range: past the ~213-day horizon or before zero"),
+    }
+}
+
 impl Add for SimTime {
     type Output = SimTime;
+    /// Panics past [`SimTime::MAX`] — use [`SimTime::saturating_add`] to
+    /// cap there instead.
     #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        checked(self.0.checked_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
 impl Sub for SimTime {
     type Output = SimTime;
-    /// Panics in debug if `rhs > self` — use [`SimTime::since`] for a
-    /// saturating difference.
+    /// Panics if `rhs > self` — use [`SimTime::since`] for a saturating
+    /// difference.
     #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 - rhs.0)
+        checked(self.0.checked_sub(rhs.0))
     }
 }
 
@@ -215,6 +230,50 @@ mod tests {
     #[test]
     fn saturating_add_caps_at_max() {
         assert_eq!(SimTime::MAX.saturating_add(SimTime(1)), SimTime::MAX);
+    }
+
+    #[test]
+    fn arithmetic_reaches_max_exactly() {
+        assert_eq!(SimTime(u64::MAX - 1) + SimTime(1), SimTime::MAX);
+        let mut t = SimTime::from_ps(u64::MAX - 5);
+        t += SimTime(5);
+        assert_eq!(t, SimTime::MAX);
+        assert_eq!(SimTime::MAX - SimTime::MAX, SimTime::ZERO);
+        type Make = fn(u64) -> SimTime;
+        let units: [(Make, u64); 4] = [
+            (SimTime::from_ns, 1_000),
+            (SimTime::from_us, 1_000_000),
+            (SimTime::from_ms, 1_000_000_000),
+            (SimTime::from_secs, 1_000_000_000_000),
+        ];
+        for (make, ps_per_unit) in units {
+            let n = u64::MAX / ps_per_unit;
+            assert_eq!(make(n).ps(), n * ps_per_unit);
+        }
+    }
+
+    #[test]
+    fn leaving_the_range_panics_in_every_build() {
+        let cases: [(&str, fn()); 7] = [
+            ("MAX + 1", || _ = SimTime::MAX + SimTime(1)),
+            ("MAX += 1", || {
+                let mut t = SimTime::MAX;
+                t += SimTime(1);
+            }),
+            ("0 - 1", || _ = SimTime::ZERO - SimTime(1)),
+            ("from_ns", || _ = SimTime::from_ns(u64::MAX / 1_000 + 1)),
+            ("from_us", || _ = SimTime::from_us(u64::MAX / 1_000_000 + 1)),
+            ("from_ms", || {
+                _ = SimTime::from_ms(u64::MAX / 1_000_000_000 + 1)
+            }),
+            // 213 days fit, 214 do not.
+            ("from_secs", || _ = SimTime::from_secs(214 * 86_400)),
+        ];
+        for (name, case) in cases {
+            let payload = std::panic::catch_unwind(case).expect_err(name);
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+            assert!(msg.contains("SimTime out of range"), "{name}: {msg:?}");
+        }
     }
 
     #[test]

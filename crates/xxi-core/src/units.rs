@@ -252,12 +252,6 @@ impl Power {
         Power(uw * 1e-6)
     }
 
-    /// Construct from kilowatts (departmental servers).
-    #[inline]
-    pub fn from_kw(kw: f64) -> Power {
-        Power(kw * 1e3)
-    }
-
     /// Construct from megawatts (datacenters).
     #[inline]
     pub fn from_mega_w(mw: f64) -> Power {
@@ -316,12 +310,6 @@ impl Seconds {
 }
 
 impl Frequency {
-    /// Construct from megahertz.
-    #[inline]
-    pub fn from_mhz(mhz: f64) -> Frequency {
-        Frequency(mhz * 1e6)
-    }
-
     /// Construct from gigahertz.
     #[inline]
     pub fn from_ghz(ghz: f64) -> Frequency {
@@ -346,12 +334,6 @@ impl Ops {
     #[inline]
     pub fn from_gops(g: f64) -> Ops {
         Ops(g * 1e9)
-    }
-
-    /// Tera-operations constructor.
-    #[inline]
-    pub fn from_tops(t: f64) -> Ops {
-        Ops(t * 1e12)
     }
 }
 

@@ -59,11 +59,6 @@ impl CoherentSystem {
         }
     }
 
-    /// Number of caches.
-    pub fn num_caches(&self) -> usize {
-        self.n
-    }
-
     /// Current state of `line` in `cache`.
     pub fn state(&self, cache: usize, line: u64) -> MesiState {
         self.lines.get(&line).map(|v| v[cache]).unwrap_or(Invalid)

@@ -63,11 +63,6 @@ impl StartGap {
         }
     }
 
-    /// Logical capacity in lines.
-    pub fn logical_lines(&self) -> usize {
-        self.n
-    }
-
     /// Translate a logical line to its current physical line.
     pub fn translate(&self, la: usize) -> usize {
         assert!(la < self.n, "logical address out of range");
@@ -121,11 +116,6 @@ impl StartGap {
     /// Borrow the underlying device (wear statistics etc.).
     pub fn device(&self) -> &NvmDevice {
         &self.device
-    }
-
-    /// Consume the layer, returning the device.
-    pub fn into_device(self) -> NvmDevice {
-        self.device
     }
 }
 

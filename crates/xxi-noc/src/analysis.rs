@@ -17,11 +17,6 @@ pub fn zero_load_latency(hops: usize, router_delay: Seconds, link: &Link) -> Sec
     Seconds(hops as f64 * (router_delay.value() + link.flit_latency.value()))
 }
 
-/// Mean zero-load latency under uniform traffic.
-pub fn mean_zero_load_latency(mesh: &Mesh, router_delay: Seconds, link: &Link) -> Seconds {
-    Seconds(mesh.mean_hops_uniform() * (router_delay.value() + link.flit_latency.value()))
-}
-
 /// Ideal (bisection-limited) saturation throughput under uniform traffic,
 /// in flits per node per cycle: half of all traffic crosses the bisection,
 /// which supplies `2·B` link-crossings per cycle (B links each way).

@@ -207,13 +207,6 @@ impl<T: Send> Worker<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// A new thief handle.
-    pub fn stealer(&self) -> Stealer<T> {
-        Stealer {
-            ring: Arc::clone(&self.ring),
-        }
-    }
 }
 
 impl<T: Send> Stealer<T> {

@@ -7,7 +7,7 @@
 //! the **lowest-energy operating point that still meets the deadline** —
 //! rather than the 20th-century default of racing at maximum frequency.
 //!
-//! Two policies are compared in the tests and in the ablation bench:
+//! Two policies are compared in the tests:
 //! `Performance` (always top frequency) and `EnergyMin` (slowest point
 //! that fits). Race-to-idle vs pace-to-deadline is a real tradeoff — with
 //! nontrivial idle power racing can win — which is why the governor

@@ -9,7 +9,6 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use xxi_core::metrics::Metrics;
@@ -244,27 +243,6 @@ struct ScopeState {
     done_cv: Condvar,
 }
 
-/// A raw pointer that may cross threads when the pointee transfer is safe
-/// (`T: Send`) and access is to disjoint regions. Used by the scoped APIs
-/// to hand each chunk task its own slice of the result buffer.
-struct RawSlots<T>(*mut T);
-
-impl<T> RawSlots<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare `*mut` field.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: `RawSlots` is only ever used by the scoped APIs below, which
-// hand each task exclusive access to a disjoint index range of the
-// allocation and join every task before the buffer is read or freed.
-unsafe impl<T: Send> Send for RawSlots<T> {}
-// SAFETY: same disjoint-access argument as `Send` above — shared refs only
-// ever hand out raw pointers to per-task index ranges.
-unsafe impl<T: Send> Sync for RawSlots<T> {}
-
 /// The work-stealing pool.
 pub struct Pool {
     shared: Arc<Shared>,
@@ -321,7 +299,7 @@ impl Pool {
         self.inject(Box::new(f));
     }
 
-    /// Submission path shared by [`Pool::spawn`] and the scoped APIs:
+    /// Submission path shared by [`Pool::spawn`] and [`Pool::run_scoped`]:
     /// local-first (the submitting worker's own deque, no lock), with the
     /// global injector as the cross-thread / overflow route.
     fn inject(&self, task: Task) {
@@ -390,18 +368,8 @@ impl Pool {
     /// (drains its own deque, the injector, then steals), so nested scopes
     /// make progress even on a one-worker pool.
     pub fn run_scoped(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-        if let Err(payload) = self.try_run_scoped(tasks, f) {
-            resume_unwind(payload);
-        }
-    }
-
-    fn try_run_scoped(
-        &self,
-        tasks: usize,
-        f: &(dyn Fn(usize) + Sync),
-    ) -> Result<(), Box<dyn Any + Send>> {
         if tasks == 0 {
-            return Ok(());
+            return;
         }
         // SAFETY: the reference is only lifetime-erased, never retyped.
         // We do not return until `remaining` reaches zero, i.e. until
@@ -442,7 +410,8 @@ impl Pool {
         // Help while waiting; park only when every queue is empty, which
         // means the remaining chunks are already running on other threads.
         // ORDERING: SeqCst pairs with the chunk tasks' decrement; observing
-        // 0 here is what licenses reading the result buffer and returning.
+        // 0 here is what licenses returning to a caller that reads what the
+        // tasks wrote.
         while scope.remaining.load(Ordering::SeqCst) != 0 {
             if self.help_one() {
                 continue;
@@ -453,9 +422,8 @@ impl Pool {
             }
         }
         let payload = scope.panic.lock().unwrap().take();
-        match payload {
-            Some(p) => Err(p),
-            None => Ok(()),
+        if let Some(p) = payload {
+            resume_unwind(p);
         }
     }
 
@@ -497,112 +465,6 @@ impl Pool {
         }
         false
     }
-
-    /// Apply `f` to every index in `0..n` in parallel; returns the results
-    /// in order. Scoped: `f` may borrow from the caller's stack. Each
-    /// chunk task writes its results straight into a disjoint range of the
-    /// output buffer — no lock on the result path.
-    pub fn parallel_map<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        // Chunk so task count ~ 8× threads (grain control).
-        let chunks = (self.threads() * 8).min(n).max(1);
-        let chunk = n.div_ceil(chunks);
-        let mut slots: Vec<MaybeUninit<R>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-        // Per-chunk count of initialized slots, kept current so the panic
-        // path below knows exactly which results exist and must be dropped.
-        let progress: Vec<AtomicUsize> = (0..chunks).map(|_| AtomicUsize::new(0)).collect();
-        let base = RawSlots(slots.as_mut_ptr());
-        let outcome = self.try_run_scoped(chunks, &|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            for i in lo..hi {
-                let v = f(i);
-                // SAFETY: chunk `c` exclusively owns slots `lo..hi`; the
-                // ranges of distinct chunks are disjoint and the buffer
-                // outlives the scope (try_run_scoped joins all tasks).
-                unsafe { (*base.get().add(i)).write(v) };
-                progress[c].store(i - lo + 1, Ordering::Release);
-            }
-        });
-        match outcome {
-            Ok(()) => {
-                let mut slots = ManuallyDrop::new(slots);
-                // SAFETY: the scope completed without panic, so every
-                // chunk ran to `hi` and all `n` slots are initialized;
-                // `MaybeUninit<R>` has the same layout as `R`.
-                unsafe { Vec::from_raw_parts(slots.as_mut_ptr().cast::<R>(), n, n) }
-            }
-            Err(payload) => {
-                // Drop exactly the initialized prefix of each chunk, then
-                // re-raise. All tasks have finished, so `progress` is
-                // final and no slot is concurrently written.
-                for (c, p) in progress.iter().enumerate() {
-                    let lo = c * chunk;
-                    let initialized = p.load(Ordering::Acquire);
-                    for slot in slots.iter_mut().skip(lo).take(initialized) {
-                        // SAFETY: slots `lo..lo+progress[c]` were
-                        // initialized by chunk `c` and are dropped once.
-                        unsafe { slot.assume_init_drop() };
-                    }
-                }
-                resume_unwind(payload)
-            }
-        }
-    }
-
-    /// Process `data` in parallel as disjoint `grain`-sized chunks:
-    /// `f(chunk_index, chunk)` gets exclusive access to
-    /// `data[chunk_index*grain ..]` (at most `grain` elements). Scoped:
-    /// `f` may borrow. Chunk boundaries depend only on `data.len()` and
-    /// `grain`, never on the thread count — callers that seed per-chunk
-    /// RNG substreams get thread-count-independent results.
-    pub fn parallel_chunks<T, F>(&self, data: &mut [T], grain: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(grain > 0, "grain must be positive");
-        let n = data.len();
-        if n == 0 {
-            return;
-        }
-        let tasks = n.div_ceil(grain);
-        let base = RawSlots(data.as_mut_ptr());
-        self.run_scoped(tasks, &|c| {
-            let lo = c * grain;
-            let hi = ((c + 1) * grain).min(n);
-            // SAFETY: chunk `c` exclusively covers `lo..hi`; ranges of
-            // distinct chunks are disjoint, and the borrow of `data`
-            // outlives the scope (run_scoped joins all tasks).
-            let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-            f(c, chunk);
-        });
-    }
-
-    /// Parallel sum of `f(i)` over `0..n` (reduction helper).
-    pub fn parallel_sum<F>(&self, n: usize, f: F) -> f64
-    where
-        F: Fn(usize) -> f64 + Sync,
-    {
-        let threads = self.threads().min(n.max(1));
-        self.parallel_map(threads, |t| {
-            let mut acc = 0.0;
-            let mut i = t;
-            while i < n {
-                acc += f(i);
-                i += threads;
-            }
-            acc
-        })
-        .into_iter()
-        .sum()
-    }
 }
 
 /// The pool is the multi-threaded implementation of the executor seam the
@@ -611,10 +473,6 @@ impl Pool {
 ///
 /// [`Serial`]: xxi_core::par::Serial
 impl xxi_core::par::Parallelism for Pool {
-    fn threads(&self) -> usize {
-        Pool::threads(self)
-    }
-
     fn for_tasks(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
         self.run_scoped(tasks, f);
     }
@@ -739,6 +597,7 @@ fn run(task: Task, shared: &Shared, c: &WorkerCounters) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use xxi_core::par::{map, Parallelism, Serial};
 
     #[test]
     fn runs_all_tasks() {
@@ -755,9 +614,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
+    fn map_preserves_order() {
         let pool = Pool::new(4);
-        let out = pool.parallel_map(1000, |i| i * i);
+        let out = map(&pool, 1000, |i| i * i);
         assert_eq!(out.len(), 1000);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * i);
@@ -765,18 +624,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_empty() {
+    fn map_empty() {
         let pool = Pool::new(2);
-        let out: Vec<u32> = pool.parallel_map(0, |_| 1);
+        let out: Vec<u32> = map(&pool, 0, |_| 1);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn parallel_sum_matches_serial() {
-        let pool = Pool::new(4);
-        let s = pool.parallel_sum(100_000, |i| (i as f64).sqrt());
-        let serial: f64 = (0..100_000).map(|i| (i as f64).sqrt()).sum();
-        assert!((s - serial).abs() / serial < 1e-9);
     }
 
     #[test]
@@ -868,35 +719,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_borrows_from_the_stack() {
+    fn map_borrows_from_the_stack() {
         // The scoped API's point: no 'static bound, captures may borrow.
         let pool = Pool::new(2);
         let data: Vec<u64> = (0..100).collect();
-        let out = pool.parallel_map(100, |i| data[i] * 2);
+        let out = map(&pool, 100, |i| data[i] * 2);
         assert_eq!(out[7], 14);
         assert_eq!(out.len(), 100);
         assert_eq!(data.len(), 100); // still borrowed, still alive
     }
 
     #[test]
-    fn parallel_chunks_writes_disjoint_slices() {
-        let pool = Pool::new(4);
-        let mut data = vec![0u64; 10_000];
-        pool.parallel_chunks(&mut data, 256, |c, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (c * 256 + k) as u64;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u64);
-        }
-    }
-
-    #[test]
-    fn parallel_map_propagates_panics_and_pool_survives() {
+    fn map_propagates_panics_and_pool_survives() {
         let pool = Pool::new(2);
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_map(64, |i| {
+            map(&pool, 64, |i| {
                 if i == 17 {
                     panic!("boom at 17");
                 }
@@ -908,12 +745,12 @@ mod tests {
         assert!(msg.contains("boom"), "wrong payload: {msg:?}");
         // The panic was contained to the scope: workers are alive and the
         // pool still runs work.
-        let out = pool.parallel_map(10, |i| i + 1);
+        let out = map(&pool, 10, |i| i + 1);
         assert_eq!(out[9], 10);
     }
 
     #[test]
-    fn parallel_map_panic_drops_each_result_exactly_once() {
+    fn map_panic_drops_each_result_exactly_once() {
         static CREATED: AtomicU64 = AtomicU64::new(0);
         static DROPPED: AtomicU64 = AtomicU64::new(0);
         struct Counted;
@@ -930,7 +767,7 @@ mod tests {
         }
         let pool = Pool::new(2);
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_map(100, |i| {
+            map(&pool, 100, |i| {
                 if i == 99 {
                     panic!("last index");
                 }
@@ -951,8 +788,8 @@ mod tests {
         // A worker that opens a scope must help run its own chunks; with a
         // single worker there is no one else to do it.
         let pool = Pool::new(1);
-        let out = pool.parallel_map(4, |i| {
-            let inner = pool.parallel_map(4, |j| i * 10 + j);
+        let out = map(&pool, 4, |i| {
+            let inner = map(&pool, 4, |j| i * 10 + j);
             inner.into_iter().sum::<usize>()
         });
         assert_eq!(out, vec![6, 46, 86, 126]);
@@ -1077,8 +914,8 @@ mod tests {
         // A one-worker pool opening a nested scope must help; external
         // waiters may help through the injector as well.
         let pool = Pool::new(1);
-        let out = pool.parallel_map(8, |i| {
-            pool.parallel_map(4, |j| i + j).into_iter().sum::<usize>()
+        let out = map(&pool, 8, |i| {
+            map(&pool, 4, |j| i + j).into_iter().sum::<usize>()
         });
         assert_eq!(out.len(), 8);
         let s = pool.stats();
@@ -1092,8 +929,10 @@ mod tests {
 
     #[test]
     fn speedup_on_compute_bound_work() {
-        // Not a strict benchmark, but 4 threads should beat 1 by ≥1.5× on
-        // an embarrassingly parallel kernel when ≥2 cores exist.
+        // Not a strict benchmark, but 4 workers should beat one thread by
+        // ≥1.5× on an embarrassingly parallel kernel when ≥2 cores exist.
+        // The baseline is `Serial`, not `Pool::new(1)`: a scope's calling
+        // thread helps run its tasks, so a one-worker scope runs on two.
         if std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
@@ -1101,23 +940,27 @@ mod tests {
         {
             return;
         }
-        fn work(n: usize, pool: &Pool) -> std::time::Duration {
+        const GRAIN: usize = 1_000;
+        fn work(n: usize, exec: &dyn Parallelism) -> std::time::Duration {
             let t0 = std::time::Instant::now();
-            pool.parallel_sum(n, |i| {
-                let mut x = i as f64 + 1.0;
-                for _ in 0..2_000 {
-                    x = (x * 1.000001).sqrt() + 0.5;
-                }
-                x
+            let partials = map(exec, n / GRAIN, |c| {
+                (c * GRAIN..(c + 1) * GRAIN)
+                    .map(|i| {
+                        let mut x = i as f64 + 1.0;
+                        for _ in 0..2_000 {
+                            x = (x * 1.000001).sqrt() + 0.5;
+                        }
+                        x
+                    })
+                    .sum::<f64>()
             });
+            std::hint::black_box(partials);
             t0.elapsed()
         }
-        let single = Pool::new(1);
         let multi = Pool::new(4);
-        // Warm up both pools.
-        work(1_000, &single);
-        work(1_000, &multi);
-        let t1 = work(200_000, &single);
+        // Warm up the pool.
+        work(4 * GRAIN, &multi);
+        let t1 = work(200_000, &Serial);
         let t4 = work(200_000, &multi);
         let speedup = t1.as_secs_f64() / t4.as_secs_f64();
         assert!(speedup > 1.5, "speedup={speedup}");

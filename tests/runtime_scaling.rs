@@ -2,9 +2,14 @@
 //! must scale the way xxi-cpu's Hill–Marty model predicts (qualitatively),
 //! closing the loop between the paper's parallelism *models* and actual
 //! parallel *code*.
+//!
+//! The one-thread baseline is `Serial`, not `Pool::new(1)`: a scope's
+//! calling thread helps run its tasks, so a one-worker pool's scope runs
+//! on two threads.
 
 use std::sync::Arc;
 
+use xxi::core::par::{map, Parallelism, Serial};
 use xxi::cpu::hillmarty::speedup_amdahl;
 use xxi::stack::Pool;
 
@@ -22,6 +27,21 @@ fn cpu_bound_kernel(i: usize) -> f64 {
     x
 }
 
+/// Items per task: the work is chunked so a task is worth boxing.
+const GRAIN: usize = 1_000;
+
+/// Sum of `cpu_bound_kernel` over `0..n` (`n` a multiple of `GRAIN`) on
+/// `exec`, one task per chunk.
+fn parallel_kernel_sum(exec: &dyn Parallelism, n: usize) -> f64 {
+    map(exec, n / GRAIN, |c| {
+        (c * GRAIN..(c + 1) * GRAIN)
+            .map(cpu_bound_kernel)
+            .sum::<f64>()
+    })
+    .into_iter()
+    .sum()
+}
+
 #[test]
 fn pool_scaling_is_amdahl_shaped() {
     let hw = std::thread::available_parallelism()
@@ -32,17 +52,15 @@ fn pool_scaling_is_amdahl_shaped() {
         return;
     }
     let n = 120_000usize;
-    let p1 = Pool::new(1);
     let p4 = Pool::new(4);
     // Warmup.
-    p1.parallel_sum(1000, cpu_bound_kernel);
-    p4.parallel_sum(1000, cpu_bound_kernel);
+    parallel_kernel_sum(&p4, 4 * GRAIN);
 
     let t1 = timed(|| {
-        p1.parallel_sum(n, cpu_bound_kernel);
+        parallel_kernel_sum(&Serial, n);
     });
     let t4 = timed(|| {
-        p4.parallel_sum(n, cpu_bound_kernel);
+        parallel_kernel_sum(&p4, n);
     });
     let measured = t1 / t4;
     // Fully parallel workload: Amdahl predicts ~4; accept ≥2 for noisy CI
@@ -73,28 +91,20 @@ fn pool_handles_serial_fraction_like_amdahl() {
     let n = 60_000usize;
     let serial_n = 30_000usize; // f = 2/3 parallel by work count
 
-    let run = |threads: usize| {
-        let pool = Pool::new(threads);
-        pool.parallel_sum(1000, cpu_bound_kernel); // warm
+    let run = |exec: &dyn Parallelism| {
+        parallel_kernel_sum(exec, 4 * GRAIN); // warm
         timed(|| {
             // Serial section (single task).
-            let acc = Arc::new(std::sync::Mutex::new(0.0f64));
-            let acc2 = Arc::clone(&acc);
-            pool.spawn(move || {
-                let mut s = 0.0;
-                for i in 0..serial_n {
-                    s += cpu_bound_kernel(i);
-                }
-                *acc2.lock().unwrap() += s;
+            exec.for_tasks(1, &|_| {
+                std::hint::black_box((0..serial_n).map(cpu_bound_kernel).sum::<f64>());
             });
-            pool.wait();
             // Parallel section.
-            pool.parallel_sum(n, cpu_bound_kernel);
+            parallel_kernel_sum(exec, n);
         })
     };
 
-    let t1 = run(1);
-    let t4 = run(4);
+    let t1 = run(&Serial);
+    let t4 = run(&Pool::new(4));
     let measured = t1 / t4;
     let f = n as f64 / (n + serial_n) as f64;
     let predicted = speedup_amdahl(f, 4.0);
