@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! --seed <u64>          reseed every RNG stream (default: canonical seeds)
-//! --threads <N>         worker threads, N >= 1 (output is byte-identical)
+//! --threads <N>         worker threads, 1 <= N <= 1024 (output is byte-identical)
 //! --trace <path>        Chrome trace_event JSON (e10/e17/e18/e21 only)
 //! --format <text|json>  report format (default: text)
 //! --out <path>          write the report(s) to a file instead of stdout
@@ -86,10 +86,14 @@ impl Flags {
 pub const FLAG_USAGE: &str = "\
 flags:
   --seed <u64>          reseed every RNG stream (default: the canonical seeds)
-  --threads <N>         worker threads, N >= 1; output is byte-identical
+  --threads <N>         worker threads, 1 <= N <= 1024; output is byte-identical
   --trace <path>        write a Chrome trace_event JSON file (e10/e17/e18)
   --format <text|json>  report format (default: text)
   --out <path>          write the report(s) to <path> instead of stdout";
+
+/// The most worker threads `--threads` accepts. A fixed cap, so no
+/// argument can make `Pool::new` allocate without bound.
+const MAX_THREADS: usize = 1024;
 
 /// Parse `args` (without the program name). Every `--flag value` also
 /// accepts `--flag=value`. Returns an error message for unknown flags,
@@ -121,10 +125,10 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--threads" => {
                 let v = value(&mut it)?;
                 f.threads = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
+                    Ok(n) if (1..=MAX_THREADS).contains(&n) => n,
                     _ => {
                         return Err(format!(
-                            "invalid value for --threads: {v} (need an integer >= 1)"
+                            "invalid value for --threads: {v} (need an integer from 1 to {MAX_THREADS})"
                         ))
                     }
                 };
@@ -399,6 +403,12 @@ mod tests {
     fn rejects_bad_values() {
         assert!(parse_flags(&args(&["--threads", "0"])).is_err());
         assert!(parse_flags(&args(&["--threads", "x"])).is_err());
+        assert!(parse_flags(&args(&["--threads", "1025"])).is_err());
+        assert!(parse_flags(&args(&["--threads", "18446744073709551615"])).is_err());
+        assert_eq!(
+            parse_flags(&args(&["--threads", "1024"])).unwrap().threads,
+            1024
+        );
         assert!(parse_flags(&args(&["--seed"])).is_err());
         assert!(parse_flags(&args(&["--format", "xml"])).is_err());
     }

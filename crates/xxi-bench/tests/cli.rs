@@ -65,6 +65,15 @@ fn unknown_subcommand_prints_usage_and_exits_2() {
 }
 
 #[test]
+fn threads_above_the_cap_exit_2_without_panicking() {
+    let out = xxi(&["run", "e1", "--threads", "18446744073709551615"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("invalid value for --threads"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn bench_only_flags_are_rejected_outside_bench() {
     let out = xxi(&["run", "e1", "--iters", "3"]);
     assert_eq!(out.status.code(), Some(2));

@@ -27,8 +27,8 @@
 //!    atomic orderings (`// ORDERING:`), audited unsafe code
 //!    (`// SAFETY:`), synchronization routed through the `xxi-stack`
 //!    `sync` facade, and ordered iteration on report paths. Findings are
-//!    suppressible per line (`// xxi-allow: <rule>`), baseline-aware, and
-//!    deterministic in both text and JSON form.
+//!    suppressible per line (`// xxi-allow: <rule>`) and deterministic
+//!    in both text and JSON form.
 //!
 //! ```
 //! use xxi_check::sync::atomic::{AtomicU64, Ordering};

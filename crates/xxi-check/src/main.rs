@@ -3,8 +3,7 @@
 //! ```text
 //! xxi-check lint [--json] [--rule <id>] [--ledger <path>] [--list]
 //! xxi-check src  [--root <dir>] [--rule <id>] [--format text|json]
-//!                [--out <path>] [--deny warnings] [--no-baseline]
-//!                [--baseline <path>] [--list]
+//!                [--out <path>] [--deny warnings] [--list]
 //! ```
 //!
 //! `lint` runs the cross-layer model linter over the shipped model
@@ -30,7 +29,7 @@ commands:
          [--json] [--rule <id>] [--ledger <path>] [--list]
   src    run the workspace source linter
          [--root <dir>] [--rule <id>] [--format text|json] [--out <path>]
-         [--deny warnings] [--baseline <path>] [--no-baseline] [--list]
+         [--deny warnings] [--list]
 
 exit codes: 0 clean, 1 findings, 2 usage error";
 
@@ -112,8 +111,6 @@ fn src(args: &[String]) -> ExitCode {
     let mut format = "text".to_string();
     let mut out: Option<PathBuf> = None;
     let mut deny_warnings = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut no_baseline = false;
     let mut list = false;
 
     let mut it = args.iter();
@@ -153,11 +150,6 @@ fn src(args: &[String]) -> ExitCode {
                 Ok(v) => return usage_error(&format!("--deny only accepts warnings, got {v:?}")),
                 Err(e) => return e,
             },
-            "--baseline" => match value("--baseline") {
-                Ok(v) => baseline = Some(PathBuf::from(v)),
-                Err(e) => return e,
-            },
-            "--no-baseline" => no_baseline = true,
             "--list" => list = true,
             other => return usage_error(&format!("unknown flag {other:?}")),
         }
@@ -175,18 +167,10 @@ fn src(args: &[String]) -> ExitCode {
         }
     }
 
-    let root = root.unwrap_or_else(find_workspace_root);
-    let baseline = if no_baseline {
-        None
-    } else {
-        Some(baseline.unwrap_or_else(|| root.join("crates/xxi-check/srclint.baseline")))
-    };
-
     let report = match srclint::run(&srclint::SrcOptions {
-        root,
+        root: root.unwrap_or_else(find_workspace_root),
         rule,
         deny_warnings,
-        baseline,
     }) {
         Ok(r) => r,
         Err(e) => {

@@ -21,10 +21,9 @@
 //!
 //! Findings are suppressible in source (`// xxi-allow: <rule> -- reason`,
 //! or `// xxi-allow-file: <rule>` for a whole file); suppressions that no
-//! longer suppress anything are themselves diagnostics. A committed
-//! baseline file can grandfather known findings — this repo's baseline is
-//! empty and CI asserts it stays that way. Output is deterministic
-//! (sorted by path, line, rule) in text or `schema_version`'d JSON.
+//! longer suppress anything are themselves diagnostics. Output is
+//! deterministic (sorted by path, line, rule) in text or
+//! `schema_version`'d JSON.
 
 pub mod lexer;
 pub mod rules;
@@ -38,7 +37,7 @@ use scan::ScannedFile;
 use xxi_core::report::json;
 
 /// JSON schema version for `SrcReport::to_json`.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// One source-lint finding, located by file and line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,17 +72,12 @@ pub struct SrcOptions {
     pub rule: Option<String>,
     /// Treat warnings as errors.
     pub deny_warnings: bool,
-    /// Baseline file of grandfathered findings (one rendered diagnostic
-    /// per line); `None` disables baseline handling entirely.
-    pub baseline: Option<PathBuf>,
 }
 
 /// The outcome of a run: filtered findings plus counts.
 pub struct SrcReport {
     pub diags: Vec<SrcDiagnostic>,
     pub files_scanned: usize,
-    /// Findings absorbed by the baseline.
-    pub baselined: usize,
     pub deny_warnings: bool,
 }
 
@@ -117,7 +111,6 @@ impl SrcReport {
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str(&format!("  \"errors\": {},\n", self.errors()));
         s.push_str(&format!("  \"warnings\": {},\n", self.warnings()));
-        s.push_str(&format!("  \"baselined\": {},\n", self.baselined));
         s.push_str("  \"diagnostics\": [");
         for (i, d) in self.diags.iter().enumerate() {
             if i > 0 {
@@ -151,11 +144,7 @@ impl fmt::Display for SrcReport {
             self.files_scanned,
             self.errors(),
             self.warnings()
-        )?;
-        if self.baselined > 0 {
-            write!(f, ", {} baselined", self.baselined)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -251,45 +240,6 @@ pub fn run(opts: &SrcOptions) -> Result<SrcReport, String> {
         diags.extend(lint_source(&rel_str, &src, opts.rule.as_deref()));
     }
 
-    // Baseline: drop grandfathered findings, and flag baseline entries
-    // that no longer match anything (stale grandfathering masks nothing
-    // but rots).
-    let mut baselined = 0usize;
-    if let Some(path) = &opts.baseline {
-        if path.exists() {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading baseline {}: {e}", path.display()))?;
-            let entries: Vec<&str> = text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .collect();
-            let mut matched = vec![false; entries.len()];
-            diags.retain(|d| {
-                let rendered = d.to_string();
-                match entries.iter().position(|e| *e == rendered) {
-                    Some(i) => {
-                        matched[i] = true;
-                        baselined += 1;
-                        false
-                    }
-                    None => true,
-                }
-            });
-            for (i, e) in entries.iter().enumerate() {
-                if !matched[i] {
-                    diags.push(SrcDiagnostic {
-                        rule: "stale-baseline".to_string(),
-                        severity: Severity::Error,
-                        path: path.to_string_lossy().replace('\\', "/"),
-                        line: i + 1,
-                        message: format!("baseline entry no longer matches any finding: {e}"),
-                    });
-                }
-            }
-        }
-    }
-
     diags.sort_by(|a, b| {
         (&a.path, a.line, &a.rule, &a.message).cmp(&(&b.path, b.line, &b.rule, &b.message))
     });
@@ -297,7 +247,6 @@ pub fn run(opts: &SrcOptions) -> Result<SrcReport, String> {
     Ok(SrcReport {
         diags,
         files_scanned: files.len(),
-        baselined,
         deny_warnings: opts.deny_warnings,
     })
 }
@@ -365,11 +314,10 @@ mod tests {
         let mk = || SrcReport {
             diags: lint_source("lib.rs", src, None),
             files_scanned: 1,
-            baselined: 0,
             deny_warnings: true,
         };
         let (a, b) = (mk().to_json(), mk().to_json());
         assert_eq!(a, b);
-        assert!(a.contains("\"schema_version\": 1"));
+        assert!(a.contains("\"schema_version\": 2"));
     }
 }

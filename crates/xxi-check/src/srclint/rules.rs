@@ -1,14 +1,14 @@
 //! The source-lint rules, R1–R6.
 //!
 //! Each rule is a function over a [`ScannedFile`] pushing raw findings
-//! (before suppression/baseline filtering, which the engine in `mod.rs`
-//! owns). Detection is token-stream based — see the module docs on each
-//! rule for exactly what is matched and what the sanctioned escapes are.
+//! (before suppression filtering, which the engine in `mod.rs` owns).
+//! Detection is token-stream based — see the module docs on each rule for
+//! exactly what is matched and what the sanctioned escapes are.
 
 use super::scan::ScannedFile;
 use crate::lint::Severity;
 
-/// A raw finding, before suppressions and the baseline are applied.
+/// A raw finding, before suppressions are applied.
 pub struct Finding {
     pub rule: &'static str,
     pub severity: Severity,

@@ -73,12 +73,13 @@ impl<T> JoinHandle<T> {
                 // the OS thread, whose remaining work is a few statements.
                 sched::thread_join(vtid);
                 let _ = handle.join();
-                let v = slot
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take()
-                    .expect("joined virtual thread stored its result"); // xxi-allow: panic-path -- see the expect message
-                Ok(v)
+                // The slot is empty when the execution was aborted: the
+                // join then runs unmanaged (often from a destructor during
+                // the unwind) and the thread was torn down mid-body.
+                let v = slot.lock().unwrap_or_else(|p| p.into_inner()).take();
+                v.ok_or_else(|| {
+                    Box::new("joined virtual thread was aborted") as Box<dyn std::any::Any + Send>
+                })
             }
         }
     }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `xxi-check` binary: the exit-code contract
 //! (0 clean, 1 findings, 2 usage), `src` output formats and determinism,
-//! the baseline workflow, and the acceptance run — the whole workspace is
-//! clean under `--deny warnings` with the committed (empty) baseline.
+//! and the acceptance run — the whole workspace is clean under
+//! `--deny warnings`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -59,6 +59,11 @@ fn unknown_command_and_flags_exit_2_with_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("unknown flag"));
 
+    // There is no baseline to grandfather findings into.
+    let out = xxi_check(&["src", "--baseline", "srclint.baseline"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr_of(&out).contains("unknown flag \"--baseline\""));
+
     let out = xxi_check(&["lint", "--bogus"]);
     assert_eq!(out.status.code(), Some(2));
 
@@ -97,18 +102,13 @@ fn help_and_list_exit_0() {
 }
 
 /// The acceptance criterion: the whole workspace is clean under
-/// `--deny warnings` with the committed baseline — which is empty, so
-/// nothing is grandfathered.
+/// `--deny warnings`.
 #[test]
 fn workspace_is_clean_under_deny_warnings() {
     let out = xxi_check(&["src", "--deny", "warnings"]);
     let text = stdout_of(&out);
     assert_eq!(out.status.code(), Some(0), "findings:\n{text}");
     assert!(text.contains("0 error(s), 0 warning(s)"), "{text}");
-    assert!(
-        !text.contains("baselined"),
-        "baseline must stay empty: {text}"
-    );
 }
 
 #[test]
@@ -125,32 +125,14 @@ fn json_output_is_byte_deterministic() {
     assert_eq!(ja, jb, "two runs must serialize identically");
 
     let text = String::from_utf8(ja).expect("utf-8 json");
-    assert!(text.contains("\"schema_version\": 1"), "{text}");
+    assert!(text.contains("\"schema_version\": 2"), "{text}");
+    assert!(!text.contains("baselined"), "{text}");
     assert!(text.contains("\"errors\": 0"), "{text}");
     assert!(text.contains("\"diagnostics\": []"), "{text}");
 }
 
 #[test]
-fn stale_baseline_entry_is_an_error() {
-    let baseline = TempFile::new("stale-baseline");
-    std::fs::write(
-        baseline.0.as_path(),
-        "# comment lines are ignored\nerror[determinism] crates/nowhere.rs:1: gone\n",
-    )
-    .expect("baseline written");
-    let out = xxi_check(&["src", "--baseline", baseline.path()]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "stale entries must fail the run"
-    );
-    let text = stdout_of(&out);
-    assert!(text.contains("stale-baseline"), "{text}");
-    assert!(text.contains("no longer matches any finding"), "{text}");
-}
-
-#[test]
 fn single_rule_run_is_clean() {
-    let out = xxi_check(&["src", "--rule", "unsafe-audit", "--no-baseline"]);
+    let out = xxi_check(&["src", "--rule", "unsafe-audit"]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout_of(&out));
 }

@@ -196,6 +196,39 @@ fn opposite_lock_order_deadlocks() {
     assert!(failure.message.contains("deadlock"), "{failure}");
 }
 
+/// A deadlock found while the body owns a guard whose `Drop` joins a
+/// blocked thread (as a thread pool joins its workers) must be reported,
+/// not abort the process: the join runs during the teardown unwind, when
+/// the joined thread never stored a result.
+#[test]
+fn deadlock_with_a_joining_destructor_is_reported() {
+    struct JoinOnDrop(Option<thread::JoinHandle<()>>);
+    impl Drop for JoinOnDrop {
+        fn drop(&mut self) {
+            if let Some(h) = self.0.take() {
+                let _ = h.join();
+            }
+        }
+    }
+    fn wait_open(gate: &(Mutex<bool>, Condvar)) {
+        let (m, cv) = gate;
+        let mut open = m.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+    }
+    let report = Checker::new().name("deadlock-join-on-drop").run(|| {
+        // Nobody ever opens the gate, so both threads block forever.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g2 = Arc::clone(&gate);
+        let _joiner = JoinOnDrop(Some(thread::spawn(move || wait_open(&g2))));
+        wait_open(&gate);
+    });
+    let failure = report.failure.expect("deadlock must be detected");
+    assert_eq!(failure.kind, FailureKind::Deadlock, "{failure}");
+    assert!(failure.message.contains("deadlock"), "{failure}");
+}
+
 /// Mutex + condvar handoff explored exhaustively: the waiter always
 /// observes the flag, whichever side runs first.
 #[test]

@@ -23,9 +23,10 @@
 //!
 //! [`map`] is the one index-ordered parallel map, underneath
 //! [`mc_chunks`] and every sweep that runs one independent job per grid
-//! point (a fault rate, a queue, a policy pair). On a `Pool` it boxes one
-//! task per index, so callers with fine-grain work chunk it first and map
-//! over the chunks, as [`mc_chunks`] does.
+//! point (a fault rate, a queue, a policy pair). On a `Pool` each worker
+//! claims indices one at a time from a shared counter, and each result
+//! takes a lock on its slot, so callers with fine-grain work chunk it
+//! first and map over the chunks, as [`mc_chunks`] does.
 
 use std::ops::Range;
 use std::sync::Mutex;

@@ -12,9 +12,11 @@
 //!   atomic slot storage so stolen values are transferred race-free):
 //!   owner pushes/pops LIFO at the bottom, thieves steal FIFO from the
 //!   top.
-//! * [`pool`] — a work-stealing thread pool over those deques; it runs
-//!   `xxi_core::par::map` through the `Parallelism` seam, and the
-//!   `stack/pool-sum` bench kernel measures its scaling.
+//! * [`pool`] — a work-stealing thread pool over those deques. Its one
+//!   entry point, `run_scoped`, pushes one claimer per worker that takes
+//!   indices from a shared counter; it runs `xxi_core::par::map` through
+//!   the `Parallelism` seam, and the `stack/pool-sum` bench kernel
+//!   measures its scaling.
 //! * [`governor`] — an energy-aware DVFS governor: picks the
 //!   lowest-energy operating point (from `xxi-tech`'s ladder) that meets a
 //!   latency/QoS target under a time-varying load.

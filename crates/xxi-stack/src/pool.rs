@@ -1,10 +1,16 @@
 //! A work-stealing thread pool over [`crate::deque`].
 //!
-//! Each worker owns a deque; spawned tasks go to the submitting worker's
-//! deque when possible, otherwise to a global injector. Idle workers drain
-//! their own deque LIFO, then the injector, then steal from victims in a
-//! rotating order. This is the "orchestrate fine-grain multitasking"
-//! runtime of §2.2 in ~250 lines; experiment E18 measures its scaling.
+//! The pool runs one kind of work: a scoped index range, `f(i)` for every
+//! `i in 0..tasks` ([`Pool::run_scoped`], which `xxi_core::par::map`
+//! reaches through the `Parallelism` seam). Each call is one job. It
+//! pushes one claimer task per worker (fewer for short ranges), and each
+//! claimer takes indices from the job's atomic counter until the range is
+//! used up, so one long index cannot strand the rest behind it. Claimers
+//! go to the calling worker's own deque when the caller is a worker, and
+//! to a global injector otherwise. Idle workers drain their own deque
+//! LIFO, then the injector, then steal from victims in a rotating order.
+//! This is the "orchestrate fine-grain multitasking" runtime of §2.2; the
+//! `stack/pool-sum` bench kernel measures its scaling.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -17,11 +23,16 @@ use crate::deque::{deque, Stealer, Worker};
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{thread, Arc, Condvar, Mutex};
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A claimer of one `run_scoped` job; see [`Job::claim`].
+type Task = Arc<Job>;
+
+/// Slots in each worker's deque. A scope pushes at most `threads`
+/// claimers, so overflow to the injector needs deep nesting on a wide pool.
+const DEQUE_CAPACITY: usize = 1 << 13;
 
 std::thread_local! {
     /// The worker this OS thread runs, if any: the identity of its pool's
-    /// `Shared` (for matching spawns to the right pool), the worker's id
+    /// `Shared` (for matching scopes to the right pool), the worker's id
     /// (its index into `Shared::stealers` and `Shared::counters`), and a
     /// pointer to the `Worker` deque owned by the `worker_loop` frame on
     /// this thread. Registered for the lifetime of `worker_loop`; see
@@ -66,8 +77,7 @@ fn local_worker(shared: &Arc<Shared>) -> Option<(usize, &Worker<Task>)> {
 
 /// Per-worker scheduling counters, updated lock-free with relaxed adds by
 /// the owning thread only (each worker has its own cache-line-aligned
-/// slot, plus one shared slot for external helper threads — see
-/// `Shared::counters`). `Pool::stats()` sums the slots into a
+/// slot in `Shared::counters`). `Pool::stats()` sums the slots into a
 /// [`PoolStats`] snapshot.
 #[repr(align(64))]
 struct WorkerCounters {
@@ -104,17 +114,20 @@ impl WorkerCounters {
 /// A consistent snapshot of the pool's scheduling behaviour, taken by
 /// [`Pool::stats`]. All counters are cumulative since `Pool::new`.
 ///
-/// Task-source accounting is exact: every executed task was obtained by
-/// exactly one of a local pop, a steal, or a direct injector pop, so
-/// `executed == local_pops + steals + injector_pops` whenever the pool is
-/// quiescent (e.g. after [`Pool::wait`]). Tasks batch-moved from the
-/// injector into a worker's own deque count as local pops when they later
-/// run; the injector's push side is visible via `injector_pushes`.
+/// The pool's tasks are claimers: a `run_scoped` call over `tasks`
+/// indices pushes `min(tasks, threads)` of them. Task-source accounting is
+/// exact: every executed claimer was obtained by exactly one of a local
+/// pop, a steal, or a direct injector pop, so `executed == local_pops +
+/// steals + injector_pops` whenever the pool is quiescent (e.g. once
+/// `run_scoped` has returned). Claimers batch-moved from the injector
+/// into a worker's own deque count as local pops when they later run; the
+/// injector's push side is visible via `injector_pushes`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker threads in the pool.
     pub threads: usize,
-    /// Tasks that finished executing.
+    /// Claimer tasks that finished: at most `threads` per `run_scoped`
+    /// call, however many indices the call covers.
     pub executed: u64,
     /// Tasks a thread popped from its own deque (LIFO fast path).
     pub local_pops: u64,
@@ -122,8 +135,9 @@ pub struct PoolStats {
     pub steals: u64,
     /// Steal probes that found the victim's deque empty or lost the race.
     pub failed_steals: u64,
-    /// Tasks pushed to the global injector (cross-thread submissions and
-    /// local-deque overflows); worker-side spawns should stay local.
+    /// Tasks pushed to the global injector (scopes opened outside the
+    /// pool, and local-deque overflows); claimers a worker pushes should
+    /// stay local.
     pub injector_pushes: u64,
     /// Tasks executed straight off the global injector.
     pub injector_pops: u64,
@@ -133,8 +147,9 @@ pub struct PoolStats {
     /// *idle* pool does not wake at all, so this stays flat while no work
     /// is submitted (the old 1 ms poll accumulated ~1000/s per worker).
     pub wakeups: u64,
-    /// Tasks run by a thread while it waited inside a scope
-    /// (`run_scoped`'s helping-wait), rather than by the worker loop.
+    /// Tasks a worker ran while it waited inside a nested `run_scoped`,
+    /// rather than from the worker loop. Threads outside the pool never
+    /// run pool work, so only nested scopes add to this.
     pub scope_helps: u64,
 }
 
@@ -177,14 +192,12 @@ impl PoolStats {
 struct Shared {
     injector: Mutex<VecDeque<Task>>,
     stealers: Vec<Stealer<Task>>,
-    pending: AtomicUsize,
     shutdown: AtomicBool,
-    /// Tasks that took the global-injector path (cross-thread submission
-    /// or local-deque overflow). Diagnostic: worker-side spawns should
-    /// stay local, and the contention regression test asserts they do.
+    /// Tasks that took the global-injector path (scopes opened outside
+    /// the pool, or local-deque overflow). Diagnostic: claimers a worker
+    /// pushes should stay local, and a regression test asserts they do.
     injected: AtomicUsize,
-    /// Per-worker scheduling counters; slot `i` belongs to worker `i`,
-    /// the extra last slot to external threads helping from `run_scoped`.
+    /// Per-worker scheduling counters; slot `i` belongs to worker `i`.
     counters: Vec<WorkerCounters>,
     /// Wakeup epoch of the event-counted parking protocol: bumped after
     /// every task is made visible (and on shutdown). A worker records the
@@ -198,8 +211,6 @@ struct Shared {
     sleepers: AtomicUsize,
     idle: Mutex<()>,
     idle_cv: Condvar,
-    done: Mutex<()>,
-    done_cv: Condvar,
 }
 
 impl Shared {
@@ -232,15 +243,56 @@ impl Shared {
     }
 }
 
-/// Completion state of one `run_scoped` call: how many chunk tasks are
-/// still outstanding, the first panic payload (if any), and the condvar an
-/// external waiter parks on. Chunk tasks hold it via `Arc` so it outlives
-/// the scope even if a task is still unwinding when the counter drops.
-struct ScopeState {
-    remaining: AtomicUsize,
+/// One `run_scoped` call: the lifetime-erased body and its index range,
+/// the claim counter, the claimers still running, the first panic, and
+/// the flag and condvar the caller parks on. Claimers hold it via `Arc`,
+/// so it outlives the scope while a claimer that found no index left is
+/// still returning.
+struct Job {
+    f: &'static (dyn Fn(usize) + Sync),
+    tasks: usize,
+    /// The next unclaimed index; it passes `tasks` once all are claimed.
+    next: AtomicUsize,
+    /// Claimers pushed that have not yet left their claim loop.
+    live: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     done: Mutex<bool>,
     done_cv: Condvar,
+}
+
+impl Job {
+    /// The claimer task: run `f` on claimed indices until none are left,
+    /// keep the first panic, count itself in `c.executed`, and wake the
+    /// caller if it is the last claimer out.
+    fn claim(&self, c: &WorkerCounters) {
+        loop {
+            // ORDERING: Relaxed — the counter only hands each index to
+            // one claimer; `f`'s effects are published by `live` below.
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.tasks {
+                break;
+            }
+            // Catch so a panicking index still lets the claimer exit (the
+            // scope would otherwise wait forever) and the payload reaches
+            // the scoped caller instead of killing a worker.
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| (self.f)(i))) {
+                let mut slot = self.panic.lock().unwrap();
+                if slot.is_none() {
+                    *slot = Some(p);
+                }
+            }
+        }
+        // Counted before the exit signal, so stats read after the scope
+        // returns are exact.
+        WorkerCounters::bump(&c.executed);
+        // ORDERING: SeqCst orders the decrement after every index this
+        // claimer ran and its panic-slot write, and against the waiter's
+        // load — reaching 0 must imply every claimer's effects are visible.
+        if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+            *self.done.lock().unwrap() = true;
+            self.done_cv.notify_all();
+        }
+    }
 }
 
 /// The work-stealing pool.
@@ -250,30 +302,33 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawn a pool with `threads ≥ 1` workers.
+    /// Spawn a pool with `threads ≥ 1` workers. Scoped work runs on
+    /// exactly these threads: a caller outside the pool only waits.
     pub fn new(threads: usize) -> Pool {
+        Pool::with_deque_capacity(threads, DEQUE_CAPACITY)
+    }
+
+    /// [`Pool::new`] with `capacity` slots per worker deque (a power of
+    /// two ≥ 2); small capacities let tests reach the overflow path.
+    fn with_deque_capacity(threads: usize, capacity: usize) -> Pool {
         assert!(threads >= 1);
         let mut workers: Vec<Worker<Task>> = Vec::with_capacity(threads);
         let mut stealers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (w, s) = deque::<Task>(1 << 13);
+            let (w, s) = deque::<Task>(capacity);
             workers.push(w);
             stealers.push(s);
         }
         let shared = Arc::new(Shared {
             injector: Mutex::new(VecDeque::new()),
             stealers,
-            pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             injected: AtomicUsize::new(0),
-            // One slot per worker plus the shared external-helper slot.
-            counters: (0..=threads).map(|_| WorkerCounters::new()).collect(),
+            counters: (0..threads).map(|_| WorkerCounters::new()).collect(),
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
             idle: Mutex::new(()),
             idle_cv: Condvar::new(),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
         });
         let handles = workers
             .into_iter()
@@ -294,19 +349,10 @@ impl Pool {
         self.shared.stealers.len()
     }
 
-    /// Submit a task.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        self.inject(Box::new(f));
-    }
-
-    /// Submission path shared by [`Pool::spawn`] and [`Pool::run_scoped`]:
-    /// local-first (the submitting worker's own deque, no lock), with the
-    /// global injector as the cross-thread / overflow route.
+    /// Make a claimer runnable: local-first (the submitting worker's own
+    /// deque, no lock), with the global injector as the cross-thread /
+    /// overflow route.
     fn inject(&self, task: Task) {
-        // ORDERING: pending must rise before the task becomes runnable —
-        // SeqCst orders it against `run`'s decrement and `wait`'s check so
-        // the pool can never look quiescent with a task in flight.
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
         let task = match local_worker(&self.shared) {
             Some((_, w)) => match w.push(task) {
                 Ok(()) => {
@@ -327,8 +373,8 @@ impl Pool {
     ///
     /// Lock-free: sums each worker's relaxed per-slot counters. A snapshot
     /// taken while tasks are in flight is a consistent *lower bound* per
-    /// counter; taken while the pool is quiescent (after [`Pool::wait`] or
-    /// a scoped call) it is exact.
+    /// counter; taken while the pool is quiescent (after a scoped call) it
+    /// is exact.
     pub fn stats(&self) -> PoolStats {
         let mut s = PoolStats {
             threads: self.threads(),
@@ -348,122 +394,74 @@ impl Pool {
         s
     }
 
-    /// Block until every spawned task has completed.
-    pub fn wait(&self) {
-        let mut guard = self.shared.done.lock().unwrap();
-        // ORDERING: SeqCst pairs with inject's increment / run's decrement;
-        // the check runs under the done lock, so the final decrementer's
-        // notify cannot slip between our load and our wait.
-        while self.shared.pending.load(Ordering::SeqCst) != 0 {
-            guard = self.shared.done_cv.wait(guard).unwrap();
-        }
-    }
-
-    /// Run `f(i)` for every `i in 0..tasks` on the pool and block until
-    /// all invocations complete. Scoped: `f` may borrow from the caller's
-    /// stack — no `'static` bound. A panic in any invocation is re-raised
-    /// here (first one wins) after every task has finished.
+    /// Run `f(i)` for every `i in 0..tasks` on the pool's workers and
+    /// block until all invocations complete. Scoped: `f` may borrow from
+    /// the caller's stack — no `'static` bound. A panic in any invocation
+    /// is re-raised here (first one wins) after every claimer has exited.
     ///
-    /// Safe to call from inside a pool task: the waiting thread *helps*
-    /// (drains its own deque, the injector, then steals), so nested scopes
-    /// make progress even on a one-worker pool.
+    /// Safe to call from inside a pool task: a waiting worker keeps
+    /// running tasks from its own deque, then the injector, so nested
+    /// scopes make progress even on a one-worker pool. A caller outside
+    /// the pool parks until the job is done and runs no pool work.
     pub fn run_scoped(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
         if tasks == 0 {
             return;
         }
         // SAFETY: the reference is only lifetime-erased, never retyped.
-        // We do not return until `remaining` reaches zero, i.e. until
-        // every task wrapper (each of which holds the erased reference)
-        // has finished running — so the erased `'static` never actually
-        // outlives the caller's borrow.
+        // We do not return until `done` is set, which the last claimer
+        // does once `live` reaches zero, i.e. once every claimer has left
+        // its claim loop; a claimer calls `f` only inside that loop — so
+        // the erased `'static` is never used past the caller's borrow.
         let f: &'static (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
         };
-        let scope = Arc::new(ScopeState {
-            remaining: AtomicUsize::new(tasks),
+        let claimers = tasks.min(self.threads());
+        let job = Arc::new(Job {
+            f,
+            tasks,
+            next: AtomicUsize::new(0),
+            live: AtomicUsize::new(claimers),
             panic: Mutex::new(None),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
-        for i in 0..tasks {
-            let scope = Arc::clone(&scope);
-            self.inject(Box::new(move || {
-                // Catch so a panicking chunk still counts down (the scope
-                // would otherwise wait forever) and the payload reaches
-                // the scoped caller instead of killing a worker.
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    let mut slot = scope.panic.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(p);
-                    }
-                }
-                // ORDERING: SeqCst orders the decrement after the task body
-                // and the panic-slot write, and against the waiter's load —
-                // reaching 0 must imply every chunk's effects are visible.
-                if scope.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    let mut done = scope.done.lock().unwrap();
-                    *done = true;
-                    scope.done_cv.notify_all();
-                }
-            }));
+        for _ in 0..claimers {
+            self.inject(Arc::clone(&job));
         }
-        // Help while waiting; park only when every queue is empty, which
-        // means the remaining chunks are already running on other threads.
-        // ORDERING: SeqCst pairs with the chunk tasks' decrement; observing
-        // 0 here is what licenses returning to a caller that reads what the
-        // tasks wrote.
-        while scope.remaining.load(Ordering::SeqCst) != 0 {
-            if self.help_one() {
-                continue;
-            }
-            let done = scope.done.lock().unwrap();
-            if !*done {
-                drop(scope.done_cv.wait(done).unwrap());
-            }
+        if let Some((id, w)) = local_worker(&self.shared) {
+            // Help while waiting. Once the own deque and the injector are
+            // empty, every claimer of this job is held by another worker
+            // that will run it, so parking below cannot strand one.
+            // ORDERING: SeqCst pairs with the claimers' decrement;
+            // observing 0 means there is nothing left to help with.
+            while job.live.load(Ordering::SeqCst) != 0 && self.help_one(id, w) {}
         }
-        let payload = scope.panic.lock().unwrap().take();
+        let mut done = job.done.lock().unwrap();
+        while !*done {
+            done = job.done_cv.wait(done).unwrap();
+        }
+        drop(done);
+        let payload = job.panic.lock().unwrap().take();
         if let Some(p) = payload {
             resume_unwind(p);
         }
     }
 
-    /// Run one queued task on the calling thread, if any is available:
-    /// the caller's own deque (when it is a worker), then the injector,
-    /// then a steal. Returns whether a task was run.
-    fn help_one(&self) -> bool {
-        let shared = &self.shared;
-        let local = local_worker(shared);
-        // Helping runs are charged to the calling worker's slot, or to the
-        // shared external slot for non-worker threads waiting on a scope.
-        let c = match local {
-            Some((id, _)) => &shared.counters[id],
-            None => shared.counters.last().expect("external counter slot"), // xxi-allow: panic-path -- see the expect message
+    /// Run one queued task on worker `id`, which waits inside a scope: its
+    /// own deque first, then the injector. Returns whether a task was run.
+    fn help_one(&self, id: usize, w: &Worker<Task>) -> bool {
+        let c = &self.shared.counters[id];
+        let (task, source) = match w.pop() {
+            Some(t) => (t, &c.local_pops),
+            None => match self.shared.injector.lock().unwrap().pop_front() {
+                Some(t) => (t, &c.injector_pops),
+                None => return false,
+            },
         };
-        if let Some((_, w)) = local {
-            if let Some(t) = w.pop() {
-                WorkerCounters::bump(&c.local_pops);
-                WorkerCounters::bump(&c.scope_helps);
-                run(t, shared, c);
-                return true;
-            }
-        }
-        let t = shared.injector.lock().unwrap().pop_front();
-        if let Some(t) = t {
-            WorkerCounters::bump(&c.injector_pops);
-            WorkerCounters::bump(&c.scope_helps);
-            run(t, shared, c);
-            return true;
-        }
-        for s in &shared.stealers {
-            if let Some(t) = s.steal() {
-                WorkerCounters::bump(&c.steals);
-                WorkerCounters::bump(&c.scope_helps);
-                run(t, shared, c);
-                return true;
-            }
-            WorkerCounters::bump(&c.failed_steals);
-        }
-        false
+        WorkerCounters::bump(source);
+        WorkerCounters::bump(&c.scope_helps);
+        task.claim(c);
+        true
     }
 }
 
@@ -498,7 +496,7 @@ fn worker_loop(id: usize, worker: Worker<Task>, shared: Arc<Shared>) {
         // 1. Own deque (LIFO).
         if let Some(task) = worker.pop() {
             WorkerCounters::bump(&c.local_pops);
-            run(task, &shared, c);
+            task.claim(c);
             continue;
         }
         // 2. Global injector: take a batch into the local deque.
@@ -524,7 +522,7 @@ fn worker_loop(id: usize, worker: Worker<Task>, shared: Arc<Shared>) {
             }
             if let Some(t) = overflow {
                 WorkerCounters::bump(&c.injector_pops);
-                run(t, &shared, c);
+                t.claim(c);
             }
             if moved {
                 continue;
@@ -542,7 +540,7 @@ fn worker_loop(id: usize, worker: Worker<Task>, shared: Arc<Shared>) {
         }
         if let Some(t) = stolen {
             WorkerCounters::bump(&c.steals);
-            run(t, &shared, c);
+            t.claim(c);
             continue;
         }
         // 4. Nothing anywhere: park until the epoch moves (no polling).
@@ -582,34 +580,26 @@ fn worker_loop(id: usize, worker: Worker<Task>, shared: Arc<Shared>) {
     }
 }
 
-fn run(task: Task, shared: &Shared, c: &WorkerCounters) {
-    task();
-    WorkerCounters::bump(&c.executed);
-    // ORDERING: SeqCst orders the decrement after the task body, pairing
-    // with `wait`'s check — pending hitting 0 implies all effects visible.
-    if shared.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-        let _g = shared.done.lock().unwrap();
-        shared.done_cv.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use xxi_core::par::{map, Parallelism, Serial};
 
+    /// Spin (yielding) until `flag` holds `want`.
+    fn spin_until(flag: &AtomicU64, want: u64) {
+        while flag.load(Ordering::SeqCst) != want {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn runs_all_tasks() {
         let pool = Pool::new(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..10_000 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait();
+        let counter = AtomicU64::new(0);
+        pool.run_scoped(10_000, &|_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
         assert_eq!(counter.load(Ordering::SeqCst), 10_000);
     }
 
@@ -628,94 +618,88 @@ mod tests {
         let pool = Pool::new(2);
         let out: Vec<u32> = map(&pool, 0, |_| 1);
         assert!(out.is_empty());
+        assert_eq!(pool.stats().executed, 0, "an empty range pushes no claimer");
     }
 
     #[test]
     fn work_actually_spreads_across_threads() {
         let pool = Pool::new(4);
-        let ids = Arc::new(Mutex::new(std::collections::HashSet::new()));
-        for _ in 0..200 {
-            let ids = Arc::clone(&ids);
-            pool.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                ids.lock().unwrap().insert(std::thread::current().id());
-            });
-        }
-        pool.wait();
-        assert!(ids.lock().unwrap().len() >= 2, "no parallelism observed");
+        let ids = Mutex::new(std::collections::HashSet::new());
+        pool.run_scoped(200, &|_| {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            ids.lock().unwrap().insert(std::thread::current().id());
+        });
+        let ids = ids.into_inner().unwrap();
+        assert!(ids.len() >= 2, "no parallelism observed");
+        assert!(
+            !ids.contains(&std::thread::current().id()),
+            "a caller outside the pool must not run pool work"
+        );
     }
 
     #[test]
     fn worker_spawns_stay_off_the_injector() {
-        // The module docs promise "spawned tasks go to the submitting
-        // worker's deque when possible". Regression: every task used to
-        // pay the global injector mutex. Fan a root task out into many
-        // children from inside a worker; only cross-thread submissions
-        // (the root) may touch the injector.
-        let pool = Arc::new(Pool::new(2));
-        let counter = Arc::new(AtomicU64::new(0));
-        let p2 = Arc::clone(&pool);
-        let c2 = Arc::clone(&counter);
-        pool.spawn(move || {
-            for _ in 0..1_000 {
-                let c = Arc::clone(&c2);
-                p2.spawn(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        // The module docs promise claimers go to the submitting worker's
+        // deque when possible. Regression: every task used to pay the
+        // global injector mutex. Open a scope from inside a worker; only
+        // the scope opened on this (non-worker) thread may touch the
+        // injector.
+        let pool = Pool::new(2);
+        let counter = AtomicU64::new(0);
+        pool.run_scoped(1, &|_| {
+            pool.run_scoped(1_000, &|_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
         });
-        pool.wait();
         assert_eq!(counter.load(Ordering::SeqCst), 1_000);
         let injected = pool.stats().injector_pushes;
-        // The root task came from this (non-worker) thread; children were
-        // spawned on a worker and must have gone to its own deque. The
-        // deque holds 8192 entries, so none of the 1000 may overflow.
         assert_eq!(
             injected, 1,
-            "worker-side spawns hit the injector: {injected}"
+            "claimers pushed by a worker hit the injector: {injected}"
         );
     }
 
     #[test]
     fn cross_thread_spawns_still_run_via_injector() {
-        // Submissions from threads outside the pool take the injector
-        // path and must still execute.
+        // A scope opened outside the pool pushes one claimer per worker
+        // through the injector, and every index still runs.
         let pool = Pool::new(2);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait();
+        let counter = AtomicU64::new(0);
+        pool.run_scoped(100, &|_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
         assert_eq!(counter.load(Ordering::SeqCst), 100);
-        assert_eq!(pool.stats().injector_pushes, 100);
+        assert_eq!(pool.stats().injector_pushes, 2);
     }
 
     #[test]
     fn local_overflow_falls_back_to_injector() {
-        // A worker that spawns more than its deque holds (2^13) must
-        // overflow the excess to the injector, not drop or deadlock.
-        let pool = Arc::new(Pool::new(1));
-        let counter = Arc::new(AtomicU64::new(0));
-        let p2 = Arc::clone(&pool);
-        let c2 = Arc::clone(&counter);
-        let n = (1 << 13) + 500u64;
-        pool.spawn(move || {
-            for _ in 0..n {
-                let c = Arc::clone(&c2);
-                p2.spawn(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
+        // A worker that pushes more claimers than its deque holds must
+        // overflow the excess to the injector, not drop or deadlock. Three
+        // workers with two-slot deques: all three meet inside the outer
+        // scope, so none is free to steal while worker 0's nested scope
+        // pushes its three claimers.
+        let pool = Pool::with_deque_capacity(3, 2);
+        let arrived = AtomicU64::new(0);
+        let nested_done = AtomicU64::new(0);
+        let counter = AtomicU64::new(0);
+        pool.run_scoped(3, &|i| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            spin_until(&arrived, 3);
+            if i == 0 {
+                pool.run_scoped(100, &|_| {
+                    counter.fetch_add(1, Ordering::Relaxed);
                 });
+                nested_done.store(1, Ordering::SeqCst);
+            } else {
+                spin_until(&nested_done, 1);
             }
         });
-        pool.wait();
-        assert_eq!(counter.load(Ordering::SeqCst), n);
-        assert!(
-            pool.stats().injector_pushes > 1,
-            "overflow should have reached the injector"
-        );
+        assert_eq!(counter.load(Ordering::SeqCst), 100);
+        let s = pool.stats();
+        // Three outer claimers from this thread, one nested overflow.
+        assert_eq!(s.injector_pushes, 4, "{s:?}");
+        assert_eq!(s.executed, 6, "{s:?}");
     }
 
     #[test]
@@ -785,8 +769,8 @@ mod tests {
 
     #[test]
     fn nested_scopes_on_one_worker_do_not_deadlock() {
-        // A worker that opens a scope must help run its own chunks; with a
-        // single worker there is no one else to do it.
+        // A worker that opens a scope must help run its own claimers; with
+        // a single worker there is no one else to do it.
         let pool = Pool::new(1);
         let out = map(&pool, 4, |i| {
             let inner = map(&pool, 4, |j| i * 10 + j);
@@ -797,8 +781,8 @@ mod tests {
 
     #[test]
     fn scoped_wait_from_external_thread_completes() {
-        // run_scoped from a non-worker thread parks on the scope condvar
-        // (it may help via the injector); completion must wake it.
+        // run_scoped from a non-worker thread parks on the job's condvar;
+        // the last claimer out must wake it.
         let pool = Pool::new(2);
         let hits = AtomicU64::new(0);
         pool.run_scoped(32, &|_| {
@@ -809,19 +793,28 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_pool_runs_on_one_thread() {
+        // `Pool::new(n)` runs scoped work on exactly `n` threads: the
+        // caller outside the pool waits and runs nothing.
+        let pool = Pool::new(1);
+        let ids = map(&pool, 64, |_| std::thread::current().id());
+        assert!(ids.iter().all(|id| *id == ids[0]), "{ids:?}");
+        assert_ne!(ids[0], std::thread::current().id());
+        let s = pool.stats();
+        assert_eq!((s.executed, s.scope_helps), (1, 0), "{s:?}");
+    }
+
+    #[test]
     fn idle_pool_parks_without_polling() {
         // With the 1 ms poll, 4 idle workers accumulated ~4 wakeups per
         // millisecond; event-counted parking must show none at all while
         // no work arrives.
         let pool = Pool::new(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..16 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait();
+        let counter = AtomicU64::new(0);
+        let bump = |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        };
+        pool.run_scoped(16, &bump);
         // Let every worker finish draining and park.
         std::thread::sleep(std::time::Duration::from_millis(50));
         let settled = pool.stats().wakeups;
@@ -832,63 +825,39 @@ mod tests {
             "idle workers woke up with no work submitted (polling?)"
         );
         // And the pool still works afterwards.
-        let c = Arc::clone(&counter);
-        pool.spawn(move || {
-            c.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.wait();
+        pool.run_scoped(1, &bump);
         assert_eq!(counter.load(Ordering::SeqCst), 17);
     }
 
     #[test]
-    fn wait_with_no_tasks_returns_immediately() {
-        let pool = Pool::new(2);
-        pool.wait();
-    }
-
-    #[test]
     fn nested_spawns_complete() {
-        let pool = Arc::new(Pool::new(4));
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::Relaxed);
+        // Two waves of scopes that each open a nested scope per index.
+        let pool = Pool::new(4);
+        let counter = AtomicU64::new(0);
+        for wave in 1..=2u64 {
+            pool.run_scoped(10, &|_| {
+                pool.run_scoped(10, &|_| {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                });
             });
+            assert_eq!(counter.load(Ordering::SeqCst), wave * 100);
         }
-        pool.wait();
-        // Second wave after the first completed.
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait();
-        assert_eq!(counter.load(Ordering::SeqCst), 200);
     }
 
     #[test]
     fn stats_source_accounting_is_exact_when_quiescent() {
         let pool = Pool::new(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..5_000 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait();
+        pool.run_scoped(5_000, &|_| {});
         let s = pool.stats();
         assert_eq!(s.threads, 4);
-        assert_eq!(s.executed, 5_000, "every spawned task executed: {s:?}");
+        assert_eq!(s.executed, 4, "one claimer per worker: {s:?}");
         assert_eq!(
             s.local_pops + s.steals + s.injector_pops,
             s.executed,
             "each executed task has exactly one source: {s:?}"
         );
-        // All 5000 came from this non-worker thread.
-        assert_eq!(s.injector_pushes, 5_000, "{s:?}");
+        // All four claimers came from this non-worker thread.
+        assert_eq!(s.injector_pushes, 4, "{s:?}");
     }
 
     #[test]
@@ -898,10 +867,10 @@ mod tests {
         let before = pool.stats();
         pool.run_scoped(10, &|_| {});
         let window = pool.stats().since(&before);
-        assert_eq!(window.executed, 10, "{window:?}");
+        assert_eq!(window.executed, 2, "{window:?}");
         assert_eq!(
             window.local_pops + window.steals + window.injector_pops,
-            10,
+            2,
             "{window:?}"
         );
         // `since` against a *later* snapshot saturates instead of wrapping.
@@ -911,15 +880,15 @@ mod tests {
 
     #[test]
     fn stats_count_scope_helps_and_record_into_metrics() {
-        // A one-worker pool opening a nested scope must help; external
-        // waiters may help through the injector as well.
+        // A one-worker pool opening a nested scope must help.
         let pool = Pool::new(1);
         let out = map(&pool, 8, |i| {
             map(&pool, 4, |j| i + j).into_iter().sum::<usize>()
         });
         assert_eq!(out.len(), 8);
         let s = pool.stats();
-        assert!(s.scope_helps > 0, "nested scopes must have helped: {s:?}");
+        assert_eq!(s.scope_helps, 8, "each nested scope helps once: {s:?}");
+        assert_eq!(s.executed, 9, "{s:?}");
         let mut m = xxi_core::metrics::Metrics::new();
         s.record(&mut m);
         assert_eq!(m.counter("pool.tasks_executed"), s.executed);
@@ -931,8 +900,6 @@ mod tests {
     fn speedup_on_compute_bound_work() {
         // Not a strict benchmark, but 4 workers should beat one thread by
         // ≥1.5× on an embarrassingly parallel kernel when ≥2 cores exist.
-        // The baseline is `Serial`, not `Pool::new(1)`: a scope's calling
-        // thread helps run its tasks, so a one-worker scope runs on two.
         if std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)

@@ -220,27 +220,24 @@ fn pool_runs_all_tasks_under_random_schedules() {
         .max_steps(200_000)
         .run(|| {
             let pool = xxi_stack::pool::Pool::new(2);
-            let counter = Arc::new(AtomicU64::new(0));
-            for _ in 0..3 {
-                let c = Arc::clone(&counter);
-                pool.spawn(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            pool.wait();
-            assert_eq!(counter.load(Ordering::SeqCst), 3, "a task was dropped");
+            let counter = AtomicU64::new(0);
+            pool.run_scoped(3, &|_| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(counter.load(Ordering::SeqCst), 3, "an index was dropped");
             drop(pool);
         });
     assert!(report.failure.is_none(), "{report}");
 }
 
 /// Park/notify litmus for the event-counted parking protocol: a single
-/// worker racing a single spawn is the minimal lost-wakeup shape — the
-/// spawn's epoch bump may land anywhere between the worker's emptiness
-/// re-check and its untimed wait. DFS at preemption bound 2 explores the
-/// dangerous interleavings; a lost wakeup hangs the `wait()` and is
-/// reported as a deadlock. (The body is too large to finish exhaustively;
-/// we bound schedules and assert no failure was found.)
+/// worker racing a single scope opened outside the pool is the minimal
+/// lost-wakeup shape — the claimer's epoch bump may land anywhere between
+/// the worker's emptiness re-check and its untimed wait, and the caller
+/// only parks, so the worker alone must wake to run it. DFS at preemption
+/// bound 2 explores the dangerous interleavings; a lost wakeup hangs the
+/// scope and is reported as a deadlock. (The body is too large to finish
+/// exhaustively; we bound schedules and assert no failure was found.)
 #[cfg(not(feature = "seeded_race"))]
 #[test]
 fn pool_park_notify_loses_no_wakeup() {
@@ -252,25 +249,23 @@ fn pool_park_notify_loses_no_wakeup() {
         .max_steps(200_000)
         .run(|| {
             let pool = xxi_stack::pool::Pool::new(1);
-            let counter = Arc::new(AtomicU64::new(0));
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::SeqCst);
+            let counter = AtomicU64::new(0);
+            pool.run_scoped(1, &|_| {
+                counter.fetch_add(1, Ordering::SeqCst);
             });
-            pool.wait();
-            assert_eq!(counter.load(Ordering::SeqCst), 1, "task lost");
+            assert_eq!(counter.load(Ordering::SeqCst), 1, "index lost");
             drop(pool);
         });
     assert!(report.failure.is_none(), "{report}");
 }
 
-/// PoolStats snapshot consistency under the model scheduler: after
-/// `wait()` quiesces the pool, the per-worker counters must account for
-/// every task exactly once (`executed == local_pops + steals +
-/// injector_pops`), external spawns must all have crossed the injector,
-/// and no worker can record a wakeup it never parked for — in randomly
-/// explored interleavings, not just the ones the wall clock happens to
-/// produce.
+/// PoolStats snapshot consistency under the model scheduler: once the
+/// scope returns, the per-worker counters must account for every claimer
+/// exactly once (`executed == local_pops + steals + injector_pops`), the
+/// claimers of a scope opened outside the pool must all have crossed the
+/// injector, and no worker can record a wakeup it never parked for — in
+/// randomly explored interleavings, not just the ones the wall clock
+/// happens to produce.
 #[cfg(not(feature = "seeded_race"))]
 #[test]
 fn pool_stats_accounting_holds_under_random_schedules() {
@@ -282,17 +277,14 @@ fn pool_stats_accounting_holds_under_random_schedules() {
         .max_steps(200_000)
         .run(|| {
             let pool = xxi_stack::pool::Pool::new(2);
-            let counter = Arc::new(AtomicU64::new(0));
-            for _ in 0..4 {
-                let c = Arc::clone(&counter);
-                pool.spawn(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            pool.wait();
+            let counter = AtomicU64::new(0);
+            pool.run_scoped(4, &|_| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(counter.load(Ordering::SeqCst), 4);
             let s = pool.stats();
-            assert_eq!(s.executed, 4, "{s:?}");
-            assert_eq!(s.injector_pushes, 4, "external spawns inject: {s:?}");
+            assert_eq!(s.executed, 2, "one claimer per worker: {s:?}");
+            assert_eq!(s.injector_pushes, 2, "external claimers inject: {s:?}");
             assert_eq!(
                 s.executed,
                 s.local_pops + s.steals + s.injector_pops,

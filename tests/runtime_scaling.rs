@@ -3,11 +3,11 @@
 //! closing the loop between the paper's parallelism *models* and actual
 //! parallel *code*.
 //!
-//! The one-thread baseline is `Serial`, not `Pool::new(1)`: a scope's
-//! calling thread helps run its tasks, so a one-worker pool's scope runs
-//! on two threads.
+//! The one-thread baseline is `Serial`: it runs the same chunks inline,
+//! with no claimers to push and no caller to wake. `Pool::new(4)` runs a
+//! scope on exactly its four workers while the caller waits.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use xxi::core::par::{map, Parallelism, Serial};
 use xxi::cpu::hillmarty::speedup_amdahl;
@@ -27,11 +27,11 @@ fn cpu_bound_kernel(i: usize) -> f64 {
     x
 }
 
-/// Items per task: the work is chunked so a task is worth boxing.
+/// Items per index: the work is chunked so an index is worth claiming.
 const GRAIN: usize = 1_000;
 
 /// Sum of `cpu_bound_kernel` over `0..n` (`n` a multiple of `GRAIN`) on
-/// `exec`, one task per chunk.
+/// `exec`, one index per chunk.
 fn parallel_kernel_sum(exec: &dyn Parallelism, n: usize) -> f64 {
     map(exec, n / GRAIN, |c| {
         (c * GRAIN..(c + 1) * GRAIN)
@@ -123,19 +123,15 @@ fn pool_handles_serial_fraction_like_amdahl() {
 #[test]
 fn pool_correctness_under_load() {
     let pool = Pool::new(4);
-    // Many waves of small tasks with interleaved waits.
-    let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    // Many waves of small indices, each wave a nested scope per index,
+    // with the count checked between waves.
+    let counter = AtomicU64::new(0);
     for wave in 0..20 {
-        for _ in 0..500 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        pool.run_scoped(50, &|_| {
+            pool.run_scoped(10, &|_| {
+                counter.fetch_add(1, Ordering::Relaxed);
             });
-        }
-        pool.wait();
-        assert_eq!(
-            counter.load(std::sync::atomic::Ordering::SeqCst),
-            (wave + 1) * 500
-        );
+        });
+        assert_eq!(counter.load(Ordering::SeqCst), (wave + 1) * 500);
     }
 }
