@@ -10,7 +10,7 @@
 //!   classic steady-state "timer hold" loop: level-0 wheel hits and
 //!   arena recycling, no cancellation.
 //! * `des/churn` — burst-schedule a horizon-spanning batch, drain it,
-//!   repeat: insert/cascade/far-heap migration under churn.
+//!   repeat: insert and cascade through wheel levels 0-5 under churn.
 //! * `des/cancel` — the cluster-shaped pattern: every request arms a
 //!   hedge, a timeout, and a deadline guard, and settling the request
 //!   reaps all three — three of every four scheduled events cancel.
@@ -25,8 +25,8 @@ use xxi_core::{Rng64, Sim, SimTime};
 
 use super::RunCtx;
 
-/// Per-event delay scale (ps). Big enough to spread events across wheel
-/// levels, small enough that a run never leaves the first far block.
+/// Per-event delay scale (ps). Big enough to spread events across the
+/// lower wheel levels.
 const US: u64 = 1_000_000;
 
 const CHAIN: u64 = 100_000;
@@ -105,7 +105,7 @@ pub(super) fn hold(_: &RunCtx) -> f64 {
 }
 
 /// `des/churn`: burst-schedule `CHURN_BATCH` timers across a horizon that
-/// spans every wheel level and the far heap, drain, repeat.
+/// spans wheel levels 0-5 (delays up to 2^53 ps), drain, repeat.
 const CHURN_BATCH: u64 = 250_000;
 const CHURN_ROUNDS: u64 = 4;
 pub(super) const CHURN_EVENTS: u64 = CHURN_BATCH * CHURN_ROUNDS;
@@ -115,8 +115,7 @@ pub(super) fn churn(_: &RunCtx) -> f64 {
     for _ in 0..CHURN_ROUNDS {
         for _ in 0..CHURN_BATCH {
             // Log-uniform delays: most land in the low levels, a long
-            // tail reaches past the 2^48 ps wheel span into the far heap
-            // (shift up to 2^53 ps).
+            // tail reaches the upper ones (shift up to 2^53 ps).
             let shift = sim.state.below(34);
             let delay = (1 + sim.state.below(1 << 20)) << shift;
             sim.schedule_in(SimTime::from_ps(delay), |_| {});

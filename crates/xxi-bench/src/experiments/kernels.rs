@@ -112,7 +112,7 @@ pub static KERNELS: [Kernel; 40] = [
     k("des/spans-off", "DES chain calling the span API, tracing off", "events", 100_000, des::spans_off),
     k("des/spans-on", "DES chain calling the span API, tracing on", "events", 100_000, des::spans_on),
     k("des/hold", "DES: steady-state timer hold (self-rescheduling population)", "events", des::HOLD_EVENTS, des::hold),
-    k("des/churn", "DES: burst churn across wheel levels and the far heap", "events", des::CHURN_EVENTS, des::churn),
+    k("des/churn", "DES: burst churn across wheel levels 0-5", "events", des::CHURN_EVENTS, des::churn),
     k("des/cancel", "DES: cancel-heavy cluster shape (hedge/timeout/deadline reaped)", "events", des::CANCEL_EVENTS, des::cancel),
     k("des/drain", "DES: drain a pre-scheduled backlog with same-tick bursts", "events", des::DRAIN_EVENTS, des::drain),
     k("mem/l1-lru", "L1 (LRU) over a 100k-access Zipf trace", "accesses", 100_000, l1_lru),

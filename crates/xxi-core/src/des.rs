@@ -20,20 +20,20 @@
 //! ## Engine
 //!
 //! The ready queue is a hierarchical timer wheel ([`wheel`]): a wide
-//! 4096-slot level 0 plus four 512-slot levels hash events by bit-fields
+//! 4096-slot level 0 plus six 512-slot levels hash events by bit-fields
 //! of their absolute picosecond tick, cascading coarse buckets toward
-//! level 0 only when the clock reaches them, with a fallback far-heap
-//! for events beyond the wheel's `2^48`-tick span. Same-tick events share one level-0 bucket, so FIFO
-//! ties cost a single sort of the burst instead of per-event heap
+//! level 0 only when the clock reaches them. The levels cover every
+//! `u64` tick, so the whole [`SimTime`] range (about 213 days) is one
+//! timeline. Same-tick events share one level-0 bucket, so FIFO ties
+//! cost a single sort of the burst instead of per-event heap
 //! comparisons. Event closures live in a recycling arena ([`arena`]):
 //! small closures (≤ 64 bytes — the common case) are stored inline in
 //! reused slots, so steady-state scheduling is allocation-free; oversized
 //! closures take a cold boxed path. Scheduling returns a generation-checked
 //! [`TimerHandle`] (via the `_handle` variants) that [`Sim::cancel`]
-//! resolves in O(1), unlinking the event from its wheel bucket so it
-//! never runs and the clock never visits its tick; only events parked in
-//! the far-heap fall back to a tombstone that is skipped silently when
-//! the queue drains past it.
+//! resolves in O(1), unlinking the event from its wheel bucket and
+//! freeing its arena slot at once, so it never runs and the clock never
+//! visits its tick.
 //!
 //! ```
 //! use xxi_core::{Sim, SimTime};
@@ -81,7 +81,7 @@ pub struct TimerHandle {
 pub struct DesStats {
     /// Events whose closure actually ran.
     pub events_fired: u64,
-    /// Events tombstoned by [`Sim::cancel`] before they could fire.
+    /// Events removed by [`Sim::cancel`] before they could fire.
     pub cancelled: u64,
     /// Events still pending (scheduled, neither fired nor cancelled).
     pub pending: u64,
@@ -114,9 +114,6 @@ pub struct Sim<S> {
     seq: u64,
     fired: u64,
     cancelled: u64,
-    /// Cancelled far-heap entries still awaiting their silent drain.
-    /// Wheel-resident cancellations unlink eagerly and never tombstone.
-    tombstones: u64,
     arena: arena::Arena<S>,
     wheel: wheel::Wheel,
 }
@@ -131,7 +128,6 @@ impl<S> Sim<S> {
             seq: 0,
             fired: 0,
             cancelled: 0,
-            tombstones: 0,
             arena: arena::Arena::new(),
             wheel: wheel::Wheel::new(),
         }
@@ -164,10 +160,11 @@ impl<S> Sim<S> {
         self.cancelled
     }
 
-    /// Number of events currently pending (excluding cancelled ones).
+    /// Number of events currently pending (scheduled, neither fired nor
+    /// cancelled).
     #[inline]
     pub fn pending(&self) -> usize {
-        self.wheel.len() - self.tombstones as usize
+        self.wheel.len()
     }
 
     /// Engine counters for runtime telemetry (`des.*`).
@@ -221,95 +218,51 @@ impl<S> Sim<S> {
     }
 
     /// Cancel a scheduled event in O(1). Returns `true` if the event was
-    /// still pending (it will now never run — its closure is dropped
-    /// immediately); `false` if it already fired, was already cancelled,
-    /// or the handle is stale (its slot was recycled).
+    /// still pending (it will now never run — its closure is dropped and
+    /// its arena slot freed immediately); `false` if it already fired, was
+    /// already cancelled, or the handle is stale (its slot was recycled).
     ///
     /// A cancelled event is removed from the timeline outright: its wheel
-    /// entry is unlinked and the clock never visits its tick. (Events
-    /// parked beyond the wheel span in the far-heap leave a tombstone
-    /// instead, skipped silently — without advancing the clock — when the
-    /// queue drains past it.) Since user code only ever runs at the tick
-    /// of a *surviving* event, cancellation can never change the firing
-    /// order or clamping of the events that remain.
+    /// entry is unlinked and the clock never visits its tick. Since user
+    /// code only ever runs at the tick of a *surviving* event,
+    /// cancellation can never change the firing order or clamping of the
+    /// events that remain.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
         let Some(time) = self.arena.sched_time(handle.idx, handle.gen) else {
             return false;
         };
-        if self.wheel.remove(time, handle.idx) {
-            // Unlinked from its bucket: drop the closure and free the
-            // slot now.
-            self.arena.discard(handle.idx);
-        } else {
-            // Far-heap resident: tombstone, drained silently at pop.
-            let hit = self.arena.cancel(handle.idx, handle.gen);
-            debug_assert!(hit, "sched_time proved the slot live");
-            self.tombstones += 1;
-        }
+        self.wheel.remove(time, handle.idx);
+        self.arena.discard(handle.idx);
         self.cancelled += 1;
         true
     }
 
-    /// Fire or discard the earliest entry strictly before `horizon_ps`,
-    /// repeating past tombstones. Returns `true` iff an event fired.
+    /// Fire the earliest pending event if it is strictly before
+    /// `horizon_ps`. Returns `true` iff an event fired.
     fn step_before(&mut self, horizon_ps: u64) -> bool {
-        loop {
-            match self.wheel.peek_time() {
-                Some(t) if t < horizon_ps => {
-                    let e = self.wheel.pop().expect("peeked entry vanished"); // xxi-allow: panic-path -- peek just proved the wheel non-empty
-                    debug_assert!(e.time >= self.now.ps(), "wheel returned past event");
-                    match self.arena.take(e.idx) {
-                        arena::Fired::Inline(call, p) => {
-                            self.now = SimTime::from_ps(e.time);
-                            self.fired += 1;
-                            let sim: *mut Sim<S> = self;
-                            // SAFETY: `take` returned the live thunk for
-                            // this entry; it runs exactly once, here,
-                            // and `sim` is `self` — valid and exclusive.
-                            unsafe { call(p, sim) };
-                            return true;
-                        }
-                        arena::Fired::Boxed(f) => {
-                            self.now = SimTime::from_ps(e.time);
-                            self.fired += 1;
-                            f(self);
-                            return true;
-                        }
-                        arena::Fired::Tombstone => self.tombstones -= 1,
-                    }
-                }
-                _ => return false,
-            }
-        }
+        matches!(self.wheel.peek_time(), Some(t) if t < horizon_ps) && self.step()
     }
 
     /// Fire the next pending event, if any. Returns `false` when the queue
-    /// is empty. Tombstones of cancelled far-heap events are drained
-    /// silently on the way, without advancing the clock.
+    /// is empty.
     pub fn step(&mut self) -> bool {
-        while let Some(e) = self.wheel.pop() {
-            debug_assert!(e.time >= self.now.ps(), "wheel returned past event");
-            match self.arena.take(e.idx) {
-                arena::Fired::Inline(call, p) => {
-                    self.now = SimTime::from_ps(e.time);
-                    self.fired += 1;
-                    let sim: *mut Sim<S> = self;
-                    // SAFETY: `take` returned the live thunk for this
-                    // entry; it runs exactly once, here, and `sim` is
-                    // `self` — valid and exclusive.
-                    unsafe { call(p, sim) };
-                    return true;
-                }
-                arena::Fired::Boxed(f) => {
-                    self.now = SimTime::from_ps(e.time);
-                    self.fired += 1;
-                    f(self);
-                    return true;
-                }
-                arena::Fired::Tombstone => self.tombstones -= 1,
+        let Some(e) = self.wheel.pop() else {
+            return false;
+        };
+        debug_assert!(e.time >= self.now.ps(), "wheel returned past event");
+        self.now = SimTime::from_ps(e.time);
+        self.fired += 1;
+        match self.arena.take(e.idx) {
+            arena::Fired::Inline(call, p) => {
+                let sim: *mut Sim<S> = self;
+                // SAFETY: `take` returned the live thunk for this entry; it
+                // runs exactly once, here, and `sim` is `self` — valid and
+                // exclusive.
+                unsafe { call(p, sim) };
             }
+            arena::Fired::Boxed(f) => f(self),
         }
-        false
+        true
     }
 
     /// Run until the event queue drains. Returns the number of events fired
@@ -676,31 +629,39 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_fire_in_order() {
-        // Exercise the far-heap: events beyond the wheel's 2^48-tick span
-        // (≈ 281 s), across multiple far blocks, interleaved with near ones.
+    fn top_wheel_levels_fire_in_order() {
+        // Exercise levels 5 and 6 (bit-fields from 2^48 and 2^57 ticks up)
+        // and the top-level cascade, across several of their slots and up
+        // to `SimTime::MAX` itself, interleaved with near events. Seventeen
+        // events push the wheel past its 16-entry near list.
         let mut sim = Sim::new(Vec::<u64>::new());
         let times = [
             1u64,
             500,
+            501,
             1 << 20,
+            1 << 30,
+            (1 << 39) + 5,
             (1 << 48) - 1,
             1 << 48,
             (1 << 48) + 7,
             3 << 48,
             (3 << 48) + 1,
+            (1 << 57) - 1,
+            1 << 57,
+            (5 << 57) + 3,
+            1 << 63,
             u64::MAX - 1,
+            u64::MAX,
         ];
         // Schedule in a scrambled order.
-        for &t in &[
-            times[4], times[0], times[8], times[2], times[6], times[1], times[3], times[7],
-            times[5],
-        ] {
+        for i in 0..times.len() {
+            let t = times[(i * 7) % times.len()];
             sim.schedule_at(SimTime::from_ps(t), move |s| s.state.push(t));
         }
         sim.run();
         assert_eq!(sim.state, times.to_vec());
-        assert_eq!(sim.now(), SimTime::from_ps(u64::MAX - 1));
+        assert_eq!(sim.now(), SimTime::MAX);
     }
 
     #[test]
@@ -748,16 +709,38 @@ mod tests {
         assert_eq!(sim.events_fired(), 0);
         assert_eq!(sim.pending(), 0);
 
-        // The same holds for a far-heap resident (beyond the 2^48 ps wheel
-        // span), which takes the tombstone path internally.
+        // The same holds for an event 2^60 ps ahead, in the wheel's top
+        // level once twenty near events move the queue out of its near
+        // list: it is unlinked like any other.
         let far = sim.schedule_at_handle(SimTime::from_ps(1 << 60), |s| s.state.push(60));
-        sim.schedule_at(SimTime::from_ns(1), |s| s.state.push(1));
+        for ns in 1..=20 {
+            sim.schedule_at(SimTime::from_ns(ns), move |s| s.state.push(ns));
+        }
         assert!(sim.cancel(far));
         sim.run();
-        assert_eq!(sim.state, vec![1]);
-        assert_eq!(sim.now(), SimTime::from_ns(1));
+        assert_eq!(sim.state, (1..=20).collect::<Vec<u64>>());
+        assert_eq!(sim.now(), SimTime::from_ns(20));
         assert_eq!(sim.cancelled(), 2);
         assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn cancel_frees_the_arena_slot_at_once() {
+        // Every pending event has a wheel bucket, so cancelling one unlinks
+        // it and frees its slot immediately, however far ahead it sits.
+        // Twenty near events move the queue out of its near list first.
+        let mut sim = Sim::new(());
+        for ns in 1..=20 {
+            sim.schedule_at(SimTime::from_ns(ns), |_| {});
+        }
+        let far = sim.schedule_at_handle(SimTime::from_ps(1 << 60), |_| {});
+        let before = sim.stats().arena;
+        assert!(sim.cancel(far));
+        sim.schedule_at(SimTime::from_ps(1 << 61), |_| {});
+        let after = sim.stats().arena;
+        assert_eq!(after.recycled, before.recycled + 1, "{after:?}");
+        assert_eq!(after.high_water, before.high_water, "{after:?}");
+        assert_eq!(sim.pending(), 21);
     }
 
     #[test]
@@ -895,13 +878,17 @@ mod tests {
                 return ops; // damp the branching process
             }
             for _ in 0..rng.below(4) {
-                ops.push(match rng.below(10) {
+                ops.push(match rng.below(11) {
                     0 => Op::Child(0),
                     1 => Op::PastChild,
                     2 => Op::Cancel(rng.below(next_id.max(1))),
-                    // Mix near ticks with far-heap range jumps.
+                    // Mix near ticks with jumps into the upper levels,
+                    // delays of every magnitude up to bit 63, and delays
+                    // that saturate at `SimTime::MAX`.
                     n if n < 8 => Op::Child(rng.below(1 << 16)),
-                    _ => Op::Child(rng.below(1 << 52)),
+                    8 => Op::Child(rng.below(1 << 52)),
+                    9 => Op::Child(rng.next_u64() >> rng.below(64)),
+                    _ => Op::Child(u64::MAX),
                 });
             }
             ops
@@ -1002,6 +989,15 @@ mod tests {
             ora_sim.schedule_at(SimTime::from_ps(t), move |s| oracle_fire(s, seed, id_ora));
         }
 
+        // Every scheduled event is fired, cancelled or still pending.
+        fn assert_conserved(sim: &Sim<NewState>, seed: u64) {
+            assert_eq!(
+                sim.seq,
+                sim.events_fired() + sim.cancelled() + sim.pending() as u64,
+                "seed {seed}"
+            );
+        }
+
         // Run in lock-stepped horizons, comparing at each boundary, then
         // drain both.
         for &h in horizons {
@@ -1011,10 +1007,13 @@ mod tests {
                 new_sim.state.log, ora_sim.state.log,
                 "seed {seed} horizon {h}"
             );
+            assert_conserved(&new_sim, seed);
         }
         new_sim.run();
         ora_sim.run();
         assert_eq!(new_sim.state.log, ora_sim.state.log, "seed {seed}");
+        assert_conserved(&new_sim, seed);
+        assert_eq!(new_sim.pending(), 0, "seed {seed}");
         // The oracle's guarded no-ops still advance its clock; the new
         // engine removes cancelled events from the timeline, so its final
         // clock sits at the last *real* fire — never past the oracle's.
@@ -1037,10 +1036,30 @@ mod tests {
         }
     }
 
+    /// `run_until` horizons for the oracle runs, up to the top of the
+    /// `SimTime` range.
+    const HORIZONS: [u64; 7] = [
+        1 << 10,
+        1 << 20,
+        1 << 36,
+        1 << 41,
+        1 << 50,
+        1 << 58,
+        u64::MAX - 1,
+    ];
+
     #[test]
     fn wheel_matches_oracle_across_run_until_horizons() {
         for seed in 100..106 {
-            check_against_oracle(seed, &[1 << 10, 1 << 20, 1 << 36, 1 << 41, 1 << 50]);
+            check_against_oracle(seed, &HORIZONS);
+        }
+    }
+
+    #[test]
+    #[ignore = "large run: 200 seeds; CI runs it in release with --include-ignored"]
+    fn wheel_matches_oracle_on_many_seeds() {
+        for seed in 1000..1200 {
+            check_against_oracle(seed, &HORIZONS);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The event arena: recycled slots and inline closure storage for the DES.
 //!
-//! Every scheduled event owns a slot in this arena until it fires or its
-//! tombstone is drained. Slots are recycled through a free list, so
+//! Every scheduled event owns a slot in this arena until it fires or is
+//! cancelled. Slots are recycled through a free list, so
 //! steady-state scheduling allocates nothing once the simulation reaches
 //! its high-water mark. Closures up to [`INLINE_BYTES`] are stored
 //! *inline* in the slot (the common case — DES events capture a few
@@ -42,9 +42,6 @@ enum State {
     Inline,
     /// A live oversized closure behind `boxed`.
     Boxed,
-    /// Cancelled while parked in the far-heap; closure already dropped,
-    /// the wheel drains the entry later.
-    Tombstone,
 }
 
 /// The outcome of draining a slot as its wheel entry pops.
@@ -61,8 +58,6 @@ pub(crate) enum Fired<S> {
     Inline(unsafe fn(*mut u8, *mut Sim<S>), *mut u8),
     /// A live oversized event.
     Boxed(EventFn<S>),
-    /// A cancelled far-heap event; nothing to run.
-    Tombstone,
 }
 
 // SAFETY: `p` must point to a live `F` (written by `Arena::insert`),
@@ -128,7 +123,7 @@ impl<S> Slot<S> {
             // closure `insert` wrote and `call` has not consumed.
             State::Inline => unsafe { (self.drop_fn)(self.buf.0.as_mut_ptr().cast::<u8>()) },
             State::Boxed => self.boxed = None,
-            State::Free | State::Tombstone => {}
+            State::Free => {}
         }
     }
 }
@@ -241,13 +236,12 @@ impl<S> Arena<S> {
         match mem::replace(&mut slot.state, State::Free) {
             State::Inline => Fired::Inline(slot.call, slot.buf.0.as_mut_ptr().cast::<u8>()),
             State::Boxed => Fired::Boxed(slot.boxed.take().expect("Boxed slot without a closure")), // xxi-allow: panic-path -- `write` set `boxed` with the state
-            State::Tombstone => Fired::Tombstone,
             State::Free => unreachable!("wheel popped an entry for a free arena slot"),
         }
     }
 
-    /// Free slot `idx` *without* running its closure — the
-    /// wheel-resident cancellation path (the entry was just unlinked).
+    /// Free slot `idx` *without* running its closure — the cancellation
+    /// path (the wheel entry was just unlinked).
     pub(crate) fn discard(&mut self, idx: u32) {
         let slot = &mut self.slots[idx as usize];
         slot.clear();
@@ -260,26 +254,8 @@ impl<S> Arena<S> {
     /// cancellation path's handle-validity check.
     pub(crate) fn sched_time(&self, idx: u32, gen: u32) -> Option<u64> {
         match self.slots.get(idx as usize) {
-            Some(slot) if slot.gen == gen && matches!(slot.state, State::Inline | State::Boxed) => {
-                Some(slot.time)
-            }
+            Some(slot) if slot.gen == gen && slot.state != State::Free => Some(slot.time),
             _ => None,
-        }
-    }
-
-    /// Tombstone the event in slot `idx` if `gen` still matches (the event
-    /// has neither fired nor been cancelled). Drops the closure now; the
-    /// slot itself is reclaimed when the wheel drains its entry. Only used
-    /// for far-heap residents — wheel-resident cancellations unlink the
-    /// entry and free the slot immediately via [`Arena::discard`].
-    pub(crate) fn cancel(&mut self, idx: u32, gen: u32) -> bool {
-        match self.slots.get_mut(idx as usize) {
-            Some(slot) if slot.gen == gen && matches!(slot.state, State::Inline | State::Boxed) => {
-                slot.clear();
-                slot.state = State::Tombstone;
-                true
-            }
-            _ => false,
         }
     }
 

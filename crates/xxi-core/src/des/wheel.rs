@@ -1,18 +1,19 @@
 //! Hierarchical timer wheel: the DES ready queue.
 //!
-//! Five levels hash an event's absolute tick (picoseconds) by bit-field:
+//! Seven levels hash an event's absolute tick (picoseconds) by bit-field:
 //! a 4096-slot level 0 resolves single ticks across the current 2^12-tick
-//! window, and four 512-slot levels above it bucket geometrically coarser
-//! spans (2^12, 2^21, 2^30, 2^39 ticks per slot). An event lands in the
-//! level of the *highest bit-field in which its tick differs from the
-//! wheel clock* — so nearby events sit directly in level 0 and far ones
-//! coarsen gracefully. Buckets cascade toward level 0 lazily, only when
-//! the wheel actually reaches them; events beyond the five-level span
-//! (`2^48` ps ≈ 281 s) wait in a fallback far-heap and migrate in one
-//! block at a time. The wide level 0 exists to keep cascades short: a
-//! microsecond-scale timer crosses one or two levels, not five, and each
-//! level's lowest occupied slot is found in O(1) through a per-level
-//! summary bitmap (one bit per occupancy word).
+//! window, and six 512-slot levels above it bucket geometrically coarser
+//! spans (2^12, 2^21, 2^30, 2^39, 2^48, 2^57 ticks per slot; the top
+//! level uses 7 of its 9 bits), so every `u64` tick — the whole
+//! [`SimTime`](crate::time::SimTime) range, about 213 days — has a
+//! bucket. An event lands in the level of the *highest bit-field in which
+//! its tick differs from the wheel clock* — so nearby events sit directly
+//! in level 0 and far ones coarsen gracefully. Buckets cascade toward
+//! level 0 lazily, only when the wheel actually reaches them. The wide
+//! level 0 exists to keep cascades short: a microsecond-scale timer
+//! crosses one or two levels, not seven, and each level's lowest occupied
+//! slot is found in O(1) through a per-level summary bitmap (one bit per
+//! occupancy word).
 //!
 //! Sparse sims never touch that geometry at all: while the pending
 //! population stays at or under [`NEAR_MAX`], entries live in one
@@ -28,42 +29,35 @@
 //! the burst instead of per-event heap comparisons; a tick holding a
 //! single entry is popped straight out of its bucket.
 //!
-//! Cancellation contract: [`Wheel::remove`] unlinks a wheel-resident
-//! entry without letting it cascade to level 0 first. Its bucket is
+//! Cancellation contract: [`Wheel::remove`] unlinks any pending entry
+//! without letting it cascade to level 0 first. Its bucket is
 //! *computed*, not searched for: the placement invariant ("every stored
 //! entry sits exactly where [`place`](Wheel::place) would put it against
 //! the current clock") makes `(time, clock)` name the bucket directly. A
 //! per-arena-slot location cache (`loc`), written only on insert so the
 //! cascade hot path stays store-free, usually pins the exact position;
 //! when the entry has cascaded since insert the cache misses and a scan
-//! of the (low-level, therefore small) computed bucket finds it.
-//! Far-heap entries are the one exception (`remove` returns `false`): a
-//! `BinaryHeap` has no cheap removal, so the caller tombstones them and
-//! [`pop`](Wheel::pop) drains them later.
+//! of the (lower-level, therefore smaller) computed bucket finds it.
 //!
 //! The wheel clock only moves when `pop` commits to a tick, never during
 //! [`Wheel::peek_time`]; the [`Sim`](super::Sim) keeps its own clock equal
 //! to the wheel clock whenever user code runs, which is what makes the
 //! bit-field hashing invariant hold across re-entrant scheduling.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 /// Wheel levels.
-const LEVELS: usize = 5;
+const LEVELS: usize = 7;
 /// Bits resolved by level 0 (4096 single-tick slots).
 const L0_BITS: u32 = 12;
 /// Bits resolved by each level above 0 (512 slots each).
 const LN_BITS: u32 = 9;
 /// The tick shift where each level's bit-field starts.
-const SHIFT: [u32; LEVELS] = [0, 12, 21, 30, 39];
-/// Ticks covered by the wheel proper (`L0_BITS + 4 * LN_BITS`).
-const BLOCK_BITS: u32 = 48;
-/// Slot-index mask per level.
-const MASK: [u64; LEVELS] = [(1 << L0_BITS) - 1, 511, 511, 511, 511];
+const SHIFT: [u32; LEVELS] = [0, 12, 21, 30, 39, 48, 57];
+/// Slot-index mask per level. A tick has only 7 bits above bit 57, so
+/// the top level's slots past 127 stay empty.
+const MASK: [u64; LEVELS] = [(1 << L0_BITS) - 1, 511, 511, 511, 511, 511, 511];
 /// First bucket of each level in the flat bucket array.
-const BASE: [usize; LEVELS] = [0, 4096, 4608, 5120, 5632];
-const TOTAL_SLOTS: usize = 6144;
+const BASE: [usize; LEVELS] = [0, 4096, 4608, 5120, 5632, 6144, 6656];
+const TOTAL_SLOTS: usize = 7168;
 /// Occupancy words per level (level 0's 4096 slots need all 64).
 const WORDS: usize = 64;
 
@@ -75,14 +69,10 @@ pub(crate) struct Entry {
     pub idx: u32,
 }
 
-/// Far-heap key; ordered by `(time, seq)` so ties stay FIFO.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct FarKey(u64, u64, u32);
-
 /// Cached bucket position for an arena slot index: where `insert` placed
-/// it. Best-effort — stale once the entry cascades, migrates, or moves
-/// into the batch — so consumers verify by matching `idx` (unique among
-/// live entries) before trusting it.
+/// it. Best-effort — stale once the entry cascades or moves into the
+/// batch — so consumers verify by matching `idx` (unique among live
+/// entries) before trusting it.
 #[derive(Clone, Copy, Default)]
 struct Loc {
     level: u8,
@@ -110,8 +100,6 @@ pub(crate) struct Wheel {
     live: u8,
     /// Insert-time bucket position per arena slot index (see [`Loc`]).
     loc: Vec<Loc>,
-    /// Events beyond the wheel span, keyed `(time, seq)`.
-    far: BinaryHeap<Reverse<FarKey>>,
     /// Current same-tick batch, sorted by `seq` *descending* (pop back).
     batch: Vec<Entry>,
     /// Reusable buffer for cascades, so steady state never allocates.
@@ -136,7 +124,6 @@ impl Wheel {
             summary: [0; LEVELS],
             live: 0,
             loc: Vec::new(),
-            far: BinaryHeap::new(),
             batch: Vec::new(),
             scratch: Vec::new(),
             near: Vec::new(),
@@ -150,11 +137,10 @@ impl Wheel {
     }
 
     /// The level/slot `place` resolves `time` to against the current
-    /// clock. Callers must have excluded the far-heap range first.
+    /// clock.
     #[inline]
     fn slot_of(&self, time: u64) -> (usize, usize) {
         let d = time ^ self.cur;
-        debug_assert_eq!(d >> BLOCK_BITS, 0);
         let level = if d >> L0_BITS == 0 {
             0
         } else {
@@ -174,9 +160,7 @@ impl Wheel {
         self.len += 1;
         if self.small {
             if self.len <= NEAR_MAX {
-                // Sorted insert, `(time, seq)` descending. The list does
-                // not care about wheel geometry, so far-range times are
-                // fine here.
+                // Sorted insert, `(time, seq)` descending.
                 let pos = self.near.partition_point(|e| (e.time, e.seq) > (time, seq));
                 self.near.insert(pos, Entry { time, seq, idx });
                 return;
@@ -193,10 +177,6 @@ impl Wheel {
 
     /// The wheel-proper half of [`Wheel::insert`].
     fn insert_wheel(&mut self, time: u64, seq: u64, idx: u32) {
-        if (time ^ self.cur) >> BLOCK_BITS != 0 {
-            self.far.push(Reverse(FarKey(time, seq, idx)));
-            return;
-        }
         let (level, slot) = self.slot_of(time);
         let pos = self.push_bucket(level, slot, Entry { time, seq, idx });
         let i = idx as usize;
@@ -210,15 +190,10 @@ impl Wheel {
         };
     }
 
-    /// Hash an entry into its level/slot (or the far-heap) without
-    /// touching `len` or the `loc` cache — the store-free re-placement
-    /// path for cascades and far-block migration.
+    /// Hash an entry into its level/slot without touching `len` or the
+    /// `loc` cache — the store-free re-placement path for cascades.
     #[inline]
     fn place(&mut self, e: Entry) {
-        if (e.time ^ self.cur) >> BLOCK_BITS != 0 {
-            self.far.push(Reverse(FarKey(e.time, e.seq, e.idx)));
-            return;
-        }
         let (level, slot) = self.slot_of(e.time);
         self.push_bucket(level, slot, e);
     }
@@ -270,11 +245,9 @@ impl Wheel {
         )
     }
 
-    /// Unlink the entry for arena slot `idx` (scheduled at `time`) from
-    /// the wheel proper or the staged batch. Returns `false` — leaving
-    /// the wheel untouched — when the entry is parked in the far-heap,
-    /// where removal would be O(n); the caller tombstones it instead.
-    pub(crate) fn remove(&mut self, time: u64, idx: u32) -> bool {
+    /// Unlink the pending entry for arena slot `idx` (scheduled at
+    /// `time`) from the near list, its bucket or the staged batch.
+    pub(crate) fn remove(&mut self, time: u64, idx: u32) {
         if self.small {
             let pos = self
                 .near
@@ -283,14 +256,7 @@ impl Wheel {
                 .expect("cancelled entry missing from the near list"); // xxi-allow: panic-path -- the Sim proved the entry pending via its arena generation
             self.near.remove(pos);
             self.len -= 1;
-            return true;
-        }
-        // The far/wheel split is exactly `place`'s predicate: every
-        // wheel-resident entry sits where `place(time, cur)` would put it
-        // *now* (cascades re-place on every clock move), and far blocks
-        // migrate wholesale before the clock enters them.
-        if (time ^ self.cur) >> BLOCK_BITS != 0 {
-            return false;
+            return;
         }
         // Fast path: the insert-time location cache. A live `idx` is
         // unique across the wheel, so matching it proves the hit even
@@ -302,30 +268,30 @@ impl Wheel {
                 .is_some_and(|e| e.idx == idx)
             {
                 self.unlink(level, slot, pos);
-                return true;
+                return;
             }
         }
-        // Cache miss: the entry cascaded (or migrated in from the far
-        // heap) since insert. Its bucket is still *computed*, and buckets
-        // shrink as entries cascade down, so this scan is short.
+        // Cache miss: the entry cascaded since insert. Its bucket is still
+        // *computed* — every stored entry sits where `place` would put it
+        // against the current clock — and buckets shrink as entries
+        // cascade down, so this scan is short.
         let (level, slot) = self.slot_of(time);
         if let Some(pos) = self.buckets[BASE[level] + slot]
             .iter()
             .position(|e| e.idx == idx)
         {
             self.unlink(level, slot, pos);
-            return true;
+            return;
         }
-        // Not in a bucket and not far: the entry is staged in the current
-        // same-tick batch. Preserve the batch's seq-descending order.
+        // Not in a bucket: the entry is staged in the current same-tick
+        // batch. Preserve the batch's seq-descending order.
         let pos = self
             .batch
             .iter()
             .position(|e| e.idx == idx)
-            .expect("cancelled entry in neither bucket, batch, nor far-heap"); // xxi-allow: panic-path -- the Sim proved the entry pending via its arena generation
+            .expect("cancelled entry in neither bucket nor batch"); // xxi-allow: panic-path -- the Sim proved the entry pending via its arena generation
         self.batch.remove(pos);
         self.len -= 1;
-        true
     }
 
     /// Swap-remove position `pos` of bucket `(level, slot)`, repairing
@@ -355,20 +321,18 @@ impl Wheel {
         if let Some(e) = self.batch.last() {
             return Some(e.time);
         }
-        if let Some((level, slot)) = self.lowest_live() {
-            if level == 0 {
-                return Some((self.cur & !MASK[0]) | slot as u64);
-            }
-            // Everything in this bucket precedes all higher levels and
-            // the far-heap; scan it for the earliest tick.
-            let min = self.buckets[BASE[level] + slot]
-                .iter()
-                .map(|e| e.time)
-                .min();
-            debug_assert!(min.is_some());
-            return min;
+        let (level, slot) = self.lowest_live()?;
+        if level == 0 {
+            return Some((self.cur & !MASK[0]) | slot as u64);
         }
-        self.far.peek().map(|Reverse(k)| k.0)
+        // Everything in this bucket precedes all higher levels; scan it for
+        // the earliest tick.
+        let min = self.buckets[BASE[level] + slot]
+            .iter()
+            .map(|e| e.time)
+            .min();
+        debug_assert!(min.is_some());
+        min
     }
 
     /// Remove and return the earliest entry in `(time, seq)` order,
@@ -387,90 +351,68 @@ impl Wheel {
                 self.len -= 1;
                 return Some(e);
             }
-            if let Some((level, slot)) = self.lowest_live() {
-                if level == 0 {
-                    let tick = (self.cur & !MASK[0]) | slot as u64;
-                    debug_assert!(tick >= self.cur);
-                    self.cur = tick;
-                    let bucket = &mut self.buckets[slot];
-                    if bucket.len() == 1 {
-                        // Singleton tick — the sparse-schedule hot path:
-                        // pop straight out of the bucket, skipping the
-                        // batch swap.
-                        let e = bucket.pop().expect("occupancy bit set on an empty bucket"); // xxi-allow: panic-path -- clear_bucket drops the bit with the last entry
-                        self.clear_bucket(0, slot);
-                        self.len -= 1;
-                        return Some(e);
-                    }
-                    // Refill the batch — covers both fresh ticks and
-                    // same-tick events scheduled while the previous batch
-                    // fired. Cascades and far-block migrations interleave
-                    // seqs, so restore FIFO here: descending sort, pop
-                    // from the back.
-                    let mut b = self.take_bucket(0, slot);
-                    b.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
-                    self.scratch = std::mem::replace(&mut self.batch, b);
-                } else {
-                    // Cascade the lowest occupied bucket of the lowest live
-                    // level down one step. Advance the clock to the bucket's
-                    // base tick (fields above `level` kept, field `level` =
-                    // slot, lower fields zeroed); levels below are empty, so
-                    // no stored slot index goes stale.
-                    let shift = SHIFT[level];
-                    let high = !0u64 << (shift + LN_BITS);
-                    self.cur = (self.cur & high) | ((slot as u64) << shift);
-                    let bucket = &mut self.buckets[BASE[level] + slot];
-                    if bucket.len() == 1 {
-                        // Singleton bucket at the lowest live level: its
-                        // entry is the global minimum — lower levels are
-                        // empty, later slots of this level and all higher
-                        // levels differ from the clock in a strictly
-                        // larger bit-field (so fire later), a same-tick
-                        // twin would share this very bucket, and the far
-                        // heap is a later block. Commit the clock to its
-                        // tick and fire it directly instead of walking it
-                        // down one cascade step per level — the sparse-
-                        // schedule case (an M/G/1 queue keeps ~2 events
-                        // pending) where per-level hops would dominate.
-                        let e = bucket.pop().expect("occupancy bit set on an empty bucket"); // xxi-allow: panic-path -- clear_bucket drops the bit with the last entry
-                        self.clear_bucket(level, slot);
-                        debug_assert!(e.time >= self.cur);
-                        self.cur = e.time;
-                        self.len -= 1;
-                        return Some(e);
-                    } else {
-                        let mut b = self.take_bucket(level, slot);
-                        for e in b.drain(..) {
-                            debug_assert!(e.time >= self.cur);
-                            self.place(e);
-                        }
-                        self.scratch = b;
-                    }
-                }
-                continue;
-            }
-            // Wheel empty: migrate the earliest far block, if any.
-            let Some(&Reverse(first)) = self.far.peek() else {
+            let Some((level, slot)) = self.lowest_live() else {
                 // Fully drained — hand back to the near list so the next
                 // (possibly sparse) phase runs out of one cache line.
                 debug_assert_eq!(self.len, 0);
                 self.small = true;
                 return None;
             };
-            let base = (first.0 >> BLOCK_BITS) << BLOCK_BITS;
-            debug_assert!(base > self.cur);
-            self.cur = base;
-            while let Some(&Reverse(k)) = self.far.peek() {
-                if (k.0 >> BLOCK_BITS) << BLOCK_BITS != base {
-                    break;
+            if level == 0 {
+                let tick = (self.cur & !MASK[0]) | slot as u64;
+                debug_assert!(tick >= self.cur);
+                self.cur = tick;
+                let bucket = &mut self.buckets[slot];
+                if bucket.len() == 1 {
+                    // Singleton tick — the sparse-schedule hot path: pop
+                    // straight out of the bucket, skipping the batch swap.
+                    let e = bucket.pop().expect("occupancy bit set on an empty bucket"); // xxi-allow: panic-path -- clear_bucket drops the bit with the last entry
+                    self.clear_bucket(0, slot);
+                    self.len -= 1;
+                    return Some(e);
                 }
-                self.far.pop();
-                self.place(Entry {
-                    time: k.0,
-                    seq: k.1,
-                    idx: k.2,
-                });
+                // Refill the batch — covers both fresh ticks and same-tick
+                // events scheduled while the previous batch fired. Cascades
+                // interleave seqs, so restore FIFO here: descending sort,
+                // pop from the back.
+                let mut b = self.take_bucket(0, slot);
+                b.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
+                self.scratch = std::mem::replace(&mut self.batch, b);
+                continue;
             }
+            // Cascade the lowest occupied bucket of the lowest live level
+            // down one step. Advance the clock to the bucket's base tick
+            // (fields above `level` kept, field `level` = slot, lower fields
+            // zeroed); levels below are empty, so no stored slot index goes
+            // stale. The top level has no field above it: `shift + LN_BITS`
+            // is 66 there, and the kept mask is empty.
+            let shift = SHIFT[level];
+            let high = u64::MAX.checked_shl(shift + LN_BITS).unwrap_or(0);
+            self.cur = (self.cur & high) | ((slot as u64) << shift);
+            let bucket = &mut self.buckets[BASE[level] + slot];
+            if bucket.len() == 1 {
+                // Singleton bucket at the lowest live level: its entry is
+                // the global minimum — lower levels are empty, later slots
+                // of this level and all higher levels differ from the clock
+                // in a strictly larger bit-field (so fire later), and a
+                // same-tick twin would share this very bucket. Commit the
+                // clock to its tick and fire it directly instead of walking
+                // it down one cascade step per level — the sparse-schedule
+                // case (an M/G/1 queue keeps ~2 events pending) where
+                // per-level hops would dominate.
+                let e = bucket.pop().expect("occupancy bit set on an empty bucket"); // xxi-allow: panic-path -- clear_bucket drops the bit with the last entry
+                self.clear_bucket(level, slot);
+                debug_assert!(e.time >= self.cur);
+                self.cur = e.time;
+                self.len -= 1;
+                return Some(e);
+            }
+            let mut b = self.take_bucket(level, slot);
+            for e in b.drain(..) {
+                debug_assert!(e.time >= self.cur);
+                self.place(e);
+            }
+            self.scratch = b;
         }
     }
 }
