@@ -132,7 +132,7 @@ pub static KERNELS: [Kernel; 40] = [
     k("rel/ecc-decode", "SECDED-decode 10k corrupted words", "words", 10_000, ecc_decode),
     k("cpu/hillmarty-best-r", "Hill-Marty best symmetric core size at n=4096", "scans", 1, hillmarty_best_r),
     k("cpu/hillmarty-grid", "Hill-Marty symmetric speedup over a 100x100 grid", "evaluations", 10_000, hillmarty_grid),
-    k("cloud/mg1", "M/G/1 queue on the DES: 50k requests", "requests", 50_000, mg1),
+    k("cloud/mg1", "M/G/1 queue as a Lindley loop: 50k requests", "requests", 50_000, mg1),
     k("cloud/fanout", "Cloud: fan-out 100 max over the typical leaf", "leaf-draws", FANOUT_LEAF_DRAWS, fanout),
     k("sensor/epochs", "sensor node: FilterThenSend epochs with a solar harvester (run_observed)", "samples", SENSOR_SAMPLES, sensor_epochs),
     k("sec/dift", "DIFT machine: a tracked 150k-instruction loop", "instructions", 150_001, dift),

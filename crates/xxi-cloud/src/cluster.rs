@@ -59,7 +59,7 @@
 
 use serde::Serialize;
 
-use crate::latency::LatencyDist;
+use crate::latency::{LatencyDist, Sampler};
 use crate::qos::Budget;
 use xxi_core::des::fault::{FaultInjector, FaultMix, FaultPlan};
 use xxi_core::des::{Sim, TimerHandle};
@@ -443,6 +443,8 @@ const ROUTING_STREAM: u64 = 0xFA_207;
 
 struct CState {
     cfg: ClusterConfig,
+    /// `cfg.dist`, prepared once for the run's service draws.
+    service: Sampler,
     rng: Rng64,
     /// Dedicated substream for [`Routing::PowerOfTwo`] probes; drawn from
     /// only when that policy is configured, so the other policies' runs
@@ -524,6 +526,7 @@ impl ClusterConfig {
         assert!((0.0..=1.0).contains(&self.min_coverage));
         let state = CState {
             cfg: *self,
+            service: self.dist.sampler(),
             rng: Rng64::new(self.seed),
             route_rng: Rng64::stream(self.seed, ROUTING_STREAM),
             faults: FaultInjector::new(plan, self.components()),
@@ -724,7 +727,7 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
         });
     } else {
         let slowdown = sim.state.faults.slowdown(replica, now);
-        let service = cfg.dist.sample(&mut sim.state.rng) * slowdown;
+        let service = sim.state.service.sample(&mut sim.state.rng) * slowdown;
         let latency = cfg.rpc_ms + service;
         sim.schedule_in(SimTime::from_ms_f64(latency), move |sim| {
             respond(sim, req, shard, attempt, replica);

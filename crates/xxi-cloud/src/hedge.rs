@@ -12,7 +12,7 @@
 
 use serde::Serialize;
 
-use crate::latency::LatencyDist;
+use crate::latency::{LatencyDist, Sampler};
 use xxi_core::par::{mc_chunks, Parallelism, Serial};
 use xxi_core::rng::Rng64;
 use xxi_core::stats::percentiles;
@@ -36,11 +36,16 @@ pub struct HedgeOutcome {
 /// `deadline_ms`, also issue to replica B; completion is the earlier of
 /// A's finish and `deadline + B`'s service time.
 pub fn hedged_request(dist: &LatencyDist, deadline_ms: f64, rng: &mut Rng64) -> (f64, bool) {
-    let a = dist.sample(rng);
+    hedged_with(&dist.sampler(), deadline_ms, rng)
+}
+
+/// [`hedged_request`] on a prepared sampler.
+fn hedged_with(service: &Sampler, deadline_ms: f64, rng: &mut Rng64) -> (f64, bool) {
+    let a = service.sample(rng);
     if a <= deadline_ms {
         (a, false)
     } else {
-        let b = deadline_ms + dist.sample(rng);
+        let b = deadline_ms + service.sample(rng);
         (a.min(b), true)
     }
 }
@@ -81,11 +86,12 @@ pub fn hedge_experiment_on(
         &dist.draws_on(200_000, calib_seed, exec),
         [deadline_quantile * 100.0],
     );
+    let service = dist.sampler();
     let per_chunk = mc_chunks(exec, trials, trial_seed, |r, rng| {
         let mut xs = Vec::with_capacity(r.len());
         let mut hedged = 0usize;
         for _ in r {
-            let (t, h) = hedged_request(&dist, deadline, rng);
+            let (t, h) = hedged_with(&service, deadline, rng);
             xs.push(t);
             hedged += h as usize;
         }

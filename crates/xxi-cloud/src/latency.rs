@@ -72,22 +72,58 @@ impl LatencyDist {
 
     /// Draw one response time in milliseconds.
     pub fn sample(&self, rng: &mut Rng64) -> f64 {
+        self.sampler().sample(rng)
+    }
+
+    /// The variant and the bits of every field: two distributions with
+    /// equal keys make the same draws.
+    pub(crate) fn bits(&self) -> [u64; 6] {
         match *self {
-            LatencyDist::Exp { mean_ms } => rng.exp(1.0 / mean_ms),
-            LatencyDist::LogNormal { median_ms, sigma } => rng.lognormal(median_ms.ln(), sigma),
+            LatencyDist::Exp { mean_ms } => [0, mean_ms.to_bits(), 0, 0, 0, 0],
+            LatencyDist::LogNormal { median_ms, sigma } => {
+                [1, median_ms.to_bits(), sigma.to_bits(), 0, 0, 0]
+            }
             LatencyDist::WithStragglers {
                 median_ms,
                 sigma,
                 p_straggler,
                 tail_start_ms,
                 alpha,
-            } => {
-                if rng.chance(p_straggler) {
-                    rng.pareto(tail_start_ms, alpha)
-                } else {
-                    rng.lognormal(median_ms.ln(), sigma)
-                }
-            }
+            } => [
+                2,
+                median_ms.to_bits(),
+                sigma.to_bits(),
+                p_straggler.to_bits(),
+                tail_start_ms.to_bits(),
+                alpha.to_bits(),
+            ],
+        }
+    }
+
+    /// This distribution prepared for many draws: see [`Sampler`].
+    pub(crate) fn sampler(&self) -> Sampler {
+        match *self {
+            LatencyDist::Exp { mean_ms } => Sampler::Exp {
+                rate: 1.0 / mean_ms,
+            },
+            LatencyDist::LogNormal { median_ms, sigma } => Sampler::LogNormal {
+                mu: median_ms.ln(),
+                sigma,
+            },
+            LatencyDist::WithStragglers {
+                median_ms,
+                sigma,
+                p_straggler,
+                tail_start_ms,
+                alpha,
+            } => Sampler::WithStragglers {
+                mu: median_ms.ln(),
+                sigma,
+                p_straggler,
+                tail_start_ms,
+                alpha,
+                inv_alpha: 1.0 / alpha,
+            },
         }
     }
 
@@ -99,7 +135,10 @@ impl LatencyDist {
     /// their draws (see the module doc).
     pub fn sample_max(&self, n: usize, rng: &mut Rng64) -> f64 {
         match *self {
-            LatencyDist::Exp { .. } => (0..n).map(|_| self.sample(rng)).fold(f64::MIN, f64::max),
+            LatencyDist::Exp { .. } => {
+                let s = self.sampler();
+                (0..n).map(|_| s.sample(rng)).fold(f64::MIN, f64::max)
+            }
             LatencyDist::LogNormal { median_ms, sigma } => {
                 lognormal_max(n, median_ms, sigma, None, rng)
             }
@@ -121,7 +160,8 @@ impl LatencyDist {
 
     /// Draw `n` samples into a [`Summary`].
     pub fn sample_summary(&self, n: usize, rng: &mut Rng64) -> Summary {
-        let xs: Vec<f64> = (0..n).map(|_| self.sample(rng)).collect();
+        let s = self.sampler();
+        let xs: Vec<f64> = (0..n).map(|_| s.sample(rng)).collect();
         Summary::from_slice(&xs)
     }
 
@@ -138,10 +178,64 @@ impl LatencyDist {
     /// The `n` draws behind [`LatencyDist::sample_summary_on`], in chunk
     /// order, for callers that only select percentiles from them.
     pub(crate) fn draws_on(&self, n: usize, seed: u64, exec: &dyn Parallelism) -> Vec<f64> {
+        let s = self.sampler();
         let chunks = mc_chunks(exec, n, seed, |r, rng| {
-            r.map(|_| self.sample(rng)).collect::<Vec<f64>>()
+            r.map(|_| s.sample(rng)).collect::<Vec<f64>>()
         });
         chunks.into_iter().flatten().collect()
+    }
+}
+
+/// A [`LatencyDist`] prepared for many draws. `ln(median)`, `1 / mean`
+/// and `1 / alpha` are computed once, not on every draw. [`Sampler::sample`]
+/// is the one body behind [`LatencyDist::sample`]: it makes the same draws
+/// in the same order and evaluates the same expressions on them, so a loop
+/// that holds a sampler gets the bits of calling `sample` each time. It
+/// keeps the asserts of [`Rng64::exp`] and [`Rng64::pareto`] on the draws
+/// that make them, so a bad distribution still panics on the same draw.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Sampler {
+    /// [`LatencyDist::Exp`]: `rate = 1 / mean_ms`.
+    Exp { rate: f64 },
+    /// [`LatencyDist::LogNormal`]: `mu = ln(median_ms)`.
+    LogNormal { mu: f64, sigma: f64 },
+    /// [`LatencyDist::WithStragglers`]: `mu = ln(median_ms)`,
+    /// `inv_alpha = 1 / alpha`.
+    WithStragglers {
+        mu: f64,
+        sigma: f64,
+        p_straggler: f64,
+        tail_start_ms: f64,
+        alpha: f64,
+        inv_alpha: f64,
+    },
+}
+
+impl Sampler {
+    /// Draw one response time in milliseconds.
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut Rng64) -> f64 {
+        match *self {
+            Sampler::Exp { rate } => rng.exp(rate),
+            Sampler::LogNormal { mu, sigma } => rng.lognormal(mu, sigma),
+            Sampler::WithStragglers {
+                mu,
+                sigma,
+                p_straggler,
+                tail_start_ms,
+                alpha,
+                inv_alpha,
+            } => {
+                if rng.chance(p_straggler) {
+                    // `rng.pareto(tail_start_ms, alpha)` with `1 / alpha`
+                    // taken from the sampler.
+                    assert!(tail_start_ms > 0.0 && alpha > 0.0);
+                    tail_start_ms / (1.0 - rng.next_f64()).powf(inv_alpha)
+                } else {
+                    rng.lognormal(mu, sigma)
+                }
+            }
+        }
     }
 }
 
@@ -378,5 +472,108 @@ mod tests {
     #[ignore = "20M trials; run in release with --include-ignored"]
     fn sample_max_matches_the_folded_samples_at_scale() {
         check_against_reference(20_000_000);
+    }
+
+    /// `LatencyDist::sample` as it was before [`Sampler`], verbatim: what
+    /// the sampler must reproduce.
+    fn old_sample(d: &LatencyDist, rng: &mut Rng64) -> f64 {
+        match *d {
+            LatencyDist::Exp { mean_ms } => rng.exp(1.0 / mean_ms),
+            LatencyDist::LogNormal { median_ms, sigma } => rng.lognormal(median_ms.ln(), sigma),
+            LatencyDist::WithStragglers {
+                median_ms,
+                sigma,
+                p_straggler,
+                tail_start_ms,
+                alpha,
+            } => {
+                if rng.chance(p_straggler) {
+                    rng.pareto(tail_start_ms, alpha)
+                } else {
+                    rng.lognormal(median_ms.ln(), sigma)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_sampler_matches_the_old_sample_bit_for_bit() {
+        for (i, d) in oracle_dists().iter().enumerate() {
+            let s = d.sampler();
+            let mut fast = Rng64::stream(0x5A4, i as u64);
+            let mut slow = fast.clone();
+            for t in 0..20_000 {
+                let got = s.sample(&mut fast);
+                let want = old_sample(d, &mut slow);
+                assert_eq!(got.to_bits(), want.to_bits(), "{d:?} draw {t}");
+                assert_eq!(
+                    fast.next_u64(),
+                    slow.next_u64(),
+                    "{d:?} draw {t}: generator state diverged"
+                );
+            }
+        }
+    }
+
+    /// How many draws `draw` makes before it panics, on a fixed stream.
+    fn draws_before_panic(draw: impl Fn(&mut Rng64) -> f64) -> usize {
+        let made = std::cell::Cell::new(0);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut rng = Rng64::new(9);
+            for _ in 0..10_000 {
+                draw(&mut rng);
+                made.set(made.get() + 1);
+            }
+        }));
+        assert!(out.is_err(), "no panic in 10 000 draws");
+        made.get()
+    }
+
+    #[test]
+    fn a_bad_distribution_panics_on_the_same_draw_as_before() {
+        let straggling = |tail_start_ms: f64, alpha: f64| LatencyDist::WithStragglers {
+            median_ms: 5.0,
+            sigma: 0.3,
+            p_straggler: 0.05,
+            tail_start_ms,
+            alpha,
+        };
+        for d in [
+            LatencyDist::Exp { mean_ms: -1.0 },
+            LatencyDist::Exp { mean_ms: -0.0 },
+            LatencyDist::Exp { mean_ms: f64::NAN },
+            straggling(0.0, 1.5),
+            straggling(50.0, 0.0),
+            straggling(50.0, -1.0),
+            straggling(50.0, f64::NAN),
+        ] {
+            // Preparing never panics; only the draw that asserts does.
+            let s = d.sampler();
+            let new = draws_before_panic(|rng| s.sample(rng));
+            let old = draws_before_panic(|rng| old_sample(&d, rng));
+            assert_eq!(new, old, "{d:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda > 0.0")]
+    fn the_sampler_keeps_the_exponential_assert() {
+        LatencyDist::Exp { mean_ms: -1.0 }
+            .sampler()
+            .sample(&mut Rng64::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha > 0.0")]
+    fn the_sampler_keeps_the_pareto_assert() {
+        LatencyDist::WithStragglers {
+            median_ms: 5.0,
+            sigma: 0.3,
+            p_straggler: 1.0,
+            tail_start_ms: 50.0,
+            alpha: 0.0,
+        }
+        .sampler()
+        .sample(&mut Rng64::new(1));
     }
 }

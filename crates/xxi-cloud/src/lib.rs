@@ -15,7 +15,7 @@
 //!   log-normal, log-normal with a Pareto straggler tail).
 //! * [`fanout`] — fan-out requests: analytic `1 − p^n` straggler
 //!   probability and Monte Carlo latency-of-max (experiment E9).
-//! * [`queueing`] — an M/G/1 discrete-event queue on `xxi_core::des`,
+//! * [`queueing`] — an M/G/1 queue, run as a loop over its arrivals,
 //!   showing tail inflation with utilization (why stragglers exist).
 //! * [`hedge`] — hedged and tied requests: deadline-triggered duplicates
 //!   that cut p99 at a few percent extra load (the mitigation table).

@@ -21,7 +21,7 @@ use xxi_core::stats::percentiles;
 use xxi_core::time::SimTime;
 use xxi_core::units::{Energy, Power, Seconds};
 
-use crate::latency::LatencyDist;
+use crate::latency::{LatencyDist, Sampler};
 
 /// Leaf server power while actively serving (W).
 const LEAF_ACTIVE: Power = Power(50.0);
@@ -88,11 +88,24 @@ struct Pending {
 
 struct State {
     rng: Rng64,
+    /// The run's `dist`, prepared once for every leaf and hedge draw.
+    service: Sampler,
     pending: Vec<Pending>,
     request_latency: LogHistogram,
     leaf_latency: LogHistogram,
-    ledger: EnergyLedger,
+    /// Holds the `request_ms` observations; the counts below are posted
+    /// into it once the run ends.
     metrics: Metrics,
+    leaves: u64,
+    requests: u64,
+    hedges: u64,
+    /// Ledger components, each summed in charge order from zero so that
+    /// one [`EnergyLedger::charge_batch`] posts it bit for bit. Events:
+    /// `leaves` for `leaf_service`, `leaves + hedges` for `fabric_rpc`
+    /// and `requests` for `root_wait`.
+    leaf_service: Energy,
+    fabric_rpc: Energy,
+    root_wait: Energy,
 }
 
 fn ms_to_sim(ms: f64) -> SimTime {
@@ -106,36 +119,61 @@ impl ObservedFanout {
     pub fn run(&self, trace: Trace) -> ClusterObservation {
         assert!(self.fanout >= 1 && self.requests >= 1);
         let mut rng = Rng64::new(self.seed);
+        let service = self.dist.sampler();
         let deadline_ms = self.hedge_quantile.map(|q| {
             assert!((0.0..1.0).contains(&q));
-            let xs: Vec<f64> = (0..200_000).map(|_| self.dist.sample(&mut rng)).collect();
+            let xs: Vec<f64> = (0..200_000).map(|_| service.sample(&mut rng)).collect();
             percentiles(&xs, [q * 100.0])[0]
         });
 
         let state = State {
             rng,
+            service,
             pending: Vec::with_capacity(self.requests as usize),
             request_latency: LogHistogram::new(),
             leaf_latency: LogHistogram::new(),
-            ledger: EnergyLedger::new(),
             metrics: Metrics::new(),
+            leaves: 0,
+            requests: 0,
+            hedges: 0,
+            leaf_service: Energy::ZERO,
+            fabric_rpc: Energy::ZERO,
+            root_wait: Energy::ZERO,
         };
         let mut sim = Sim::with_trace(state, trace);
 
-        let (dist, fanout) = (self.dist, self.fanout);
+        let fanout = self.fanout;
         for r in 0..self.requests {
             let at = ms_to_sim(r as f64 * self.interarrival_ms);
             sim.schedule_at(at, move |sim| {
-                arrive(sim, dist, fanout, deadline_ms);
+                arrive(sim, fanout, deadline_ms);
             });
         }
         sim.run();
 
-        let s = sim.state;
+        let mut s = sim.state;
+        let mut ledger = EnergyLedger::new();
+        ledger.charge_batch("leaf_service", Layer::Compute, s.leaf_service, s.leaves);
+        ledger.charge_batch(
+            "fabric_rpc",
+            Layer::Network,
+            s.fabric_rpc,
+            s.leaves + s.hedges,
+        );
+        ledger.charge_batch("root_wait", Layer::Idle, s.root_wait, s.requests);
+        for (name, n) in [
+            ("leaves", s.leaves),
+            ("requests", s.requests),
+            ("hedges", s.hedges),
+        ] {
+            if n > 0 {
+                s.metrics.count(name, n);
+            }
+        }
         ClusterObservation {
             request_latency: s.request_latency,
             leaf_latency: s.leaf_latency,
-            ledger: s.ledger,
+            ledger,
             metrics: s.metrics,
             trace: sim.trace,
             hedge_deadline_ms: deadline_ms,
@@ -143,7 +181,7 @@ impl ObservedFanout {
     }
 }
 
-fn arrive(sim: &mut Sim<State>, dist: LatencyDist, fanout: u32, deadline_ms: Option<f64>) {
+fn arrive(sim: &mut Sim<State>, fanout: u32, deadline_ms: Option<f64>) {
     let span = sim.trace_begin("request", "cloud", 0);
     let start = sim.now();
     sim.state.pending.push(Pending {
@@ -154,21 +192,19 @@ fn arrive(sim: &mut Sim<State>, dist: LatencyDist, fanout: u32, deadline_ms: Opt
     let req = sim.state.pending.len() - 1;
 
     for leaf in 0..fanout {
-        let service = dist.sample(&mut sim.state.rng);
+        let service = sim.state.service.sample(&mut sim.state.rng);
         let mut effective = service;
         if let Some(d) = deadline_ms {
             if service > d {
                 // Leaf still running at the deadline: issue the hedge now
                 // (as a simulated event) and finish at the earlier path.
-                let second = d + dist.sample(&mut sim.state.rng);
+                let second = d + sim.state.service.sample(&mut sim.state.rng);
                 effective = service.min(second);
                 sim.schedule_in(ms_to_sim(d), move |sim| {
                     sim.trace_instant("hedge", "cloud", 1 + leaf as u64);
-                    sim.state.metrics.incr("hedges");
+                    sim.state.hedges += 1;
                     // Duplicate RPC out and back.
-                    sim.state
-                        .ledger
-                        .charge("fabric_rpc", Layer::Network, RPC_ENERGY * 2.0);
+                    sim.state.fabric_rpc += RPC_ENERGY * 2.0;
                 });
             }
         }
@@ -189,30 +225,21 @@ fn leaf_done(sim: &mut Sim<State>, req: usize, leaf: u32, service_ms: f64) {
         now,
         &[("service_ms", service_ms)],
     );
-    sim.state.leaf_latency.add(service_ms);
-    sim.state.metrics.incr("leaves");
-    sim.state.ledger.charge(
-        "leaf_service",
-        Layer::Compute,
-        LEAF_ACTIVE * Seconds(service_ms * 1e-3),
-    );
-    sim.state
-        .ledger
-        .charge("fabric_rpc", Layer::Network, RPC_ENERGY * 2.0);
+    let s = &mut sim.state;
+    s.leaf_latency.add(service_ms);
+    s.leaves += 1;
+    s.leaf_service += LEAF_ACTIVE * Seconds(service_ms * 1e-3);
+    s.fabric_rpc += RPC_ENERGY * 2.0;
 
-    let p = &mut sim.state.pending[req];
+    let p = &mut s.pending[req];
     p.remaining -= 1;
     if p.remaining == 0 {
         let span = p.span;
         let latency_ms = now.since(p.start).ms();
-        sim.state.request_latency.add(latency_ms);
-        sim.state.metrics.incr("requests");
-        sim.state.metrics.observe("request_ms", latency_ms);
-        sim.state.ledger.charge(
-            "root_wait",
-            Layer::Idle,
-            ROOT_WAIT * Seconds(latency_ms * 1e-3),
-        );
+        s.request_latency.add(latency_ms);
+        s.requests += 1;
+        s.metrics.observe("request_ms", latency_ms);
+        s.root_wait += ROOT_WAIT * Seconds(latency_ms * 1e-3);
         sim.trace.end_args(span, now, &[("latency_ms", latency_ms)]);
     }
 }

@@ -1,4 +1,4 @@
-//! An M/G/1 queueing server on the DES engine — where stragglers come from.
+//! An M/G/1 queueing server — where stragglers come from.
 //!
 //! The fan-out arithmetic takes the leaf latency distribution as given;
 //! this module shows why it has a tail at all: a server at utilization ρ
@@ -13,12 +13,22 @@
 //! dead server refuses new arrivals; a paused server defers service to the
 //! pause expiry. [`MG1Queue::run`] is the empty-plan special case —
 //! bit-identical to the pre-fault-seam behavior.
+//!
+//! The queue does not run on the DES engine, because its events never
+//! interact. A FIFO server fixes each job's finish time the moment the job
+//! arrives (Lindley's recursion: it starts when the server frees up), so
+//! the run is one loop over the arrivals in order. Finish times never decrease, so
+//! the jobs still resident wait in a FIFO, and each is settled (lost or
+//! completed) before the first arrival after its finish. The loop makes
+//! the DES's draws in the DES's order and gives the bits the DES gave; a
+//! `#[cfg(test)]` copy of the DES version is its oracle.
 
 use serde::Serialize;
 
+use std::collections::VecDeque;
+
 use crate::latency::LatencyDist;
 use xxi_core::des::fault::{FaultInjector, FaultPlan};
-use xxi_core::des::Sim;
 use xxi_core::metrics::Metrics;
 use xxi_core::par::{self, Parallelism};
 use xxi_core::rng::Rng64;
@@ -63,64 +73,17 @@ pub struct FaultedQueueResult {
     pub metrics: Metrics,
 }
 
-struct QState {
-    rng: Rng64,
-    service: LatencyDist,
-    lambda_per_ms: f64,
-    faults: FaultInjector,
-    /// Time the server becomes free.
-    server_free_at: SimTime,
-    sojourns_ms: Vec<f64>,
-    max_requests: usize,
-    arrived: usize,
-    lost: usize,
-    refused: usize,
-}
-
 /// The server is fault-plan component 0.
 const SERVER: u32 = 0;
 
-fn arrival(sim: &mut Sim<QState>) {
-    // Schedule next arrival.
-    let s = &mut sim.state;
-    s.arrived += 1;
-    if s.arrived < s.max_requests {
-        let gap = s.rng.exp(s.lambda_per_ms);
-        let gap = SimTime::from_ms_f64(gap);
-        sim.schedule_in(gap, arrival);
-    }
-    // Serve this one: FIFO single server.
-    let now = sim.now();
-    let s = &mut sim.state;
-    s.faults.advance(now);
-    // The service draw happens before the health check so every arrival
-    // consumes the same RNG stream regardless of the fault plan.
-    let service_ms = s.service.sample(&mut s.rng);
-    let Some(ready) = s.faults.up_at(SERVER, now) else {
-        // Dead server: the connection is refused, the job is never queued.
-        s.refused += 1;
-        return;
-    };
-    // A paused server accepts the job but can only start it at the pause
-    // expiry; the slowdown in effect at arrival stretches the service.
-    let service_ms = service_ms * s.faults.slowdown(SERVER, now);
-    let start = s.server_free_at.max(now).max(ready);
-    let finish = start.saturating_add(SimTime::from_ms_f64(service_ms));
-    s.server_free_at = finish;
-    // Jobs resident (queued or in service) when a kill/pause fires are
-    // wiped with the server's memory: compare disruption epochs.
-    let epoch = s.faults.disruptions(SERVER);
-    let arrived_at = now;
-    sim.schedule_at(finish, move |sim| {
-        let s = &mut sim.state;
-        s.faults.advance(finish);
-        if s.faults.disruptions(SERVER) != epoch {
-            s.lost += 1;
-            return;
-        }
-        let sojourn = finish.since(arrived_at);
-        s.sojourns_ms.push(sojourn.ms());
-    });
+/// A job the server accepted and has not settled yet.
+#[derive(Clone, Copy)]
+struct Resident {
+    arrived_at: SimTime,
+    finish: SimTime,
+    /// The server's disruption count at arrival: a kill or pause that
+    /// fires before `finish` wipes the job with the server's memory.
+    epoch: u64,
 }
 
 impl MG1Queue {
@@ -128,10 +91,11 @@ impl MG1Queue {
     /// first 10% are discarded as warmup).
     ///
     /// The empirical-ρ calibration draws from its own sub-seed, disjoint
-    /// from the stream that drives the DES. (The original implementation
-    /// estimated the mean service time from 100k draws of the *same*
-    /// `Rng64` that then generated arrivals and services, so the measured
-    /// sojourns silently depended on the calibration draw count.)
+    /// from the stream that drives the arrivals and services. (The
+    /// original implementation estimated the mean service time from 100k
+    /// draws of the *same* `Rng64` that then generated arrivals and
+    /// services, so the measured sojourns silently depended on the
+    /// calibration draw count.)
     pub fn run(&self, requests: usize, seed: u64) -> QueueResult {
         self.run_faulted(requests, seed, &FaultPlan::new()).result
     }
@@ -143,16 +107,265 @@ impl MG1Queue {
     /// empty plan this is bit-identical to the fault-free run.
     pub fn run_faulted(&self, requests: usize, seed: u64, plan: &FaultPlan) -> FaultedQueueResult {
         assert!(requests > 10);
+        self.simulate(requests, seed, plan, calibrated_mean(&self.service, seed))
+    }
+
+    /// [`MG1Queue::run_faulted`] given `mean_s`, the
+    /// [`calibrated_mean`] of this service at this seed.
+    fn simulate(
+        &self,
+        requests: usize,
+        seed: u64,
+        plan: &FaultPlan,
+        mean_s: f64,
+    ) -> FaultedQueueResult {
+        let mut root = Rng64::new(seed);
+        let _calib_seed = root.next_u64();
+        let mut rng = Rng64::new(root.next_u64());
+        let service = self.service.sampler();
+        let mut faults = FaultInjector::new(plan, 1);
+        let mut resident: VecDeque<Resident> = VecDeque::new();
+        let mut sojourns_ms = Vec::with_capacity(requests);
+        let (mut lost, mut refused) = (0usize, 0usize);
+        // Time the server becomes free.
+        let mut server_free_at = SimTime::ZERO;
+        let (mut now, mut left) = (SimTime::ZERO, requests);
+        loop {
+            // Settle the jobs that finish by this arrival, or all of them
+            // after the last one. The DES may fire a completion after an
+            // arrival at the same instant, but the order cannot change any
+            // output: both call `advance` at that instant, neither changes
+            // what the other reads, and sojourns still leave the FIFO in
+            // arrival order.
+            let due = if left > 0 { now } else { SimTime::MAX };
+            while let Some(&job) = resident.front() {
+                if job.finish > due {
+                    break;
+                }
+                resident.pop_front();
+                faults.advance(job.finish);
+                if faults.disruptions(SERVER) != job.epoch {
+                    lost += 1;
+                } else {
+                    sojourns_ms.push(job.finish.since(job.arrived_at).ms());
+                }
+            }
+            if left == 0 {
+                break;
+            }
+            left -= 1;
+            // The DES's draw order: the next gap (none after the last
+            // arrival), then this job's service, then the health check.
+            let arrived_at = now;
+            if left > 0 {
+                let gap = SimTime::from_ms_f64(rng.exp(self.lambda_per_ms));
+                now = now.saturating_add(gap);
+            }
+            faults.advance(arrived_at);
+            // The service draw happens before the health check so every
+            // arrival consumes the same RNG stream regardless of the plan.
+            let service_ms = service.sample(&mut rng);
+            let Some(ready) = faults.up_at(SERVER, arrived_at) else {
+                // Dead server: the connection is refused, the job is never queued.
+                refused += 1;
+                continue;
+            };
+            // A paused server accepts the job but can only start it at the
+            // pause expiry; the slowdown in effect at arrival stretches the
+            // service.
+            let service_ms = service_ms * faults.slowdown(SERVER, arrived_at);
+            let start = server_free_at.max(arrived_at).max(ready);
+            let finish = start.saturating_add(SimTime::from_ms_f64(service_ms));
+            server_free_at = finish;
+            resident.push_back(Resident {
+                arrived_at,
+                finish,
+                epoch: faults.disruptions(SERVER),
+            });
+        }
+        // Fire any plan remainder past the last event so the accounting
+        // always covers the whole plan.
+        faults.advance(SimTime::MAX);
+        let warmup = (requests / 10).min(sojourns_ms.len());
+        let xs = &sojourns_ms[warmup..];
+        let sm = Summary::from_slice(xs);
+        let (p50, p99) = if sm.count() == 0 {
+            (0.0, 0.0)
+        } else {
+            (sm.median(), sm.percentile(99.0))
+        };
+        let mut metrics = Metrics::new();
+        metrics.count("queue.arrivals", requests as u64);
+        metrics.count("queue.completed", sojourns_ms.len() as u64);
+        metrics.count("queue.lost_jobs", lost as u64);
+        metrics.count("queue.refused_arrivals", refused as u64);
+        faults.record(&mut metrics);
+        FaultedQueueResult {
+            result: QueueResult {
+                rho: self.lambda_per_ms * mean_s,
+                mean_ms: sm.mean(),
+                p50,
+                p99,
+                completed: xs.len(),
+            },
+            lost,
+            refused,
+            metrics,
+        }
+    }
+}
+
+/// The empirical mean service time behind ρ: 100k draws of `service` on
+/// the calibration sub-seed of `seed`.
+fn calibrated_mean(service: &LatencyDist, seed: u64) -> f64 {
+    let mut calib = Rng64::new(Rng64::new(seed).next_u64());
+    service.sample_summary(100_000, &mut calib).mean()
+}
+
+/// Run one [`MG1Queue::run`] per configuration on `exec`; results come
+/// back in input order. Each run is a sequential loop, so the numbers are
+/// independent of the executor — only the wall clock changes when
+/// configurations run concurrently. The runs share one seed, so each
+/// distinct service (equal by bits) draws its calibration once, and its
+/// runs share it; nothing is kept past this call.
+pub fn mg1_sweep_on(
+    queues: &[MG1Queue],
+    requests: usize,
+    seed: u64,
+    exec: &dyn Parallelism,
+) -> Vec<QueueResult> {
+    assert!(requests > 10);
+    let mut services: Vec<LatencyDist> = Vec::new();
+    let slot: Vec<usize> = queues
+        .iter()
+        .map(|q| {
+            let bits = q.service.bits();
+            services
+                .iter()
+                .position(|s| s.bits() == bits)
+                .unwrap_or_else(|| {
+                    services.push(q.service);
+                    services.len() - 1
+                })
+        })
+        .collect();
+    let means = par::map(exec, services.len(), |i| {
+        calibrated_mean(&services[i], seed)
+    });
+    let plan = FaultPlan::new();
+    par::map(exec, queues.len(), |i| {
+        queues[i]
+            .simulate(requests, seed, &plan, means[slot[i]])
+            .result
+    })
+}
+
+/// The DES version of the queue that the loop replaced, verbatim: the
+/// loop's oracle.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use xxi_core::des::Sim;
+
+    struct QState {
+        rng: Rng64,
+        service: LatencyDist,
+        lambda_per_ms: f64,
+        faults: FaultInjector,
+        /// Time the server becomes free.
+        server_free_at: SimTime,
+        sojourns_ms: Vec<f64>,
+        max_requests: usize,
+        arrived: usize,
+        lost: usize,
+        refused: usize,
+    }
+
+    fn arrival(sim: &mut Sim<QState>) {
+        // Schedule next arrival.
+        let s = &mut sim.state;
+        s.arrived += 1;
+        if s.arrived < s.max_requests {
+            let gap = s.rng.exp(s.lambda_per_ms);
+            let gap = SimTime::from_ms_f64(gap);
+            sim.schedule_in(gap, arrival);
+        }
+        // Serve this one: FIFO single server.
+        let now = sim.now();
+        let s = &mut sim.state;
+        s.faults.advance(now);
+        // The service draw happens before the health check so every arrival
+        // consumes the same RNG stream regardless of the fault plan.
+        let service_ms = s.service.sample(&mut s.rng);
+        let Some(ready) = s.faults.up_at(SERVER, now) else {
+            // Dead server: the connection is refused, the job is never queued.
+            s.refused += 1;
+            return;
+        };
+        // A paused server accepts the job but can only start it at the pause
+        // expiry; the slowdown in effect at arrival stretches the service.
+        let service_ms = service_ms * s.faults.slowdown(SERVER, now);
+        let start = s.server_free_at.max(now).max(ready);
+        let finish = start.saturating_add(SimTime::from_ms_f64(service_ms));
+        s.server_free_at = finish;
+        // Jobs resident (queued or in service) when a kill/pause fires are
+        // wiped with the server's memory: compare disruption epochs.
+        let epoch = s.faults.disruptions(SERVER);
+        let arrived_at = now;
+        sim.schedule_at(finish, move |sim| {
+            let s = &mut sim.state;
+            s.faults.advance(finish);
+            if s.faults.disruptions(SERVER) != epoch {
+                s.lost += 1;
+                return;
+            }
+            let sojourn = finish.since(arrived_at);
+            s.sojourns_ms.push(sojourn.ms());
+        });
+    }
+
+    /// The sojourns of a fault-free DES run driven by `des_seed` alone,
+    /// with no calibration draw.
+    pub(super) fn sojourns(q: &MG1Queue, requests: usize, des_seed: u64) -> Vec<f64> {
+        let state = QState {
+            rng: Rng64::new(des_seed),
+            service: q.service,
+            lambda_per_ms: q.lambda_per_ms,
+            faults: FaultInjector::new(&FaultPlan::new(), 1),
+            server_free_at: SimTime::ZERO,
+            sojourns_ms: Vec::new(),
+            max_requests: requests,
+            arrived: 0,
+            lost: 0,
+            refused: 0,
+        };
+        let mut sim = Sim::new(state);
+        sim.schedule_at(SimTime::ZERO, arrival);
+        sim.run();
+        sim.state.sojourns_ms
+    }
+
+    /// `MG1Queue::run_faulted` on the DES. When `instants` is given, it
+    /// also records the instant of every event fired (each arrival and
+    /// each completion).
+    pub(super) fn run_faulted(
+        q: &MG1Queue,
+        requests: usize,
+        seed: u64,
+        plan: &FaultPlan,
+        instants: Option<&mut Vec<SimTime>>,
+    ) -> FaultedQueueResult {
+        assert!(requests > 10);
         let mut root = Rng64::new(seed);
         let calib_seed = root.next_u64();
         let des_seed = root.next_u64();
         // Empirical mean service time for ρ.
         let mut calib = Rng64::new(calib_seed);
-        let mean_s = self.service.sample_summary(100_000, &mut calib).mean();
+        let mean_s = q.service.sample_summary(100_000, &mut calib).mean();
         let state = QState {
             rng: Rng64::new(des_seed),
-            service: self.service,
-            lambda_per_ms: self.lambda_per_ms,
+            service: q.service,
+            lambda_per_ms: q.lambda_per_ms,
             faults: FaultInjector::new(plan, 1),
             server_free_at: SimTime::ZERO,
             sojourns_ms: Vec::with_capacity(requests),
@@ -163,7 +376,16 @@ impl MG1Queue {
         };
         let mut sim = Sim::new(state);
         sim.schedule_at(SimTime::ZERO, arrival);
-        sim.run();
+        match instants {
+            None => {
+                sim.run();
+            }
+            Some(at) => {
+                while sim.step() {
+                    at.push(sim.now());
+                }
+            }
+        }
         // Fire any plan remainder past the last event so the accounting
         // always covers the whole plan.
         sim.state.faults.advance(SimTime::MAX);
@@ -184,7 +406,7 @@ impl MG1Queue {
         s.faults.record(&mut metrics);
         FaultedQueueResult {
             result: QueueResult {
-                rho: self.lambda_per_ms * mean_s,
+                rho: q.lambda_per_ms * mean_s,
                 mean_ms: sm.mean(),
                 p50,
                 p99,
@@ -197,23 +419,23 @@ impl MG1Queue {
     }
 }
 
-/// Run one [`MG1Queue::run`] per configuration on `exec`; results come
-/// back in input order. Each run is the sequential DES with its own seed,
-/// so the numbers are independent of the executor — only the wall clock
-/// changes when configurations run concurrently.
-pub fn mg1_sweep_on(
-    queues: &[MG1Queue],
-    requests: usize,
-    seed: u64,
-    exec: &dyn Parallelism,
-) -> Vec<QueueResult> {
-    par::map(exec, queues.len(), |i| queues[i].run(requests, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xxi_core::des::fault::Fault;
+
+    /// Every [`QueueResult`] field compared by bits.
+    fn assert_same(got: &QueueResult, want: &QueueResult, what: &str) {
+        assert_eq!(got.rho.to_bits(), want.rho.to_bits(), "{what}: rho");
+        assert_eq!(
+            got.mean_ms.to_bits(),
+            want.mean_ms.to_bits(),
+            "{what}: mean"
+        );
+        assert_eq!(got.p50.to_bits(), want.p50.to_bits(), "{what}: p50");
+        assert_eq!(got.p99.to_bits(), want.p99.to_bits(), "{what}: p99");
+        assert_eq!(got.completed, want.completed, "{what}: completed");
+    }
 
     fn mm1(rho: f64) -> MG1Queue {
         // Exponential service with mean 1 ms; λ = ρ.
@@ -294,25 +516,27 @@ mod tests {
         let result = q.run(50_000, 13);
         let mut root = Rng64::new(13);
         let _calib_seed = root.next_u64();
-        let des_seed = root.next_u64();
-        let state = QState {
-            rng: Rng64::new(des_seed),
-            service: q.service,
-            lambda_per_ms: q.lambda_per_ms,
-            faults: FaultInjector::new(&FaultPlan::new(), 1),
-            server_free_at: SimTime::ZERO,
-            sojourns_ms: Vec::new(),
-            max_requests: 50_000,
-            arrived: 0,
-            lost: 0,
-            refused: 0,
-        };
-        let mut sim = Sim::new(state);
-        sim.schedule_at(SimTime::ZERO, arrival);
-        sim.run();
-        let s = Summary::from_slice(&sim.state.sojourns_ms[50_000 / 10..]);
+        let sojourns = reference::sojourns(&q, 50_000, root.next_u64());
+        let s = Summary::from_slice(&sojourns[50_000 / 10..]);
         assert_eq!(s.mean().to_bits(), result.mean_ms.to_bits());
         assert_eq!(s.percentile(99.0).to_bits(), result.p99.to_bits());
+    }
+
+    #[test]
+    fn sweep_shares_a_calibration_only_between_equal_services() {
+        // Two services interleaved at one seed: every row must carry its
+        // own service's calibrated rho, not the first row's.
+        let leaf = MG1Queue {
+            lambda_per_ms: 0.05,
+            service: LatencyDist::typical_leaf(),
+        };
+        let qs = [mm1(0.3), leaf.clone(), mm1(0.6), leaf, mm1(0.9)];
+        let sweep = mg1_sweep_on(&qs, 5_000, 21, &xxi_core::par::Serial);
+        assert_eq!(sweep.len(), qs.len());
+        for (r, q) in sweep.iter().zip(&qs) {
+            assert_same(r, &q.run(5_000, 21), &format!("{q:?}"));
+        }
+        assert_ne!(sweep[0].rho.to_bits(), sweep[1].rho.to_bits());
     }
 
     #[test]
@@ -400,5 +624,179 @@ mod tests {
                 + m.counter("queue.refused_arrivals"),
             "every arrival completes, is lost, or is refused"
         );
+    }
+
+    /// The services the loop is checked on, each with a rough mean for
+    /// setting λ. The last one's services and gaps are a few picoseconds,
+    /// so arrivals and completions often share an instant.
+    fn oracle_services() -> Vec<(LatencyDist, f64)> {
+        let leaf = LatencyDist::typical_leaf();
+        let leaf_mean = leaf.sample_summary(10_000, &mut Rng64::new(0)).mean();
+        vec![
+            (LatencyDist::Exp { mean_ms: 1.0 }, 1.0),
+            (
+                LatencyDist::LogNormal {
+                    median_ms: 1.0,
+                    sigma: 0.0,
+                },
+                1.0,
+            ),
+            (
+                LatencyDist::LogNormal {
+                    median_ms: 1.0,
+                    sigma: 0.3,
+                },
+                1.046,
+            ),
+            (leaf, leaf_mean),
+            (LatencyDist::Exp { mean_ms: 2e-9 }, 2e-9),
+        ]
+    }
+
+    /// Fault plans for a run that lasts about `end_ms`; `instants` are
+    /// the event instants of the reference's fault-free run.
+    fn oracle_plans(end_ms: f64, instants: &[SimTime]) -> Vec<(String, FaultPlan)> {
+        let at = |frac: f64| SimTime::from_ms_f64(end_ms * frac);
+        let span = |frac: f64| SimTime::from_ms_f64(end_ms * frac);
+        let pause = |frac: f64| Fault::Pause {
+            for_time: span(frac),
+        };
+        let mut plans = vec![("empty".to_string(), FaultPlan::new())];
+        let mut add = |name: &str, faults: &[(SimTime, Fault)]| {
+            let mut plan = FaultPlan::new();
+            for &(t, f) in faults {
+                plan.at(t, SERVER, f);
+            }
+            plans.push((name.to_string(), plan));
+        };
+        add("kill", &[(at(0.5), Fault::Kill)]);
+        add(
+            "overlapping pauses",
+            &[
+                (at(0.2), pause(0.3)),
+                (at(0.3), pause(0.05)),
+                (at(0.45), pause(0.2)),
+            ],
+        );
+        let slow = |factor: f64, frac: f64| Fault::Slow {
+            factor,
+            for_time: span(frac),
+        };
+        add("slow", &[(at(0.3), slow(3.0, 0.2))]);
+        add(
+            "restore after kill",
+            &[(at(0.3), Fault::Kill), (at(0.6), Fault::Restore)],
+        );
+        add(
+            "several at one instant",
+            &[
+                (at(0.5), slow(2.0, 0.1)),
+                (at(0.5), pause(0.05)),
+                (at(0.5), Fault::Kill),
+                (at(0.5), Fault::Restore),
+                (at(0.5), pause(0.01)),
+            ],
+        );
+        add(
+            "endless pause",
+            &[(
+                at(0.5),
+                Fault::Pause {
+                    for_time: SimTime::MAX,
+                },
+            )],
+        );
+        add("saturating slowdown", &[(at(0.5), slow(1e300, 0.2))]);
+        let n = instants.len();
+        for i in [1, n / 5, n / 2, n - 2] {
+            let (t, next) = (instants[i], instants[i + 1]);
+            add(&format!("pause on event {i}"), &[(t, pause(0.02))]);
+            add(&format!("slow on event {i}"), &[(t, slow(5.0, 0.02))]);
+            add(
+                &format!("kill on event {i}, restore on the next"),
+                &[(t, Fault::Kill), (next, Fault::Restore)],
+            );
+        }
+        let last = instants[n - 1];
+        add(
+            "after the last event",
+            &[
+                (last.saturating_add(SimTime::from_ps(1)), Fault::Kill),
+                (SimTime::MAX, pause(0.1)),
+                (SimTime::MAX, Fault::Restore),
+            ],
+        );
+        plans
+    }
+
+    /// One oracle case: `run_faulted` against the DES reference, every
+    /// result field by bits, plus `lost`, `refused` and every counter.
+    fn check_case(q: &MG1Queue, requests: usize, seed: u64, plan: &FaultPlan, what: &str) {
+        let got = q.run_faulted(requests, seed, plan);
+        let want = reference::run_faulted(q, requests, seed, plan, None);
+        assert_same(&got.result, &want.result, what);
+        assert_eq!(got.lost, want.lost, "{what}: lost");
+        assert_eq!(got.refused, want.refused, "{what}: refused");
+        assert_eq!(
+            got.metrics.counters().collect::<Vec<_>>(),
+            want.metrics.counters().collect::<Vec<_>>(),
+            "{what}: counters"
+        );
+    }
+
+    const ORACLE_RHOS: [f64; 4] = [0.1, 0.85, 0.99, 1.2];
+
+    /// Every service and plan against the reference. With `full`, every
+    /// ρ and request count at two seeds; otherwise each (service, plan)
+    /// pair runs once, at a (ρ, request count) pair that cycles with the
+    /// plan.
+    fn check_against_reference(requests: &[usize], full: bool) -> usize {
+        let mut cases = 0;
+        for (si, (service, mean_ms)) in oracle_services().into_iter().enumerate() {
+            for (ri, &rho) in ORACLE_RHOS.iter().enumerate() {
+                let q = MG1Queue {
+                    lambda_per_ms: rho / mean_ms,
+                    service,
+                };
+                for (ni, &n) in requests.iter().enumerate() {
+                    let seed = 0xA11CE + (si * 31 + ri * 7 + ni) as u64;
+                    let mut instants = Vec::new();
+                    reference::run_faulted(&q, n, seed, &FaultPlan::new(), Some(&mut instants));
+                    let end_ms = n as f64 / q.lambda_per_ms;
+                    let cell = ri * requests.len() + ni;
+                    let cells = ORACLE_RHOS.len() * requests.len();
+                    for (pi, (name, plan)) in oracle_plans(end_ms, &instants).iter().enumerate() {
+                        let seeds: &[u64] = if full {
+                            &[seed, seed ^ 0x5EED]
+                        } else if (si + pi) % cells == cell {
+                            &[seed]
+                        } else {
+                            &[]
+                        };
+                        for &sd in seeds {
+                            let what = format!("{service:?} rho={rho} n={n} seed={sd} {name}");
+                            check_case(&q, n, sd, plan, &what);
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn the_loop_matches_the_des_reference_bit_for_bit() {
+        // Each of the 5 services meets each of the 21 plans once.
+        assert_eq!(
+            check_against_reference(&[11, 12, 150, 2_000, 20_000], false),
+            5 * 21
+        );
+    }
+
+    #[test]
+    #[ignore = "4 200 cases, ~1 min; run in release with --include-ignored"]
+    fn the_loop_matches_the_des_reference_at_scale() {
+        check_against_reference(&[11, 13, 100, 2_000, 20_000], true);
     }
 }
