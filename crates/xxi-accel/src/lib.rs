@@ -28,13 +28,11 @@
 //!   "broaden the class of applicable problems" lever.
 
 pub mod cgra;
-pub mod fpga;
 pub mod ladder;
 pub mod nre;
 pub mod offload;
 
 pub use cgra::{Cgra, DataflowGraph};
-pub use fpga::{fpga_energy_per_op, fpga_vs_cpu_factor, FpgaGap};
 pub use ladder::{ladder_energy_per_op, ImplKind, Kernel};
 pub use nre::breakeven_volume;
 pub use offload::{offload_energy, offload_speedup, OffloadConfig};

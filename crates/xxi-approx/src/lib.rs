@@ -21,14 +21,12 @@
 //!   configurations and the Pareto frontier extraction used by
 //!   experiment E14.
 
-pub mod memo;
 pub mod number;
 pub mod pareto;
 pub mod perforation;
 pub mod quality;
 pub mod signal;
 
-pub use memo::TolerantMemo;
 pub use number::ApproxReal;
 pub use pareto::{pareto_frontier, sweep_fir, SweepPoint};
 pub use perforation::perforated_mean_filter;

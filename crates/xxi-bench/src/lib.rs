@@ -6,7 +6,7 @@
 //!
 //! `xxi run <id>`'s stdout is pinned by `tests/golden.rs`. Keep
 //! experiments deterministic: canonical seeds via `RunCtx::seed_or`, and
-//! host timing only in [`bench`].
+//! host timing only in [`bench`](mod@bench).
 
 use xxi_core::obs::LogHistogram;
 use xxi_core::table::fnum;

@@ -1072,9 +1072,6 @@ fn model_constructors(s: &mut Sink) {
         src,
         "read grant must not imply write",
     );
-    // xxi-mem: a coherent multi-cache system constructs.
-    let _cs = xxi_mem::coherence::CoherentSystem::new(4);
-    s.checks += 1;
 }
 
 // --- external ledger files ------------------------------------------------

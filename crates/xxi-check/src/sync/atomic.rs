@@ -1,7 +1,7 @@
 //! Shadow atomics: drop-in replacements for `std::sync::atomic` types.
 //!
 //! Inside a [`crate::Checker`] execution, every operation is a scheduling
-//! point and goes through the happens-before model in [`crate::sched`];
+//! point and goes through the happens-before model in `crate::sched`;
 //! outside one (no execution context, or while unwinding during abort
 //! teardown) every operation delegates to the embedded real atomic with
 //! the caller's ordering, so the same binary runs tests both ways.

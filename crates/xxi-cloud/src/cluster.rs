@@ -6,7 +6,7 @@
 //! requirements"* only if the serving stack tolerates dead and slow
 //! replicas, not just statistical stragglers. This module runs a root →
 //! leaf fan-out service on [`xxi_core::des`] while a seeded
-//! [`FaultPlan`](xxi_core::des::fault::FaultPlan) kills, pauses, and slows
+//! [`FaultPlan`] kills, pauses, and slows
 //! replicas underneath it, and measures what the serving policy buys.
 //!
 //! The two decisions a root makes per attempt are configuration values,
@@ -43,9 +43,9 @@
 //!
 //! Around the two policies, the serving discipline is fixed: every shard
 //! query carries a per-attempt timeout sliced from the request's QoS
-//! [`Budget`](crate::qos::Budget); lost attempts retry with jittered
+//! [`Budget`]; lost attempts retry with jittered
 //! exponential backoff and fail over along the permutation; and a
-//! root-side [`FailsafeMachine`](xxi_rel::failsafe::FailsafeMachine)
+//! root-side [`FailsafeMachine`]
 //! degrades gracefully — in `Degraded` mode the root accepts thinner
 //! partial results, in `Safe` mode it sheds hedging load entirely.
 //!

@@ -1,4 +1,4 @@
-//! Hedged and tied requests — the tail-tolerant mitigations.
+//! Hedged requests — the tail-tolerant mitigation E9 measures.
 //!
 //! §2.1: *"architectural innovations can guarantee strict worst-case
 //! latency requirements."* The software-level state of the art the paper
@@ -8,7 +8,7 @@
 //! the p99+ collapses toward the body of the distribution.
 //!
 //! [`hedged_request`] models one request; [`hedge_experiment`] produces the
-//! before/after table of experiment E9b.
+//! mitigation table of experiment E9.
 
 use serde::Serialize;
 
@@ -113,54 +113,6 @@ pub fn hedge_experiment_on(
     }
 }
 
-/// Latency of one **tied** request: issue to two replicas immediately,
-/// each queued behind an exponential queueing delay with the given mean;
-/// when one starts executing it cancels its twin. Effective latency =
-/// min of the two (queue + service) paths plus a small cancellation
-/// message delay. Cost: brief double queue occupancy, ~no double service.
-pub fn tied_request(
-    dist: &LatencyDist,
-    queue_mean_ms: f64,
-    cancel_ms: f64,
-    rng: &mut Rng64,
-) -> f64 {
-    let qa = rng.exp(1.0 / queue_mean_ms);
-    let qb = rng.exp(1.0 / queue_mean_ms) + cancel_ms;
-    let a = qa + dist.sample(rng);
-    let b = qb + dist.sample(rng);
-    a.min(b)
-}
-
-/// Run `trials` tied requests; returns `(p50, p99, p999)`.
-pub fn tied_experiment(
-    dist: LatencyDist,
-    queue_mean_ms: f64,
-    cancel_ms: f64,
-    trials: usize,
-    seed: u64,
-) -> (f64, f64, f64) {
-    tied_experiment_on(dist, queue_mean_ms, cancel_ms, trials, seed, &Serial)
-}
-
-/// [`tied_experiment`] on an explicit executor; byte-identical output
-/// for every executor and thread count.
-pub fn tied_experiment_on(
-    dist: LatencyDist,
-    queue_mean_ms: f64,
-    cancel_ms: f64,
-    trials: usize,
-    seed: u64,
-    exec: &dyn Parallelism,
-) -> (f64, f64, f64) {
-    let chunks = mc_chunks(exec, trials, seed, |r, rng| {
-        r.map(|_| tied_request(&dist, queue_mean_ms, cancel_ms, rng))
-            .collect::<Vec<f64>>()
-    });
-    let xs: Vec<f64> = chunks.into_iter().flatten().collect();
-    let [p50, p99, p999] = percentiles(&xs, [50.0, 99.0, 99.9]);
-    (p50, p99, p999)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,26 +154,6 @@ mod tests {
             // Same RNG stream: first draw is `a`.
             assert!(t <= a + 1e-12);
         }
-    }
-
-    #[test]
-    fn tied_requests_beat_single_issue_on_the_tail() {
-        // Two queued copies with cancellation: the min of two paths cuts
-        // both queueing and service tails.
-        let dist = LatencyDist::typical_leaf();
-        let mut rng = Rng64::new(7);
-        let single: Vec<f64> = (0..200_000)
-            .map(|_| rng.exp(1.0 / 4.0) + dist.sample(&mut rng))
-            .collect();
-        let s = Summary::from_slice(&single);
-        let (p50, p99, p999) = tied_experiment(dist, 4.0, 1.0, 200_000, 8);
-        assert!(p50 < s.median());
-        assert!(p99 < s.percentile(99.0));
-        assert!(
-            p999 < s.percentile(99.9) / 2.0,
-            "tied p999={p999} single={}",
-            s.percentile(99.9)
-        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   probability and Monte Carlo latency-of-max (experiment E9).
 //! * [`queueing`] — an M/G/1 queue, run as a loop over its arrivals,
 //!   showing tail inflation with utilization (why stragglers exist).
-//! * [`hedge`] — hedged and tied requests: deadline-triggered duplicates
-//!   that cut p99 at a few percent extra load (the mitigation table).
+//! * [`hedge`] — hedged requests: deadline-triggered duplicates that cut
+//!   p99 at a few percent extra load (E9's mitigation table).
 //! * [`obs`] — the fan-out/hedge model re-run on the DES engine with full
 //!   telemetry: request/leaf trace spans, latency histograms, and an
 //!   energy ledger (leaf compute / fabric RPC / root idle-wait).
@@ -42,7 +42,6 @@ pub mod obs;
 pub mod power;
 pub mod qos;
 pub mod queueing;
-pub mod replication;
 
 pub use cluster::{cluster_sweep_on, ClusterConfig, ClusterOutcome, Hedging, RetryPolicy, Routing};
 pub use fanout::{analytic_straggler_prob, fanout_latency};
@@ -52,4 +51,3 @@ pub use obs::{ClusterObservation, ObservedFanout};
 pub use power::{DatacenterPower, ServerPower};
 pub use qos::Colocation;
 pub use queueing::{MG1Queue, QueueResult};
-pub use replication::{LoadStats, ReplicatedStore};

@@ -19,14 +19,14 @@
 //!
 //! ## Engine
 //!
-//! The ready queue is a hierarchical timer wheel ([`wheel`]): a wide
+//! The ready queue is a hierarchical timer wheel (`des/wheel.rs`): a wide
 //! 4096-slot level 0 plus six 512-slot levels hash events by bit-fields
 //! of their absolute picosecond tick, cascading coarse buckets toward
 //! level 0 only when the clock reaches them. The levels cover every
 //! `u64` tick, so the whole [`SimTime`] range (about 213 days) is one
 //! timeline. Same-tick events share one level-0 bucket, so FIFO ties
 //! cost a single sort of the burst instead of per-event heap
-//! comparisons. Event closures live in a recycling arena ([`arena`]):
+//! comparisons. Event closures live in a recycling arena (`des/arena.rs`):
 //! small closures (≤ 64 bytes — the common case) are stored inline in
 //! reused slots, so steady-state scheduling is allocation-free; oversized
 //! closures take a cold boxed path. Scheduling returns a generation-checked

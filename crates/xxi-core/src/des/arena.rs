@@ -144,7 +144,7 @@ pub struct ArenaStats {
     pub recycled: u64,
     /// Events whose closure was stored inline (allocation-free).
     pub inline_events: u64,
-    /// Events that took the cold boxed path (closure over [`INLINE_BYTES`]).
+    /// Events that took the cold boxed path (closure over `INLINE_BYTES`).
     pub boxed_events: u64,
 }
 

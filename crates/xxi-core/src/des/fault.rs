@@ -24,7 +24,7 @@
 //!   cancelled` is an invariant (a fault aimed at an already-dead
 //!   component is *cancelled*, not silently dropped) — and the counts
 //!   surface through [`FaultInjector::record`] into a
-//!   [`Metrics`](crate::metrics::Metrics) registry.
+//!   [`Metrics`] registry.
 //!
 //! The injector is deliberately independent of [`Sim`](crate::des::Sim):
 //! it never schedules events itself, so any model (cluster serving,

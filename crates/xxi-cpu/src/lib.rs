@@ -26,13 +26,11 @@
 pub mod chip;
 pub mod core;
 pub mod cpudb;
-pub mod hetero;
 pub mod hillmarty;
 pub mod pipeline;
 
 pub use self::core::{CoreKind, CoreModel};
 pub use chip::{Chip, ChipConfig};
 pub use cpudb::{attribution, CpuDbEntry, CPU_DB};
-pub use hetero::{HeteroChip, HeteroSplit, WorkMix};
 pub use hillmarty::{perf_pollack, speedup_asymmetric, speedup_dynamic, speedup_symmetric};
 pub use pipeline::{simulate as simulate_pipeline, PipelineConfig, PipelineResult};

@@ -2,7 +2,7 @@
 //!
 //! A behavioural (not timing-accurate) cache: it answers hit/miss, tracks
 //! dirty state for write-back traffic, and exposes the statistics the
-//! hierarchy and energy models consume. Four replacement policies are
+//! experiments and the energy models consume. Four replacement policies are
 //! implemented — true LRU, FIFO, random, and tree-PLRU (the hardware-
 //! practical approximation) — so the experiments can quantify how much
 //! replacement quality matters relative to the energy ladder.

@@ -17,10 +17,6 @@
 //!   the proprietary workload traces the paper's scenarios assume.
 //! * [`cache`] — a set-associative cache model with LRU / FIFO / random /
 //!   tree-PLRU replacement, write-back + write-allocate, and full stats.
-//! * [`hierarchy`] — multi-level cache + memory stacks with per-level
-//!   latency and energy; computes AMAT and energy per access.
-//! * [`coherence`] — a MESI snooping-bus protocol simulator with the
-//!   single-writer/multiple-reader invariant enforced and tested.
 //! * [`dram`] — a banked DRAM model with row-buffer locality, open/closed
 //!   page policies, and refresh energy.
 //! * [`nvm`] — emerging non-volatile device models (PCM, STT-RAM,
@@ -37,33 +33,20 @@
 //! * [`compress`] — frequent-pattern cache-line compression, one of the
 //!   paper's named levers for "energy efficiency through specialization
 //!   (e.g., through compression …)" (§2.2).
-//! * [`prefetch`] — a reference-prediction-table stride prefetcher
-//!   (§2.1's "predicting and prefetching"), with coverage/accuracy
-//!   accounting.
-//! * [`tlb`] — TLB + page-walk costs, the tax for "extending … virtual
-//!   memory to accelerators" (§2.2), with large pages as the reach knob.
 
 pub mod cache;
-pub mod coherence;
 pub mod compress;
 pub mod dram;
 pub mod energy;
-pub mod hierarchy;
 pub mod hybrid;
 pub mod nvm;
-pub mod prefetch;
-pub mod tlb;
 pub mod trace;
 pub mod wear;
 
 pub use cache::{AccessKind, Cache, CacheConfig, Replacement};
-pub use coherence::{CoherentSystem, MesiState};
 pub use dram::{Dram, DramConfig};
 pub use energy::MemEnergyTable;
-pub use hierarchy::{Hierarchy, HierarchyConfig, LevelConfig};
 pub use hybrid::{HybridConfig, HybridMemory};
 pub use nvm::{NvmDevice, NvmTech};
-pub use prefetch::{PrefetchConfig, PrefetchingCache};
-pub use tlb::{Tlb, TlbConfig};
 pub use trace::{Access, TraceGen};
 pub use wear::StartGap;

@@ -192,7 +192,7 @@ impl SensorNode {
 
     /// [`SensorNode::run`] with the radio exposed to a [`FaultPlan`]
     /// (component 0 = the radio). During a brownout the payload is
-    /// buffered, a [`PROBE_BITS`]-bit probe is wasted discovering the dead
+    /// buffered, a `PROBE_BITS`-bit probe is wasted discovering the dead
     /// link, and the backlog — bits and pending anomaly reports — flushes
     /// once the radio recovers; a slowdown multiplies transmit energy.
     /// With an empty plan this is bit-identical to the fault-free run.

@@ -17,16 +17,9 @@
 //!   indices from a shared counter; it runs `xxi_core::par::map` through
 //!   the `Parallelism` seam, and the `stack/pool-sum` bench kernel
 //!   measures its scaling.
-//! * [`governor`] — an energy-aware DVFS governor: picks the
-//!   lowest-energy operating point (from `xxi-tech`'s ladder) that meets a
-//!   latency/QoS target under a time-varying load.
 //! * [`offload`] — the eco-system planner of §2.1 "Putting It All
 //!   Together": split computation between a portable device and the cloud
 //!   as connectivity and energy budgets vary (experiment E16).
-//! * [`intent`] — the cross-layer interface of §2.4: applications express
-//!   intent (latency target, energy budget, availability target) and the
-//!   runtime translates it into concrete knobs — DVFS point, checkpoint
-//!   interval (Young–Daly), replication degree.
 //! * [`locality`] — locality-aware task placement on a mesh: assigns tasks
 //!   near their data and prices the communication energy saved versus
 //!   random placement (§2.1's "reasoning about locality").
@@ -39,8 +32,6 @@
 //!   interleavings without changing production code.
 
 pub mod deque;
-pub mod governor;
-pub mod intent;
 pub mod locality;
 pub mod offload;
 pub mod pool;
@@ -48,8 +39,6 @@ pub mod stm;
 pub mod sync;
 
 pub use deque::Worker;
-pub use governor::{Governor, GovernorPolicy};
-pub use intent::{Intent, Plan};
 pub use locality::{place_greedy, place_random, placement_energy};
 pub use offload::{plan_offload, AppProfile, Decision, DeviceModel, OffloadPlan, Uplink};
 pub use pool::Pool;

@@ -65,40 +65,6 @@ pub fn total_power(node: &TechNode, v: Volts, f: Frequency, nominal_total_power:
     Power(p_dyn + p_leak)
 }
 
-/// A DVFS operating point: a (voltage, frequency) pair with its power for a
-/// block of nominal power `p_nom`.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize)]
-pub struct OperatingPoint {
-    /// Supply voltage.
-    pub v: Volts,
-    /// Clock frequency (max stable at `v`).
-    pub f: Frequency,
-    /// Total block power at this point.
-    pub power: Power,
-}
-
-/// Build a ladder of `steps` DVFS operating points from `v_min` to the
-/// nominal voltage, each running at the maximum stable frequency.
-pub fn dvfs_ladder(
-    node: &TechNode,
-    nominal_total_power: Power,
-    v_min: Volts,
-    steps: usize,
-) -> Vec<OperatingPoint> {
-    assert!(steps >= 2, "a ladder needs at least two rungs");
-    let lo = v_min.value();
-    let hi = node.vdd.value();
-    assert!(lo < hi, "v_min must be below nominal");
-    (0..steps)
-        .map(|i| {
-            let v = Volts(lo + (hi - lo) * i as f64 / (steps - 1) as f64);
-            let f = alpha_power_frequency(node, v);
-            let power = total_power(node, v, f, nominal_total_power);
-            OperatingPoint { v, f, power }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,28 +128,5 @@ mod tests {
         let i_low = leakage_current(&n, Volts(0.7), p_nom);
         // 30% voltage cut → >50% leakage current cut (linear × DIBL).
         assert!(i_low < 0.5 * i_nom, "i_low={i_low} i_nom={i_nom}");
-    }
-
-    #[test]
-    fn dvfs_ladder_is_monotone() {
-        let n = node45();
-        let ladder = dvfs_ladder(&n, Power(100.0), Volts(0.5), 8);
-        assert_eq!(ladder.len(), 8);
-        for w in ladder.windows(2) {
-            assert!(w[1].v.value() > w[0].v.value());
-            assert!(w[1].f.value() >= w[0].f.value());
-            assert!(w[1].power.value() >= w[0].power.value());
-        }
-        // Top rung is the nominal point.
-        let top = ladder.last().unwrap();
-        assert!((top.v.value() - n.vdd.value()).abs() < 1e-12);
-        assert!((top.power.value() - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ladder_rejects_inverted_range() {
-        let n = node45();
-        dvfs_ladder(&n, Power(1.0), Volts(2.0), 4);
     }
 }

@@ -23,8 +23,6 @@
 //!   motivates "resiliency-centered design" (§2.3; experiment E11).
 //! * [`ser`] — soft-error-rate scaling per node and voltage (Table 1 row 3;
 //!   experiment E3).
-//! * [`aging`] — long-term reliability: NBTI-style threshold drift and
-//!   Black's-equation electromigration MTTF.
 //! * [`dark`] — the dark-silicon calculator: what fraction of a chip can
 //!   switch at once under a fixed power budget (experiments E1/E6).
 //! * [`ops`] — per-operation compute energies (ALU, FP, instruction
@@ -34,7 +32,6 @@
 //!   design, verification), feeding the amortization analysis in
 //!   `xxi-accel` (Table 1 row 5; experiment E5).
 
-pub mod aging;
 pub mod dark;
 pub mod freq;
 pub mod node;
@@ -43,7 +40,6 @@ pub mod ntv;
 pub mod ops;
 pub mod scaling;
 pub mod ser;
-pub mod thermal;
 
 pub use dark::DarkSilicon;
 pub use freq::{alpha_power_frequency, leakage_current, total_power};
@@ -52,4 +48,3 @@ pub use ntv::NtvModel;
 pub use ops::OpEnergies;
 pub use scaling::{ScalingRule, ScalingTrajectory};
 pub use ser::SoftErrorModel;
-pub use thermal::ThermalModel;

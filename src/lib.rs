@@ -13,8 +13,8 @@
 //! | module | crate | paper hook |
 //! |---|---|---|
 //! | [`core`] | `xxi-core` | DES engine, units, stats, RNG |
-//! | [`tech`] | `xxi-tech` | Table 1: Moore vs Dennard, NTV, SER, aging, dark silicon, NRE |
-//! | [`mem`] | `xxi-mem` | caches, MESI, DRAM, NVM + Start-Gap, hybrid memory, energy ladder |
+//! | [`tech`] | `xxi-tech` | Table 1: Moore vs Dennard, NTV, SER, dark silicon, NRE |
+//! | [`mem`] | `xxi-mem` | caches, DRAM, NVM + Start-Gap, hybrid memory, energy ladder |
 //! | [`noc`] | `xxi-noc` | mesh NoC, photonics, 3D stacking, link energy |
 //! | [`cpu`] | `xxi-cpu` | Pollack cores, Hill–Marty, chip composer, CPU-DB attribution |
 //! | [`accel`] | `xxi-accel` | specialization ladder, CGRA, NRE breakeven, offload coverage |
@@ -23,7 +23,7 @@
 //! | [`approx`] | `xxi-approx` | approximate data types, perforation, quality-energy Pareto |
 //! | [`sensor`] | `xxi-sensor` | harvesting, radios, on-sensor filtering, intermittent computing |
 //! | [`cloud`] | `xxi-cloud` | tail latency (the 63% claim), hedging, queueing, DC power, QoS |
-//! | [`stack`] | `xxi-stack` | work-stealing runtime, DVFS governor, offload planner, intent |
+//! | [`stack`] | `xxi-stack` | work-stealing runtime, STM, offload planner |
 //!
 //! ## Quickstart
 //!

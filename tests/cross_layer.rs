@@ -2,11 +2,10 @@
 //! tells must hold when the models are composed, not just in isolation.
 
 use xxi::accel::ladder::{efficiency_factor, ImplKind, Kernel};
-use xxi::core::units::{gops_per_watt, Power, Seconds, Volts};
+use xxi::core::units::{gops_per_watt, Power, Volts};
 use xxi::cpu::chip::{Chip, ChipConfig};
 use xxi::cpu::CoreKind;
 use xxi::mem::energy::MemEnergyTable;
-use xxi::stack::intent::{Intent, Platform};
 use xxi::tech::ops::OpEnergies;
 use xxi::tech::{DarkSilicon, NodeDb, NtvModel};
 
@@ -111,35 +110,6 @@ fn dark_silicon_models_agree_qualitatively() {
     assert!((chip7.cores_powered as f64) < 0.8 * chip7.cores_fit as f64);
 }
 
-/// The intent compiler's chosen DVFS point must actually satisfy the
-/// deadline *and* cost less power than the top rung, using real ladder
-/// physics from xxi-tech.
-#[test]
-fn intent_plan_is_feasible_and_cheaper() {
-    let db = NodeDb::standard();
-    let platform = Platform {
-        node: db.by_name("14nm").unwrap().clone(),
-        nominal_power: Power(5.0),
-        mtbf: Seconds::from_hours(1000.0),
-        checkpoint_cost: Seconds(10.0),
-        replica_availability: 0.995,
-    };
-    let intent = Intent {
-        cycles_per_period: 1e6,
-        period: Seconds(1e-3),
-        availability_target: 0.9999,
-        error_tolerant: true,
-    };
-    let plan = intent.compile(&platform).expect("feasible");
-    assert!(intent.cycles_per_period / plan.op.f.value() <= intent.period.value());
-    assert!(plan.op.power.value() < 5.0, "picked {:?}", plan.op);
-    assert!(plan.replicas >= 2);
-    assert!(plan.ntv_allowed);
-    // The checkpoint interval is sane: between the cost and the MTBF.
-    assert!(plan.checkpoint_interval.value() > platform.checkpoint_cost.value());
-    assert!(plan.checkpoint_interval.value() < platform.mtbf.value());
-}
-
 /// Memory-ladder energies and compute energies must stay mutually
 /// consistent across every node: the paper's operand-fetch claim is a
 /// *relationship*, not a point value.
@@ -185,53 +155,14 @@ fn ntv_and_ser_couple() {
     let _ = Volts(0.0); // silence unused-import lint paths on some configs
 }
 
-/// 3D stacking is a system decision, not a wire decision: the NoC says
-/// stack (fewer hops), the thermal model says the stack's power budget
-/// shrinks. A consistent story requires both — this test composes
-/// xxi-noc, xxi-tech::thermal, and xxi-cpu to check the trade exists.
+/// 3D stacking cuts communication distance: at equal node count, a
+/// 4-high stack of 4x4 layers has ~29% fewer mean hops than an 8x8 mesh.
 #[test]
-fn stacking_trades_hops_against_thermal_budget() {
+fn stacking_cuts_mean_hops_at_equal_node_count() {
     use xxi::noc::topology::Mesh;
-    use xxi::tech::ThermalModel;
 
-    // Communication: 4-high stack cuts mean distance ~29%.
     let planar = Mesh::new_2d(8, 8);
     let stacked = Mesh::new_3d(4, 4, 4);
     let hop_gain = 1.0 - stacked.mean_hops_uniform() / planar.mean_hops_uniform();
     assert!(hop_gain > 0.2, "hop gain {hop_gain}");
-
-    // Thermal: the same stack height divides the per-layer power budget by
-    // much more than 4 under air cooling.
-    let air = ThermalModel::air_cooled();
-    let p1 = air.max_power_per_layer(1).value();
-    let p4 = air.max_power_per_layer(4).value();
-    assert!(p4 < p1 / 4.0, "p1={p1} p4={p4}");
-
-    // Microfluidic cooling (the §2.3 integration ask) restores enough
-    // budget that the total stack power exceeds the planar die's budget.
-    let fluid = ThermalModel::microfluidic();
-    let p4f = fluid.max_power_per_layer(4).value();
-    assert!(
-        4.0 * p4f > p1,
-        "cooled stack total {} must beat planar {p1}",
-        4.0 * p4f
-    );
-}
-
-/// The specialization ladder and the FPGA gap must be mutually consistent:
-/// FPGA(soft) < CPU-parity < FPGA(DSP-heavy) < ASIC in energy efficiency —
-/// pure LUT floating point loses to the CPU (the Kuon-Rose 13× energy
-/// gap), DSP-block mapping wins, full custom wins more.
-#[test]
-fn fpga_slots_into_the_ladder() {
-    use xxi::accel::fpga::fpga_vs_cpu_factor;
-    use xxi::accel::ladder::{efficiency_factor, ImplKind, Kernel};
-
-    let db = NodeDb::standard();
-    let node = db.by_name("45nm").unwrap();
-    let asic = efficiency_factor(node, ImplKind::FixedFunction, Kernel::Fir);
-    let soft = fpga_vs_cpu_factor(node, 0.0);
-    let dsp = fpga_vs_cpu_factor(node, 0.8);
-    assert!(soft < 1.0, "soft={soft}");
-    assert!(dsp > 1.0 && dsp < asic, "{soft} < 1 < {dsp} < {asic}");
 }

@@ -9,7 +9,7 @@
 
 use xxi::cloud::cluster::{cluster_sweep_on, ClusterConfig, Hedging, Routing};
 use xxi::cloud::fanout::{fanout_latency_on, fanout_sweep_on};
-use xxi::cloud::hedge::{hedge_experiment_on, tied_experiment_on};
+use xxi::cloud::hedge::hedge_experiment_on;
 use xxi::cloud::latency::LatencyDist;
 use xxi::cloud::queueing::{mg1_sweep_on, MG1Queue};
 use xxi::core::des::fault::FaultMix;
@@ -46,21 +46,16 @@ fn fanout_sweep_pool_matches_serial_bit_for_bit() {
 }
 
 #[test]
-fn hedge_and_tied_pool_match_serial_bit_for_bit() {
+fn hedge_pool_matches_serial_bit_for_bit() {
     let dist = LatencyDist::typical_leaf();
     let hs = hedge_experiment_on(dist, 0.95, 50_000, 10, &Serial);
-    let ts = tied_experiment_on(dist, 4.0, 1.0, 50_000, 8, &Serial);
     let pool = Pool::new(4);
     let hp = hedge_experiment_on(dist, 0.95, 50_000, 10, &pool);
-    let tp = tied_experiment_on(dist, 4.0, 1.0, 50_000, 8, &pool);
     assert_eq!(hs.deadline_ms.to_bits(), hp.deadline_ms.to_bits());
     assert_eq!(hs.p50.to_bits(), hp.p50.to_bits());
     assert_eq!(hs.p99.to_bits(), hp.p99.to_bits());
     assert_eq!(hs.p999.to_bits(), hp.p999.to_bits());
     assert_eq!(hs.extra_load, hp.extra_load);
-    assert_eq!(ts.0.to_bits(), tp.0.to_bits());
-    assert_eq!(ts.1.to_bits(), tp.1.to_bits());
-    assert_eq!(ts.2.to_bits(), tp.2.to_bits());
 }
 
 #[test]

@@ -10,7 +10,6 @@ use xxi::core::rng::{Rng64, Zipf};
 use xxi::core::stats::{Streaming, Summary};
 use xxi::cpu::hillmarty::{speedup_amdahl, speedup_asymmetric, speedup_dynamic, speedup_symmetric};
 use xxi::mem::cache::{AccessKind, Cache, CacheConfig, Replacement};
-use xxi::mem::coherence::CoherentSystem;
 use xxi::mem::nvm::{NvmDevice, NvmTech};
 use xxi::mem::wear::StartGap;
 use xxi::rel::ecc::{decode, encode, flip, DecodeResult};
@@ -118,25 +117,6 @@ fn cache_conservation() {
             m.counter("accesses")
         );
         assert!(m.counter("writebacks") <= m.counter("evictions"));
-    });
-}
-
-/// MESI keeps single-writer/multiple-reader under arbitrary op sequences.
-#[test]
-fn mesi_swmr_under_arbitrary_ops() {
-    cases(5, |rng| {
-        let mut sys = CoherentSystem::new(4);
-        let n = rng.below(400);
-        for _ in 0..n {
-            let cache = rng.below(4) as usize;
-            let line = rng.below(16);
-            match rng.below(3) {
-                0 => sys.read(cache, line * 64),
-                1 => sys.write(cache, line * 64),
-                _ => sys.evict(cache, line * 64),
-            };
-        }
-        assert!(sys.holds_swmr_everywhere());
     });
 }
 
@@ -402,65 +382,6 @@ fn protection_matrix_is_exact() {
             .map(|&b| b & need != 0)
             .unwrap_or(false);
         assert_eq!(allowed, granted);
-    });
-}
-
-/// TLB: with fewer distinct pages than TLB entries, every miss is a cold
-/// miss, so misses == unique pages.
-#[test]
-fn tlb_cold_misses_bounded_by_unique_pages() {
-    use xxi::mem::tlb::{Tlb, TlbConfig};
-    cases(17, |rng| {
-        // 64-entry TLB, ≤32 distinct pages: every miss is a cold miss.
-        let mut tlb = Tlb::new(TlbConfig::dtlb_4k());
-        let n = rng.range_u64(1, 300);
-        let mut unique = std::collections::HashSet::new();
-        for _ in 0..n {
-            let p = rng.below(32);
-            unique.insert(p);
-            tlb.translate(p * 4096);
-        }
-        assert_eq!(tlb.metrics.counter("misses"), unique.len() as u64);
-    });
-}
-
-/// Tolerant memoization respects the Lipschitz error bound for sin.
-#[test]
-fn memo_error_bound_property() {
-    use xxi::approx::memo::TolerantMemo;
-    cases(18, |rng| {
-        let tol = rng.range_f64(0.001, 0.5);
-        let mut m = TolerantMemo::new(|x: f64| x.sin(), tol, 1 << 16);
-        let n = rng.range_u64(1, 200);
-        for _ in 0..n {
-            let x = rng.range_f64(-100.0, 100.0);
-            let err = (m.call(x) - x.sin()).abs();
-            assert!(err <= tol + 1e-12, "err={err} tol={tol}");
-        }
-    });
-}
-
-/// Thermal: more power never lowers any junction temperature
-/// (monotonicity of the fixed point), and the sink layer is coolest.
-#[test]
-fn thermal_monotone_in_power() {
-    use xxi::core::units::Power;
-    use xxi::tech::ThermalModel;
-    cases(19, |rng| {
-        let p1 = rng.range_f64(1.0, 40.0);
-        let extra = rng.range_f64(0.1, 20.0);
-        let layers = rng.range_u64(1, 4) as usize;
-        let m = ThermalModel::air_cooled();
-        let lo = m.solve(&vec![Power(p1); layers]);
-        let hi = m.solve(&vec![Power(p1 + extra); layers]);
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            for (a, b) in lo.iter().zip(&hi) {
-                assert!(b >= a, "hotter input, cooler output?");
-            }
-            for w in lo.windows(2) {
-                assert!(w[1] >= w[0], "sink layer must be coolest");
-            }
-        }
     });
 }
 
