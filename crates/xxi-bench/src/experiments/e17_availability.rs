@@ -215,10 +215,7 @@ impl Experiment for E17Availability {
         ctx.count("fanout.requests", 2 * 2_000);
         ctx.count("fanout.hedges", hedged.metrics.counter("hedges"));
         ctx.count("fanout.leaves", hedged.metrics.counter("leaves"));
-        ctx.observe(
-            "fanout.request_p99_ms",
-            hedged.request_latency.percentile(99.0),
-        );
+        ctx.observe("fanout.request_p99_ms", hedged.request_latency.p99());
         r.finding("hedge_extra_load_pct", extra_load, "%");
         r.text(format!(
             "hedges sent: {} ({:.1}% extra load)",

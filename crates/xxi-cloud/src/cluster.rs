@@ -25,7 +25,7 @@
 //! * **Hedging** ([`Hedging`]): when to duplicate the first attempt.
 //!   [`Hedging::Fixed`] waits a constant delay (the classic Tail-at-Scale
 //!   mitigation); [`Hedging::Adaptive`] waits for the shard's *online*
-//!   latency quantile, read from a per-shard [`TailDigest`] fed by every
+//!   latency quantile, read from a per-shard [`LogHistogram`] fed by every
 //!   observed attempt — hedges fire early when the shard is fast and back
 //!   off on their own when it degrades. [`Hedging::AdaptiveCapped`]
 //!   additionally caps the online delay at the static fallback — the
@@ -64,7 +64,7 @@ use crate::qos::Budget;
 use xxi_core::des::fault::{FaultInjector, FaultMix, FaultPlan};
 use xxi_core::des::{Sim, TimerHandle};
 use xxi_core::metrics::Metrics;
-use xxi_core::obs::{SpanId, TailDigest, Trace};
+use xxi_core::obs::{LogHistogram, SpanId, Trace};
 use xxi_core::par::{self, Parallelism};
 use xxi_core::rng::Rng64;
 use xxi_core::stats::Summary;
@@ -151,7 +151,7 @@ pub enum Hedging {
         after_ms: f64,
     },
     /// Hedge at the shard's *online* latency quantile: the delay is the
-    /// digest's `quantile` once `warmup` attempts have been observed,
+    /// shard histogram's `quantile` once `warmup` attempts have been observed,
     /// `fallback_ms` before that. A fast shard hedges early; a degraded
     /// shard stops wasting duplicates on a tail that moved.
     Adaptive {
@@ -224,9 +224,9 @@ impl Hedging {
     }
 
     /// Delay (ms) before hedging, or `None` to never hedge. `digest` is
-    /// the shard's online attempt-latency digest; the fixed policies
+    /// the shard's online attempt-latency histogram; the fixed policies
     /// ignore it. Consulted once per shard query, at first dispatch.
-    fn delay_ms(&self, digest: &TailDigest) -> Option<f64> {
+    fn delay_ms(&self, digest: &LogHistogram) -> Option<f64> {
         match *self {
             Hedging::None => None,
             Hedging::Fixed { after_ms } => Some(after_ms),
@@ -456,9 +456,9 @@ struct CState {
     /// Live in-flight attempts per replica (global component id) — the
     /// signal [`Routing::LeastOutstanding`] routes on.
     inflight: Vec<u32>,
-    /// Per-shard online attempt-latency digest — the signal the adaptive
-    /// [`Hedging`] policies hedge on.
-    digests: Vec<TailDigest>,
+    /// Per-shard online attempt-latency histogram — the signal the
+    /// adaptive [`Hedging`] policies hedge on.
+    digests: Vec<LogHistogram>,
     /// The failover walk's output, reused by every dispatch.
     candidates: Vec<u32>,
     latencies_ms: Vec<f64>,
@@ -535,7 +535,7 @@ impl ClusterConfig {
             machine: FailsafeMachine::new(10, 40, 50),
             reqs: Vec::with_capacity(self.requests as usize),
             inflight: vec![0; self.components() as usize],
-            digests: vec![TailDigest::new(); self.shards as usize],
+            digests: vec![LogHistogram::new(); self.shards as usize],
             candidates: Vec::with_capacity(self.replicas as usize),
             latencies_ms: Vec::with_capacity(self.requests as usize),
             full: 0,
@@ -1639,7 +1639,7 @@ mod tests {
         // straggler samples that the online p80 leaps past the attempt
         // timeout. The raw adaptive policy follows it up (and effectively
         // stops hedging); the capped policy holds at the static fallback.
-        let mut digest = TailDigest::new();
+        let mut digest = LogHistogram::new();
         for _ in 0..100 {
             digest.add(120.0);
         }
@@ -1648,7 +1648,7 @@ mod tests {
         assert!(adaptive.delay_ms(&digest).unwrap() > 100.0);
         assert_eq!(capped.delay_ms(&digest).unwrap(), 10.0);
         // On a fast shard both track the digest below the cap.
-        let mut fast = TailDigest::new();
+        let mut fast = LogHistogram::new();
         for _ in 0..100 {
             fast.add(4.0);
         }
@@ -1657,7 +1657,7 @@ mod tests {
         assert_eq!(a.to_bits(), c.to_bits());
         assert!(c < 10.0);
         // And before warmup both sit at the fallback.
-        assert_eq!(capped.delay_ms(&TailDigest::new()).unwrap(), 10.0);
+        assert_eq!(capped.delay_ms(&LogHistogram::new()).unwrap(), 10.0);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::obs::LogHistogram;
+use crate::report::HistSummary;
 use crate::table::fill;
 
 /// Named counters (u64, monotonic), gauges (f64, last-write-wins), and
@@ -137,7 +138,8 @@ impl fmt::Display for Metrics {
             writeln!(f, "{k}{}  {v}", fill(width, k))?;
         }
         for (k, h) in &self.hists {
-            writeln!(f, "{k}{}  {}", fill(width, k), h.summary_line())?;
+            let line = HistSummary::of(h).summary_line();
+            writeln!(f, "{k}{}  {line}", fill(width, k))?;
         }
         Ok(())
     }

@@ -6,6 +6,14 @@
 //! streaming replacement: ~16 KiB of fixed state, O(1) insert, mergeable
 //! across shards, with quantiles accurate to a bounded *relative* error.
 //!
+//! It serves reports and online policies alike: `xxi-cloud`'s cluster
+//! keeps one per shard, fed by every observed attempt, and its adaptive
+//! hedging reads that shard's quantile at each dispatch. A quantile query
+//! walks the buckets from the exact minimum's, so its cost follows the
+//! occupied span, not the range. Insertion order never changes a bucket
+//! or an extreme, so merged or replayed streams give bit-identical
+//! quantiles.
+//!
 //! ## Bucketing
 //!
 //! Positive values are bucketed by their binary exponent (one octave per
@@ -143,8 +151,15 @@ impl LogHistogram {
         if rank <= self.negatives + self.zeros {
             return 0.0;
         }
+        // Every bucket below the exact minimum's is empty, so a positive
+        // minimum's bucket is where the walk starts.
+        let first = if self.min() > 0.0 {
+            Self::index(self.min())
+        } else {
+            0
+        };
         let mut acc = self.negatives + self.zeros;
-        for (i, &b) in self.buckets.iter().enumerate() {
+        for (i, &b) in self.buckets.iter().enumerate().skip(first) {
             acc += b;
             if acc >= rank {
                 // Clamp the bucket estimate by the exact extremes.
@@ -152,13 +167,6 @@ impl LogHistogram {
             }
         }
         self.max()
-    }
-
-    /// Percentile on the 0–100 scale, mirroring
-    /// [`crate::stats::Summary::percentile`].
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p));
-        self.quantile(p / 100.0)
     }
 
     /// Median.
@@ -191,23 +199,6 @@ impl LogHistogram {
         self.negatives += other.negatives;
         self.moments.merge(&other.moments);
     }
-
-    /// One-line summary: `n=… mean=… p50=… p90=… p99=… p99.9=… max=…`.
-    pub fn summary_line(&self) -> String {
-        if self.is_empty() {
-            return "n=0".to_string();
-        }
-        format!(
-            "n={} mean={:.4} p50={:.4} p90={:.4} p99={:.4} p99.9={:.4} max={:.4}",
-            self.count(),
-            self.mean(),
-            self.p50(),
-            self.p90(),
-            self.p99(),
-            self.p999(),
-            self.max()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +213,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.summary_line(), "n=0");
     }
 
     #[test]
@@ -236,7 +226,7 @@ mod tests {
         let s = Summary::from_slice(&xs);
         for p in [1.0, 10.0, 50.0, 90.0, 99.0, 99.9] {
             let exact = s.percentile(p);
-            let got = h.percentile(p);
+            let got = h.quantile(p / 100.0);
             let rel = (got - exact).abs() / exact;
             assert!(
                 rel <= LogHistogram::MAX_REL_ERROR,
@@ -275,9 +265,11 @@ mod tests {
 
     #[test]
     fn merge_equals_sequential() {
+        // Shard merges and replays in any order give bit-identical quantiles.
         let mut rng = Rng64::new(2);
         let xs: Vec<f64> = (0..20_000).map(|_| rng.exp(0.3)).collect();
         let mut all = LogHistogram::new();
+        let mut rev = LogHistogram::new();
         let mut a = LogHistogram::new();
         let mut b = LogHistogram::new();
         for (i, &x) in xs.iter().enumerate() {
@@ -288,12 +280,42 @@ mod tests {
                 b.add(x);
             }
         }
+        for &x in xs.iter().rev() {
+            rev.add(x);
+        }
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
-        for q in [0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile(q), all.quantile(q));
+        for q in [0.5, 0.9, 0.99, 0.999] {
+            assert_eq!(a.quantile(q).to_bits(), all.quantile(q).to_bits());
+            assert_eq!(rev.quantile(q).to_bits(), all.quantile(q).to_bits());
+        }
+    }
+
+    #[test]
+    fn walk_from_the_minimum_matches_a_walk_from_bucket_zero() {
+        let from_zero = |h: &LogHistogram, q: f64| {
+            let n = h.count();
+            let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
+            let mut acc = 0;
+            for (i, &b) in h.buckets.iter().enumerate() {
+                acc += b;
+                if acc >= rank {
+                    return LogHistogram::midpoint(i).clamp(h.min(), h.max());
+                }
+            }
+            h.max()
+        };
+        let mut rng = Rng64::new(3);
+        for scale in [1e-15, 1e-3, 1.0, 7.5, 1e12] {
+            let mut h = LogHistogram::new();
+            for _ in 0..5_000 {
+                h.add(scale * rng.lognormal(0.0, 1.0));
+            }
+            for q in [0.0, 0.001, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                assert_eq!(h.quantile(q).to_bits(), from_zero(&h, q).to_bits());
+            }
         }
     }
 

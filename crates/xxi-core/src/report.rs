@@ -107,7 +107,7 @@ impl HistSummary {
         }
     }
 
-    /// One-line rendering mirroring [`LogHistogram::summary_line`].
+    /// One-line rendering: `n=… mean=… p50=… p90=… p99=… p99.9=… max=…`.
     pub fn summary_line(&self) -> String {
         if self.count == 0 {
             return "n=0".to_string();

@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! Every `exp_*` binary in `xxi-bench` regenerates one of the paper's tables
+//! Every experiment `xxi run` drives regenerates one of the paper's tables
 //! (or a table for a quantitative claim made in prose). This module renders
 //! those tables consistently: left-aligned first column (row label),
 //! right-aligned numeric columns, a header rule, and an optional caption.

@@ -2,7 +2,7 @@
 //! tells must hold when the models are composed, not just in isolation.
 
 use xxi::accel::ladder::{efficiency_factor, ImplKind, Kernel};
-use xxi::core::units::{gops_per_watt, Power, Volts};
+use xxi::core::units::{gops_per_watt, Power};
 use xxi::cpu::chip::{Chip, ChipConfig};
 use xxi::cpu::CoreKind;
 use xxi::mem::energy::MemEnergyTable;
@@ -152,7 +152,6 @@ fn ntv_and_ser_couple() {
     let (res_v, res_e) = ntv.resilient_optimum();
     assert!(res_e.value() < ntv.e_op_resilient(node.vdd, 0.05).value());
     assert!(res_v.value() <= node.vdd.value());
-    let _ = Volts(0.0); // silence unused-import lint paths on some configs
 }
 
 /// 3D stacking cuts communication distance: at equal node count, a
