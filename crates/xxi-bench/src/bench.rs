@@ -4,8 +4,9 @@
 //! `run_bench` times whole experiment runs and the per-layer kernels of
 //! [`crate::experiments::kernels`] alike (`Experiment::run` under a
 //! reused [`RunCtx`], so the pool is warm and its stats can be windowed
-//! with [`PoolStats::since`]) and emits a stable hand-rolled JSON schema —
-//! the generator of the repo's `BENCH_*.json` trajectory. `compare` diffs
+//! with [`PoolStats::since`]) and emits a stable JSON schema, built as a
+//! [`Json`] tree and printed by its one writer — the generator of the
+//! repo's `BENCH_*.json` trajectory. `compare` diffs
 //! two such files by median wall time and flags regressions past a
 //! threshold; CI runs it against `tests/bench/baseline.json`.
 //!
@@ -177,79 +178,57 @@ pub fn run_bench(
 impl BenchRun {
     /// Render the stable bench JSON document (one object, single line).
     pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"bench_schema_version\":{BENCH_SCHEMA_VERSION},\"created_unix\":{},\
-             \"os\":\"{}\",\"arch\":\"{}\",\"cpus\":{},\"simd\":{},\"threads\":{},\
-             \"iters\":{},\"warmup\":{},\"seed\":{},\"results\":[",
-            self.created_unix,
-            json::escape(&self.os),
-            json::escape(&self.arch),
-            self.cpus,
-            match &self.simd {
-                Some(v) => format!("\"{}\"", json::escape(v)),
-                None => "null".to_string(),
-            },
-            self.config.threads,
-            self.config.iters,
-            self.config.warmup,
-            match self.config.seed {
-                Some(v) => v.to_string(),
-                None => "null".to_string(),
-            },
-        );
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"experiment\":\"{}\",\"title\":\"{}\",\"wall_s\":{{\"min\":{},\
-                 \"p50\":{},\"mean\":{},\"max\":{}}}",
-                json::escape(&r.id),
-                json::escape(&r.title),
-                json::number(r.wall.min_s),
-                json::number(r.wall.p50_s),
-                json::number(r.wall.mean_s),
-                json::number(r.wall.max_s),
-            );
-            match &r.throughput {
-                None => s.push_str(",\"throughput\":null"),
-                Some((unit, rate)) => {
-                    let _ = write!(
-                        s,
-                        ",\"throughput\":{{\"unit\":\"{}\",\"units_per_sec\":{}}}",
-                        json::escape(unit),
-                        json::number(*rate)
-                    );
-                }
-            }
-            match &r.pool {
-                None => s.push_str(",\"pool\":null}"),
-                Some(p) => {
-                    let _ = write!(
-                        s,
-                        ",\"pool\":{{\"threads\":{},\"executed\":{},\"local_pops\":{},\
-                         \"steals\":{},\"failed_steals\":{},\"injector_pushes\":{},\
-                         \"injector_pops\":{},\"parks\":{},\"wakeups\":{},\"scope_helps\":{}}}}}",
-                        p.threads,
-                        p.executed,
-                        p.local_pops,
-                        p.steals,
-                        p.failed_steals,
-                        p.injector_pushes,
-                        p.injector_pops,
-                        p.parks,
-                        p.wakeups,
-                        p.scope_helps,
-                    );
-                }
-            }
-        }
-        s.push_str("]}");
-        s
+        let results = self.results.iter().map(|r| {
+            let throughput = r.throughput.as_ref().map_or(Json::Null, |(unit, rate)| {
+                Json::obj([
+                    ("unit", Json::str(unit)),
+                    ("units_per_sec", Json::num(*rate)),
+                ])
+            });
+            let pool = r.pool.as_ref().map_or(Json::Null, |p| {
+                Json::obj([
+                    ("threads", Json::int(p.threads as u64)),
+                    ("executed", Json::int(p.executed)),
+                    ("local_pops", Json::int(p.local_pops)),
+                    ("steals", Json::int(p.steals)),
+                    ("failed_steals", Json::int(p.failed_steals)),
+                    ("injector_pushes", Json::int(p.injector_pushes)),
+                    ("injector_pops", Json::int(p.injector_pops)),
+                    ("parks", Json::int(p.parks)),
+                    ("wakeups", Json::int(p.wakeups)),
+                    ("scope_helps", Json::int(p.scope_helps)),
+                ])
+            });
+            Json::obj([
+                ("experiment", Json::str(&r.id)),
+                ("title", Json::str(&r.title)),
+                (
+                    "wall_s",
+                    Json::obj([
+                        ("min", Json::num(r.wall.min_s)),
+                        ("p50", Json::num(r.wall.p50_s)),
+                        ("mean", Json::num(r.wall.mean_s)),
+                        ("max", Json::num(r.wall.max_s)),
+                    ]),
+                ),
+                ("throughput", throughput),
+                ("pool", pool),
+            ])
+        });
+        Json::obj([
+            ("bench_schema_version", Json::int(BENCH_SCHEMA_VERSION)),
+            ("created_unix", Json::int(self.created_unix)),
+            ("os", Json::str(&self.os)),
+            ("arch", Json::str(&self.arch)),
+            ("cpus", Json::int(self.cpus as u64)),
+            ("simd", self.simd.as_ref().map_or(Json::Null, Json::str)),
+            ("threads", Json::int(self.config.threads as u64)),
+            ("iters", Json::int(self.config.iters)),
+            ("warmup", Json::int(self.config.warmup)),
+            ("seed", self.config.seed.map_or(Json::Null, Json::int)),
+            ("results", Json::Array(results.collect())),
+        ])
+        .to_string()
     }
 
     /// Parse a bench JSON document (everything `compare` and the tests
@@ -257,19 +236,13 @@ impl BenchRun {
     pub fn parse_json(text: &str) -> Result<BenchRun, String> {
         let v = json::parse(text)?;
         let obj = v.as_object().ok_or("bench: expected an object")?;
-        let version = json::get(obj, "bench_schema_version")?
-            .as_u64()
-            .ok_or("bench_schema_version: expected a number")?;
+        let version = json::get_u64(obj, "bench_schema_version")?;
         if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported bench_schema_version {version} (expected {BENCH_SCHEMA_VERSION})"
             ));
         }
-        let u64_of = |key: &str| -> Result<u64, String> {
-            json::get(obj, key)?
-                .as_u64()
-                .ok_or_else(|| format!("{key}: expected a u64"))
-        };
+        let u64_of = |key| json::get_u64(obj, key);
         let mut run = BenchRun {
             created_unix: u64_of("created_unix")?,
             os: json::get_str(obj, "os")?,
@@ -284,28 +257,17 @@ impl BenchRun {
             },
             results: Vec::new(),
         };
-        for r in json::get(obj, "results")?
-            .as_array()
-            .ok_or("results: expected an array")?
-        {
+        for r in json::get_array(obj, "results")? {
             let ro = r.as_object().ok_or("result: expected an object")?;
-            let wo = json::get(ro, "wall_s")?
-                .as_object()
-                .ok_or("wall_s: expected an object")?;
-            let wall_num = |key: &str| -> Result<f64, String> {
-                json::get(wo, key)?
-                    .as_f64()
-                    .ok_or_else(|| format!("wall_s.{key}: expected a number"))
-            };
+            let wo = json::get_object(ro, "wall_s")?;
+            let wall_num = |key| json::get_f64(wo, key);
             let throughput = match json::get(ro, "throughput")? {
                 Json::Null => None,
                 t => {
                     let to = t.as_object().ok_or("throughput: expected an object")?;
                     Some((
                         json::get_str(to, "unit")?,
-                        json::get(to, "units_per_sec")?
-                            .as_f64()
-                            .ok_or("units_per_sec: expected a number")?,
+                        json::get_f64(to, "units_per_sec")?,
                     ))
                 }
             };
@@ -313,11 +275,7 @@ impl BenchRun {
                 Json::Null => None,
                 p => {
                     let po = p.as_object().ok_or("pool: expected an object")?;
-                    let c = |key: &str| -> Result<u64, String> {
-                        json::get(po, key)?
-                            .as_u64()
-                            .ok_or_else(|| format!("pool.{key}: expected a u64"))
-                    };
+                    let c = |key| json::get_u64(po, key);
                     Some(PoolStats {
                         threads: c("threads")? as usize,
                         executed: c("executed")?,
@@ -642,6 +600,53 @@ mod tests {
                 pool: None,
             }],
         }
+    }
+
+    #[test]
+    fn render_json_bytes_are_pinned() {
+        let mut run = run_with_p50("e9", 1.5);
+        run.created_unix = 1_700_000_000;
+        run.cpus = 2;
+        run.config = BenchConfig {
+            iters: 3,
+            warmup: 1,
+            threads: 2,
+            seed: Some(u64::MAX),
+        };
+        let r = &mut run.results[0];
+        r.title = "fan-out \"tail\"".into();
+        r.wall = WallStats {
+            min_s: 0.1 + 0.2,
+            p50_s: 1.5,
+            mean_s: 2.0,
+            max_s: 1e-7,
+        };
+        r.throughput = Some(("requests".into(), 2.5e6));
+        r.pool = Some(PoolStats {
+            threads: 2,
+            executed: 10,
+            local_pops: 3,
+            steals: 4,
+            failed_steals: 5,
+            injector_pushes: 6,
+            injector_pops: 7,
+            parks: 8,
+            wakeups: 9,
+            scope_helps: 1,
+        });
+        let mut nulls = run_with_p50("des/hold", 0.25).results.remove(0);
+        nulls.wall.min_s = 0.0;
+        nulls.wall.mean_s = 0.5;
+        nulls.wall.max_s = f64::NAN;
+        run.results.push(nulls);
+        assert_eq!(
+            run.render_json(),
+            "{\"bench_schema_version\":1,\"created_unix\":1700000000,\"os\":\"linux\",\"arch\":\"x86_64\",\"cpus\":2,\"simd\":\"avx2\",\"threads\":2,\"iters\":3,\"warmup\":1,\"seed\":18446744073709551615,\"results\":[{\"experiment\":\"e9\",\"title\":\"fan-out \\\"tail\\\"\",\"wall_s\":{\"min\":0.30000000000000004,\"p50\":1.5,\"mean\":2,\"max\":0.0000001},\"throughput\":{\"unit\":\"requests\",\"units_per_sec\":2500000},\"pool\":{\"threads\":2,\"executed\":10,\"local_pops\":3,\"steals\":4,\"failed_steals\":5,\"injector_pushes\":6,\"injector_pops\":7,\"parks\":8,\"wakeups\":9,\"scope_helps\":1}},{\"experiment\":\"des/hold\",\"title\":\"t\",\"wall_s\":{\"min\":0,\"p50\":0.25,\"mean\":0.5,\"max\":null},\"throughput\":null,\"pool\":null}]}"
+        );
+        run.simd = None;
+        run.config.seed = None;
+        let doc = run.render_json();
+        assert!(doc.contains("\"simd\":null,") && doc.contains("\"seed\":null,"));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use xxi_bench::bench::{self, BenchConfig};
 use xxi_bench::cli::{self, FLAG_USAGE};
 use xxi_bench::experiments;
+use xxi_core::report::json::Json;
 
 const USAGE: &str = "\
 usage: xxi <command> [args]
@@ -91,15 +92,14 @@ fn list(args: &[String]) -> i32 {
         }
         cli::Format::Json => {
             // One experiment object per line, like `xxi run --format json`.
-            use xxi_core::report::json::escape;
             for e in experiments::registry() {
-                println!(
-                    "{{\"id\":\"{}\",\"title\":\"{}\",\"parallel\":{},\"trace\":{}}}",
-                    escape(e.id()),
-                    escape(e.title()),
-                    e.parallel(),
-                    e.emits_trace()
-                );
+                let doc = Json::obj([
+                    ("id", Json::str(e.id())),
+                    ("title", Json::str(e.title())),
+                    ("parallel", Json::Bool(e.parallel())),
+                    ("trace", Json::Bool(e.emits_trace())),
+                ]);
+                println!("{doc}");
             }
         }
     }

@@ -17,7 +17,8 @@
 
 use std::path::PathBuf;
 
-use xxi_core::report::json;
+use xxi_core::report::json::{self, Json};
+use xxi_core::report::SCHEMA_VERSION;
 use xxi_core::Report;
 
 use crate::experiments::{self, Experiment, RunCtx};
@@ -87,7 +88,7 @@ pub const FLAG_USAGE: &str = "\
 flags:
   --seed <u64>          reseed every RNG stream (default: the canonical seeds)
   --threads <N>         worker threads, 1 <= N <= 1024; output is byte-identical
-  --trace <path>        write a Chrome trace_event JSON file (e10/e17/e18)
+  --trace <path>        write a Chrome trace_event JSON file (e10/e17/e18/e21)
   --format <text|json>  report format (default: text)
   --out <path>          write the report(s) to <path> instead of stdout";
 
@@ -320,32 +321,28 @@ pub fn validate_text(text: &str, name: &str) -> (bool, String) {
         if line.trim().is_empty() {
             continue;
         }
-        let report = match Report::parse_json(line) {
-            Ok(r) => r,
+        let parsed = json::parse(line).and_then(|doc| Ok((Report::from_json(&doc)?, doc)));
+        let (report, doc) = match parsed {
+            Ok(p) => p,
             Err(e) => return (false, format!("line {}: {e}", lineno + 1)),
         };
         // The emitter must agree with what we just parsed (stable schema).
-        let re = Report::parse_json(&report.render_json());
-        match re {
+        match Report::parse_json(&report.render_json()) {
             Ok(r2) if r2 == report => {}
             Ok(_) => return (false, format!("line {}: unstable round-trip", lineno + 1)),
             Err(e) => return (false, format!("line {}: re-parse failed: {e}", lineno + 1)),
         }
-        // And the document must carry the advertised schema version.
-        match json::parse(line)
-            .ok()
-            .as_ref()
-            .and_then(|v| v.as_object())
+        // And the document must carry the current schema version, not
+        // just one `from_json` still reads.
+        let version = doc
+            .as_object()
             .and_then(|o| json::find(o, "schema_version"))
-            .and_then(|s| s.as_u64())
-        {
-            Some(v) if v == xxi_core::report::SCHEMA_VERSION => {}
-            other => {
-                return (
-                    false,
-                    format!("line {}: bad schema_version {:?}", lineno + 1, other),
-                )
-            }
+            .and_then(Json::as_u64);
+        if version != Some(SCHEMA_VERSION) {
+            return (
+                false,
+                format!("line {}: bad schema_version {version:?}", lineno + 1),
+            );
         }
         n += 1;
     }
@@ -354,10 +351,7 @@ pub fn validate_text(text: &str, name: &str) -> (bool, String) {
     }
     (
         true,
-        format!(
-            "{n} report(s) valid, schema version {}",
-            xxi_core::report::SCHEMA_VERSION
-        ),
+        format!("{n} report(s) valid, schema version {SCHEMA_VERSION}"),
     )
 }
 
@@ -387,6 +381,21 @@ mod tests {
         assert_eq!(f.threads, 4);
         assert_eq!(f.format, Format::Json);
         assert_eq!(f.out.as_deref(), Some(std::path::Path::new("r.json")));
+    }
+
+    #[test]
+    fn trace_usage_names_exactly_the_tracing_experiments() {
+        let line = FLAG_USAGE
+            .lines()
+            .find(|l| l.trim_start().starts_with("--trace"))
+            .expect("a --trace line");
+        let named = &line[line.find('(').unwrap() + 1..line.rfind(')').unwrap()];
+        let tracing: Vec<&str> = experiments::registry()
+            .iter()
+            .filter(|e| e.emits_trace())
+            .map(|e| e.id())
+            .collect();
+        assert_eq!(named.split('/').collect::<Vec<_>>(), tracing, "{line}");
     }
 
     #[test]

@@ -23,15 +23,15 @@
 //!   spanning the rest of the model zoo.
 //!
 //! Diagnostics carry a rule id, severity, and a source tag naming the
-//! offending constructor, and render as text or machine-readable JSON
-//! (hand-rolled — the workspace `serde` is a no-op stub). The
+//! offending constructor, and render as text or as a compact JSON
+//! document built with `xxi_core`'s one JSON writer. The
 //! `xxi-check lint` CLI in `main.rs` drives this and exits non-zero when
 //! any error-severity diagnostic fires, so CI can gate on it.
 
 use std::fmt;
 
 use xxi_core::obs::{EnergyLedger, Layer};
-use xxi_core::report::json;
+use xxi_core::report::json::Json;
 use xxi_core::units::{gops_per_watt, ops_per_joule, Energy, Frequency, Ops, Power, Seconds};
 
 // --- diagnostics ----------------------------------------------------------
@@ -251,31 +251,24 @@ impl LintReport {
         self.errors() == 0
     }
 
-    /// Machine-readable JSON (hand-rolled; the workspace serde is a stub).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"rules_run\": {},\n", self.rules_run));
-        s.push_str(&format!("  \"checks\": {},\n", self.checks));
-        s.push_str(&format!("  \"errors\": {},\n", self.errors()));
-        s.push_str(&format!("  \"warnings\": {},\n", self.warnings()));
-        s.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"source\": \"{}\", \"message\": \"{}\"}}",
-                json::escape(d.rule),
-                d.severity,
-                json::escape(&d.source),
-                json::escape(&d.message)
-            ));
-        }
-        if !self.diags.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}");
-        s
+    /// Machine-readable JSON: one compact object with the counts and the
+    /// diagnostics in rule order.
+    pub fn to_json(&self) -> Json {
+        let diags = self.diags.iter().map(|d| {
+            Json::obj([
+                ("rule", Json::str(d.rule)),
+                ("severity", Json::str(d.severity.name())),
+                ("source", Json::str(&d.source)),
+                ("message", Json::str(&d.message)),
+            ])
+        });
+        Json::obj([
+            ("rules_run", Json::int(self.rules_run as u64)),
+            ("checks", Json::int(self.checks)),
+            ("errors", Json::int(self.errors() as u64)),
+            ("warnings", Json::int(self.warnings() as u64)),
+            ("diagnostics", Json::Array(diags.collect())),
+        ])
     }
 }
 

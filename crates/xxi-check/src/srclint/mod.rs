@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 
 use crate::lint::Severity;
 use scan::ScannedFile;
-use xxi_core::report::json;
+use xxi_core::report::json::Json;
 
 /// JSON schema version for `SrcReport::to_json`.
 pub const SCHEMA_VERSION: u32 = 2;
@@ -102,34 +102,26 @@ impl SrcReport {
         self.errors() == 0 && (!self.deny_warnings || self.warnings() == 0)
     }
 
-    /// Machine-readable JSON, aligned with the model linter's shape
-    /// (hand-rolled; the workspace serde is a stub). Byte-deterministic:
-    /// diagnostics are sorted and carry no timestamps or absolute paths.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!("  \"errors\": {},\n", self.errors()));
-        s.push_str(&format!("  \"warnings\": {},\n", self.warnings()));
-        s.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-                json::escape(&d.rule),
-                d.severity.name(),
-                json::escape(&d.path),
-                d.line,
-                json::escape(&d.message)
-            ));
-        }
-        if !self.diags.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}");
-        s
+    /// Machine-readable JSON, aligned with the model linter's shape.
+    /// Byte-deterministic: diagnostics are sorted and carry no timestamps
+    /// or absolute paths.
+    pub fn to_json(&self) -> Json {
+        let diags = self.diags.iter().map(|d| {
+            Json::obj([
+                ("rule", Json::str(&d.rule)),
+                ("severity", Json::str(d.severity.name())),
+                ("path", Json::str(&d.path)),
+                ("line", Json::int(d.line as u64)),
+                ("message", Json::str(&d.message)),
+            ])
+        });
+        Json::obj([
+            ("schema_version", Json::int(SCHEMA_VERSION.into())),
+            ("files_scanned", Json::int(self.files_scanned as u64)),
+            ("errors", Json::int(self.errors() as u64)),
+            ("warnings", Json::int(self.warnings() as u64)),
+            ("diagnostics", Json::Array(diags.collect())),
+        ])
     }
 }
 
@@ -316,8 +308,8 @@ mod tests {
             files_scanned: 1,
             deny_warnings: true,
         };
-        let (a, b) = (mk().to_json(), mk().to_json());
+        let (a, b) = (mk().to_json().to_string(), mk().to_json().to_string());
         assert_eq!(a, b);
-        assert!(a.contains("\"schema_version\": 2"));
+        assert!(a.starts_with("{\"schema_version\":2,"), "{a}");
     }
 }

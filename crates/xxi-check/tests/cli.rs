@@ -6,6 +6,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use xxi_core::report::json;
+
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -125,10 +127,37 @@ fn json_output_is_byte_deterministic() {
     assert_eq!(ja, jb, "two runs must serialize identically");
 
     let text = String::from_utf8(ja).expect("utf-8 json");
-    assert!(text.contains("\"schema_version\": 2"), "{text}");
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let obj = doc.as_object().expect("an object");
+    assert_eq!(json::get_u64(obj, "schema_version"), Ok(2), "{text}");
     assert!(!text.contains("baselined"), "{text}");
-    assert!(text.contains("\"errors\": 0"), "{text}");
-    assert!(text.contains("\"diagnostics\": []"), "{text}");
+    assert_eq!(json::get_u64(obj, "errors"), Ok(0), "{text}");
+    assert_eq!(json::get_array(obj, "diagnostics"), Ok(&[][..]), "{text}");
+}
+
+#[test]
+fn lint_reads_flags_like_src() {
+    let out = xxi_check(&["lint", "--format=json", "--rule=cache-geometry"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    let doc = json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let obj = doc.as_object().expect("an object");
+    assert_eq!(json::get_u64(obj, "rules_run"), Ok(1), "{text}");
+
+    let out = xxi_check(&["lint", "--format", "text", "--rule", "cache-geometry"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout_of(&out).starts_with("1 rule(s), "));
+
+    // `--json` is gone, and `src`-only flags stay unknown to `lint`.
+    for bad in [
+        &["lint", "--json"][..],
+        &["lint", "--root", "."],
+        &["lint", "--format"],
+    ] {
+        let out = xxi_check(bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        assert!(stderr_of(&out).contains("usage: xxi-check"), "{bad:?}");
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Integration tests for the cross-layer model linter.
 
 use xxi_check::lint::{self, check_ledger_text, Severity};
+use xxi_core::report::json;
 
 /// The shipped model configurations must lint clean — this is the same
 /// gate the `xxi-check lint` CLI (and CI) enforces.
@@ -29,20 +30,21 @@ fn rule_filter_runs_only_that_rule() {
 #[test]
 fn json_report_is_well_formed() {
     let report = lint::run(Some("cache-geometry"));
-    let json = report.to_json();
-    assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-    assert!(json.contains("\"rules_run\": 1"), "{json}");
-    assert!(json.contains("\"errors\": 0"), "{json}");
-    assert!(json.contains("\"diagnostics\": []"), "{json}");
+    let text = report.to_json().to_string();
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let obj = doc.as_object().expect("an object");
+    assert_eq!(json::get_u64(obj, "rules_run"), Ok(1), "{text}");
+    assert_eq!(json::get_u64(obj, "errors"), Ok(0), "{text}");
+    assert_eq!(json::get_array(obj, "diagnostics"), Ok(&[][..]), "{text}");
     // Diagnostics embed correctly too, including string escaping.
     let diags = check_ledger_text("mem", "mcu net\"work 0.25\n");
     assert!(!diags.is_empty());
     let mut report = lint::run(Some("no-such-rule"));
     report.diags.extend(diags);
-    let json = report.to_json();
+    let text = report.to_json().to_string();
     assert!(
-        json.contains(r#"net\\\"work"#),
-        "quotes must be escaped: {json}"
+        text.contains(r#"net\\\"work"#),
+        "quotes must be escaped: {text}"
     );
 }
 

@@ -32,7 +32,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::report::json::escape;
+use crate::report::json::Json;
 use crate::time::SimTime;
 
 /// Default cap on recorded events; beyond it new events are counted in
@@ -67,6 +67,30 @@ struct Event {
     ts: SimTime,
     phase: Phase,
     args: Vec<(&'static str, f64)>,
+}
+
+impl Event {
+    fn to_json(&self) -> Json {
+        let us = |t: SimTime| Json::Num(format!("{:.6}", t.us()));
+        let (ph, extra) = match self.phase {
+            Phase::Span(dur) => ("X", ("dur", us(dur))),
+            Phase::Instant => ("i", ("s", Json::str("t"))),
+        };
+        let mut m = vec![
+            ("name", Json::str(self.name)),
+            ("cat", Json::str(self.cat)),
+            ("ph", Json::str(ph)),
+            ("ts", us(self.ts)),
+            extra,
+            ("pid", Json::int(0)),
+            ("tid", Json::int(self.track)),
+        ];
+        if !self.args.is_empty() {
+            let args = self.args.iter().map(|&(k, v)| (k, Json::num(v)));
+            m.push(("args", Json::obj(args)));
+        }
+        Json::obj(m)
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -297,49 +321,15 @@ impl Trace {
 
     /// Render as Chrome `trace_event` JSON (the "JSON array format"):
     /// one object per event, `ph` either `"X"` (complete span, with `dur`)
-    /// or `"i"` (instant), timestamps in microseconds.
+    /// or `"i"` (instant), timestamps in microseconds. Events are written
+    /// one per line as they are converted, so a full trace is never held
+    /// as one [`Json`] tree.
     pub fn chrome_json(&self) -> String {
         let mut s = String::with_capacity(64 + self.events.len() * 96);
         s.push_str("[\n");
         for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push_str(",\n");
-            }
-            s.push('{');
-            write!(s, "\"name\":\"{}\"", escape(ev.name)).unwrap(); // xxi-allow: panic-path -- fmt::Write to String is infallible
-            write!(s, ",\"cat\":\"{}\"", escape(ev.cat)).unwrap(); // xxi-allow: panic-path -- fmt::Write to String is infallible
-            match ev.phase {
-                Phase::Span(dur) => {
-                    write!(
-                        s,
-                        ",\"ph\":\"X\",\"ts\":{:.6},\"dur\":{:.6}",
-                        ev.ts.us(),
-                        dur.us()
-                    )
-                    .unwrap(); // xxi-allow: panic-path -- fmt::Write to String is infallible
-                }
-                Phase::Instant => {
-                    // xxi-allow: panic-path -- fmt::Write to String is infallible
-                    write!(s, ",\"ph\":\"i\",\"ts\":{:.6},\"s\":\"t\"", ev.ts.us()).unwrap();
-                }
-            }
-            write!(s, ",\"pid\":0,\"tid\":{}", ev.track).unwrap(); // xxi-allow: panic-path -- fmt::Write to String is infallible
-            if !ev.args.is_empty() {
-                s.push_str(",\"args\":{");
-                for (j, (k, v)) in ev.args.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    if v.is_finite() {
-                        write!(s, "\"{}\":{v}", escape(k)).unwrap(); // xxi-allow: panic-path -- fmt::Write to String is infallible
-                    } else {
-                        // JSON has no NaN/inf literals.
-                        write!(s, "\"{}\":null", escape(k)).unwrap(); // xxi-allow: panic-path -- fmt::Write to String is infallible
-                    }
-                }
-                s.push('}');
-            }
-            s.push('}');
+            let sep = if i > 0 { ",\n" } else { "" };
+            let _ = write!(s, "{sep}{}", ev.to_json());
         }
         s.push_str("\n]\n");
         s
@@ -396,172 +386,11 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::json;
 
-    /// A minimal recursive-descent JSON reader, enough to validate shape:
-    /// returns the parsed value or None on malformed input.
-    #[derive(Debug, PartialEq)]
-    enum Json {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(kvs) => kvs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        fn as_num(&self) -> Option<f64> {
-            match self {
-                Json::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-        fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    fn parse(s: &str) -> Option<Json> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        let v = value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i == b.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && (b[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Option<Json> {
-        skip_ws(b, i);
-        match *b.get(*i)? {
-            b'{' => {
-                *i += 1;
-                let mut kvs = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return Some(Json::Obj(kvs));
-                }
-                loop {
-                    skip_ws(b, i);
-                    let Json::Str(k) = value(b, i)? else {
-                        return None;
-                    };
-                    skip_ws(b, i);
-                    if b.get(*i) != Some(&b':') {
-                        return None;
-                    }
-                    *i += 1;
-                    kvs.push((k, value(b, i)?));
-                    skip_ws(b, i);
-                    match b.get(*i)? {
-                        b',' => *i += 1,
-                        b'}' => {
-                            *i += 1;
-                            return Some(Json::Obj(kvs));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'[' => {
-                *i += 1;
-                let mut xs = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Some(Json::Arr(xs));
-                }
-                loop {
-                    xs.push(value(b, i)?);
-                    skip_ws(b, i);
-                    match b.get(*i)? {
-                        b',' => *i += 1,
-                        b']' => {
-                            *i += 1;
-                            return Some(Json::Arr(xs));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => {
-                *i += 1;
-                let mut s = String::new();
-                loop {
-                    match *b.get(*i)? {
-                        b'"' => {
-                            *i += 1;
-                            return Some(Json::Str(s));
-                        }
-                        b'\\' => {
-                            *i += 1;
-                            match *b.get(*i)? {
-                                b'"' => s.push('"'),
-                                b'\\' => s.push('\\'),
-                                b'n' => s.push('\n'),
-                                b'r' => s.push('\r'),
-                                b't' => s.push('\t'),
-                                b'u' => {
-                                    let hex = std::str::from_utf8(b.get(*i + 1..*i + 5)?).ok()?;
-                                    let cp = u32::from_str_radix(hex, 16).ok()?;
-                                    s.push(char::from_u32(cp)?);
-                                    *i += 4;
-                                }
-                                _ => return None,
-                            }
-                            *i += 1;
-                        }
-                        c => {
-                            s.push(c as char);
-                            *i += 1;
-                        }
-                    }
-                }
-            }
-            b'n' => {
-                *i += 4;
-                Some(Json::Null)
-            }
-            b't' => {
-                *i += 4;
-                Some(Json::Bool(true))
-            }
-            b'f' => {
-                *i += 5;
-                Some(Json::Bool(false))
-            }
-            _ => {
-                let start = *i;
-                while *i < b.len()
-                    && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    *i += 1;
-                }
-                std::str::from_utf8(&b[start..*i])
-                    .ok()?
-                    .parse::<f64>()
-                    .ok()
-                    .map(Json::Num)
-            }
-        }
+    /// Member `key` of an event object.
+    fn get<'a>(ev: &'a Json, key: &str) -> Option<&'a Json> {
+        json::find(ev.as_object()?, key)
     }
 
     #[test]
@@ -585,23 +414,25 @@ mod tests {
         tr.end(id, SimTime::from_us(12));
 
         let json = tr.chrome_json();
-        let Some(Json::Arr(events)) = parse(&json) else {
+        let doc = json::parse(&json)
+            .unwrap_or_else(|e| panic!("trace output is not JSON ({e}):\n{json}"));
+        let Some(events) = doc.as_array() else {
             panic!("trace output is not a JSON array:\n{json}");
         };
         assert_eq!(events.len(), 5);
         let mut spans = 0;
         let mut instants = 0;
-        for ev in &events {
-            let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
-            let ts = ev.get("ts").and_then(Json::as_num).expect("ts");
+        for ev in events {
+            let ph = get(ev, "ph").and_then(Json::as_str).expect("ph");
+            let ts = get(ev, "ts").and_then(Json::as_f64).expect("ts");
             assert!(ts >= 0.0);
-            assert!(ev.get("name").and_then(Json::as_str).is_some());
-            assert!(ev.get("pid").and_then(Json::as_num).is_some());
-            assert!(ev.get("tid").and_then(Json::as_num).is_some());
-            match ph {
+            assert!(get(ev, "name").and_then(Json::as_str).is_some());
+            assert!(get(ev, "pid").and_then(Json::as_f64).is_some());
+            assert!(get(ev, "tid").and_then(Json::as_f64).is_some());
+            match ph.as_str() {
                 "X" => {
                     spans += 1;
-                    let dur = ev.get("dur").and_then(Json::as_num).expect("dur");
+                    let dur = get(ev, "dur").and_then(Json::as_f64).expect("dur");
                     assert!(dur >= 0.0);
                 }
                 "i" => instants += 1,
@@ -614,10 +445,32 @@ mod tests {
         // Timestamps are microseconds: the request span runs 0 → 12 µs.
         let req = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("request"))
+            .find(|e| get(e, "name").and_then(Json::as_str).as_deref() == Some("request"))
             .unwrap();
-        assert_eq!(req.get("ts").and_then(Json::as_num), Some(0.0));
-        assert_eq!(req.get("dur").and_then(Json::as_num), Some(12.0));
+        assert_eq!(get(req, "ts").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(get(req, "dur").and_then(Json::as_f64), Some(12.0));
+    }
+
+    #[test]
+    fn chrome_json_bytes_are_pinned() {
+        // The exact layout: `[`, one compact event per line, `]`; times
+        // with six decimals; non-finite args as null; names escaped.
+        let mut tr = Trace::enabled();
+        let id = tr.begin("req\"uest", "cloud", 3, SimTime::from_ns(1_500));
+        tr.instant_args(
+            "hedge\\fired",
+            "cloud",
+            0,
+            SimTime::from_us(9),
+            &[("leaf", 2.0), ("bad", f64::INFINITY)],
+        );
+        tr.instant("tick", "sensor\n", 1, SimTime::ZERO);
+        tr.end_args(id, SimTime::from_ns(12_345), &[("ratio", 0.1)]);
+        assert_eq!(
+            tr.chrome_json(),
+            "[\n{\"name\":\"hedge\\\\fired\",\"cat\":\"cloud\",\"ph\":\"i\",\"ts\":9.000000,\"s\":\"t\",\"pid\":0,\"tid\":0,\"args\":{\"leaf\":2,\"bad\":null}},\n{\"name\":\"tick\",\"cat\":\"sensor\\n\",\"ph\":\"i\",\"ts\":0.000000,\"s\":\"t\",\"pid\":0,\"tid\":1},\n{\"name\":\"req\\\"uest\",\"cat\":\"cloud\",\"ph\":\"X\",\"ts\":1.500000,\"dur\":10.845000,\"pid\":0,\"tid\":3,\"args\":{\"ratio\":0.1}}\n]\n"
+        );
+        assert_eq!(Trace::enabled().chrome_json(), "[\n\n]\n");
     }
 
     #[test]
@@ -649,7 +502,13 @@ mod tests {
         let mut tr = Trace::enabled();
         tr.instant("quote\"back\\slash", "c", 0, SimTime::ZERO);
         let json = tr.chrome_json();
-        assert!(parse(&json).is_some(), "escaping broke JSON:\n{json}");
+        let doc = json::parse(&json);
+        assert!(doc.is_ok(), "escaping broke JSON:\n{json}");
+        let name = doc
+            .unwrap()
+            .as_array()
+            .and_then(|evs| get(&evs[0], "name")?.as_str());
+        assert_eq!(name.as_deref(), Some("quote\"back\\slash"));
     }
 
     #[test]
@@ -680,7 +539,7 @@ mod tests {
         let mut tr = Trace::enabled();
         tr.instant_args("e", "c", 0, SimTime::ZERO, &[("bad", f64::NAN)]);
         let json = tr.chrome_json();
-        assert!(parse(&json).is_some());
+        assert!(json::parse(&json).is_ok());
         assert!(json.contains("\"bad\":null"));
     }
 }

@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::metrics::Metrics;
 use crate::obs::LogHistogram;
-use crate::table::{fill, Table};
+use crate::table::{fill, Cell, Table};
 
 pub mod json;
 
@@ -321,137 +321,73 @@ impl Report {
 
     /// Render the schema-version-3 JSON document (see the module docs).
     pub fn render_json(&self) -> String {
-        let mut s = String::new();
-        s.push('{');
-        let _ = write!(s, "\"schema_version\":{SCHEMA_VERSION}");
-        let _ = write!(s, ",\"experiment\":\"{}\"", json::escape(&self.id));
-        let _ = write!(
-            s,
-            ",\"paper_claim\":\"{}\"",
-            json::escape(&self.paper_claim)
-        );
-        let _ = write!(s, ",\"seed\":{}", self.seed);
-        s.push_str(",\"params\":{");
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        self.to_json().to_string()
+    }
+
+    /// The schema-version-3 document as a [`Json`] tree; the inverse of
+    /// [`Report::from_json`].
+    pub fn to_json(&self) -> Json {
+        let kind = |k: &'static str| ("kind", Json::str(k));
+        let items = self.items.iter().map(|item| match item {
+            Item::Section(t) => Json::obj([kind("section"), ("title", Json::str(t))]),
+            Item::Text(txt) => Json::obj([kind("text"), ("text", Json::str(txt))]),
+            Item::Table(t) => {
+                let cell = |c: &Cell| {
+                    let value = c.value.map(|v| ("value", Json::num(v)));
+                    Json::obj([("text", Json::str(&c.text))].into_iter().chain(value))
+                };
+                let row = |r: &Vec<Cell>| Json::Array(r.iter().map(cell).collect());
+                Json::obj([
+                    kind("table"),
+                    ("caption", t.caption_text().map_or(Json::Null, Json::str)),
+                    (
+                        "headers",
+                        Json::Array(t.headers().iter().map(Json::str).collect()),
+                    ),
+                    ("rows", Json::Array(t.rows().iter().map(row).collect())),
+                ])
             }
-            let _ = write!(s, "\"{}\":\"{}\"", json::escape(k), json::escape(v));
-        }
-        s.push_str("},\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"value\":{},\"unit\":\"{}\"}}",
-                json::escape(&f.name),
-                json::number(f.value),
-                json::escape(&f.unit)
-            );
-        }
-        s.push_str("],\"items\":[");
-        for (i, item) in self.items.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match item {
-                Item::Section(t) => {
-                    let _ = write!(
-                        s,
-                        "{{\"kind\":\"section\",\"title\":\"{}\"}}",
-                        json::escape(t)
-                    );
-                }
-                Item::Text(txt) => {
-                    let _ = write!(
-                        s,
-                        "{{\"kind\":\"text\",\"text\":\"{}\"}}",
-                        json::escape(txt)
-                    );
-                }
-                Item::Table(t) => {
-                    s.push_str("{\"kind\":\"table\"");
-                    match t.caption_text() {
-                        Some(c) => {
-                            let _ = write!(s, ",\"caption\":\"{}\"", json::escape(c));
-                        }
-                        None => s.push_str(",\"caption\":null"),
-                    }
-                    s.push_str(",\"headers\":[");
-                    for (j, h) in t.headers().iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        let _ = write!(s, "\"{}\"", json::escape(h));
-                    }
-                    s.push_str("],\"rows\":[");
-                    for (j, row) in t.rows().iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        s.push('[');
-                        for (k, cell) in row.iter().enumerate() {
-                            if k > 0 {
-                                s.push(',');
-                            }
-                            let _ = write!(s, "{{\"text\":\"{}\"", json::escape(&cell.text));
-                            if let Some(v) = cell.value {
-                                let _ = write!(s, ",\"value\":{}", json::number(v));
-                            }
-                            s.push('}');
-                        }
-                        s.push(']');
-                    }
-                    s.push_str("]}");
-                }
-            }
-        }
-        s.push_str("],\"runtime\":");
-        match &self.runtime {
-            None => s.push_str("null"),
-            Some(rt) => {
-                s.push_str("{\"counters\":{");
-                for (i, (k, v)) in rt.counters.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    // Counters stay raw u64 (json::number would squeeze
-                    // them through f64 and lose precision past 2^53).
-                    let _ = write!(s, "\"{}\":{v}", json::escape(k));
-                }
-                s.push_str("},\"gauges\":{");
-                for (i, (k, v)) in rt.gauges.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "\"{}\":{}", json::escape(k), json::number(*v));
-                }
-                s.push_str("},\"hists\":{");
-                for (i, (k, h)) in rt.hists.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(
-                        s,
-                        "\"{}\":{{\"count\":{},\"mean\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-                        json::escape(k),
-                        h.count,
-                        json::number(h.mean),
-                        json::number(h.min),
-                        json::number(h.p50),
-                        json::number(h.p90),
-                        json::number(h.p99),
-                        json::number(h.p999),
-                        json::number(h.max)
-                    );
-                }
-                s.push_str("}}");
-            }
-        }
-        s.push('}');
-        s
+        });
+        let runtime = self.runtime.as_ref().map_or(Json::Null, |rt| {
+            let summary = |h: &HistSummary| {
+                Json::obj([
+                    ("count", Json::int(h.count)),
+                    ("mean", Json::num(h.mean)),
+                    ("min", Json::num(h.min)),
+                    ("p50", Json::num(h.p50)),
+                    ("p90", Json::num(h.p90)),
+                    ("p99", Json::num(h.p99)),
+                    ("p999", Json::num(h.p999)),
+                    ("max", Json::num(h.max)),
+                ])
+            };
+            let counters = rt.counters.iter().map(|(k, v)| (k.as_str(), Json::int(*v)));
+            let gauges = rt.gauges.iter().map(|(k, v)| (k.as_str(), Json::num(*v)));
+            let hists = rt.hists.iter().map(|(k, h)| (k.as_str(), summary(h)));
+            Json::obj([
+                ("counters", Json::obj(counters)),
+                ("gauges", Json::obj(gauges)),
+                ("hists", Json::obj(hists)),
+            ])
+        });
+        let params = self.params.iter().map(|(k, v)| (k.as_str(), Json::str(v)));
+        let findings = self.findings.iter().map(|f| {
+            Json::obj([
+                ("name", Json::str(&f.name)),
+                ("value", Json::num(f.value)),
+                ("unit", Json::str(&f.unit)),
+            ])
+        });
+        Json::obj([
+            ("schema_version", Json::int(SCHEMA_VERSION)),
+            ("experiment", Json::str(&self.id)),
+            ("paper_claim", Json::str(&self.paper_claim)),
+            ("seed", Json::int(self.seed)),
+            ("params", Json::obj(params)),
+            ("findings", Json::Array(findings.collect())),
+            ("items", Json::Array(items.collect())),
+            ("runtime", runtime),
+        ])
     }
 
     /// Parse a JSON document (schema version 1, 2 or 3) back into a
@@ -470,9 +406,7 @@ impl Report {
     /// Build a report from a parsed JSON value, validating the schema.
     pub fn from_json(v: &Json) -> Result<Report, String> {
         let obj = v.as_object().ok_or("report: expected an object")?;
-        let version = json::get(obj, "schema_version")?
-            .as_u64()
-            .ok_or("schema_version: expected a number")?;
+        let version = json::get_u64(obj, "schema_version")?;
         if !(1..=SCHEMA_VERSION).contains(&version) {
             return Err(format!(
                 "unsupported schema_version {version} (expected 1..={SCHEMA_VERSION})"
@@ -482,40 +416,25 @@ impl Report {
             json::get_str(obj, "experiment")?,
             json::get_str(obj, "paper_claim")?,
         );
-        r.seed = json::get(obj, "seed")?
-            .as_u64()
-            .ok_or("seed: expected an unsigned integer")?;
-        for (k, v) in json::get(obj, "params")?
-            .as_object()
-            .ok_or("params: expected an object")?
-        {
+        r.seed = json::get_u64(obj, "seed")?;
+        for (k, v) in json::get_object(obj, "params")? {
             r.param(k.clone(), v.as_str().ok_or("param: expected a string")?);
         }
-        for f in json::get(obj, "findings")?
-            .as_array()
-            .ok_or("findings: expected an array")?
-        {
+        for f in json::get_array(obj, "findings")? {
             let fo = f.as_object().ok_or("finding: expected an object")?;
             r.finding(
                 json::get_str(fo, "name")?,
-                json::get(fo, "value")?
-                    .as_f64()
-                    .ok_or("finding value: expected a number")?,
+                json::get_f64(fo, "value")?,
                 json::get_str(fo, "unit")?,
             );
         }
-        for item in json::get(obj, "items")?
-            .as_array()
-            .ok_or("items: expected an array")?
-        {
+        for item in json::get_array(obj, "items")? {
             let io = item.as_object().ok_or("item: expected an object")?;
             let item = match json::get_str(io, "kind")?.as_str() {
                 "section" => Item::Section(json::get_str(io, "title")?),
                 "text" => Item::Text(json::get_str(io, "text")?),
                 "table" => {
-                    let headers: Vec<String> = json::get(io, "headers")?
-                        .as_array()
-                        .ok_or("headers: expected an array")?
+                    let headers: Vec<String> = json::get_array(io, "headers")?
                         .iter()
                         .map(|h| h.as_str().ok_or("header: expected a string"))
                         .collect::<Result<_, _>>()?;
@@ -524,10 +443,7 @@ impl Report {
                     if let Some(c) = json::get(io, "caption")?.as_str() {
                         t = t.caption(c);
                     }
-                    for row in json::get(io, "rows")?
-                        .as_array()
-                        .ok_or("rows: expected an array")?
-                    {
+                    for row in json::get_array(io, "rows")? {
                         let cells: Vec<String> = row
                             .as_array()
                             .ok_or("row: expected an array")?
@@ -561,40 +477,21 @@ impl Report {
             Some(rv) => {
                 let ro = rv.as_object().ok_or("runtime: expected an object")?;
                 let mut rt = RunMetrics::default();
-                for (k, v) in json::get(ro, "counters")?
-                    .as_object()
-                    .ok_or("runtime counters: expected an object")?
-                {
-                    rt.counters.push((
-                        k.clone(),
-                        v.as_u64().ok_or("runtime counter: expected a u64")?,
-                    ));
+                for (k, v) in json::get_object(ro, "counters")? {
+                    let v = v.as_u64().ok_or("runtime counter: expected a u64")?;
+                    rt.counters.push((k.clone(), v));
                 }
-                for (k, v) in json::get(ro, "gauges")?
-                    .as_object()
-                    .ok_or("runtime gauges: expected an object")?
-                {
-                    rt.gauges.push((
-                        k.clone(),
-                        v.as_f64().ok_or("runtime gauge: expected a number")?,
-                    ));
+                for (k, v) in json::get_object(ro, "gauges")? {
+                    let v = v.as_f64().ok_or("runtime gauge: expected a number")?;
+                    rt.gauges.push((k.clone(), v));
                 }
-                for (k, v) in json::get(ro, "hists")?
-                    .as_object()
-                    .ok_or("runtime hists: expected an object")?
-                {
+                for (k, v) in json::get_object(ro, "hists")? {
                     let ho = v.as_object().ok_or("runtime hist: expected an object")?;
-                    let num = |key: &str| -> Result<f64, String> {
-                        json::get(ho, key)?
-                            .as_f64()
-                            .ok_or_else(|| format!("runtime hist {key}: expected a number"))
-                    };
+                    let num = |key| json::get_f64(ho, key);
                     rt.hists.push((
                         k.clone(),
                         HistSummary {
-                            count: json::get(ho, "count")?
-                                .as_u64()
-                                .ok_or("runtime hist count: expected a u64")?,
+                            count: json::get_u64(ho, "count")?,
                             mean: num("mean")?,
                             min: num("min")?,
                             p50: num("p50")?,

@@ -1,15 +1,21 @@
-//! A minimal JSON value model, emitter helpers, and recursive-descent
-//! parser — just enough for the [`Report`](super::Report) schema.
+//! The workspace's one JSON writer and one JSON reader.
+//!
+//! [`Json`] is the value model. Its `Display` impl is the only place JSON
+//! is spelled: compact (no whitespace), object members in insertion order,
+//! numbers written as their stored lexeme, strings escaped. Every emitter
+//! (reports, bench runs, `xxi list`, Chrome traces, the two linters)
+//! builds a `Json` and prints it. [`parse`] is the one reader, behind
+//! `xxi validate`, `xxi compare` and the round-trip tests; it accepts
+//! standard JSON (objects, arrays, strings with escapes, numbers,
+//! booleans, null).
 //!
 //! The build environment has no crates.io access (the workspace `serde` is
-//! a no-op derive stub), so serialization is hand-rolled. The parser exists
-//! for the schema round-trip tests and `xxi validate`; it accepts standard
-//! JSON (objects, arrays, strings with escapes, numbers, booleans, null).
+//! a no-op derive stub), so both halves live here.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value. Object member order is preserved (the schema
-/// round-trip compares ordered `params`).
+/// A JSON value. Object member order is preserved (the schema round-trip
+/// compares ordered `params`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
@@ -23,6 +29,32 @@ pub enum Json {
 }
 
 impl Json {
+    /// A finite `f64` as Rust's shortest round-trippable decimal.
+    /// Non-finite values have no JSON lexeme and become `null`; keep
+    /// findings finite.
+    pub fn num(v: f64) -> Json {
+        if v.is_finite() {
+            Json::Num(format!("{v}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// An exact integer (no trip through `f64`, so values past 2^53
+    /// survive).
+    pub fn int(v: u64) -> Json {
+        Json::Num(v.to_string())
+    }
+
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// An object from `(key, value)` members, in iteration order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     pub fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Object(m) => Some(m),
@@ -76,41 +108,90 @@ pub fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String>
     find(obj, key).ok_or_else(|| format!("missing key {key:?}"))
 }
 
+/// Look up a required member of one type: `as_t` reads it, and the
+/// error names the key and `what` was expected.
+fn get_as<'a, T>(
+    obj: &'a [(String, Json)],
+    key: &str,
+    what: &str,
+    as_t: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    as_t(get(obj, key)?).ok_or_else(|| format!("{key}: expected {what}"))
+}
+
 /// Look up a required string member.
 pub fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
-    get(obj, key)?
-        .as_str()
-        .ok_or_else(|| format!("{key}: expected a string"))
+    get_as(obj, key, "a string", Json::as_str)
 }
 
-/// Escape a string for embedding between JSON double quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Look up a required unsigned integer member.
+pub fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
+    get_as(obj, key, "a u64", Json::as_u64)
+}
+
+/// Look up a required number member.
+pub fn get_f64(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
+    get_as(obj, key, "a number", Json::as_f64)
+}
+
+/// Look up a required array member.
+pub fn get_array<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a [Json], String> {
+    get_as(obj, key, "an array", Json::as_array)
+}
+
+/// Look up a required object member.
+pub fn get_object<'a>(
+    obj: &'a [(String, Json)],
+    key: &str,
+) -> Result<&'a [(String, Json)], String> {
+    get_as(obj, key, "an object", Json::as_object)
+}
+
+impl fmt::Display for Json {
+    /// Compact JSON: no whitespace, members in insertion order, `Num` as
+    /// its lexeme verbatim.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) => f.write_str(n),
+            Json::Str(s) => escape(f, s),
+            Json::Array(items) => {
+                f.write_char('[')?;
+                for (i, v) in items.iter().enumerate() {
+                    f.write_str(if i > 0 { "," } else { "" })?;
+                    write!(f, "{v}")?;
+                }
+                f.write_char(']')
             }
-            c => out.push(c),
+            Json::Object(members) => {
+                f.write_char('{')?;
+                for (i, (k, v)) in members.iter().enumerate() {
+                    f.write_str(if i > 0 { "," } else { "" })?;
+                    escape(f, k)?;
+                    write!(f, ":{v}")?;
+                }
+                f.write_char('}')
+            }
         }
     }
-    out
 }
 
-/// Format a finite `f64` as a JSON number (Rust's shortest round-trippable
-/// decimal). Non-finite values have no JSON representation and become
-/// `null`; keep findings finite.
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Write `s` as a quoted JSON string.
+fn escape(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
     }
+    f.write_char('"')
 }
 
 /// Deepest array/object nesting [`parse`] accepts. The report schema
@@ -345,8 +426,32 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "quote \" backslash \\ newline \n tab \t ctrl \u{1} unicode é";
-        let doc = format!("\"{}\"", escape(nasty));
+        let doc = Json::str(nasty).to_string();
+        assert_eq!(
+            doc,
+            "\"quote \\\" backslash \\\\ newline \\n tab \\t ctrl \\u0001 unicode é\""
+        );
         assert_eq!(parse(&doc).unwrap().as_str().unwrap(), nasty);
+    }
+
+    #[test]
+    fn display_is_compact_and_ordered() {
+        let v = Json::obj([
+            (
+                "b",
+                Json::Array(vec![Json::int(u64::MAX), Json::Null, Json::Bool(false)]),
+            ),
+            ("a", Json::obj::<&str>([])),
+            ("c", Json::Array(Vec::new())),
+        ]);
+        let text = v.to_string();
+        assert_eq!(
+            text,
+            r#"{"b":[18446744073709551615,null,false],"a":{},"c":[]}"#
+        );
+        assert_eq!(parse(&text).unwrap(), v);
+        // A parsed lexeme is written back verbatim.
+        assert_eq!(parse("-2.50e+2").unwrap().to_string(), "-2.50e+2");
     }
 
     #[test]
@@ -375,10 +480,11 @@ mod tests {
 
     #[test]
     fn number_formatting() {
-        assert_eq!(number(45.0), "45");
-        assert_eq!(number(0.1), "0.1");
-        assert_eq!(number(f64::NAN), "null");
+        assert_eq!(Json::num(45.0).to_string(), "45");
+        assert_eq!(Json::num(0.1).to_string(), "0.1");
+        assert_eq!(Json::num(f64::NAN), Json::Null);
+        assert_eq!(Json::num(f64::NEG_INFINITY), Json::Null);
         let v = 1.234567890123e-7;
-        assert_eq!(number(v).parse::<f64>().unwrap(), v);
+        assert_eq!(Json::num(v).as_f64(), Some(v));
     }
 }
