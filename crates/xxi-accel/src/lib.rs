@@ -35,4 +35,4 @@ pub mod offload;
 pub use cgra::{Cgra, DataflowGraph};
 pub use ladder::{ladder_energy_per_op, ImplKind, Kernel};
 pub use nre::breakeven_volume;
-pub use offload::{offload_energy, offload_speedup, OffloadConfig};
+pub use offload::{offload_energy, OffloadConfig};

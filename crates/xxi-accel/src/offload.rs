@@ -5,24 +5,20 @@
 //! class of applicable problems"; this module quantifies *why*: with 100×
 //! efficiency on the covered region, total-energy gains saturate at
 //! `1/(1−c)` for coverage `c`, so the uncovered 50% caps the win at 2×.
-//! Per-invocation offload overhead (argument marshalling, kicking the
+//! Per-invocation offload energy (argument marshalling, kicking the
 //! device, synchronization) further gates how fine-grained offload can be.
 
 use serde::Serialize;
 
-use xxi_core::units::{Energy, Seconds};
+use xxi_core::units::Energy;
 
 /// Offload scenario parameters.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct OffloadConfig {
     /// Fraction of dynamic work the accelerator covers, `0 ≤ c ≤ 1`.
     pub coverage: f64,
-    /// Accelerator speedup on covered work.
-    pub speedup: f64,
     /// Accelerator energy-efficiency factor on covered work.
     pub efficiency: f64,
-    /// Host time per accelerator invocation (marshalling + launch + sync).
-    pub invoke_overhead: Seconds,
     /// Number of accelerator invocations over the workload.
     pub invocations: u64,
 }
@@ -30,18 +26,8 @@ pub struct OffloadConfig {
 impl OffloadConfig {
     fn validate(&self) {
         assert!((0.0..=1.0).contains(&self.coverage));
-        assert!(self.speedup >= 1.0 && self.efficiency >= 1.0);
+        assert!(self.efficiency >= 1.0);
     }
-}
-
-/// End-to-end speedup of the offloaded workload relative to host-only,
-/// where host-only execution takes `host_time`.
-pub fn offload_speedup(cfg: &OffloadConfig, host_time: Seconds) -> f64 {
-    cfg.validate();
-    let covered = host_time.value() * cfg.coverage;
-    let uncovered = host_time.value() - covered;
-    let overhead = cfg.invoke_overhead.value() * cfg.invocations as f64;
-    host_time.value() / (uncovered + covered / cfg.speedup + overhead)
 }
 
 /// End-to-end energy of the offloaded workload relative to host-only
@@ -56,13 +42,6 @@ pub fn offload_energy(cfg: &OffloadConfig, host_energy: Energy, invoke_energy: E
     (uncovered + covered / cfg.efficiency + overhead) / host_energy.value()
 }
 
-/// Maximum possible energy gain at a given coverage, with an infinitely
-/// efficient accelerator and zero overhead: `1/(1−c)`.
-pub fn coverage_limit(coverage: f64) -> f64 {
-    assert!((0.0..1.0).contains(&coverage));
-    1.0 / (1.0 - coverage)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,22 +49,9 @@ mod tests {
     fn cfg(coverage: f64) -> OffloadConfig {
         OffloadConfig {
             coverage,
-            speedup: 50.0,
             efficiency: 100.0,
-            invoke_overhead: Seconds::from_us(10.0),
             invocations: 100,
         }
-    }
-
-    #[test]
-    fn amdahl_caps_the_win() {
-        let host = Seconds(1.0);
-        // 50% coverage with a 50× accelerator: speedup just under 2.
-        let s = offload_speedup(&cfg(0.5), host);
-        assert!((1.8..2.0).contains(&s), "s={s}");
-        // 99% coverage: approaching the accelerator's own speedup.
-        let s99 = offload_speedup(&cfg(0.99), host);
-        assert!(s99 > 25.0, "s99={s99}");
     }
 
     #[test]
@@ -95,8 +61,10 @@ mod tests {
         for c in [0.3, 0.6, 0.9] {
             let ratio = offload_energy(&cfg(c), host, inv);
             let gain = 1.0 / ratio;
-            assert!(gain < coverage_limit(c) + 1e-9, "c={c} gain={gain}");
-            assert!(gain > 0.8 * coverage_limit(c), "c={c} gain={gain}");
+            // An infinitely efficient, overhead-free accelerator's gain.
+            let limit = 1.0 / (1.0 - c);
+            assert!(gain < limit + 1e-9, "c={c} gain={gain}");
+            assert!(gain > 0.8 * limit, "c={c} gain={gain}");
         }
     }
 
@@ -111,7 +79,8 @@ mod tests {
 
     #[test]
     fn invocation_overhead_kills_fine_grained_offload() {
-        let host = Seconds(0.01); // 10 ms workload
+        let host = Energy::from_mj(10.0); // 10 mJ workload
+        let invoke = Energy::from_uj(1.0);
         let coarse = OffloadConfig {
             invocations: 10,
             ..cfg(0.9)
@@ -120,10 +89,10 @@ mod tests {
             invocations: 100_000,
             ..cfg(0.9)
         };
-        let s_coarse = offload_speedup(&coarse, host);
-        let s_fine = offload_speedup(&fine, host);
-        assert!(s_coarse > 4.0, "coarse={s_coarse}");
-        assert!(s_fine < 0.05, "fine-grained offload must lose: {s_fine}");
+        let e_coarse = offload_energy(&coarse, host, invoke);
+        let e_fine = offload_energy(&fine, host, invoke);
+        assert!(e_coarse < 0.2, "coarse={e_coarse}");
+        assert!(e_fine > 5.0, "fine-grained offload must lose: {e_fine}");
     }
 
     #[test]
@@ -133,13 +102,12 @@ mod tests {
             invocations: 0,
             ..cfg(0.0)
         };
-        assert!((offload_speedup(&c, Seconds(1.0)) - 1.0).abs() < 1e-12);
         assert!((offload_energy(&c, Energy(1.0), Energy(1.0)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic]
     fn coverage_above_one_rejected() {
-        offload_speedup(&cfg(1.5), Seconds(1.0));
+        offload_energy(&cfg(1.5), Energy(1.0), Energy::ZERO);
     }
 }

@@ -30,5 +30,5 @@ pub mod signal;
 pub use number::ApproxReal;
 pub use pareto::{pareto_frontier, sweep_fir, SweepPoint};
 pub use perforation::perforated_mean_filter;
-pub use quality::{psnr, relative_error, rmse};
+pub use quality::rmse;
 pub use signal::SignalGen;

@@ -40,18 +40,6 @@ pub fn perforated_mean_filter(signal: &[f64], w: usize, k: usize) -> (Vec<f64>, 
     (out, evals)
 }
 
-/// A perforated sum: sums every `k`-th element and scales by `k` (with an
-/// exact tail correction for the remainder). Returns `(estimate, work)`.
-pub fn perforated_sum(xs: &[f64], k: usize) -> (f64, u64) {
-    assert!(k >= 1);
-    if xs.is_empty() {
-        return (0.0, 0);
-    }
-    let sampled: Vec<f64> = xs.iter().step_by(k).copied().collect();
-    let estimate = sampled.iter().sum::<f64>() * (xs.len() as f64 / sampled.len() as f64);
-    (estimate, sampled.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,24 +81,9 @@ mod tests {
     }
 
     #[test]
-    fn perforated_sum_unbiased_on_smooth_data() {
-        let xs: Vec<f64> = (0..10_000)
-            .map(|i| (i as f64 * 0.001).sin() + 2.0)
-            .collect();
-        let exact: f64 = xs.iter().sum();
-        let (est, work) = perforated_sum(&xs, 10);
-        assert_eq!(work, 1000);
-        assert!(
-            (est - exact).abs() / exact < 0.01,
-            "est={est} exact={exact}"
-        );
-    }
-
-    #[test]
     fn edge_cases() {
         let (out, evals) = perforated_mean_filter(&[5.0], 4, 8);
         assert_eq!(out, vec![5.0]);
         assert_eq!(evals, 1);
-        assert_eq!(perforated_sum(&[], 3), (0.0, 0));
     }
 }

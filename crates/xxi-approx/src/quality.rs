@@ -12,31 +12,6 @@ pub fn rmse(reference: &[f64], approx: &[f64]) -> f64 {
     (sum / reference.len() as f64).sqrt()
 }
 
-/// Peak signal-to-noise ratio in dB, with the reference's peak amplitude
-/// as signal. Returns `+inf` for a perfect match.
-pub fn psnr(reference: &[f64], approx: &[f64]) -> f64 {
-    let peak = reference.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-    let e = rmse(reference, approx);
-    if e == 0.0 {
-        f64::INFINITY
-    } else {
-        20.0 * (peak / e).log10()
-    }
-}
-
-/// Mean relative error `|r − a| / max(|r|, ε)`.
-pub fn relative_error(reference: &[f64], approx: &[f64]) -> f64 {
-    assert_eq!(reference.len(), approx.len());
-    assert!(!reference.is_empty());
-    let eps = 1e-12;
-    reference
-        .iter()
-        .zip(approx)
-        .map(|(r, a)| (r - a).abs() / r.abs().max(eps))
-        .sum::<f64>()
-        / reference.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,8 +20,6 @@ mod tests {
     fn perfect_match() {
         let x = [1.0, -2.0, 3.0];
         assert_eq!(rmse(&x, &x), 0.0);
-        assert_eq!(psnr(&x, &x), f64::INFINITY);
-        assert_eq!(relative_error(&x, &x), 0.0);
     }
 
     #[test]
@@ -54,26 +27,6 @@ mod tests {
         let r = [0.0, 0.0, 0.0, 0.0];
         let a = [1.0, -1.0, 1.0, -1.0];
         assert!((rmse(&r, &a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn psnr_drops_20db_per_10x_error() {
-        let r = vec![10.0; 100];
-        let a1: Vec<f64> = r.iter().map(|x| x + 0.01).collect();
-        let a2: Vec<f64> = r.iter().map(|x| x + 0.1).collect();
-        let p1 = psnr(&r, &a1);
-        let p2 = psnr(&r, &a2);
-        assert!((p1 - p2 - 20.0).abs() < 1e-9, "p1={p1} p2={p2}");
-    }
-
-    #[test]
-    fn relative_error_scale_invariant() {
-        let r1 = [1.0, 2.0, 4.0];
-        let a1 = [1.1, 2.2, 4.4];
-        let r2 = [10.0, 20.0, 40.0];
-        let a2 = [11.0, 22.0, 44.0];
-        assert!((relative_error(&r1, &a1) - relative_error(&r2, &a2)).abs() < 1e-12);
-        assert!((relative_error(&r1, &a1) - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -14,10 +14,13 @@
 //! | `unsafe-audit` | every `unsafe` carries a `// SAFETY:` comment |
 //! | `sync-facade` | xxi-stack synchronization goes through its `sync` facade |
 //! | `panic-path` | `.unwrap()/.expect()` in library code is a warning |
+//! | `model-reach` | every model-crate `pub mod`, and every `pub` item in a reached one, is named by code a report runs |
 //!
 //! Built on a hand-rolled lexer ([`lexer`]) whose token spans provably
 //! tile each file, and a line/region scanner ([`scan`]). Zero
-//! dependencies, fully offline.
+//! dependencies, fully offline. R1–R6 ([`rules`]) look at one file at a
+//! time; R7 ([`reach`]) walks paths across the whole set, so the engine
+//! reads every file before it applies any suppression.
 //!
 //! Findings are suppressible in source (`// xxi-allow: <rule> -- reason`,
 //! or `// xxi-allow-file: <rule>` for a whole file); suppressions that no
@@ -26,9 +29,11 @@
 //! `schema_version`'d JSON.
 
 pub mod lexer;
+pub mod reach;
 pub mod rules;
 pub mod scan;
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -140,65 +145,96 @@ impl fmt::Display for SrcReport {
     }
 }
 
-/// Lint a single source text. The unit the fixture tests drive; the
-/// workspace walk is just this over every file.
-pub fn lint_source(rel_path: &str, src: &str, rule: Option<&str>) -> Vec<SrcDiagnostic> {
-    let f = ScannedFile::new(rel_path, src);
-    let mut raw = Vec::new();
-    rules::run_all(&f, &mut raw);
+/// Lint a set of source files as one workspace: R1–R6 on each file, R7
+/// (`model-reach`) over the set, then each file's suppressions and
+/// unused-suppression check. `files` are (workspace-relative path with
+/// forward slashes, source) pairs; the fixture tests drive this in
+/// memory, and the workspace walk is just this over every file.
+/// Diagnostics come back sorted by path, line, rule and message.
+pub fn lint_files(files: &[(String, String)], rule: Option<&str>) -> Vec<SrcDiagnostic> {
+    let mut scanned: Vec<ScannedFile<'_>> =
+        files.iter().map(|(p, s)| ScannedFile::new(p, s)).collect();
+    mark_test_only_files(&mut scanned);
+
+    let mut raw: Vec<Vec<rules::Finding>> = scanned
+        .iter()
+        .map(|f| {
+            let mut out = Vec::new();
+            rules::run_all(f, &mut out);
+            out
+        })
+        .collect();
+    reach::model_reach(&scanned, &mut raw);
 
     let mut diags = Vec::new();
-    for fi in raw {
-        if let Some(only) = rule {
-            if fi.rule != only {
+    for (f, raw) in scanned.iter().zip(raw) {
+        let diag = |rule: &str, severity, line, message| SrcDiagnostic {
+            rule: rule.to_string(),
+            severity,
+            path: f.rel_path.to_string(),
+            line,
+            message,
+        };
+        for fi in raw {
+            if rule.is_some_and(|only| fi.rule != only) || suppressed(f, fi.rule, fi.line) {
                 continue;
             }
+            diags.push(diag(fi.rule, fi.severity, fi.line, fi.message));
         }
-        if suppressed(&f, fi.rule, fi.line) {
-            continue;
+
+        // Lexical errors are findings too: a file the lexer cannot tile is
+        // a file the rules cannot vouch for.
+        for e in &f.lex_errors {
+            diags.push(diag("lex", Severity::Error, 1, e.clone()));
         }
-        diags.push(SrcDiagnostic {
-            rule: fi.rule.to_string(),
-            severity: fi.severity,
-            path: rel_path.to_string(),
-            line: fi.line,
-            message: fi.message,
-        });
-    }
 
-    // Lexical errors are findings too: a file the lexer cannot tile is a
-    // file the rules cannot vouch for.
-    for e in &f.lex_errors {
-        diags.push(SrcDiagnostic {
-            rule: "lex".to_string(),
-            severity: Severity::Error,
-            path: rel_path.to_string(),
-            line: 1,
-            message: e.clone(),
-        });
-    }
-
-    // Unused suppressions: an `xxi-allow` that absorbed nothing is stale
-    // and must go, or it will silently mask a future regression.
-    if rule.is_none() {
-        for a in &f.allows {
-            if !a.used.get() {
-                diags.push(SrcDiagnostic {
-                    rule: "unused-suppression".to_string(),
-                    severity: Severity::Warning,
-                    path: rel_path.to_string(),
-                    line: a.comment_line,
-                    message: format!(
-                        "xxi-allow for [{}] suppresses nothing; remove it",
-                        a.rules.join(", ")
-                    ),
-                });
+        // Unused suppressions: an `xxi-allow` that absorbed nothing is
+        // stale and must go, or it will silently mask a future regression.
+        if rule.is_none() {
+            for a in f.allows.iter().filter(|a| !a.used.get()) {
+                let message = format!(
+                    "xxi-allow for [{}] suppresses nothing; remove it",
+                    a.rules.join(", ")
+                );
+                diags.push(diag(
+                    "unused-suppression",
+                    Severity::Warning,
+                    a.comment_line,
+                    message,
+                ));
             }
         }
     }
 
-    diags.sort_by(|a, b| (a.line, &a.rule, &a.message).cmp(&(b.line, &b.rule, &b.message)));
+    diags.sort_by(|a, b| {
+        (&a.path, a.line, &a.rule, &a.message).cmp(&(&b.path, b.line, &b.rule, &b.message))
+    });
     diags
+}
+
+/// Mark every file compiled only through a `#[cfg(test)] mod x;` as test
+/// code, and every file such a file declares in turn.
+fn mark_test_only_files(files: &mut [ScannedFile<'_>]) {
+    let by_path = scan::by_path(files);
+    let children = |f: &ScannedFile<'_>, only_test: bool| -> Vec<usize> {
+        f.mod_decls()
+            .into_iter()
+            .filter(|&(line, _, _)| !only_test || f.in_cfg_test(line))
+            .filter_map(|(_, name, _)| {
+                scan::mod_file_candidates(f.rel_path, name)
+                    .iter()
+                    .find_map(|p| by_path.get(p.as_str()).copied())
+            })
+            .collect()
+    };
+    let mut todo: Vec<usize> = files.iter().flat_map(|f| children(f, true)).collect();
+    let mut done = BTreeSet::new();
+    while let Some(i) = todo.pop() {
+        if done.insert(i) {
+            files[i].mark_test_only();
+            todo.extend(children(&files[i], false));
+        }
+    }
 }
 
 /// Does an allow cover (rule, line)? Marks the allow used.
@@ -216,25 +252,22 @@ fn suppressed(f: &ScannedFile<'_>, rule: &str, line: usize) -> bool {
     hit
 }
 
-/// Walk the workspace and run every rule over every `.rs` file.
+/// Walk the workspace, read every `.rs` file once, and lint them as one
+/// set.
 pub fn run(opts: &SrcOptions) -> Result<SrcReport, String> {
     let mut files = Vec::new();
     collect_rs_files(&opts.root, &opts.root, &mut files)
         .map_err(|e| format!("walking {}: {e}", opts.root.display()))?;
     files.sort();
 
-    let mut diags = Vec::new();
+    let mut sources = Vec::with_capacity(files.len());
     for rel in &files {
         let abs = opts.root.join(rel);
         let src =
             std::fs::read_to_string(&abs).map_err(|e| format!("reading {}: {e}", abs.display()))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        diags.extend(lint_source(&rel_str, &src, opts.rule.as_deref()));
+        sources.push((rel.to_string_lossy().replace('\\', "/"), src));
     }
-
-    diags.sort_by(|a, b| {
-        (&a.path, a.line, &a.rule, &a.message).cmp(&(&b.path, b.line, &b.rule, &b.message))
-    });
+    let diags = lint_files(&sources, opts.rule.as_deref());
 
     Ok(SrcReport {
         diags,
@@ -246,7 +279,7 @@ pub fn run(opts: &SrcOptions) -> Result<SrcReport, String> {
 /// Recursively collect `.rs` files under `dir` as paths relative to
 /// `root`. Skips build output, VCS metadata, and lint-fixture trees
 /// (fixtures contain *planted* violations).
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+pub fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -270,41 +303,70 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io:
 mod tests {
     use super::*;
 
+    fn lint(src: &str) -> Vec<SrcDiagnostic> {
+        lint_files(&[("lib.rs".to_string(), src.to_string())], None)
+    }
+
     #[test]
     fn clean_source_yields_no_findings() {
         let src = "pub fn add(a: u64, b: u64) -> u64 { a + b }\n";
-        assert!(lint_source("lib.rs", src, None).is_empty());
+        assert!(lint(src).is_empty());
     }
 
     #[test]
     fn unsafe_without_safety_fires_and_allow_suppresses() {
         let bad = "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        let diags = lint_source("lib.rs", bad, None);
+        let diags = lint(bad);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "unsafe-audit");
 
         let ok = "// SAFETY: caller guarantees p is valid\npub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        assert!(lint_source("lib.rs", ok, None).is_empty());
+        assert!(lint(ok).is_empty());
 
         let allowed =
             "pub fn f(p: *const u8) -> u8 { unsafe { *p } } // xxi-allow: unsafe-audit -- test\n";
-        assert!(lint_source("lib.rs", allowed, None).is_empty());
+        assert!(lint(allowed).is_empty());
     }
 
     #[test]
     fn unused_suppression_is_flagged() {
         let src = "// xxi-allow: determinism -- stale\npub fn f() {}\n";
-        let diags = lint_source("lib.rs", src, None);
+        let diags = lint(src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "unused-suppression");
         assert_eq!(diags[0].severity, Severity::Warning);
     }
 
     #[test]
+    fn a_file_compiled_only_for_tests_is_test_code() {
+        let files = [
+            ("src/lib.rs", "#[cfg(test)]\nmod digest;\npub mod live;\n"),
+            (
+                "src/digest.rs",
+                "mod deeper;\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            ),
+            (
+                "src/digest/deeper.rs",
+                "pub fn g(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            ),
+            (
+                "src/live.rs",
+                "pub fn h(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            ),
+        ]
+        .map(|(p, s)| (p.to_string(), s.to_string()));
+        let paths: Vec<String> = lint_files(&files, None)
+            .into_iter()
+            .map(|d| format!("{}:{}", d.path, d.rule))
+            .collect();
+        assert_eq!(paths, ["src/live.rs:panic-path"]);
+    }
+
+    #[test]
     fn json_is_deterministic() {
         let src = "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
         let mk = || SrcReport {
-            diags: lint_source("lib.rs", src, None),
+            diags: lint(src),
             files_scanned: 1,
             deny_warnings: true,
         };

@@ -1,7 +1,9 @@
-//! The source-lint rules, R1–R6.
+//! The source-lint rule table, and the per-file rules R1–R6.
 //!
-//! Each rule is a function over a [`ScannedFile`] pushing raw findings
-//! (before suppression filtering, which the engine in `mod.rs` owns).
+//! Each per-file rule is a function over a [`ScannedFile`] pushing raw
+//! findings (before suppression filtering, which the engine in `mod.rs`
+//! owns). R7, `model-reach`, needs the whole file set and lives in
+//! [`super::reach`].
 //! Detection is token-stream based — see the module docs on each rule for
 //! exactly what is matched and what the sanctioned escapes are.
 
@@ -49,9 +51,15 @@ pub const RULES: &[(&str, &str)] = &[
         "unwrap()/expect() in non-test library code (lock-poisoning \
          propagation via .lock()/.join()/.wait() receivers is exempt)",
     ),
+    (
+        "model-reach",
+        "every pub mod of a model crate, and every pub item in a reached one, \
+         must be named by code an experiment, kernel, example or perfbench \
+         workload runs",
+    ),
 ];
 
-/// Run every rule over one file.
+/// Run every per-file rule (R1–R6) over one file.
 pub fn run_all(f: &ScannedFile<'_>, out: &mut Vec<Finding>) {
     determinism(f, out);
     hashmap_order(f, out);

@@ -5,9 +5,11 @@
 //!
 //! * a **line table** (token → 1-based line, code/comment content per
 //!   line) for diagnostics and comment-tag adjacency;
-//! * **test regions** — `#[cfg(test)]`-guarded items, `#[test]` fns, and
-//!   whole files under `tests/`, `benches/`, or `examples/` — because
-//!   most rules only police production code;
+//! * **test regions** — `#[cfg(test)]`-guarded items (`;`-terminated
+//!   ones such as `#[cfg(test)] mod x;` included), `#[test]` fns, files
+//!   compiled only through such a `mod x;` (marked by the engine, which
+//!   sees every file), and whole files under `tests/`, `benches/`, or
+//!   `examples/` — because most rules only police production code;
 //! * **suppressions** — `// xxi-allow: <rule>[, <rule>] [-- reason]`
 //!   per-line and `// xxi-allow-file: <rule> [-- reason]` per-file, with
 //!   use tracking so the engine can flag suppressions that no longer
@@ -15,6 +17,8 @@
 //! * **enclosing-call lookup**, so a rule can ask "is this
 //!   `Ordering::SeqCst` an argument of `fetch_add`, or just a match arm
 //!   in the model checker?".
+
+use std::collections::BTreeMap;
 
 use super::lexer::{lex, TokKind, Token};
 
@@ -152,7 +156,14 @@ impl<'a> ScannedFile<'a> {
     /// Is this line inside test code (test file, `#[cfg(test)]` region,
     /// or `#[test]` fn)?
     pub fn is_test_line(&self, line: usize) -> bool {
-        self.is_test_file || self.test_lines.get(line).copied().unwrap_or(false)
+        self.is_test_file || self.in_cfg_test(line)
+    }
+
+    /// Is this line compiled only for tests: a `#[cfg(test)]` item, a
+    /// `#[test]` fn, or a file marked by [`ScannedFile::mark_test_only`]?
+    /// Unlike [`ScannedFile::is_test_line`], an example's `main` is not.
+    pub fn in_cfg_test(&self, line: usize) -> bool {
+        self.test_lines.get(line).copied().unwrap_or(false)
     }
 
     /// Index of the next token that is not whitespace or a comment,
@@ -262,8 +273,8 @@ impl<'a> ScannedFile<'a> {
         self.lines.get(line).map(|l| l.has_code).unwrap_or(false)
     }
 
-    /// Mark the brace-delimited region following each `#[cfg(test)]` /
-    /// `#[test]` attribute as test code.
+    /// Mark the item following each `#[cfg(test)]` / `#[test]` attribute
+    /// as test code.
     fn mark_test_regions(&mut self) {
         let toks = &self.tokens;
         let mut i = 0usize;
@@ -329,46 +340,66 @@ impl<'a> ScannedFile<'a> {
         None
     }
 
-    /// The byte span of the brace-delimited item following token `idx`
-    /// (skipping further attributes and the item header).
+    /// The byte span of the item the attribute closing at token `idx`
+    /// guards: from its first token after any further attributes through
+    /// the `}` that closes its body, or through its `;` when it has none
+    /// (`#[cfg(test)] use …;`, `#[cfg(test)] mod x;`). Brackets are
+    /// counted, so a `;` in `[u8; 4]` or a `}` in a nested block does not
+    /// end it.
     fn region_after(&self, mut idx: usize) -> Option<(usize, usize)> {
-        // Find the first `{` at depth 0 after the attribute, skipping any
-        // further `#[...]` attributes.
         loop {
             idx = self.next_code(idx + 1)?;
-            match self.text(idx) {
-                "#" => {
-                    let open = self.next_code(idx + 1)?;
-                    if self.text(open) == "[" {
-                        let (close, _) = self.attr_is_test(open)?;
-                        idx = close;
-                        continue;
-                    }
-                }
-                "{" => break,
-                ";" => return None, // e.g. `#[cfg(test)] use …;`
-                _ => continue,
+            if self.text(idx) != "#" {
+                break;
             }
+            let open = self.next_code(idx + 1)?;
+            if self.text(open) != "[" {
+                break;
+            }
+            idx = self.attr_is_test(open)?.0;
         }
         let lo = self.tokens[idx].start;
         let mut depth = 0i32;
-        let mut i = idx;
-        while i < self.tokens.len() {
-            if self.tokens[i].kind == TokKind::Punct {
-                match self.text(i) {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some((lo, self.tokens[i].end.saturating_sub(1)));
-                        }
-                    }
-                    _ => {}
-                }
+        for i in idx..self.tokens.len() {
+            if self.tokens[i].kind != TokKind::Punct {
+                continue;
             }
-            i += 1;
+            match self.text(i) {
+                "(" | "[" | "{" => depth += 1,
+                "}" if depth == 1 => return Some((lo, self.tokens[i].end - 1)),
+                ";" if depth == 0 => return Some((lo, self.tokens[i].end - 1)),
+                ")" | "]" | "}" => depth -= 1,
+                _ => {}
+            }
         }
         Some((lo, self.src.len().saturating_sub(1)))
+    }
+
+    /// Every out-of-line module declaration `mod name;` (any visibility),
+    /// as (1-based line, name, whether it is a bare `pub mod`).
+    pub fn mod_decls(&self) -> Vec<(usize, &str, bool)> {
+        let mut out = Vec::new();
+        for (i, t) in self.tokens.iter().enumerate() {
+            if t.kind != TokKind::Ident || self.text(i) != "mod" {
+                continue;
+            }
+            let Some(name) = self.next_code(i + 1) else {
+                continue;
+            };
+            let semi = self.next_code(name + 1);
+            if self.tokens[name].kind == TokKind::Ident && semi.is_some_and(|j| self.text(j) == ";")
+            {
+                let public = self.prev_code(i).is_some_and(|p| self.text(p) == "pub");
+                out.push((self.line_of_tok(i), self.text(name), public));
+            }
+        }
+        out
+    }
+
+    /// Mark the whole file as test code: it is compiled only through a
+    /// `#[cfg(test)] mod x;` somewhere up its module tree.
+    pub fn mark_test_only(&mut self) {
+        self.test_lines.fill(true);
     }
 
     /// Parse every `xxi-allow` / `xxi-allow-file` comment.
@@ -418,6 +449,27 @@ impl<'a> ScannedFile<'a> {
     }
 }
 
+/// Each file's index in `files`, by its path.
+pub fn by_path<'a>(files: &[ScannedFile<'a>]) -> BTreeMap<&'a str, usize> {
+    files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.rel_path, i))
+        .collect()
+}
+
+/// The two files a `mod name;` in the file at `parent` can live in:
+/// `name.rs` or `name/mod.rs`, beside a `lib.rs`, `main.rs` or `mod.rs`
+/// and under a directory named for any other file.
+pub fn mod_file_candidates(parent: &str, name: &str) -> [String; 2] {
+    let file = parent.rsplit('/').next().unwrap_or(parent);
+    let dir = match file {
+        "lib.rs" | "main.rs" | "mod.rs" => parent[..parent.len() - file.len()].to_string(),
+        _ => format!("{}/", parent.trim_end_matches(".rs")),
+    };
+    [format!("{dir}{name}.rs"), format!("{dir}{name}/mod.rs")]
+}
+
 fn line_of(line_starts: &[usize], byte: usize) -> usize {
     line_starts.partition_point(|&s| s <= byte)
 }
@@ -446,6 +498,17 @@ mod tests {
         assert!(f.is_test_line(4));
         assert!(f.is_test_line(5));
         assert!(!f.is_test_line(6));
+    }
+
+    #[test]
+    fn semicolon_terminated_cfg_test_items_are_marked() {
+        let src = "#[cfg(test)]\nuse crate::oracle::Old;\nuse crate::live::New;\n\
+                   #[cfg(test)]\n#[path = \"r.rs\"]\nmod reference;\n\
+                   #[cfg(test)]\nconst T: [u8; 2] = [0; 2];\npub mod live;\n";
+        let f = ScannedFile::new("x.rs", src);
+        let test: Vec<usize> = (1..=10).filter(|&l| f.is_test_line(l)).collect();
+        assert_eq!(test, [2, 6, 8]);
+        assert_eq!(f.mod_decls(), [(6, "reference", false), (9, "live", true)]);
     }
 
     #[test]

@@ -98,6 +98,7 @@ fn help_and_list_exit_0() {
         "unsafe-audit",
         "sync-facade",
         "panic-path",
+        "model-reach",
     ] {
         assert!(listing.contains(rule), "missing {rule} in: {listing}");
     }
@@ -162,6 +163,37 @@ fn lint_reads_flags_like_src() {
 
 #[test]
 fn single_rule_run_is_clean() {
-    let out = xxi_check(&["src", "--rule", "unsafe-audit"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stdout_of(&out));
+    for rule in ["unsafe-audit", "model-reach"] {
+        let out = xxi_check(&["src", "--rule", rule]);
+        assert_eq!(out.status.code(), Some(0), "{rule}: {}", stdout_of(&out));
+    }
+}
+
+/// `--root` is whatever directory the caller names: a tree without the
+/// facade `src/lib.rs`, or with a model crate that has no `lib.rs`, gets
+/// fewer `model-reach` checks, not a panic.
+#[test]
+fn a_root_without_the_workspace_layout_lints_without_panicking() {
+    let root = std::env::temp_dir().join(format!("xxi-check-cli-{}-root", std::process::id()));
+    let write = |rel: &str, src: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, src).unwrap();
+    };
+    write("src/main.rs", "fn main() {}\n");
+    write("crates/xxi-mem/src/cache.rs", "pub fn dead() {}\n");
+    write("crates/xxi-tech/src/lib.rs", "pub mod gone;\n");
+    let out = xxi_check(&["src", "--root", root.to_str().unwrap()]);
+    let text = stdout_of(&out);
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(out.status.code(), Some(1), "{text}{}", stderr_of(&out));
+    assert!(stderr_of(&out).is_empty(), "{}", stderr_of(&out));
+    assert!(
+        text.starts_with("error[model-reach] crates/xxi-tech/src/lib.rs:1: `xxi-tech::gone`"),
+        "{text}"
+    );
+    assert!(
+        text.ends_with("3 file(s) scanned: 1 error(s), 0 warning(s)\n"),
+        "{text}"
+    );
 }

@@ -103,19 +103,9 @@ pub fn fanout_latency_on(
     }
 }
 
-/// The E9 sweep: one [`FanoutResult`] per fan-out degree.
-pub fn fanout_sweep(
-    dist: LatencyDist,
-    fanouts: &[u32],
-    trials: usize,
-    seed: u64,
-) -> Vec<FanoutResult> {
-    fanout_sweep_on(dist, fanouts, trials, seed, &Serial)
-}
-
-/// [`fanout_sweep`] on an explicit executor: each degree's Monte Carlo
-/// runs its chunks on `exec`; the sweep order (and every number) is
-/// executor-independent.
+/// The E9 sweep: one [`FanoutResult`] per fan-out degree. Each degree's
+/// Monte Carlo runs its chunks on `exec`; the sweep order (and every
+/// number) is executor-independent.
 ///
 /// Per-degree seeds come from [`Rng64::stream`], the splittable-substream
 /// construction — a distinct, decorrelated generator per sweep point.
@@ -195,7 +185,13 @@ mod tests {
 
     #[test]
     fn sweep_is_monotone_in_fanout() {
-        let sweep = fanout_sweep(LatencyDist::typical_leaf(), &[1, 10, 100], 10_000, 10);
+        let sweep = fanout_sweep_on(
+            LatencyDist::typical_leaf(),
+            &[1, 10, 100],
+            10_000,
+            10,
+            &Serial,
+        );
         assert_eq!(sweep.len(), 3);
         for w in sweep.windows(2) {
             assert!(w[1].p50 > w[0].p50);
@@ -212,7 +208,7 @@ mod tests {
         // `Rng64::stream` substreams every (seed, position) pair gets its
         // own decorrelated generator.
         let dist = LatencyDist::typical_leaf();
-        let sweep10 = fanout_sweep(dist, &[10], 5_000, 10);
+        let sweep10 = fanout_sweep_on(dist, &[10], 5_000, 10, &Serial);
         let aliased = fanout_latency(dist, 10, 5_000, 0);
         assert_ne!(
             sweep10[0].p50.to_bits(),
@@ -221,7 +217,7 @@ mod tests {
         );
         // And the sweep points themselves reproduce the documented
         // substream construction.
-        let sweep = fanout_sweep(dist, &[1, 10, 100], 5_000, 7);
+        let sweep = fanout_sweep_on(dist, &[1, 10, 100], 5_000, 7, &Serial);
         for (i, &f) in [1u32, 10, 100].iter().enumerate() {
             let sub_seed = Rng64::stream(7, i as u64).next_u64();
             let solo = fanout_latency(dist, f, 5_000, sub_seed);

@@ -7,7 +7,7 @@
 //! take whichever answers first. Cost: a few percent extra load. Benefit:
 //! the p99+ collapses toward the body of the distribution.
 //!
-//! [`hedged_request`] models one request; [`hedge_experiment`] produces the
+//! `hedged_with` models one request; [`hedge_experiment`] produces the
 //! mitigation table of experiment E9.
 
 use serde::Serialize;
@@ -34,12 +34,8 @@ pub struct HedgeOutcome {
 
 /// Latency of one hedged request: issue to replica A; if no answer by
 /// `deadline_ms`, also issue to replica B; completion is the earlier of
-/// A's finish and `deadline + B`'s service time.
-pub fn hedged_request(dist: &LatencyDist, deadline_ms: f64, rng: &mut Rng64) -> (f64, bool) {
-    hedged_with(&dist.sampler(), deadline_ms, rng)
-}
-
-/// [`hedged_request`] on a prepared sampler.
+/// A's finish and `deadline + B`'s service time. Also returns whether the
+/// hedge was sent.
 fn hedged_with(service: &Sampler, deadline_ms: f64, rng: &mut Rng64) -> (f64, bool) {
     let a = service.sample(rng);
     if a <= deadline_ms {
@@ -146,11 +142,12 @@ mod tests {
     fn hedged_latency_never_exceeds_unhedged_draw() {
         // By construction min(a, deadline + b) ≤ a.
         let dist = LatencyDist::typical_leaf();
+        let service = dist.sampler();
         let mut rng = Rng64::new(3);
         for _ in 0..10_000 {
             let mut probe = rng.clone();
             let a = dist.sample(&mut probe);
-            let (t, _) = hedged_request(&dist, 10.0, &mut rng);
+            let (t, _) = hedged_with(&service, 10.0, &mut rng);
             // Same RNG stream: first draw is `a`.
             assert!(t <= a + 1e-12);
         }
@@ -168,8 +165,9 @@ mod tests {
         let mut root = Rng64::new(13);
         let _calib_seed = root.next_u64();
         let trial_seed = root.next_u64();
+        let service = dist.sampler();
         let chunks = mc_chunks(&Serial, 20_000, trial_seed, |r, rng| {
-            r.map(|_| hedged_request(&dist, out.deadline_ms, rng).0)
+            r.map(|_| hedged_with(&service, out.deadline_ms, rng).0)
                 .collect::<Vec<f64>>()
         });
         let xs: Vec<f64> = chunks.into_iter().flatten().collect();

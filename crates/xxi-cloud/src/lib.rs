@@ -45,7 +45,7 @@ pub mod queueing;
 
 pub use cluster::{cluster_sweep_on, ClusterConfig, ClusterOutcome, Hedging, RetryPolicy, Routing};
 pub use fanout::{analytic_straggler_prob, fanout_latency};
-pub use hedge::{hedged_request, HedgeOutcome};
+pub use hedge::HedgeOutcome;
 pub use latency::LatencyDist;
 pub use obs::{ClusterObservation, ObservedFanout};
 pub use power::{DatacenterPower, ServerPower};

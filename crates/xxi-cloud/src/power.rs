@@ -46,6 +46,7 @@ impl ServerPower {
     /// Energy proportionality: ratio of efficiency (ops/J) at load `u` to
     /// efficiency at peak. A perfectly proportional server scores 1.0
     /// everywhere; real servers score poorly at low load.
+    // xxi-allow: model-reach -- checked by xxi-check lint (cloud-power-sanity)
     pub fn proportionality(&self, u: f64) -> f64 {
         assert!(u > 0.0 && u <= 1.0);
         let eff_u = (self.peak_ops.value() * u) / self.at_load(u).value();
@@ -84,6 +85,7 @@ impl DatacenterPower {
 
     /// Memory+storage share of facility IT power at load `u` (assumed to
     /// scale with the server total).
+    // xxi-allow: model-reach -- checked by xxi-check lint (cloud-power-sanity)
     pub fn mem_storage_power(&self, u: f64) -> Power {
         self.server.at_load(u) * self.server.mem_storage_frac * self.servers as f64
     }

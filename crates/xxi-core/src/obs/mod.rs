@@ -8,7 +8,7 @@
 //! * [`Trace`] — a typed span/instant recorder hooked into the DES engine
 //!   ([`crate::des::Sim`]). Zero cost when disabled (one branch, no
 //!   allocation); exports Chrome `trace_event` JSON for chrome://tracing
-//!   / Perfetto and a plain-text timeline.
+//!   / Perfetto.
 //! * [`LogHistogram`] — a fixed-memory (~16 KiB) log-bucketed latency /
 //!   energy histogram with p50/p90/p99/p99.9 within 1/16 relative error,
 //!   mergeable across shards and insertion-order independent. Replaces

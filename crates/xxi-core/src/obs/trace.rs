@@ -339,48 +339,6 @@ impl Trace {
     pub fn save_chrome_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
         fs::write(path, self.chrome_json())
     }
-
-    /// A plain-text timeline, one line per event in time order — the quick
-    /// look when a browser is not at hand.
-    pub fn timeline(&self) -> String {
-        let mut order: Vec<usize> = (0..self.events.len()).collect();
-        order.sort_by_key(|&i| (self.events[i].ts, i));
-        let mut s = String::new();
-        for i in order {
-            let ev = &self.events[i];
-            match ev.phase {
-                Phase::Span(dur) => {
-                    let _ = writeln!(
-                        s,
-                        "[{:>14}] {}/{} track={} dur={}",
-                        ev.ts.to_string(),
-                        ev.cat,
-                        ev.name,
-                        ev.track,
-                        dur
-                    );
-                }
-                Phase::Instant => {
-                    let _ = writeln!(
-                        s,
-                        "[{:>14}] {}/{} track={} (instant)",
-                        ev.ts.to_string(),
-                        ev.cat,
-                        ev.name,
-                        ev.track
-                    );
-                }
-            }
-        }
-        if self.dropped > 0 {
-            let _ = writeln!(
-                s,
-                "({} events dropped past the {}-event limit)",
-                self.dropped, self.limit
-            );
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -494,7 +452,6 @@ mod tests {
         }
         assert_eq!(tr.len(), 4);
         assert_eq!(tr.dropped(), 6);
-        assert!(tr.timeline().contains("dropped"));
     }
 
     #[test]
@@ -521,17 +478,6 @@ mod tests {
         tr.end(a, SimTime::from_ns(3));
         tr.end(b, SimTime::from_ns(4));
         assert_eq!(tr.len(), 2);
-    }
-
-    #[test]
-    fn timeline_is_time_ordered() {
-        let mut tr = Trace::enabled();
-        tr.instant("late", "c", 0, SimTime::from_us(5));
-        tr.instant("early", "c", 0, SimTime::from_us(1));
-        let tl = tr.timeline();
-        let early = tl.find("early").unwrap();
-        let late = tl.find("late").unwrap();
-        assert!(early < late);
     }
 
     #[test]

@@ -9,10 +9,8 @@
 
 use serde::Serialize;
 
-use xxi_core::units::{Area, Energy, Frequency, Power, Volts};
-use xxi_tech::freq::{alpha_power_frequency, total_power};
+use xxi_core::units::{Area, Power};
 use xxi_tech::node::TechNode;
-use xxi_tech::ops::OpEnergies;
 
 /// Core microarchitecture class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -86,37 +84,15 @@ impl CoreModel {
         self.bce_power * self.kind.bce()
     }
 
-    /// Power at a reduced supply voltage `v` (max stable frequency).
-    pub fn power_at(&self, v: Volts) -> Power {
-        let f = alpha_power_frequency(&self.node, v);
-        total_power(&self.node, v, f, self.power())
-    }
-
-    /// Max stable frequency at `v`.
-    pub fn freq_at(&self, v: Volts) -> Frequency {
-        alpha_power_frequency(&self.node, v)
-    }
-
     /// Relative single-thread performance (Pollack).
     pub fn perf(&self) -> f64 {
         self.kind.perf()
     }
 
     /// Throughput in relative-performance units per watt — small cores win.
+    // xxi-allow: model-reach -- checked by xxi-check lint (model-constructors)
     pub fn perf_per_watt(&self) -> f64 {
         self.perf() / self.power().value()
-    }
-
-    /// Energy per (scalar) instruction on this core: functional work plus
-    /// the microarchitecture's instruction-delivery overhead.
-    pub fn energy_per_instruction(&self) -> Energy {
-        let ops = OpEnergies::at(&self.node);
-        match self.kind {
-            CoreKind::InOrderSmall => ops.fp_fma + ops.inorder_overhead,
-            // Medium OoO: half the big-core overhead.
-            CoreKind::OoOMedium => ops.fp_fma + ops.ooo_overhead * 0.5,
-            CoreKind::OoOBig => ops.fp_fma + ops.ooo_overhead,
-        }
     }
 }
 
@@ -168,30 +144,5 @@ mod tests {
         let c = CoreModel::new(CoreKind::InOrderSmall, node("45nm"));
         assert!((c.area().value() - 2.0).abs() < 1e-9);
         assert!((c.power().value() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn voltage_scaling_cuts_power_superlinearly() {
-        let c = CoreModel::new(CoreKind::OoOBig, node("45nm"));
-        let p_nom = c.power();
-        let p_low = c.power_at(Volts(0.7));
-        let f_nom = c.node.freq;
-        let f_low = c.freq_at(Volts(0.7));
-        let p_ratio = p_low.value() / p_nom.value();
-        let f_ratio = f_low.value() / f_nom.value();
-        assert!(p_ratio < f_ratio, "power falls faster than frequency");
-    }
-
-    #[test]
-    fn energy_per_instruction_ordering() {
-        let n = node("45nm");
-        let small = CoreModel::new(CoreKind::InOrderSmall, n.clone());
-        let med = CoreModel::new(CoreKind::OoOMedium, n.clone());
-        let big = CoreModel::new(CoreKind::OoOBig, n);
-        assert!(small.energy_per_instruction().value() < med.energy_per_instruction().value());
-        assert!(med.energy_per_instruction().value() < big.energy_per_instruction().value());
-        // The big core pays ~5x the small core per instruction.
-        let ratio = big.energy_per_instruction().value() / small.energy_per_instruction().value();
-        assert!((3.0..8.0).contains(&ratio), "ratio={ratio}");
     }
 }

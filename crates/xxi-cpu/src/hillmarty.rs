@@ -59,6 +59,7 @@ pub fn speedup_dynamic(f: f64, n: f64, r: f64) -> f64 {
 }
 
 /// Classic Amdahl speedup with `n` unit cores (the 20th-century baseline).
+// xxi-allow: model-reach -- oracle for tests/properties.rs (hillmarty_ordering_and_bounds) and tests/runtime_scaling.rs (pool_scaling_is_amdahl_shaped)
 pub fn speedup_amdahl(f: f64, n: f64) -> f64 {
     assert!((0.0..=1.0).contains(&f) && n >= 1.0);
     1.0 / ((1.0 - f) + f / n)

@@ -284,32 +284,13 @@ impl Cache {
             .any(|l| l.valid && l.tag == tag)
     }
 
-    /// Invalidate the line containing `addr` (coherence / flush). Returns
-    /// `true` if the line was present and dirty (caller must write back).
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        for l in &mut self.sets[set_idx].lines {
-            if l.valid && l.tag == tag {
-                let dirty = l.dirty;
-                l.valid = false;
-                l.dirty = false;
-                return dirty;
-            }
-        }
-        false
-    }
-
     /// Hit rate so far.
     pub fn hit_rate(&self) -> f64 {
         self.metrics.ratio("hits", "accesses")
     }
 
-    /// Miss rate so far.
-    pub fn miss_rate(&self) -> f64 {
-        self.metrics.ratio("misses", "accesses")
-    }
-
     /// Number of valid lines (for occupancy checks in tests).
+    // xxi-allow: model-reach -- oracle for tests/properties.rs (cache_conservation)
     pub fn occupancy(&self) -> usize {
         self.sets
             .iter()
@@ -469,17 +450,6 @@ mod tests {
         assert!(!c.contains(0x2000));
         assert!(!c.access(0x2000, AccessKind::Read).is_hit());
         assert!(c.contains(0x2000));
-    }
-
-    #[test]
-    fn invalidate_reports_dirty() {
-        let mut c = tiny(Replacement::Lru);
-        c.access(0, AccessKind::Write);
-        assert!(c.invalidate(0));
-        assert!(!c.contains(0));
-        c.access(0, AccessKind::Read);
-        assert!(!c.invalidate(0));
-        assert!(!c.invalidate(0x777000)); // absent line
     }
 
     #[test]

@@ -145,12 +145,6 @@ impl CompressionStats {
             self.raw_bits as f64 / self.compressed_bits as f64
         }
     }
-
-    /// Fractional interconnect-energy saving from moving compressed lines
-    /// (1 − 1/ratio).
-    pub fn transfer_energy_saving(&self) -> f64 {
-        1.0 - 1.0 / self.ratio()
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_energy_saving() {
+    fn stats_accumulate() {
         let mut st = CompressionStats::new();
         st.add(&[0u32; 16]); // highly compressible
         let mut bad = [0u32; 16];
@@ -214,9 +208,6 @@ mod tests {
         assert_eq!(st.lines, 2);
         let r = st.ratio();
         assert!(r > 1.0, "r={r}");
-        let saving = st.transfer_energy_saving();
-        assert!((0.0..1.0).contains(&saving));
-        assert!((saving - (1.0 - 1.0 / r)).abs() < 1e-12);
     }
 
     #[test]

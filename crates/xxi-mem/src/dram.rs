@@ -1,16 +1,15 @@
-//! Banked DRAM with row-buffer locality and refresh.
+//! Banked DRAM with row-buffer locality.
 //!
 //! DRAM is the incumbent that §2.3's emerging NVMs challenge. The model
-//! captures the three properties the experiments compare against NVM:
-//! row-buffer locality (open-page hits are fast and cheap), destructive
-//! reads requiring activation energy, and **refresh** — a standing power
-//! cost that grows with capacity and that non-volatile memories simply do
-//! not pay.
+//! captures the two per-access properties the experiments compare against
+//! NVM: row-buffer locality (open-page hits are fast and cheap) and
+//! destructive reads requiring activation energy. Refresh, the standing
+//! power NVMs do not pay, is `HybridConfig::dram_refresh_per_gib`.
 
 use serde::{Deserialize, Serialize};
 
 use xxi_core::metrics::Metrics;
-use xxi_core::units::{Energy, Power, Seconds};
+use xxi_core::units::{Energy, Seconds};
 
 /// Row-buffer management policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,17 +37,13 @@ pub struct DramConfig {
     pub e_activate: Energy,
     /// Energy to transfer one 64-byte burst.
     pub e_burst: Energy,
-    /// Standing refresh + background power per GiB.
-    pub p_refresh_per_gib: Power,
-    /// Capacity in GiB (for refresh accounting).
-    pub capacity_gib: f64,
     /// Page policy.
     pub policy: PagePolicy,
 }
 
 impl Default for DramConfig {
     /// DDR3-1600-class timings: tRCD = tRP ≈ 13.75 ns, tCAS ≈ 13.75 ns;
-    /// activate ≈ 2 nJ/row, burst ≈ 6 nJ incl. I/O; refresh ≈ 50 mW/GiB.
+    /// activate ≈ 2 nJ/row, burst ≈ 6 nJ incl. I/O.
     fn default() -> DramConfig {
         DramConfig {
             banks: 8,
@@ -58,8 +53,6 @@ impl Default for DramConfig {
             t_cas: Seconds::from_ns(13.75),
             e_activate: Energy::from_nj(2.0),
             e_burst: Energy::from_nj(6.0),
-            p_refresh_per_gib: Power::from_mw(50.0),
-            capacity_gib: 8.0,
             policy: PagePolicy::Open,
         }
     }
@@ -73,7 +66,6 @@ pub struct Dram {
     open_rows: Vec<Option<u64>>,
     /// `accesses`, `row_hits`, `row_misses`, `row_conflicts`, `activates`.
     pub metrics: Metrics,
-    energy: Energy,
 }
 
 /// Result of one DRAM access.
@@ -95,7 +87,6 @@ impl Dram {
             open_rows: vec![None; cfg.banks],
             cfg,
             metrics: Metrics::new(),
-            energy: Energy::ZERO,
         }
     }
 
@@ -145,22 +136,11 @@ impl Dram {
             PagePolicy::Open => Some(row),
             PagePolicy::Closed => None,
         };
-        self.energy += energy;
         DramAccess {
             latency,
             energy,
             row_hit,
         }
-    }
-
-    /// Dynamic energy consumed so far.
-    pub fn dynamic_energy(&self) -> Energy {
-        self.energy
-    }
-
-    /// Standing refresh energy over a wall-clock interval.
-    pub fn refresh_energy(&self, interval: Seconds) -> Energy {
-        Power(self.cfg.p_refresh_per_gib.value() * self.cfg.capacity_gib) * interval
     }
 
     /// Row-buffer hit rate so far.
@@ -241,25 +221,5 @@ mod tests {
             let r = d.access(b * row_bytes + 64);
             assert!(r.row_hit);
         }
-    }
-
-    #[test]
-    fn refresh_energy_scales_with_capacity_and_time() {
-        let d = Dram::new(DramConfig::default()); // 8 GiB @ 50 mW/GiB
-        let e = d.refresh_energy(Seconds(10.0));
-        assert!((e.value() - 0.05 * 8.0 * 10.0).abs() < 1e-12);
-        let d2 = Dram::new(DramConfig {
-            capacity_gib: 16.0,
-            ..DramConfig::default()
-        });
-        assert!((d2.refresh_energy(Seconds(10.0)).value() - 2.0 * e.value()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dynamic_energy_accumulates() {
-        let mut d = Dram::new(DramConfig::default());
-        let a = d.access(0);
-        let b = d.access(64);
-        assert!((d.dynamic_energy().value() - (a.energy + b.energy).value()).abs() < 1e-18);
     }
 }

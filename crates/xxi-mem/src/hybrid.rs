@@ -303,7 +303,8 @@ impl HybridMemory {
     }
 
     /// Number of DRAM-resident pages.
-    pub fn dram_occupancy(&self) -> usize {
+    #[cfg(test)]
+    fn dram_occupancy(&self) -> usize {
         self.slots.len()
     }
 }

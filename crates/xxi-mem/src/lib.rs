@@ -12,13 +12,13 @@
 //!
 //! Modules:
 //!
-//! * [`trace`] — synthetic address-trace generators (sequential, strided,
-//!   uniform-random, Zipf object popularity, pointer-chase) standing in for
-//!   the proprietary workload traces the paper's scenarios assume.
+//! * [`trace`] — synthetic address-trace generators (sequential,
+//!   uniform-random, Zipf object popularity) standing in for the
+//!   proprietary workload traces the paper's scenarios assume.
 //! * [`cache`] — a set-associative cache model with LRU / FIFO / random /
 //!   tree-PLRU replacement, write-back + write-allocate, and full stats.
-//! * [`dram`] — a banked DRAM model with row-buffer locality, open/closed
-//!   page policies, and refresh energy.
+//! * [`dram`] — a banked DRAM model with row-buffer locality and
+//!   open/closed page policies.
 //! * [`nvm`] — emerging non-volatile device models (PCM, STT-RAM,
 //!   memristor, flash): asymmetric read/write latency and energy, limited
 //!   write endurance, cell-level wear tracking.

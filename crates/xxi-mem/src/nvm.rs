@@ -104,7 +104,6 @@ pub struct NvmDevice {
     reads: u64,
     writes: u64,
     failed_lines: u64,
-    energy: Energy,
 }
 
 impl NvmDevice {
@@ -118,7 +117,6 @@ impl NvmDevice {
             reads: 0,
             writes: 0,
             failed_lines: 0,
-            energy: Energy::ZERO,
         }
     }
 
@@ -137,10 +135,9 @@ impl NvmDevice {
         self.wear.len()
     }
 
-    /// Read line `idx`; returns latency (energy is accumulated).
+    /// Read line `idx`; returns latency.
     pub fn read(&mut self, idx: usize) -> Seconds {
         self.reads += 1;
-        self.energy += self.params.read_energy;
         let _ = self.wear[idx]; // bounds-check as the real device would
         self.params.read_latency
     }
@@ -150,7 +147,6 @@ impl NvmDevice {
     /// (it keeps "working" so experiments can count total failures).
     pub fn write(&mut self, idx: usize) -> Seconds {
         self.writes += 1;
-        self.energy += self.params.write_energy;
         self.wear[idx] += 1;
         if self.wear[idx] == self.params.endurance {
             self.failed_lines += 1;
@@ -166,11 +162,6 @@ impl NvmDevice {
     /// Writes served so far (the sum of every line's wear).
     pub fn writes(&self) -> u64 {
         self.writes
-    }
-
-    /// Writes absorbed by line `idx` so far.
-    pub fn wear_of(&self, idx: usize) -> u64 {
-        self.wear[idx]
     }
 
     /// Highest per-line wear.
@@ -197,17 +188,6 @@ impl NvmDevice {
     /// Lines that exceeded their endurance.
     pub fn failed_lines(&self) -> u64 {
         self.failed_lines
-    }
-
-    /// True once any line has failed — the device-lifetime criterion used
-    /// by experiment E12.
-    pub fn is_worn_out(&self) -> bool {
-        self.failed_lines > 0
-    }
-
-    /// Total dynamic energy so far.
-    pub fn dynamic_energy(&self) -> Energy {
-        self.energy
     }
 }
 
@@ -265,11 +245,11 @@ mod tests {
         for _ in 0..10 {
             d.read(3);
         }
-        assert_eq!(d.wear_of(3), 0);
+        assert_eq!(d.max_wear(), 0);
         for _ in 0..10 {
             d.write(3);
         }
-        assert_eq!(d.wear_of(3), 10);
+        assert_eq!(d.max_wear(), 10);
         assert_eq!(d.reads(), 10);
         assert_eq!(d.writes(), 10);
     }
@@ -279,10 +259,9 @@ mod tests {
         let mut d = NvmDevice::new(NvmTech::Flash, 4);
         let endurance = d.params().endurance;
         for i in 0..endurance {
-            assert!(!d.is_worn_out(), "failed early at write {i}");
+            assert_eq!(d.failed_lines(), 0, "failed early at write {i}");
             d.write(0);
         }
-        assert!(d.is_worn_out());
         assert_eq!(d.failed_lines(), 1);
     }
 
@@ -300,15 +279,6 @@ mod tests {
         }
         assert!(d.wear_imbalance() > 3.0);
         assert_eq!(d.max_wear(), 97);
-    }
-
-    #[test]
-    fn energy_accounting() {
-        let mut d = NvmDevice::new(NvmTech::Pcm, 4);
-        d.read(0);
-        d.write(1);
-        let expect = NvmTech::Pcm.params().read_energy + NvmTech::Pcm.params().write_energy;
-        assert!((d.dynamic_energy().value() - expect.value()).abs() < 1e-18);
     }
 
     #[test]

@@ -7,13 +7,10 @@
 //! consume:
 //!
 //! * [`TraceGen::sequential`] — streaming scans (perfect spatial locality).
-//! * [`TraceGen::strided`] — column walks / structured-grid codes.
 //! * [`TraceGen::uniform`] — worst-case random access (hash joins,
 //!   pointer-dense graphs).
 //! * [`TraceGen::zipf`] — skewed object popularity, the canonical "big
 //!   data" distribution (Appendix A).
-//! * [`TraceGen::pointer_chase`] — dependent-load chains (linked
-//!   structures).
 
 use serde::{Deserialize, Serialize};
 use xxi_core::rng::{Rng64, Zipf};
@@ -71,23 +68,6 @@ impl TraceGen {
         self.mark_writes(addrs, write_frac)
     }
 
-    /// `n` accesses with stride `stride` bytes over a working set of
-    /// `set_bytes`, wrapping around (grid/column traversal).
-    pub fn strided(
-        &mut self,
-        n: usize,
-        base: u64,
-        stride: u64,
-        set_bytes: u64,
-        write_frac: f64,
-    ) -> Vec<Access> {
-        assert!(set_bytes > 0);
-        let addrs = (0..n as u64)
-            .map(|i| base + (i * stride) % set_bytes)
-            .collect();
-        self.mark_writes(addrs, write_frac)
-    }
-
     /// `n` uniformly random accesses over `[base, base + set_bytes)`,
     /// aligned to `align` bytes.
     pub fn uniform(
@@ -123,55 +103,11 @@ impl TraceGen {
             .collect();
         self.mark_writes(addrs, write_frac)
     }
-
-    /// A pointer chase: a random permutation cycle over `nodes` slots of
-    /// `slot_bytes`, visited `n` times. Every access depends on the
-    /// previous one — zero memory-level parallelism, the pathological case
-    /// for latency hiding.
-    pub fn pointer_chase(
-        &mut self,
-        n: usize,
-        base: u64,
-        nodes: usize,
-        slot_bytes: u64,
-    ) -> Vec<Access> {
-        assert!(nodes > 0);
-        // Build a single-cycle permutation (Sattolo's algorithm).
-        let mut next: Vec<usize> = (0..nodes).collect();
-        for i in (1..nodes).rev() {
-            let j = self.rng.below(i as u64) as usize;
-            next.swap(i, j);
-        }
-        let mut cur = 0usize;
-        (0..n)
-            .map(|_| {
-                let a = Access::read(base + cur as u64 * slot_bytes);
-                cur = next[cur];
-                a
-            })
-            .collect()
-    }
-
-    /// Interleave several traces round-robin (models multiprogramming).
-    pub fn interleave(traces: Vec<Vec<Access>>) -> Vec<Access> {
-        let total: usize = traces.iter().map(|t| t.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        let longest = traces.iter().map(|t| t.len()).max().unwrap_or(0);
-        for i in 0..longest {
-            for t in &traces {
-                if let Some(a) = t.get(i) {
-                    out.push(*a);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn sequential_addresses_ascend_by_step() {
@@ -181,14 +117,6 @@ mod tests {
             assert_eq!(a.addr, 1000 + 8 * i as u64);
             assert!(!a.write);
         }
-    }
-
-    #[test]
-    fn strided_wraps_at_working_set() {
-        let mut g = TraceGen::new(2);
-        let t = g.strided(6, 0, 64, 192, 0.0);
-        let addrs: Vec<u64> = t.iter().map(|a| a.addr).collect();
-        assert_eq!(addrs, vec![0, 64, 128, 0, 64, 128]);
     }
 
     #[test]
@@ -216,35 +144,5 @@ mod tests {
         assert!(hottest as f64 / t.len() as f64 > 0.08);
         // Far more than uniform (0.1%).
         assert!(hottest > 50 * (t.len() as u64 / 1000));
-    }
-
-    #[test]
-    fn pointer_chase_visits_every_node_before_repeating() {
-        let mut g = TraceGen::new(5);
-        let nodes = 64;
-        let t = g.pointer_chase(nodes, 0, nodes, 64);
-        let unique: HashSet<u64> = t.iter().map(|a| a.addr).collect();
-        // Sattolo's algorithm yields a single cycle: all nodes visited once.
-        assert_eq!(unique.len(), nodes);
-    }
-
-    #[test]
-    fn pointer_chase_is_deterministic_per_seed() {
-        let t1 = TraceGen::new(6).pointer_chase(100, 0, 32, 64);
-        let t2 = TraceGen::new(6).pointer_chase(100, 0, 32, 64);
-        assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn interleave_preserves_all_accesses() {
-        let a = vec![Access::read(1), Access::read(2)];
-        let b = vec![Access::read(10), Access::read(20), Access::read(30)];
-        let m = TraceGen::interleave(vec![a, b]);
-        assert_eq!(m.len(), 5);
-        assert_eq!(m[0].addr, 1);
-        assert_eq!(m[1].addr, 10);
-        assert_eq!(m[2].addr, 2);
-        assert_eq!(m[3].addr, 20);
-        assert_eq!(m[4].addr, 30);
     }
 }

@@ -1,21 +1,14 @@
 //! Closed-form interconnect analysis, cross-validated against the
 //! simulator.
 //!
-//! Zero-load latency and ideal-throughput formulas from Dally & Towles,
-//! applied to the mesh topologies in [`crate::topology`]. These give the
-//! experiments an analytic overlay: when the simulator's low-load latency
-//! or saturation point drifts from these bounds, something is wrong with
-//! the simulator — one of the cross-checks DESIGN.md commits to.
+//! The ideal-throughput bound from Dally & Towles, applied to the mesh
+//! topologies in [`crate::topology`], plus (in the tests) the zero-load
+//! latency check against mean hop count. These give the experiments an
+//! analytic overlay: when the simulator's low-load latency or saturation
+//! point drifts from these bounds, something is wrong with the simulator —
+//! one of the cross-checks DESIGN.md commits to.
 
-use crate::link::Link;
 use crate::topology::Mesh;
-use xxi_core::units::{Energy, Seconds};
-
-/// Zero-load latency of a packet traversing `hops` routers: per-hop router
-/// pipeline delay plus link traversal.
-pub fn zero_load_latency(hops: usize, router_delay: Seconds, link: &Link) -> Seconds {
-    Seconds(hops as f64 * (router_delay.value() + link.flit_latency.value()))
-}
 
 /// Ideal (bisection-limited) saturation throughput under uniform traffic,
 /// in flits per node per cycle: half of all traffic crosses the bisection,
@@ -27,42 +20,11 @@ pub fn ideal_uniform_saturation(mesh: &Mesh) -> f64 {
     (4.0 * b / n).min(1.0)
 }
 
-/// Mean dynamic network energy per packet of `bits` bits under uniform
-/// traffic: hops × (router energy + link energy).
-pub fn mean_packet_energy(
-    mesh: &Mesh,
-    bits: u64,
-    router_energy_per_bit: Energy,
-    link: &Link,
-) -> Energy {
-    let hops = mesh.mean_hops_uniform();
-    (router_energy_per_bit * bits as f64 + link.transfer_energy(bits)) * hops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkKind;
     use crate::sim::{load_sweep, NocConfig, NocSim};
     use crate::traffic::Pattern;
-    use xxi_tech::node::NodeDb;
-
-    fn link() -> Link {
-        let db = NodeDb::standard();
-        Link::on(
-            db.by_name("45nm").unwrap(),
-            LinkKind::Electrical { mm: 1.0 },
-        )
-    }
-
-    #[test]
-    fn zero_load_latency_is_linear_in_hops() {
-        let l = link();
-        let r = Seconds::from_ns(1.0);
-        let one = zero_load_latency(1, r, &l);
-        let five = zero_load_latency(5, r, &l);
-        assert!((five.value() - 5.0 * one.value()).abs() < 1e-18);
-    }
 
     #[test]
     fn analytic_saturation_brackets_simulated() {
@@ -99,18 +61,5 @@ mod tests {
             "sim={} analytic={analytic}",
             r.mean_latency
         );
-    }
-
-    #[test]
-    fn packet_energy_proportional_to_distance_and_bits() {
-        let mesh_small = Mesh::new_2d(4, 4);
-        let mesh_big = Mesh::new_2d(16, 16);
-        let l = link();
-        let re = Energy::from_pj(0.05);
-        let small = mean_packet_energy(&mesh_small, 512, re, &l);
-        let big = mean_packet_energy(&mesh_big, 512, re, &l);
-        assert!(big.value() > 3.0 * small.value());
-        let double_bits = mean_packet_energy(&mesh_small, 1024, re, &l);
-        assert!((double_bits.value() - 2.0 * small.value()).abs() < 1e-15);
     }
 }

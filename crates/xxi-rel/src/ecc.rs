@@ -164,9 +164,6 @@ pub fn flip(cw: Codeword, pos: u32) -> Codeword {
     Codeword(cw.0 ^ (1u128 << pos))
 }
 
-/// ECC overhead: 8 check bits per 64 data bits (12.5%).
-pub const OVERHEAD_FRACTION: f64 = 8.0 / 64.0;
-
 /// The bit-loop codec the masks replaced, verbatim: the oracle the
 /// mask-and-run codec must match bit for bit.
 #[cfg(test)]
@@ -430,11 +427,6 @@ mod tests {
     fn extract_inverts_encode_scatter() {
         let data = 0x1122_3344_5566_7788u64;
         assert_eq!(extract(encode(data)), data);
-    }
-
-    #[test]
-    fn overhead_constant() {
-        assert!((OVERHEAD_FRACTION - 0.125).abs() < 1e-12);
     }
 
     #[test]

@@ -50,14 +50,6 @@ impl ScrubModel {
     pub fn due_rate(&self, interval: Seconds) -> f64 {
         self.p_due_per_interval(interval) / interval.value()
     }
-
-    /// Scrub interval needed to keep per-word DUE probability per interval
-    /// below `target` (closed-form small-λ approximation: p ≈ (72λT)²/2).
-    pub fn interval_for_target(&self, target: f64) -> Seconds {
-        assert!(target > 0.0 && target < 0.5);
-        let l = (2.0 * target).sqrt();
-        Seconds(l / (self.lambda_per_bit * self.word_bits as f64))
-    }
 }
 
 #[cfg(test)]
@@ -81,14 +73,6 @@ mod tests {
         let slow = m.due_rate(Seconds(10_000.0));
         let fast = m.due_rate(Seconds(100.0));
         assert!(fast < slow / 50.0, "fast={fast} slow={slow}");
-    }
-
-    #[test]
-    fn interval_for_target_inverts_p_due() {
-        let m = ScrubModel::secded(1e-9);
-        let t = m.interval_for_target(1e-6);
-        let p = m.p_due_per_interval(t);
-        assert!((p / 1e-6 - 1.0).abs() < 0.05, "p={p}");
     }
 
     #[test]

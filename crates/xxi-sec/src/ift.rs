@@ -214,11 +214,6 @@ impl Machine {
         }
     }
 
-    /// Taint currently on register `r`.
-    pub fn taint_of(&self, r: u8) -> Taint {
-        self.reg_taint[r as usize]
-    }
-
     /// Execute `prog` (bounded at `max_steps` to stop runaway loops).
     pub fn run(&mut self, prog: &[Instr], max_steps: usize) -> Outcome {
         let mut pc = 0usize;
@@ -347,7 +342,6 @@ mod tests {
             Halt,
         ];
         assert_eq!(m.run(&prog, 100), Outcome::Finished(vec![5]));
-        assert_eq!(m.taint_of(2), Taint::CLEAN);
     }
 
     #[test]

@@ -45,19 +45,8 @@ impl Perms {
     pub const NONE: Perms = Perms(0);
     /// Read.
     pub const R: Perms = Perms(1);
-    /// Write.
-    pub const W: Perms = Perms(2);
-    /// Execute.
-    pub const X: Perms = Perms(4);
     /// Read + write.
     pub const RW: Perms = Perms(3);
-    /// Read + execute.
-    pub const RX: Perms = Perms(5);
-
-    /// Union.
-    pub fn or(self, other: Perms) -> Perms {
-        Perms(self.0 | other.0)
-    }
 
     /// Does this permission set allow `kind`?
     pub fn allows(self, kind: AccessKind) -> bool {
@@ -266,9 +255,9 @@ mod tests {
         assert!(Perms::RW.allows(AccessKind::Read));
         assert!(Perms::RW.allows(AccessKind::Write));
         assert!(!Perms::RW.allows(AccessKind::Execute));
-        assert!(Perms::RX.allows(AccessKind::Execute));
+        assert!(Perms(4).allows(AccessKind::Execute));
         assert!(!Perms::NONE.allows(AccessKind::Read));
-        assert_eq!(Perms::R.or(Perms::W), Perms::RW);
+        assert!(Perms::R.allows(AccessKind::Read));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use xxi_core::units::{Energy, Power, Seconds};
+use xxi_core::units::{Energy, Power};
 
 /// A sensor-node MCU.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -33,18 +33,6 @@ impl Mcu {
     pub fn compute_energy(&self, ops: u64) -> Energy {
         self.energy_per_op * ops as f64
     }
-
-    /// Time to execute `ops` operations.
-    pub fn compute_time(&self, ops: u64) -> Seconds {
-        Seconds(ops as f64 / self.ops_per_sec)
-    }
-
-    /// Energy over an interval where the MCU is active for `active` of
-    /// `total` (sleeping the rest).
-    pub fn duty_cycle_energy(&self, active: Seconds, total: Seconds) -> Energy {
-        assert!(active.value() <= total.value());
-        self.active_power * active + self.sleep_power * (total - active)
-    }
 }
 
 #[cfg(test)]
@@ -60,25 +48,9 @@ mod tests {
     }
 
     #[test]
-    fn compute_energy_and_time() {
+    fn compute_energy_scales_with_ops() {
         let m = Mcu::cortex_m_class();
         let e = m.compute_energy(1_000_000);
         assert!((e.value() - 1e-4).abs() < 1e-12); // 1 Mop × 100 pJ = 100 µJ
-        let t = m.compute_time(50_000_000);
-        assert!((t.value() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duty_cycling_saves_orders_of_magnitude() {
-        let m = Mcu::cortex_m_class();
-        let always_on = m.duty_cycle_energy(Seconds(3600.0), Seconds(3600.0));
-        let one_percent = m.duty_cycle_energy(Seconds(36.0), Seconds(3600.0));
-        assert!(always_on.value() / one_percent.value() > 50.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn active_exceeding_total_rejected() {
-        Mcu::cortex_m_class().duty_cycle_energy(Seconds(2.0), Seconds(1.0));
     }
 }

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use xxi_core::units::{Energy, Seconds};
+use xxi_core::units::Energy;
 
 /// Radio technology class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -76,25 +76,6 @@ impl Radio {
     pub fn tx_energy(&self, bits: u64) -> Energy {
         self.startup + self.tx_per_bit * bits as f64
     }
-
-    /// Airtime of a burst of `bits`.
-    pub fn tx_time(&self, bits: u64) -> Seconds {
-        Seconds(bits as f64 / self.rate_bps)
-    }
-
-    /// The burst size (bits) above which this radio beats `other` per
-    /// burst, if any: solves `startup + e·b = startup' + e'·b`.
-    pub fn breakeven_bits(&self, other: &Radio) -> Option<u64> {
-        let ds = self.startup.value() - other.startup.value();
-        let de = other.tx_per_bit.value() - self.tx_per_bit.value();
-        if ds <= 0.0 {
-            return if de >= 0.0 { Some(0) } else { None };
-        }
-        if de <= 0.0 {
-            return None;
-        }
-        Some((ds / de).ceil() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -134,17 +115,9 @@ mod tests {
     fn wifi_beats_ble_only_for_big_bursts() {
         let wifi = Radio::new(RadioTech::WifiClass);
         let ble = Radio::new(RadioTech::BleClass);
-        let b = wifi.breakeven_bits(&ble).expect("crossover exists");
-        // (2 mJ − 50 µJ)/(20 nJ − 5 nJ) = 130 kbit.
-        assert!((100_000..200_000).contains(&b), "b={b}");
-        assert!(wifi.tx_energy(b + 1000).value() < ble.tx_energy(b + 1000).value());
+        // The crossover is (2 mJ − 50 µJ)/(20 nJ − 5 nJ) = 130 kbit.
+        assert!(wifi.tx_energy(131_000).value() < ble.tx_energy(131_000).value());
+        assert!(wifi.tx_energy(129_000).value() > ble.tx_energy(129_000).value());
         assert!(wifi.tx_energy(1_000).value() > ble.tx_energy(1_000).value());
-    }
-
-    #[test]
-    fn airtime_matches_rate() {
-        let zig = Radio::new(RadioTech::ZigbeeClass);
-        let t = zig.tx_time(250_000);
-        assert!((t.value() - 1.0).abs() < 1e-12);
     }
 }

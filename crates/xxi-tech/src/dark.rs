@@ -16,9 +16,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::freq::{alpha_power_frequency, total_power};
 use crate::node::{NodeDb, TechNode};
-use xxi_core::units::{Power, Volts};
+use xxi_core::units::Power;
 
 /// Reference full-die power density at the first (180 nm) node, W/mm²,
 /// used to anchor the absolute scale. Late-1990s desktop chips ran around
@@ -71,19 +70,6 @@ impl DarkSilicon {
     /// Active fraction at nominal V/f on `node`.
     pub fn active_fraction(&self, db: &NodeDb, node: &TechNode) -> f64 {
         (self.tdp.value() / self.full_die_power(db, node).value()).min(1.0)
-    }
-
-    /// Active fraction when the whole die runs at a reduced voltage `v`
-    /// (and the corresponding reduced alpha-power-law frequency) — the NTV
-    /// lever for re-lighting dark silicon.
-    pub fn active_fraction_at(&self, db: &NodeDb, node: &TechNode, v: Volts) -> f64 {
-        let full_nominal = self.full_die_power(db, node);
-        let f = alpha_power_frequency(node, v);
-        let full_at_v = total_power(node, v, f, full_nominal);
-        if full_at_v.value() <= 0.0 {
-            return 1.0;
-        }
-        (self.tdp.value() / full_at_v.value()).min(1.0)
     }
 
     /// Sweep the whole ladder.
@@ -159,18 +145,6 @@ mod tests {
             assert!(p > prev, "{}: {p} <= {prev}", n.name);
             prev = p;
         }
-    }
-
-    #[test]
-    fn ntv_relights_dark_silicon() {
-        // Dropping the whole die to near-threshold voltage lets far more of
-        // it switch within the same TDP (at lower frequency) — the paper's
-        // "near-threshold … tremendous potential".
-        let (db, d) = calc();
-        let n7 = db.by_name("7nm").unwrap();
-        let nominal = d.active_fraction(&db, n7);
-        let ntv = d.active_fraction_at(&db, n7, Volts(0.45));
-        assert!(ntv > 2.0 * nominal, "nominal={nominal} ntv={ntv}");
     }
 
     #[test]

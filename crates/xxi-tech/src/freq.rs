@@ -1,6 +1,6 @@
 //! Voltage–frequency–power relationships.
 //!
-//! Two standard compact models underpin all DVFS and NTV analysis in the
+//! Two standard compact models underpin the NTV analysis in the
 //! workspace:
 //!
 //! * **Alpha-power law** (Sakurai–Newton): gate delay
@@ -50,21 +50,6 @@ pub fn leakage_current(node: &TechNode, v: Volts, nominal_total_power: Power) ->
     i_nominal * (v.value() / node.vdd.value()) * dibl
 }
 
-/// Total power at `(v, f)` for a block whose nominal operating point is
-/// `(node.vdd, node.freq, nominal_total_power)`.
-///
-/// Dynamic power scales as `C·V²·f` (the activity factor and capacitance
-/// are folded into the nominal calibration); leakage per
-/// [`leakage_current`].
-pub fn total_power(node: &TechNode, v: Volts, f: Frequency, nominal_total_power: Power) -> Power {
-    let p_dyn_nominal = nominal_total_power.value() * (1.0 - node.leakage_frac);
-    let v_ratio = v.value() / node.vdd.value();
-    let f_ratio = f.value() / node.freq.value();
-    let p_dyn = p_dyn_nominal * v_ratio * v_ratio * f_ratio;
-    let p_leak = leakage_current(node, v, nominal_total_power) * v.value();
-    Power(p_dyn + p_leak)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,8 +64,6 @@ mod tests {
         let n = node45();
         let f = alpha_power_frequency(&n, n.vdd);
         assert!((f.ghz() - n.freq.ghz()).abs() < 1e-9);
-        let p = total_power(&n, n.vdd, n.freq, Power(100.0));
-        assert!((p.value() - 100.0).abs() < 1e-6, "p={p}");
     }
 
     #[test]
@@ -100,24 +83,6 @@ mod tests {
             assert!(f >= prev);
             prev = f;
         }
-    }
-
-    #[test]
-    fn cubic_ish_power_scaling() {
-        // Classic DVFS result: scaling V and f together gives ~cubic power
-        // reduction in the dynamic term.
-        let n = node45();
-        let p_nom = Power(100.0);
-        let v = Volts(0.8);
-        let f = alpha_power_frequency(&n, v);
-        let p = total_power(&n, v, f, p_nom);
-        let f_ratio = f.value() / n.freq.value();
-        // Dynamic part should scale as v²·f exactly.
-        let expect_dyn = 100.0 * (1.0 - n.leakage_frac) * (0.8f64 / 1.0).powi(2) * f_ratio;
-        assert!(p.value() > expect_dyn, "leakage must add something");
-        assert!(p.value() < expect_dyn + 25.0);
-        // And total power at 0.8 V is far below nominal.
-        assert!(p.value() < 55.0, "p={p}");
     }
 
     #[test]

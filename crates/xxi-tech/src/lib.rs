@@ -13,7 +13,7 @@
 //!   7 nm (2019): supply/threshold voltage, transistor density, gate
 //!   capacitance, nominal frequency, leakage, soft-error and cost data.
 //! * [`freq`] — the alpha-power-law delay/frequency model and the
-//!   dynamic + leakage power model (`P = α·C·V²·f + V·I_leak`).
+//!   leakage-current model (the `V·I_leak` of `P = α·C·V²·f + V·I_leak`).
 //! * [`scaling`] — generational scaling engines: the *Dennard rules*
 //!   (historical, power-neutral) vs the *post-Dennard reality* (voltage
 //!   nearly flat ⇒ power/chip grows with transistor count). Regenerates
@@ -42,7 +42,7 @@ pub mod scaling;
 pub mod ser;
 
 pub use dark::DarkSilicon;
-pub use freq::{alpha_power_frequency, leakage_current, total_power};
+pub use freq::{alpha_power_frequency, leakage_current};
 pub use node::{NodeDb, TechNode};
 pub use ntv::NtvModel;
 pub use ops::OpEnergies;

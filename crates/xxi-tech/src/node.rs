@@ -51,6 +51,7 @@ pub struct TechNode {
 impl TechNode {
     /// `true` if this node predates the end of Dennard scaling (~90 nm /
     /// 2004-2005, when voltage scaling stalled).
+    // xxi-allow: model-reach -- checked by xxi-check lint (tech-node-sanity)
     pub fn is_dennard_era(&self) -> bool {
         self.feature_nm > 90.0
     }
@@ -235,20 +236,12 @@ impl NodeDb {
     }
 
     /// Look up by feature size in nanometres.
+    // xxi-allow: model-reach -- checked by xxi-check lint (tech-node-sanity)
     pub fn by_feature(&self, nm: f64) -> Result<&TechNode> {
         self.nodes
             .iter()
             .find(|n| (n.feature_nm - nm).abs() < 0.5)
             .ok_or_else(|| XxiError::not_found(format!("technology node {nm}nm")))
-    }
-
-    /// The node in production in `year` (latest node with year ≤ `year`).
-    pub fn by_year(&self, year: u32) -> &TechNode {
-        self.nodes
-            .iter()
-            .rev()
-            .find(|n| n.year <= year)
-            .unwrap_or(&self.nodes[0])
     }
 
     /// Number of generations.
@@ -363,13 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name_feature_year() {
+    fn lookup_by_name_and_feature() {
         let db = NodeDb::standard();
         assert_eq!(db.by_name("45nm").unwrap().year, 2008);
         assert_eq!(db.by_feature(22.0).unwrap().name, "22nm");
-        assert_eq!(db.by_year(2013).name, "22nm");
-        assert_eq!(db.by_year(1990).name, "180nm");
-        assert_eq!(db.by_year(2030).name, "7nm");
         assert!(db.by_name("3nm").is_err());
         assert!(db.by_feature(5.0).is_err());
     }

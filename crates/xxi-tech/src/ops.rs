@@ -80,11 +80,6 @@ impl OpEnergies {
     pub fn fma_instruction_ooo(&self) -> Energy {
         self.fp_fma + self.ooo_overhead
     }
-
-    /// Overhead-to-work ratio for an FMA on an OoO core; ~10 at 45 nm.
-    pub fn ooo_tax_factor(&self) -> f64 {
-        self.ooo_overhead.value() / self.fp_fma.value()
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +101,8 @@ mod tests {
         // The 10× tax that motivates specialization (§2.2).
         let db = NodeDb::standard();
         let e = OpEnergies::at(db.by_name("45nm").unwrap());
-        assert!((e.ooo_tax_factor() - 10.0).abs() < 1e-9);
+        let tax = e.ooo_overhead.value() / e.fp_fma.value();
+        assert!((tax - 10.0).abs() < 1e-9);
         assert!(e.fma_instruction_ooo().pj() > 500.0);
     }
 

@@ -20,7 +20,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::node::{NodeDb, TechNode};
-use xxi_core::units::Power;
 
 /// Which generational rule set to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,12 +125,6 @@ impl ScalingTrajectory {
     pub fn final_power_growth(&self) -> f64 {
         self.points.last().map(|p| p.full_power_rel).unwrap_or(1.0)
     }
-
-    /// Chip power in watts for the final generation given the first
-    /// generation dissipated `p0`.
-    pub fn final_power(&self, p0: Power) -> Power {
-        p0 * self.final_power_growth()
-    }
 }
 
 #[cfg(test)]
@@ -203,13 +196,5 @@ mod tests {
         // Ideal scaling would have cut switching energy ~0.7⁹·0.7¹⁸ ≈ 4e-5;
         // reality only managed ~6e-3 — a big part of the "energy first" gap.
         assert!(e_d < e_r / 10.0, "e_d={e_d} e_r={e_r}");
-    }
-
-    #[test]
-    fn final_power_in_watts() {
-        let db = NodeDb::standard();
-        let t = ScalingTrajectory::compute(&db, ScalingRule::PostDennard);
-        let p = t.final_power(Power(30.0));
-        assert!(p.value() > 300.0, "a 30 W 180nm die would need {p} at 7nm");
     }
 }

@@ -14,8 +14,7 @@
 //!    `SER ∝ exp(−Q_crit/Q_s)`.
 //!
 //! Rates are expressed in FIT (failures per 10⁹ device-hours), the industry
-//! unit, with conversions to per-second event rates for the fault-injection
-//! machinery in `xxi-rel`.
+//! unit.
 
 use serde::Serialize;
 
@@ -60,34 +59,9 @@ impl SoftErrorModel {
         self.fit_per_bit(v) * self.mbits * 1e6
     }
 
-    /// Expected upsets per second for the whole chip at `v`.
-    pub fn upsets_per_second(&self, v: Volts) -> f64 {
-        // 1 FIT = 1 failure / 1e9 hours = 1/(1e9·3600) per second.
-        self.fit_chip(v) / (1e9 * 3600.0)
-    }
-
     /// Mean time between upsets, in hours.
     pub fn mtbu_hours(&self, v: Volts) -> f64 {
         1e9 / self.fit_chip(v)
-    }
-
-    /// Probability that a given 64-bit word suffers ≥1 upset within
-    /// `seconds` (Poisson arrivals).
-    pub fn p_word_upset(&self, v: Volts, seconds: f64) -> f64 {
-        let per_bit_per_sec = self.fit_per_bit(v) / (1e9 * 3600.0);
-        let lambda = per_bit_per_sec * 64.0 * seconds;
-        1.0 - (-lambda).exp()
-    }
-
-    /// Probability that a 64-bit word suffers ≥2 upsets within `seconds` —
-    /// the event SECDED cannot correct. The gap between this and
-    /// [`Self::p_word_upset`] is what "easily hidden via ECC" meant; the
-    /// experiment shows the gap closing at low voltage and high density.
-    pub fn p_word_double_upset(&self, v: Volts, seconds: f64) -> f64 {
-        let per_bit_per_sec = self.fit_per_bit(v) / (1e9 * 3600.0);
-        let lambda = per_bit_per_sec * 64.0 * seconds;
-        // P(N ≥ 2) = 1 − e^{−λ}(1 + λ)
-        1.0 - (-lambda).exp() * (1.0 + lambda)
     }
 }
 
@@ -135,34 +109,11 @@ mod tests {
     #[test]
     fn upset_rate_units_consistent() {
         let m = model("45nm", 100.0);
-        let per_sec = m.upsets_per_second(m.node.vdd);
+        // 1 FIT = 1 failure / 1e9 hours = 1/(1e9·3600) per second.
+        let per_sec = m.fit_chip(m.node.vdd) / (1e9 * 3600.0);
         let mtbu_h = m.mtbu_hours(m.node.vdd);
         // rate × MTBU = 1 (after unit conversion).
         assert!((per_sec * mtbu_h * 3600.0 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn double_upset_much_rarer_than_single_at_nominal() {
-        let m = model("45nm", 10.0);
-        let day = 86_400.0;
-        let p1 = m.p_word_upset(m.node.vdd, day);
-        let p2 = m.p_word_double_upset(m.node.vdd, day);
-        assert!(p1 > 0.0);
-        assert!(p2 < p1 * 1e-3, "p1={p1} p2={p2}");
-    }
-
-    #[test]
-    fn probabilities_are_probabilities() {
-        let m = model("7nm", 1000.0);
-        for v in [0.3, 0.5, 0.7] {
-            for t in [1.0, 1e6, 1e12] {
-                let p1 = m.p_word_upset(Volts(v), t);
-                let p2 = m.p_word_double_upset(Volts(v), t);
-                assert!((0.0..=1.0).contains(&p1));
-                assert!((0.0..=1.0).contains(&p2));
-                assert!(p2 <= p1 + 1e-15);
-            }
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use xxi::accel::ladder::{efficiency_factor, ImplKind, Kernel};
 use xxi::accel::offload::{offload_energy, OffloadConfig};
 use xxi::core::table::{fnum, xfactor};
-use xxi::core::units::{Energy, Seconds};
+use xxi::core::units::Energy;
 use xxi::core::Table;
 use xxi::cpu::chip::{Chip, ChipConfig};
 use xxi::cpu::CoreKind;
@@ -95,9 +95,7 @@ fn main() {
     for c in [0.3, 0.5, 0.8, 0.95, 0.99] {
         let cfg = OffloadConfig {
             coverage: c,
-            speedup: 50.0,
             efficiency: 100.0,
-            invoke_overhead: Seconds::from_us(10.0),
             invocations: 100,
         };
         let ratio = offload_energy(&cfg, Energy(1.0), Energy::ZERO);
