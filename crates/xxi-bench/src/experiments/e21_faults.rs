@@ -41,7 +41,7 @@ pub struct E21Faults;
 /// 20% of the horizon, then recovers; rack 1's does the same at 57.5%.
 /// During each blast one of every shard's three replicas serves at 6×
 /// (past the attempt timeout) and the policies must route around it.
-fn two_rack_blast(cfg: &ClusterConfig) -> (Topology, FaultPlan) {
+pub(super) fn two_rack_blast(cfg: &ClusterConfig) -> (Topology, FaultPlan) {
     let topo = Topology::striped(cfg.components(), cfg.replicas);
     let horizon = cfg.horizon_ms();
     let mut plan = FaultPlan::new();

@@ -16,6 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
+use xxi_cloud::cluster::{ClusterConfig, Hedging, Routing};
 use xxi_cloud::latency::LatencyDist;
 use xxi_cloud::queueing::MG1Queue;
 use xxi_core::obs::{LogHistogram, Trace};
@@ -45,6 +46,7 @@ use xxi_stack::stm::TxArray;
 
 use super::des_kernels as des;
 use super::e20_tm;
+use super::e21_faults;
 use super::{Experiment, RunCtx};
 
 /// One throughput kernel.
@@ -101,7 +103,7 @@ const fn k(
 
 /// Every kernel, grouped by layer in stack order.
 #[rustfmt::skip]
-pub static KERNELS: [Kernel; 40] = [
+pub static KERNELS: [Kernel; 41] = [
     k("core/rng-u64", "xoshiro256++: 1M next_u64", "draws", 1_000_000, rng_u64),
     k("core/rng-lognormal", "1M lognormal draws", "draws", 1_000_000, rng_lognormal),
     k("core/zipf", "1M Zipf(0.99) samples over 100k ranks", "samples", 1_000_000, zipf),
@@ -134,6 +136,7 @@ pub static KERNELS: [Kernel; 40] = [
     k("cpu/hillmarty-grid", "Hill-Marty symmetric speedup over a 100x100 grid", "evaluations", 10_000, hillmarty_grid),
     k("cloud/mg1", "M/G/1 queue as a Lindley loop: 50k requests", "requests", 50_000, mg1),
     k("cloud/fanout", "Cloud: fan-out 100 max over the typical leaf", "leaf-draws", FANOUT_LEAF_DRAWS, fanout),
+    k("cloud/cluster", "Cloud: E21 grid cell (least-outstanding, adaptive p80) under the two-rack blast", "requests", CLUSTER_REQUESTS as u64, cluster),
     k("sensor/epochs", "sensor node: FilterThenSend epochs with a solar harvester (run_observed)", "samples", SENSOR_SAMPLES, sensor_epochs),
     k("sec/dift", "DIFT machine: a tracked 150k-instruction loop", "instructions", 150_001, dift),
     k("stack/chase-lev", "Chase-Lev deque: 100k push then pop", "items", 100_000, chase_lev),
@@ -406,6 +409,24 @@ fn fanout(_: &RunCtx) -> f64 {
     (0..FANOUT_TRIALS)
         .map(|_| dist.sample_max(FANOUT, &mut rng))
         .sum()
+}
+
+const CLUSTER_REQUESTS: u32 = 1_500;
+
+/// One cell of E21's policy grid, the serving DES alone:
+/// least-outstanding routing with adaptive p80 hedging under the
+/// correlated two-rack blast, at the grid's seed.
+fn cluster(_: &RunCtx) -> f64 {
+    let cfg = ClusterConfig {
+        requests: CLUSTER_REQUESTS,
+        seed: 67,
+        routing: Routing::LeastOutstanding,
+        hedging: Hedging::adaptive(0.80),
+        ..ClusterConfig::default()
+    };
+    let (_, blast) = e21_faults::two_rack_blast(&cfg);
+    let out = cfg.run(&blast);
+    out.p999 + out.metrics.counter("cluster.attempts") as f64
 }
 
 // --- sensor ---------------------------------------------------------------

@@ -41,6 +41,16 @@
 //! counts the timer fires whose guards found nothing to do (zero under
 //! cancellation, asserted in tests).
 //!
+//! A request's state is retired when it closes. Its shard queries live in
+//! one block of a flat slot array, with each query's attempts held in
+//! place (`max_attempts` per query, a hard cap enforced at dispatch).
+//! Once the request has its answer or hits its deadline, every timer it
+//! still holds is cancelled and the block goes back to a free list for
+//! the next arrival. The slot array therefore grows only to the peak
+//! number of live requests, and what outlives a request is a small
+//! header plus its latency sample. A run's heap allocations do not grow
+//! with its request count (`tests/cluster_allocs.rs`).
+//!
 //! Around the two policies, the serving discipline is fixed: every shard
 //! query carries a per-attempt timeout sliced from the request's QoS
 //! [`Budget`]; lost attempts retry with jittered
@@ -259,7 +269,8 @@ impl Hedging {
 /// Retry policy for one shard query (hedging lives in [`Hedging`]).
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct RetryPolicy {
-    /// Total attempts allowed per shard (1 = no retries).
+    /// Total attempts allowed per shard query, hedges included (1 = no
+    /// retries). A hard cap, checked when an attempt is sent; at least 1.
     pub max_attempts: u32,
     /// Backoff before the first retry (ms).
     pub backoff_base_ms: f64,
@@ -379,7 +390,8 @@ pub struct ClusterOutcome {
     pub partial_frac: f64,
     /// Counters: attempts, retries, hedges, timeouts, refused, lost,
     /// degraded accepts, failsafe transitions, and the fault-injection
-    /// accounting (`fault.scheduled == fault.fired + fault.cancelled`).
+    /// accounting. A run stops at its last event, so faults planned past
+    /// it never settle: `fault.fired + fault.cancelled <= fault.scheduled`.
     pub metrics: Metrics,
 }
 
@@ -390,7 +402,9 @@ const OUT_REFUSED: f64 = 1.0;
 const OUT_TIMEOUT: f64 = 2.0;
 const OUT_CANCELLED: f64 = 3.0;
 
-/// One dispatched attempt of a shard query.
+/// One dispatched attempt of a shard query, held in place in its slot's
+/// run of [`CState::attempts`].
+#[derive(Clone, Copy)]
 struct Attempt {
     /// An answer arrived, the connection was refused, or the timeout
     /// fired. Guards double-handling.
@@ -399,8 +413,6 @@ struct Attempt {
     /// connection closes and the replica's outstanding counter is
     /// decremented.
     settled: bool,
-    /// When the attempt was dispatched (feeds the shard latency digest).
-    sent_at: SimTime,
     /// Local replica index the attempt was routed to.
     replica: u32,
     /// Open trace span (`SpanId::DISABLED` when untraced).
@@ -410,12 +422,15 @@ struct Attempt {
     timeout_timer: Option<TimerHandle>,
 }
 
+/// One shard query of a live request.
+#[derive(Default)]
 struct ShardSlot {
     answered: bool,
     given_up: bool,
-    /// Attempts dispatched so far (retries and hedges included), in
-    /// dispatch order.
-    attempts: Vec<Attempt>,
+    /// Attempts dispatched so far (retries and hedges included), never
+    /// more than `max_attempts`; they sit in dispatch order at the head
+    /// of the slot's run of [`CState::attempts`].
+    sent: u32,
     /// The shard query's pending hedge timer; cancelled as soon as a
     /// second attempt exists or the query closes.
     hedge_timer: Option<TimerHandle>,
@@ -426,6 +441,9 @@ struct ShardSlot {
     first_pick: u32,
 }
 
+/// A request's header: what outlives its block, because events that
+/// can fire after the request closes (a late response, a refusal in
+/// flight, a retry's backoff) read it.
 struct Req {
     start: SimTime,
     answered: u32,
@@ -434,7 +452,8 @@ struct Req {
     /// The request's deadline timer; cancelled when every shard answers
     /// before it fires.
     deadline_timer: Option<TimerHandle>,
-    slots: Vec<ShardSlot>,
+    /// The request's block of shard slots; meaningful only until `done`.
+    block: u32,
 }
 
 /// Substream index for the power-of-two routing probes (disjoint from the
@@ -453,6 +472,23 @@ struct CState {
     faults: FaultInjector,
     machine: FailsafeMachine,
     reqs: Vec<Req>,
+    /// Shard slots in blocks of `cfg.shards`: block `b` holds the shard
+    /// queries of one live request at `b * shards + shard`.
+    slots: Vec<ShardSlot>,
+    /// Attempts in place, `cfg.retry.max_attempts` per slot: slot `i`'s
+    /// attempt `k` is at `i * max_attempts + k`.
+    attempts: Vec<Attempt>,
+    /// Blocks whose requests have closed, ready for the next arrival.
+    ///
+    /// A block goes back here at the end of [`settle_request`], after it
+    /// has cancelled the deadline, every hedge timer and every attempt
+    /// timeout, so no timer holding the block is pending. The events that
+    /// can still fire for a closed request carry no handle: a late
+    /// response (it counts `lost` or feeds the shard's digest, with the
+    /// send time in its closure), a refused connection and a retry's
+    /// dispatch. Each reads the request's `done` first and touches no
+    /// slot once it is set.
+    free_blocks: Vec<u32>,
     /// Live in-flight attempts per replica (global component id) — the
     /// signal [`Routing::LeastOutstanding`] routes on.
     inflight: Vec<u32>,
@@ -466,7 +502,7 @@ struct CState {
     partial: u32,
     failed: u32,
     degraded_accepts: u32,
-    attempts: u64,
+    dispatched: u64,
     retries: u64,
     hedges: u64,
     timeouts: u64,
@@ -476,6 +512,19 @@ struct CState {
     /// pure no-ops. Real cancellation keeps this at zero (tested); the
     /// seed engine burned one heap pop + closure call on each.
     stale_fires: u64,
+}
+
+impl CState {
+    /// Index in `slots` of shard query `shard` of `req`, which must not
+    /// be done (a done request's block may belong to another by now).
+    fn slot(&self, req: usize, shard: usize) -> usize {
+        self.reqs[req].block as usize * self.cfg.shards as usize + shard
+    }
+
+    /// Index in `attempts` of attempt `attempt` of slot `slot`.
+    fn attempt(&self, slot: usize, attempt: usize) -> usize {
+        slot * self.cfg.retry.max_attempts as usize + attempt
+    }
 }
 
 /// The failover walk into `out`: local replica indices in rotation order
@@ -523,6 +572,10 @@ impl ClusterConfig {
             self.replicas <= 64,
             "the failover walk tracks replicas in a u64 mask"
         );
+        assert!(
+            self.retry.max_attempts >= 1,
+            "a shard query needs an attempt"
+        );
         assert!((0.0..=1.0).contains(&self.min_coverage));
         let state = CState {
             cfg: *self,
@@ -534,6 +587,9 @@ impl ClusterConfig {
             // 50 clean requests recover Degraded -> Normal.
             machine: FailsafeMachine::new(10, 40, 50),
             reqs: Vec::with_capacity(self.requests as usize),
+            slots: Vec::new(),
+            attempts: Vec::new(),
+            free_blocks: Vec::new(),
             inflight: vec![0; self.components() as usize],
             digests: vec![LogHistogram::new(); self.shards as usize],
             candidates: Vec::with_capacity(self.replicas as usize),
@@ -542,7 +598,7 @@ impl ClusterConfig {
             partial: 0,
             failed: 0,
             degraded_accepts: 0,
-            attempts: 0,
+            dispatched: 0,
             retries: 0,
             hedges: 0,
             timeouts: 0,
@@ -563,6 +619,11 @@ impl ClusterConfig {
             s.inflight.iter().all(|&n| n == 0),
             "in-flight accounting leaked: every attempt must settle"
         );
+        assert_eq!(
+            s.free_blocks.len() * self.shards as usize,
+            s.slots.len(),
+            "every request closed and returned its block"
+        );
         let answered = s.full + s.partial;
         let summary = Summary::from_slice(&s.latencies_ms);
         let horizon_s = self.horizon_ms() * 1e-3;
@@ -571,7 +632,7 @@ impl ClusterConfig {
         metrics.count("cluster.full", s.full as u64);
         metrics.count("cluster.partial", s.partial as u64);
         metrics.count("cluster.failed", s.failed as u64);
-        metrics.count("cluster.attempts", s.attempts);
+        metrics.count("cluster.attempts", s.dispatched);
         metrics.count("cluster.retries", s.retries);
         metrics.count("cluster.hedges", s.hedges);
         metrics.count("cluster.timeouts", s.timeouts);
@@ -601,7 +662,7 @@ impl ClusterConfig {
             p999: summary.percentile(99.9),
             mean: summary.mean(),
             goodput_rps: answered as f64 / horizon_s,
-            retry_amplification: s.attempts as f64 / (self.requests as f64 * self.shards as f64),
+            retry_amplification: s.dispatched as f64 / (self.requests as f64 * self.shards as f64),
             partial_frac: if answered == 0 {
                 0.0
             } else {
@@ -617,26 +678,41 @@ fn arrive(sim: &mut Sim<CState>) {
     let now = sim.now();
     let cfg = sim.state.cfg;
     let span = sim.trace_begin("request", "cluster", 0);
-    let slots = (0..cfg.shards)
-        .map(|_| ShardSlot {
-            answered: false,
-            given_up: false,
-            attempts: Vec::new(),
-            hedge_timer: None,
-            tried: 0,
-            first_pick: sim.state.rng.below(cfg.replicas as u64) as u32,
-        })
-        .collect();
-    sim.state.reqs.push(Req {
+    let s = &mut sim.state;
+    let shards = cfg.shards as usize;
+    let block = s.free_blocks.pop().unwrap_or_else(|| {
+        // No closed request to recycle: grow by one block. Attempts past
+        // a slot's `sent` are never read, so any value fills them.
+        let filler = Attempt {
+            resolved: false,
+            settled: false,
+            replica: 0,
+            span,
+            timeout_timer: None,
+        };
+        let len = s.slots.len() + shards;
+        s.slots.resize_with(len, ShardSlot::default);
+        s.attempts
+            .resize(len * cfg.retry.max_attempts as usize, filler);
+        (len / shards - 1) as u32
+    });
+    let base = block as usize * shards;
+    for slot in &mut s.slots[base..base + shards] {
+        *slot = ShardSlot {
+            first_pick: s.rng.below(cfg.replicas as u64) as u32,
+            ..ShardSlot::default()
+        };
+    }
+    s.reqs.push(Req {
         start: now,
         answered: 0,
         done: false,
         span,
         deadline_timer: None,
-        slots,
+        block,
     });
-    let req = sim.state.reqs.len() - 1;
-    for shard in 0..cfg.shards as usize {
+    let req = s.reqs.len() - 1;
+    for shard in 0..shards {
         dispatch(sim, req, shard, false);
     }
     let h = sim.schedule_in_handle(SimTime::from_ms_f64(cfg.budget.deadline_ms), move |sim| {
@@ -645,14 +721,21 @@ fn arrive(sim: &mut Sim<CState>) {
     sim.state.reqs[req].deadline_timer = Some(h);
 }
 
-/// Cancel the shard query's hedge timer, if one is still pending. Called
+/// Cancel slot `slot`'s hedge timer, if one is still pending. Called
 /// whenever a permanent no-hedge condition latches (a second attempt
 /// exists, the shard answered or gave up, the request closed); cancelling
 /// the just-fired timer's own stale handle is a harmless no-op.
-fn cancel_hedge(sim: &mut Sim<CState>, req: usize, shard: usize) {
-    if let Some(h) = sim.state.reqs[req].slots[shard].hedge_timer.take() {
+fn cancel_hedge(sim: &mut Sim<CState>, slot: usize) {
+    if let Some(h) = sim.state.slots[slot].hedge_timer.take() {
         sim.cancel(h);
     }
+}
+
+/// The shard query in slot `slot` stops sending attempts (the ones in
+/// flight may still answer).
+fn give_up(sim: &mut Sim<CState>, slot: usize) {
+    sim.state.slots[slot].given_up = true;
+    cancel_hedge(sim, slot);
 }
 
 /// Launch one attempt of `shard` for `req`. `hedge` marks duplicates
@@ -662,67 +745,80 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
     let now = sim.now();
     sim.state.faults.advance(now);
     let cfg = sim.state.cfg;
-    let elapsed = {
-        let r = &sim.state.reqs[req];
-        let slot = &r.slots[shard];
-        if r.done || slot.answered || slot.given_up {
-            return;
-        }
-        now.since(r.start).ms()
-    };
-    let Some(timeout_ms) = cfg.budget.attempt_timeout(elapsed) else {
-        sim.state.reqs[req].slots[shard].given_up = true;
-        cancel_hedge(sim, req, shard);
+    // A retry's backoff can outlive its request.
+    if sim.state.reqs[req].done {
+        return;
+    }
+    let slot = sim.state.slot(req, shard);
+    let q = &sim.state.slots[slot];
+    if q.answered || q.given_up {
+        return;
+    }
+    let attempt = q.sent as usize;
+    // The cap binds here, not where a retry is scheduled: two failures
+    // inside one backoff window each schedule one.
+    let elapsed = now.since(sim.state.reqs[req].start).ms();
+    let Some(timeout_ms) = cfg
+        .budget
+        .attempt_timeout(elapsed)
+        .filter(|_| attempt < cfg.retry.max_attempts as usize)
+    else {
+        give_up(sim, slot);
         return;
     };
     let base = shard * cfg.replicas as usize;
-    let (attempt, local) = {
+    let local = {
         let s = &mut sim.state;
-        let slot = &mut s.reqs[req].slots[shard];
-        let attempt = slot.attempts.len();
-        if slot.tried == u64::MAX >> (64 - cfg.replicas) {
+        let q = &mut s.slots[slot];
+        if q.tried == u64::MAX >> (64 - cfg.replicas) {
             // Every replica has been offered: start a fresh permutation.
-            slot.tried = 0;
+            q.tried = 0;
         }
-        failover_candidates(cfg.replicas, slot.first_pick, slot.tried, &mut s.candidates);
+        failover_candidates(cfg.replicas, q.first_pick, q.tried, &mut s.candidates);
         let local = cfg.routing.pick(
             &s.candidates,
             &s.inflight[base..base + cfg.replicas as usize],
             &mut s.route_rng,
         );
         debug_assert!(s.candidates.contains(&local), "policy picked a candidate");
-        slot.tried |= 1 << local;
+        q.tried |= 1 << local;
+        q.sent += 1;
         s.inflight[base + local as usize] += 1;
-        (attempt, local)
+        local
     };
     if attempt >= 1 {
         // A second attempt exists; the hedge-once condition is permanently
         // dead, so its timer (if still pending) is stale.
-        cancel_hedge(sim, req, shard);
+        cancel_hedge(sim, slot);
     }
     let replica = (base + local as usize) as u32;
-    sim.state.attempts += 1;
+    sim.state.dispatched += 1;
     let span = sim.trace_begin("attempt", "cluster", 1 + shard as u64);
-    sim.state.reqs[req].slots[shard].attempts.push(Attempt {
+    let at = sim.state.attempt(slot, attempt);
+    sim.state.attempts[at] = Attempt {
         resolved: false,
         settled: false,
-        sent_at: now,
         replica: local,
         span,
         timeout_timer: None,
-    });
+    };
 
     if !sim.state.faults.is_up(replica, now) {
         // Connection refused: the dead/paused replica is detected after
         // one RTT, far cheaper than waiting out the timeout.
         sim.state.refused += 1;
         sim.schedule_in(SimTime::from_ms_f64(cfg.rpc_ms), move |sim| {
-            settle(sim, req, shard, attempt, OUT_REFUSED);
-            let r = &mut sim.state.reqs[req];
-            if r.done || r.slots[shard].answered || r.slots[shard].given_up {
+            // The request may have closed (and settled this attempt)
+            // while the refusal travelled back.
+            if sim.state.reqs[req].done {
                 return;
             }
-            r.slots[shard].attempts[attempt].resolved = true;
+            settle(sim, req, shard, attempt, OUT_REFUSED);
+            let q = &sim.state.slots[slot];
+            if q.answered || q.given_up {
+                return;
+            }
+            sim.state.attempts[at].resolved = true;
             maybe_retry(sim, req, shard);
         });
     } else {
@@ -730,7 +826,7 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
         let service = sim.state.service.sample(&mut sim.state.rng) * slowdown;
         let latency = cfg.rpc_ms + service;
         sim.schedule_in(SimTime::from_ms_f64(latency), move |sim| {
-            respond(sim, req, shard, attempt, replica);
+            respond(sim, req, shard, attempt, replica, now);
         });
         // The timeout declares the attempt lost; late answers that beat
         // the *deadline* still count (work isn't thrown away). Cancelled
@@ -738,7 +834,7 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
         let h = sim.schedule_in_handle(SimTime::from_ms_f64(timeout_ms), move |sim| {
             attempt_timeout(sim, req, shard, attempt);
         });
-        sim.state.reqs[req].slots[shard].attempts[attempt].timeout_timer = Some(h);
+        sim.state.attempts[at].timeout_timer = Some(h);
     }
 
     // Hedge the first attempt (only): a duplicate to another replica
@@ -751,21 +847,22 @@ fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
                 let timer = sim.schedule_in_handle(SimTime::from_ms_f64(h), move |sim| {
                     hedge_fire(sim, req, shard);
                 });
-                sim.state.reqs[req].slots[shard].hedge_timer = Some(timer);
+                sim.state.slots[slot].hedge_timer = Some(timer);
             }
         }
     }
 }
 
-/// Close the books on one attempt: its connection is gone (answered,
-/// refused, timed out, or torn down with the request), so the replica's
-/// in-flight counter drops, the attempt's now-stale timeout timer is
-/// cancelled, and the attempt's trace span closes with an `outcome`
-/// argument (0 response / 1 refused / 2 timeout / 3 cancelled).
+/// Close the books on one attempt of a live request: its connection is
+/// gone (answered, refused, timed out, or torn down with the request), so
+/// the replica's in-flight counter drops, the attempt's now-stale timeout
+/// timer is cancelled, and the attempt's trace span closes with an
+/// `outcome` argument (0 response / 1 refused / 2 timeout / 3 cancelled).
 /// Idempotent per attempt; returns whether this call did the settling.
 fn settle(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize, outcome: f64) -> bool {
+    let at = sim.state.attempt(sim.state.slot(req, shard), attempt);
     let (local, span, timer) = {
-        let a = &mut sim.state.reqs[req].slots[shard].attempts[attempt];
+        let a = &mut sim.state.attempts[at];
         if a.settled {
             return false;
         }
@@ -792,23 +889,34 @@ fn settle(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize, outco
     true
 }
 
-/// Tear down every still-open attempt of a finished request (the client
-/// hangs up its connections when it has an answer or hits the deadline),
-/// cancelling the request's remaining timers on the way out.
+/// Tear down every still-open attempt of a request that has just closed
+/// (the client hangs up its connections when it has an answer or hits the
+/// deadline), cancel the request's remaining timers on the way out, and
+/// return its block to the free list.
 fn settle_request(sim: &mut Sim<CState>, req: usize) {
     if let Some(h) = sim.state.reqs[req].deadline_timer.take() {
         sim.cancel(h);
     }
     for shard in 0..sim.state.cfg.shards as usize {
-        cancel_hedge(sim, req, shard);
-        let attempts = sim.state.reqs[req].slots[shard].attempts.len();
-        for attempt in 0..attempts {
+        let slot = sim.state.slot(req, shard);
+        cancel_hedge(sim, slot);
+        for attempt in 0..sim.state.slots[slot].sent as usize {
             settle(sim, req, shard, attempt, OUT_CANCELLED);
         }
     }
+    let block = sim.state.reqs[req].block;
+    sim.state.free_blocks.push(block);
 }
 
-fn respond(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize, replica: u32) {
+/// An attempt's answer comes back, `sent` after it was dispatched.
+fn respond(
+    sim: &mut Sim<CState>,
+    req: usize,
+    shard: usize,
+    attempt: usize,
+    replica: u32,
+    sent: SimTime,
+) {
     let now = sim.now();
     sim.state.faults.advance(now);
     if !sim.state.faults.is_up(replica, now) {
@@ -818,35 +926,30 @@ fn respond(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize, repl
         sim.state.lost += 1;
         return;
     }
-    settle(sim, req, shard, attempt, OUT_RESPONSE);
     // Every arrived response feeds the shard's online latency digest —
-    // the signal adaptive hedging reads.
-    let sent = sim.state.reqs[req].slots[shard].attempts[attempt].sent_at;
-    let observed = now.since(sent).ms();
-    sim.state.digests[shard].add(observed);
-    let shards = sim.state.cfg.shards;
-    let mut answered_now = false;
-    let full_close = {
-        let r = &mut sim.state.reqs[req];
-        r.slots[shard].attempts[attempt].resolved = true;
-        if r.done || r.slots[shard].answered {
-            None
-        } else {
-            r.slots[shard].answered = true;
-            answered_now = true;
-            r.answered += 1;
-            if r.answered < shards {
-                None
-            } else {
-                r.done = true;
-                Some((now.since(r.start).ms(), r.span))
-            }
-        }
-    };
-    if answered_now {
-        // The shard has its answer: a pending hedge timer is stale.
-        cancel_hedge(sim, req, shard);
+    // the signal adaptive hedging reads — even one that outlived its
+    // request.
+    sim.state.digests[shard].add(now.since(sent).ms());
+    if sim.state.reqs[req].done {
+        // Settled with its request, whose block may be reused by now.
+        return;
     }
+    settle(sim, req, shard, attempt, OUT_RESPONSE);
+    let slot = sim.state.slot(req, shard);
+    let at = sim.state.attempt(slot, attempt);
+    sim.state.attempts[at].resolved = true;
+    if sim.state.slots[slot].answered {
+        return;
+    }
+    sim.state.slots[slot].answered = true;
+    let r = &mut sim.state.reqs[req];
+    r.answered += 1;
+    let full_close = (r.answered == sim.state.cfg.shards).then(|| {
+        r.done = true;
+        (now.since(r.start).ms(), r.span)
+    });
+    // The shard has its answer: a pending hedge timer is stale.
+    cancel_hedge(sim, slot);
     let Some((latency, span)) = full_close else {
         return;
     };
@@ -858,20 +961,25 @@ fn respond(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize, repl
 }
 
 fn attempt_timeout(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize) {
-    let settled_now = settle(sim, req, shard, attempt, OUT_TIMEOUT);
-    {
-        let r = &sim.state.reqs[req];
-        let slot = &r.slots[shard];
-        if r.done || slot.answered || slot.given_up || slot.attempts[attempt].resolved {
-            if !settled_now {
-                // The fire did literally nothing — a stale timer that
-                // cancellation should have reaped. Kept as a tripwire.
-                sim.state.stale_fires += 1;
-            }
-            return;
-        }
+    // Closing a request cancels its attempt timeouts: one that fires
+    // against a done request is a stale fire.
+    if sim.state.reqs[req].done {
+        sim.state.stale_fires += 1;
+        return;
     }
-    sim.state.reqs[req].slots[shard].attempts[attempt].resolved = true;
+    let settled_now = settle(sim, req, shard, attempt, OUT_TIMEOUT);
+    let slot = sim.state.slot(req, shard);
+    let at = sim.state.attempt(slot, attempt);
+    let q = &sim.state.slots[slot];
+    if q.answered || q.given_up || sim.state.attempts[at].resolved {
+        if !settled_now {
+            // The fire did literally nothing — a stale timer that
+            // cancellation should have reaped. Kept as a tripwire.
+            sim.state.stale_fires += 1;
+        }
+        return;
+    }
+    sim.state.attempts[at].resolved = true;
     sim.state.timeouts += 1;
     maybe_retry(sim, req, shard);
 }
@@ -881,17 +989,16 @@ fn attempt_timeout(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usi
 fn maybe_retry(sim: &mut Sim<CState>, req: usize, shard: usize) {
     let now = sim.now();
     let cfg = sim.state.cfg;
-    let attempts = sim.state.reqs[req].slots[shard].attempts.len() as u32;
-    if attempts >= cfg.retry.max_attempts {
-        sim.state.reqs[req].slots[shard].given_up = true;
-        cancel_hedge(sim, req, shard);
+    let slot = sim.state.slot(req, shard);
+    let sent = sim.state.slots[slot].sent;
+    if sent >= cfg.retry.max_attempts {
+        give_up(sim, slot);
         return;
     }
-    let backoff = cfg.retry.backoff_ms(attempts - 1, &mut sim.state.rng);
+    let backoff = cfg.retry.backoff_ms(sent - 1, &mut sim.state.rng);
     let elapsed = now.since(sim.state.reqs[req].start).ms();
     if cfg.budget.attempt_timeout(elapsed + backoff).is_none() {
-        sim.state.reqs[req].slots[shard].given_up = true;
-        cancel_hedge(sim, req, shard);
+        give_up(sim, slot);
         return;
     }
     sim.state.retries += 1;
@@ -908,17 +1015,20 @@ fn maybe_retry(sim: &mut Sim<CState>, req: usize, shard: usize) {
 }
 
 fn hedge_fire(sim: &mut Sim<CState>, req: usize, shard: usize) {
-    let r = &sim.state.reqs[req];
-    let slot = &r.slots[shard];
-    if r.done || slot.answered || slot.given_up || slot.attempts.len() != 1 {
-        // Permanent conditions: cancellation reaps these timers before
-        // they fire, so reaching here means a stale fire slipped through.
+    // Permanent conditions: cancellation reaps these timers before they
+    // fire, so reaching here means a stale fire slipped through.
+    if sim.state.reqs[req].done {
+        sim.state.stale_fires += 1;
+        return;
+    }
+    let q = &sim.state.slots[sim.state.slot(req, shard)];
+    if q.answered || q.given_up || q.sent != 1 {
         sim.state.stale_fires += 1;
         return;
     }
     // Only hedge while hedging leaves room for a retry, and shed hedging
     // load entirely in Safe mode — transient conditions, not staleness.
-    if slot.attempts.len() as u32 >= sim.state.cfg.retry.max_attempts {
+    if q.sent >= sim.state.cfg.retry.max_attempts {
         return;
     }
     if sim.state.machine.mode() == Mode::Safe {
@@ -1011,11 +1121,584 @@ pub fn cluster_sweep_on(
     })
 }
 
+/// The serving DES as it was before requests retired their state, kept
+/// verbatim as the oracle for the block layout: a `Vec<ShardSlot>` per
+/// request, a `Vec<Attempt>` per slot, and every request kept until the
+/// run ends. Its one change is the attempt cap in `dispatch`.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// One dispatched attempt of a shard query.
+    struct Attempt {
+        /// An answer arrived, the connection was refused, or the timeout
+        /// fired. Guards double-handling.
+        resolved: bool,
+        /// In-flight accounting flag: set exactly when the attempt's
+        /// connection closes and the replica's outstanding counter is
+        /// decremented.
+        settled: bool,
+        /// When the attempt was dispatched (feeds the shard latency digest).
+        sent_at: SimTime,
+        /// Local replica index the attempt was routed to.
+        replica: u32,
+        /// Open trace span (`SpanId::DISABLED` when untraced).
+        span: SpanId,
+        /// The pending timeout timer; cancelled when the attempt settles
+        /// first (`None` on the refused path, which schedules none).
+        timeout_timer: Option<TimerHandle>,
+    }
+
+    struct ShardSlot {
+        answered: bool,
+        given_up: bool,
+        /// Attempts dispatched so far (retries and hedges included), in
+        /// dispatch order.
+        attempts: Vec<Attempt>,
+        /// The shard query's pending hedge timer; cancelled as soon as a
+        /// second attempt exists or the query closes.
+        hedge_timer: Option<TimerHandle>,
+        /// Bit `r` set: replica `r` tried since the failover permutation last
+        /// restarted.
+        tried: u64,
+        /// Start of the failover rotation (drawn per shard query).
+        first_pick: u32,
+    }
+
+    struct Req {
+        start: SimTime,
+        answered: u32,
+        done: bool,
+        span: SpanId,
+        /// The request's deadline timer; cancelled when every shard answers
+        /// before it fires.
+        deadline_timer: Option<TimerHandle>,
+        slots: Vec<ShardSlot>,
+    }
+
+    struct CState {
+        cfg: ClusterConfig,
+        /// `cfg.dist`, prepared once for the run's service draws.
+        service: Sampler,
+        rng: Rng64,
+        /// Dedicated substream for [`Routing::PowerOfTwo`] probes; drawn from
+        /// only when that policy is configured, so the other policies' runs
+        /// see exactly the seed repo's draw sequence.
+        route_rng: Rng64,
+        faults: FaultInjector,
+        machine: FailsafeMachine,
+        reqs: Vec<Req>,
+        /// Live in-flight attempts per replica (global component id) — the
+        /// signal [`Routing::LeastOutstanding`] routes on.
+        inflight: Vec<u32>,
+        /// Per-shard online attempt-latency histogram — the signal the
+        /// adaptive [`Hedging`] policies hedge on.
+        digests: Vec<LogHistogram>,
+        /// The failover walk's output, reused by every dispatch.
+        candidates: Vec<u32>,
+        latencies_ms: Vec<f64>,
+        full: u32,
+        partial: u32,
+        failed: u32,
+        degraded_accepts: u32,
+        attempts: u64,
+        retries: u64,
+        hedges: u64,
+        timeouts: u64,
+        refused: u64,
+        lost: u64,
+        /// Timer events that fired but found their guards already satisfied —
+        /// pure no-ops. Real cancellation keeps this at zero (tested); the
+        /// seed engine burned one heap pop + closure call on each.
+        stale_fires: u64,
+    }
+
+    /// [`ClusterConfig::run_traced`] over the per-request state.
+    pub fn run_traced(
+        cfg: &ClusterConfig,
+        plan: &FaultPlan,
+        trace: Trace,
+    ) -> (ClusterOutcome, Trace) {
+        assert!(cfg.shards >= 1 && cfg.replicas >= 1 && cfg.requests >= 1);
+        assert!(
+            cfg.replicas <= 64,
+            "the failover walk tracks replicas in a u64 mask"
+        );
+        assert!((0.0..=1.0).contains(&cfg.min_coverage));
+        let state = CState {
+            cfg: *cfg,
+            service: cfg.dist.sampler(),
+            rng: Rng64::new(cfg.seed),
+            route_rng: Rng64::stream(cfg.seed, ROUTING_STREAM),
+            faults: FaultInjector::new(plan, cfg.components()),
+            // 10 errors in a window escalate to Degraded, 40 to Safe;
+            // 50 clean requests recover Degraded -> Normal.
+            machine: FailsafeMachine::new(10, 40, 50),
+            reqs: Vec::with_capacity(cfg.requests as usize),
+            inflight: vec![0; cfg.components() as usize],
+            digests: vec![LogHistogram::new(); cfg.shards as usize],
+            candidates: Vec::with_capacity(cfg.replicas as usize),
+            latencies_ms: Vec::with_capacity(cfg.requests as usize),
+            full: 0,
+            partial: 0,
+            failed: 0,
+            degraded_accepts: 0,
+            attempts: 0,
+            retries: 0,
+            hedges: 0,
+            timeouts: 0,
+            refused: 0,
+            lost: 0,
+            stale_fires: 0,
+        };
+        let mut sim = Sim::with_trace(state, trace);
+        for r in 0..cfg.requests {
+            let at = SimTime::from_ms_f64(r as f64 * cfg.interarrival_ms);
+            sim.schedule_at(at, arrive);
+        }
+        sim.run();
+
+        let des_stats = sim.stats();
+        let s = sim.state;
+        assert!(
+            s.inflight.iter().all(|&n| n == 0),
+            "in-flight accounting leaked: every attempt must settle"
+        );
+        let answered = s.full + s.partial;
+        let summary = Summary::from_slice(&s.latencies_ms);
+        let horizon_s = cfg.horizon_ms() * 1e-3;
+        let mut metrics = Metrics::new();
+        metrics.count("cluster.requests", cfg.requests as u64);
+        metrics.count("cluster.full", s.full as u64);
+        metrics.count("cluster.partial", s.partial as u64);
+        metrics.count("cluster.failed", s.failed as u64);
+        metrics.count("cluster.attempts", s.attempts);
+        metrics.count("cluster.retries", s.retries);
+        metrics.count("cluster.hedges", s.hedges);
+        metrics.count("cluster.timeouts", s.timeouts);
+        metrics.count("cluster.refused", s.refused);
+        metrics.count("cluster.lost_responses", s.lost);
+        metrics.count("cluster.degraded_accepts", s.degraded_accepts as u64);
+        metrics.count("cluster.stale_fires", s.stale_fires);
+        metrics.count("failsafe.transitions", s.machine.transitions().len() as u64);
+        des_stats.record(&mut metrics);
+        metrics.gauge(
+            "failsafe.final_mode",
+            match s.machine.mode() {
+                Mode::Normal => 0.0,
+                Mode::Degraded => 1.0,
+                Mode::Safe => 2.0,
+            },
+        );
+        s.faults.record(&mut metrics);
+
+        let outcome = ClusterOutcome {
+            requests: cfg.requests,
+            full: s.full,
+            partial: s.partial,
+            failed: s.failed,
+            p50: summary.median(),
+            p99: summary.percentile(99.0),
+            p999: summary.percentile(99.9),
+            mean: summary.mean(),
+            goodput_rps: answered as f64 / horizon_s,
+            retry_amplification: s.attempts as f64 / (cfg.requests as f64 * cfg.shards as f64),
+            partial_frac: if answered == 0 {
+                0.0
+            } else {
+                s.partial as f64 / answered as f64
+            },
+            metrics,
+        };
+        (outcome, sim.trace)
+    }
+
+    fn arrive(sim: &mut Sim<CState>) {
+        let now = sim.now();
+        let cfg = sim.state.cfg;
+        let span = sim.trace_begin("request", "cluster", 0);
+        let slots = (0..cfg.shards)
+            .map(|_| ShardSlot {
+                answered: false,
+                given_up: false,
+                attempts: Vec::new(),
+                hedge_timer: None,
+                tried: 0,
+                first_pick: sim.state.rng.below(cfg.replicas as u64) as u32,
+            })
+            .collect();
+        sim.state.reqs.push(Req {
+            start: now,
+            answered: 0,
+            done: false,
+            span,
+            deadline_timer: None,
+            slots,
+        });
+        let req = sim.state.reqs.len() - 1;
+        for shard in 0..cfg.shards as usize {
+            dispatch(sim, req, shard, false);
+        }
+        let h = sim.schedule_in_handle(SimTime::from_ms_f64(cfg.budget.deadline_ms), move |sim| {
+            deadline(sim, req);
+        });
+        sim.state.reqs[req].deadline_timer = Some(h);
+    }
+
+    /// Cancel the shard query's hedge timer, if one is still pending. Called
+    /// whenever a permanent no-hedge condition latches (a second attempt
+    /// exists, the shard answered or gave up, the request closed); cancelling
+    /// the just-fired timer's own stale handle is a harmless no-op.
+    fn cancel_hedge(sim: &mut Sim<CState>, req: usize, shard: usize) {
+        if let Some(h) = sim.state.reqs[req].slots[shard].hedge_timer.take() {
+            sim.cancel(h);
+        }
+    }
+
+    /// Launch one attempt of `shard` for `req`. `hedge` marks duplicates
+    /// launched by the hedging timer (they share the attempt budget but not
+    /// the retry counter).
+    fn dispatch(sim: &mut Sim<CState>, req: usize, shard: usize, hedge: bool) {
+        let now = sim.now();
+        sim.state.faults.advance(now);
+        let cfg = sim.state.cfg;
+        let elapsed = {
+            let r = &sim.state.reqs[req];
+            let slot = &r.slots[shard];
+            if r.done || slot.answered || slot.given_up {
+                return;
+            }
+            now.since(r.start).ms()
+        };
+        // The cap fix: `max_attempts` binds when an attempt is sent.
+        let capped =
+            sim.state.reqs[req].slots[shard].attempts.len() as u32 == cfg.retry.max_attempts;
+        let Some(timeout_ms) = cfg.budget.attempt_timeout(elapsed).filter(|_| !capped) else {
+            sim.state.reqs[req].slots[shard].given_up = true;
+            cancel_hedge(sim, req, shard);
+            return;
+        };
+        let base = shard * cfg.replicas as usize;
+        let (attempt, local) = {
+            let s = &mut sim.state;
+            let slot = &mut s.reqs[req].slots[shard];
+            let attempt = slot.attempts.len();
+            if slot.tried == u64::MAX >> (64 - cfg.replicas) {
+                // Every replica has been offered: start a fresh permutation.
+                slot.tried = 0;
+            }
+            failover_candidates(cfg.replicas, slot.first_pick, slot.tried, &mut s.candidates);
+            let local = cfg.routing.pick(
+                &s.candidates,
+                &s.inflight[base..base + cfg.replicas as usize],
+                &mut s.route_rng,
+            );
+            debug_assert!(s.candidates.contains(&local), "policy picked a candidate");
+            slot.tried |= 1 << local;
+            s.inflight[base + local as usize] += 1;
+            (attempt, local)
+        };
+        if attempt >= 1 {
+            // A second attempt exists; the hedge-once condition is permanently
+            // dead, so its timer (if still pending) is stale.
+            cancel_hedge(sim, req, shard);
+        }
+        let replica = (base + local as usize) as u32;
+        sim.state.attempts += 1;
+        let span = sim.trace_begin("attempt", "cluster", 1 + shard as u64);
+        sim.state.reqs[req].slots[shard].attempts.push(Attempt {
+            resolved: false,
+            settled: false,
+            sent_at: now,
+            replica: local,
+            span,
+            timeout_timer: None,
+        });
+
+        if !sim.state.faults.is_up(replica, now) {
+            // Connection refused: the dead/paused replica is detected after
+            // one RTT, far cheaper than waiting out the timeout.
+            sim.state.refused += 1;
+            sim.schedule_in(SimTime::from_ms_f64(cfg.rpc_ms), move |sim| {
+                settle(sim, req, shard, attempt, OUT_REFUSED);
+                let r = &mut sim.state.reqs[req];
+                if r.done || r.slots[shard].answered || r.slots[shard].given_up {
+                    return;
+                }
+                r.slots[shard].attempts[attempt].resolved = true;
+                maybe_retry(sim, req, shard);
+            });
+        } else {
+            let slowdown = sim.state.faults.slowdown(replica, now);
+            let service = sim.state.service.sample(&mut sim.state.rng) * slowdown;
+            let latency = cfg.rpc_ms + service;
+            sim.schedule_in(SimTime::from_ms_f64(latency), move |sim| {
+                respond(sim, req, shard, attempt, replica);
+            });
+            // The timeout declares the attempt lost; late answers that beat
+            // the *deadline* still count (work isn't thrown away). Cancelled
+            // if the attempt settles first.
+            let h = sim.schedule_in_handle(SimTime::from_ms_f64(timeout_ms), move |sim| {
+                attempt_timeout(sim, req, shard, attempt);
+            });
+            sim.state.reqs[req].slots[shard].attempts[attempt].timeout_timer = Some(h);
+        }
+
+        // Hedge the first attempt (only): a duplicate to another replica
+        // after the hedging policy's delay, unless the failsafe machine is
+        // shedding. The delay is read from the shard's live digest *now*, so
+        // adaptive policies track the latency the shard currently exhibits.
+        if !hedge && attempt == 0 {
+            if let Some(h) = cfg.hedging.delay_ms(&sim.state.digests[shard]) {
+                if h < timeout_ms {
+                    let timer = sim.schedule_in_handle(SimTime::from_ms_f64(h), move |sim| {
+                        hedge_fire(sim, req, shard);
+                    });
+                    sim.state.reqs[req].slots[shard].hedge_timer = Some(timer);
+                }
+            }
+        }
+    }
+
+    /// Close the books on one attempt: its connection is gone (answered,
+    /// refused, timed out, or torn down with the request), so the replica's
+    /// in-flight counter drops, the attempt's now-stale timeout timer is
+    /// cancelled, and the attempt's trace span closes with an `outcome`
+    /// argument (0 response / 1 refused / 2 timeout / 3 cancelled).
+    /// Idempotent per attempt; returns whether this call did the settling.
+    fn settle(
+        sim: &mut Sim<CState>,
+        req: usize,
+        shard: usize,
+        attempt: usize,
+        outcome: f64,
+    ) -> bool {
+        let (local, span, timer) = {
+            let a = &mut sim.state.reqs[req].slots[shard].attempts[attempt];
+            if a.settled {
+                return false;
+            }
+            a.settled = true;
+            (a.replica, a.span, a.timeout_timer.take())
+        };
+        if let Some(h) = timer {
+            // A settled attempt's timeout fire would be a pure no-op (the
+            // per-attempt guards all latch); when the timeout itself settles
+            // us, its own handle is already stale and this is a no-op.
+            sim.cancel(h);
+        }
+        let comp = shard * sim.state.cfg.replicas as usize + local as usize;
+        sim.state.inflight[comp] -= 1;
+        sim.trace_end_args(
+            span,
+            &[
+                ("req", req as f64),
+                ("attempt", attempt as f64),
+                ("replica", f64::from(local)),
+                ("outcome", outcome),
+            ],
+        );
+        true
+    }
+
+    /// Tear down every still-open attempt of a finished request (the client
+    /// hangs up its connections when it has an answer or hits the deadline),
+    /// cancelling the request's remaining timers on the way out.
+    fn settle_request(sim: &mut Sim<CState>, req: usize) {
+        if let Some(h) = sim.state.reqs[req].deadline_timer.take() {
+            sim.cancel(h);
+        }
+        for shard in 0..sim.state.cfg.shards as usize {
+            cancel_hedge(sim, req, shard);
+            let attempts = sim.state.reqs[req].slots[shard].attempts.len();
+            for attempt in 0..attempts {
+                settle(sim, req, shard, attempt, OUT_CANCELLED);
+            }
+        }
+    }
+
+    fn respond(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize, replica: u32) {
+        let now = sim.now();
+        sim.state.faults.advance(now);
+        if !sim.state.faults.is_up(replica, now) {
+            // The replica died (or paused) mid-service: the response is lost
+            // and only the attempt timeout will notice (the connection stays
+            // open — in-flight until then).
+            sim.state.lost += 1;
+            return;
+        }
+        settle(sim, req, shard, attempt, OUT_RESPONSE);
+        // Every arrived response feeds the shard's online latency digest —
+        // the signal adaptive hedging reads.
+        let sent = sim.state.reqs[req].slots[shard].attempts[attempt].sent_at;
+        let observed = now.since(sent).ms();
+        sim.state.digests[shard].add(observed);
+        let shards = sim.state.cfg.shards;
+        let mut answered_now = false;
+        let full_close = {
+            let r = &mut sim.state.reqs[req];
+            r.slots[shard].attempts[attempt].resolved = true;
+            if r.done || r.slots[shard].answered {
+                None
+            } else {
+                r.slots[shard].answered = true;
+                answered_now = true;
+                r.answered += 1;
+                if r.answered < shards {
+                    None
+                } else {
+                    r.done = true;
+                    Some((now.since(r.start).ms(), r.span))
+                }
+            }
+        };
+        if answered_now {
+            // The shard has its answer: a pending hedge timer is stale.
+            cancel_hedge(sim, req, shard);
+        }
+        let Some((latency, span)) = full_close else {
+            return;
+        };
+        settle_request(sim, req);
+        sim.trace_end_args(span, &[("latency_ms", latency), ("full", 1.0)]);
+        sim.state.latencies_ms.push(latency);
+        sim.state.full += 1;
+        sim.state.machine.ok();
+    }
+
+    fn attempt_timeout(sim: &mut Sim<CState>, req: usize, shard: usize, attempt: usize) {
+        let settled_now = settle(sim, req, shard, attempt, OUT_TIMEOUT);
+        {
+            let r = &sim.state.reqs[req];
+            let slot = &r.slots[shard];
+            if r.done || slot.answered || slot.given_up || slot.attempts[attempt].resolved {
+                if !settled_now {
+                    // The fire did literally nothing — a stale timer that
+                    // cancellation should have reaped. Kept as a tripwire.
+                    sim.state.stale_fires += 1;
+                }
+                return;
+            }
+        }
+        sim.state.reqs[req].slots[shard].attempts[attempt].resolved = true;
+        sim.state.timeouts += 1;
+        maybe_retry(sim, req, shard);
+    }
+
+    /// After a refused connection or a timed-out attempt: back off and fail
+    /// over to the next replica, if the policy and the budget allow.
+    fn maybe_retry(sim: &mut Sim<CState>, req: usize, shard: usize) {
+        let now = sim.now();
+        let cfg = sim.state.cfg;
+        let attempts = sim.state.reqs[req].slots[shard].attempts.len() as u32;
+        if attempts >= cfg.retry.max_attempts {
+            sim.state.reqs[req].slots[shard].given_up = true;
+            cancel_hedge(sim, req, shard);
+            return;
+        }
+        let backoff = cfg.retry.backoff_ms(attempts - 1, &mut sim.state.rng);
+        let elapsed = now.since(sim.state.reqs[req].start).ms();
+        if cfg.budget.attempt_timeout(elapsed + backoff).is_none() {
+            sim.state.reqs[req].slots[shard].given_up = true;
+            cancel_hedge(sim, req, shard);
+            return;
+        }
+        sim.state.retries += 1;
+        sim.trace.instant_args(
+            "retry",
+            "cluster",
+            1 + shard as u64,
+            now,
+            &[("req", req as f64), ("backoff_ms", backoff)],
+        );
+        sim.schedule_in(SimTime::from_ms_f64(backoff), move |sim| {
+            dispatch(sim, req, shard, false);
+        });
+    }
+
+    fn hedge_fire(sim: &mut Sim<CState>, req: usize, shard: usize) {
+        let r = &sim.state.reqs[req];
+        let slot = &r.slots[shard];
+        if r.done || slot.answered || slot.given_up || slot.attempts.len() != 1 {
+            // Permanent conditions: cancellation reaps these timers before
+            // they fire, so reaching here means a stale fire slipped through.
+            sim.state.stale_fires += 1;
+            return;
+        }
+        // Only hedge while hedging leaves room for a retry, and shed hedging
+        // load entirely in Safe mode — transient conditions, not staleness.
+        if slot.attempts.len() as u32 >= sim.state.cfg.retry.max_attempts {
+            return;
+        }
+        if sim.state.machine.mode() == Mode::Safe {
+            return;
+        }
+        sim.state.hedges += 1;
+        let now = sim.now();
+        sim.trace.instant_args(
+            "hedge",
+            "cluster",
+            1 + shard as u64,
+            now,
+            &[("req", req as f64)],
+        );
+        dispatch(sim, req, shard, true);
+    }
+
+    fn deadline(sim: &mut Sim<CState>, req: usize) {
+        let cfg = sim.state.cfg;
+        let mode = sim.state.machine.mode();
+        let (answered, span) = {
+            let r = &mut sim.state.reqs[req];
+            if r.done {
+                // The deadline timer is cancelled when the request completes;
+                // a fire against a done request is a stale fire.
+                sim.state.stale_fires += 1;
+                return;
+            }
+            r.done = true;
+            (r.answered, r.span)
+        };
+        settle_request(sim, req);
+        let coverage = answered as f64 / cfg.shards as f64;
+        // Graceful degradation: under failsafe pressure the root lowers the
+        // coverage bar instead of failing requests outright. In Safe mode any
+        // answered shard yields a (minimal) result.
+        let bar = match mode {
+            Mode::Normal => cfg.min_coverage,
+            Mode::Degraded => cfg.min_coverage * 0.5,
+            Mode::Safe => f64::MIN_POSITIVE,
+        };
+        // The client waited out the whole deadline either way.
+        sim.state.latencies_ms.push(cfg.budget.deadline_ms);
+        sim.trace_end_args(span, &[("coverage", coverage), ("full", 0.0)]);
+        let now = sim.now();
+        sim.trace.instant_args(
+            "deadline",
+            "cluster",
+            0,
+            now,
+            &[("req", req as f64), ("coverage", coverage)],
+        );
+        if coverage >= bar && answered > 0 {
+            sim.state.partial += 1;
+            if coverage < cfg.min_coverage {
+                sim.state.degraded_accepts += 1;
+            }
+        } else {
+            sim.state.failed += 1;
+        }
+        // Either way the SLO took a hit; the machine sees it.
+        sim.state.machine.error();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xxi_core::des::fault::{Fault, Topology};
     use xxi_core::par::Serial;
+    use xxi_core::report::json::{self, Json};
 
     fn small() -> ClusterConfig {
         ClusterConfig {
@@ -1678,27 +2361,10 @@ mod tests {
             hedging,
             ..ClusterConfig::default()
         };
-        let blast = |cfg: &ClusterConfig| {
-            let topo = Topology::striped(cfg.components(), cfg.replicas);
-            let horizon = cfg.horizon_ms();
-            let mut plan = FaultPlan::new();
-            for (rack, start) in [(0u32, 0.20), (1, 0.575)] {
-                plan.at_scope(
-                    SimTime::from_ms_f64(horizon * start),
-                    &topo,
-                    rack,
-                    Fault::Slow {
-                        factor: 6.0,
-                        for_time: SimTime::from_ms_f64(horizon * 0.35),
-                    },
-                );
-            }
-            plan
-        };
         let adaptive_cfg = mk(Hedging::adaptive(0.80));
         let capped_cfg = mk(Hedging::adaptive_capped(0.80));
-        let adaptive = adaptive_cfg.run(&blast(&adaptive_cfg));
-        let capped = capped_cfg.run(&blast(&capped_cfg));
+        let adaptive = adaptive_cfg.run(&two_rack_blast(&adaptive_cfg));
+        let capped = capped_cfg.run(&two_rack_blast(&capped_cfg));
         assert!(
             capped.metrics.counter("cluster.hedges") >= adaptive.metrics.counter("cluster.hedges"),
             "capped hedges {} vs adaptive {}",
@@ -1719,6 +2385,288 @@ mod tests {
             "capped p999 {} vs adaptive {}",
             capped.p999,
             adaptive.p999
+        );
+    }
+
+    /// Every attempt span's `attempt` argument in a traced run's trace.
+    fn attempt_indices(trace: &Trace) -> Vec<u64> {
+        let doc = json::parse(&trace.chrome_json()).expect("the trace is JSON");
+        doc.as_array()
+            .expect("the trace is an array")
+            .iter()
+            .filter_map(Json::as_object)
+            .filter(|ev| json::get_str(ev, "name").as_deref() == Ok("attempt"))
+            .map(|ev| {
+                let args = json::get_object(ev, "args").expect("attempt spans carry args");
+                json::get_u64(args, "attempt").expect("an attempt index")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn max_attempts_caps_what_a_shard_query_sends() {
+        // A late hedge refused just before attempt 0 times out: each
+        // failure schedules a retry inside one backoff window, and only
+        // the first of them may be sent.
+        for seed in [0, 1] {
+            let cfg = ClusterConfig {
+                requests: 1_000,
+                seed,
+                hedging: Hedging::fixed(17.0),
+                ..ClusterConfig::default()
+            };
+            let plan = FaultPlan::seeded(
+                seed,
+                SimTime::from_ms_f64(cfg.horizon_ms()),
+                cfg.components(),
+                0.3,
+                FaultMix::kills_only(),
+            );
+            let (_, trace) = cfg.run_traced(&plan, Trace::enabled());
+            let sent = attempt_indices(&trace)
+                .into_iter()
+                .max()
+                .map_or(0, |a| a + 1);
+            assert_eq!(
+                sent,
+                u64::from(cfg.retry.max_attempts),
+                "seed {seed}: the busiest shard query sent {sent} attempts"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an attempt")]
+    fn zero_max_attempts_is_refused() {
+        ClusterConfig {
+            retry: RetryPolicy {
+                max_attempts: 0,
+                ..RetryPolicy::standard()
+            },
+            requests: 1,
+            ..ClusterConfig::default()
+        }
+        .run(&FaultPlan::new());
+    }
+
+    /// Every outcome field by bits, every counter and every gauge.
+    fn assert_same(got: &ClusterOutcome, want: &ClusterOutcome, what: &str) {
+        let ints = |o: &ClusterOutcome| [o.requests, o.full, o.partial, o.failed];
+        assert_eq!(
+            ints(got),
+            ints(want),
+            "{what}: requests/full/partial/failed"
+        );
+        let nums = |o: &ClusterOutcome| {
+            [
+                o.p50,
+                o.p99,
+                o.p999,
+                o.mean,
+                o.goodput_rps,
+                o.retry_amplification,
+                o.partial_frac,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(nums(got), nums(want), "{what}: p50..partial_frac");
+        assert_eq!(
+            got.metrics.counters().collect::<Vec<_>>(),
+            want.metrics.counters().collect::<Vec<_>>(),
+            "{what}: counters"
+        );
+        let gauges = |o: &ClusterOutcome| {
+            o.metrics
+                .gauges()
+                .map(|(k, v)| (k, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(gauges(got), gauges(want), "{what}: gauges");
+    }
+
+    /// One oracle case: the run against the reference, traced or not.
+    fn check_case(cfg: &ClusterConfig, plan: &FaultPlan, traced: bool, what: &str) {
+        let trace = || {
+            if traced {
+                Trace::enabled()
+            } else {
+                Trace::disabled()
+            }
+        };
+        let (got, got_trace) = cfg.run_traced(plan, trace());
+        let (want, want_trace) = reference::run_traced(cfg, plan, trace());
+        assert_same(&got, &want, what);
+        assert!(
+            got_trace.chrome_json() == want_trace.chrome_json(),
+            "{what}: traces differ"
+        );
+    }
+
+    /// The two-rack blast of E21's policy grid over `cfg`.
+    fn two_rack_blast(cfg: &ClusterConfig) -> FaultPlan {
+        let topo = Topology::striped(cfg.components(), cfg.replicas);
+        let horizon = cfg.horizon_ms();
+        let mut plan = FaultPlan::new();
+        for (rack, start) in [(0u32, 0.20), (1, 0.575)] {
+            plan.at_scope(
+                SimTime::from_ms_f64(horizon * start),
+                &topo,
+                rack,
+                Fault::Slow {
+                    factor: 6.0,
+                    for_time: SimTime::from_ms_f64(horizon * 0.35),
+                },
+            );
+        }
+        plan
+    }
+
+    /// The oracle's fault plans over `cfg`'s horizon and replicas.
+    fn oracle_plans(cfg: &ClusterConfig) -> [(&'static str, FaultPlan); 5] {
+        let horizon = SimTime::from_ms_f64(cfg.horizon_ms());
+        let n = cfg.components();
+        let racks = Topology::striped(n, cfg.replicas);
+        [
+            ("no faults", FaultPlan::new()),
+            (
+                "kills at 0.3",
+                FaultPlan::seeded(cfg.seed, horizon, n, 0.3, FaultMix::kills_only()),
+            ),
+            (
+                "gray",
+                FaultPlan::seeded(cfg.seed, horizon, n, 0.5, FaultMix::gray()),
+            ),
+            ("two-rack blast", two_rack_blast(cfg)),
+            (
+                "correlated rack kills",
+                FaultPlan::correlated(cfg.seed, horizon, &racks, 0.5, FaultMix::kills_only()),
+            ),
+        ]
+    }
+
+    const ORACLE_ROUTINGS: [Routing; 3] = [
+        Routing::RoundRobin,
+        Routing::LeastOutstanding,
+        Routing::PowerOfTwo,
+    ];
+
+    /// Every hedging policy; the adaptive one hedges near the 18 ms
+    /// attempt timeout (its fallback is 17 ms, and a p99 of a shard that
+    /// stragglers slow lands past it).
+    const ORACLE_HEDGINGS: [Hedging; 4] = [
+        Hedging::None,
+        Hedging::Fixed { after_ms: 10.0 },
+        Hedging::Adaptive {
+            quantile: 0.99,
+            fallback_ms: 17.0,
+            warmup: 16,
+        },
+        Hedging::AdaptiveCapped {
+            quantile: 0.8,
+            fallback_ms: 10.0,
+            warmup: 64,
+        },
+    ];
+
+    /// Every routing, hedging and retry policy against the reference on
+    /// `seeds`, plus under every plan the naive 2 s deadline (every
+    /// request live at once) and refusals slower than a 10 ms deadline,
+    /// and the cap-bug reproducer. Each policy cell has
+    /// its own plan: with `full` it meets every plan untraced and its own
+    /// traced; otherwise it meets its own plan once, traced in every
+    /// third cell. Returns the number of cases.
+    fn check_against_reference(requests: u32, seeds: &[u64], full: bool) -> usize {
+        let mut cases = 0;
+        for &seed in seeds {
+            let base = ClusterConfig {
+                requests,
+                seed,
+                ..ClusterConfig::default()
+            };
+            let plans = oracle_plans(&base);
+            let mut cell = 0;
+            for routing in ORACLE_ROUTINGS {
+                for hedging in ORACLE_HEDGINGS {
+                    for retry in [RetryPolicy::standard(), RetryPolicy::none()] {
+                        let cfg = ClusterConfig {
+                            routing,
+                            hedging,
+                            retry,
+                            ..base
+                        };
+                        for (pi, (name, plan)) in plans.iter().enumerate() {
+                            for traced in [false, true] {
+                                let own = pi == cell % plans.len();
+                                let picked = if full {
+                                    own || !traced
+                                } else {
+                                    own && traced == (cell % 3 == 0)
+                                };
+                                if picked {
+                                    let what = format!(
+                                        "seed={seed} {} / {} / {} attempts / {name} / traced={traced}",
+                                        routing.describe(),
+                                        hedging.describe(),
+                                        retry.max_attempts
+                                    );
+                                    check_case(&cfg, plan, traced, &what);
+                                    cases += 1;
+                                }
+                            }
+                        }
+                        cell += 1;
+                    }
+                }
+            }
+            let naive = ClusterConfig {
+                retry: RetryPolicy::none(),
+                hedging: Hedging::None,
+                budget: Budget::new(2_000.0, 2_000.0),
+                ..base
+            };
+            // Refusals slower than the deadline land after their request
+            // has closed, by when a new arrival may hold its block.
+            let slow_refusals = ClusterConfig {
+                rpc_ms: 15.0,
+                budget: Budget::new(10.0, 10.0),
+                hedging: Hedging::fixed(1.0),
+                ..base
+            };
+            for (label, cfg) in [("naive", naive), ("slow refusals", slow_refusals)] {
+                for (pi, (name, plan)) in plans.iter().enumerate() {
+                    let what = format!("seed={seed} {label} / {name}");
+                    check_case(&cfg, plan, pi == 1, &what);
+                    cases += 1;
+                }
+            }
+            let late_hedge = ClusterConfig {
+                hedging: Hedging::fixed(17.0),
+                ..base
+            };
+            check_case(
+                &late_hedge,
+                &plans[1].1,
+                false,
+                &format!("seed={seed} late hedge / kills"),
+            );
+            cases += 1;
+        }
+        cases
+    }
+
+    #[test]
+    fn the_blocks_match_the_reference_bit_for_bit() {
+        // 24 policy cells, 5 naive and 5 slow-refusal plans, and the
+        // late-hedge case.
+        assert_eq!(check_against_reference(400, &[7], false), 35);
+    }
+
+    #[test]
+    #[ignore = "775 cases, ~1 min; run in release with --include-ignored"]
+    fn the_blocks_match_the_reference_at_scale() {
+        assert_eq!(
+            check_against_reference(1_500, &[0, 23, 67, 1234, 0x5EED], true),
+            775
         );
     }
 }
