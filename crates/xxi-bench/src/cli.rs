@@ -480,6 +480,7 @@ mod tests {
             "des/drain",
             "noc/mesh",
             "cloud/fanout",
+            "cloud/quantile",
             "cloud/cluster",
             "stack/pool-sum",
             "stack/stm-bank",

@@ -106,7 +106,7 @@ impl Experiment for E9Tail {
         r.section(
             "Fault-injected M/G/1 (rho 0.85): a reboot wipes the queue, a crash refuses work",
         );
-        // The same rho = 0.85 queue run through `run_faulted` (component 0 =
+        // The same rho = 0.85 queue run through `run_faulted_each` (component 0 =
         // the server). A mid-run pause (a 30 s reboot) loses every resident
         // job and defers the backlog; a crash at 80% of the run refuses all
         // later arrivals. The empty plan is bit-identical to the fault-free
@@ -123,12 +123,8 @@ impl Experiment for E9Tail {
         );
         let mut crash = FaultPlan::new();
         crash.at(SimTime::from_ms_f64(end_ms * 0.8), 0, Fault::Kill);
-        let empty = FaultPlan::new();
-        let scenarios = [
-            ("fault-free", &empty),
-            ("reboot at 50% (30 s)", &reboot),
-            ("crash at 80%", &crash),
-        ];
+        let names = ["fault-free", "reboot at 50% (30 s)", "crash at 80%"];
+        let plans = [FaultPlan::new(), reboot, crash];
         let mut t = Table::new(&[
             "scenario",
             "completed",
@@ -138,8 +134,10 @@ impl Experiment for E9Tail {
             "p99 (ms)",
         ]);
         let mut accounting = Vec::new();
-        for (name, plan) in scenarios {
-            let f = q.run_faulted(150_000, ctx.seed_or(11), plan);
+        // The three plans share one seed, so one call draws the service-mean
+        // calibration once for all of them.
+        let runs = q.run_faulted_each(150_000, ctx.seed_or(11), &plans, exec);
+        for (name, f) in names.into_iter().zip(runs) {
             ctx.count("mc.mg1_faulted_trials", 150_000);
             t.row(&[
                 name.to_string(),

@@ -103,7 +103,7 @@ const fn k(
 
 /// Every kernel, grouped by layer in stack order.
 #[rustfmt::skip]
-pub static KERNELS: [Kernel; 41] = [
+pub static KERNELS: [Kernel; 42] = [
     k("core/rng-u64", "xoshiro256++: 1M next_u64", "draws", 1_000_000, rng_u64),
     k("core/rng-lognormal", "1M lognormal draws", "draws", 1_000_000, rng_lognormal),
     k("core/zipf", "1M Zipf(0.99) samples over 100k ranks", "samples", 1_000_000, zipf),
@@ -136,6 +136,7 @@ pub static KERNELS: [Kernel; 41] = [
     k("cpu/hillmarty-grid", "Hill-Marty symmetric speedup over a 100x100 grid", "evaluations", 10_000, hillmarty_grid),
     k("cloud/mg1", "M/G/1 queue as a Lindley loop: 50k requests", "requests", 50_000, mg1),
     k("cloud/fanout", "Cloud: fan-out 100 max over the typical leaf", "leaf-draws", FANOUT_LEAF_DRAWS, fanout),
+    k("cloud/quantile", "Cloud: E9's leaf-p99 calibration, p99 of 200k typical-leaf draws", "draws", QUANTILE_DRAWS as u64, quantile),
     k("cloud/cluster", "Cloud: E21 grid cell (least-outstanding, adaptive p80) under the two-rack blast", "requests", CLUSTER_REQUESTS as u64, cluster),
     k("sensor/epochs", "sensor node: FilterThenSend epochs with a solar harvester (run_observed)", "samples", SENSOR_SAMPLES, sensor_epochs),
     k("sec/dift", "DIFT machine: a tracked 150k-instruction loop", "instructions", 150_001, dift),
@@ -409,6 +410,15 @@ fn fanout(_: &RunCtx) -> f64 {
     (0..FANOUT_TRIALS)
         .map(|_| dist.sample_max(FANOUT, &mut rng))
         .sum()
+}
+
+const QUANTILE_DRAWS: usize = 200_000;
+
+/// E9's fan-out calibration alone: the single-leaf p99 of 200 000
+/// typical-leaf draws, on one thread as in `fanout_sweep_on`'s map, via
+/// the screened [`LatencyDist::quantile_on`].
+fn quantile(_: &RunCtx) -> f64 {
+    LatencyDist::typical_leaf().quantile_on(QUANTILE_DRAWS, 11, 99.0, &par::Serial)
 }
 
 const CLUSTER_REQUESTS: u32 = 1_500;

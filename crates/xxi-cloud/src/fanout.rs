@@ -12,15 +12,22 @@
 //! leaves that cannot be the trial's max after their draws, and it skips
 //! them only with a margin far wider than any rounding error. So every
 //! trial returns the same bits as the max of `fanout` plain `sample`
-//! draws, and the generator ends in the same state. The bound and the
-//! margin are documented in [`crate::latency`].
+//! draws, and the generator ends in the same state. Each degree's leaf
+//! p99 comes from [`LatencyDist::quantile_on`], which screens the same
+//! way. The bounds and the margin are documented in [`crate::latency`].
+//!
+//! A sweep is one map: every degree's trial chunks, longest first, then
+//! every degree's calibration, so no worker idles while a degree's last
+//! chunk runs. The numbers do not depend on the order the map runs in.
 
 use serde::Serialize;
 
+use std::cmp::Reverse;
+
 use crate::latency::LatencyDist;
-use xxi_core::par::{mc_chunks, Parallelism, Serial};
+use xxi_core::par::{self, Parallelism, Serial, MC_GRAIN};
 use xxi_core::rng::Rng64;
-use xxi_core::stats::{percentiles, Summary};
+use xxi_core::stats::Summary;
 
 /// `P(at least one of n leaves exceeds its own q-quantile) = 1 − q^n`.
 ///
@@ -32,7 +39,12 @@ use xxi_core::stats::{percentiles, Summary};
 pub fn analytic_straggler_prob(fanout: u32, quantile: f64) -> f64 {
     assert!(fanout >= 1);
     assert!((0.0..1.0).contains(&quantile));
-    1.0 - quantile.powi(fanout as i32)
+    // `powi` takes an `i32`; above `i32::MAX` the exponent would wrap
+    // negative. `powf` takes every `u32` exactly.
+    match i32::try_from(fanout) {
+        Ok(n) => 1.0 - quantile.powi(n),
+        Err(_) => 1.0 - quantile.powf(f64::from(fanout)),
+    }
 }
 
 /// Result of a fan-out Monte Carlo.
@@ -56,7 +68,8 @@ pub fn fanout_latency(dist: LatencyDist, fanout: u32, trials: usize, seed: u64) 
     fanout_latency_on(dist, fanout, trials, seed, &Serial)
 }
 
-/// [`fanout_latency`] on an explicit executor. Chunked via [`mc_chunks`]:
+/// [`fanout_latency`] on an explicit executor: the one-degree case of
+/// [`fanout_sweep_on`]'s map. Chunked like [`xxi_core::par::mc_chunks`]:
 /// the result is a pure function of the arguments — byte-identical for
 /// every executor and thread count.
 pub fn fanout_latency_on(
@@ -66,45 +79,12 @@ pub fn fanout_latency_on(
     seed: u64,
     exec: &dyn Parallelism,
 ) -> FanoutResult {
-    assert!(fanout >= 1 && trials > 0);
-    // Domain-separated sub-seeds: the p99 calibration and the measured
-    // trials draw from disjoint substream families.
-    let mut root = Rng64::new(seed);
-    let calib_seed = root.next_u64();
-    let trial_seed = root.next_u64();
-    // Estimate the single-leaf p99 first.
-    let [leaf_p99] = percentiles(&dist.draws_on(200_000, calib_seed, exec), [99.0]);
-
-    let per_chunk = mc_chunks(exec, trials, trial_seed, |r, rng| {
-        let mut maxima = Vec::with_capacity(r.len());
-        let mut hit = 0usize;
-        for _ in r {
-            let worst = dist.sample_max(fanout as usize, rng);
-            if worst > leaf_p99 {
-                hit += 1;
-            }
-            maxima.push(worst);
-        }
-        (maxima, hit)
-    });
-    let mut maxima = Vec::with_capacity(trials);
-    let mut hit = 0usize;
-    for (m, h) in per_chunk {
-        maxima.extend(m);
-        hit += h;
-    }
-    let s = Summary::from_slice(&maxima);
-    FanoutResult {
-        fanout,
-        p50: s.median(),
-        p99: s.percentile(99.0),
-        mean: s.mean(),
-        frac_hit_by_leaf_p99: hit as f64 / trials as f64,
-    }
+    let mut rows = fanout_runs(dist, &[(fanout, seed)], trials, exec);
+    rows.remove(0)
 }
 
-/// The E9 sweep: one [`FanoutResult`] per fan-out degree. Each degree's
-/// Monte Carlo runs its chunks on `exec`; the sweep order (and every
+/// The E9 sweep: one [`FanoutResult`] per fan-out degree. Every degree's
+/// Monte Carlo runs on one map over `exec`; the sweep order (and every
 /// number) is executor-independent.
 ///
 /// Per-degree seeds come from [`Rng64::stream`], the splittable-substream
@@ -120,19 +100,92 @@ pub fn fanout_sweep_on(
     seed: u64,
     exec: &dyn Parallelism,
 ) -> Vec<FanoutResult> {
-    fanouts
+    let runs: Vec<(u32, u64)> = fanouts
         .iter()
         .enumerate()
-        .map(|(i, &f)| {
-            let sub_seed = Rng64::stream(seed, i as u64).next_u64();
-            fanout_latency_on(dist, f, trials, sub_seed, exec)
+        .map(|(i, &f)| (f, Rng64::stream(seed, i as u64).next_u64()))
+        .collect();
+    fanout_runs(dist, &runs, trials, exec)
+}
+
+/// A job on the fan-out map.
+#[derive(Clone, Copy)]
+enum Job {
+    /// Trial chunk `chunk` of degree `run`.
+    Trials { run: usize, chunk: usize },
+    /// Degree `run`'s single-leaf p99.
+    Calibrate { run: usize },
+}
+
+/// One [`FanoutResult`] per `(fanout, seed)` run. Each seed splits into a
+/// calibration sub-seed and a trial sub-seed, so the p99 calibration and
+/// the measured trials draw from disjoint substream families. The trials
+/// are [`MC_GRAIN`] chunks, chunk `c` on `Rng64::stream(trial_seed, c)`,
+/// as [`xxi_core::par::mc_chunks`] lays them out. Every run's chunks and
+/// calibration go on one map, longest first: trial chunks by `len ×
+/// fanout` leaf draws, then the calibrations, whose leaves are mostly
+/// screened. A second map sorts each run's maxima.
+fn fanout_runs(
+    dist: LatencyDist,
+    runs: &[(u32, u64)],
+    trials: usize,
+    exec: &dyn Parallelism,
+) -> Vec<FanoutResult> {
+    assert!(trials > 0 && runs.iter().all(|&(f, _)| f >= 1));
+    let seeds: Vec<(u64, u64)> = runs
+        .iter()
+        .map(|&(_, seed)| {
+            let mut root = Rng64::new(seed);
+            (root.next_u64(), root.next_u64())
         })
-        .collect()
+        .collect();
+    let span = |chunk: usize| chunk * MC_GRAIN..((chunk + 1) * MC_GRAIN).min(trials);
+    let mut chunks: Vec<(usize, usize)> = (0..runs.len())
+        .flat_map(|run| (0..trials.div_ceil(MC_GRAIN)).map(move |chunk| (run, chunk)))
+        .collect();
+    chunks.sort_by_key(|&(run, chunk)| Reverse(span(chunk).len() * runs[run].0 as usize));
+    let jobs: Vec<Job> = chunks
+        .into_iter()
+        .map(|(run, chunk)| Job::Trials { run, chunk })
+        .chain((0..runs.len()).map(|run| Job::Calibrate { run }))
+        .collect();
+    let done = par::map(exec, jobs.len(), |j| match jobs[j] {
+        Job::Trials { run, chunk } => {
+            let mut rng = Rng64::stream(seeds[run].1, chunk as u64);
+            let fanout = runs[run].0 as usize;
+            span(chunk)
+                .map(|_| dist.sample_max(fanout, &mut rng))
+                .collect()
+        }
+        Job::Calibrate { run } => vec![dist.quantile_on(200_000, seeds[run].0, 99.0, &Serial)],
+    });
+    let mut maxima = vec![vec![0.0; trials]; runs.len()];
+    let mut leaf_p99 = vec![0.0; runs.len()];
+    for (job, out) in jobs.iter().zip(done) {
+        match *job {
+            Job::Trials { run, chunk } => maxima[run][span(chunk)].copy_from_slice(&out),
+            Job::Calibrate { run } => leaf_p99[run] = out[0],
+        }
+    }
+    par::map(exec, runs.len(), |run| {
+        let worst = &maxima[run];
+        let hit = worst.iter().filter(|&&w| w > leaf_p99[run]).count();
+        let s = Summary::from_slice(worst);
+        FanoutResult {
+            fanout: runs[run].0,
+            p50: s.median(),
+            p99: s.percentile(99.0),
+            mean: s.mean(),
+            frac_hit_by_leaf_p99: hit as f64 / trials as f64,
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Reversed;
+    use xxi_stack::pool::Pool;
 
     #[test]
     fn the_63_percent_claim_analytic() {
@@ -143,6 +196,59 @@ mod tests {
         assert!((analytic_straggler_prob(10, 0.99) - 0.0956).abs() < 0.001);
         assert!((analytic_straggler_prob(1000, 0.99) - 0.99996).abs() < 0.0001);
         assert!((analytic_straggler_prob(1, 0.99) - 0.01).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_analytic_probability_takes_every_u32_fanout() {
+        // `powi(fanout as i32)` wrapped 3e9 to a negative exponent: −inf.
+        assert_eq!(analytic_straggler_prob(3_000_000_000, 0.99), 1.0);
+        let q = 1.0 - 1e-10;
+        for fanout in [
+            i32::MAX as u32,
+            i32::MAX as u32 + 1,
+            3_000_000_000,
+            u32::MAX,
+        ] {
+            let p = analytic_straggler_prob(fanout, q);
+            let want = -(f64::from(fanout) * q.ln()).exp_m1();
+            assert!((p - want).abs() < 1e-6, "fanout {fanout}: {p} vs {want}");
+        }
+        // Below the switch the `powi` bits are kept.
+        assert_eq!(
+            analytic_straggler_prob(100, 0.99).to_bits(),
+            (1.0 - 0.99f64.powi(100)).to_bits()
+        );
+    }
+
+    #[test]
+    fn the_sweep_is_the_same_on_every_executor() {
+        let dist = LatencyDist::typical_leaf();
+        let fanouts = [1, 10, 50, 100];
+        let bits = |rows: Vec<FanoutResult>| -> Vec<[u64; 5]> {
+            rows.iter()
+                .map(|r| {
+                    [
+                        u64::from(r.fanout),
+                        r.p50.to_bits(),
+                        r.p99.to_bits(),
+                        r.mean.to_bits(),
+                        r.frac_hit_by_leaf_p99.to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        // Three chunks per degree, the last one short.
+        let trials = 2 * MC_GRAIN + 100;
+        let want = bits(fanout_sweep_on(dist, &fanouts, trials, 3, &Serial));
+        assert_eq!(
+            bits(fanout_sweep_on(dist, &fanouts, trials, 3, &Reversed)),
+            want
+        );
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            let got = bits(fanout_sweep_on(dist, &fanouts, trials, 3, &pool));
+            assert_eq!(got, want, "{threads} threads");
+        }
     }
 
     #[test]

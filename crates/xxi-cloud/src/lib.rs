@@ -51,3 +51,20 @@ pub use obs::{ClusterObservation, ObservedFanout};
 pub use power::{DatacenterPower, ServerPower};
 pub use qos::Colocation;
 pub use queueing::{MG1Queue, QueueResult};
+
+/// Executors for the determinism tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use xxi_core::par::Parallelism;
+
+    /// Runs every task inline in reverse index order.
+    pub(crate) struct Reversed;
+
+    impl Parallelism for Reversed {
+        fn for_tasks(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
+            for i in (0..tasks).rev() {
+                f(i);
+            }
+        }
+    }
+}

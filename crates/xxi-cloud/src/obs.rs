@@ -8,7 +8,9 @@
 //! events at the deadline; latencies stream into fixed-memory
 //! [`LogHistogram`]s and joules into an [`EnergyLedger`] (leaf compute,
 //! fabric RPCs, root idle-wait). With tracing disabled the simulation
-//! runs identically and records only histograms and the ledger.
+//! runs identically and records only histograms and the ledger. A hedge
+//! deadline is the screened serial quantile ([`LatencyDist::quantile`])
+//! of the run generator's first 200 000 draws.
 //!
 //! Experiment E17 (`xxi run e17`) drives this model and can dump
 //! the trace with `--trace <path>` for chrome://tracing.
@@ -17,7 +19,6 @@ use xxi_core::des::Sim;
 use xxi_core::metrics::Metrics;
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, SpanId, Trace};
 use xxi_core::rng::Rng64;
-use xxi_core::stats::percentiles;
 use xxi_core::time::SimTime;
 use xxi_core::units::{Energy, Power, Seconds};
 
@@ -43,7 +44,11 @@ pub struct ObservedFanout {
     pub interarrival_ms: f64,
     /// If set, hedge at this quantile of the leaf distribution (e.g. 0.95):
     /// a duplicate RPC is issued when a leaf is still running at the
-    /// deadline, and the leaf finishes at the earlier of the two.
+    /// deadline, and the leaf finishes at the earlier of the two. The
+    /// deadline is that quantile of the first 200 000 draws of the run's
+    /// generator, taken by the screened [`LatencyDist::quantile`]: only
+    /// the draws that can reach it become latencies, and the leaves then
+    /// draw from where the 200 000 draws left the generator.
     pub hedge_quantile: Option<f64>,
     /// RNG seed.
     pub seed: u64,
@@ -122,8 +127,7 @@ impl ObservedFanout {
         let service = self.dist.sampler();
         let deadline_ms = self.hedge_quantile.map(|q| {
             assert!((0.0..1.0).contains(&q));
-            let xs: Vec<f64> = (0..200_000).map(|_| service.sample(&mut rng)).collect();
-            percentiles(&xs, [q * 100.0])[0]
+            self.dist.quantile(200_000, q * 100.0, &mut rng)
         });
 
         let state = State {

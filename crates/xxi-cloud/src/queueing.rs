@@ -12,7 +12,8 @@
 //! that fires while jobs are resident (queued or in service) loses them; a
 //! dead server refuses new arrivals; a paused server defers service to the
 //! pause expiry. [`MG1Queue::run`] is the empty-plan special case —
-//! bit-identical to the pre-fault-seam behavior.
+//! bit-identical to the pre-fault-seam behavior. [`MG1Queue::run_faulted_each`]
+//! runs several plans at one seed and draws their shared calibration once.
 //!
 //! The queue does not run on the DES engine, because its events never
 //! interact. A FIFO server fixes each job's finish time the moment the job
@@ -30,7 +31,7 @@ use std::collections::VecDeque;
 use crate::latency::LatencyDist;
 use xxi_core::des::fault::{FaultInjector, FaultPlan};
 use xxi_core::metrics::Metrics;
-use xxi_core::par::{self, Parallelism};
+use xxi_core::par::{self, Parallelism, Serial};
 use xxi_core::rng::Rng64;
 use xxi_core::stats::Summary;
 use xxi_core::time::SimTime;
@@ -106,19 +107,39 @@ impl MG1Queue {
     /// service to the pause expiry, and a slowdown stretches it. With an
     /// empty plan this is bit-identical to the fault-free run.
     pub fn run_faulted(&self, requests: usize, seed: u64, plan: &FaultPlan) -> FaultedQueueResult {
-        assert!(requests > 10);
-        self.simulate(requests, seed, plan, calibrated_mean(&self.service, seed))
+        let mut runs = self.run_faulted_each(requests, seed, std::slice::from_ref(plan), &Serial);
+        runs.remove(0)
     }
 
-    /// [`MG1Queue::run_faulted`] given `mean_s`, the
-    /// [`calibrated_mean`] of this service at this seed.
-    fn simulate(
+    /// One [`MG1Queue::run_faulted`] per plan, on `exec`; results come back
+    /// in plan order, each with the bits of its own `run_faulted` call.
+    /// The runs share one seed, so the service-mean calibration is drawn
+    /// once, on the same map as the runs.
+    pub fn run_faulted_each(
         &self,
         requests: usize,
         seed: u64,
-        plan: &FaultPlan,
-        mean_s: f64,
-    ) -> FaultedQueueResult {
+        plans: &[FaultPlan],
+        exec: &dyn Parallelism,
+    ) -> Vec<FaultedQueueResult> {
+        assert!(requests > 10);
+        let (mut runs, means) = runs_and_calibrations(
+            plans.len(),
+            |i| self.simulate(requests, seed, &plans[i]),
+            &[self.service],
+            seed,
+            exec,
+        );
+        for run in &mut runs {
+            run.result.rho = self.lambda_per_ms * means[0];
+        }
+        runs
+    }
+
+    /// [`MG1Queue::run_faulted`] before its `rho`, which needs the
+    /// service-mean calibration: the caller sets it to `lambda_per_ms`
+    /// times [`calibrated_mean`].
+    fn simulate(&self, requests: usize, seed: u64, plan: &FaultPlan) -> FaultedQueueResult {
         let mut root = Rng64::new(seed);
         let _calib_seed = root.next_u64();
         let mut rng = Rng64::new(root.next_u64());
@@ -202,7 +223,7 @@ impl MG1Queue {
         faults.record(&mut metrics);
         FaultedQueueResult {
             result: QueueResult {
-                rho: self.lambda_per_ms * mean_s,
+                rho: f64::NAN,
                 mean_ms: sm.mean(),
                 p50,
                 p99,
@@ -227,7 +248,9 @@ fn calibrated_mean(service: &LatencyDist, seed: u64) -> f64 {
 /// independent of the executor — only the wall clock changes when
 /// configurations run concurrently. The runs share one seed, so each
 /// distinct service (equal by bits) draws its calibration once, and its
-/// runs share it; nothing is kept past this call.
+/// runs share it; nothing is kept past this call. The calibrations run on
+/// the same map as the queues: a queue needs its mean only for `rho`,
+/// which is set once the map is done.
 pub fn mg1_sweep_on(
     queues: &[MG1Queue],
     requests: usize,
@@ -249,15 +272,50 @@ pub fn mg1_sweep_on(
                 })
         })
         .collect();
-    let means = par::map(exec, services.len(), |i| {
-        calibrated_mean(&services[i], seed)
-    });
     let plan = FaultPlan::new();
-    par::map(exec, queues.len(), |i| {
-        queues[i]
-            .simulate(requests, seed, &plan, means[slot[i]])
-            .result
-    })
+    let (runs, means) = runs_and_calibrations(
+        queues.len(),
+        |i| queues[i].simulate(requests, seed, &plan),
+        &services,
+        seed,
+        exec,
+    );
+    runs.into_iter()
+        .zip(queues.iter().zip(slot))
+        .map(|(run, (q, s))| QueueResult {
+            rho: q.lambda_per_ms * means[s],
+            ..run.result
+        })
+        .collect()
+}
+
+/// A job on [`runs_and_calibrations`]' map.
+enum Done {
+    Run(FaultedQueueResult),
+    Mean(f64),
+}
+
+/// `runs` queue runs and one [`calibrated_mean`] per service, on one map:
+/// the runs first, then the calibrations.
+fn runs_and_calibrations(
+    runs: usize,
+    run: impl Fn(usize) -> FaultedQueueResult + Sync,
+    services: &[LatencyDist],
+    seed: u64,
+    exec: &dyn Parallelism,
+) -> (Vec<FaultedQueueResult>, Vec<f64>) {
+    let done = par::map(exec, runs + services.len(), |i| match i.checked_sub(runs) {
+        None => Done::Run(run(i)),
+        Some(s) => Done::Mean(calibrated_mean(&services[s], seed)),
+    });
+    let (mut results, mut means) = (Vec::with_capacity(runs), Vec::with_capacity(services.len()));
+    for d in done {
+        match d {
+            Done::Run(r) => results.push(r),
+            Done::Mean(m) => means.push(m),
+        }
+    }
+    (results, means)
 }
 
 /// The DES version of the queue that the loop replaced, verbatim: the
@@ -422,7 +480,9 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Reversed;
     use xxi_core::des::fault::Fault;
+    use xxi_stack::pool::Pool;
 
     /// Every [`QueueResult`] field compared by bits.
     fn assert_same(got: &QueueResult, want: &QueueResult, what: &str) {
@@ -493,15 +553,51 @@ mod tests {
     }
 
     #[test]
-    fn sweep_on_serial_matches_individual_runs() {
-        let qs = [mm1(0.3), mm1(0.6)];
-        let sweep = mg1_sweep_on(&qs, 50_000, 9, &xxi_core::par::Serial);
-        assert_eq!(sweep.len(), 2);
-        for (r, q) in sweep.iter().zip(&qs) {
-            let solo = q.run(50_000, 9);
-            assert_eq!(r.mean_ms.to_bits(), solo.mean_ms.to_bits());
-            assert_eq!(r.p99.to_bits(), solo.p99.to_bits());
-            assert_eq!(r.completed, solo.completed);
+    fn sweep_on_every_executor_matches_individual_runs() {
+        let leaf = MG1Queue {
+            lambda_per_ms: 0.1,
+            service: LatencyDist::typical_leaf(),
+        };
+        let qs = [mm1(0.3), leaf, mm1(0.6)];
+        let pool = Pool::new(2);
+        let execs: [&dyn Parallelism; 3] = [&Serial, &Reversed, &pool];
+        for exec in execs {
+            let sweep = mg1_sweep_on(&qs, 50_000, 9, exec);
+            assert_eq!(sweep.len(), 3);
+            for (i, (r, q)) in sweep.iter().zip(&qs).enumerate() {
+                assert_same(r, &q.run(50_000, 9), &format!("queue {i}"));
+            }
+        }
+    }
+
+    #[test]
+    fn run_faulted_each_matches_one_run_faulted_per_plan() {
+        let q = mm1(0.8);
+        let instants: Vec<SimTime> = (1..10)
+            .map(|k| SimTime::from_ms_f64(k as f64 * 2_000.0))
+            .collect();
+        let plans: Vec<FaultPlan> = oracle_plans(20_000.0, &instants)
+            .into_iter()
+            .map(|(_, plan)| plan)
+            .collect();
+        let pool = Pool::new(2);
+        let execs: [&dyn Parallelism; 3] = [&Serial, &Reversed, &pool];
+        for exec in execs {
+            let runs = q.run_faulted_each(20_000, 5, &plans, exec);
+            assert_eq!(runs.len(), plans.len());
+            for (i, (got, plan)) in runs.iter().zip(&plans).enumerate() {
+                let want = q.run_faulted(20_000, 5, plan);
+                let oracle = reference::run_faulted(&q, 20_000, 5, plan, None);
+                for w in [&want, &oracle] {
+                    assert_same(&got.result, &w.result, &format!("plan {i}"));
+                    assert_eq!((got.lost, got.refused), (w.lost, w.refused), "plan {i}");
+                }
+                assert_eq!(
+                    got.metrics.to_string(),
+                    want.metrics.to_string(),
+                    "plan {i}"
+                );
+            }
         }
     }
 

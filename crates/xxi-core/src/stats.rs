@@ -8,7 +8,7 @@
 //! * [`Streaming`] — Welford's online mean/variance plus min/max/count.
 //! * [`Summary`] — exact percentiles from a collected sample (sorting copy).
 //! * [`percentiles`] — the same nearest-rank percentiles by selection, for
-//!   callers that read nothing else.
+//!   callers that read nothing else, and [`select_rank`] for one rank.
 //!
 //! Both order the sample by integer *order keys*: the f64 total-order
 //! bits with `-0.0` folded onto `+0.0`, so two keys tie exactly where
@@ -222,23 +222,46 @@ pub fn percentiles<const K: usize>(xs: &[f64], ps: [f64; K]) -> [f64; K] {
             keys[settled..].select_nth_unstable(i - settled);
             settled = i + 1;
         }
-        if keys[i] == ZERO_KEY {
-            // The zero run starts after the negatives, in input order.
-            let negatives = xs.iter().filter(|&&x| x < 0.0).count();
-            return xs
-                .iter()
-                .filter(|&&x| x == 0.0)
-                .nth(i - negatives)
-                .copied()
-                .unwrap_or(0.0);
-        }
-        from_key(keys[i])
+        value_at(xs, i, keys[i])
     })
 }
 
+/// The `i`-th smallest of `xs` (0-based), by selection: the bits of
+/// `Summary::from_slice(xs)`'s sorted sample at index `i`, zeros in input
+/// order. Panics on a NaN or when `i` is out of range.
+///
+/// ```
+/// use xxi_core::stats::select_rank;
+/// let xs = [3.0, -0.0, 0.0, 1.0];
+/// // The zeros tie, so they keep their input order.
+/// assert_eq!(select_rank(&xs, 0).to_bits(), (-0.0f64).to_bits());
+/// assert_eq!(select_rank(&xs, 2), 1.0);
+/// ```
+pub fn select_rank(xs: &[f64], i: usize) -> f64 {
+    let mut keys = order_keys(xs);
+    assert!(i < keys.len(), "rank {i} of a sample of {}", keys.len());
+    let (_, &mut k, _) = keys.select_nth_unstable(i);
+    value_at(xs, i, k)
+}
+
+/// The value with order key `k` at sorted index `i` of `xs`. The keys
+/// fold the zeros together, so a zero key takes the zero of that rank in
+/// input order: the zero run starts after the negatives.
+fn value_at(xs: &[f64], i: usize, k: u64) -> f64 {
+    if k != ZERO_KEY {
+        return from_key(k);
+    }
+    let negatives = xs.iter().filter(|&&x| x < 0.0).count();
+    xs.iter()
+        .filter(|&&x| x == 0.0)
+        .nth(i - negatives)
+        .copied()
+        .unwrap_or(0.0)
+}
+
 /// The 0-based nearest-rank index of percentile `p` in a sorted sample
-/// of `n > 0` values.
-fn rank_index(p: f64, n: usize) -> usize {
+/// of `n > 0` values: the index [`Summary::percentile`] reads.
+pub fn rank_index(p: f64, n: usize) -> usize {
     assert!((0.0..=100.0).contains(&p));
     let rank = (p / 100.0 * n as f64).ceil() as usize;
     rank.clamp(1, n) - 1
@@ -410,6 +433,10 @@ mod tests {
         for p in GRID {
             let one = percentiles(xs, [p])[0];
             assert_eq!(one.to_bits(), want.percentile(p).to_bits(), "p{p}, n={n}");
+        }
+        for i in (0..n).step_by(1 + n / 32).chain([n - 1]) {
+            let one = select_rank(xs, i);
+            assert_eq!(one.to_bits(), want.sorted[i].to_bits(), "rank {i}, n={n}");
         }
         let tail = percentiles(xs, [50.0, 99.0, 99.9]).map(f64::to_bits);
         let want_tail = [50.0, 99.0, 99.9].map(|p| want.percentile(p).to_bits());
