@@ -87,10 +87,10 @@ impl SignalGen {
 
     /// Draw `n` samples' randomness from `seed` into `out` (built by this
     /// generator's [`SignalGen::draws`]) without transforming it; returns
-    /// whether any sample is anomalous. This and [`SignalGen::draw_lanes`]
-    /// are the one place that knows the draw order: per sample, the
-    /// anomaly-onset chance (only outside an event), then
-    /// [`Rng64::normal_uv`]'s `u` and `v`.
+    /// whether any sample is anomalous. This, [`SignalGen::draw_lanes`] and
+    /// [`SignalGen::draw_lanes_exact`] are the one place that knows the
+    /// draw order: per sample, the anomaly-onset chance (only outside an
+    /// event), then [`Rng64::normal_uv`]'s `u` and `v`.
     pub fn draw_into(&self, n: usize, seed: u64, out: &mut SignalDraws) -> bool {
         debug_assert_eq!(out.carrier.len(), self.period, "draws of another generator");
         let mut rng = Rng64::new(seed);
@@ -129,7 +129,9 @@ impl SignalGen {
     /// the onset chance, `u` and `v`. That holds until a lane's first onset
     /// (inside an event the chance is skipped), and that onset makes the
     /// answer `true`, so every lane's answer is exact. An onset that marks
-    /// nothing (`anomaly_len == 0`) keeps the order, so it is not one.
+    /// nothing (`anomaly_len == 0`) keeps the order, so it is not one. Each
+    /// lane keeps the least onset draw it has made: some onset fired
+    /// exactly when that least draw is under the cut.
     ///
     /// `sample(i, carrier, u)` sees sample `i`'s carrier value and each
     /// lane's `u`. For a lane answering `false` these are exactly
@@ -155,14 +157,16 @@ impl SignalGen {
         } else {
             chance_cut(self.anomaly_rate)
         };
-        let mut any = [false; LANES];
+        // A running minimum stays in vector registers; OR-ing per-sample
+        // `bool`s into the answer did not.
+        let mut least = [u64::MAX; LANES];
         let mut phase = 0;
         for i in 0..n {
-            let onset = rng.chance(cut);
+            let onset = rng.next_u64();
             let mut u = rng.next_f64();
             rng.next_u64(); // v
             for l in 0..LANES {
-                any[l] |= onset[l];
+                least[l] = least[l].min(onset[l] >> 11);
                 u[l] = 1.0 - u[l];
             }
             sample(i, draws.carrier[phase], &u);
@@ -171,7 +175,69 @@ impl SignalGen {
                 phase = 0;
             }
         }
-        any
+        std::array::from_fn(|l| least[l] < cut)
+    }
+
+    /// [`SignalGen::draw_into`] for [`LANES`] seeds at once, exact in every
+    /// lane, anomalies included. Each lane counts down its own event, and
+    /// a lane inside one skips the sample's onset chance
+    /// ([`RngLanes::skip_where`]), so every lane draws in `draw_into`'s
+    /// order while the lanes step together.
+    ///
+    /// `sample(i, clean, u)` sees, in each lane, exactly `draw_into`'s
+    /// `clean[i]` (gain applied) and `u[i]`. `draws` (built by this
+    /// generator's [`SignalGen::draws`]) supplies only the carrier table.
+    /// Where a batch has no anomaly, [`SignalGen::draw_lanes`] is cheaper.
+    #[inline(always)]
+    pub fn draw_lanes_exact(
+        &self,
+        n: usize,
+        seeds: &[u64; LANES],
+        draws: &SignalDraws,
+        mut sample: impl FnMut(usize, &[f64; LANES], &[f64; LANES]),
+    ) -> [bool; LANES] {
+        debug_assert_eq!(
+            draws.carrier.len(),
+            self.period,
+            "draws of another generator"
+        );
+        let mut rng = RngLanes::new(seeds);
+        let cut = chance_cut(self.anomaly_rate);
+        let len = self.anomaly_len as u64;
+        // Per lane: samples left in the current event, and whether any
+        // sample was anomalous (as a word, to stay in vector registers).
+        let (mut left, mut any) = ([0u64; LANES], [0u64; LANES]);
+        let mut phase = 0;
+        for i in 0..n {
+            // The sample's onset chance, drawn only outside an event.
+            let mut inside = [false; LANES];
+            for l in 0..LANES {
+                inside[l] = left[l] > 0;
+            }
+            let onset = rng.skip_where(&inside);
+            let carrier = draws.carrier[phase];
+            let mut clean = [0.0; LANES];
+            for l in 0..LANES {
+                if !inside[l] && onset[l] >> 11 < cut {
+                    left[l] = len;
+                }
+                let anomalous = left[l] > 0;
+                any[l] |= u64::from(anomalous);
+                left[l] -= u64::from(anomalous);
+                clean[l] = carrier * if anomalous { self.anomaly_gain } else { 1.0 };
+            }
+            let mut u = rng.next_f64();
+            rng.next_u64(); // v
+            for u in &mut u {
+                *u = 1.0 - *u;
+            }
+            sample(i, &clean, &u);
+            phase += 1;
+            if phase == self.period {
+                phase = 0;
+            }
+        }
+        std::array::from_fn(|l| any[l] != 0)
     }
 
     /// The noise a sample's `(u, v)` draws turn into.
@@ -318,6 +384,174 @@ mod tests {
             g.signal_into(&d, &mut again);
             assert_eq!(again, s);
         }
+    }
+
+    /// Each lane's least onset draw over `n` samples, were no onset to
+    /// fire: the first of every sample's three draws.
+    fn least_onset(n: usize, seed: u64) -> u64 {
+        let mut r = Rng64::new(seed);
+        let draws = (0..n).map(|_| {
+            let k = r.next_u64() >> 11;
+            r.normal_uv();
+            k
+        });
+        draws.min().unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn running_minimum_onset_is_exact_at_the_cut() {
+        let n = 250;
+        let seeds: [u64; LANES] = std::array::from_fn(|l| 1_000 + l as u64);
+        let least: Vec<u64> = seeds.iter().map(|&seed| least_onset(n, seed)).collect();
+        for (edge, &m) in least.iter().enumerate() {
+            // Rates whose cut sits one below, at and one above lane
+            // `edge`'s least draw: `k / 2⁵³` is exact, so its cut is `k`.
+            for k in [m - 1, m, m + 1] {
+                let g = SignalGen {
+                    anomaly_rate: k as f64 / (1u64 << 53) as f64,
+                    ..SignalGen::default()
+                };
+                assert_eq!(chance_cut(g.anomaly_rate), k);
+                let mut d = g.draws();
+                let got = g.draw_lanes(n, &seeds, &d.clone(), |_, _, _| {});
+                for (l, &seed) in seeds.iter().enumerate() {
+                    let at = format!("edge lane {edge}, cut {k}, lane {l}");
+                    assert_eq!(got[l], g.draw_into(n, seed, &mut d), "{at}");
+                    assert_eq!(got[l], least[l] < k, "{at}");
+                }
+            }
+        }
+    }
+
+    /// Every lane's `clean` and `u`, one row per sample.
+    type Rows = Vec<([f64; LANES], [f64; LANES])>;
+
+    #[inline(always)]
+    fn exact_rows(
+        g: &SignalGen,
+        n: usize,
+        seeds: &[u64; LANES],
+        table: &SignalDraws,
+        rows: &mut Rows,
+    ) -> [bool; LANES] {
+        rows.clear();
+        g.draw_lanes_exact(n, seeds, table, |i, clean, u| {
+            assert_eq!(i, rows.len());
+            rows.push((*clean, *u));
+        })
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn exact_rows_avx2(
+        g: &SignalGen,
+        n: usize,
+        seeds: &[u64; LANES],
+        table: &SignalDraws,
+        rows: &mut Rows,
+    ) -> [bool; LANES] {
+        exact_rows(g, n, seeds, table, rows)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn exact_rows_avx512(
+        g: &SignalGen,
+        n: usize,
+        seeds: &[u64; LANES],
+        table: &SignalDraws,
+        rows: &mut Rows,
+    ) -> [bool; LANES] {
+        exact_rows(g, n, seeds, table, rows)
+    }
+
+    /// The builds of `draw_lanes_exact` this CPU runs.
+    fn builds() -> Vec<&'static str> {
+        let mut builds = vec!["plain"];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                builds.push("avx2");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                builds.push("avx512f");
+            }
+        }
+        builds
+    }
+
+    /// `draw_lanes_exact` on `batches` batches of chained seeds, every
+    /// build, against `draw_into` lane by lane: `has_anomaly`, `clean`
+    /// and `u`, bit for bit. Returns the lanes with an anomaly.
+    fn check_exact_lanes(batches: u64) -> u64 {
+        let mut anomalous = 0;
+        let mut rows = Rows::new();
+        let mut seed = 5u64;
+        for rate in [0.0, 2e-4, 2e-2, 0.2, 1.0] {
+            for n in [250, 77, 5] {
+                for len in [0, 1, 16, n + 5] {
+                    let g = SignalGen {
+                        anomaly_rate: rate,
+                        anomaly_len: len,
+                        period: 50,
+                        ..SignalGen::default()
+                    };
+                    let (table, mut d) = (g.draws(), g.draws());
+                    for _ in 0..batches {
+                        let seeds = std::array::from_fn(|_| {
+                            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(7);
+                            seed
+                        });
+                        for build in builds() {
+                            let any = match build {
+                                #[cfg(target_arch = "x86_64")]
+                                // SAFETY: `builds` lists AVX2 only where the CPU has it.
+                                "avx2" => unsafe {
+                                    exact_rows_avx2(&g, n, &seeds, &table, &mut rows)
+                                },
+                                #[cfg(target_arch = "x86_64")]
+                                // SAFETY: `builds` lists AVX-512F only where the CPU has it.
+                                "avx512f" => unsafe {
+                                    exact_rows_avx512(&g, n, &seeds, &table, &mut rows)
+                                },
+                                _ => exact_rows(&g, n, &seeds, &table, &mut rows),
+                            };
+                            assert_eq!(rows.len(), n);
+                            for (l, &seed) in seeds.iter().enumerate() {
+                                let at =
+                                    format!("{build}, rate {rate}, n {n}, len {len}, seed {seed}");
+                                assert_eq!(any[l], g.draw_into(n, seed, &mut d), "{at}");
+                                anomalous += u64::from(any[l]);
+                                for (i, (clean, u)) in rows.iter().enumerate() {
+                                    assert_eq!(
+                                        clean[l].to_bits(),
+                                        d.clean()[i].to_bits(),
+                                        "{at}, sample {i}"
+                                    );
+                                    assert_eq!(
+                                        u[l].to_bits(),
+                                        d.u()[i].to_bits(),
+                                        "{at}, sample {i}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        anomalous
+    }
+
+    #[test]
+    fn draw_lanes_exact_matches_draw_into_lane_by_lane() {
+        assert!(check_exact_lanes(3) > 0, "no lane had an anomaly");
+    }
+
+    #[test]
+    #[ignore = "~100x the batches; CI runs it in release with --include-ignored"]
+    fn draw_lanes_exact_matches_draw_into_lane_by_lane_large() {
+        check_exact_lanes(300);
     }
 
     #[test]

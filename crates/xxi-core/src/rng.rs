@@ -275,13 +275,29 @@ impl RngLanes {
         out
     }
 
-    /// Every lane's [`Rng64::chance`]`(p)`, given `cut = chance_cut(p)`.
+    /// Every lane's next value, as [`RngLanes::next_u64`] yields it, but
+    /// only the lanes where `skip` is false step: a skipped lane keeps its
+    /// state, so its value is the one its next step will yield.
     #[inline(always)]
-    pub fn chance(&mut self, cut: u64) -> [bool; LANES] {
-        let x = self.next_u64();
-        let mut out = [false; LANES];
+    pub fn skip_where(&mut self, skip: &[bool; LANES]) -> [u64; LANES] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut out = [0; LANES];
         for l in 0..LANES {
-            out[l] = x[l] >> 11 < cut;
+            out[l] = s0[l]
+                .wrapping_add(s3[l])
+                .rotate_left(23)
+                .wrapping_add(s0[l]);
+            // `next_u64`'s step, kept where the lane is skipped. Selecting
+            // per word in the loop keeps fewer registers live than a copy
+            // of the whole state would.
+            let t = s1[l] << 17;
+            let n2 = s2[l] ^ s0[l];
+            let n3 = s3[l] ^ s1[l];
+            let n1 = s1[l] ^ n2;
+            let n0 = s0[l] ^ n3;
+            if !skip[l] {
+                (s0[l], s1[l], s2[l], s3[l]) = (n0, n1, n2 ^ t, n3.rotate_left(45));
+            }
         }
         out
     }
@@ -575,8 +591,6 @@ mod tests {
         });
         let mut lanes = RngLanes::new(&seeds);
         let mut one: Vec<Rng64> = seeds.iter().map(|&s| Rng64::new(s)).collect();
-        let p = 0.3;
-        let cut = chance_cut(p);
         for step in 0..3_000 {
             match step % 3 {
                 0 => {
@@ -592,9 +606,19 @@ mod tests {
                     }
                 }
                 _ => {
-                    let hits = lanes.chance(cut);
-                    for (&hit, r) in hits.iter().zip(&mut one) {
-                        assert_eq!(hit, r.chance(p), "step {step}");
+                    // Skip a varying subset: none, all, and mixes.
+                    let k = step / 3;
+                    let skip = std::array::from_fn(|l| (k * 7 + l * l) % 5 < k % 6);
+                    let xs = lanes.skip_where(&skip);
+                    for ((x, r), skip) in xs.iter().zip(&mut one).zip(skip) {
+                        // A skipped lane shows its next value and keeps its
+                        // state, which the later steps check.
+                        let want = if skip {
+                            r.clone().next_u64()
+                        } else {
+                            r.next_u64()
+                        };
+                        assert_eq!(*x, want, "step {step}, skip {skip}");
                     }
                 }
             }

@@ -444,12 +444,19 @@ fn next_epoch_seed(seed: u64) -> u64 {
     seed.wrapping_mul(6364136223846793005).wrapping_add(7)
 }
 
+/// Batches [`Epochs`] may hold decided ahead of the run, the current one
+/// included, while it gathers anomalous epochs for one exact-lane batch.
+const AHEAD: usize = 64;
+
 /// A run's epochs in order, each answering `draw_into`'s `has_anomaly` and
 /// (for the filter) the exact `detect` of its signal. Epochs are decided
-/// [`LANES`] at a time by [`Detector::lanes`], ahead of the run; an epoch
-/// the lanes leave open is redrawn alone and decided exactly. Epochs
-/// decided ahead but never lived leave no trace: the run reads only the
-/// epochs it advances to.
+/// [`LANES`] at a time by [`Detector::lanes`], ahead of the run. The
+/// screen kernel leaves the epochs with an anomaly open; when the run
+/// reaches one, [`Epochs`] decides more batches ahead until [`LANES`]
+/// such epochs are waiting (or [`AHEAD`] batches are held) and screens
+/// them together in exact lanes. An epoch the lanes leave open is redrawn
+/// alone and decided exactly. Epochs decided ahead but never lived leave
+/// no trace: the run reads only the epochs it advances to.
 struct Epochs {
     gen: SignalGen,
     /// The policy reads `detect`, so the lanes run the screen.
@@ -462,18 +469,49 @@ struct Epochs {
     draws: SignalDraws,
     /// The last seed of the chain handed out.
     seed: u64,
-    batch: Batch,
-    /// The current epoch's lane; `LANES - 1` before the first epoch.
-    lane: usize,
+    /// Batch `b` of the run, from the current one on, is
+    /// `ring[b % AHEAD]`.
+    ring: [Batch; AHEAD],
+    /// Batches decided so far.
+    decided: u64,
+    /// Epochs advanced to so far; the current one is `lived - 1`.
+    lived: u64,
 }
 
 /// One batch of [`LANES`] chained epochs.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Batch {
     seeds: [u64; LANES],
     has_anomaly: [bool; LANES],
     /// `detect`, where the lanes settle it.
     fired: [Option<bool>; LANES],
+}
+
+impl Batch {
+    /// A batch of no epochs yet.
+    const EMPTY: Batch = Batch {
+        seeds: [0; LANES],
+        has_anomaly: [false; LANES],
+        fired: [None; LANES],
+    };
+
+    /// An epoch the screen kernel left for the exact lanes.
+    fn waiting(&self, lane: usize) -> bool {
+        self.has_anomaly[lane] && self.fired[lane].is_none()
+    }
+}
+
+/// What one [`Detector::lanes`] call decides.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// `has_anomaly` only.
+    Draw,
+    /// `has_anomaly`, and the screen wherever an epoch has no anomaly
+    /// ([`SignalGen::draw_lanes`]).
+    Screen,
+    /// The screen in every lane, anomalies included
+    /// ([`SignalGen::draw_lanes_exact`]).
+    Exact,
 }
 
 impl Epochs {
@@ -483,6 +521,11 @@ impl Epochs {
             anomaly_rate: 0.0002,
             ..SignalGen::default()
         };
+        Epochs::with_gen(cfg, policy, seed, gen)
+    }
+
+    /// [`Epochs::new`] drawing its signals from `gen`.
+    fn with_gen(cfg: &SensorNodeConfig, policy: NodePolicy, seed: u64, gen: SignalGen) -> Epochs {
         let detector = Detector::new(&gen, cfg.epoch_samples, cfg.window, cfg.threshold);
         let filter = policy == NodePolicy::FilterThenSend;
         Epochs {
@@ -493,13 +536,16 @@ impl Epochs {
             draws: gen.draws(),
             gen,
             seed,
-            batch: Batch {
-                seeds: [seed; LANES],
-                has_anomaly: [false; LANES],
-                fired: [None; LANES],
-            },
-            lane: LANES - 1,
+            ring: [Batch::EMPTY; AHEAD],
+            decided: 0,
+            lived: 0,
         }
+    }
+
+    /// Where epoch `e` sits: its batch's ring slot and its lane.
+    fn at(e: u64) -> (usize, usize) {
+        let batch = e / LANES as u64;
+        (batch as usize % AHEAD, e as usize % LANES)
     }
 
     /// Step to the next epoch; returns whether its signal has an anomaly.
@@ -510,30 +556,95 @@ impl Epochs {
                 .gen
                 .draw_into(self.detector.n, self.seed, &mut self.draws);
         }
-        self.lane = (self.lane + 1) % LANES;
-        if self.lane == 0 {
-            let seeds = std::array::from_fn(|_| {
-                self.seed = next_epoch_seed(self.seed);
-                self.seed
-            });
-            self.batch = self
-                .detector
-                .lanes(&self.gen, &self.draws, seeds, self.filter, self.isa);
+        if self.lived == self.decided * LANES as u64 {
+            self.decide_ahead();
         }
-        self.batch.has_anomaly[self.lane]
+        self.lived += 1;
+        let (slot, lane) = Epochs::at(self.lived - 1);
+        self.ring[slot].has_anomaly[lane]
+    }
+
+    /// Decide the next batch of the chain with the common kernel.
+    fn decide_ahead(&mut self) {
+        let seeds = std::array::from_fn(|_| {
+            self.seed = next_epoch_seed(self.seed);
+            self.seed
+        });
+        let kernel = if self.filter {
+            Kernel::Screen
+        } else {
+            Kernel::Draw
+        };
+        let slot = self.decided as usize % AHEAD;
+        self.ring[slot] = self
+            .detector
+            .lanes(&self.gen, &self.draws, seeds, kernel, self.isa);
+        self.decided += 1;
     }
 
     /// The exact `detect` of the current epoch's signal.
     fn detect(&mut self) -> bool {
-        if self.lanes {
-            if let Some(fired) = self.batch.fired[self.lane] {
-                return fired;
-            }
-            let seed = self.batch.seeds[self.lane];
-            let any = self.gen.draw_into(self.detector.n, seed, &mut self.draws);
-            debug_assert_eq!(any, self.batch.has_anomaly[self.lane]);
+        if !self.lanes {
+            return self.detector.detect(&self.gen, &self.draws);
         }
-        self.detector.detect(&self.gen, &self.draws)
+        let (slot, lane) = Epochs::at(self.lived - 1);
+        if self.ring[slot].waiting(lane) {
+            self.decide_waiting();
+        }
+        let batch = &self.ring[slot];
+        match batch.fired[lane] {
+            Some(fired) => fired,
+            None => {
+                let any = self
+                    .gen
+                    .draw_into(self.detector.n, batch.seeds[lane], &mut self.draws);
+                debug_assert_eq!(any, batch.has_anomaly[lane]);
+                // The lanes ran the screen on these draws already.
+                self.detector.exact(&self.gen, &self.draws)
+            }
+        }
+    }
+
+    /// Settle the current epoch, which waits for the exact lanes, with
+    /// the next waiting ones: up to [`LANES`] of them, deciding batches
+    /// ahead while fewer wait and the ring has room. Every epoch taken
+    /// leaves settled, by the exact lanes or, where they leave it open,
+    /// by its own redraw and the exact detector.
+    fn decide_waiting(&mut self) {
+        let mut taken = [(0, 0); LANES];
+        let mut count = 0;
+        let mut e = self.lived - 1;
+        loop {
+            while count < LANES && e < self.decided * LANES as u64 {
+                let (slot, lane) = Epochs::at(e);
+                if self.ring[slot].waiting(lane) {
+                    taken[count] = (slot, lane);
+                    count += 1;
+                }
+                e += 1;
+            }
+            let held = self.decided - (self.lived - 1) / LANES as u64;
+            if count == LANES || held == AHEAD as u64 {
+                break;
+            }
+            self.decide_ahead();
+        }
+        // Spare lanes repeat the first epoch; their answers are dropped.
+        let seeds = std::array::from_fn(|k| {
+            let (slot, lane) = taken[k.min(count - 1)];
+            self.ring[slot].seeds[lane]
+        });
+        let exact = self
+            .detector
+            .lanes(&self.gen, &self.draws, seeds, Kernel::Exact, self.isa);
+        for (k, &(slot, lane)) in taken[..count].iter().enumerate() {
+            let fired = exact.fired[k].unwrap_or_else(|| {
+                self.gen
+                    .draw_into(self.detector.n, seeds[k], &mut self.draws);
+                self.detector.exact(&self.gen, &self.draws)
+            });
+            self.ring[slot].fired[lane] = Some(fired);
+        }
     }
 }
 
@@ -632,7 +743,8 @@ struct Detector {
     /// Whether the rounding budget behind [`SCREEN_MARGIN`] holds.
     screening: bool,
     /// Prefix sums of per-sample lower and upper bounds on the squared
-    /// signal.
+    /// signal. These buffers grow on first use: a run decided in lanes
+    /// never screens an epoch alone.
     lo: Vec<f64>,
     hi: Vec<f64>,
     /// The exact signal, for epochs the screen leaves open.
@@ -651,9 +763,9 @@ impl Detector {
             threshold,
             bound: gen.noise_bound(),
             screening: 8.0 * (n as f64).powi(2) * f64::EPSILON <= t * SCREEN_MARGIN,
-            lo: Vec::with_capacity(n),
-            hi: Vec::with_capacity(n),
-            signal: Vec::with_capacity(n),
+            lo: Vec::new(),
+            hi: Vec::new(),
+            signal: Vec::new(),
             lane_lo: Vec::new(),
             lane_hi: Vec::new(),
         }
@@ -663,16 +775,20 @@ impl Detector {
     fn detect(&mut self, gen: &SignalGen, draws: &SignalDraws) -> bool {
         match self.screen(draws) {
             Some(fired) => fired,
-            None => {
-                gen.signal_into(draws, &mut self.signal);
-                detect(&self.signal, self.window, self.threshold)
-            }
+            None => self.exact(gen, draws),
         }
+    }
+
+    /// `detect(signal)` by the exact transform, without the screen.
+    fn exact(&mut self, gen: &SignalGen, draws: &SignalDraws) -> bool {
+        gen.signal_into(draws, &mut self.signal);
+        detect(&self.signal, self.window, self.threshold)
     }
 
     /// `Some(detect(signal))` when the noise bounds prove the answer:
     /// some window's lowest mean square clears the highest cut-off, or
-    /// every window's highest stays under the lowest. `None` otherwise.
+    /// every window's highest stays under the lowest. `None` otherwise,
+    /// and wherever the bounds' sums are not finite.
     fn screen(&mut self, draws: &SignalDraws) -> Option<bool> {
         if !self.screening {
             return None;
@@ -689,6 +805,11 @@ impl Detector {
             s_lo += lo * lo;
             s_hi += hi * hi;
             (*lo_sum, *hi_sum) = (s_lo, s_hi);
+        }
+        // Past finite sums the rounding budget means nothing (and the lanes'
+        // running maximum would skip a NaN window).
+        if !s_hi.is_finite() {
+            return None;
         }
         // With prefix sums each window is one difference, independent of
         // the other windows.
@@ -721,30 +842,31 @@ impl Detector {
         }
     }
 
-    /// The [`Batch`] of the epochs drawn from `seeds`: each one's
-    /// `has_anomaly`, exact, and, with `filter`, [`Detector::screen`]'s
-    /// answer wherever the epoch has no anomaly. Runs on `isa`; every
-    /// build returns the same bits.
+    /// The [`Batch`] of the epochs drawn from `seeds`, as `kernel` decides
+    /// it: each one's `has_anomaly`, exact, and [`Detector::screen`]'s
+    /// answer wherever the kernel runs the screen. Without the rounding
+    /// budget no kernel screens. Runs on `isa`; every build returns the
+    /// same bits.
     fn lanes(
         &mut self,
         gen: &SignalGen,
         draws: &SignalDraws,
         seeds: [u64; LANES],
-        filter: bool,
+        kernel: Kernel,
         isa: Isa,
     ) -> Batch {
         match isa {
-            Isa::Plain => self.lanes_body(gen, draws, seeds, filter),
+            Isa::Plain => self.lanes_body(gen, draws, seeds, kernel),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Isa::Avx2` is built only after
             // `is_x86_feature_detected!("avx2")` held, so this CPU runs
             // AVX2 instructions.
-            Isa::Avx2 => unsafe { self.lanes_avx2(gen, draws, seeds, filter) },
+            Isa::Avx2 => unsafe { self.lanes_avx2(gen, draws, seeds, kernel) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Isa::Avx512` is built only after
             // `is_x86_feature_detected!("avx512f")` held, so this CPU runs
             // AVX-512F instructions.
-            Isa::Avx512 => unsafe { self.lanes_avx512(gen, draws, seeds, filter) },
+            Isa::Avx512 => unsafe { self.lanes_avx512(gen, draws, seeds, kernel) },
         }
     }
 
@@ -756,9 +878,9 @@ impl Detector {
         gen: &SignalGen,
         draws: &SignalDraws,
         seeds: [u64; LANES],
-        filter: bool,
+        kernel: Kernel,
     ) -> Batch {
-        self.lanes_body(gen, draws, seeds, filter)
+        self.lanes_body(gen, draws, seeds, kernel)
     }
 
     /// [`Detector::lanes_body`] compiled for AVX-512F.
@@ -769,47 +891,70 @@ impl Detector {
         gen: &SignalGen,
         draws: &SignalDraws,
         seeds: [u64; LANES],
-        filter: bool,
+        kernel: Kernel,
     ) -> Batch {
-        self.lanes_body(gen, draws, seeds, filter)
+        self.lanes_body(gen, draws, seeds, kernel)
     }
 
-    /// [`Detector::lanes`]' one body, inlined into each build. Per lane it
-    /// is [`Detector::screen`] step for step, over the `clean` and `u`
-    /// that [`SignalGen::draw_lanes`] hands a lane without an anomaly.
+    /// [`Detector::lanes`]' one body, inlined into each build. Per lane the
+    /// screen is [`Detector::screen`] step for step, over the `clean` and
+    /// `u` that [`SignalGen::draw_lanes`] hands a lane without an anomaly
+    /// or [`SignalGen::draw_lanes_exact`] hands every lane.
     #[inline(always)]
     fn lanes_body(
         &mut self,
         gen: &SignalGen,
         draws: &SignalDraws,
         seeds: [u64; LANES],
-        filter: bool,
+        kernel: Kernel,
     ) -> Batch {
         let n = self.n;
-        let mut fired = [None; LANES];
-        if !(filter && self.screening) {
-            let has_anomaly = gen.draw_lanes(n, &seeds, draws, |_, _, _| {});
+        if kernel == Kernel::Draw || !self.screening {
             return Batch {
                 seeds,
-                has_anomaly,
-                fired,
+                has_anomaly: gen.draw_lanes(n, &seeds, draws, |_, _, _| {}),
+                fired: [None; LANES],
             };
         }
         self.lane_lo.resize(n, [0.0; LANES]);
         self.lane_hi.resize(n, [0.0; LANES]);
         let (mut s_lo, mut s_hi) = ([0.0f64; LANES], [0.0f64; LANES]);
         let (bound, lane_lo, lane_hi) = (&self.bound, &mut self.lane_lo, &mut self.lane_hi);
-        let has_anomaly = gen.draw_lanes(n, &seeds, draws, |i, c, u| {
-            let c = c.abs();
+        // One function, not a closure shared by both kernels: a shared
+        // closure was left out of line, a call per sample.
+        #[inline(always)]
+        fn row(
+            bound: &NoiseBound,
+            c: &[f64; LANES],
+            u: &[f64; LANES],
+            s_lo: &mut [f64; LANES],
+            s_hi: &mut [f64; LANES],
+        ) {
             for l in 0..LANES {
+                let c = c[l].abs();
                 let b = bound.at(u[l]);
                 let lo = (c - b).max(0.0);
                 let hi = c + b;
                 s_lo[l] += lo * lo;
                 s_hi[l] += hi * hi;
             }
-            (lane_lo[i], lane_hi[i]) = (s_lo, s_hi);
-        });
+        }
+        let (has_anomaly, screen_all) = match kernel {
+            Kernel::Exact => {
+                let any = gen.draw_lanes_exact(n, &seeds, draws, |i, c, u| {
+                    row(bound, c, u, &mut s_lo, &mut s_hi);
+                    (lane_lo[i], lane_hi[i]) = (s_lo, s_hi);
+                });
+                (any, true)
+            }
+            _ => {
+                let any = gen.draw_lanes(n, &seeds, draws, |i, c, u| {
+                    row(bound, &[c; LANES], u, &mut s_lo, &mut s_hi);
+                    (lane_lo[i], lane_hi[i]) = (s_lo, s_hi);
+                });
+                (any, false)
+            }
+        };
         let (t, w) = (self.threshold * self.threshold, self.window as f64);
         let (mut cut_lo, mut cut_hi) = ([0.0; LANES], [0.0; LANES]);
         let (mut cut_lo_w, mut cut_hi_w) = ([0.0; LANES], [0.0; LANES]);
@@ -831,19 +976,28 @@ impl Detector {
                 below[l] &= hi[l] <= cut_lo[l] * k;
             }
         }
+        // The full windows through their greatest sums: with finite sums
+        // the greatest clears a cut-off exactly when some window does, and
+        // a running maximum stays in vector registers where per-window
+        // `bool`s did not.
         let full = lane_lo
             .iter()
             .skip(self.window)
             .zip(lane_lo.iter())
             .zip(lane_hi.iter().skip(self.window).zip(lane_hi.iter()));
+        let (mut most_lo, mut most_hi) = ([f64::NEG_INFINITY; LANES], [f64::NEG_INFINITY; LANES]);
         for ((lo, lo0), (hi, hi0)) in full {
             for l in 0..LANES {
-                above[l] |= lo[l] - lo0[l] > cut_hi_w[l];
-                below[l] &= hi[l] - hi0[l] <= cut_lo_w[l];
+                let (d_lo, d_hi) = (lo[l] - lo0[l], hi[l] - hi0[l]);
+                most_lo[l] = if d_lo > most_lo[l] { d_lo } else { most_lo[l] };
+                most_hi[l] = if d_hi > most_hi[l] { d_hi } else { most_hi[l] };
             }
         }
+        let mut fired = [None; LANES];
         for l in 0..LANES {
-            if !has_anomaly[l] {
+            above[l] |= most_lo[l] > cut_hi_w[l];
+            below[l] &= most_hi[l] <= cut_lo_w[l];
+            if (screen_all || !has_anomaly[l]) && s_hi[l].is_finite() {
                 fired[l] = if above[l] {
                     Some(true)
                 } else {
@@ -1172,13 +1326,14 @@ mod tests {
         screen_sweep(4_000_000);
     }
 
-    /// Decides `batches` batches of chained epochs of `n` samples in lanes
-    /// on every build this CPU runs ([`Isa::available`]), which must all
-    /// agree bit for bit with the plain one, and checks each lane
-    /// against `draw_into` and the exact `detect`: `has_anomaly` always,
-    /// `detect` wherever the lanes settle it, and the lane screen against
-    /// the scalar one on lanes without an anomaly. Returns the epochs left
-    /// open.
+    /// Decides `batches` batches of chained epochs of `n` samples in lanes,
+    /// with the screen kernel and the exact one, on every build this CPU
+    /// runs ([`Isa::available`]), which must all agree bit for bit with the
+    /// plain one, and checks each lane against `draw_into` and the exact
+    /// `detect`: `has_anomaly` always, `detect` wherever the lanes settle
+    /// it, and the lane screen against the scalar one on every lane of the
+    /// exact kernel and on the screen kernel's lanes without an anomaly.
+    /// Returns the epochs both kernels leave open.
     fn check_lanes(batches: u64, rate: f64, n: usize, seed: u64) -> u64 {
         let cfg = SensorNodeConfig::default();
         let gen = SignalGen {
@@ -1196,11 +1351,21 @@ mod tests {
                 epoch_seed = next_epoch_seed(epoch_seed);
                 epoch_seed
             });
-            let batch = det.lanes(&gen, &table, seeds, true, Isa::Plain);
+            let batch = det.lanes(&gen, &table, seeds, Kernel::Screen, Isa::Plain);
+            let exact = det.lanes(&gen, &table, seeds, Kernel::Exact, Isa::Plain);
             for isa in Isa::available() {
                 let at = format!("{isa:?}, rate {rate}, n {n}, seeds {seeds:?}");
-                assert_eq!(det.lanes(&gen, &table, seeds, true, isa), batch, "{at}");
-                let bare = det.lanes(&gen, &table, seeds, false, isa);
+                assert_eq!(
+                    det.lanes(&gen, &table, seeds, Kernel::Screen, isa),
+                    batch,
+                    "{at}"
+                );
+                assert_eq!(
+                    det.lanes(&gen, &table, seeds, Kernel::Exact, isa),
+                    exact,
+                    "{at}"
+                );
+                let bare = det.lanes(&gen, &table, seeds, Kernel::Draw, isa);
                 assert_eq!(bare.seeds, seeds, "{at}");
                 assert_eq!(bare.has_anomaly, batch.has_anomaly, "{at}");
                 assert_eq!(
@@ -1212,14 +1377,13 @@ mod tests {
                 let at = format!("rate {rate}, n {n}, epoch seed {epoch_seed}");
                 let any = gen.draw_into(n, epoch_seed, &mut draws);
                 assert_eq!(batch.has_anomaly[l], any, "{at}");
-                if any {
-                    assert_eq!(batch.fired[l], None, "{at}");
-                } else {
-                    assert_eq!(batch.fired[l], det.screen(&draws), "{at}");
-                }
+                assert_eq!(exact.has_anomaly[l], any, "{at}");
+                let screen = det.screen(&draws);
+                assert_eq!(exact.fired[l], screen, "{at}");
+                assert_eq!(batch.fired[l], if any { None } else { screen }, "{at}");
                 gen.signal_into(&draws, &mut signal);
                 let exact = detect(&signal, cfg.window, cfg.threshold);
-                match batch.fired[l] {
+                match screen {
                     Some(fired) => assert_eq!(fired, exact, "{at}"),
                     None => open += 1,
                 }
@@ -1232,7 +1396,7 @@ mod tests {
     fn lanes_sweep(batches: u64, sizes: &[usize]) {
         eprintln!("lane builds: {:?}", Isa::available().collect::<Vec<_>>());
         let mut open = 0;
-        for (i, rate) in [0.0, 0.0002, 0.002, 0.02].into_iter().enumerate() {
+        for (i, rate) in [0.0, 0.0002, 0.002, 0.02, 0.2].into_iter().enumerate() {
             for &n in sizes {
                 open += check_lanes(batches, rate, n, i as u64 + 1);
             }
@@ -1355,6 +1519,84 @@ mod tests {
         }
     }
 
+    /// A filter run over `gen`'s signals with an empty plan, in lanes or
+    /// (`lanes` off) one epoch at a time: everything it reports, the
+    /// epochs it lived and their mean energy.
+    fn filter_run(
+        n: &SensorNode,
+        gen: SignalGen,
+        battery: Battery,
+        lanes: bool,
+    ) -> (String, u64, f64) {
+        let policy = NodePolicy::FilterThenSend;
+        let mut epochs = Epochs::with_gen(&n.cfg, policy, 41, gen);
+        assert!(epochs.lanes);
+        epochs.lanes = lanes;
+        let horizon = Seconds::from_hours(1_000.0);
+        let plan = FaultPlan::new();
+        let (out, obs, stats) = n.run_inner(
+            policy,
+            battery,
+            None,
+            horizon,
+            epochs,
+            Trace::disabled(),
+            &plan,
+        );
+        let (lived, mean) = (stats.epochs, obs.epoch_energy.mean());
+        (format!("{obs:?} {:?}", stats.outcome(out)), lived, mean)
+    }
+
+    /// Filter runs in lanes against one epoch at a time, at anomaly rates
+    /// from one where the lookahead cap binds (fewer than [`LANES`]
+    /// anomalous epochs in [`AHEAD`] batches) to ones where nearly every
+    /// epoch waits for the exact lanes, with `sizes` batteries each: the
+    /// node dies at many points past the first lap of the ring, most of
+    /// them inside a group of epochs the exact lanes decided ahead.
+    fn exact_epochs_sweep(sizes: u64) {
+        let n = node();
+        for rate in [2e-5, 2e-3, 0.02, 0.2] {
+            let gen = SignalGen {
+                anomaly_rate: rate,
+                ..SignalGen::default()
+            };
+            if rate == 2e-5 {
+                let mut draws = gen.draws();
+                let mut seed = 41;
+                let waiting = (0..AHEAD * LANES)
+                    .filter(|_| {
+                        seed = next_epoch_seed(seed);
+                        gen.draw_into(n.cfg.epoch_samples, seed, &mut draws)
+                    })
+                    .count();
+                assert!(waiting < LANES, "the cap does not bind: {waiting} wait");
+            }
+            let (_, _, per_epoch) = filter_run(&n, gen, small_battery(), false);
+            let mut died_at_lane = [false; LANES];
+            for k in 0..sizes {
+                let epochs = (AHEAD * LANES) as f64 + 77.0 * k as f64 + 3.5;
+                let battery = Battery::new(Energy(per_epoch * epochs));
+                let (lanes, lived, _) = filter_run(&n, gen, battery.clone(), true);
+                let (alone, _, _) = filter_run(&n, gen, battery, false);
+                assert_eq!(lanes, alone, "rate {rate}, battery for ~{epochs} epochs");
+                died_at_lane[(lived as usize - 1) % LANES] = true;
+            }
+            let lanes_died_at = died_at_lane.iter().filter(|&&d| d).count();
+            assert!(lanes_died_at > 1, "rate {rate}: died at one lane only");
+        }
+    }
+
+    #[test]
+    fn exact_lanes_match_one_epoch_at_a_time_at_any_anomaly_rate() {
+        exact_epochs_sweep(6);
+    }
+
+    #[test]
+    #[ignore = "60 batteries per rate; CI runs it in release with --include-ignored"]
+    fn exact_lanes_match_one_epoch_at_a_time_at_any_anomaly_rate_large() {
+        exact_epochs_sweep(60);
+    }
+
     #[test]
     fn screen_stands_down_outside_its_rounding_budget() {
         let gen = SignalGen::default();
@@ -1367,8 +1609,10 @@ mod tests {
         assert_eq!(det.detect(&gen, &draws), detect(&signal, 8, 0.0));
         // Nor do the lanes screen, so a filter run decides each epoch alone.
         for isa in Isa::available() {
-            let batch = det.lanes(&gen, &draws, [1; LANES], true, isa);
-            assert_eq!(batch.fired, [None; LANES]);
+            for kernel in [Kernel::Screen, Kernel::Exact] {
+                let batch = det.lanes(&gen, &draws, [1; LANES], kernel, isa);
+                assert_eq!(batch.fired, [None; LANES]);
+            }
         }
         let cfg = SensorNodeConfig {
             threshold: 0.0,
@@ -1376,6 +1620,30 @@ mod tests {
         };
         assert!(!Epochs::new(&cfg, NodePolicy::FilterThenSend, 1).lanes);
         assert!(Epochs::new(&cfg, NodePolicy::SendRaw, 1).lanes);
+    }
+
+    #[test]
+    fn screen_stands_down_past_finite_sums() {
+        // 1e200² overflows: the upper bounds' sums are infinite.
+        let gen = SignalGen {
+            amplitude: 1e200,
+            ..SignalGen::default()
+        };
+        let mut draws = gen.draws();
+        let mut det = Detector::new(&gen, 250, 8, 1.8);
+        let seeds = std::array::from_fn(|l| l as u64);
+        for isa in Isa::available() {
+            for kernel in [Kernel::Screen, Kernel::Exact] {
+                let batch = det.lanes(&gen, &draws, seeds, kernel, isa);
+                assert_eq!(batch.fired, [None; LANES], "{isa:?} {kernel:?}");
+            }
+        }
+        for seed in seeds {
+            gen.draw_into(250, seed, &mut draws);
+            assert_eq!(det.screen(&draws), None);
+            let (signal, _) = gen.generate(250, seed);
+            assert_eq!(det.detect(&gen, &draws), detect(&signal, 8, 1.8));
+        }
     }
 
     #[test]

@@ -81,7 +81,8 @@ pub struct Harvester {
     /// Period of the solar cycle (steps) / mean burst length (vibration).
     period: u64,
     rng: Rng64,
-    step: u64,
+    /// Steps into the current solar cycle: `step % period`.
+    phase: u64,
     burst_on: bool,
 }
 
@@ -94,19 +95,29 @@ impl Harvester {
             peak,
             period,
             rng: Rng64::new(seed),
-            step: 0,
+            phase: 0,
             burst_on: false,
         }
     }
 
     /// Power available during the next step.
     pub fn next_power(&mut self) -> Power {
-        let p = match self.profile {
+        match self.profile {
             HarvestProfile::Constant => self.peak,
             HarvestProfile::Solar => {
-                let phase = (self.step % self.period) as f64 / self.period as f64;
-                let s = (std::f64::consts::TAU * phase).sin();
-                // Daylight only (positive half of the cycle).
+                let k = self.phase;
+                self.phase += 1;
+                if self.phase == self.period {
+                    self.phase = 0;
+                }
+                // Daylight only (positive half of the cycle). Past half a
+                // cycle `τ·k/period` lies strictly inside (π, 2π), where
+                // the sine is negative, so it need not be evaluated.
+                let s = if k > self.period / 2 {
+                    0.0
+                } else {
+                    (std::f64::consts::TAU * (k as f64 / self.period as f64)).sin()
+                };
                 self.peak * s.max(0.0)
             }
             HarvestProfile::Vibration => {
@@ -120,9 +131,7 @@ impl Harvester {
                     Power::ZERO
                 }
             }
-        };
-        self.step += 1;
-        p
+        }
     }
 
     /// Energy harvested over one step of `dt`.
@@ -172,6 +181,26 @@ mod tests {
         assert!((max - 0.01).abs() < 1e-4, "max={max}");
         // Half the cycle is night.
         assert!((90..=110).contains(&zeros), "zeros={zeros}");
+    }
+
+    #[test]
+    fn solar_power_matches_the_modulo_formula_bit_for_bit() {
+        let peak = Power::from_uw(150.0);
+        let periods = (1..=400).chain([86_399, 86_400, 1_000_003]);
+        for period in periods {
+            let mut h = Harvester::new(HarvestProfile::Solar, peak, period, 1);
+            for step in 0..2 * period {
+                // The formula before the phase counter and the night skip.
+                let phase = (step % period) as f64 / period as f64;
+                let want = peak * (std::f64::consts::TAU * phase).sin().max(0.0);
+                let got = h.next_power();
+                assert_eq!(
+                    got.value().to_bits(),
+                    want.value().to_bits(),
+                    "period {period}, step {step}"
+                );
+            }
+        }
     }
 
     #[test]
