@@ -21,8 +21,6 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
-
 use xxi_core::units::Energy;
 use xxi_core::{Result, XxiError};
 use xxi_tech::node::TechNode;
@@ -30,7 +28,7 @@ use xxi_tech::ops::OpEnergies;
 
 /// A dataflow graph: nodes are word-level operations, edges are data
 /// dependences.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DataflowGraph {
     /// `preds[v]` lists the producers of node `v`.
     preds: Vec<Vec<usize>>,
@@ -102,7 +100,7 @@ impl DataflowGraph {
 }
 
 /// A CGRA instance: a `w × h` grid of function units.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Cgra {
     /// Grid width.
     pub w: usize,
@@ -113,7 +111,7 @@ pub struct Cgra {
 }
 
 /// Result of mapping a graph onto a CGRA.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Mapping {
     /// FU coordinates per op, in op order.
     pub place: Vec<(usize, usize)>,

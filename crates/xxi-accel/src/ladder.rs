@@ -17,14 +17,12 @@
 //! ladder regardless — which is why the paper pairs specialization with
 //! "energy-efficient memory hierarchies". Both effects are modeled.
 
-use serde::Serialize;
-
 use xxi_core::units::Energy;
 use xxi_tech::node::TechNode;
 use xxi_tech::ops::OpEnergies;
 
 /// Kernel archetypes with different control/data character.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
     /// FIR filter: perfectly regular, streaming.
     Fir,
@@ -64,7 +62,7 @@ impl Kernel {
 }
 
 /// Execution substrate.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ImplKind {
     /// Big out-of-order core, scalar instructions.
     ScalarOoO,

@@ -8,12 +8,10 @@
 //! Per-invocation offload energy (argument marshalling, kicking the
 //! device, synchronization) further gates how fine-grained offload can be.
 
-use serde::Serialize;
-
 use xxi_core::units::Energy;
 
 /// Offload scenario parameters.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OffloadConfig {
     /// Fraction of dynamic work the accelerator covers, `0 ≤ c ≤ 1`.
     pub coverage: f64,

@@ -8,12 +8,10 @@
 //! arithmetic behind "reduced … precision" in the paper's §2.2 list of
 //! energy-efficient algorithmic approaches.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::units::Energy;
 
 /// An `f64` carried at reduced mantissa precision.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ApproxReal {
     value: f64,
     mantissa_bits: u32,

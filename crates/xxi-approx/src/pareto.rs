@@ -7,8 +7,6 @@
 //! large energy savings are available at modest quality loss, and the
 //! frontier is steep near full precision (the first 2× is nearly free).
 
-use serde::Serialize;
-
 use crate::number::{add_energy, mul_energy, quantize_slice};
 use crate::perforation::perforated_mean_filter;
 use crate::quality::rmse;
@@ -16,7 +14,7 @@ use crate::signal::SignalGen;
 use xxi_core::units::Energy;
 
 /// One configuration's outcome.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SweepPoint {
     /// Mantissa bits used.
     pub bits: u32,

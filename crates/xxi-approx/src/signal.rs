@@ -7,12 +7,10 @@
 //! anomaly events at known positions — giving the detection experiments a
 //! labeled ground truth.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::rng::{chance_cut, Rng64, RngLanes, LANES};
 
 /// Signal generator configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SignalGen {
     /// Samples per period of the carrier.
     pub period: usize,
@@ -320,7 +318,8 @@ mod tests {
     use super::*;
 
     /// The single-loop generator `generate` replaced: chance, carrier,
-    /// gain and `normal_with` per sample. Kept verbatim as the reference.
+    /// gain and a `mu + sigma * normal()` noise draw (`mu` = 0) per
+    /// sample. Kept verbatim as the reference.
     fn generate_reference(g: &SignalGen, n: usize, seed: u64) -> (Vec<f64>, Vec<bool>) {
         let mut rng = Rng64::new(seed);
         let mut signal = Vec::with_capacity(n);
@@ -339,7 +338,7 @@ mod tests {
             } else {
                 1.0
             };
-            signal.push(carrier * gain + rng.normal_with(0.0, g.noise_sigma));
+            signal.push(carrier * gain + (0.0 + g.noise_sigma * rng.normal()));
         }
         (signal, mask)
     }

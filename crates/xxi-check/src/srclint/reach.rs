@@ -40,8 +40,9 @@ use super::scan::{self, mod_file_candidates, ScannedFile};
 use crate::lint::Severity;
 
 /// The model crates whose modules are checked, by directory suffix.
-const MODEL_CRATES: [&str; 11] = [
-    "tech", "mem", "noc", "cpu", "accel", "rel", "sec", "approx", "sensor", "cloud", "stack",
+const MODEL_CRATES: [&str; 12] = [
+    "core", "tech", "mem", "noc", "cpu", "accel", "rel", "sec", "approx", "sensor", "cloud",
+    "stack",
 ];
 
 /// The code that runs reports: a file under one of these is a root.

@@ -67,8 +67,6 @@
 //! the deterministic executor seam — byte-identical output at every
 //! `--threads` count (experiment E21).
 
-use serde::Serialize;
-
 use crate::latency::{LatencyDist, Sampler};
 use crate::qos::Budget;
 use xxi_core::des::fault::{FaultInjector, FaultMix, FaultPlan};
@@ -83,7 +81,7 @@ use xxi_rel::failsafe::{FailsafeMachine, Mode};
 
 /// Replica selection: given the failover candidates for one shard
 /// attempt, which replica to try next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Routing {
     /// Random-start round-robin: take the candidates in failover order.
     /// The random first pick (drawn per shard query at arrival) spreads
@@ -150,7 +148,7 @@ impl Routing {
 
 /// When to duplicate the first attempt of a shard query to another
 /// replica.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Hedging {
     /// Never hedge.
     None,
@@ -267,7 +265,7 @@ impl Hedging {
 }
 
 /// Retry policy for one shard query (hedging lives in [`Hedging`]).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total attempts allowed per shard query, hedges included (1 = no
     /// retries). A hard cap, checked when an attempt is sent; at least 1.
@@ -312,7 +310,7 @@ impl RetryPolicy {
 }
 
 /// Configuration of one fault-injected serving run.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
     /// Shards per request (every shard must answer for a full result).
     pub shards: u32,
@@ -362,7 +360,7 @@ impl Default for ClusterConfig {
 }
 
 /// Everything one serving run produced.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterOutcome {
     /// Requests simulated.
     pub requests: u32,

@@ -20,8 +20,6 @@
 //! every degree's calibration, so no worker idles while a degree's last
 //! chunk runs. The numbers do not depend on the order the map runs in.
 
-use serde::Serialize;
-
 use std::cmp::Reverse;
 
 use crate::latency::LatencyDist;
@@ -48,7 +46,7 @@ pub fn analytic_straggler_prob(fanout: u32, quantile: f64) -> f64 {
 }
 
 /// Result of a fan-out Monte Carlo.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FanoutResult {
     /// Fan-out degree.
     pub fanout: u32,

@@ -12,15 +12,13 @@
 //! quantile of 200 000 leaf draws ([`LatencyDist::quantile_on`]): only
 //! the draws that can reach the deadline become latencies.
 
-use serde::Serialize;
-
 use crate::latency::{LatencyDist, Sampler};
 use xxi_core::par::{mc_chunks, Parallelism, Serial};
 use xxi_core::rng::Rng64;
 use xxi_core::stats::percentiles;
 
 /// Outcome of a hedged-request experiment.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct HedgeOutcome {
     /// Hedge deadline used (ms).
     pub deadline_ms: f64,

@@ -32,14 +32,12 @@
 //! selected from the few others (see `PILOT_SIGMAS`). It is
 //! bit-identical to selecting from every draw.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::par::{mc_chunks, Parallelism, MC_GRAIN};
 use xxi_core::rng::{chance_cut, Rng64};
 use xxi_core::stats::{rank_index, select_rank, Summary};
 
 /// A response-time distribution (milliseconds).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LatencyDist {
     /// Exponential with the given mean.
     Exp {

@@ -7,12 +7,10 @@
 //! energy proportionality, the facility PUE multiplier, and the component
 //! breakdown.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::units::{Frequency, Power};
 
 /// A server's power curve.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServerPower {
     /// Power at idle.
     pub idle: Power,
@@ -56,7 +54,7 @@ impl ServerPower {
 }
 
 /// A whole facility.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DatacenterPower {
     /// Per-server curve.
     pub server: ServerPower,

@@ -14,10 +14,8 @@
 //! the admission knob's setting; tests verify the SLO is honored and the
 //! machine isn't left needlessly idle.
 
-use serde::{Deserialize, Serialize};
-
 /// A colocation scenario.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Colocation {
     /// LC p99 latency with the machine to itself (ms).
     pub base_p99_ms: f64,
@@ -66,7 +64,7 @@ impl Colocation {
 /// serving model (`crate::cluster`) spends this budget across retries,
 /// hedges, and failovers, and degrades to a partial result when it runs
 /// out rather than blowing the SLO.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Budget {
     /// End-to-end request deadline (ms).
     pub deadline_ms: f64,

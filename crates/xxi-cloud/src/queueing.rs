@@ -24,8 +24,6 @@
 //! the DES's draws in the DES's order and gives the bits the DES gave; a
 //! `#[cfg(test)]` copy of the DES version is its oracle.
 
-use serde::Serialize;
-
 use std::collections::VecDeque;
 
 use crate::latency::LatencyDist;
@@ -37,7 +35,7 @@ use xxi_core::stats::Summary;
 use xxi_core::time::SimTime;
 
 /// M/G/1 queue configuration.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MG1Queue {
     /// Mean arrival rate (requests per ms).
     pub lambda_per_ms: f64,
@@ -46,7 +44,7 @@ pub struct MG1Queue {
 }
 
 /// Results of a queueing run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct QueueResult {
     /// Offered utilization ρ = λ·E\[S\].
     pub rho: f64,
@@ -61,7 +59,7 @@ pub struct QueueResult {
 }
 
 /// Results of a fault-injected queueing run ([`MG1Queue::run_faulted`]).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FaultedQueueResult {
     /// Sojourn statistics over the jobs that survived.
     pub result: QueueResult,

@@ -42,13 +42,16 @@
 //! struct Counter { ticks: u64 }
 //! fn tick(sim: &mut Sim<Counter>) {
 //!     sim.state.ticks += 1;
-//!     sim.schedule_in(SimTime::from_ns(1), tick);
+//!     if sim.state.ticks < 1000 {
+//!         sim.schedule_in(SimTime::from_ns(1), tick);
+//!     }
 //! }
 //!
 //! let mut sim = Sim::new(Counter { ticks: 0 });
 //! sim.schedule_at(SimTime::ZERO, tick);
-//! sim.run_until(SimTime::from_us(1));
+//! sim.run();
 //! assert_eq!(sim.state.ticks, 1000);
+//! assert_eq!(sim.now(), SimTime::from_ns(999));
 //! ```
 
 mod arena;
@@ -237,12 +240,6 @@ impl<S> Sim<S> {
         true
     }
 
-    /// Fire the earliest pending event if it is strictly before
-    /// `horizon_ps`. Returns `true` iff an event fired.
-    fn step_before(&mut self, horizon_ps: u64) -> bool {
-        matches!(self.wheel.peek_time(), Some(t) if t < horizon_ps) && self.step()
-    }
-
     /// Fire the next pending event, if any. Returns `false` when the queue
     /// is empty.
     pub fn step(&mut self) -> bool {
@@ -270,35 +267,6 @@ impl<S> Sim<S> {
     pub fn run(&mut self) -> u64 {
         let start = self.fired;
         while self.step() {}
-        self.fired - start
-    }
-
-    /// Run until the queue drains or the next event would fire at or after
-    /// `horizon`. Events at exactly `horizon` do **not** fire, so
-    /// `run_until(t)` covers the half-open interval `[now, t)`, and the
-    /// clock is left at `min(horizon, last-fired-time)` exclusive of the
-    /// horizon itself: at the last drained event's time (always `<
-    /// horizon`), or unchanged if nothing drained. Callers that need the
-    /// clock *at* the horizon (e.g. to take an end-of-window measurement)
-    /// must read [`Sim::now`] and handle the gap explicitly.
-    ///
-    /// ```
-    /// use xxi_core::{Sim, SimTime};
-    ///
-    /// let mut sim = Sim::new(Vec::new());
-    /// for ns in [5u64, 10, 15] {
-    ///     sim.schedule_at(SimTime::from_ns(ns), move |s| s.state.push(ns));
-    /// }
-    /// // Half-open: the event at exactly 10 ns does not fire...
-    /// assert_eq!(sim.run_until(SimTime::from_ns(10)), 1);
-    /// assert_eq!(sim.state, vec![5]);
-    /// // ...and the clock sits at the last fired event, not the horizon.
-    /// assert_eq!(sim.now(), SimTime::from_ns(5));
-    /// assert_eq!(sim.pending(), 2);
-    /// ```
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let start = self.fired;
-        while self.step_before(horizon.ps()) {}
         self.fired - start
     }
 
@@ -337,30 +305,6 @@ impl<S> Sim<S> {
         let now = self.now;
         self.trace.instant(name, cat, track, now);
     }
-}
-
-/// Schedule a periodic event: `f` fires every `period` starting at `start`,
-/// for as long as `f` returns `true`.
-pub fn every<S: 'static>(
-    sim: &mut Sim<S>,
-    start: SimTime,
-    period: SimTime,
-    f: impl FnMut(&mut Sim<S>) -> bool + 'static,
-) {
-    fn arm<S: 'static>(
-        sim: &mut Sim<S>,
-        at: SimTime,
-        period: SimTime,
-        mut f: impl FnMut(&mut Sim<S>) -> bool + 'static,
-    ) {
-        sim.schedule_at(at, move |sim| {
-            if f(sim) {
-                let next = sim.now().saturating_add(period);
-                arm(sim, next, period, f);
-            }
-        });
-    }
-    arm(sim, start, period, f);
 }
 
 /// The seed repo's `BinaryHeap` engine, kept verbatim as the ordering
@@ -453,15 +397,6 @@ pub(crate) mod oracle {
         pub fn run(&mut self) {
             while self.step() {}
         }
-
-        pub fn run_until(&mut self, horizon: SimTime) {
-            while let Some(next) = self.heap.peek() {
-                if next.time >= horizon {
-                    break;
-                }
-                self.step();
-            }
-        }
     }
 }
 
@@ -507,23 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_is_half_open() {
-        let mut sim = Sim::new(Vec::<u64>::new());
-        for ns in [5u64, 10, 15] {
-            sim.schedule_at(SimTime::from_ns(ns), move |s| s.state.push(ns));
-        }
-        let fired = sim.run_until(SimTime::from_ns(10));
-        assert_eq!(fired, 1);
-        assert_eq!(sim.state, vec![5]);
-        // The clock stays at the last fired event, short of the horizon.
-        assert_eq!(sim.now(), SimTime::from_ns(5));
-        // The 10 ns event is still pending.
-        assert_eq!(sim.pending(), 2);
-        sim.run();
-        assert_eq!(sim.state, vec![5, 10, 15]);
-    }
-
-    #[test]
     fn scheduling_in_the_past_clamps_to_now() {
         let mut sim = Sim::new(Vec::<&'static str>::new());
         sim.schedule_at(SimTime::from_ns(10), |s| {
@@ -547,23 +465,6 @@ mod tests {
         let fired = sim.run_events(1000);
         assert_eq!(fired, 1000);
         assert_eq!(sim.state, 1000);
-    }
-
-    #[test]
-    fn every_repeats_until_false() {
-        let mut sim = Sim::new(0u64);
-        every(
-            &mut sim,
-            SimTime::from_ns(10),
-            SimTime::from_ns(10),
-            |sim| {
-                sim.state += 1;
-                sim.state < 7
-            },
-        );
-        sim.run();
-        assert_eq!(sim.state, 7);
-        assert_eq!(sim.now(), SimTime::from_ns(70));
     }
 
     #[test]
@@ -852,7 +753,7 @@ mod tests {
     /// indistinguishable from that *to user code* (every surviving event
     /// fires at the same tick in the same order; only the clock's idle
     /// walk past cancelled ticks disappears).
-    fn check_against_oracle(seed: u64, horizons: &[u64]) {
+    fn check_against_oracle(seed: u64) {
         use crate::rng::Rng64;
         use std::cell::RefCell;
         use std::collections::HashSet;
@@ -998,17 +899,6 @@ mod tests {
             );
         }
 
-        // Run in lock-stepped horizons, comparing at each boundary, then
-        // drain both.
-        for &h in horizons {
-            new_sim.run_until(SimTime::from_ps(h));
-            ora_sim.run_until(SimTime::from_ps(h));
-            assert_eq!(
-                new_sim.state.log, ora_sim.state.log,
-                "seed {seed} horizon {h}"
-            );
-            assert_conserved(&new_sim, seed);
-        }
         new_sim.run();
         ora_sim.run();
         assert_eq!(new_sim.state.log, ora_sim.state.log, "seed {seed}");
@@ -1032,26 +922,7 @@ mod tests {
     #[test]
     fn wheel_matches_binary_heap_oracle_on_random_schedules() {
         for seed in 0..12 {
-            check_against_oracle(seed, &[]);
-        }
-    }
-
-    /// `run_until` horizons for the oracle runs, up to the top of the
-    /// `SimTime` range.
-    const HORIZONS: [u64; 7] = [
-        1 << 10,
-        1 << 20,
-        1 << 36,
-        1 << 41,
-        1 << 50,
-        1 << 58,
-        u64::MAX - 1,
-    ];
-
-    #[test]
-    fn wheel_matches_oracle_across_run_until_horizons() {
-        for seed in 100..106 {
-            check_against_oracle(seed, &HORIZONS);
+            check_against_oracle(seed);
         }
     }
 
@@ -1059,7 +930,7 @@ mod tests {
     #[ignore = "large run: 200 seeds; CI runs it in release with --include-ignored"]
     fn wheel_matches_oracle_on_many_seeds() {
         for seed in 1000..1200 {
-            check_against_oracle(seed, &HORIZONS);
+            check_against_oracle(seed);
         }
     }
 }

@@ -140,15 +140,6 @@ impl Topology {
         Topology { scope_of, scopes }
     }
 
-    /// Every component in its own scope — correlated draws degenerate to
-    /// independent per-component faults (the budget-matched baseline).
-    pub fn flat(components: u32) -> Topology {
-        Topology {
-            scope_of: (0..components).collect(),
-            scopes: components,
-        }
-    }
-
     /// Striped assignment: component `c` lands in scope `c % scopes`.
     /// With components numbered shard-major (replica `r` of shard `s` is
     /// `s * replicas + r`), `striped(components, replicas)` puts replica
@@ -630,10 +621,7 @@ mod tests {
         let blocks = Topology::blocks(6, 2);
         assert_eq!(blocks.scopes(), 3);
         assert_eq!(blocks.members(1), vec![2, 3]);
-        let flat = Topology::flat(4);
-        assert_eq!(flat.scopes(), 4);
-        assert_eq!(flat.members(2), vec![2]);
-        for topo in [striped, blocks, flat] {
+        for topo in [striped, blocks] {
             let mut seen = 0u32;
             for s in 0..topo.scopes() {
                 seen += topo.members(s).len() as u32;
@@ -673,7 +661,7 @@ mod tests {
         assert_eq!(a.events(), b.events());
         // Same seed, flat topology vs per-component seeded: different
         // substreams, different draws.
-        let flat = Topology::flat(12);
+        let flat = Topology::new((0..12).collect());
         let c = FaultPlan::correlated(5, ms(500), &flat, 0.5, FaultMix::gray());
         let s = FaultPlan::seeded(5, ms(500), 12, 0.5, FaultMix::gray());
         assert_ne!(c.events(), s.events());

@@ -39,10 +39,10 @@
 //! when the entry has cascaded since insert the cache misses and a scan
 //! of the (lower-level, therefore smaller) computed bucket finds it.
 //!
-//! The wheel clock only moves when `pop` commits to a tick, never during
-//! [`Wheel::peek_time`]; the [`Sim`](super::Sim) keeps its own clock equal
-//! to the wheel clock whenever user code runs, which is what makes the
-//! bit-field hashing invariant hold across re-entrant scheduling.
+//! The wheel clock only moves when `pop` commits to a tick; the
+//! [`Sim`](super::Sim) keeps its own clock equal to the wheel clock
+//! whenever user code runs, which is what makes the bit-field hashing
+//! invariant hold across re-entrant scheduling.
 
 /// Wheel levels.
 const LEVELS: usize = 7;
@@ -309,30 +309,6 @@ impl Wheel {
             self.clear_bucket(level, slot);
         }
         self.len -= 1;
-    }
-
-    /// Earliest pending `(time, seq)`-ordered entry's time, without moving
-    /// the wheel clock (no cascading — see the module docs).
-    #[inline]
-    pub(crate) fn peek_time(&self) -> Option<u64> {
-        if self.small {
-            return self.near.last().map(|e| e.time);
-        }
-        if let Some(e) = self.batch.last() {
-            return Some(e.time);
-        }
-        let (level, slot) = self.lowest_live()?;
-        if level == 0 {
-            return Some((self.cur & !MASK[0]) | slot as u64);
-        }
-        // Everything in this bucket precedes all higher levels; scan it for
-        // the earliest tick.
-        let min = self.buckets[BASE[level] + slot]
-            .iter()
-            .map(|e| e.time)
-            .min();
-        debug_assert!(min.is_some());
-        min
     }
 
     /// Remove and return the earliest entry in `(time, seq)` order,

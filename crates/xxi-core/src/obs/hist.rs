@@ -55,6 +55,7 @@ impl Default for LogHistogram {
 impl LogHistogram {
     /// Bound on the relative error of [`LogHistogram::quantile`] for
     /// in-range positive values: half a sub-bucket width either way.
+    // xxi-allow: model-reach -- the quantile-error bound tests/properties.rs holds the sketch to
     pub const MAX_REL_ERROR: f64 = 1.0 / SUB as f64;
 
     /// An empty histogram.

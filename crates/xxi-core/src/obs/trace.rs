@@ -137,8 +137,9 @@ impl Trace {
     }
 
     /// An enabled trace that stores at most `limit` events (further events
-    /// are counted in [`Trace::dropped`]).
-    pub fn with_limit(limit: usize) -> Trace {
+    /// are counted in [`Trace::dropped`]); tests reach the cap with it.
+    #[cfg(test)]
+    fn with_limit(limit: usize) -> Trace {
         Trace {
             enabled: true,
             limit,

@@ -49,8 +49,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::Metrics;
 use crate::obs::LogHistogram;
 use crate::table::{fill, Cell, Table};
@@ -66,7 +64,7 @@ use json::Json;
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// A named scalar result, e.g. the headline number of an experiment.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Finding {
     /// Short snake_case name, stable across runs.
     pub name: String,
@@ -79,7 +77,7 @@ pub struct Finding {
 /// Fixed-quantile summary of one runtime histogram — the serializable
 /// projection of a [`LogHistogram`] (the full bucket array is not part of
 /// the report schema).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HistSummary {
     pub count: u64,
     pub mean: f64,
@@ -123,7 +121,7 @@ impl HistSummary {
 /// into serializable, name-ordered lists. Rendered as a trailing "Runtime"
 /// section; pool counters depend on the thread count, so golden renderings
 /// mask the values while pinning the member counts.
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct RunMetrics {
     /// Monotonic counters, name-ordered.
     pub counters: Vec<(String, u64)>,
@@ -180,7 +178,7 @@ pub enum Item {
 /// Built incrementally by an experiment (sections, tables, text,
 /// findings), then rendered with [`Report::render_text`] (the classic
 /// stdout format) or [`Report::render_json`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Report {
     /// Lowercase experiment id (`"e9"`).
     pub id: String,
@@ -259,6 +257,7 @@ impl Report {
     /// Render for golden-output comparison: identical to
     /// [`Report::render_text`] except the Runtime section collapses to a
     /// placeholder that pins its member counts.
+    // xxi-allow: model-reach -- the golden tests (xxi-bench tests/golden.rs) compare this
     pub fn render_text_golden(&self) -> String {
         self.render_text_with(true)
     }
@@ -509,6 +508,7 @@ impl Report {
     }
 
     /// Tables in document order.
+    // xxi-allow: model-reach -- the golden tests (xxi-bench tests/golden.rs) check every table
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
         self.items.iter().filter_map(|i| match i {
             Item::Table(t) => Some(t),

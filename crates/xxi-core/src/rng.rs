@@ -6,9 +6,9 @@
 //!
 //! 1. **Reproducibility** — a seed fully determines an experiment, so every
 //!    number in EXPERIMENTS.md can be regenerated.
-//! 2. **Splittability** — [`Rng64::split`] derives an independent stream,
-//!    letting parallel workers or per-server arrival processes stay
-//!    decorrelated without shared state.
+//! 2. **Substreams** — [`Rng64::stream`] derives an independent stream
+//!    from `(seed, index)`, letting parallel workers or per-server arrival
+//!    processes stay decorrelated without shared state.
 //!
 //! The distribution set matches what the paper's scenarios need:
 //! exponential and log-normal service times (tail latency, §2.1), Pareto
@@ -46,13 +46,6 @@ impl Rng64 {
             splitmix64(&mut sm),
         ];
         Rng64 { s }
-    }
-
-    /// Derive an independent stream (for a parallel worker, a server's
-    /// arrival process, …). Deterministic: the i-th split of a given
-    /// generator state is always the same.
-    pub fn split(&mut self) -> Rng64 {
-        Rng64::new(self.next_u64() ^ 0xA5A5_5A5A_DEAD_BEEF)
     }
 
     /// The `index`-th substream of `seed`: a generator that is a pure
@@ -148,12 +141,6 @@ impl Rng64 {
         (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
     }
 
-    /// Normal with mean `mu` and standard deviation `sigma`.
-    #[inline]
-    pub fn normal_with(&mut self, mu: f64, sigma: f64) -> f64 {
-        mu + sigma * self.normal()
-    }
-
     /// Exponential with rate `lambda` (mean `1/lambda`).
     pub fn exp(&mut self, lambda: f64) -> f64 {
         assert!(lambda > 0.0);
@@ -174,6 +161,7 @@ impl Rng64 {
     }
 
     /// Shuffle a slice in place (Fisher–Yates).
+    // xxi-allow: model-reach -- used by xxi-stack::locality, pending its fold into E18
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
@@ -359,6 +347,7 @@ impl Zipf {
     }
 
     /// Probability of rank `k`.
+    // xxi-allow: model-reach -- tests/properties.rs checks that the Zipf pmf sums to 1
     pub fn pmf(&self, k: usize) -> f64 {
         if k == 0 {
             self.cdf[0]
@@ -395,18 +384,6 @@ mod tests {
         let mut b = Rng64::new(2);
         let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn split_streams_are_decorrelated() {
-        let mut a = Rng64::new(99);
-        let mut b = a.split();
-        let n = 10_000;
-        let matches = (0..n)
-            .filter(|_| (a.next_u64() & 1) == (b.next_u64() & 1))
-            .count();
-        // Around n/2 for independent streams.
-        assert!((matches as f64 - n as f64 / 2.0).abs() < 4.0 * (n as f64 / 4.0).sqrt());
     }
 
     #[test]
@@ -490,7 +467,7 @@ mod tests {
     fn normal_moments_match() {
         let mut r = Rng64::new(8);
         let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal_with(10.0, 3.0)).collect();
+        let xs: Vec<f64> = (0..n).map(|_| 10.0 + 3.0 * r.normal()).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.05, "mean={mean}");

@@ -95,12 +95,6 @@ impl Table {
         self.rows.push(r);
     }
 
-    /// Append a row of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -293,12 +287,5 @@ mod tests {
         assert_eq!(Cell::new("inf").value, None);
         assert_eq!(Cell::new("NaN").value, None);
         assert_eq!(Cell::new("1.000e-9").value, Some(1.0e-9));
-    }
-
-    #[test]
-    fn row_display_accepts_mixed_types() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row_display(&[&"label", &42]);
-        assert!(t.render().contains("42"));
     }
 }

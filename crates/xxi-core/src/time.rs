@@ -9,16 +9,13 @@
 //! than wrapping in release; [`SimTime::saturating_add`],
 //! [`SimTime::since`] and [`SimTime::from_seconds`] saturate instead.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 use crate::units::Seconds;
 
 /// A point in simulated time, in integer picoseconds.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -49,12 +46,6 @@ impl SimTime {
     #[inline]
     pub const fn from_ms(ms: u64) -> SimTime {
         checked(ms.checked_mul(1_000_000_000))
-    }
-
-    /// Construct from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> SimTime {
-        checked(s.checked_mul(1_000_000_000_000))
     }
 
     /// Convert a duration in (fractional) milliseconds to sim time,
@@ -184,7 +175,6 @@ mod tests {
         assert_eq!(SimTime::from_ns(1), SimTime::from_ps(1_000));
         assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
         assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
-        assert_eq!(SimTime::from_secs(1), SimTime::from_ms(1_000));
     }
 
     #[test]
@@ -240,11 +230,10 @@ mod tests {
         assert_eq!(t, SimTime::MAX);
         assert_eq!(SimTime::MAX - SimTime::MAX, SimTime::ZERO);
         type Make = fn(u64) -> SimTime;
-        let units: [(Make, u64); 4] = [
+        let units: [(Make, u64); 3] = [
             (SimTime::from_ns, 1_000),
             (SimTime::from_us, 1_000_000),
             (SimTime::from_ms, 1_000_000_000),
-            (SimTime::from_secs, 1_000_000_000_000),
         ];
         for (make, ps_per_unit) in units {
             let n = u64::MAX / ps_per_unit;
@@ -254,7 +243,7 @@ mod tests {
 
     #[test]
     fn leaving_the_range_panics_in_every_build() {
-        let cases: [(&str, fn()); 7] = [
+        let cases: [(&str, fn()); 6] = [
             ("MAX + 1", || _ = SimTime::MAX + SimTime(1)),
             ("MAX += 1", || {
                 let mut t = SimTime::MAX;
@@ -266,8 +255,6 @@ mod tests {
             ("from_ms", || {
                 _ = SimTime::from_ms(u64::MAX / 1_000_000_000 + 1)
             }),
-            // 213 days fit, 214 do not.
-            ("from_secs", || _ = SimTime::from_secs(214 * 86_400)),
         ];
         for (name, case) in cases {
             let payload = std::panic::catch_unwind(case).expect_err(name);
@@ -282,7 +269,7 @@ mod tests {
         assert_eq!(SimTime::from_ns(5).to_string(), "5.000ns");
         assert_eq!(SimTime::from_us(5).to_string(), "5.000us");
         assert_eq!(SimTime::from_ms(5).to_string(), "5.000ms");
-        assert_eq!(SimTime::from_secs(5).to_string(), "5.000s");
+        assert_eq!(SimTime::from_ms(5_000).to_string(), "5.000s");
     }
 
     #[test]

@@ -17,14 +17,13 @@
 //! (picojoules for per-op energies, nanojoules for radio bits, megawatts for
 //! datacenters, …).
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 macro_rules! quantity {
     ($(#[$doc:meta])* $name:ident, $unit:literal) => {
         $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -39,6 +38,7 @@ macro_rules! quantity {
 
             /// True if the value is finite and non-negative.
             #[inline]
+            // xxi-allow: model-reach -- checked by xxi-check lint (units-dimensional, ledger-conservation)
             pub fn is_physical(self) -> bool {
                 self.0.is_finite() && self.0 >= 0.0
             }
@@ -216,6 +216,7 @@ impl Energy {
 
     /// Construct from kilowatt-hours (battery capacities, datacenter bills).
     #[inline]
+    // xxi-allow: model-reach -- checked by xxi-check lint (units-dimensional)
     pub fn from_kwh(kwh: f64) -> Energy {
         Energy(kwh * 3.6e6)
     }
@@ -252,22 +253,10 @@ impl Power {
         Power(uw * 1e-6)
     }
 
-    /// Construct from megawatts (datacenters).
-    #[inline]
-    pub fn from_mega_w(mw: f64) -> Power {
-        Power(mw * 1e6)
-    }
-
     /// Value in milliwatts.
     #[inline]
     pub fn mw(self) -> f64 {
         self.0 * 1e3
-    }
-
-    /// Value in kilowatts.
-    #[inline]
-    pub fn kw(self) -> f64 {
-        self.0 * 1e-3
     }
 }
 
@@ -332,18 +321,13 @@ impl Frequency {
 impl Ops {
     /// Giga-operations constructor.
     #[inline]
+    // xxi-allow: model-reach -- checked by xxi-check lint (units-dimensional)
     pub fn from_gops(g: f64) -> Ops {
         Ops(g * 1e9)
     }
 }
 
 impl Bits {
-    /// Construct from bytes.
-    #[inline]
-    pub fn from_bytes(bytes: f64) -> Bits {
-        Bits(bytes * 8.0)
-    }
-
     /// Value in bytes.
     #[inline]
     pub fn bytes(self) -> f64 {
@@ -426,6 +410,7 @@ pub fn ops_per_joule(ops: Ops, energy: Energy) -> f64 {
 /// Giga-operations per watt, the mobile-efficiency unit the paper quotes
 /// ("today's ~10 giga-operations/watt", §2.1).
 #[inline]
+// xxi-allow: model-reach -- checked by xxi-check lint (units-dimensional) and tests/cross_layer.rs
 pub fn gops_per_watt(throughput: Frequency, power: Power) -> f64 {
     (throughput.0 / 1e9) / power.0
 }
@@ -481,7 +466,7 @@ mod tests {
     #[test]
     fn energy_pyramid_arithmetic() {
         // Exa-op @ 10 MW ⇒ 1e18/1e7 = 1e11 ops per joule.
-        let need = ops_per_joule(Ops(1e18), Power::from_mega_w(10.0) * Seconds(1.0));
+        let need = ops_per_joule(Ops(1e18), Power(10e6) * Seconds(1.0));
         assert!((need - 1e11).abs() / 1e11 < 1e-12);
         // Giga-op sensor @ 10 mW ⇒ also 1e11 ops/J: the pyramid is uniform.
         let sensor = ops_per_joule(Ops(1e9), Power::from_mw(10.0) * Seconds(1.0));
@@ -526,8 +511,6 @@ mod tests {
 
     #[test]
     fn bits_and_bytes() {
-        let b = Bits::from_bytes(64.0);
-        assert_eq!(b.0, 512.0);
-        assert_eq!(b.bytes(), 64.0);
+        assert_eq!(Bits(512.0).bytes(), 64.0);
     }
 }

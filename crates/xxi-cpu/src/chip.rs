@@ -5,8 +5,6 @@
 //! first (dark silicon), which is the quantitative engine behind the
 //! paper's pivot to "simpler, low-power cores" and specialization.
 
-use serde::Serialize;
-
 use crate::core::{CoreKind, CoreModel};
 use crate::hillmarty;
 use xxi_core::units::{Area, Power};
@@ -14,7 +12,7 @@ use xxi_core::{Result, XxiError};
 use xxi_tech::node::TechNode;
 
 /// Chip design parameters.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ChipConfig {
     /// Technology node.
     pub node: TechNode,
@@ -42,7 +40,7 @@ impl ChipConfig {
 }
 
 /// A composed chip.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Chip {
     /// The design parameters.
     pub cfg: ChipConfig,

@@ -7,13 +7,11 @@
 //! than a slogan: four small cores deliver ~4× the throughput of one
 //! 4×-area big core, which delivers only ~2× the single-thread performance.
 
-use serde::Serialize;
-
 use xxi_core::units::{Area, Power};
 use xxi_tech::node::TechNode;
 
 /// Core microarchitecture class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoreKind {
     /// A small in-order scalar core (area unit 1).
     InOrderSmall,
@@ -40,7 +38,7 @@ impl CoreKind {
 }
 
 /// A core instantiated on a technology node.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CoreModel {
     /// Microarchitecture class.
     pub kind: CoreKind,

@@ -20,10 +20,8 @@
 //! The tests pin the reproduction target: total architecture contribution
 //! 1985→2012 lands in the ~60–100× band around the paper's "~80×".
 
-use serde::Serialize;
-
 /// One representative microprocessor generation.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CpuDbEntry {
     /// Year of introduction.
     pub year: u32,
@@ -108,7 +106,7 @@ pub const CPU_DB: &[CpuDbEntry] = &[
 ];
 
 /// The technology-vs-architecture split between two entries.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Attribution {
     /// Total single-thread performance growth (freq × IPC).
     pub total: f64,

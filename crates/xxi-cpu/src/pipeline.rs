@@ -19,12 +19,10 @@
 //! without retiring work — one concrete reason the big OoO core of
 //! `xxi-tech::ops` pays ~10× the functional energy per instruction.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::metrics::Metrics;
 
 /// A register-transfer instruction for the pipeline model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Op {
     /// `d = a ⊕ b` one-cycle ALU op.
     Alu {
@@ -85,7 +83,7 @@ impl Op {
 }
 
 /// Pipeline configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
     /// Forwarding/bypass network present?
     pub forwarding: bool,
@@ -106,7 +104,7 @@ impl Default for PipelineConfig {
 }
 
 /// Result of running a program.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PipelineResult {
     /// Instructions retired.
     pub instructions: u64,

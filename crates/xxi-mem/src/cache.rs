@@ -7,14 +7,12 @@
 //! practical approximation) — so the experiments can quantify how much
 //! replacement quality matters relative to the energy ladder.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::metrics::Metrics;
 use xxi_core::rng::Rng64;
 use xxi_core::{Result, XxiError};
 
 /// Replacement policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Replacement {
     /// True least-recently-used (access-stamp based).
     Lru,
@@ -55,7 +53,7 @@ impl Outcome {
 }
 
 /// Static cache geometry and policy.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

@@ -12,13 +12,11 @@
 //! compressed to half its size moves half the bits across the interconnect
 //! and (in a compressed cache) doubles effective capacity.
 
-use serde::{Deserialize, Serialize};
-
 /// A 64-byte cache line as 16 little-endian 32-bit words.
 pub type Line = [u32; 16];
 
 /// FPC pattern codes (3-bit prefix per word).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pattern {
     /// Run of zero words (run length in 3 extra bits, up to 8 words).
     ZeroRun,
@@ -114,7 +112,7 @@ pub fn compression_ratio(line: &Line) -> f64 {
 }
 
 /// Summary over a stream of lines.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CompressionStats {
     /// Lines observed.
     pub lines: u64,

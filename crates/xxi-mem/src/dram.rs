@@ -6,13 +6,11 @@
 //! destructive reads requiring activation energy. Refresh, the standing
 //! power NVMs do not pay, is `HybridConfig::dram_refresh_per_gib`.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::metrics::Metrics;
 use xxi_core::units::{Energy, Seconds};
 
 /// Row-buffer management policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PagePolicy {
     /// Keep the row open after an access (bets on locality).
     Open,
@@ -21,7 +19,7 @@ pub enum PagePolicy {
 }
 
 /// DRAM geometry and timing/energy parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DramConfig {
     /// Number of independent banks.
     pub banks: usize,

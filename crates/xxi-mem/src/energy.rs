@@ -22,8 +22,6 @@
 //! the logic scaling factor, which captures the paper's point: **the
 //! compute-to-memory energy gap widens every generation**.
 
-use serde::Serialize;
-
 use xxi_core::units::Energy;
 use xxi_tech::node::TechNode;
 use xxi_tech::ops::OpEnergies;
@@ -42,7 +40,7 @@ mod anchor45 {
 }
 
 /// Per-64-bit-access energies on one node.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MemEnergyTable {
     /// Register-file read.
     pub rf: Energy,

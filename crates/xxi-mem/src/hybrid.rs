@@ -14,15 +14,13 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::nvm::{NvmParams, NvmTech};
 use crate::trace::Access;
 use xxi_core::metrics::Metrics;
 use xxi_core::units::{Energy, Power, Seconds};
 
 /// Hybrid-memory configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HybridConfig {
     /// DRAM tier capacity in pages.
     pub dram_pages: usize,

@@ -13,12 +13,10 @@
 //! experiment in [`crate::wear`] can measure lifetime with and without
 //! leveling.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::units::{Energy, Seconds};
 
 /// Non-volatile memory technology.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NvmTech {
     /// Phase-change memory.
     Pcm,
@@ -32,7 +30,7 @@ pub enum NvmTech {
 }
 
 /// Device parameters for a 64-byte line access.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NvmParams {
     /// Read latency.
     pub read_latency: Seconds,

@@ -12,11 +12,10 @@
 //! * [`TraceGen::zipf`] — skewed object popularity, the canonical "big
 //!   data" distribution (Appendix A).
 
-use serde::{Deserialize, Serialize};
 use xxi_core::rng::{Rng64, Zipf};
 
 /// One memory access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Access {
     /// Byte address.
     pub addr: u64,

@@ -11,8 +11,6 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
-
 use xxi_core::rng::Rng64;
 use xxi_core::stats::Streaming;
 
@@ -20,7 +18,7 @@ use crate::topology::Mesh;
 use crate::traffic::Pattern;
 
 /// Crossbar simulator configuration.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CrossbarConfig {
     /// Number of nodes.
     pub nodes: usize,
@@ -36,7 +34,7 @@ pub struct CrossbarConfig {
 }
 
 /// Results of a crossbar run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CrossbarResult {
     /// Mean packet latency in cycles.
     pub mean_latency: f64,

@@ -20,8 +20,6 @@
 //! modulation + ~2 mW standing per link; TSV ≈ 0.02 pJ/bit; off-chip
 //! SerDes ≈ 2 pJ/bit.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::units::{Energy, Power, Seconds};
 use xxi_tech::node::TechNode;
 
@@ -37,7 +35,7 @@ mod anchor45 {
 }
 
 /// Physical link technology.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinkKind {
     /// On-chip electrical wire of the given length in millimetres.
     Electrical {
@@ -53,7 +51,7 @@ pub enum LinkKind {
 }
 
 /// A link instance on a given node.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Link {
     /// Technology and geometry.
     pub kind: LinkKind,

@@ -40,8 +40,6 @@
 //! charges are one constant, added in charge order) and post to the
 //! [`EnergyLedger`] once, at the end of [`NocSim::run_observed`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::{Dir, Mesh};
 use crate::traffic::{neighbors, Pattern};
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, Trace};
@@ -71,7 +69,7 @@ const STRIDE: usize = 8;
 const NO_QUEUE: usize = usize::MAX;
 
 /// Simulator configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NocConfig {
     /// Topology.
     pub mesh: Mesh,
@@ -134,7 +132,7 @@ struct Move {
 /// delivered but never offered: `delivered` can exceed
 /// `offered − throttled` by at most the buffer capacity,
 /// `nodes × 7 × queue_depth`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NocResult {
     /// Flits ejected during the measurement window, including flits
     /// injected during warm-up.

@@ -1,9 +1,7 @@
 //! Mesh topologies (2D and 3D-stacked) with dimension-order routing.
 
-use serde::{Deserialize, Serialize};
-
 /// Router port / hop direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// +x
     East,
@@ -62,7 +60,7 @@ impl Dir {
 }
 
 /// A `w × h × d` mesh (set `d = 1` for a planar 2D mesh).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Mesh {
     /// X dimension.
     pub w: usize,

@@ -6,13 +6,11 @@
 //! neighbor (models well-partitioned stencil codes — the communication
 //! pattern the paper's locality agenda §2.2 rewards).
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::{Dir, Mesh};
 use xxi_core::rng::Rng64;
 
 /// Destination-selection pattern.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pattern {
     /// Uniformly random destination ≠ source.
     Uniform,

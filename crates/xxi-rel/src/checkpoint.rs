@@ -15,8 +15,6 @@
 //! it kills, so at equal component-fault budget a correlated plan yields
 //! fewer distinct outages and higher efficiency than an independent one.
 
-use serde::Serialize;
-
 use xxi_core::des::fault::{FaultInjector, FaultPlan};
 use xxi_core::metrics::Metrics;
 use xxi_core::rng::Rng64;
@@ -44,7 +42,7 @@ pub fn efficiency(tau: Seconds, delta: Seconds, restart: Seconds, mtbf: Seconds)
 }
 
 /// Discrete simulation of a long-running job with checkpointing.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CheckpointSim {
     /// Compute time between checkpoints.
     pub tau: Seconds,
@@ -57,7 +55,7 @@ pub struct CheckpointSim {
 }
 
 /// Simulation outcome.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SimOutcome {
     /// Wall-clock time to finish the job.
     pub wall: Seconds,
@@ -113,7 +111,7 @@ impl CheckpointSim {
 
 /// Outcome of a fault-plan-driven checkpoint run
 /// ([`CheckpointSim::run_planned`]).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PlannedOutcome {
     /// Wall-clock / efficiency outcome, as for [`CheckpointSim::run`].
     pub outcome: SimOutcome,

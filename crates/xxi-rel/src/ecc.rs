@@ -24,11 +24,9 @@
 //! assert_eq!(decode(flip(flip(cw, 3), 40)), DecodeResult::DoubleError);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A 72-bit codeword (bit `i` of the `u128` is codeword position `i`;
 /// position 0 unused).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Codeword(pub u128);
 
 /// Parity positions.
@@ -78,7 +76,7 @@ fn syndrome(cw: u128) -> u32 {
 }
 
 /// Result of decoding a codeword.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecodeResult {
     /// No error; payload is the data.
     Clean(u64),

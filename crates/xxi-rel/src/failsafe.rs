@@ -15,10 +15,8 @@
 //!   recovery from the last-resort mode is exactly what a failsafe design
 //!   must *not* do; leaving it is a service intervention outside the model.
 
-use serde::{Deserialize, Serialize};
-
 /// Operating mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Full functionality.
     Normal,
@@ -29,7 +27,7 @@ pub enum Mode {
 }
 
 /// The failsafe controller.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FailsafeMachine {
     mode: Mode,
     /// Errors within the current window.

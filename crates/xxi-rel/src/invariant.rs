@@ -17,13 +17,11 @@
 //! at an energy overhead of one lightweight pass per period — the
 //! coverage-per-joule argument the paper makes.
 
-use serde::Serialize;
-
 use xxi_core::rng::Rng64;
 use xxi_core::units::Energy;
 
 /// Checker configuration.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CheckerConfig {
     /// Updates between invariant checks.
     pub check_period: u64,

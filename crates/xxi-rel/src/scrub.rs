@@ -12,12 +12,10 @@
 //! `1 − e^{−72λT}(1 + 72λT)`; the DUE rate per word is that probability per
 //! interval.
 
-use serde::Serialize;
-
 use xxi_core::units::Seconds;
 
 /// Analytic scrubbing model.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScrubModel {
     /// Per-bit flip rate, per second.
     pub lambda_per_bit: f64,

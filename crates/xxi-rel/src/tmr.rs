@@ -10,13 +10,11 @@
 //! (detects most, ~1-15% overhead), this completes experiment E15's cost
 //! ladder.
 
-use serde::Serialize;
-
 use xxi_core::metrics::Metrics;
 use xxi_core::rng::Rng64;
 
 /// Outcome of one voted execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VoteOutcome {
     /// All copies agreed.
     Unanimous,

@@ -14,12 +14,10 @@
 //!   and secret-dependent branches if configured (timing discipline).
 //! * `Declassify` clears labels — the explicit, auditable escape hatch.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::metrics::Metrics;
 
 /// Taint label lattice: a small bitset (untrusted | secret).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Taint(pub u8);
 
 impl Taint {
@@ -42,7 +40,7 @@ impl Taint {
 }
 
 /// The machine's instruction set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Instr {
     /// `r[d] = imm` (clean constant).
     Const {
@@ -116,7 +114,7 @@ pub enum Instr {
 }
 
 /// What the hardware monitor traps on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrapKind {
     /// Untrusted data used as a jump target.
     TaintedJump,
@@ -127,7 +125,7 @@ pub enum TrapKind {
 }
 
 /// Enforcement policy.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Policy {
     /// Label attached to `In` data.
     pub input_label: Taint,
@@ -162,7 +160,7 @@ impl Policy {
 }
 
 /// Result of running a program.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Outcome {
     /// Ran to `Halt`; the outputs produced.
     Finished(Vec<u64>),

@@ -11,22 +11,20 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::metrics::Metrics;
 use xxi_core::units::Energy;
 use xxi_core::{Result, XxiError};
 
 /// A protection domain (an intra-application module).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainId(pub u32);
 
 /// A protected memory region.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionId(pub u32);
 
 /// Access kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessKind {
     /// Load.
     Read,
@@ -37,7 +35,7 @@ pub enum AccessKind {
 }
 
 /// Permission bits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Perms(pub u8);
 
 impl Perms {

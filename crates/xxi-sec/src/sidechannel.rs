@@ -17,12 +17,10 @@
 //! interference: the victim's fills can no longer evict attacker lines, and
 //! the attack's posterior collapses to chance. Both facts are tests.
 
-use serde::Serialize;
-
 use xxi_mem::cache::{AccessKind, Cache, CacheConfig};
 
 /// Result of one prime+probe round.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AttackResult {
     /// Set index the attacker inferred (most-missed probe set).
     pub inferred_set: usize,

@@ -16,13 +16,11 @@
 //! forward-progress argument from the intermittent-computing literature
 //! (Lucia & Ransford et al.) that the paper's sensor agenda builds on.
 
-use serde::Serialize;
-
 use xxi_core::rng::Rng64;
 use xxi_core::units::Energy;
 
 /// An intermittently-powered task.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct IntermittentTask {
     /// Steps of work to complete.
     pub total_steps: u64,
@@ -37,7 +35,7 @@ pub struct IntermittentTask {
 }
 
 /// Outcome of an intermittent run.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RunStats {
     /// Completed?
     pub finished: bool,

@@ -1,11 +1,9 @@
 //! Microcontroller energy model with duty cycling.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::units::{Energy, Power};
 
 /// A sensor-node MCU.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Mcu {
     /// Power while actively computing.
     pub active_power: Power,
@@ -13,8 +11,6 @@ pub struct Mcu {
     pub sleep_power: Power,
     /// Energy per executed operation.
     pub energy_per_op: Energy,
-    /// Operations per second when active.
-    pub ops_per_sec: f64,
 }
 
 impl Mcu {
@@ -25,7 +21,6 @@ impl Mcu {
             active_power: Power::from_mw(5.0),
             sleep_power: Power::from_uw(5.0),
             energy_per_op: Energy::from_pj(100.0),
-            ops_per_sec: 50e6,
         }
     }
 
@@ -41,9 +36,9 @@ mod tests {
 
     #[test]
     fn calibration_is_self_consistent() {
-        // active_power ≈ energy_per_op × ops_per_sec.
+        // active_power ≈ energy_per_op × the documented 50 Mops/s.
         let m = Mcu::cortex_m_class();
-        let implied = m.energy_per_op.value() * m.ops_per_sec;
+        let implied = m.energy_per_op.value() * 50e6;
         assert!((implied - m.active_power.value()).abs() / m.active_power.value() < 1e-9);
     }
 

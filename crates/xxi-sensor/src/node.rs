@@ -24,8 +24,6 @@
 //! [`SensorNode::run_observed`] are the empty-plan special case,
 //! bit-identical to the pre-fault-seam behavior.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mcu::Mcu;
 use crate::power::{Battery, Harvester};
 use crate::radio::Radio;
@@ -38,7 +36,7 @@ use xxi_core::time::SimTime;
 use xxi_core::units::{Energy, Seconds};
 
 /// Processing/transmission policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodePolicy {
     /// Transmit every raw sample.
     SendRaw,
@@ -49,7 +47,7 @@ pub enum NodePolicy {
 }
 
 /// Node configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SensorNodeConfig {
     /// Sampling rate in Hz.
     pub sample_hz: f64,
@@ -85,7 +83,7 @@ impl Default for SensorNodeConfig {
 }
 
 /// Result of simulating one node to battery exhaustion (or the horizon).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NodeOutcome {
     /// Battery lifetime.
     pub lifetime: Seconds,
@@ -224,7 +222,7 @@ impl SensorNode {
         mut battery: Battery,
         mut harvester: Option<Harvester>,
         horizon: Seconds,
-        mut epochs: Epochs,
+        mut epochs: impl EpochSeq,
         trace: Trace,
         plan: &FaultPlan,
     ) -> (NodeOutcome, NodeObservation, FaultStats) {
@@ -448,6 +446,16 @@ fn next_epoch_seed(seed: u64) -> u64 {
 /// included, while it gathers anomalous epochs for one exact-lane batch.
 const AHEAD: usize = 64;
 
+/// What a run reads of its epochs, in order: `draw_into`'s `has_anomaly`
+/// and, for the filter, the exact `detect` of the signal.
+trait EpochSeq {
+    /// Step to the next epoch; returns whether its signal has an anomaly.
+    fn advance(&mut self) -> bool;
+
+    /// The exact `detect` of the current epoch's signal.
+    fn detect(&mut self) -> bool;
+}
+
 /// A run's epochs in order, each answering `draw_into`'s `has_anomaly` and
 /// (for the filter) the exact `detect` of its signal. Epochs are decided
 /// [`LANES`] at a time by [`Detector::lanes`], ahead of the run. The
@@ -461,9 +469,6 @@ struct Epochs {
     gen: SignalGen,
     /// The policy reads `detect`, so the lanes run the screen.
     filter: bool,
-    /// Decide epochs in lanes; off, each epoch is drawn and decided alone
-    /// (the screen cannot run, so lanes would only draw each epoch twice).
-    lanes: bool,
     isa: Isa,
     detector: Detector,
     draws: SignalDraws,
@@ -527,10 +532,8 @@ impl Epochs {
     /// [`Epochs::new`] drawing its signals from `gen`.
     fn with_gen(cfg: &SensorNodeConfig, policy: NodePolicy, seed: u64, gen: SignalGen) -> Epochs {
         let detector = Detector::new(&gen, cfg.epoch_samples, cfg.window, cfg.threshold);
-        let filter = policy == NodePolicy::FilterThenSend;
         Epochs {
-            filter,
-            lanes: !filter || detector.screening,
+            filter: policy == NodePolicy::FilterThenSend,
             isa: Isa::detect(),
             detector,
             draws: gen.draws(),
@@ -546,22 +549,6 @@ impl Epochs {
     fn at(e: u64) -> (usize, usize) {
         let batch = e / LANES as u64;
         (batch as usize % AHEAD, e as usize % LANES)
-    }
-
-    /// Step to the next epoch; returns whether its signal has an anomaly.
-    fn advance(&mut self) -> bool {
-        if !self.lanes {
-            self.seed = next_epoch_seed(self.seed);
-            return self
-                .gen
-                .draw_into(self.detector.n, self.seed, &mut self.draws);
-        }
-        if self.lived == self.decided * LANES as u64 {
-            self.decide_ahead();
-        }
-        self.lived += 1;
-        let (slot, lane) = Epochs::at(self.lived - 1);
-        self.ring[slot].has_anomaly[lane]
     }
 
     /// Decide the next batch of the chain with the common kernel.
@@ -580,29 +567,6 @@ impl Epochs {
             .detector
             .lanes(&self.gen, &self.draws, seeds, kernel, self.isa);
         self.decided += 1;
-    }
-
-    /// The exact `detect` of the current epoch's signal.
-    fn detect(&mut self) -> bool {
-        if !self.lanes {
-            return self.detector.detect(&self.gen, &self.draws);
-        }
-        let (slot, lane) = Epochs::at(self.lived - 1);
-        if self.ring[slot].waiting(lane) {
-            self.decide_waiting();
-        }
-        let batch = &self.ring[slot];
-        match batch.fired[lane] {
-            Some(fired) => fired,
-            None => {
-                let any = self
-                    .gen
-                    .draw_into(self.detector.n, batch.seeds[lane], &mut self.draws);
-                debug_assert_eq!(any, batch.has_anomaly[lane]);
-                // The lanes ran the screen on these draws already.
-                self.detector.exact(&self.gen, &self.draws)
-            }
-        }
     }
 
     /// Settle the current epoch, which waits for the exact lanes, with
@@ -644,6 +608,37 @@ impl Epochs {
                 self.detector.exact(&self.gen, &self.draws)
             });
             self.ring[slot].fired[lane] = Some(fired);
+        }
+    }
+}
+
+impl EpochSeq for Epochs {
+    fn advance(&mut self) -> bool {
+        if self.lived == self.decided * LANES as u64 {
+            self.decide_ahead();
+        }
+        self.lived += 1;
+        let (slot, lane) = Epochs::at(self.lived - 1);
+        self.ring[slot].has_anomaly[lane]
+    }
+
+    fn detect(&mut self) -> bool {
+        let (slot, lane) = Epochs::at(self.lived - 1);
+        if self.ring[slot].waiting(lane) {
+            self.decide_waiting();
+        }
+        let batch = &self.ring[slot];
+        match batch.fired[lane] {
+            Some(fired) => fired,
+            None => {
+                let any = self
+                    .gen
+                    .draw_into(self.detector.n, batch.seeds[lane], &mut self.draws);
+                debug_assert_eq!(any, batch.has_anomaly[lane]);
+                // The lanes ran the screen on these draws already, or,
+                // outside the rounding budget, could not.
+                self.detector.exact(&self.gen, &self.draws)
+            }
         }
     }
 }
@@ -742,14 +737,10 @@ struct Detector {
     bound: NoiseBound,
     /// Whether the rounding budget behind [`SCREEN_MARGIN`] holds.
     screening: bool,
-    /// Prefix sums of per-sample lower and upper bounds on the squared
-    /// signal. These buffers grow on first use: a run decided in lanes
-    /// never screens an epoch alone.
-    lo: Vec<f64>,
-    hi: Vec<f64>,
     /// The exact signal, for epochs the screen leaves open.
     signal: Vec<f64>,
-    /// `lo`/`hi` for [`LANES`] epochs at once, one row per sample.
+    /// Prefix sums of per-sample lower and upper bounds on the squared
+    /// signal, for [`LANES`] epochs at once, one row per sample.
     lane_lo: Vec<[f64; LANES]>,
     lane_hi: Vec<[f64; LANES]>,
 }
@@ -763,19 +754,9 @@ impl Detector {
             threshold,
             bound: gen.noise_bound(),
             screening: 8.0 * (n as f64).powi(2) * f64::EPSILON <= t * SCREEN_MARGIN,
-            lo: Vec::new(),
-            hi: Vec::new(),
             signal: Vec::new(),
             lane_lo: Vec::new(),
             lane_hi: Vec::new(),
-        }
-    }
-
-    /// Exactly `detect(signal)` for the signal `draws` transform into.
-    fn detect(&mut self, gen: &SignalGen, draws: &SignalDraws) -> bool {
-        match self.screen(draws) {
-            Some(fired) => fired,
-            None => self.exact(gen, draws),
         }
     }
 
@@ -788,16 +769,17 @@ impl Detector {
     /// `Some(detect(signal))` when the noise bounds prove the answer:
     /// some window's lowest mean square clears the highest cut-off, or
     /// every window's highest stays under the lowest. `None` otherwise,
-    /// and wherever the bounds' sums are not finite.
-    fn screen(&mut self, draws: &SignalDraws) -> Option<bool> {
+    /// and wherever the bounds' sums are not finite. One epoch at a time:
+    /// the oracle the lanes are checked against.
+    #[cfg(test)]
+    fn screen(&self, draws: &SignalDraws) -> Option<bool> {
         if !self.screening {
             return None;
         }
         let n = draws.clean().len();
-        self.lo.resize(n, 0.0);
-        self.hi.resize(n, 0.0);
+        let (mut lo, mut hi) = (vec![0.0; n], vec![0.0; n]);
         let (mut s_lo, mut s_hi) = (0.0, 0.0);
-        let sums = self.lo.iter_mut().zip(&mut self.hi);
+        let sums = lo.iter_mut().zip(&mut hi);
         for ((&c, &u), (lo_sum, hi_sum)) in draws.clean().iter().zip(draws.u()).zip(sums) {
             let b = self.bound.at(u);
             let lo = (c.abs() - b).max(0.0);
@@ -813,7 +795,7 @@ impl Detector {
         }
         // With prefix sums each window is one difference, independent of
         // the other windows.
-        let (lo, hi) = (&self.lo, &self.hi);
+        let (lo, hi) = (&lo, &hi);
         let t = self.threshold * self.threshold;
         let cut_lo = t * (s_lo / n as f64) * (1.0 - SCREEN_MARGIN);
         let cut_hi = t * (s_hi / n as f64) * (1.0 + SCREEN_MARGIN);
@@ -843,9 +825,9 @@ impl Detector {
     }
 
     /// The [`Batch`] of the epochs drawn from `seeds`, as `kernel` decides
-    /// it: each one's `has_anomaly`, exact, and [`Detector::screen`]'s
-    /// answer wherever the kernel runs the screen. Without the rounding
-    /// budget no kernel screens. Runs on `isa`; every build returns the
+    /// it: each one's `has_anomaly`, exact, and the screen's answer
+    /// wherever the kernel runs the screen. Without the rounding budget no
+    /// kernel screens. Runs on `isa`; every build returns the
     /// same bits.
     fn lanes(
         &mut self,
@@ -897,9 +879,10 @@ impl Detector {
     }
 
     /// [`Detector::lanes`]' one body, inlined into each build. Per lane the
-    /// screen is [`Detector::screen`] step for step, over the `clean` and
-    /// `u` that [`SignalGen::draw_lanes`] hands a lane without an anomaly
-    /// or [`SignalGen::draw_lanes_exact`] hands every lane.
+    /// screen is the scalar `Detector::screen` (kept in tests as the
+    /// oracle) step for step, over the `clean` and `u` that
+    /// [`SignalGen::draw_lanes`] hands a lane without an anomaly or
+    /// [`SignalGen::draw_lanes_exact`] hands every lane.
     #[inline(always)]
     fn lanes_body(
         &mut self,
@@ -1297,7 +1280,7 @@ mod tests {
                 }
                 None => open += 1,
             }
-            assert_eq!(det.detect(&gen, &draws), exact);
+            assert_eq!(det.exact(&gen, &draws), exact);
         }
         (decided, open)
     }
@@ -1417,18 +1400,35 @@ mod tests {
         lanes_sweep(4_000_000 / LANES as u64, &[250]);
     }
 
-    /// `run_inner` with every epoch drawn and decided on its own: the
-    /// one-epoch-at-a-time loop the lanes must reproduce.
-    fn one_at_a_time(
+    /// [`Epochs`]' epochs, each drawn and decided on its own by the scalar
+    /// screen and the exact detector.
+    struct Alone(Epochs);
+
+    impl EpochSeq for Alone {
+        fn advance(&mut self) -> bool {
+            let e = &mut self.0;
+            e.seed = next_epoch_seed(e.seed);
+            e.gen.draw_into(e.detector.n, e.seed, &mut e.draws)
+        }
+
+        fn detect(&mut self) -> bool {
+            let e = &mut self.0;
+            match e.detector.screen(&e.draws) {
+                Some(fired) => fired,
+                None => e.detector.exact(&e.gen, &e.draws),
+            }
+        }
+    }
+
+    /// `run_inner` for 1 000 hours over `epochs`.
+    fn run_with(
         n: &SensorNode,
         policy: NodePolicy,
         battery: Battery,
         harvester: Option<Harvester>,
-        seed: u64,
+        epochs: impl EpochSeq,
         plan: &FaultPlan,
     ) -> (NodeOutcome, NodeObservation, FaultStats) {
-        let mut epochs = Epochs::new(&n.cfg, policy, seed);
-        epochs.lanes = false;
         let horizon = Seconds::from_hours(1_000.0);
         n.run_inner(
             policy,
@@ -1439,6 +1439,20 @@ mod tests {
             Trace::disabled(),
             plan,
         )
+    }
+
+    /// `run_inner` with every epoch drawn and decided on its own: the
+    /// one-epoch-at-a-time loop the lanes must reproduce.
+    fn one_at_a_time(
+        n: &SensorNode,
+        policy: NodePolicy,
+        battery: Battery,
+        harvester: Option<Harvester>,
+        seed: u64,
+        plan: &FaultPlan,
+    ) -> (NodeOutcome, NodeObservation, FaultStats) {
+        let epochs = Alone(Epochs::new(&n.cfg, policy, seed));
+        run_with(n, policy, battery, harvester, epochs, plan)
     }
 
     #[test]
@@ -1529,20 +1543,13 @@ mod tests {
         lanes: bool,
     ) -> (String, u64, f64) {
         let policy = NodePolicy::FilterThenSend;
-        let mut epochs = Epochs::with_gen(&n.cfg, policy, 41, gen);
-        assert!(epochs.lanes);
-        epochs.lanes = lanes;
-        let horizon = Seconds::from_hours(1_000.0);
+        let epochs = Epochs::with_gen(&n.cfg, policy, 41, gen);
         let plan = FaultPlan::new();
-        let (out, obs, stats) = n.run_inner(
-            policy,
-            battery,
-            None,
-            horizon,
-            epochs,
-            Trace::disabled(),
-            &plan,
-        );
+        let (out, obs, stats) = if lanes {
+            run_with(n, policy, battery, None, epochs, &plan)
+        } else {
+            run_with(n, policy, battery, None, Alone(epochs), &plan)
+        };
         let (lived, mean) = (stats.epochs, obs.epoch_energy.mean());
         (format!("{obs:?} {:?}", stats.outcome(out)), lived, mean)
     }
@@ -1604,22 +1611,30 @@ mod tests {
         gen.draw_into(250, 1, &mut draws);
         // A zero threshold leaves no room for the margin.
         let mut det = Detector::new(&gen, 250, 8, 0.0);
+        assert!(!det.screening);
         assert_eq!(det.screen(&draws), None);
-        let (signal, _) = gen.generate(250, 1);
-        assert_eq!(det.detect(&gen, &draws), detect(&signal, 8, 0.0));
-        // Nor do the lanes screen, so a filter run decides each epoch alone.
+        // Nor do the lanes screen, so a filter run redraws each epoch and
+        // decides it exactly.
         for isa in Isa::available() {
             for kernel in [Kernel::Screen, Kernel::Exact] {
                 let batch = det.lanes(&gen, &draws, [1; LANES], kernel, isa);
                 assert_eq!(batch.fired, [None; LANES]);
             }
         }
-        let cfg = SensorNodeConfig {
-            threshold: 0.0,
-            ..SensorNodeConfig::default()
-        };
-        assert!(!Epochs::new(&cfg, NodePolicy::FilterThenSend, 1).lanes);
-        assert!(Epochs::new(&cfg, NodePolicy::SendRaw, 1).lanes);
+        let n = SensorNode::new(
+            SensorNodeConfig {
+                threshold: 0.0,
+                ..SensorNodeConfig::default()
+            },
+            Mcu::cortex_m_class(),
+            Radio::new(RadioTech::BleClass),
+        );
+        let policy = NodePolicy::FilterThenSend;
+        let (out, obs, _) = one_at_a_time(&n, policy, small_battery(), None, 1, &FaultPlan::new());
+        assert!(obs.epoch_energy.count() > LANES as u64, "lived one batch");
+        let horizon = Seconds::from_hours(1_000.0);
+        let observed = n.run_observed(policy, small_battery(), None, horizon, 1, Trace::disabled());
+        assert_eq!(format!("{observed:?}"), format!("{:?}", (out, obs)));
     }
 
     #[test]
@@ -1642,7 +1657,7 @@ mod tests {
             gen.draw_into(250, seed, &mut draws);
             assert_eq!(det.screen(&draws), None);
             let (signal, _) = gen.generate(250, seed);
-            assert_eq!(det.detect(&gen, &draws), detect(&signal, 8, 1.8));
+            assert_eq!(det.exact(&gen, &draws), detect(&signal, 8, 1.8));
         }
     }
 

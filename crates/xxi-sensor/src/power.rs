@@ -1,12 +1,10 @@
 //! Batteries and energy harvesters.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::rng::Rng64;
 use xxi_core::units::{Energy, Power, Seconds};
 
 /// A finite energy store.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Battery {
     capacity: Energy,
     remaining: Energy,
@@ -62,7 +60,7 @@ impl Battery {
 }
 
 /// Harvester profile.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HarvestProfile {
     /// Solar-like: sinusoidal day/night cycle, zero at night.
     Solar,

@@ -6,12 +6,10 @@
 //! versus picojoules per MCU operation, a gap of 3–5 orders of magnitude.
 //! Calibration is to published link budgets of each technology class.
 
-use serde::{Deserialize, Serialize};
-
 use xxi_core::units::Energy;
 
 /// Radio technology class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RadioTech {
     /// Bluetooth-Low-Energy-class short-range radio.
     BleClass,
@@ -24,7 +22,7 @@ pub enum RadioTech {
 }
 
 /// A radio instance.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Radio {
     /// Technology.
     pub tech: RadioTech,

@@ -13,15 +13,13 @@
 //! its shard as capacity allows, [`place_random`] is the baseline; the
 //! tests (and the E18 bench) quantify the gap.
 
-use serde::Serialize;
-
 use xxi_core::rng::Rng64;
 use xxi_core::units::Energy;
 use xxi_noc::link::Link;
 use xxi_noc::topology::Mesh;
 
 /// A task that reads `bytes` from data living on mesh node `shard`.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Task {
     /// Mesh node holding this task's data.
     pub shard: usize,

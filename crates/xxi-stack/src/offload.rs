@@ -18,12 +18,10 @@
 //! The decision flips with uplink bandwidth and RTT, producing the
 //! decision map of E16.
 
-use serde::Serialize;
-
 use xxi_core::units::{Energy, Seconds};
 
 /// What an application stage needs.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AppProfile {
     /// Total operations.
     pub ops: f64,
@@ -60,7 +58,7 @@ impl AppProfile {
 }
 
 /// The portable device's compute/radio characteristics.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DeviceModel {
     /// Device throughput, ops/s.
     pub ops_per_sec: f64,
@@ -85,7 +83,7 @@ impl DeviceModel {
 }
 
 /// The network between them.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Uplink {
     /// Bandwidth in bits/s (both directions, simplified).
     pub bps: f64,
@@ -94,7 +92,7 @@ pub struct Uplink {
 }
 
 /// The planner's decision.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Decision {
     /// Run entirely on the device.
     Local,
@@ -108,7 +106,7 @@ pub enum Decision {
 }
 
 /// A costed plan.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OffloadPlan {
     /// The chosen decision.
     pub decision: Decision,

@@ -14,8 +14,6 @@
 //! experiments quantify (lower `f`, lower `V`, or spend transistors on
 //! occasionally-used accelerators).
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::{NodeDb, TechNode};
 use xxi_core::units::Power;
 
@@ -25,7 +23,7 @@ use xxi_core::units::Power;
 const BASE_POWER_DENSITY_W_MM2: f64 = 0.35;
 
 /// Dark-silicon calculator for a fixed die size and package TDP.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DarkSilicon {
     /// Die area in mm².
     pub die_mm2: f64,
@@ -34,7 +32,7 @@ pub struct DarkSilicon {
 }
 
 /// Active-fraction result for one node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DarkPoint {
     /// Node name.
     pub node: &'static str,

@@ -13,13 +13,11 @@
 //! targets need — the experiments compare *trends across nodes*, not
 //! individual chips.
 
-use serde::Serialize;
-
 use xxi_core::units::{Frequency, Volts};
 use xxi_core::{Result, XxiError};
 
 /// One CMOS technology generation.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TechNode {
     /// Human name, e.g. `"45nm"`.
     pub name: &'static str,

@@ -10,12 +10,10 @@
 //! CPU) and per-unit recurring costs, which `xxi-accel::nre` combines into
 //! amortization curves and breakeven volumes (experiment E5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::TechNode;
 
 /// How a function is implemented, for costing purposes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ImplStyle {
     /// Full-custom / standard-cell ASIC: pays masks + full design +
     /// verification, cheapest and most efficient per unit.
@@ -28,7 +26,7 @@ pub enum ImplStyle {
 }
 
 /// One-time and per-unit costs for implementing a function.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// One-time cost in millions of USD.
     pub nre_musd: f64,

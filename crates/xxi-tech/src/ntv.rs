@@ -21,14 +21,12 @@
 //!    shows the optimum shifts back up in voltage once errors are priced
 //!    in — the quantitative core of "resiliency-centered design".
 
-use serde::Serialize;
-
 use crate::freq::{alpha_power_frequency, leakage_current};
 use crate::node::TechNode;
 use xxi_core::units::{Energy, Power, Volts};
 
 /// NTV energy/error model for one circuit block on one node.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct NtvModel {
     /// The technology node.
     pub node: TechNode,
@@ -148,7 +146,7 @@ impl NtvModel {
 }
 
 /// One sample of the NTV sweep.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NtvPoint {
     /// Supply voltage.
     pub v: Volts,

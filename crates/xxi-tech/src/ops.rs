@@ -20,8 +20,6 @@
 //! Energies scale across nodes as `C·V²` via
 //! [`TechNode::gate_energy_rel`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::TechNode;
 use xxi_core::units::Energy;
 
@@ -43,7 +41,7 @@ mod anchor45 {
 }
 
 /// Per-operation energies on a given technology node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OpEnergies {
     /// 32-bit integer add.
     pub int_add: Energy,

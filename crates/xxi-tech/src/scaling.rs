@@ -17,12 +17,10 @@
 //!   ~2× per generation**, which is exactly why it can't be done — see
 //!   [`crate::dark`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::{NodeDb, TechNode};
 
 /// Which generational rule set to apply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScalingRule {
     /// Classical Dennard scaling: V and C scale with feature size, f grows
     /// 1.4×/generation, power density constant.
@@ -33,7 +31,7 @@ pub enum ScalingRule {
 }
 
 /// One generation's aggregate chip-level figures for a fixed-area die.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GenPoint {
     /// Node name.
     pub node: &'static str,

@@ -16,8 +16,6 @@
 //! Rates are expressed in FIT (failures per 10⁹ device-hours), the industry
 //! unit.
 
-use serde::Serialize;
-
 use crate::node::TechNode;
 use xxi_core::units::Volts;
 
@@ -26,7 +24,7 @@ use xxi_core::units::Volts;
 const Q_SLOPE_FRAC: f64 = 0.25;
 
 /// Soft-error model for an SRAM/flop array on one node.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SoftErrorModel {
     /// Technology node.
     pub node: TechNode,
