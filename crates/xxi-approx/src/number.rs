@@ -49,7 +49,7 @@ impl ApproxReal {
     }
 
     /// Worst-case relative quantization error at this precision: `2^-bits`.
-    // xxi-allow: model-reach -- checked by xxi-check lint (model-constructors)
+    // xxi-allow: model-reach -- checked by xxi lint (model-constructors)
     pub fn quantization_bound(self) -> f64 {
         2.0f64.powi(-(self.mantissa_bits as i32))
     }

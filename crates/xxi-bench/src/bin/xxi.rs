@@ -1,4 +1,4 @@
-//! `xxi` — the experiment driver.
+//! `xxi` — the repo's one command-line program.
 //!
 //! ```text
 //! xxi list [--format json]     every experiment: id, capabilities, title
@@ -7,16 +7,25 @@
 //! xxi validate <file|->        validate a JSON report file (one doc/line)
 //! xxi bench <id>...|--all      time experiments and kernels, emit bench JSON
 //! xxi compare <base> <new>     diff two bench files (the CI perf gate)
+//! xxi lint [flags]             the cross-layer model linter
+//! xxi src [flags]              the workspace source linter
 //! ```
 //!
 //! `xxi run e9` prints the text report pinned by the goldens; `--format
-//! json` emits the schema-version-3 report documents.
-//! Unknown commands and flags exit 2 with usage; `xxi compare` exits 3
-//! when a regression exceeds the threshold.
+//! json` emits the schema-version-3 report documents. Each command takes
+//! the flags `cli::COMMANDS` lists for it. Exit codes: 0 clean, 1 on
+//! errors or linter findings, 2 on usage errors (unknown command or flag,
+//! missing value), 3 when `xxi compare` finds a regression above the
+//! threshold.
+
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 
 use xxi_bench::bench::{self, BenchConfig};
-use xxi_bench::cli::{self, FLAG_USAGE};
+use xxi_bench::cli::{self, Flags, Format, FLAG_USAGE};
 use xxi_bench::experiments;
+use xxi_check::lint::{self, Diagnostic, Severity};
+use xxi_check::srclint::{self, SrcOptions};
 use xxi_core::report::json::Json;
 
 const USAGE: &str = "\
@@ -37,24 +46,37 @@ commands:
   compare <base> <new>          diff two bench JSON files by median wall
                                 time; --threshold <pct> (default 10) sets
                                 the regression gate (exit 3 when exceeded)
+  lint [flags]                  run the cross-layer model linter;
+                                --format <text|json>, --rule <id>,
+                                --ledger <path> (repeatable), --list
+  src [flags]                   run the workspace source linter;
+                                --root <dir>, --rule <id>, --format
+                                <text|json>, --out <path>, --deny warnings,
+                                --list
+
+exit codes: 0 clean, 1 findings, 2 usage error, 3 regression (compare)
 ";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("list") => list(&args[1..]),
-        Some("run") => run(&args[1..]),
         Some("validate") => validate(&args[1..]),
-        Some("bench") => run_bench(&args[1..]),
-        Some("compare") => compare(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}\n{FLAG_USAGE}\n");
             0
         }
-        Some(other) => {
-            eprintln!("error: unknown command: {other}\n\n{USAGE}");
-            2
-        }
+        Some(command) => match cli::parse_flags(&args[1..], command) {
+            Ok(flags) => match command {
+                "list" => list(&flags),
+                "run" => run(&flags),
+                "bench" => run_bench(&flags),
+                "compare" => compare(&flags),
+                "lint" => lint(&flags),
+                "src" => src(&flags),
+                _ => usage_error(&format!("unknown command: {command}")),
+            },
+            Err(e) => usage_error(&e),
+        },
         None => {
             eprintln!("{USAGE}");
             2
@@ -63,20 +85,15 @@ fn main() {
     std::process::exit(code);
 }
 
-fn list(args: &[String]) -> i32 {
-    let flags = match cli::parse_flags(args) {
-        Ok(f) if f.ids.is_empty() => f,
-        Ok(_) => {
-            eprintln!("error: xxi list takes no positional arguments\n\n{USAGE}");
-            return 2;
-        }
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
+/// Print `msg` and the usage on stderr; the usage-error exit code.
+fn usage_error(msg: &str) -> i32 {
+    eprintln!("error: {msg}\n\n{USAGE}\n{FLAG_USAGE}");
+    2
+}
+
+fn list(flags: &Flags) -> i32 {
     match flags.format {
-        cli::Format::Text => {
+        Format::Text => {
             println!("{:<5} {:<7} title", "id", "flags");
             for e in experiments::registry() {
                 let mut caps = String::new();
@@ -90,7 +107,7 @@ fn list(args: &[String]) -> i32 {
             }
             println!("\nP = --threads speeds it up   T = accepts --trace <path>");
         }
-        cli::Format::Json => {
+        Format::Json => {
             // One experiment object per line, like `xxi run --format json`.
             for e in experiments::registry() {
                 let doc = Json::obj([
@@ -106,27 +123,16 @@ fn list(args: &[String]) -> i32 {
     0
 }
 
-fn run(args: &[String]) -> i32 {
-    let flags = match cli::parse_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}\n{FLAG_USAGE}");
-            return 2;
-        }
-    };
-    if let Some(flag) = flags.bench_only_flag() {
-        eprintln!("error: {flag} is only valid with `xxi bench`/`xxi compare`\n\n{USAGE}");
-        return 2;
-    }
-    let exps = match cli::select(&flags) {
+fn run(flags: &Flags) -> i32 {
+    let exps = match cli::select(flags) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }
     };
-    let rendered = cli::render_reports(&exps, &flags);
-    cli::deliver(&rendered, &flags)
+    let rendered = cli::render_reports(&exps, flags);
+    cli::deliver(&rendered, flags)
 }
 
 fn validate(args: &[String]) -> i32 {
@@ -134,7 +140,7 @@ fn validate(args: &[String]) -> i32 {
         eprintln!("usage: xxi validate <file|->");
         return 2;
     };
-    let (ok, msg) = cli::validate_file(std::path::Path::new(path));
+    let (ok, msg) = cli::validate_file(Path::new(path));
     if ok {
         println!("{msg}");
         0
@@ -144,23 +150,8 @@ fn validate(args: &[String]) -> i32 {
     }
 }
 
-fn run_bench(args: &[String]) -> i32 {
-    let flags = match cli::parse_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
-    if flags.trace.is_some() || flags.format != cli::Format::Text {
-        eprintln!("error: xxi bench takes --iters/--warmup/--threads/--seed/--out only\n\n{USAGE}");
-        return 2;
-    }
-    if flags.threshold.is_some() {
-        eprintln!("error: --threshold is only valid with `xxi compare`\n\n{USAGE}");
-        return 2;
-    }
-    let exps = match cli::select_bench(&flags) {
+fn run_bench(flags: &Flags) -> i32 {
+    let exps = match cli::select_bench(flags) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
@@ -176,37 +167,18 @@ fn run_bench(args: &[String]) -> i32 {
     // Progress to stderr so stdout stays a clean JSON document when no
     // --out was given.
     let run = bench::run_bench(&exps, cfg, |line| eprintln!("{line}"));
-    let doc = run.render_json();
-    match &flags.out {
-        None => {
-            println!("{doc}");
-            0
-        }
-        Some(path) => match std::fs::write(path, format!("{doc}\n")) {
-            Ok(()) => {
-                eprintln!(
-                    "wrote {} result(s) -> {}",
-                    run.results.len(),
-                    path.display()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                1
-            }
-        },
+    let code = cli::deliver(&format!("{}\n", run.render_json()), flags);
+    if let (0, Some(path)) = (code, &flags.out) {
+        eprintln!(
+            "wrote {} result(s) -> {}",
+            run.results.len(),
+            path.display()
+        );
     }
+    code
 }
 
-fn compare(args: &[String]) -> i32 {
-    let flags = match cli::parse_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
+fn compare(flags: &Flags) -> i32 {
     let [base_path, new_path] = flags.ids.as_slice() else {
         eprintln!("usage: xxi compare <base.json> <new.json> [--threshold <pct>]");
         return 2;
@@ -230,4 +202,86 @@ fn compare(args: &[String]) -> i32 {
     } else {
         0
     }
+}
+
+/// `xxi lint`: the model linter, plus an audit of each `--ledger` file.
+fn lint(flags: &Flags) -> i32 {
+    let rules: Vec<_> = lint::RULES.iter().map(|r| (r.id, r.description)).collect();
+    if let Some(code) = list_or_check_rule(flags, &rules) {
+        return code;
+    }
+    let mut report = lint::run(flags.rule.as_deref());
+    for path in &flags.ledgers {
+        match std::fs::read_to_string(path) {
+            Ok(text) => report.diags.extend(lint::check_ledger_text(path, &text)),
+            Err(e) => report.diags.push(Diagnostic {
+                rule: "ledger-conservation",
+                severity: Severity::Error,
+                source: path.clone(),
+                message: format!("cannot read ledger file: {e}"),
+            }),
+        }
+    }
+    linted(&report, report.to_json(), report.is_clean(), flags)
+}
+
+/// `xxi src`: the source linter over every `.rs` file under `--root`.
+fn src(flags: &Flags) -> i32 {
+    if let Some(code) = list_or_check_rule(flags, srclint::rules::RULES) {
+        return code;
+    }
+    let report = match srclint::run(&SrcOptions {
+        root: flags.root.clone().unwrap_or_else(workspace_root),
+        rule: flags.rule.clone(),
+        deny_warnings: flags.deny_warnings,
+    }) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 1;
+        }
+    };
+    linted(&report, report.to_json(), report.is_clean(), flags)
+}
+
+/// `--list` prints a linter's `(id, description)` rules (exit 0); a
+/// `--rule` naming none of them is a usage error. `None`: go on and lint.
+fn list_or_check_rule(flags: &Flags, rules: &[(&str, &str)]) -> Option<i32> {
+    if flags.list {
+        for (id, desc) in rules {
+            println!("{id:<20} {desc}");
+        }
+        return Some(0);
+    }
+    match &flags.rule {
+        Some(id) if !rules.iter().any(|(rid, _)| rid == id) => {
+            Some(usage_error(&format!("unknown rule {id:?} (see --list)")))
+        }
+        _ => None,
+    }
+}
+
+/// Deliver a linter's report, as `text` or `json` by `--format`: 0 when
+/// it is clean, else 1.
+fn linted(text: &dyn Display, json: Json, clean: bool, flags: &Flags) -> i32 {
+    let rendered = match flags.format {
+        Format::Text => format!("{text}\n"),
+        Format::Json => format!("{json}\n"),
+    };
+    match cli::deliver(&rendered, flags) {
+        0 if !clean => 1,
+        code => code,
+    }
+}
+
+/// The workspace root: the nearest ancestor of the current directory
+/// whose `Cargo.toml` holds a `[workspace]` table, else `.`.
+fn workspace_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    cwd.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|text| text.contains("[workspace]"))
+        })
+        .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
 }

@@ -1,7 +1,9 @@
-//! The unified experiment CLI: the flag parser and report plumbing behind
-//! the `xxi` driver.
+//! The command-line layer: the flag parser and report plumbing behind
+//! the `xxi` binary.
 //!
-//! All experiments accept the same flags:
+//! [`COMMANDS`] lists every command that takes flags and the flags each
+//! accepts; [`parse_flags`] reads any command's arguments against it. The
+//! experiment flags are:
 //!
 //! ```text
 //! --seed <u64>          reseed every RNG stream (default: canonical seeds)
@@ -12,7 +14,8 @@
 //! ```
 //!
 //! Unknown flags are an error (exit 2 with usage), so `xxi run e9
-//! --thraeds 8` fails loudly instead of running serial. `--trace` on an
+//! --thraeds 8` fails loudly instead of running serial, and so is a flag
+//! of another command (`xxi run e9 --iters 3`). `--trace` on an
 //! experiment that declares no trace capability is likewise exit 2.
 
 use std::path::PathBuf;
@@ -24,63 +27,53 @@ use xxi_core::Report;
 use crate::experiments::{self, Experiment, RunCtx};
 
 /// Output format for a rendered report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Format {
+    #[default]
     Text,
     Json,
 }
 
-/// Parsed command-line flags (plus positional experiment ids).
-#[derive(Debug)]
+/// Every command that takes flags: its name, whether it takes positional
+/// arguments (experiment ids, `compare`'s two files), and exactly the
+/// flags it honours.
+#[rustfmt::skip]
+pub const COMMANDS: [(&str, bool, &[&str]); 6] = [
+    ("list", false, &["--format"]),
+    ("run", true, &["--all", "--seed", "--threads", "--trace", "--format", "--out"]),
+    ("bench", true, &["--all", "--iters", "--warmup", "--threads", "--seed", "--out"]),
+    ("compare", true, &["--threshold"]),
+    ("lint", false, &["--format", "--rule", "--ledger", "--list"]),
+    ("src", false, &["--root", "--rule", "--format", "--out", "--deny", "--list"]),
+];
+
+/// Parsed command-line flags (plus positional arguments).
+#[derive(Debug, Default)]
 pub struct Flags {
-    /// Positional arguments (experiment ids for `xxi run`).
+    /// Positional arguments (experiment ids, or `compare`'s two files).
     pub ids: Vec<String>,
-    /// `--all`: run the whole registry (driver only).
+    /// `--all`: run or bench the whole registry.
     pub all: bool,
     pub seed: Option<u64>,
     pub threads: usize,
     pub trace: Option<PathBuf>,
     pub format: Format,
     pub out: Option<PathBuf>,
-    /// `--iters` (xxi bench only; `None` = flag not given).
+    /// `--iters` (`None` = flag not given).
     pub iters: Option<u64>,
-    /// `--warmup` (xxi bench only).
     pub warmup: Option<u64>,
-    /// `--threshold` percent (xxi compare only).
+    /// `--threshold` percent.
     pub threshold: Option<f64>,
-}
-
-impl Default for Flags {
-    fn default() -> Flags {
-        Flags {
-            ids: Vec::new(),
-            all: false,
-            seed: None,
-            threads: 1,
-            trace: None,
-            format: Format::Text,
-            out: None,
-            iters: None,
-            warmup: None,
-            threshold: None,
-        }
-    }
-}
-
-impl Flags {
-    /// The first bench/compare-only flag present, for `xxi run`, which
-    /// must reject them.
-    pub fn bench_only_flag(&self) -> Option<&'static str> {
-        if self.iters.is_some() {
-            Some("--iters")
-        } else if self.warmup.is_some() {
-            Some("--warmup")
-        } else if self.threshold.is_some() {
-            Some("--threshold")
-        } else {
-            None
-        }
-    }
+    /// `--root`: the tree `xxi src` lints (default: the workspace root).
+    pub root: Option<PathBuf>,
+    /// `--rule`: run one linter rule only.
+    pub rule: Option<String>,
+    /// `--ledger`, repeatable: ledger files `xxi lint` audits.
+    pub ledgers: Vec<String>,
+    /// `--deny warnings`: warnings fail the run.
+    pub deny_warnings: bool,
+    /// `--list`: print the linter's rules and exit.
+    pub list: bool,
 }
 
 /// The flag block of the `xxi` usage message.
@@ -96,88 +89,106 @@ flags:
 /// argument can make `Pool::new` allocate without bound.
 const MAX_THREADS: usize = 1024;
 
-/// Parse `args` (without the program name). Every `--flag value` also
+/// Parse the arguments of `xxi <command>` (after the command name)
+/// against the flags [`COMMANDS`] lists for it. Every `--flag value` also
 /// accepts `--flag=value`. Returns an error message for unknown flags,
-/// missing values, or unparsable values.
-pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut f = Flags::default();
-    let mut it = args.iter().peekable();
+/// flags of other commands, stray positional arguments, missing values,
+/// or unparsable values.
+pub fn parse_flags(args: &[String], command: &str) -> Result<Flags, String> {
+    let Some(&(_, positional, accepted)) = COMMANDS.iter().find(|c| c.0 == command) else {
+        return Err(format!("unknown command: {command}"));
+    };
+    let mut f = Flags {
+        threads: 1,
+        ..Flags::default()
+    };
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         let (name, inline) = match a.split_once('=') {
             Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
             _ => (a.as_str(), None),
         };
-        let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>| match inline.clone() {
-            Some(v) => Ok(v),
-            None => it
-                .next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}")),
-        };
+        if !name.starts_with('-') {
+            if !positional {
+                return Err(format!("xxi {command} takes no positional arguments"));
+            }
+            f.ids.push(a.clone());
+            continue;
+        }
+        if !accepted.contains(&name) {
+            return Err(rejection(name));
+        }
         match name {
+            "--all" | "--list" if inline.is_some() => return Err(format!("{name} takes no value")),
             "--all" => f.all = true,
-            "--seed" => {
-                let v = value(&mut it)?;
-                f.seed = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("invalid value for --seed: {v} (need a u64)"))?,
-                );
+            "--list" => f.list = true,
+            _ => {
+                let v = inline
+                    .or_else(|| it.next().cloned())
+                    .ok_or_else(|| format!("missing value for {name}"))?;
+                set_value(&mut f, name, v)?;
             }
-            "--threads" => {
-                let v = value(&mut it)?;
-                f.threads = match v.parse::<usize>() {
-                    Ok(n) if (1..=MAX_THREADS).contains(&n) => n,
-                    _ => {
-                        return Err(format!(
-                            "invalid value for --threads: {v} (need an integer from 1 to {MAX_THREADS})"
-                        ))
-                    }
-                };
-            }
-            "--trace" => f.trace = Some(PathBuf::from(value(&mut it)?)),
-            "--iters" => {
-                let v = value(&mut it)?;
-                f.iters = match v.parse::<u64>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        return Err(format!(
-                            "invalid value for --iters: {v} (need an integer >= 1)"
-                        ))
-                    }
-                };
-            }
-            "--warmup" => {
-                let v = value(&mut it)?;
-                f.warmup = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("invalid value for --warmup: {v} (need a u64)"))?,
-                );
-            }
-            "--threshold" => {
-                let v = value(&mut it)?;
-                f.threshold = match v.parse::<f64>() {
-                    Ok(t) if t >= 0.0 && t.is_finite() => Some(t),
-                    _ => {
-                        return Err(format!(
-                            "invalid value for --threshold: {v} (need a percentage >= 0)"
-                        ))
-                    }
-                };
-            }
-            "--format" => {
-                let v = value(&mut it)?;
-                f.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    _ => return Err(format!("invalid value for --format: {v} (text or json)")),
-                };
-            }
-            "--out" => f.out = Some(PathBuf::from(value(&mut it)?)),
-            _ if name.starts_with('-') => return Err(format!("unknown flag: {name}")),
-            _ => f.ids.push(a.clone()),
         }
     }
     Ok(f)
+}
+
+/// Why a flag `parse_flags` does not accept for this command is refused:
+/// the commands that do take it, from [`COMMANDS`], or none.
+fn rejection(flag: &str) -> String {
+    let takers: Vec<String> = COMMANDS
+        .iter()
+        .filter(|c| c.2.contains(&flag))
+        .map(|c| format!("`xxi {}`", c.0))
+        .collect();
+    if takers.is_empty() {
+        format!("unknown flag: {flag}")
+    } else {
+        format!("{flag} is only valid with {}", takers.join("/"))
+    }
+}
+
+/// Store the value `v` of the valued flag `name`.
+fn set_value(f: &mut Flags, name: &str, v: String) -> Result<(), String> {
+    let invalid = |need: &str| format!("invalid value for {name}: {v} ({need})");
+    match name {
+        "--seed" => f.seed = Some(v.parse().map_err(|_| invalid("need a u64"))?),
+        "--threads" => {
+            f.threads = match v.parse::<usize>() {
+                Ok(n) if (1..=MAX_THREADS).contains(&n) => n,
+                _ => return Err(invalid(&format!("need an integer from 1 to {MAX_THREADS}"))),
+            }
+        }
+        "--iters" => {
+            f.iters = match v.parse::<u64>() {
+                Ok(n) if n >= 1 => Some(n),
+                _ => return Err(invalid("need an integer >= 1")),
+            }
+        }
+        "--warmup" => f.warmup = Some(v.parse().map_err(|_| invalid("need a u64"))?),
+        "--threshold" => {
+            f.threshold = match v.parse::<f64>() {
+                Ok(t) if t >= 0.0 && t.is_finite() => Some(t),
+                _ => return Err(invalid("need a percentage >= 0")),
+            }
+        }
+        "--format" => {
+            f.format = match v.as_str() {
+                "text" => Format::Text,
+                "json" => Format::Json,
+                _ => return Err(invalid("text or json")),
+            }
+        }
+        "--deny" if v == "warnings" => f.deny_warnings = true,
+        "--deny" => return Err(invalid("only warnings")),
+        "--trace" => f.trace = Some(PathBuf::from(v)),
+        "--out" => f.out = Some(PathBuf::from(v)),
+        "--root" => f.root = Some(PathBuf::from(v)),
+        "--rule" => f.rule = Some(v),
+        "--ledger" => f.ledgers.push(v),
+        _ => return Err(format!("unknown flag: {name}")),
+    }
+    Ok(())
 }
 
 /// Resolve the experiments selected by `flags` (ids or `--all`) and check
@@ -363,9 +374,13 @@ mod tests {
         s.iter().map(|a| a.to_string()).collect()
     }
 
+    fn run_flags(s: &[&str]) -> Result<Flags, String> {
+        parse_flags(&args(s), "run")
+    }
+
     #[test]
     fn parses_the_full_flag_set() {
-        let f = parse_flags(&args(&[
+        let f = run_flags(&[
             "e9",
             "--seed",
             "7",
@@ -374,13 +389,31 @@ mod tests {
             "json",
             "--out",
             "r.json",
-        ]))
+        ])
         .unwrap();
         assert_eq!(f.ids, ["e9"]);
         assert_eq!(f.seed, Some(7));
         assert_eq!(f.threads, 4);
         assert_eq!(f.format, Format::Json);
         assert_eq!(f.out.as_deref(), Some(std::path::Path::new("r.json")));
+
+        let f = parse_flags(
+            &args(&[
+                "--root=r",
+                "--rule",
+                "panic-path",
+                "--deny",
+                "warnings",
+                "--list",
+            ]),
+            "src",
+        )
+        .unwrap();
+        assert_eq!(f.root.as_deref(), Some(std::path::Path::new("r")));
+        assert_eq!(f.rule.as_deref(), Some("panic-path"));
+        assert!(f.deny_warnings && f.list);
+        let f = parse_flags(&args(&["--ledger", "a", "--ledger=b"]), "lint").unwrap();
+        assert_eq!(f.ledgers, ["a", "b"]);
     }
 
     #[test]
@@ -400,52 +433,67 @@ mod tests {
 
     #[test]
     fn rejects_unknown_and_misspelled_flags() {
-        assert!(parse_flags(&args(&["--thraeds", "8"]))
+        assert!(run_flags(&["--thraeds", "8"])
             .unwrap_err()
             .contains("unknown flag: --thraeds"));
-        assert!(parse_flags(&args(&["--frmt=json"]))
+        assert!(run_flags(&["--frmt=json"])
             .unwrap_err()
             .contains("unknown flag"));
+        assert_eq!(
+            parse_flags(&args(&["e1"]), "list").unwrap_err(),
+            "xxi list takes no positional arguments"
+        );
+        assert_eq!(
+            parse_flags(&args(&["--seed", "1"]), "list").unwrap_err(),
+            "--seed is only valid with `xxi run`/`xxi bench`"
+        );
+        assert_eq!(
+            parse_flags(&args(&["--root", "."]), "lint").unwrap_err(),
+            "--root is only valid with `xxi src`"
+        );
     }
 
     #[test]
     fn rejects_bad_values() {
-        assert!(parse_flags(&args(&["--threads", "0"])).is_err());
-        assert!(parse_flags(&args(&["--threads", "x"])).is_err());
-        assert!(parse_flags(&args(&["--threads", "1025"])).is_err());
-        assert!(parse_flags(&args(&["--threads", "18446744073709551615"])).is_err());
+        assert!(run_flags(&["--threads", "0"]).is_err());
+        assert!(run_flags(&["--threads", "x"]).is_err());
+        assert!(run_flags(&["--threads", "1025"]).is_err());
+        assert!(run_flags(&["--threads", "18446744073709551615"]).is_err());
+        assert_eq!(run_flags(&["--threads", "1024"]).unwrap().threads, 1024);
+        assert!(run_flags(&["--seed"]).is_err());
+        assert!(run_flags(&["--format", "xml"]).is_err());
+        assert!(parse_flags(&args(&["--deny", "errors"]), "src").is_err());
+        assert!(parse_flags(&args(&["--rule"]), "lint").is_err());
         assert_eq!(
-            parse_flags(&args(&["--threads", "1024"])).unwrap().threads,
-            1024
+            run_flags(&["--all=no"]).unwrap_err(),
+            "--all takes no value"
         );
-        assert!(parse_flags(&args(&["--seed"])).is_err());
-        assert!(parse_flags(&args(&["--format", "xml"])).is_err());
     }
 
     #[test]
     fn parses_and_fences_bench_only_flags() {
-        let f = parse_flags(&args(&[
-            "e9",
-            "--iters",
-            "7",
-            "--warmup=2",
-            "--threshold",
-            "12.5",
-        ]))
-        .unwrap();
+        let f = parse_flags(&args(&["e9", "--iters", "7", "--warmup=2"]), "bench").unwrap();
         assert_eq!(f.iters, Some(7));
         assert_eq!(f.warmup, Some(2));
+        let f = parse_flags(&args(&["a", "b", "--threshold", "12.5"]), "compare").unwrap();
         assert_eq!(f.threshold, Some(12.5));
-        assert_eq!(f.bench_only_flag(), Some("--iters"));
-        assert_eq!(parse_flags(&args(&["e9"])).unwrap().bench_only_flag(), None);
-        assert!(parse_flags(&args(&["--iters", "0"])).is_err());
-        assert!(parse_flags(&args(&["--warmup", "x"])).is_err());
-        assert!(parse_flags(&args(&["--threshold", "-1"])).is_err());
+        assert_eq!(
+            run_flags(&["e9", "--iters", "7"]).unwrap_err(),
+            "--iters is only valid with `xxi bench`"
+        );
+        assert_eq!(
+            parse_flags(&args(&["e9", "--threshold=1"]), "bench").unwrap_err(),
+            "--threshold is only valid with `xxi compare`"
+        );
+        assert!(parse_flags(&args(&["e9", "--format", "text"]), "bench").is_err());
+        assert!(parse_flags(&args(&["--iters", "0"]), "bench").is_err());
+        assert!(parse_flags(&args(&["--warmup", "x"]), "bench").is_err());
+        assert!(parse_flags(&args(&["--threshold", "-1"]), "compare").is_err());
     }
 
     #[test]
     fn select_enforces_the_trace_capability() {
-        let mut f = parse_flags(&args(&["e1", "--trace", "t.json"])).unwrap();
+        let mut f = run_flags(&["e1", "--trace", "t.json"]).unwrap();
         assert_eq!(
             select(&f).err().unwrap(),
             "experiment e1 does not emit traces"
@@ -458,17 +506,18 @@ mod tests {
 
     #[test]
     fn select_resolves_all_and_rejects_unknown_ids() {
-        let f = parse_flags(&args(&["--all"])).unwrap();
+        let f = run_flags(&["--all"]).unwrap();
         assert_eq!(select(&f).unwrap().len(), 21);
-        let f = parse_flags(&args(&["e99"])).unwrap();
+        let f = run_flags(&["e99"]).unwrap();
         assert!(select(&f).err().unwrap().contains("unknown experiment"));
-        let f = parse_flags(&args(&[])).unwrap();
+        let f = run_flags(&[]).unwrap();
         assert!(select(&f).is_err());
     }
 
     #[test]
     fn select_bench_adds_the_kernel_registry() {
-        let f = parse_flags(&args(&["--all"])).unwrap();
+        let bench_flags = |s: &[&str]| parse_flags(&args(s), "bench").unwrap();
+        let f = bench_flags(&["--all"]);
         let ids: Vec<&str> = select_bench(&f).unwrap().iter().map(|e| e.id()).collect();
         assert_eq!(ids.len(), 21 + experiments::kernels::KERNELS.len());
         assert_eq!(ids[20], "e21");
@@ -487,12 +536,12 @@ mod tests {
         ] {
             assert!(ids.contains(&id), "{id} missing");
         }
-        let f = parse_flags(&args(&["NOC/MESH", "e13"])).unwrap();
+        let f = bench_flags(&["NOC/MESH", "e13"]);
         let ids: Vec<&str> = select_bench(&f).unwrap().iter().map(|e| e.id()).collect();
         assert_eq!(ids, ["noc/mesh", "e13"]);
-        let f = parse_flags(&args(&["noc/mesh"])).unwrap();
+        let f = bench_flags(&["noc/mesh"]);
         assert!(select(&f).is_err(), "run/list never see the kernels");
-        let f = parse_flags(&args(&["noc-mesh"])).unwrap();
+        let f = bench_flags(&["noc-mesh"]);
         assert!(select_bench(&f).is_err());
     }
 }

@@ -1,12 +1,14 @@
 //! End-to-end tests of the `xxi` driver binary: exit-code contract,
-//! machine-readable `list`, stdin validation, and the bench -> compare
-//! perf-gate loop, all through the real executable
-//! (`CARGO_BIN_EXE_xxi`); plus a seeded mutation fuzz of the driver's
-//! input paths, in-process and through the binary.
+//! machine-readable `list`, stdin validation, the bench -> compare
+//! perf-gate loop, and both linters (`lint`, `src`, including the check
+//! that the whole workspace is clean under `--deny warnings`), all
+//! through the real executable (`CARGO_BIN_EXE_xxi`); plus a seeded
+//! mutation fuzz of the binary's input paths, in-process and through the
+//! executable.
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 use xxi_bench::bench::{self, BenchConfig, BenchRun};
@@ -15,10 +17,23 @@ use xxi_core::report::json;
 use xxi_core::rng::Rng64;
 
 fn xxi(args: &[&str]) -> Output {
+    xxi_in(&workspace_root(), args)
+}
+
+/// Run `xxi` with `dir` as its current directory.
+fn xxi_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_xxi"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("xxi runs")
+}
+
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves")
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -32,9 +47,14 @@ fn stdout_of(out: &Output) -> String {
 /// A per-test scratch file that cleans up after itself.
 struct TempFile(PathBuf);
 
+/// A scratch path unique to this test process.
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("xxi-cli-{}-{name}", std::process::id()))
+}
+
 impl TempFile {
     fn new(name: &str) -> TempFile {
-        TempFile(std::env::temp_dir().join(format!("xxi-cli-{}-{name}", std::process::id())))
+        TempFile(temp_path(name))
     }
     fn path(&self) -> &str {
         self.0.to_str().unwrap()
@@ -44,6 +64,27 @@ impl TempFile {
 impl Drop for TempFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// A per-test scratch directory of `.rs` files for `xxi src --root`.
+struct TempRoot(PathBuf);
+
+impl TempRoot {
+    fn new(name: &str, files: &[(&str, &str)]) -> TempRoot {
+        let root = TempRoot(temp_path(name));
+        for (rel, src) in files {
+            let path = root.0.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, src).unwrap();
+        }
+        root
+    }
+}
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -82,6 +123,17 @@ fn bench_only_flags_are_rejected_outside_bench() {
     let out = xxi(&["bench", "e1", "--threshold", "5"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("--threshold is only valid"));
+
+    // `list` and `compare` take only their own flags too.
+    let out = xxi(&["list", "--seed", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(
+        err.contains("--seed is only valid with `xxi run`/`xxi bench`"),
+        "{err}"
+    );
+    let out = xxi(&["compare", "a.json", "b.json", "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]
@@ -226,6 +278,164 @@ fn bench_without_out_prints_json_to_stdout() {
     assert!(stderr_of(&out).contains("e1"));
 }
 
+#[test]
+fn unknown_command_and_flags_exit_2_with_usage() {
+    let out = xxi(&["src", "--bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(err.contains("unknown flag: --bogus"), "{err}");
+    assert!(err.contains("usage: xxi <command>"), "{err}");
+
+    // There is no baseline to grandfather findings into.
+    let out = xxi(&["src", "--baseline", "srclint.baseline"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr_of(&out).contains("unknown flag: --baseline"));
+
+    let out = xxi(&["lint", "--bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+
+    let out = xxi(&["src", "--format", "yaml"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr_of(&out).contains("invalid value for --format: yaml"));
+
+    let out = xxi(&["src", "--rule", "no-such-rule"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr_of(&out).contains("unknown rule"));
+
+    // Missing value for a flag that needs one.
+    let out = xxi(&["src", "--rule"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr_of(&out).contains("missing value for --rule"));
+}
+
+#[test]
+fn help_and_list_exit_0() {
+    let out = xxi(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let help = stdout_of(&out);
+    assert!(help.contains("exit codes: 0 clean, 1 findings, 2 usage error"));
+    for (command, _, flags) in cli::COMMANDS {
+        assert!(help.contains(&format!("  {command} ")), "{command}: {help}");
+        for flag in flags {
+            assert!(help.contains(flag), "{command} {flag} missing: {help}");
+        }
+    }
+
+    let out = xxi(&["src", "--list"]);
+    assert_eq!(out.status.code(), Some(0));
+    let listing = stdout_of(&out);
+    for rule in [
+        "determinism",
+        "hashmap-order",
+        "atomics-discipline",
+        "unsafe-audit",
+        "sync-facade",
+        "panic-path",
+        "model-reach",
+    ] {
+        assert!(listing.contains(rule), "missing {rule} in: {listing}");
+    }
+    let out = xxi(&["lint", "--list"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout_of(&out).contains("ledger-conservation"));
+}
+
+/// The whole workspace is clean under `--deny warnings`.
+#[test]
+fn workspace_is_clean_under_deny_warnings() {
+    let out = xxi(&["src", "--deny", "warnings"]);
+    let text = stdout_of(&out);
+    assert_eq!(out.status.code(), Some(0), "findings:\n{text}");
+    assert!(text.contains("0 error(s), 0 warning(s)"), "{text}");
+}
+
+#[test]
+fn json_output_is_byte_deterministic() {
+    let a = TempFile::new("json-a");
+    let b = TempFile::new("json-b");
+    let out = xxi(&["src", "--format", "json", "--out", a.path()]);
+    assert_eq!(out.status.code(), Some(0));
+    let out = xxi(&["src", "--format=json", "--out", b.path()]);
+    assert_eq!(out.status.code(), Some(0));
+
+    let ja = std::fs::read(a.path()).expect("first json written");
+    let jb = std::fs::read(b.path()).expect("second json written");
+    assert_eq!(ja, jb, "two runs must serialize identically");
+
+    let text = String::from_utf8(ja).expect("utf-8 json");
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let obj = doc.as_object().expect("an object");
+    assert_eq!(json::get_u64(obj, "schema_version"), Ok(2), "{text}");
+    assert!(!text.contains("baselined"), "{text}");
+    assert_eq!(json::get_u64(obj, "errors"), Ok(0), "{text}");
+    assert_eq!(json::get_array(obj, "diagnostics"), Ok(&[][..]), "{text}");
+}
+
+#[test]
+fn lint_reads_flags_like_src() {
+    let out = xxi(&["lint", "--format=json", "--rule=cache-geometry"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    let doc = json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let obj = doc.as_object().expect("an object");
+    assert_eq!(json::get_u64(obj, "rules_run"), Ok(1), "{text}");
+
+    let out = xxi(&["lint", "--format", "text", "--rule", "cache-geometry"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout_of(&out).starts_with("1 rule(s), "));
+
+    // `--json` is gone, and `src`-only flags stay unknown to `lint`.
+    for (bad, message) in [
+        (&["lint", "--json"][..], "unknown flag: --json"),
+        (
+            &["lint", "--root", "."],
+            "--root is only valid with `xxi src`",
+        ),
+        (&["lint", "--format"], "missing value for --format"),
+    ] {
+        let out = xxi(bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        let err = stderr_of(&out);
+        assert!(err.contains(message), "{bad:?}: {err}");
+        assert!(err.contains("usage: xxi <command>"), "{bad:?}");
+    }
+}
+
+#[test]
+fn single_rule_run_is_clean() {
+    for rule in ["unsafe-audit", "model-reach"] {
+        let out = xxi(&["src", "--rule", rule]);
+        assert_eq!(out.status.code(), Some(0), "{rule}: {}", stdout_of(&out));
+    }
+}
+
+/// `--root` is whatever directory the caller names: a tree without the
+/// facade `src/lib.rs`, or with a model crate that has no `lib.rs`, gets
+/// fewer `model-reach` checks, not a panic.
+#[test]
+fn a_root_without_the_workspace_layout_lints_without_panicking() {
+    let root = TempRoot::new(
+        "root",
+        &[
+            ("src/main.rs", "fn main() {}\n"),
+            ("crates/xxi-mem/src/cache.rs", "pub fn dead() {}\n"),
+            ("crates/xxi-tech/src/lib.rs", "pub mod gone;\n"),
+        ],
+    );
+    let out = xxi(&["src", "--root", root.0.to_str().unwrap()]);
+    let text = stdout_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{text}{}", stderr_of(&out));
+    assert!(stderr_of(&out).is_empty(), "{}", stderr_of(&out));
+    assert!(
+        text.starts_with("error[model-reach] crates/xxi-tech/src/lib.rs:1: `xxi-tech::gone`"),
+        "{text}"
+    );
+    assert!(
+        text.ends_with("3 file(s) scanned: 1 error(s), 0 warning(s)\n"),
+        "{text}"
+    );
+}
+
 /// Numbers no input should be able to crash on: out of range for `u64`
 /// or `f64`, non-finite spellings, and lexemes JSON does not allow.
 const NASTY_NUMBERS: [&str; 16] = [
@@ -283,7 +493,16 @@ fn mutate(rng: &mut Rng64, doc: &str) -> Vec<u8> {
 
 /// Random argv: real and misspelled flags, ids, and hostile values.
 fn random_argv(rng: &mut Rng64) -> Vec<String> {
-    const WORDS: [&str; 28] = [
+    const WORDS: [&str; 37] = [
+        "--rule",
+        "--rule=panic-path",
+        "cache-geometry",
+        "--ledger",
+        "--list",
+        "--root",
+        "--deny",
+        "warnings",
+        "--deny=warnings",
         "--seed",
         "--threads",
         "--trace",
@@ -328,7 +547,7 @@ fn random_argv(rng: &mut Rng64) -> Vec<String> {
 /// A real `xxi run e1 --format json` report and a real two-entry bench
 /// document (an experiment and a kernel, with pool stats).
 fn real_inputs() -> (String, String) {
-    let flags = cli::parse_flags(&["e1".into(), "--format".into(), "json".into()]).unwrap();
+    let flags = cli::parse_flags(&["e1".into(), "--format".into(), "json".into()], "run").unwrap();
     let report = cli::render_reports(&cli::select(&flags).unwrap(), &flags);
     let exps = [
         experiments::find("e1").unwrap(),
@@ -377,42 +596,51 @@ fn fuzzed_reports_bench_files_and_argv_never_panic() {
         }
         let argv = random_argv(&mut rng);
         no_panic("parse_flags", case, || {
-            if let Ok(f) = cli::parse_flags(&argv) {
-                let _ = (cli::select(&f), cli::select_bench(&f));
+            for (command, ..) in cli::COMMANDS {
+                if let Ok(f) = cli::parse_flags(&argv, command) {
+                    let _ = (cli::select(&f), cli::select_bench(&f));
+                }
             }
         });
     }
 }
 
 /// A few fuzz cases through the binary: every exit is a clean 0, 1 or 2.
+/// Each runs in a one-file scratch tree, which `xxi src` lints, so any
+/// relative path an argv names lands there and each case stays fast.
 #[test]
 fn fuzzed_inputs_through_the_binary_exit_0_1_or_2() {
     let (report, bench_doc) = real_inputs();
     let mut rng = Rng64::new(0xb1_7a27);
     let (report_file, bench_file) = (TempFile::new("fuzz.jsonl"), TempFile::new("fuzz.json"));
+    let root = TempRoot::new(
+        "fuzz-root",
+        &[(
+            "src/lib.rs",
+            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        )],
+    );
     for case in 0..6 {
         std::fs::write(&report_file.0, mutate(&mut rng, &report)).unwrap();
         std::fs::write(&bench_file.0, mutate(&mut rng, &bench_doc)).unwrap();
-        let mut compare_argv = vec!["compare".to_string()];
-        compare_argv.extend(random_argv(&mut rng));
-        let mut list_argv = vec!["list".to_string()];
-        list_argv.extend(random_argv(&mut rng));
-        for argv in [
+        let mut argvs = vec![
             vec!["validate".to_string(), report_file.path().into()],
             vec![
                 "compare".into(),
                 bench_file.path().into(),
                 bench_file.path().into(),
             ],
-            compare_argv,
-            list_argv,
-        ] {
+        ];
+        for command in ["compare", "list", "lint", "src --root ."] {
+            let mut argv: Vec<String> = command.split(' ').map(String::from).collect();
+            argv.extend(random_argv(&mut rng));
+            argvs.push(argv);
+        }
+        for argv in argvs {
             // A process argument cannot carry a nul byte.
             let argv: Vec<String> = argv.into_iter().filter(|a| !a.contains('\0')).collect();
-            let out = Command::new(env!("CARGO_BIN_EXE_xxi"))
-                .args(&argv)
-                .output()
-                .expect("xxi runs");
+            let args: Vec<&str> = argv.iter().map(String::as_str).collect();
+            let out = xxi_in(&root.0, &args);
             assert!(
                 matches!(out.status.code(), Some(0..=2)),
                 "case {case}, xxi {argv:?}: {:?}\n{}",

@@ -12,17 +12,17 @@
 //!    STM, pool) compiles onto these shadows via its `sync` facade when
 //!    built with `--features check`.
 //!
-//! 2. **A cross-layer model linter** ([`lint`], also the `xxi-check`
-//!    binary). A rule registry + diagnostic engine that checks the
-//!    *models* across crates: dimensional consistency against
-//!    `xxi_core::units`, energy-ledger conservation, tech-node scaling
-//!    sanity, NoC topology well-formedness, and the shipped experiment
-//!    configurations. Diagnostics carry a rule id, severity, and source
-//!    tag, and can be emitted as machine-readable JSON.
+//! 2. **A cross-layer model linter** ([`lint`], run by `xxi lint`). A
+//!    rule registry + diagnostic engine that checks the *models* across
+//!    crates: dimensional consistency against `xxi_core::units`,
+//!    energy-ledger conservation, tech-node scaling sanity, NoC topology
+//!    well-formedness, and the shipped experiment configurations.
+//!    Diagnostics carry a rule id, severity, and source tag, and can be
+//!    emitted as machine-readable JSON.
 //!
-//! 3. **A workspace source linter** ([`srclint`], the `xxi-check src`
-//!    subcommand). A hand-rolled lexer + item/block scanner that enforces
-//!    the repo's code-level invariants statically: deterministic
+//! 3. **A workspace source linter** ([`srclint`], run by `xxi src`). A
+//!    hand-rolled lexer + item/block scanner that enforces the repo's
+//!    code-level invariants statically: deterministic
 //!    experiments (no wall-clock time or unseeded randomness), justified
 //!    atomic orderings (`// ORDERING:`), audited unsafe code
 //!    (`// SAFETY:`), synchronization routed through the `xxi-stack`

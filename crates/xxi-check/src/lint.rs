@@ -24,9 +24,9 @@
 //!
 //! Diagnostics carry a rule id, severity, and a source tag naming the
 //! offending constructor, and render as text or as a compact JSON
-//! document built with `xxi_core`'s one JSON writer. The
-//! `xxi-check lint` CLI in `main.rs` drives this and exits non-zero when
-//! any error-severity diagnostic fires, so CI can gate on it.
+//! document built with `xxi_core`'s one JSON writer. `xxi lint` runs
+//! this and exits non-zero when any error-severity diagnostic fires, so
+//! CI can gate on it.
 
 use std::fmt;
 

@@ -1,4 +1,4 @@
-//! The workspace source linter — `xxi-check src`.
+//! The workspace source linter, run by `xxi src`.
 //!
 //! The third pillar of `xxi-check`: where the concurrency checker explores
 //! *interleavings* and the model linter checks *model invariants*, the
@@ -360,6 +360,22 @@ mod tests {
             .map(|d| format!("{}:{}", d.path, d.rule))
             .collect();
         assert_eq!(paths, ["src/live.rs:panic-path"]);
+    }
+
+    #[test]
+    fn a_cfg_test_field_guards_only_its_field() {
+        let after = "pub fn after(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        for fields in [
+            "pub struct S { #[cfg(test)] probe: u8, pub a: u8 }\n",
+            "pub fn s() -> S { S { #[cfg(test)] probe: 0, a: 1 } }\n",
+            "pub fn s() -> S { S { a: 1, #[cfg(test)] probe: 0 } }\n",
+        ] {
+            let found: Vec<(String, usize)> = lint(&format!("{fields}{after}"))
+                .into_iter()
+                .map(|d| (d.rule, d.line))
+                .collect();
+            assert_eq!(found, [("panic-path".to_string(), 2)], "{fields}");
+        }
     }
 
     #[test]

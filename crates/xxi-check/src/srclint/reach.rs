@@ -26,7 +26,7 @@
 //!   item, never report a used one.
 //!
 //! A module waiting for its experiment, or an item kept for a reason
-//! (say, a test oracle or an `xxi-check lint` check), carries an
+//! (say, a test oracle or an `xxi lint` check), carries an
 //! `xxi-allow` comment for this rule, with the reason, on its line. The
 //! engine's unused-suppression warning makes those comments exact and
 //! shrink-only: one left on a module that becomes reached or goes is

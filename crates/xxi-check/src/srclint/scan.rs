@@ -6,10 +6,11 @@
 //! * a **line table** (token → 1-based line, code/comment content per
 //!   line) for diagnostics and comment-tag adjacency;
 //! * **test regions** — `#[cfg(test)]`-guarded items (`;`-terminated
-//!   ones such as `#[cfg(test)] mod x;` included), `#[test]` fns, files
-//!   compiled only through such a `mod x;` (marked by the engine, which
-//!   sees every file), and whole files under `tests/`, `benches/`, or
-//!   `examples/` — because most rules only police production code;
+//!   ones such as `#[cfg(test)] mod x;` included) and fields, `#[test]`
+//!   fns, files compiled only through such a `mod x;` (marked by the
+//!   engine, which sees every file), and whole files under `tests/`,
+//!   `benches/`, or `examples/` — because most rules only police
+//!   production code;
 //! * **suppressions** — `// xxi-allow: <rule>[, <rule>] [-- reason]`
 //!   per-line and `// xxi-allow-file: <rule> [-- reason]` per-file, with
 //!   use tracking so the engine can flag suppressions that no longer
@@ -21,6 +22,13 @@
 use std::collections::BTreeMap;
 
 use super::lexer::{lex, TokKind, Token};
+
+/// The keywords that lead an item or statement, whose generics, `where`
+/// clause or type may hold commas outside any bracket.
+const ITEM_KEYWORDS: [&str; 12] = [
+    "fn", "struct", "enum", "union", "trait", "impl", "type", "const", "static", "mod", "use",
+    "let",
+];
 
 /// One `xxi-allow` suppression found in a comment.
 #[derive(Debug)]
@@ -345,7 +353,8 @@ impl<'a> ScannedFile<'a> {
     /// the `}` that closes its body, or through its `;` when it has none
     /// (`#[cfg(test)] use …;`, `#[cfg(test)] mod x;`). Brackets are
     /// counted, so a `;` in `[u8; 4]` or a `}` in a nested block does not
-    /// end it.
+    /// end it. A guarded field also ends at its `,`, and any region ends
+    /// before a closer of the brackets around it.
     fn region_after(&self, mut idx: usize) -> Option<(usize, usize)> {
         loop {
             idx = self.next_code(idx + 1)?;
@@ -359,6 +368,12 @@ impl<'a> ScannedFile<'a> {
             idx = self.attr_is_test(open)?.0;
         }
         let lo = self.tokens[idx].start;
+        // A struct or struct-literal field, enum variant or other list
+        // element: led by no item keyword, it also ends at a `,`.
+        let element = (idx..self.tokens.len())
+            .map(|i| self.text(i))
+            .find(|t| ITEM_KEYWORDS.contains(t) || [":", ",", "=", ";", "{"].contains(t))
+            .is_some_and(|t| !ITEM_KEYWORDS.contains(&t));
         let mut depth = 0i32;
         for i in idx..self.tokens.len() {
             if self.tokens[i].kind != TokKind::Punct {
@@ -368,6 +383,11 @@ impl<'a> ScannedFile<'a> {
                 "(" | "[" | "{" => depth += 1,
                 "}" if depth == 1 => return Some((lo, self.tokens[i].end - 1)),
                 ";" if depth == 0 => return Some((lo, self.tokens[i].end - 1)),
+                "," if depth == 0 && element => return Some((lo, self.tokens[i].end - 1)),
+                ")" | "]" | "}" if depth == 0 => {
+                    let last = self.prev_code(i).map_or(lo, |p| self.tokens[p].end - 1);
+                    return Some((lo, last.max(lo)));
+                }
                 ")" | "]" | "}" => depth -= 1,
                 _ => {}
             }
@@ -498,6 +518,17 @@ mod tests {
         assert!(f.is_test_line(4));
         assert!(f.is_test_line(5));
         assert!(!f.is_test_line(6));
+    }
+
+    #[test]
+    fn cfg_test_fields_end_at_their_comma_but_generic_items_do_not() {
+        let src = "pub struct S {\n    #[cfg(test)]\n    pub(crate) probe: u8,\n    pub a: u8,\n\
+                   \x20   #[cfg(test)]\n    last: u8\n}\n\
+                   #[cfg(test)]\npub(crate) fn g<A, B>(a: A, b: B)\nwhere A: Copy, B: Copy {\n}\n\
+                   fn prod() {}\n";
+        let f = ScannedFile::new("x.rs", src);
+        let test: Vec<usize> = (1..=13).filter(|&l| f.is_test_line(l)).collect();
+        assert_eq!(test, [3, 6, 9, 10, 11]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use xxi_check::lint::{self, check_ledger_text, Severity};
 use xxi_core::report::json;
 
 /// The shipped model configurations must lint clean — this is the same
-/// gate the `xxi-check lint` CLI (and CI) enforces.
+/// gate `xxi lint` (and CI) enforces.
 #[test]
 fn shipped_configs_lint_clean() {
     let report = lint::run(None);

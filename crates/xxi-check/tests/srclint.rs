@@ -5,7 +5,7 @@
 //! per-file rule *and* an `// xxi-allow:` suppression the linter must
 //! honor. The rendered diagnostics are pinned against a sibling
 //! `.expected` golden; re-bless with
-//! `XXI_BLESS=1 cargo test -p xxi-check --test srclint`.
+//! `XXI_BLESS=1 cargo test --test srclint -p xxi-check`.
 //!
 //! R7 (`model-reach`) needs a whole workspace, so its cases build one in
 //! memory: a model crate `xxi-mem`, the facade aliasing it as `mem`, and

@@ -81,8 +81,6 @@ pub struct ClusterObservation {
     pub metrics: Metrics,
     /// The event trace (empty if run with [`Trace::disabled`]).
     pub trace: Trace,
-    /// The hedge deadline actually used (ms), if hedging was on.
-    pub hedge_deadline_ms: Option<f64>,
 }
 
 struct Pending {
@@ -180,7 +178,6 @@ impl ObservedFanout {
             ledger,
             metrics: s.metrics,
             trace: sim.trace,
-            hedge_deadline_ms: deadline_ms,
         }
     }
 }

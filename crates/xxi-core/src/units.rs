@@ -38,7 +38,7 @@ macro_rules! quantity {
 
             /// True if the value is finite and non-negative.
             #[inline]
-            // xxi-allow: model-reach -- checked by xxi-check lint (units-dimensional, ledger-conservation)
+            // xxi-allow: model-reach -- checked by xxi lint (units-dimensional, ledger-conservation)
             pub fn is_physical(self) -> bool {
                 self.0.is_finite() && self.0 >= 0.0
             }
@@ -216,7 +216,7 @@ impl Energy {
 
     /// Construct from kilowatt-hours (battery capacities, datacenter bills).
     #[inline]
-    // xxi-allow: model-reach -- checked by xxi-check lint (units-dimensional)
+    // xxi-allow: model-reach -- checked by xxi lint (units-dimensional)
     pub fn from_kwh(kwh: f64) -> Energy {
         Energy(kwh * 3.6e6)
     }
@@ -321,7 +321,7 @@ impl Frequency {
 impl Ops {
     /// Giga-operations constructor.
     #[inline]
-    // xxi-allow: model-reach -- checked by xxi-check lint (units-dimensional)
+    // xxi-allow: model-reach -- checked by xxi lint (units-dimensional)
     pub fn from_gops(g: f64) -> Ops {
         Ops(g * 1e9)
     }
@@ -410,7 +410,7 @@ pub fn ops_per_joule(ops: Ops, energy: Energy) -> f64 {
 /// Giga-operations per watt, the mobile-efficiency unit the paper quotes
 /// ("today's ~10 giga-operations/watt", §2.1).
 #[inline]
-// xxi-allow: model-reach -- checked by xxi-check lint (units-dimensional) and tests/cross_layer.rs
+// xxi-allow: model-reach -- checked by xxi lint (units-dimensional) and tests/cross_layer.rs
 pub fn gops_per_watt(throughput: Frequency, power: Power) -> f64 {
     (throughput.0 / 1e9) / power.0
 }

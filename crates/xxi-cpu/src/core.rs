@@ -88,7 +88,7 @@ impl CoreModel {
     }
 
     /// Throughput in relative-performance units per watt — small cores win.
-    // xxi-allow: model-reach -- checked by xxi-check lint (model-constructors)
+    // xxi-allow: model-reach -- checked by xxi lint (model-constructors)
     pub fn perf_per_watt(&self) -> f64 {
         self.perf() / self.power().value()
     }

@@ -49,7 +49,7 @@ pub struct TechNode {
 impl TechNode {
     /// `true` if this node predates the end of Dennard scaling (~90 nm /
     /// 2004-2005, when voltage scaling stalled).
-    // xxi-allow: model-reach -- checked by xxi-check lint (tech-node-sanity)
+    // xxi-allow: model-reach -- checked by xxi lint (tech-node-sanity)
     pub fn is_dennard_era(&self) -> bool {
         self.feature_nm > 90.0
     }
@@ -234,7 +234,7 @@ impl NodeDb {
     }
 
     /// Look up by feature size in nanometres.
-    // xxi-allow: model-reach -- checked by xxi-check lint (tech-node-sanity)
+    // xxi-allow: model-reach -- checked by xxi lint (tech-node-sanity)
     pub fn by_feature(&self, nm: f64) -> Result<&TechNode> {
         self.nodes
             .iter()
