@@ -5,14 +5,13 @@
 //! [`crate::experiments::kernels`] alike (`Experiment::run` under a
 //! reused [`RunCtx`], so the pool is warm and its stats can be windowed
 //! with [`PoolStats::since`]) and emits a stable JSON schema, built as a
-//! [`Json`] tree and printed by its one writer — the generator of the
-//! repo's `BENCH_*.json` trajectory. `compare` diffs
-//! two such files by median wall time and flags regressions past a
-//! threshold; CI runs it against `tests/bench/baseline.json`.
+//! [`Json`] tree and printed by its one writer. `compare` diffs two such
+//! files by median wall time and flags regressions past a threshold.
 //!
-//! Wall-clock numbers are inherently volatile, which is exactly why they
-//! live here and not in the golden reports: the bench file pins the
-//! *schema*, the baseline comparison pins the *trend*.
+//! Wall-clock numbers are volatile, which is why they live here and not
+//! in the golden reports, and why two bench files compare only when one
+//! host wrote both: `ci/perf-gate.sh` times the base and the change
+//! alternately on one runner and gates on `compare`.
 
 // xxi-allow-file: determinism -- whole-experiment wall timing and host
 // metadata are this module's purpose; results are volatile by schema.
@@ -106,8 +105,7 @@ pub struct BenchRun {
     pub cpus: usize,
     /// The build E10's sensor lane kernel runs on
     /// ([`xxi_sensor::lane_isa`]); sensor timings differ ~1.5× by build.
-    /// `None` for files written before it was recorded.
-    pub simd: Option<String>,
+    pub simd: String,
     pub config: BenchConfig,
     pub results: Vec<BenchResult>,
 }
@@ -169,7 +167,7 @@ pub fn run_bench(
         os: std::env::consts::OS.to_string(),
         arch: std::env::consts::ARCH.to_string(),
         cpus: std::thread::available_parallelism().map_or(0, |n| n.get()),
-        simd: Some(xxi_sensor::lane_isa().to_string()),
+        simd: xxi_sensor::lane_isa().to_string(),
         config: cfg,
         results,
     }
@@ -221,7 +219,7 @@ impl BenchRun {
             ("os", Json::str(&self.os)),
             ("arch", Json::str(&self.arch)),
             ("cpus", Json::int(self.cpus as u64)),
-            ("simd", self.simd.as_ref().map_or(Json::Null, Json::str)),
+            ("simd", Json::str(&self.simd)),
             ("threads", Json::int(self.config.threads as u64)),
             ("iters", Json::int(self.config.iters)),
             ("warmup", Json::int(self.config.warmup)),
@@ -248,7 +246,7 @@ impl BenchRun {
             os: json::get_str(obj, "os")?,
             arch: json::get_str(obj, "arch")?,
             cpus: u64_of("cpus")? as usize,
-            simd: json::find(obj, "simd").and_then(Json::as_str),
+            simd: json::get_str(obj, "simd")?,
             config: BenchConfig {
                 iters: u64_of("iters")?,
                 warmup: u64_of("warmup")?,
@@ -393,17 +391,13 @@ pub fn compare(base: &BenchRun, new: &BenchRun, threshold_pct: f64) -> Compariso
             });
         }
     }
-    fn simd(run: &BenchRun) -> &str {
-        run.simd.as_deref().unwrap_or("unrecorded")
-    }
     Comparison {
         rows,
         threshold_pct,
         simd_note: (base.simd != new.simd).then(|| {
             format!(
                 "note: sensor lane build differs (base {}, new {}); sensor timings differ by build\n",
-                simd(base),
-                simd(new)
+                base.simd, new.simd
             )
         }),
     }
@@ -543,29 +537,20 @@ mod tests {
             assert_eq!(back.results[0].wall, r.wall);
             assert_eq!(back.results[0].pool, r.pool);
             assert_eq!(back.config.threads, threads);
-            assert_eq!(back.simd.as_deref(), Some(xxi_sensor::lane_isa()));
+            assert_eq!(back.simd, xxi_sensor::lane_isa());
             assert!(["avx512f", "avx2", "plain"].contains(&xxi_sensor::lane_isa()));
         }
     }
 
     #[test]
-    fn files_without_the_simd_field_parse_and_compare_notes_a_change() {
-        let old = include_str!("../../../tests/bench/baseline.json");
-        assert!(!old.contains("\"simd\""));
-        let old = BenchRun::parse_json(old.trim()).expect("the committed baseline parses");
-        assert_eq!(old.simd, None);
-        assert_eq!(old.render_json().matches("\"simd\":null").count(), 1);
-
+    fn compare_notes_differing_lane_builds() {
         let base = run_with_p50("e10", 1.0);
         assert_eq!(compare(&base, &base.clone(), 10.0).simd_note, None);
         let mut wide = run_with_p50("e10", 1.0);
-        wide.simd = Some("avx512f".into());
+        wide.simd = "avx512f".into();
         let text = compare(&base, &wide, 10.0).render_text();
         assert_eq!(text.matches("note:").count(), 1, "{text}");
         assert!(text.contains("base avx2, new avx512f"), "{text}");
-        wide.simd = None;
-        let text = compare(&base, &wide, 10.0).render_text();
-        assert!(text.contains("base avx2, new unrecorded"), "{text}");
     }
 
     #[test]
@@ -577,6 +562,13 @@ mod tests {
             1,
         );
         assert!(BenchRun::parse_json(&doc).is_err());
+
+        // Every document records its sensor lane build.
+        let simd = format!("\"simd\":\"{}\",", run.simd);
+        let doc = run.render_json().replacen(&simd, "", 1);
+        assert!(!doc.contains("simd"), "{doc}");
+        let err = BenchRun::parse_json(&doc).expect_err("simd is required");
+        assert!(err.contains("\"simd\""), "{err}");
     }
 
     fn run_with_p50(id: &str, p50: f64) -> BenchRun {
@@ -585,7 +577,7 @@ mod tests {
             os: "linux".into(),
             arch: "x86_64".into(),
             cpus: 1,
-            simd: Some("avx2".into()),
+            simd: "avx2".into(),
             config: BenchConfig::default(),
             results: vec![BenchResult {
                 id: id.into(),
@@ -643,10 +635,8 @@ mod tests {
             run.render_json(),
             "{\"bench_schema_version\":1,\"created_unix\":1700000000,\"os\":\"linux\",\"arch\":\"x86_64\",\"cpus\":2,\"simd\":\"avx2\",\"threads\":2,\"iters\":3,\"warmup\":1,\"seed\":18446744073709551615,\"results\":[{\"experiment\":\"e9\",\"title\":\"fan-out \\\"tail\\\"\",\"wall_s\":{\"min\":0.30000000000000004,\"p50\":1.5,\"mean\":2,\"max\":0.0000001},\"throughput\":{\"unit\":\"requests\",\"units_per_sec\":2500000},\"pool\":{\"threads\":2,\"executed\":10,\"local_pops\":3,\"steals\":4,\"failed_steals\":5,\"injector_pushes\":6,\"injector_pops\":7,\"parks\":8,\"wakeups\":9,\"scope_helps\":1}},{\"experiment\":\"des/hold\",\"title\":\"t\",\"wall_s\":{\"min\":0,\"p50\":0.25,\"mean\":0.5,\"max\":null},\"throughput\":null,\"pool\":null}]}"
         );
-        run.simd = None;
         run.config.seed = None;
-        let doc = run.render_json();
-        assert!(doc.contains("\"simd\":null,") && doc.contains("\"seed\":null,"));
+        assert!(run.render_json().contains("\"seed\":null,"));
     }
 
     #[test]

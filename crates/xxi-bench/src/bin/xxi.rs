@@ -6,7 +6,7 @@
 //! xxi run --all [flags]        run the whole registry in id order
 //! xxi validate <file|->        validate a JSON report file (one doc/line)
 //! xxi bench <id>...|--all      time experiments and kernels, emit bench JSON
-//! xxi compare <base> <new>     diff two bench files (the CI perf gate)
+//! xxi compare <base> <new>     diff two bench files (the perf gate's check)
 //! xxi lint [flags]             the cross-layer model linter
 //! xxi src [flags]              the workspace source linter
 //! ```
@@ -60,7 +60,6 @@ exit codes: 0 clean, 1 findings, 2 usage error, 3 regression (compare)
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("validate") => validate(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}\n{FLAG_USAGE}\n");
             0
@@ -69,6 +68,7 @@ fn main() {
             Ok(flags) => match command {
                 "list" => list(&flags),
                 "run" => run(&flags),
+                "validate" => validate(&flags),
                 "bench" => run_bench(&flags),
                 "compare" => compare(&flags),
                 "lint" => lint(&flags),
@@ -135,8 +135,8 @@ fn run(flags: &Flags) -> i32 {
     cli::deliver(&rendered, flags)
 }
 
-fn validate(args: &[String]) -> i32 {
-    let [path] = args else {
+fn validate(flags: &Flags) -> i32 {
+    let [path] = flags.ids.as_slice() else {
         eprintln!("usage: xxi validate <file|->");
         return 2;
     };

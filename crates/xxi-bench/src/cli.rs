@@ -1,8 +1,8 @@
 //! The command-line layer: the flag parser and report plumbing behind
 //! the `xxi` binary.
 //!
-//! [`COMMANDS`] lists every command that takes flags and the flags each
-//! accepts; [`parse_flags`] reads any command's arguments against it. The
+//! [`COMMANDS`] lists every command and the flags each accepts;
+//! [`parse_flags`] reads any command's arguments against it. The
 //! experiment flags are:
 //!
 //! ```text
@@ -34,13 +34,14 @@ pub enum Format {
     Json,
 }
 
-/// Every command that takes flags: its name, whether it takes positional
-/// arguments (experiment ids, `compare`'s two files), and exactly the
-/// flags it honours.
+/// Every command: its name, whether it takes positional arguments
+/// (experiment ids, `validate`'s file, `compare`'s two files), and exactly
+/// the flags it honours.
 #[rustfmt::skip]
-pub const COMMANDS: [(&str, bool, &[&str]); 6] = [
+pub const COMMANDS: [(&str, bool, &[&str]); 7] = [
     ("list", false, &["--format"]),
     ("run", true, &["--all", "--seed", "--threads", "--trace", "--format", "--out"]),
+    ("validate", true, &[]),
     ("bench", true, &["--all", "--iters", "--warmup", "--threads", "--seed", "--out"]),
     ("compare", true, &["--threshold"]),
     ("lint", false, &["--format", "--rule", "--ledger", "--list"]),
@@ -108,7 +109,8 @@ pub fn parse_flags(args: &[String], command: &str) -> Result<Flags, String> {
             Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
             _ => (a.as_str(), None),
         };
-        if !name.starts_with('-') {
+        // A bare `-` is a positional argument: `xxi validate -` reads stdin.
+        if !name.starts_with('-') || name == "-" {
             if !positional {
                 return Err(format!("xxi {command} takes no positional arguments"));
             }

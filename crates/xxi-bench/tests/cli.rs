@@ -294,6 +294,12 @@ fn unknown_command_and_flags_exit_2_with_usage() {
     let out = xxi(&["lint", "--bogus"]);
     assert_eq!(out.status.code(), Some(2));
 
+    let out = xxi(&["validate", "--foo"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(err.contains("unknown flag: --foo"), "{err}");
+    assert!(err.contains("usage: xxi <command>"), "{err}");
+
     let out = xxi(&["src", "--format", "yaml"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("invalid value for --format: yaml"));
