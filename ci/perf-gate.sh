@@ -4,12 +4,17 @@
 #
 #   ci/perf-gate.sh <base-rev>
 #
-# Builds `xxi` at <base-rev> (in a temporary `git worktree`, removed on
-# exit) and at the checkout, then runs two checks:
+# Builds `xxi` and perfbench at <base-rev> (in a temporary `git
+# worktree`, removed on exit) and at the checkout, then runs three checks:
 #
 #   output  `xxi run --all --format json --threads 1`, `runtime` masked,
 #           must be identical on both builds unless a file under
 #           crates/xxi-bench/tests/golden/ changed. Failure: exit 1.
+#   digest  each perfbench workload runs one pass at `--seed 1 --seconds 0`
+#           on the base, and the checkout must fold the same pass digest
+#           (`--expect-digest`) unless a file under perfbench/ changed.
+#           CI's canonical-seed run checks only the recorded digests; this
+#           one checks a seed no digest was recorded for. Failure: exit 1.
 #   timing  `xxi bench --all` (5 iterations, 1 warm-up) runs four times,
 #           base, change, change, base. An id fails only when
 #           `xxi compare --threshold 25` marks it REGRESSED in both
@@ -17,8 +22,10 @@
 #           experiments whenever one whole process runs slow. 25 % is the
 #           `wall_s` bound of BENCHMARK.json. Failure: exit 3.
 #
-# Usage errors exit 2. The bench documents and compare tables are left in
-# target/perf-gate/. Needs git, cargo and jq.
+# Usage errors exit 2. The bench documents, compare tables and perfbench
+# outputs are left in target/perf-gate/. perfbench builds into target
+# directories outside perfbench/, and its Cargo.lock, which cargo
+# rewrites at every build, is restored on exit. Needs git, cargo and jq.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -33,7 +40,10 @@ base=$(git -C "$root" rev-parse --verify --quiet "$1^{commit}") || {
 threshold=25
 out="$root/target/perf-gate"
 tmp=$(mktemp -d)
+lock="$root/perfbench/Cargo.lock"
+cp "$lock" "$tmp/perfbench.lock"
 cleanup() {
+    cp "$tmp/perfbench.lock" "$lock"
     git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
     rm -rf "$tmp"
     git -C "$root" worktree prune || true
@@ -65,6 +75,34 @@ if ! cmp -s "$out/base.jsonl" "$out/change.jsonl"; then
     echo "output changed ($changed) and goldens changed with it" >&2
 fi
 
+echo "== perfbench digest check at --seed 1" >&2
+perfbench_changed=0
+git -C "$root" diff --quiet "$base" -- perfbench/ || perfbench_changed=1
+perfbench() { # <checkout> <target-dir> <workload> [flags...]: one pass
+    local dir=$1 tdir=$2 w=$3
+    shift 3
+    cargo run --release --offline --quiet --manifest-path "$dir/perfbench/Cargo.toml" \
+        --target-dir "$tdir" -- --workload "$w" --seed 1 --seconds 0 "$@"
+}
+for w in sensor-epochs tail-serving noc-mem-fabric; do
+    perfbench "$tmp/base" "$tmp/target" "$w" >"$out/perfbench-$w-base.txt"
+    digest=$(sed -n '1s/.*digest \(0x[0-9a-f]*\)$/\1/p' "$out/perfbench-$w-base.txt")
+    if [ -z "$digest" ]; then
+        echo "error: no digest in the base's perfbench output for $w" >&2
+        exit 1
+    fi
+    code=0
+    perfbench "$root" "$target/perfbench" "$w" --expect-digest "$digest" \
+        >"$out/perfbench-$w-change.txt" || code=$?
+    if [ "$code" -ne 0 ]; then
+        if [ "$perfbench_changed" -eq 0 ]; then
+            echo "FAIL: perfbench $w at --seed 1 failed against the base's digest $digest (see $out/perfbench-$w-change.txt), and no file under perfbench/ changed" >&2
+            exit 1
+        fi
+        echo "perfbench $w moved off the base's digest $digest, and perfbench/ changed with it" >&2
+    fi
+done
+
 echo "== timing check: base, change, change, base" >&2
 n=0
 for side in base change change base; do
@@ -89,4 +127,4 @@ if [ -n "$both" ]; then
     echo "FAIL: regressed past $threshold% in both pairs: $both" >&2
     exit 3
 fi
-echo "ok: output check passed; no id regressed past $threshold% in both pairs" >&2
+echo "ok: output and digest checks passed; no id regressed past $threshold% in both pairs" >&2

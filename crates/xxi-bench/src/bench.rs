@@ -187,11 +187,6 @@ impl BenchRun {
                 Json::obj([
                     ("threads", Json::int(p.threads as u64)),
                     ("executed", Json::int(p.executed)),
-                    ("local_pops", Json::int(p.local_pops)),
-                    ("steals", Json::int(p.steals)),
-                    ("failed_steals", Json::int(p.failed_steals)),
-                    ("injector_pushes", Json::int(p.injector_pushes)),
-                    ("injector_pops", Json::int(p.injector_pops)),
                     ("parks", Json::int(p.parks)),
                     ("wakeups", Json::int(p.wakeups)),
                     ("scope_helps", Json::int(p.scope_helps)),
@@ -277,14 +272,10 @@ impl BenchRun {
                     Some(PoolStats {
                         threads: c("threads")? as usize,
                         executed: c("executed")?,
-                        local_pops: c("local_pops")?,
-                        steals: c("steals")?,
-                        failed_steals: c("failed_steals")?,
-                        injector_pushes: c("injector_pushes")?,
-                        injector_pops: c("injector_pops")?,
                         parks: c("parks")?,
                         wakeups: c("wakeups")?,
                         scope_helps: c("scope_helps")?,
+                        ..PoolStats::default()
                     })
                 }
             };
@@ -571,6 +562,31 @@ mod tests {
         assert!(err.contains("\"simd\""), "{err}");
     }
 
+    #[test]
+    fn parse_reads_pool_objects_with_the_dropped_counters() {
+        // Files written before the pool had one queue carry five more
+        // pool counters; they still parse, and compare against new ones.
+        let mut run = run_with_p50("e9", 1.0);
+        run.results[0].pool = Some(PoolStats {
+            threads: 2,
+            executed: 10,
+            parks: 8,
+            wakeups: 9,
+            scope_helps: 1,
+            ..PoolStats::default()
+        });
+        let doc = run.render_json().replacen(
+            "\"executed\":10,",
+            "\"executed\":10,\"local_pops\":3,\"steals\":4,\"failed_steals\":5,\
+             \"injector_pushes\":6,\"injector_pops\":7,",
+            1,
+        );
+        assert!(doc.contains("injector_pops"), "{doc}");
+        let old = BenchRun::parse_json(&doc).expect("old pool objects parse");
+        assert_eq!(old.results[0].pool, run.results[0].pool);
+        assert!(!compare(&old, &run, 10.0).regressed());
+    }
+
     fn run_with_p50(id: &str, p50: f64) -> BenchRun {
         BenchRun {
             created_unix: 0,
@@ -617,14 +633,10 @@ mod tests {
         r.pool = Some(PoolStats {
             threads: 2,
             executed: 10,
-            local_pops: 3,
-            steals: 4,
-            failed_steals: 5,
-            injector_pushes: 6,
-            injector_pops: 7,
             parks: 8,
             wakeups: 9,
             scope_helps: 1,
+            ..PoolStats::default()
         });
         let mut nulls = run_with_p50("des/hold", 0.25).results.remove(0);
         nulls.wall.min_s = 0.0;
@@ -633,7 +645,7 @@ mod tests {
         run.results.push(nulls);
         assert_eq!(
             run.render_json(),
-            "{\"bench_schema_version\":1,\"created_unix\":1700000000,\"os\":\"linux\",\"arch\":\"x86_64\",\"cpus\":2,\"simd\":\"avx2\",\"threads\":2,\"iters\":3,\"warmup\":1,\"seed\":18446744073709551615,\"results\":[{\"experiment\":\"e9\",\"title\":\"fan-out \\\"tail\\\"\",\"wall_s\":{\"min\":0.30000000000000004,\"p50\":1.5,\"mean\":2,\"max\":0.0000001},\"throughput\":{\"unit\":\"requests\",\"units_per_sec\":2500000},\"pool\":{\"threads\":2,\"executed\":10,\"local_pops\":3,\"steals\":4,\"failed_steals\":5,\"injector_pushes\":6,\"injector_pops\":7,\"parks\":8,\"wakeups\":9,\"scope_helps\":1}},{\"experiment\":\"des/hold\",\"title\":\"t\",\"wall_s\":{\"min\":0,\"p50\":0.25,\"mean\":0.5,\"max\":null},\"throughput\":null,\"pool\":null}]}"
+            "{\"bench_schema_version\":1,\"created_unix\":1700000000,\"os\":\"linux\",\"arch\":\"x86_64\",\"cpus\":2,\"simd\":\"avx2\",\"threads\":2,\"iters\":3,\"warmup\":1,\"seed\":18446744073709551615,\"results\":[{\"experiment\":\"e9\",\"title\":\"fan-out \\\"tail\\\"\",\"wall_s\":{\"min\":0.30000000000000004,\"p50\":1.5,\"mean\":2,\"max\":0.0000001},\"throughput\":{\"unit\":\"requests\",\"units_per_sec\":2500000},\"pool\":{\"threads\":2,\"executed\":10,\"parks\":8,\"wakeups\":9,\"scope_helps\":1}},{\"experiment\":\"des/hold\",\"title\":\"t\",\"wall_s\":{\"min\":0,\"p50\":0.25,\"mean\":0.5,\"max\":null},\"throughput\":null,\"pool\":null}]}"
         );
         run.config.seed = None;
         assert!(run.render_json().contains("\"seed\":null,"));

@@ -2,7 +2,7 @@
 //! computation energy." The modeled 1000-way energy balance, plus the
 //! observed mesh that carries the halo traffic.
 //!
-//! Real-thread scaling of the work-stealing pool is a host measurement, so
+//! Real-thread scaling of the thread pool is a host measurement, so
 //! it lives in the bench registry: `xxi bench stack/pool-sum --threads N`.
 
 use xxi_core::table::fnum;

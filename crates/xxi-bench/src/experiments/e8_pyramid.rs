@@ -90,12 +90,14 @@ impl Experiment for E8Pyramid {
         }
         r.table(t);
 
-        r.finding("commodity_gap", required / dc.ops_per_joule(1.0), "x");
-        r.text(
+        let gap = required / dc.ops_per_joule(1.0);
+        r.finding("commodity_gap", gap, "x");
+        r.text(format!(
             "\nHeadline: the pyramid asks for two-to-three orders of magnitude; the\n\
-             commodity path is ~100x short, and the paper's whole lever stack —\n\
+             commodity path is {} short, and the paper's whole lever stack —\n\
              simple cores + specialization + NTV — is what closes it (compute-only;\n\
              the memory ladder of E4 then becomes the next wall).",
-        );
+            xfactor(gap)
+        ));
     }
 }

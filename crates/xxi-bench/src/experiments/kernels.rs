@@ -13,7 +13,6 @@
 //! `xxi bench stack/pool-sum --threads N` is one row of a strong-scaling
 //! table, and `stack/stm-bank` gives the STM's commit rate at N threads.
 
-use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
 use xxi_cloud::cluster::{ClusterConfig, Hedging, Routing};
@@ -41,7 +40,6 @@ use xxi_sensor::mcu::Mcu;
 use xxi_sensor::node::{NodePolicy, SensorNode, SensorNodeConfig};
 use xxi_sensor::power::{Battery, HarvestProfile, Harvester};
 use xxi_sensor::radio::{Radio, RadioTech};
-use xxi_stack::deque::deque;
 use xxi_stack::stm::TxArray;
 
 use super::des_kernels as des;
@@ -103,7 +101,7 @@ const fn k(
 
 /// Every kernel, grouped by layer in stack order.
 #[rustfmt::skip]
-pub static KERNELS: [Kernel; 42] = [
+pub static KERNELS: [Kernel; 40] = [
     k("core/rng-u64", "xoshiro256++: 1M next_u64", "draws", 1_000_000, rng_u64),
     k("core/rng-lognormal", "1M lognormal draws", "draws", 1_000_000, rng_lognormal),
     k("core/zipf", "1M Zipf(0.99) samples over 100k ranks", "samples", 1_000_000, zipf),
@@ -140,9 +138,7 @@ pub static KERNELS: [Kernel; 42] = [
     k("cloud/cluster", "Cloud: E21 grid cell (least-outstanding, adaptive p80) under the two-rack blast", "requests", CLUSTER_REQUESTS as u64, cluster),
     k("sensor/epochs", "sensor node: FilterThenSend epochs with a solar harvester (run_observed)", "samples", SENSOR_SAMPLES, sensor_epochs),
     k("sec/dift", "DIFT machine: a tracked 150k-instruction loop", "instructions", 150_001, dift),
-    k("stack/chase-lev", "Chase-Lev deque: 100k push then pop", "items", 100_000, chase_lev),
-    k("stack/mutex-queue", "Mutex<VecDeque>: 100k push then pop", "items", 100_000, mutex_queue),
-    k("stack/pool-sum", "work-stealing pool: par::map over 60 chunks of 1k sqrt chains at --threads", "items", POOL_ITEMS as u64, pool_sum),
+    k("stack/pool-sum", "thread pool: par::map over 60 chunks of 1k sqrt chains at --threads", "items", POOL_ITEMS as u64, pool_sum),
     k("stack/stm-counter", "STM: 50k single-thread counter transactions", "transactions", 50_000, stm_counter),
     k("stack/mutex-counter", "Mutex<u64>: 50k single-thread increments", "increments", 50_000, mutex_counter),
     k("stack/stm-bank", "STM bank: 80k random transfers over 64 accounts at --threads", "transfers", BANK_TRANSFERS as u64, stm_bank),
@@ -496,31 +492,6 @@ fn dift(_: &RunCtx) -> f64 {
 }
 
 // --- stack ----------------------------------------------------------------
-
-fn chase_lev(_: &RunCtx) -> f64 {
-    let (w, _s) = deque::<u64>(1 << 18);
-    for i in 0..100_000u64 {
-        w.push(i).expect("capacity exceeds the item count"); // xxi-allow: panic-path -- 2^18 slots hold 100k items
-    }
-    let mut acc = 0u64;
-    while let Some(v) = w.pop() {
-        acc = acc.wrapping_add(v);
-    }
-    acc as f64
-}
-
-fn mutex_queue(_: &RunCtx) -> f64 {
-    let q = Mutex::new(VecDeque::<u64>::new());
-    let lock = || q.lock().unwrap_or_else(|e| e.into_inner());
-    for i in 0..100_000u64 {
-        lock().push_back(i);
-    }
-    let mut acc = 0u64;
-    while let Some(v) = lock().pop_back() {
-        acc = acc.wrapping_add(v);
-    }
-    acc as f64
-}
 
 const POOL_ITEMS: usize = 60_000;
 /// Items per `stack/pool-sum` task: fixed, so the chunk sums and their

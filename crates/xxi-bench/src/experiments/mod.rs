@@ -54,7 +54,7 @@ pub struct RunCtx {
     /// `--trace` output path, for experiments that declare
     /// [`Experiment::emits_trace`].
     pub trace_path: Option<PathBuf>,
-    /// The work-stealing pool behind [`RunCtx::exec`] when `threads > 1` —
+    /// The thread pool behind [`RunCtx::exec`] when `threads > 1` —
     /// kept concrete so its scheduler stats are reachable.
     pool: Option<Pool>,
     /// Metrics recorded by the experiment's `fill` (interior-mutable
@@ -64,7 +64,7 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    /// Build a context; spins up the work-stealing pool when `threads > 1`.
+    /// Build a context; spins up the thread pool when `threads > 1`.
     pub fn new(seed: Option<u64>, threads: usize, trace_path: Option<PathBuf>) -> RunCtx {
         RunCtx {
             seed,
@@ -84,7 +84,7 @@ impl RunCtx {
         }
     }
 
-    /// The work-stealing pool, when one exists ([`Pool::stats`] is the
+    /// The thread pool, when one exists ([`Pool::stats`] is the
     /// scheduler-stats source for reports and `xxi bench`).
     pub fn pool(&self) -> Option<&Pool> {
         self.pool.as_ref()

@@ -8,8 +8,8 @@
 //!    over shadow atomics ([`sync::atomic`]) that track happens-before
 //!    vector clocks per memory location. Failures (assertion panics, lost
 //!    updates, deadlocks) come with a deterministic, replayable schedule
-//!    and a readable interleaving trace. The `xxi-stack` runtime (deque,
-//!    STM, pool) compiles onto these shadows via its `sync` facade when
+//!    and a readable interleaving trace. The `xxi-stack` runtime (STM,
+//!    pool) compiles onto these shadows via its `sync` facade when
 //!    built with `--features check`.
 //!
 //! 2. **A cross-layer model linter** ([`lint`], run by `xxi lint`). A

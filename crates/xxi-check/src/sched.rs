@@ -24,10 +24,7 @@
 //! explored exactly like preemptions. SeqCst accesses and all RMWs read
 //! the latest store — slightly stronger than C11, documented and
 //! acceptable for a checker that must never report false "passes" on the
-//! idioms our runtime uses. `AtomicPtr` loads also always observe the
-//! latest store: allowing stale pointer loads would make the *model
-//! harness itself* unsound (double frees in destructors), not just the
-//! code under test.
+//! idioms our runtime uses.
 
 use std::any::Any;
 use std::collections::BTreeSet;
@@ -499,16 +496,10 @@ impl ExecState {
 
     /// Which stores may a load by `tid` with `ord` observe? Returns
     /// candidate indices newest-first (so alternative 0 = SC behavior).
-    fn load_candidates(
-        &self,
-        tid: usize,
-        loc: usize,
-        ord: Ordering,
-        latest_only: bool,
-    ) -> Vec<usize> {
+    fn load_candidates(&self, tid: usize, loc: usize, ord: Ordering) -> Vec<usize> {
         let stores = &self.locs[loc].stores;
         let latest = stores.len() - 1;
-        if latest_only || ord == Ordering::SeqCst {
+        if ord == Ordering::SeqCst {
             return vec![latest];
         }
         let clk = &self.threads[tid].clock;
@@ -525,8 +516,8 @@ impl ExecState {
         (floor..=latest).rev().collect()
     }
 
-    fn do_load(&mut self, tid: usize, loc: usize, ord: Ordering, latest_only: bool) -> u64 {
-        let cands = self.load_candidates(tid, loc, ord, latest_only);
+    fn do_load(&mut self, tid: usize, loc: usize, ord: Ordering) -> u64 {
+        let cands = self.load_candidates(tid, loc, ord);
         let pick = if cands.len() == 1 {
             0
         } else {
@@ -863,17 +854,11 @@ pub(crate) fn is_managed() -> bool {
     current().is_some()
 }
 
-pub(crate) fn op_load(
-    meta: &Meta,
-    init: u64,
-    kind: &'static str,
-    ord: Ordering,
-    latest_only: bool,
-) -> Option<u64> {
+pub(crate) fn op_load(meta: &Meta, init: u64, kind: &'static str, ord: Ordering) -> Option<u64> {
     let (exec, tid) = current()?;
     let mut st = exec.yield_point(tid);
     let loc = st.loc_id(meta, init, kind);
-    Some(st.do_load(tid, loc, ord, latest_only))
+    Some(st.do_load(tid, loc, ord))
 }
 
 pub(crate) fn op_store(
@@ -1231,7 +1216,7 @@ impl Checker {
 
     /// Skip DFS entirely: explore `max_schedules` seeded random walks.
     /// The right mode for bodies too large for exhaustive exploration
-    /// (e.g. the full work-stealing pool).
+    /// (e.g. the full thread pool).
     pub fn random_walk(mut self) -> Checker {
         self.random_only = true;
         self

@@ -7,8 +7,7 @@
 //! the caller's ordering, so the same binary runs tests both ways.
 //!
 //! The real atomic always mirrors the model's latest store, which keeps
-//! destructors that run during teardown (e.g. a ring buffer freeing its
-//! remaining boxed slots) reading coherent values.
+//! destructors that run during teardown reading coherent values.
 
 // xxi-allow-file: atomics-discipline -- shadow atomics: the embedded real
 // atomic only mirrors the model's latest store for teardown coherence; the
@@ -35,14 +34,6 @@ fn usize_raw(v: usize) -> u64 {
 #[inline]
 fn usize_val(r: u64) -> usize {
     r as usize
-}
-#[inline]
-fn isize_raw(v: isize) -> u64 {
-    v as i64 as u64
-}
-#[inline]
-fn isize_val(r: u64) -> isize {
-    r as i64 as isize
 }
 #[inline]
 fn bool_raw(v: bool) -> u64 {
@@ -76,7 +67,7 @@ macro_rules! int_atomic {
             }
 
             pub fn load(&self, ord: Ordering) -> $t {
-                match sched::op_load(&self.meta, self.init(), $kind, ord, false) {
+                match sched::op_load(&self.meta, self.init(), $kind, ord) {
                     Some(r) => $val(r),
                     None => self.real.load(ord),
                 }
@@ -227,14 +218,6 @@ int_atomic!(
     usize_val
 );
 int_atomic!(
-    AtomicIsize,
-    isize,
-    real::AtomicIsize,
-    "isize",
-    isize_raw,
-    isize_val
-);
-int_atomic!(
     AtomicBool,
     bool,
     real::AtomicBool,
@@ -242,80 +225,3 @@ int_atomic!(
     bool_raw,
     bool_val
 );
-
-/// Shadow `AtomicPtr`. Loads always observe the latest store even at weak
-/// orderings: letting the model hand out stale pointers would make the
-/// harness itself unsound (use-after-free in destructors), not merely
-/// reveal bugs in the code under test. Ordering *races* on pointers still
-/// surface through the happens-before clocks and the lost-update detector.
-#[derive(Debug)]
-pub struct AtomicPtr<T> {
-    real: real::AtomicPtr<T>,
-    meta: Meta,
-}
-
-impl<T> AtomicPtr<T> {
-    pub const fn new(p: *mut T) -> AtomicPtr<T> {
-        AtomicPtr {
-            real: real::AtomicPtr::new(p),
-            meta: Meta::new(),
-        }
-    }
-
-    #[inline]
-    fn init(&self) -> u64 {
-        self.real.load(StdOrdering::Relaxed) as usize as u64
-    }
-
-    pub fn load(&self, ord: Ordering) -> *mut T {
-        match sched::op_load(&self.meta, self.init(), "ptr", ord, true) {
-            Some(r) => r as usize as *mut T,
-            None => self.real.load(ord),
-        }
-    }
-
-    pub fn store(&self, p: *mut T, ord: Ordering) {
-        if sched::op_store(&self.meta, self.init(), "ptr", p as usize as u64, ord) {
-            self.real.store(p, StdOrdering::SeqCst);
-        } else {
-            self.real.store(p, ord);
-        }
-    }
-
-    pub fn swap(&self, p: *mut T, ord: Ordering) -> *mut T {
-        match sched::op_rmw(&self.meta, self.init(), "ptr", ord, "swap", |_| {
-            p as usize as u64
-        }) {
-            Some((old, new)) => {
-                self.real.store(new as usize as *mut T, StdOrdering::SeqCst);
-                old as usize as *mut T
-            }
-            None => self.real.swap(p, ord),
-        }
-    }
-
-    pub fn compare_exchange(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        match sched::op_cas(
-            &self.meta,
-            self.init(),
-            "ptr",
-            current as usize as u64,
-            new as usize as u64,
-            success,
-            failure,
-        ) {
-            Some(Ok(old)) => {
-                self.real.store(new, StdOrdering::SeqCst);
-                Ok(old as usize as *mut T)
-            }
-            Some(Err(old)) => Err(old as usize as *mut T),
-            None => self.real.compare_exchange(current, new, success, failure),
-        }
-    }
-}

@@ -26,7 +26,7 @@
 //!     {"kind": "text", "text": "…"}
 //!   ],
 //!   "runtime": {
-//!     "counters": {"mc.trials": 1020000, "pool.steals": 37},
+//!     "counters": {"mc.trials": 1020000, "pool.wakeups": 37},
 //!     "gauges": {"pool.threads": 4.0},
 //!     "hists": {"fanout.p99_ms": {"count": 6, "mean": 41.0, "min": 11.2,
 //!               "p50": 38.0, "p90": 63.0, "p99": 63.0, "p999": 63.0, "max": 63.4}}
@@ -535,7 +535,7 @@ mod tests {
         r.text("a free\nmultiline block");
         r.finding("ratio", 3.6, "x");
         let mut m = Metrics::new();
-        m.count("pool.steals", 37);
+        m.count("pool.wakeups", 37);
         m.count("mc.trials", 1 << 55); // u64 precision must survive JSON
         m.gauge("pool.threads", 4.0);
         m.observe("op_ms", 1.5);
@@ -556,7 +556,7 @@ mod tests {
         assert!(s.contains("a free\nmultiline block\n"));
         // Runtime telemetry renders as an aligned trailing section.
         assert!(s.contains("\n== Runtime ==\n\n"));
-        assert!(s.contains("pool.steals   37"));
+        assert!(s.contains("pool.wakeups  37"));
         assert!(s.contains("pool.threads  4"));
         assert!(s.contains("op_ms         n=2 mean=2.25"));
     }
@@ -570,7 +570,7 @@ mod tests {
         rt.gauges.push(("é".into(), 0.5));
         let s = r.render_text();
         assert!(s.contains(&format!("\n{long}  5\n")));
-        assert!(s.contains(&format!("\npool.steals{}  37\n", " ".repeat(70_000 - 11))));
+        assert!(s.contains(&format!("\npool.wakeups{}  37\n", " ".repeat(70_000 - 12))));
         assert!(s.contains(&format!("\né{}  0.5\n", " ".repeat(69_999))));
     }
 
@@ -581,7 +581,7 @@ mod tests {
         let t = r.render_text();
         // The runtime section is masked, but its shape is pinned.
         assert!(g.contains("\n== Runtime ==\n\n"));
-        assert!(!g.contains("pool.steals"));
+        assert!(!g.contains("pool.wakeups"));
         assert!(g.contains("<volatile runtime: 2 counter(s), 1 gauge(s), 1 histogram(s)>"));
         // Everything before it is rendered verbatim.
         let cut = "== Runtime ==\n\n";

@@ -8,15 +8,11 @@
 //! real parallel code (not a model) where that is meaningful, and as
 //! planning models where the hardware below is simulated:
 //!
-//! * [`deque`] — a lock-free work-stealing deque (Chase–Lev shape, with
-//!   atomic slot storage so stolen values are transferred race-free):
-//!   owner pushes/pops LIFO at the bottom, thieves steal FIFO from the
-//!   top.
-//! * [`pool`] — a work-stealing thread pool over those deques. Its one
-//!   entry point, `run_scoped`, pushes one claimer per worker that takes
-//!   indices from a shared counter; it runs `xxi_core::par::map` through
-//!   the `Parallelism` seam, and the `stack/pool-sum` bench kernel
-//!   measures its scaling.
+//! * [`pool`] — a thread pool with one shared queue under a mutex. Its
+//!   one entry point, `run_scoped`, pushes one claimer per worker that
+//!   takes indices from a shared counter; it runs `xxi_core::par::map`
+//!   through the `Parallelism` seam, and the `stack/pool-sum` bench
+//!   kernel measures its scaling.
 //! * [`offload`] — the eco-system planner of §2.1 "Putting It All
 //!   Together": split computation between a portable device and the cloud
 //!   as connectivity and energy budgets vary (experiment E16).
@@ -31,14 +27,12 @@
 //!   deterministic concurrency checker can explore this crate's
 //!   interleavings without changing production code.
 
-pub mod deque;
 pub mod locality; // xxi-allow: model-reach -- pending: fold into E18
 pub mod offload;
 pub mod pool;
 pub mod stm;
 pub mod sync;
 
-pub use deque::Worker;
 pub use locality::{place_greedy, place_random, placement_energy};
 pub use offload::{plan_offload, AppProfile, Decision, DeviceModel, OffloadPlan, Uplink};
 pub use pool::Pool;

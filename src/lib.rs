@@ -23,7 +23,7 @@
 //! | [`approx`] | `xxi-approx` | approximate data types, perforation, quality-energy Pareto |
 //! | [`sensor`] | `xxi-sensor` | harvesting, radios, on-sensor filtering, intermittent computing |
 //! | [`cloud`] | `xxi-cloud` | tail latency (the 63% claim), hedging, queueing, DC power, QoS |
-//! | [`stack`] | `xxi-stack` | work-stealing runtime, STM, offload planner |
+//! | [`stack`] | `xxi-stack` | thread-pool runtime, STM, offload planner |
 //!
 //! ## Quickstart
 //!

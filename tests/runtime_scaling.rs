@@ -1,4 +1,4 @@
-//! The real runtime vs the analytic model: xxi-stack's work-stealing pool
+//! The real runtime vs the analytic model: xxi-stack's thread pool
 //! must scale the way xxi-cpu's Hill–Marty model predicts (qualitatively),
 //! closing the loop between the paper's parallelism *models* and actual
 //! parallel *code*.
