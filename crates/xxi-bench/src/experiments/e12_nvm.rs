@@ -71,13 +71,12 @@ impl Experiment for E12Nvm {
             "avg dyn energy (nJ)",
             "DRAM hit rate",
         ]);
+        let trace = TraceGen::new(ctx.seed_or(7)).zipf(300_000, 0, 100_000, 4096, 1.1, 0.3);
         let mut hybrid_hit_rate = 0.0;
         for (name, dram_pages) in [
             ("PCM-only (1 page DRAM)", 1usize),
             ("hybrid (1k pages DRAM)", 1024),
         ] {
-            let mut gen = TraceGen::new(ctx.seed_or(7));
-            let trace = gen.zipf(300_000, 0, 100_000, 4096, 1.1, 0.3);
             let mut m = HybridMemory::new(HybridConfig {
                 dram_pages,
                 ..HybridConfig::default()

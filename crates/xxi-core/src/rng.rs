@@ -293,9 +293,11 @@ impl RngLanes {
 
 /// Zipf-distributed ranks over `{0, 1, …, n−1}` with skew `s`.
 ///
-/// Rank `k` (0-based) has probability ∝ 1/(k+1)^s. Sampling is by binary
-/// search over the precomputed CDF — O(log n) per sample, exact, and fast
-/// enough for the trace generators (n ≤ a few million).
+/// Rank `k` (0-based) has probability ∝ 1/(k+1)^s. Sampling inverts the
+/// precomputed CDF exactly: a guide table of `m` equal-width buckets of
+/// `[0, 1)` (a power of two, about `n/8`, at most 2¹⁶) names the ranks a
+/// uniform in each bucket can map to, and a binary search runs only over
+/// those.
 ///
 /// Zipf popularity is the canonical "big data" access skew (Appendix A):
 /// cache and hybrid-memory experiments use it heavily.
@@ -310,7 +312,13 @@ impl RngLanes {
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank whose CDF is at least `j/m`, for
+    /// `j ∈ [0, m]`, where `m = guide.len() − 1`.
+    guide: Vec<usize>,
 }
+
+/// Largest guide table: 2¹⁶ buckets.
+const ZIPF_MAX_BUCKETS: usize = 1 << 16;
 
 impl Zipf {
     /// Build a Zipf sampler over `n` items with exponent `s ≥ 0`.
@@ -333,7 +341,20 @@ impl Zipf {
         }
         // Guard against floating-point shortfall at the top.
         *cdf.last_mut().unwrap() = 1.0; // xxi-allow: panic-path -- cdf has one entry per weight
-        Zipf { cdf }
+
+        // `m` is a power of two, so each `j/m` is exact, and one walk up
+        // the CDF finds every bucket's first rank.
+        let m = (n / 8).clamp(1, ZIPF_MAX_BUCKETS).next_power_of_two();
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut rank = 0;
+        for j in 0..=m {
+            let edge = j as f64 / m as f64;
+            while cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank);
+        }
+        Zipf { cdf, guide }
     }
 
     /// Number of items.
@@ -356,12 +377,24 @@ impl Zipf {
         }
     }
 
-    /// Draw a rank in `[0, n)`.
+    /// Draw a rank in `[0, n)`: for `u = rng.next_f64()`, the first rank
+    /// whose CDF is at least `u`.
+    ///
+    /// `m` is a power of two, so `u·m` is exact and the bucket
+    /// `j = ⌊u·m⌋` has `j/m ≤ u < (j+1)/m`. The answer is therefore
+    /// at least `guide[j]` and at most `guide[j+1]`, whose CDF is at least
+    /// `(j+1)/m > u`, so the search needs only the ranks in between.
+    #[inline]
     pub fn sample(&self, rng: &mut Rng64) -> usize {
-        let u = rng.next_f64();
-        // partition_point returns the first index with cdf[i] >= u... we
-        // want the first index whose cdf exceeds u.
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank(rng.next_f64())
+    }
+
+    /// The first rank whose CDF is at least `u ∈ [0, 1)`.
+    #[inline]
+    fn rank(&self, u: f64) -> usize {
+        let j = (u * (self.guide.len() - 1) as f64) as usize;
+        let (lo, hi) = (self.guide[j], self.guide[j + 1]);
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
     }
 }
 
@@ -536,6 +569,60 @@ mod tests {
         let z = Zipf::new(10, 0.0);
         for k in 0..10 {
             assert!((z.pmf(k) - 0.1).abs() < 1e-12);
+        }
+    }
+
+    /// `Zipf::sample`'s search before the guide table, kept verbatim as
+    /// the oracle: a binary search over the whole CDF.
+    fn whole_cdf_rank(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u).min(z.cdf.len() - 1)
+    }
+
+    #[test]
+    fn zipf_guided_search_matches_the_whole_cdf_search() {
+        let top = 1.0 - 1.0 / (1u64 << 53) as f64;
+        // n = 1; uniform; n < 8 (one bucket); n not a power of two, with
+        // and without the 2¹⁶ cap; a skew so steep the CDF reaches 1.0
+        // long before the last rank.
+        for (n, s) in [
+            (1, 1.0),
+            (1000, 0.0),
+            (5, 0.7),
+            (37, 0.5),
+            (100_003, 1.1),
+            (1_000_003, 0.99),
+            (1000, 8.0),
+        ] {
+            let z = Zipf::new(n, s);
+            let m = z.guide.len() - 1;
+            assert!(
+                m.is_power_of_two() && m <= ZIPF_MAX_BUCKETS,
+                "n = {n}: m = {m}"
+            );
+            let mut us = vec![0.0, top];
+            let mut rng = Rng64::new(n as u64);
+            us.extend((0..20_000).map(|_| rng.next_f64()));
+            // Every bucket edge and the f64 just below it.
+            for j in 1..m {
+                let edge = j as f64 / m as f64;
+                us.extend([edge, f64::from_bits(edge.to_bits() - 1)]);
+            }
+            // Every CDF value below 1 and the f64 just above it.
+            for &c in z.cdf.iter().filter(|&&c| c < 1.0) {
+                us.extend([c, f64::from_bits(c.to_bits() + 1)]);
+            }
+            for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(
+                    z.rank(u),
+                    whole_cdf_rank(&z, u),
+                    "n = {n}, s = {s}, u = {u:e}"
+                );
+            }
+            let mut a = Rng64::new(3);
+            let mut b = a.clone();
+            for _ in 0..1000 {
+                assert_eq!(z.sample(&mut a), whole_cdf_rank(&z, b.next_f64()));
+            }
         }
     }
 

@@ -50,21 +50,23 @@ impl TraceGen {
         }
     }
 
-    fn mark_writes(&mut self, addrs: Vec<u64>, write_frac: f64) -> Vec<Access> {
-        addrs
-            .into_iter()
-            .map(|addr| Access {
-                addr,
-                write: self.rng.chance(write_frac),
-            })
-            .collect()
+    /// Draw each access's store coin, in trace order. Every generator
+    /// draws all of a trace's addresses first and its coins after them;
+    /// every recorded output (goldens, perfbench digests) holds that order.
+    fn mark_writes(&mut self, mut trace: Vec<Access>, write_frac: f64) -> Vec<Access> {
+        for a in &mut trace {
+            a.write = self.rng.chance(write_frac);
+        }
+        trace
     }
 
     /// `n` accesses walking sequentially through memory `step` bytes at a
     /// time starting at `base`.
     pub fn sequential(&mut self, n: usize, base: u64, step: u64, write_frac: f64) -> Vec<Access> {
-        let addrs = (0..n as u64).map(|i| base + i * step).collect();
-        self.mark_writes(addrs, write_frac)
+        let trace = (0..n as u64)
+            .map(|i| Access::read(base + i * step))
+            .collect();
+        self.mark_writes(trace, write_frac)
     }
 
     /// `n` uniformly random accesses over `[base, base + set_bytes)`,
@@ -79,10 +81,10 @@ impl TraceGen {
     ) -> Vec<Access> {
         assert!(align > 0 && set_bytes >= align);
         let slots = set_bytes / align;
-        let addrs = (0..n)
-            .map(|_| base + self.rng.below(slots) * align)
+        let trace = (0..n)
+            .map(|_| Access::read(base + self.rng.below(slots) * align))
             .collect();
-        self.mark_writes(addrs, write_frac)
+        self.mark_writes(trace, write_frac)
     }
 
     /// `n` accesses over `objects` cache-line-sized objects with Zipf(`s`)
@@ -97,16 +99,125 @@ impl TraceGen {
         write_frac: f64,
     ) -> Vec<Access> {
         let z = Zipf::new(objects, s);
-        let addrs = (0..n)
-            .map(|_| base + z.sample(&mut self.rng) as u64 * line)
+        let trace = (0..n)
+            .map(|_| Access::read(base + z.sample(&mut self.rng) as u64 * line))
             .collect();
-        self.mark_writes(addrs, write_frac)
+        self.mark_writes(trace, write_frac)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generators before they wrote one buffer, kept verbatim as the
+    /// oracle: addresses into a `Vec<u64>`, then a second pass mapping
+    /// each to an `Access` with its store coin.
+    mod two_pass {
+        use super::*;
+
+        pub(super) struct RefGen {
+            rng: Rng64,
+        }
+
+        impl RefGen {
+            pub(super) fn new(seed: u64) -> RefGen {
+                RefGen {
+                    rng: Rng64::new(seed),
+                }
+            }
+
+            fn mark_writes(&mut self, addrs: Vec<u64>, write_frac: f64) -> Vec<Access> {
+                addrs
+                    .into_iter()
+                    .map(|addr| Access {
+                        addr,
+                        write: self.rng.chance(write_frac),
+                    })
+                    .collect()
+            }
+
+            pub(super) fn sequential(
+                &mut self,
+                n: usize,
+                base: u64,
+                step: u64,
+                write_frac: f64,
+            ) -> Vec<Access> {
+                let addrs = (0..n as u64).map(|i| base + i * step).collect();
+                self.mark_writes(addrs, write_frac)
+            }
+
+            pub(super) fn uniform(
+                &mut self,
+                n: usize,
+                base: u64,
+                set_bytes: u64,
+                align: u64,
+                write_frac: f64,
+            ) -> Vec<Access> {
+                assert!(align > 0 && set_bytes >= align);
+                let slots = set_bytes / align;
+                let addrs = (0..n)
+                    .map(|_| base + self.rng.below(slots) * align)
+                    .collect();
+                self.mark_writes(addrs, write_frac)
+            }
+
+            pub(super) fn zipf(
+                &mut self,
+                n: usize,
+                base: u64,
+                objects: usize,
+                line: u64,
+                s: f64,
+                write_frac: f64,
+            ) -> Vec<Access> {
+                let z = Zipf::new(objects, s);
+                let addrs = (0..n)
+                    .map(|_| base + z.sample(&mut self.rng) as u64 * line)
+                    .collect();
+                self.mark_writes(addrs, write_frac)
+            }
+        }
+    }
+
+    #[test]
+    fn the_generators_match_the_two_pass_oracle() {
+        let mut args = Rng64::new(40);
+        for case in 0..100 {
+            let seed = args.next_u64();
+            let n = args.below(2_000) as usize;
+            let base = args.below(1 << 40);
+            let write_frac = [0.0, 1.0, args.next_f64()][case % 3];
+            let (mut g, mut r) = (TraceGen::new(seed), two_pass::RefGen::new(seed));
+            // One generator serves several calls, so each call must also
+            // leave the stream where the oracle leaves it.
+            for _ in 0..3 {
+                let step = args.below(4096);
+                assert_eq!(
+                    g.sequential(n, base, step, write_frac),
+                    r.sequential(n, base, step, write_frac),
+                    "case {case}: sequential"
+                );
+                let align = 1 + args.below(256);
+                let set_bytes = align * (1 + args.below(1 << 20));
+                assert_eq!(
+                    g.uniform(n, base, set_bytes, align, write_frac),
+                    r.uniform(n, base, set_bytes, align, write_frac),
+                    "case {case}: uniform"
+                );
+                let objects = 1 + args.below(5_000) as usize;
+                let line = 1 + args.below(4096);
+                let s = 2.0 * args.next_f64();
+                assert_eq!(
+                    g.zipf(n, base, objects, line, s, write_frac),
+                    r.zipf(n, base, objects, line, s, write_frac),
+                    "case {case}: zipf"
+                );
+            }
+        }
+    }
 
     #[test]
     fn sequential_addresses_ascend_by_step() {

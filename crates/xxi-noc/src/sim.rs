@@ -44,7 +44,6 @@ use crate::topology::{Dir, Mesh};
 use crate::traffic::{neighbors, Pattern};
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, Trace};
 use xxi_core::rng::{chance_cut, Rng64};
-use xxi_core::stats::Streaming;
 use xxi_core::time::SimTime;
 use xxi_core::units::Energy;
 
@@ -202,8 +201,6 @@ pub struct NocSim {
     dests: Vec<Dests>,
     rng: Rng64,
     cycle: u64,
-    latency: Streaming,
-    hops: Streaming,
     latency_hist: LogHistogram,
     hops_hist: LogHistogram,
     /// Measured `noc_link` / `noc_router` energy and charge counts.
@@ -274,8 +271,6 @@ impl NocSim {
             moves: Vec::new(),
             dests,
             cycle: 0,
-            latency: Streaming::new(),
-            hops: Streaming::new(),
             latency_hist: LogHistogram::new(),
             hops_hist: LogHistogram::new(),
             link_energy: Energy::ZERO,
@@ -438,8 +433,6 @@ impl NocSim {
         if self.measuring {
             self.delivered += 1;
             let cycles = (self.cycle - f.injected_at) as f64;
-            self.latency.add(cycles);
-            self.hops.add(f.hops as f64);
             self.latency_hist.add(cycles);
             self.hops_hist.add(f.hops as f64);
             self.router_energy += ROUTER_ENERGY;
@@ -479,12 +472,12 @@ impl NocSim {
             delivered: self.delivered,
             offered: self.offered,
             throttled: self.throttled,
-            mean_latency: self.latency.mean(),
+            mean_latency: self.latency_hist.mean(),
             p50_latency: self.latency_hist.p50(),
             p99_latency: self.latency_hist.p99(),
             p999_latency: self.latency_hist.p999(),
-            max_latency: self.latency.max(),
-            mean_hops: self.hops.mean(),
+            max_latency: self.latency_hist.max(),
+            mean_hops: self.hops_hist.mean(),
             throughput: self.delivered as f64 / cycles / nodes,
             link_traversals: self.link_traversals,
         };
@@ -538,6 +531,8 @@ pub fn load_sweep(mesh: Mesh, pattern: Pattern, rates: &[f64], seed: u64) -> Vec
 #[cfg(test)]
 mod oracle {
     use std::collections::VecDeque;
+
+    use xxi_core::stats::Streaming;
 
     use super::*;
 
