@@ -1,12 +1,13 @@
 //! E13 — §1.2/§2.3: photonics and 3D stacking "change communication costs
 //! radically enough to affect the entire system design."
 
+use xxi_core::par;
 use xxi_core::table::fnum;
 use xxi_core::units::Seconds;
 use xxi_core::{Report, Table};
 use xxi_noc::analysis::ideal_uniform_saturation;
 use xxi_noc::link::{Link, LinkKind};
-use xxi_noc::sim::load_sweep;
+use xxi_noc::sim::{load_sweep, load_sweep_on};
 use xxi_noc::topology::Mesh;
 use xxi_noc::traffic::Pattern;
 use xxi_tech::NodeDb;
@@ -28,18 +29,29 @@ impl Experiment for E13Noc {
         "§2.3: 'Photonics ... 3D chip stacking change communication costs radically'"
     }
 
+    fn parallel(&self) -> bool {
+        true
+    }
+
     fn fill(&self, ctx: &RunCtx, r: &mut Report) {
         let db = NodeDb::standard();
         let node = db.by_name("22nm").unwrap(); // xxi-allow: panic-path -- ladder name is a fixed constant
 
         r.section("64 nodes: planar 8x8 vs stacked 4x4x4 (uniform traffic)");
         let rates = [0.02, 0.1, 0.2, 0.3, 0.4];
-        let planar = load_sweep(Mesh::new_2d(8, 8), Pattern::Uniform, &rates, ctx.seed_or(5));
-        let stacked = load_sweep(
+        let planar = load_sweep_on(
+            Mesh::new_2d(8, 8),
+            Pattern::Uniform,
+            &rates,
+            ctx.seed_or(5),
+            ctx.exec(),
+        );
+        let stacked = load_sweep_on(
             Mesh::new_3d(4, 4, 4),
             Pattern::Uniform,
             &rates,
             ctx.seed_or(5),
+            ctx.exec(),
         );
         let mut t = Table::new(&[
             "injection rate",
@@ -62,7 +74,7 @@ impl Experiment for E13Noc {
 
         r.section("Traffic patterns on the 8x8 mesh at rate 0.25");
         let mut t = Table::new(&["pattern", "mean latency (cyc)", "throughput"]);
-        for (name, p) in [
+        let patterns = [
             ("uniform", Pattern::Uniform),
             ("neighbor", Pattern::Neighbor),
             ("transpose", Pattern::Transpose),
@@ -73,8 +85,11 @@ impl Experiment for E13Noc {
                     permille: 200,
                 },
             ),
-        ] {
-            let row = load_sweep(Mesh::new_2d(8, 8), p, &[0.25], ctx.seed_or(6))[0];
+        ];
+        let rows = par::map(ctx.exec(), patterns.len(), |i| {
+            load_sweep(Mesh::new_2d(8, 8), patterns[i].1, &[0.25], ctx.seed_or(6))[0]
+        });
+        for ((name, _), row) in patterns.iter().zip(rows) {
             t.row(&[name.to_string(), fnum(row.1), fnum(row.2)]);
         }
         r.table(t);

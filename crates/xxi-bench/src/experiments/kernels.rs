@@ -101,7 +101,7 @@ const fn k(
 
 /// Every kernel, grouped by layer in stack order.
 #[rustfmt::skip]
-pub static KERNELS: [Kernel; 40] = [
+pub static KERNELS: [Kernel; 41] = [
     k("core/rng-u64", "xoshiro256++: 1M next_u64", "draws", 1_000_000, rng_u64),
     k("core/rng-lognormal", "1M lognormal draws", "draws", 1_000_000, rng_lognormal),
     k("core/zipf", "1M Zipf(0.99) samples over 100k ranks", "samples", 1_000_000, zipf),
@@ -128,6 +128,7 @@ pub static KERNELS: [Kernel; 40] = [
     k("mem/hybrid", "hybrid DRAM+PCM: E12's 300k-access Zipf trace, 1k DRAM pages", "accesses", HYBRID_ACCESSES as u64, hybrid),
     k("mem/fpc", "FPC-compress 10k cache lines", "lines", 10_000, fpc),
     k("noc/mesh", "NoC: 8x8 uniform mesh at 0.2 flits/node/cycle", "router-cycles", NOC_ROUTER_CYCLES, noc_mesh),
+    k("noc/mesh-light", "NoC: 8x8 uniform mesh at 0.02 flits/node/cycle", "router-cycles", NOC_ROUTER_CYCLES, noc_mesh_light),
     k("rel/ecc-encode", "SECDED-encode 10k words", "words", 10_000, ecc_encode),
     k("rel/ecc-decode", "SECDED-decode 10k corrupted words", "words", 10_000, ecc_decode),
     k("cpu/hillmarty-best-r", "Hill-Marty best symmetric core size at n=4096", "scans", 1, hillmarty_best_r),
@@ -337,6 +338,13 @@ const NOC_ROUTER_CYCLES: u64 = 64 * (NOC_WARMUP + NOC_MEASURE);
 
 fn noc_mesh(_: &RunCtx) -> f64 {
     let config = NocConfig::mesh8x8(Pattern::Uniform, 0.2, 3);
+    NocSim::new(config).run(NOC_WARMUP, NOC_MEASURE).delivered as f64
+}
+
+/// `noc/mesh` at a tenth of the load: most cycles switch a handful of
+/// flits, so the switch's fixed per-cycle cost dominates.
+fn noc_mesh_light(_: &RunCtx) -> f64 {
+    let config = NocConfig::mesh8x8(Pattern::Uniform, 0.02, 3);
     NocSim::new(config).run(NOC_WARMUP, NOC_MEASURE).delivered as f64
 }
 

@@ -303,7 +303,7 @@ mod tests {
             .filter(|e| e.parallel())
             .map(|e| e.id())
             .collect();
-        assert_eq!(par, ["e9", "e17", "e21"]);
+        assert_eq!(par, ["e9", "e13", "e17", "e21"]);
     }
 
     #[test]

@@ -15,27 +15,51 @@
 //!
 //! Every flit carries `out`, the output port it requests at the router
 //! whose queue holds it, looked up once from a route table (built from
-//! [`Mesh::route`]) when the flit enters that queue. Each router keeps a
-//! 7-bit `busy` mask of its non-empty input queues; routers whose mask is
-//! zero cost nothing. For a busy router the head flits fold into
-//! `req[out]`, the mask of inputs requesting each output, and the
-//! round-robin winner of an output is the first set bit of `req[out]` at or
-//! after its pointer (a 7-bit rotate plus `trailing_zeros`).
+//! [`Mesh::route`]) when the flit enters that queue. Arbitration runs for
+//! every router at once, on bit planes that hold one bit per router
+//! (`nodes.div_ceil(64)` words each; bit `r % 64` of word `r / 64` is
+//! router `r`):
 //!
-//! Switching is two-phase: every router decides against start-of-cycle
-//! occupancy, then the moves apply in decision order (router ascending,
-//! output port ascending), so a flit moves at most one hop per cycle and
-//! deliveries reach the statistics and the trace in a fixed sequence.
-//! The decisions are independent of router order even without tracking
-//! slots claimed earlier in the same cycle: each input queue has exactly
-//! one upstream `(router, output)` pair, and an output forwards at most one
-//! flit per cycle, so no other decision can claim its downstream slot. A
-//! full downstream queue blocks every input requesting that output alike,
-//! so such an output is skipped with its pointer unchanged.
+//! * `req[o][p]`: routers whose input `p` has a head flit requesting
+//!   output `o`;
+//! * `blocked[o]`: routers whose output `o` has no downstream queue or a
+//!   full one;
+//! * `rrsel[o][s]`: routers whose round-robin pointer of output `o` is
+//!   `s` (one-hot over `s`);
+//! * `win[o][p]`: this cycle's winners, all zero between cycles.
+//!
+//! **Decide.** Per output and word, the open requests are
+//! `req[o][p] & !blocked[o]`. The round-robin winner is the first
+//! requesting input at or after the pointer, else the first requesting
+//! input at all; bit-sliced, that is one pass over `p` carrying three
+//! prefix ORs (of `rrsel`, of the requests at or after the pointer, and of
+//! all requests), about 90 word operations per output where a 7×7
+//! rotation scan per router takes 147. Outputs nobody requests are
+//! skipped. The winners' head bits are cleared from `req` in bulk, and the
+//! pointer planes advance (to the winner plus one) only for routers that
+//! forwarded.
+//!
+//! **Apply.** Only the winner planes that are not empty are visited. A
+//! pop sets the `req` bit of the queue's new head, a push into an empty
+//! queue sets the bit of the pushed flit, and a queue's transitions into
+//! and out of "full" set or clear the `blocked` bit of its one upstream
+//! `(router, output)`. Every router decides against start-of-cycle
+//! occupancy, so a flit moves at most one hop per cycle. No slot-claim
+//! table is needed: each input queue has one upstream output, and that
+//! output forwards at most one flit per cycle.
+//!
+//! **Order.** Hops may apply in any order: a queue is popped at most once
+//! and pushed at most once per cycle, a pop and a push on one queue give
+//! the same contents and the same plane bits in either order, and every
+//! hop adds the same two energy constants. Deliveries are not free: each
+//! adds to the latency and hop histograms (whose Welford moments depend on
+//! order) and to the trace. They apply after the hops, in router-ascending
+//! order (a router ejects at most one flit per cycle), so the statistics,
+//! the trace and the ledger see one fixed sequence.
 //!
 //! Queues are flat ring buffers, `queue_depth` flits each, indexed
 //! `router * 8 + port` (one spare index per router keeps that a shift),
-//! and the per-cycle move list is reused, so stepping never allocates. Link
+//! and the planes are allocated once, so stepping never allocates. Link
 //! and router energy accumulate in two local sums (each component's
 //! charges are one constant, added in charge order) and post to the
 //! [`EnergyLedger`] once, at the end of [`NocSim::run_observed`].
@@ -43,6 +67,7 @@
 use crate::topology::{Dir, Mesh};
 use crate::traffic::{neighbors, Pattern};
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, Trace};
+use xxi_core::par::{self, Parallelism, Serial};
 use xxi_core::rng::{chance_cut, Rng64};
 use xxi_core::time::SimTime;
 use xxi_core::units::Energy;
@@ -114,12 +139,18 @@ struct Dests {
     n: usize,
 }
 
-/// One decision of a cycle: pop the head of input queue `from` and push
-/// it onto input queue `to`, or eject it when `to` is [`NO_QUEUE`].
-#[derive(Clone, Copy)]
-struct Move {
-    from: usize,
-    to: usize,
+/// One 64-router word of a `[output][port]` family of bit planes: bit
+/// `r % 64` of `planes[o][p]` stands for router `r` of that word.
+type Planes = [[u64; PORTS]; PORTS];
+
+/// Word index and bit of router `r` in a plane.
+fn bit(r: usize) -> (usize, u64) {
+    (r / 64, 1 << (r % 64))
+}
+
+/// All ones if `c`, else zero.
+fn mask(c: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(c))
 }
 
 /// Aggregate results of a run.
@@ -130,7 +161,9 @@ struct Move {
 /// injected during warm-up and still in flight when the window opens are
 /// delivered but never offered: `delivered` can exceed
 /// `offered − throttled` by at most the buffer capacity,
-/// `nodes × 7 × queue_depth`.
+/// `nodes × 7 × queue_depth`. Exactly, `delivered` is the flits in flight
+/// when the window opens, plus `offered − throttled`, minus the flits in
+/// flight when it closes.
 #[derive(Clone, Debug)]
 pub struct NocResult {
     /// Flits ejected during the measurement window, including flits
@@ -190,12 +223,23 @@ pub struct NocSim {
     slots: Vec<Flit>,
     head: Vec<usize>,
     len: Vec<usize>,
-    /// Per router, bit `p` set iff input queue `p` is non-empty.
-    busy: Vec<u8>,
-    /// Round-robin pointer per router and output port.
-    rr: Vec<[u8; PORTS]>,
-    /// This cycle's decisions (kept to reuse the allocation).
-    moves: Vec<Move>,
+    /// `upstream[q]`: the `router * STRIDE + out` whose output feeds input
+    /// queue `q`. Injection queues and mesh edges have none; theirs names
+    /// router `64 * words`, whose bits land in the spare last word of
+    /// `blocked`, which no decision reads.
+    upstream: Vec<usize>,
+    /// Per word, `req[w][o][p]`: routers whose input `p` has a head flit
+    /// requesting output `o`.
+    req: Vec<Planes>,
+    /// Per word, `blocked[w][o]`: routers whose output `o` has no
+    /// downstream queue or a full one; one spare word at the end.
+    blocked: Vec<[u64; PORTS]>,
+    /// Per word, `rrsel[w][o][s]`: routers whose round-robin pointer of
+    /// output `o` is input `s`.
+    rrsel: Vec<Planes>,
+    /// Per word, `win[w][o][p]`: this cycle's winners; all zero between
+    /// cycles.
+    win: Vec<Planes>,
     /// Per source, its [`Dests`] under a Neighbor or Transpose pattern;
     /// empty for Uniform and Hotspot, which draw through [`Pattern::dest`].
     dests: Vec<Dests>,
@@ -229,7 +273,7 @@ impl NocSim {
         let route = (0..nodes)
             .flat_map(|cur| (0..nodes).map(move |dest| mesh.route(cur, dest).index() as u8))
             .collect();
-        let downstream = (0..nodes * STRIDE)
+        let downstream: Vec<usize> = (0..nodes * STRIDE)
             .map(|q| {
                 let (r, out) = (q / STRIDE, q % STRIDE);
                 Dir::ALL
@@ -258,6 +302,20 @@ impl NocSim {
             Pattern::Uniform | Pattern::Hotspot { .. } => Vec::new(),
         };
         let queues = nodes * STRIDE;
+        let words = nodes.div_ceil(64);
+        let mut upstream = vec![64 * words * STRIDE; queues];
+        let mut blocked = vec![[0; PORTS]; words + 1];
+        for (u, &to) in downstream.iter().enumerate() {
+            let (r, out) = (u / STRIDE, u % STRIDE);
+            if to != NO_QUEUE {
+                upstream[to] = u;
+            } else if out < LOCAL {
+                let (w, b) = bit(r);
+                blocked[w][out] |= b;
+            }
+        }
+        // Every pointer starts at input 0.
+        let rrsel = [[!0, 0, 0, 0, 0, 0, 0]; PORTS];
         NocSim {
             rng: Rng64::new(cfg.seed),
             cfg,
@@ -266,9 +324,11 @@ impl NocSim {
             slots: vec![Flit::default(); queues * cfg.queue_depth],
             head: vec![0; queues],
             len: vec![0; queues],
-            busy: vec![0; nodes],
-            rr: vec![[0; PORTS]; nodes],
-            moves: Vec::new(),
+            upstream,
+            req: vec![[[0; PORTS]; PORTS]; words],
+            blocked,
+            rrsel: vec![rrsel; words],
+            win: vec![[[0; PORTS]; PORTS]; words],
             dests,
             cycle: 0,
             latency_hist: LogHistogram::new(),
@@ -298,26 +358,47 @@ impl NocSim {
         self.route[router * self.cfg.mesh.nodes() + dest]
     }
 
-    /// Append `f` to queue `q`, which must have a free slot.
+    /// Append `f` to queue `q`, which must have a free slot: a push into
+    /// an empty queue makes `f` its head, and one that fills the queue
+    /// blocks its upstream output. The plane updates are unconditional
+    /// writes of a masked bit, which keeps the branches of the hot path
+    /// predictable.
+    #[inline(always)]
     fn push(&mut self, q: usize, f: Flit) {
         let depth = self.cfg.queue_depth;
-        debug_assert!(self.len[q] < depth);
-        let i = self.head[q] + self.len[q];
+        let len = self.len[q];
+        debug_assert!(len < depth);
+        let i = self.head[q] + len;
         let i = if i >= depth { i - depth } else { i };
         self.slots[q * depth + i] = f;
-        self.len[q] += 1;
-        self.busy[q / STRIDE] |= 1 << (q % STRIDE);
+        self.len[q] = len + 1;
+        let (w, b) = bit(q / STRIDE);
+        self.req[w][f.out as usize][q % STRIDE] |= b & mask(len == 0);
+        let u = self.upstream[q];
+        let (w, b) = bit(u / STRIDE);
+        self.blocked[w][u % STRIDE] |= b & mask(len + 1 == depth);
     }
 
-    /// Remove the head of queue `q`, which must be non-empty.
+    /// Remove the head of queue `q`, which must be non-empty and whose
+    /// `req` bit the caller has cleared: the next flit, if any, becomes
+    /// the head, and a queue that was full unblocks its upstream output.
+    #[inline(always)]
     fn pop(&mut self, q: usize) -> Flit {
         let depth = self.cfg.queue_depth;
-        debug_assert!(self.len[q] > 0);
+        let len = self.len[q];
+        debug_assert!(len > 0);
         let f = self.slots[q * depth + self.head[q]];
         let h = self.head[q] + 1;
-        self.head[q] = if h == depth { 0 } else { h };
-        self.len[q] -= 1;
-        self.busy[q / STRIDE] &= !(u8::from(self.len[q] == 0) << (q % STRIDE));
+        let h = if h == depth { 0 } else { h };
+        self.head[q] = h;
+        self.len[q] = len - 1;
+        // With one flit left the slot at `h` is stale and its bit masked off.
+        let (w, b) = bit(q / STRIDE);
+        let out = self.slots[q * depth + h].out;
+        self.req[w][out as usize][q % STRIDE] |= b & mask(len > 1);
+        let u = self.upstream[q];
+        let (w, b) = bit(u / STRIDE);
+        self.blocked[w][u % STRIDE] &= !(b & mask(len == depth));
         f
     }
 
@@ -369,64 +450,113 @@ impl NocSim {
     }
 
     fn switch(&mut self) {
-        let depth = self.cfg.queue_depth;
-        let mut moves = std::mem::take(&mut self.moves);
-        moves.clear();
-        for r in 0..self.busy.len() {
-            let mut pending = self.busy[r];
-            if pending == 0 {
-                continue;
-            }
-            // req[out]: the inputs whose head flit requests `out`;
-            // outs: the outputs requested at all.
-            let mut req = [0u8; PORTS];
-            let mut outs = 0u8;
-            while pending != 0 {
-                let inp = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let q = r * STRIDE + inp;
-                let out = self.slots[q * depth + self.head[q]].out;
-                req[out as usize] |= 1 << inp;
-                outs |= 1 << out;
-            }
-            while outs != 0 {
-                let out = outs.trailing_zeros() as usize;
-                outs &= outs - 1;
-                let to = self.downstream[r * STRIDE + out];
-                if out != LOCAL && (to == NO_QUEUE || self.len[to] == depth) {
+        let planes = self.decide();
+        if planes != 0 {
+            self.apply(planes);
+        }
+    }
+
+    /// Arbitrate every output of every router against start-of-cycle
+    /// occupancy: fill `win`, clear the winners' head bits from `req` and
+    /// advance the pointers of the outputs that forward. Returns the
+    /// non-empty winner planes, bit `o * PORTS + p` for `win[..][o][p]`.
+    fn decide(&mut self) -> u64 {
+        let mut planes = 0u64;
+        for w in 0..self.req.len() {
+            let (req, rrsel, win) = (&mut self.req[w], &mut self.rrsel[w], &mut self.win[w]);
+            for o in 0..PORTS {
+                let open = !self.blocked[w][o];
+                let reqs = req[o].map(|m| m & open);
+                if reqs.iter().fold(0, |a, &m| a | m) == 0 {
                     continue;
                 }
-                let rr = self.rr[r][out] as u32;
-                let mask = req[out] as u32;
-                let rotated = ((mask >> rr) | (mask << (PORTS as u32 - rr))) & 0x7f;
-                let inp = (rr + rotated.trailing_zeros()) as usize % PORTS;
-                self.rr[r][out] = ((inp + 1) % PORTS) as u8;
-                moves.push(Move {
-                    from: r * STRIDE + inp,
-                    to,
-                });
-            }
-        }
-
-        for &Move { from, to } in &moves {
-            let mut f = self.pop(from);
-            if to == NO_QUEUE {
-                debug_assert_eq!(f.dest, from / STRIDE);
-                self.delivered_flit(f);
-            } else {
-                f.hops += 1;
-                self.link_traversals += 1;
-                if self.measuring {
-                    self.link_energy += LINK_HOP_ENERGY;
-                    self.link_charges += 1;
-                    self.router_energy += ROUTER_ENERGY;
-                    self.router_charges += 1;
+                // Prefix ORs over the inputs: `at` holds the routers whose
+                // pointer is at or before `p`, `seen_at` those with a
+                // request at or after their pointer so far, `seen` those
+                // with any request so far.
+                let (mut at, mut seen_at, mut seen) = (0u64, 0u64, 0u64);
+                let mut first_at = [0u64; PORTS];
+                let mut first = [0u64; PORTS];
+                for p in 0..PORTS {
+                    at |= rrsel[o][p];
+                    let after = reqs[p] & at;
+                    first_at[p] = after & !seen_at;
+                    seen_at |= after;
+                    first[p] = reqs[p] & !seen;
+                    seen |= reqs[p];
                 }
-                f.out = self.out_port(to / STRIDE, f.dest);
-                self.push(to, f);
+                let wins: [u64; PORTS] =
+                    std::array::from_fn(|p| first_at[p] | (first[p] & !seen_at));
+                for (p, &m) in wins.iter().enumerate() {
+                    req[o][p] &= !m;
+                    planes |= u64::from(m != 0) << (o * PORTS + p);
+                }
+                // The pointer moves to the input after the winner.
+                let sel = rrsel[o];
+                rrsel[o] =
+                    std::array::from_fn(|s| wins[(s + PORTS - 1) % PORTS] | (sel[s] & !seen));
+                win[o] = wins;
             }
         }
-        self.moves = moves;
+        planes
+    }
+
+    /// Apply the moves `decide` chose: the hops plane by plane, then the
+    /// deliveries in router-ascending order. Leaves `win` all zero.
+    fn apply(&mut self, planes: u64) {
+        // The ejection output's seven planes.
+        let ejecting = ((1 << PORTS) - 1) << (LOCAL * PORTS);
+        let mut hops = planes & !ejecting;
+        while hops != 0 {
+            let plane = hops.trailing_zeros() as usize;
+            hops &= hops - 1;
+            let (o, p) = (plane / PORTS, plane % PORTS);
+            for w in 0..self.win.len() {
+                let mut m = std::mem::take(&mut self.win[w][o][p]);
+                while m != 0 {
+                    let r = w * 64 + m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    self.hop(r * STRIDE + p, self.downstream[r * STRIDE + o]);
+                }
+            }
+        }
+        if planes & ejecting == 0 {
+            return;
+        }
+        for w in 0..self.win.len() {
+            let ejects = std::mem::take(&mut self.win[w][LOCAL]);
+            let mut m = ejects.iter().fold(0, |a, &m| a | m);
+            // Bit `i` of each ejecting router's winning input, one plane per `i`.
+            let index = [1, 2, 4].map(|i| {
+                (0..PORTS)
+                    .filter(|p| p & i != 0)
+                    .fold(0, |a, p| a | ejects[p])
+            });
+            while m != 0 {
+                let b = m.trailing_zeros();
+                m &= m - 1;
+                let p = (0..3).fold(0, |a, i| a | ((index[i] >> b) & 1) << i) as usize;
+                let r = w * 64 + b as usize;
+                let f = self.pop(r * STRIDE + p);
+                debug_assert_eq!(f.dest, r);
+                self.delivered_flit(f);
+            }
+        }
+    }
+
+    /// Move the head of queue `from` one link on, into queue `to`.
+    fn hop(&mut self, from: usize, to: usize) {
+        let mut f = self.pop(from);
+        f.hops += 1;
+        self.link_traversals += 1;
+        if self.measuring {
+            self.link_energy += LINK_HOP_ENERGY;
+            self.link_charges += 1;
+            self.router_energy += ROUTER_ENERGY;
+            self.router_charges += 1;
+        }
+        f.out = self.out_port(to / STRIDE, f.dest);
+        self.push(to, f);
     }
 
     fn delivered_flit(&mut self, f: Flit) {
@@ -505,22 +635,41 @@ impl NocSim {
 }
 
 /// Sweep injection rates and return `(rate, mean_latency, throughput)`
-/// triples — the saturation curve of experiment E13.
+/// triples — the saturation curve of experiment E13. Serial; see
+/// [`load_sweep_on`].
 pub fn load_sweep(mesh: Mesh, pattern: Pattern, rates: &[f64], seed: u64) -> Vec<(f64, f64, f64)> {
-    rates
-        .iter()
-        .map(|&rate| {
-            let cfg = NocConfig {
-                mesh,
-                queue_depth: 4,
-                pattern,
-                injection_rate: rate,
-                seed,
-            };
-            let r = NocSim::new(cfg).run(2_000, 8_000);
-            (rate, r.mean_latency, r.throughput)
-        })
-        .collect()
+    load_sweep_on(mesh, pattern, rates, seed, &Serial)
+}
+
+/// [`load_sweep`] on `exec`: one independent [`NocSim`] per rate, each
+/// seeded with `seed`, so the triples are the same on every executor. A
+/// run's cost grows with its rate, so the highest rates are claimed first.
+pub fn load_sweep_on(
+    mesh: Mesh,
+    pattern: Pattern,
+    rates: &[f64],
+    seed: u64,
+    exec: &dyn Parallelism,
+) -> Vec<(f64, f64, f64)> {
+    let mut order: Vec<usize> = (0..rates.len()).collect();
+    order.sort_by(|&a, &b| rates[b].total_cmp(&rates[a]));
+    let runs = par::map(exec, order.len(), |k| {
+        let rate = rates[order[k]];
+        let cfg = NocConfig {
+            mesh,
+            queue_depth: 4,
+            pattern,
+            injection_rate: rate,
+            seed,
+        };
+        let r = NocSim::new(cfg).run(2_000, 8_000);
+        (rate, r.mean_latency, r.throughput)
+    });
+    let mut sweep = vec![(0.0, 0.0, 0.0); rates.len()];
+    for (&i, run) in order.iter().zip(runs) {
+        sweep[i] = run;
+    }
+    sweep
 }
 
 /// The simulator as it stood before the request-mask rewrite, kept
@@ -1025,44 +1174,51 @@ mod tests {
         );
     }
 
+    /// A seeded random configuration: the first ten cases walk `SHAPES`
+    /// twice, later ones draw a mesh of up to 6×6×3; then a pattern, a
+    /// rate (0, 1 or uniform), a depth of 1–6 and a seed.
+    fn random_config(rng: &mut Rng64, case: u64) -> NocConfig {
+        const SHAPES: [(usize, usize, usize); 5] =
+            [(1, 1, 1), (1, 6, 1), (5, 3, 1), (3, 4, 2), (4, 4, 4)];
+        let (w, h, d) = if case < 2 * SHAPES.len() as u64 {
+            SHAPES[case as usize % SHAPES.len()]
+        } else {
+            (
+                1 + rng.below(6) as usize,
+                1 + rng.below(6) as usize,
+                1 + rng.below(3) as usize,
+            )
+        };
+        let mesh = Mesh::new_3d(w, h, d);
+        let pattern = match rng.below(4) {
+            0 => Pattern::Uniform,
+            1 => Pattern::Transpose,
+            2 => Pattern::Hotspot {
+                node: rng.below(mesh.nodes() as u64) as usize,
+                permille: rng.below(1001) as u32,
+            },
+            _ => Pattern::Neighbor,
+        };
+        let injection_rate = match rng.below(6) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.next_f64(),
+        };
+        NocConfig {
+            mesh,
+            queue_depth: 1 + rng.below(6) as usize,
+            pattern,
+            injection_rate,
+            seed: rng.next_u64(),
+        }
+    }
+
     /// Run `cases` seeded random configurations through the simulator and
     /// the verbatim oracle and require identical observations.
     fn oracle_cases(cases: u64) {
-        const SHAPES: [(usize, usize, usize); 5] =
-            [(1, 1, 1), (1, 6, 1), (5, 3, 1), (3, 4, 2), (4, 4, 4)];
         let mut rng = Rng64::new(0xC0C13);
         for case in 0..cases {
-            let (w, h, d) = if case < 2 * SHAPES.len() as u64 {
-                SHAPES[case as usize % SHAPES.len()]
-            } else {
-                (
-                    1 + rng.below(6) as usize,
-                    1 + rng.below(6) as usize,
-                    1 + rng.below(3) as usize,
-                )
-            };
-            let mesh = Mesh::new_3d(w, h, d);
-            let pattern = match rng.below(4) {
-                0 => Pattern::Uniform,
-                1 => Pattern::Transpose,
-                2 => Pattern::Hotspot {
-                    node: rng.below(mesh.nodes() as u64) as usize,
-                    permille: rng.below(1001) as u32,
-                },
-                _ => Pattern::Neighbor,
-            };
-            let injection_rate = match rng.below(6) {
-                0 => 0.0,
-                1 => 1.0,
-                _ => rng.next_f64(),
-            };
-            let cfg = NocConfig {
-                mesh,
-                queue_depth: 1 + rng.below(6) as usize,
-                pattern,
-                injection_rate,
-                seed: rng.next_u64(),
-            };
+            let cfg = random_config(&mut rng, case);
             let warmup = rng.below(40);
             let measure = 1 + rng.below(160);
             let traced = rng.below(4) == 0;
@@ -1090,6 +1246,79 @@ mod tests {
     #[ignore = "5 000 oracle cases; run in release with --include-ignored"]
     fn matches_reference_switch_bit_for_bit_large() {
         oracle_cases(5_000);
+    }
+
+    /// Shapes whose plane words end exactly at, just past, and well past a
+    /// 64-router boundary, including padding bits in the last word.
+    #[test]
+    fn matches_reference_across_plane_words() {
+        const SHAPES: [(usize, usize, usize); 6] = [
+            (8, 8, 1),
+            (4, 4, 4),
+            (13, 5, 1),
+            (16, 8, 1),
+            (43, 3, 1),
+            (1, 64, 2),
+        ];
+        for (w, h, d) in SHAPES {
+            for rate in [0.02, 0.3, 1.0] {
+                for queue_depth in [1, 4] {
+                    let cfg = NocConfig {
+                        mesh: Mesh::new_3d(w, h, d),
+                        queue_depth,
+                        pattern: Pattern::Uniform,
+                        injection_rate: rate,
+                        seed: 41,
+                    };
+                    let mut new = NocSim::new(cfg);
+                    let mut reference = oracle::RefSim::new(cfg);
+                    new.trace = Trace::enabled();
+                    reference.trace = Trace::enabled();
+                    assert_same(
+                        &new.run_observed(100, 300),
+                        &reference.run_observed(100, 300),
+                        &format!("{cfg:?}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Flits in the buffers: the sum of the queue lengths.
+    fn in_flight(sim: &NocSim) -> u64 {
+        sim.len.iter().sum::<usize>() as u64
+    }
+
+    #[test]
+    fn the_window_conserves_flits_exactly() {
+        // Every flit delivered in the window was in flight when it opened
+        // or injected during it, and every other one is still in flight.
+        let mut rng = Rng64::new(0xC0 ^ 0x5E);
+        for case in 0..300 {
+            let mut cfg = random_config(&mut rng, case);
+            match case % 4 {
+                0 => cfg.queue_depth = 1,
+                1 => cfg.injection_rate = 1.0,
+                2 => (cfg.queue_depth, cfg.injection_rate) = (1, 1.0),
+                _ => {}
+            }
+            let (warmup, measure) = (rng.below(200), 1 + rng.below(400));
+            let mut sim = NocSim::new(cfg);
+            for _ in 0..warmup {
+                sim.step();
+            }
+            let open = in_flight(&sim);
+            sim.measuring = true;
+            for _ in 0..measure {
+                sim.step();
+            }
+            let close = in_flight(&sim);
+            assert_eq!(
+                sim.delivered + close,
+                open + sim.offered - sim.throttled,
+                "case {case}: {cfg:?} warmup {warmup} measure {measure}"
+            );
+        }
     }
 
     #[test]
