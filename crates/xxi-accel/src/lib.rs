@@ -22,17 +22,11 @@
 //! * [`nre`] — amortization and breakeven analysis over the
 //!   `xxi-tech::nre` cost data: at what volume does an ASIC accelerator
 //!   beat an FPGA or plain software? (Table 1 row 5; experiment E5.)
-//! * [`offload`] — accelerator-coverage economics: end-to-end speedup and
-//!   energy for a workload of which only a fraction maps to the
-//!   accelerator, including per-invocation offload overhead — the
-//!   "broaden the class of applicable problems" lever.
 
 pub mod cgra;
 pub mod ladder;
 pub mod nre;
-pub mod offload;
 
 pub use cgra::{Cgra, DataflowGraph};
 pub use ladder::{ladder_energy_per_op, ImplKind, Kernel};
 pub use nre::breakeven_volume;
-pub use offload::{offload_energy, OffloadConfig};

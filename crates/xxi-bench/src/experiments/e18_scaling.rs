@@ -68,8 +68,8 @@ impl Experiment for E18Scaling {
         }
         r.table(t);
         r.text(
-            "(halo traffic priced at mean-hop distance; a locality-aware mapping\n \
-             from xxi-stack::locality pays 1 hop instead — see the ablation bench)",
+            "(each halo priced on one link times the mesh's mean hop count under\n \
+             uniform traffic: the cost of a placement blind to locality)",
         );
 
         r.section("All-to-all instead of neighbor halos (the locality-hostile case)");

@@ -407,7 +407,7 @@ const FANOUT_LEAF_DRAWS: u64 = (FANOUT * FANOUT_TRIALS) as u64;
 
 /// E9's fan-out max alone: each request takes
 /// [`LatencyDist::sample_max`] over 100 typical leaves. Only the trials
-/// are timed, not `fanout_latency`'s p99 calibration.
+/// are timed, not the p99 calibration `fanout_sweep_on` also runs.
 fn fanout(_: &RunCtx) -> f64 {
     let dist = LatencyDist::typical_leaf();
     let mut rng = Rng64::new(7);

@@ -8,7 +8,8 @@
 //! company. It is the one rule that needs the whole file set.
 //!
 //! - **Roots**: every file under `crates/xxi-bench/src` (each experiment
-//!   and kernel), `perfbench/src` and `examples/`.
+//!   and kernel) and `perfbench/src` (each benchmark workload). Examples
+//!   are not roots: they show the models off, but print no report.
 //! - **Module uses**: a module is reached when reached code names it by
 //!   path: `xxi_<crate>::<mod>`, `xxi::<alias>::<mod>` (aliases read from
 //!   the facade `src/lib.rs`), a name the crate's `lib.rs` re-exports from
@@ -25,12 +26,11 @@
 //!   call cannot be resolved, so this works on names: it can miss a dead
 //!   item, never report a used one.
 //!
-//! A module waiting for its experiment, or an item kept for a reason
-//! (say, a test oracle or an `xxi lint` check), carries an
-//! `xxi-allow` comment for this rule, with the reason, on its line. The
-//! engine's unused-suppression warning makes those comments exact and
-//! shrink-only: one left on a module that becomes reached or goes is
-//! itself a finding.
+//! An item kept for a reason (say, a test oracle or an `xxi lint` check)
+//! carries an `xxi-allow` comment for this rule, with the reason, on its
+//! line. The engine's unused-suppression warning makes those comments
+//! exact and shrink-only: one left on an item that becomes reached or
+//! goes is itself a finding.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,7 +46,7 @@ const MODEL_CRATES: [&str; 12] = [
 ];
 
 /// The code that runs reports: a file under one of these is a root.
-const ROOTS: [&str; 3] = ["crates/xxi-bench/src/", "perfbench/src/", "examples/"];
+const ROOTS: [&str; 2] = ["crates/xxi-bench/src/", "perfbench/src/"];
 
 /// The facade crate, whose `pub use xxi_<crate> as <alias>;` lines name
 /// the aliases `xxi::<alias>::…` paths go through.
@@ -88,8 +88,8 @@ pub fn model_reach(files: &[ScannedFile<'_>], out: &mut [Vec<Finding>]) {
         for (m, &line) in &c.mods {
             if !reached.contains(&(krate.as_str(), m.as_str())) {
                 let message = format!(
-                    "`{}::{m}` is reached by no experiment, kernel, example or perfbench \
-                     workload; give it a report or delete it",
+                    "`{}::{m}` is reached by no experiment, kernel or perfbench workload; \
+                     give it a report or delete it",
                     krate.replace('_', "-")
                 );
                 out[c.lib].push(finding(line, message));
@@ -120,7 +120,7 @@ pub fn model_reach(files: &[ScannedFile<'_>], out: &mut [Vec<Finding>]) {
         }
     }
     // `pub use m::item as alias;` in `lib.rs`: a use of `alias` is a use
-    // of `item` (`xxi-cpu` re-exports `pipeline::simulate` this way).
+    // of `item`.
     for c in ws.crates.values() {
         for (alias, item) in &c.renames {
             if named.contains(alias.as_str()) {

@@ -54,8 +54,8 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "model-reach",
         "every pub mod of a model crate, and every pub item in a reached one, \
-         must be named by code an experiment, kernel, example or perfbench \
-         workload runs",
+         must be named by code an experiment, kernel or perfbench workload \
+         runs",
     ),
 ];
 

@@ -1,7 +1,6 @@
 //! The paper-reach contract on the real workspace: every `pub mod` of a
-//! model crate is reached from a report root, and every module still
-//! waiting to be folded into an experiment carries a `model-reach`
-//! suppression (reason `pending: fold into E<n>`) that is still needed.
+//! model crate is reached from a report root, and no `model-reach`
+//! suppression outlives the module it was written for.
 //! The rule itself is `srclint::reach` (R7); its scanner cases live in
 //! `tests/srclint.rs`. The crate graph is held to the same standard: a
 //! crate depends on a workspace crate only if its code names it.
@@ -41,7 +40,7 @@ fn every_model_module_is_reached_by_a_report() {
         .collect();
     assert!(
         orphans.is_empty(),
-        "no experiment, kernel, example or perfbench workload reaches {orphans:#?}: \
+        "no experiment, kernel or perfbench workload reaches {orphans:#?}: \
          give each a report or delete it"
     );
     assert!(

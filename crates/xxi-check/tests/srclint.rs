@@ -166,14 +166,14 @@ fn unreached(files: &[(&str, &str)], root: &str) -> Vec<String> {
 }
 
 /// `files` under `crates/xxi-mem/src`, a facade that aliases the crate as
-/// `mem`, and `root` as an example.
+/// `mem`, and `root` as a file of the bench crate.
 fn workspace(files: &[(&str, &str)], root: &str) -> Vec<(String, String)> {
     let mut set: Vec<(String, String)> = files
         .iter()
         .map(|(p, s)| (format!("crates/xxi-mem/src/{p}"), s.to_string()))
         .collect();
     set.push(("src/lib.rs".into(), "pub use xxi_mem as mem;\n".into()));
-    set.push(("examples/root.rs".into(), root.into()));
+    set.push(("crates/xxi-bench/src/root.rs".into(), root.into()));
     set
 }
 
@@ -239,8 +239,25 @@ fn the_scanner_counts_paths_in_code_and_nothing_else() {
 }
 
 #[test]
+fn a_module_only_an_example_names_is_unreached() {
+    // Examples print no report, so naming a module there reaches nothing.
+    let lib = "pub mod shown;\npub mod used;\n";
+    let files = [("lib.rs", lib), ("shown.rs", ""), ("used.rs", "")];
+    let mut set = workspace(&files, "fn main() { xxi_mem::used::go(); }\n");
+    set.push((
+        "examples/demo.rs".into(),
+        "fn main() { xxi_mem::shown::go(); xxi::mem::shown::go(); }\n".into(),
+    ));
+    let diags = srclint::lint_files(&set, Some("model-reach"));
+    let found: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+    let want = "`xxi-mem::shown` is reached by no experiment, kernel or perfbench workload; \
+                give it a report or delete it";
+    assert_eq!(found, [want], "{diags:#?}");
+}
+
+#[test]
 fn a_pub_item_no_reached_code_names_is_a_finding() {
-    let lib = "pub mod cache;\npub mod later; // xxi-allow: model-reach -- pending: fold into E1\n\
+    let lib = "pub mod cache;\npub mod later; // xxi-allow: model-reach -- kept for a reason\n\
                pub use cache::renamed as alias;\n";
     let cache = "pub struct Cache;\nimpl Cache {\n    pub fn used(&self) {}\n\
                  pub fn dead(&self) {}\n    pub(crate) fn internal(&self) {}\n}\n\

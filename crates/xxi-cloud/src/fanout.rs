@@ -4,7 +4,7 @@
 //! paper: *"if 100 systems must jointly respond to a request, 63% of
 //! requests will incur the 99-percentile delay of the individual systems"*
 //! — i.e. `P(max of 100 i.i.d. draws > p99) = 1 − 0.99¹⁰⁰ ≈ 0.634`.
-//! [`analytic_straggler_prob`] is the formula; [`fanout_latency`] is the
+//! [`analytic_straggler_prob`] is the formula; [`fanout_sweep_on`] is the
 //! Monte Carlo that confirms it for realistic (non-i.i.d.-textbook)
 //! latency distributions and produces the full latency-vs-fanout table.
 //!
@@ -61,29 +61,12 @@ pub struct FanoutResult {
     pub frac_hit_by_leaf_p99: f64,
 }
 
-/// Simulate `trials` requests, each the max of `fanout` leaf draws.
-pub fn fanout_latency(dist: LatencyDist, fanout: u32, trials: usize, seed: u64) -> FanoutResult {
-    fanout_latency_on(dist, fanout, trials, seed, &Serial)
-}
-
-/// [`fanout_latency`] on an explicit executor: the one-degree case of
-/// [`fanout_sweep_on`]'s map. Chunked like [`xxi_core::par::mc_chunks`]:
-/// the result is a pure function of the arguments — byte-identical for
-/// every executor and thread count.
-pub fn fanout_latency_on(
-    dist: LatencyDist,
-    fanout: u32,
-    trials: usize,
-    seed: u64,
-    exec: &dyn Parallelism,
-) -> FanoutResult {
-    let mut rows = fanout_runs(dist, &[(fanout, seed)], trials, exec);
-    rows.remove(0)
-}
-
-/// The E9 sweep: one [`FanoutResult`] per fan-out degree. Every degree's
-/// Monte Carlo runs on one map over `exec`; the sweep order (and every
-/// number) is executor-independent.
+/// The E9 sweep: one [`FanoutResult`] per fan-out degree, each from
+/// `trials` requests that take the max of `fanout` leaf draws. Every
+/// degree's Monte Carlo runs on one map over `exec`, chunked like
+/// [`xxi_core::par::mc_chunks`]: the sweep order and every number are a
+/// pure function of the arguments, byte-identical for every executor and
+/// thread count.
 ///
 /// Per-degree seeds come from [`Rng64::stream`], the splittable-substream
 /// construction — a distinct, decorrelated generator per sweep point.
@@ -185,6 +168,11 @@ mod tests {
     use crate::testing::Reversed;
     use xxi_stack::pool::Pool;
 
+    /// One degree's run from a raw seed, as a sweep point runs it.
+    fn solo(dist: LatencyDist, fanout: u32, trials: usize, seed: u64) -> FanoutResult {
+        fanout_runs(dist, &[(fanout, seed)], trials, &Serial).remove(0)
+    }
+
     #[test]
     fn the_63_percent_claim_analytic() {
         // The paper's exact arithmetic.
@@ -251,7 +239,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_confirms_63_percent() {
-        let r = fanout_latency(LatencyDist::typical_leaf(), 100, 20_000, 7);
+        let r = solo(LatencyDist::typical_leaf(), 100, 20_000, 7);
         assert!(
             (r.frac_hit_by_leaf_p99 - 0.634).abs() < 0.02,
             "mc={}",
@@ -263,7 +251,7 @@ mod tests {
     fn monte_carlo_confirms_for_other_distributions_too() {
         // The 1 − q^n law is distribution-free (it only uses the quantile
         // definition), so it must hold for exponential latencies as well.
-        let r = fanout_latency(LatencyDist::Exp { mean_ms: 3.0 }, 50, 20_000, 8);
+        let r = solo(LatencyDist::Exp { mean_ms: 3.0 }, 50, 20_000, 8);
         let expect = analytic_straggler_prob(50, 0.99);
         assert!(
             (r.frac_hit_by_leaf_p99 - expect).abs() < 0.02,
@@ -278,7 +266,7 @@ mod tests {
         // slower than the 90th percentile leaf.
         let mut rng = Rng64::new(9);
         let leaf = LatencyDist::typical_leaf().sample_summary(200_000, &mut rng);
-        let r = fanout_latency(LatencyDist::typical_leaf(), 100, 10_000, 9);
+        let r = solo(LatencyDist::typical_leaf(), 100, 10_000, 9);
         assert!(
             r.p50 > leaf.percentile(90.0),
             "p50={} leaf p90={}",
@@ -313,7 +301,7 @@ mod tests {
         // own decorrelated generator.
         let dist = LatencyDist::typical_leaf();
         let sweep10 = fanout_sweep_on(dist, &[10], 5_000, 10, &Serial);
-        let aliased = fanout_latency(dist, 10, 5_000, 0);
+        let aliased = solo(dist, 10, 5_000, 0);
         assert_ne!(
             sweep10[0].p50.to_bits(),
             aliased.p50.to_bits(),
@@ -324,9 +312,9 @@ mod tests {
         let sweep = fanout_sweep_on(dist, &[1, 10, 100], 5_000, 7, &Serial);
         for (i, &f) in [1u32, 10, 100].iter().enumerate() {
             let sub_seed = Rng64::stream(7, i as u64).next_u64();
-            let solo = fanout_latency(dist, f, 5_000, sub_seed);
-            assert_eq!(sweep[i].p50.to_bits(), solo.p50.to_bits());
-            assert_eq!(sweep[i].p99.to_bits(), solo.p99.to_bits());
+            let one = solo(dist, f, 5_000, sub_seed);
+            assert_eq!(sweep[i].p50.to_bits(), one.p50.to_bits());
+            assert_eq!(sweep[i].p99.to_bits(), one.p99.to_bits());
         }
     }
 }

@@ -7,13 +7,13 @@
 //! take whichever answers first. Cost: a few percent extra load. Benefit:
 //! the p99+ collapses toward the body of the distribution.
 //!
-//! `hedged_with` models one request; [`hedge_experiment`] produces the
+//! `hedged_with` models one request; [`hedge_experiment_on`] produces the
 //! mitigation table of experiment E9. Its deadline is one screened
 //! quantile of 200 000 leaf draws ([`LatencyDist::quantile_on`]): only
 //! the draws that can reach the deadline become latencies.
 
 use crate::latency::{LatencyDist, Sampler};
-use xxi_core::par::{mc_chunks, Parallelism, Serial};
+use xxi_core::par::{mc_chunks, Parallelism};
 use xxi_core::rng::Rng64;
 use xxi_core::stats::percentiles;
 
@@ -47,18 +47,8 @@ fn hedged_with(service: &Sampler, deadline_ms: f64, rng: &mut Rng64) -> (f64, bo
 }
 
 /// Run `trials` hedged requests with the deadline at the distribution's
-/// `deadline_quantile` (e.g. 0.95).
-pub fn hedge_experiment(
-    dist: LatencyDist,
-    deadline_quantile: f64,
-    trials: usize,
-    seed: u64,
-) -> HedgeOutcome {
-    hedge_experiment_on(dist, deadline_quantile, trials, seed, &Serial)
-}
-
-/// [`hedge_experiment`] on an explicit executor; byte-identical output
-/// for every executor and thread count.
+/// `deadline_quantile` (e.g. 0.95) on `exec`; byte-identical output for
+/// every executor and thread count.
 ///
 /// The deadline calibration draws from its own sub-seed, independent of
 /// the measured trials. (The original implementation calibrated from
@@ -74,7 +64,7 @@ pub fn hedge_experiment_on(
     exec: &dyn Parallelism,
 ) -> HedgeOutcome {
     assert!((0.0..1.0).contains(&deadline_quantile));
-    // Same contract as `fanout_latency_on`: zero trials would divide
+    // Same contract as `fanout_sweep_on`: zero trials would divide
     // `extra_load` by zero and let a NaN flow silently into reports.
     assert!(trials > 0, "hedge experiment needs at least one trial");
     let mut root = Rng64::new(seed);
@@ -111,6 +101,7 @@ pub fn hedge_experiment_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xxi_core::par::Serial;
     use xxi_core::stats::Summary;
 
     #[test]
@@ -118,7 +109,7 @@ mod tests {
         let dist = LatencyDist::typical_leaf();
         let mut rng = Rng64::new(1);
         let base = dist.sample_summary(300_000, &mut rng);
-        let hedged = hedge_experiment(dist, 0.95, 300_000, 2);
+        let hedged = hedge_experiment_on(dist, 0.95, 300_000, 2, &Serial);
         // ~5% extra load…
         assert!(
             (hedged.extra_load - 0.05).abs() < 0.01,
@@ -160,7 +151,7 @@ mod tests {
         // sub-seeds the trial draws are reproducible without performing a
         // single calibration draw.
         let dist = LatencyDist::typical_leaf();
-        let out = hedge_experiment(dist, 0.95, 20_000, 13);
+        let out = hedge_experiment_on(dist, 0.95, 20_000, 13, &Serial);
         let mut root = Rng64::new(13);
         let _calib_seed = root.next_u64();
         let trial_seed = root.next_u64();
@@ -181,14 +172,14 @@ mod tests {
         // Regression: `extra_load = hedged / trials` used to evaluate
         // 0 / 0 = NaN and flow silently into reports; now it's a loud
         // contract violation like the fan-out model's.
-        hedge_experiment(LatencyDist::typical_leaf(), 0.95, 0, 1);
+        hedge_experiment_on(LatencyDist::typical_leaf(), 0.95, 0, 1, &Serial);
     }
 
     #[test]
     fn later_deadline_less_load_less_benefit() {
         let dist = LatencyDist::typical_leaf();
-        let h95 = hedge_experiment(dist, 0.95, 100_000, 4);
-        let h999 = hedge_experiment(dist, 0.999, 100_000, 4);
+        let h95 = hedge_experiment_on(dist, 0.95, 100_000, 4, &Serial);
+        let h999 = hedge_experiment_on(dist, 0.999, 100_000, 4, &Serial);
         assert!(h999.extra_load < h95.extra_load / 10.0);
         assert!(h999.p999 >= h95.p999);
     }

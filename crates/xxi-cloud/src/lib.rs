@@ -24,9 +24,8 @@
 //!   energy ledger (leaf compute / fabric RPC / root idle-wait).
 //! * [`power`] — datacenter power: server idle/peak, energy
 //!   proportionality, PUE, and the memory/storage share of the budget.
-//! * [`qos`] — latency-critical + batch colocation with an interference
-//!   model and an SLO-driven admission knob (§2.4's QoS interfaces), plus
-//!   the per-request [`qos::Budget`] (deadline + per-attempt timeout).
+//! * [`qos`] — the per-request [`qos::Budget`] (deadline + per-attempt
+//!   timeout), §2.4's QoS interface as the serving stack sees it.
 //! * [`cluster`] — fault-injected cluster serving on the DES (experiment
 //!   E21): per-request deadlines, retries with jittered exponential
 //!   backoff, routing ([`cluster::Routing`]) and hedging
@@ -44,12 +43,11 @@ pub mod qos;
 pub mod queueing;
 
 pub use cluster::{cluster_sweep_on, ClusterConfig, ClusterOutcome, Hedging, RetryPolicy, Routing};
-pub use fanout::{analytic_straggler_prob, fanout_latency};
+pub use fanout::analytic_straggler_prob;
 pub use hedge::HedgeOutcome;
 pub use latency::LatencyDist;
 pub use obs::{ClusterObservation, ObservedFanout};
 pub use power::{DatacenterPower, ServerPower};
-pub use qos::Colocation;
 pub use queueing::{MG1Queue, QueueResult};
 
 /// Executors for the determinism tests.

@@ -160,15 +160,6 @@ impl Rng64 {
         x_min / (1.0 - self.next_f64()).powf(1.0 / alpha)
     }
 
-    /// Shuffle a slice in place (Fisher–Yates).
-    // xxi-allow: model-reach -- used by xxi-stack::locality, pending its fold into E18
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Pick a uniformly random element.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty());
@@ -624,17 +615,6 @@ mod tests {
                 assert_eq!(z.sample(&mut a), whole_cdf_rank(&z, b.next_f64()));
             }
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Rng64::new(12);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>()); // astronomically unlikely
     }
 
     #[test]

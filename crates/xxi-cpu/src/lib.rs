@@ -27,10 +27,8 @@ pub mod chip;
 pub mod core;
 pub mod cpudb;
 pub mod hillmarty;
-pub mod pipeline; // xxi-allow: model-reach -- pending: fold into E2
 
 pub use self::core::{CoreKind, CoreModel};
 pub use chip::{Chip, ChipConfig};
 pub use cpudb::{attribution, CpuDbEntry, CPU_DB};
 pub use hillmarty::{perf_pollack, speedup_asymmetric, speedup_dynamic, speedup_symmetric};
-pub use pipeline::{simulate as simulate_pipeline, PipelineConfig, PipelineResult};

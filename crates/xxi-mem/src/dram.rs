@@ -4,7 +4,7 @@
 //! captures the two per-access properties the experiments compare against
 //! NVM: row-buffer locality (open-page hits are fast and cheap) and
 //! destructive reads requiring activation energy. Refresh, the standing
-//! power NVMs do not pay, is `HybridConfig::dram_refresh_per_gib`.
+//! power NVMs do not pay, is E12's 50 mW/GiB reference row.
 
 use xxi_core::metrics::Metrics;
 use xxi_core::units::{Energy, Seconds};

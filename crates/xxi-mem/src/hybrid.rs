@@ -17,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::nvm::{NvmParams, NvmTech};
 use crate::trace::Access;
 use xxi_core::metrics::Metrics;
-use xxi_core::units::{Energy, Power, Seconds};
+use xxi_core::units::{Energy, Seconds};
 
 /// Hybrid-memory configuration.
 #[derive(Clone, Debug)]
@@ -36,8 +36,6 @@ pub struct HybridConfig {
     pub dram_latency: Seconds,
     /// DRAM energy per 64 B.
     pub dram_energy: Energy,
-    /// DRAM refresh power per GiB.
-    pub dram_refresh_per_gib: Power,
 }
 
 impl Default for HybridConfig {
@@ -50,7 +48,6 @@ impl Default for HybridConfig {
             epoch_accesses: 100_000,
             dram_latency: Seconds::from_ns(60.0),
             dram_energy: Energy::from_nj(12.0),
-            dram_refresh_per_gib: Power::from_mw(50.0),
         }
     }
 }
@@ -292,12 +289,6 @@ impl HybridMemory {
         } else {
             self.metrics.counter("dram_hits") as f64 / self.accesses as f64
         }
-    }
-
-    /// Standing power of the DRAM tier (refresh) — the part NVM avoids.
-    pub fn dram_standing_power(&self) -> Power {
-        let gib = self.cfg.dram_pages as f64 * self.cfg.page_bytes as f64 / (1u64 << 30) as f64;
-        Power(self.cfg.dram_refresh_per_gib.value() * gib)
     }
 
     /// Number of DRAM-resident pages.
@@ -662,21 +653,5 @@ mod tests {
         // migration traffic.
         let pure_read = NvmTech::Pcm.params().read_energy;
         assert!(m.avg_energy().value() > pure_read.value());
-    }
-
-    #[test]
-    fn standing_power_scales_with_dram_size_only() {
-        let small = HybridMemory::new(HybridConfig {
-            dram_pages: 1024,
-            ..HybridConfig::default()
-        });
-        let big = HybridMemory::new(HybridConfig {
-            dram_pages: 4096,
-            ..HybridConfig::default()
-        });
-        assert!(
-            (big.dram_standing_power().value() / small.dram_standing_power().value() - 4.0).abs()
-                < 1e-9
-        );
     }
 }

@@ -23,13 +23,11 @@
 //!   against the simulator.
 
 pub mod analysis;
-pub mod crossbar; // xxi-allow: model-reach -- pending: fold into E13
 pub mod link;
 pub mod sim;
 pub mod topology;
 pub mod traffic;
 
-pub use crossbar::{run_crossbar, CrossbarConfig, CrossbarResult};
 pub use link::{Link, LinkKind};
 pub use sim::{NocConfig, NocObservation, NocResult, NocSim};
 pub use topology::{Dir, Mesh};

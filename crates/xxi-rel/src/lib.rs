@@ -34,7 +34,6 @@ pub mod failsafe;
 pub mod inject;
 pub mod invariant;
 pub mod scrub;
-pub mod tmr; // xxi-allow: model-reach -- pending: fold into E15
 
 pub use checkpoint::{outage_instants, young_daly_interval, CheckpointSim, PlannedOutcome};
 pub use ecc::{Codeword, DecodeResult};
@@ -42,4 +41,3 @@ pub use failsafe::{FailsafeMachine, Mode};
 pub use inject::{FaultInjector, Outcome};
 pub use invariant::{CheckedRegion, CheckerConfig};
 pub use scrub::ScrubModel;
-pub use tmr::{TmrHarness, VoteOutcome};

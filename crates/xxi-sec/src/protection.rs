@@ -5,9 +5,9 @@
 //! process boundary is too coarse (a crypto library and a JSON parser share
 //! one address space today); the mechanism modeled here is a
 //! **domain × region access matrix** checked on every access — the
-//! Mondrian-/CHERI-flavored direction the paper gestures at — plus
-//! controlled cross-domain calls (gates) and an energy price per check, so
-//! "efficient enforcement" is measurable, not assumed.
+//! Mondrian-/CHERI-flavored direction the paper gestures at — plus an
+//! energy price per check, so "efficient enforcement" is measurable, not
+//! assumed.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -57,7 +57,7 @@ impl Perms {
     }
 }
 
-/// The access matrix plus regions and call gates.
+/// The access matrix plus its regions.
 #[derive(Clone, Debug, Default)]
 pub struct ProtectionMatrix {
     /// region → (base word, length in words)
@@ -66,9 +66,7 @@ pub struct ProtectionMatrix {
     regions: BTreeMap<RegionId, (usize, usize)>,
     /// (domain, region) → perms
     matrix: HashMap<(DomainId, RegionId), Perms>,
-    /// Legal cross-domain calls (caller → callee), i.e. gates.
-    gates: HashMap<DomainId, Vec<DomainId>>,
-    /// `checks`, `faults`, `gate_calls`, `gate_faults`.
+    /// `checks`, `faults`.
     pub metrics: Metrics,
 }
 
@@ -103,11 +101,6 @@ impl ProtectionMatrix {
         self.matrix.insert((domain, region), perms);
     }
 
-    /// Allow `caller` to call into `callee` through a gate.
-    pub fn add_gate(&mut self, caller: DomainId, callee: DomainId) {
-        self.gates.entry(caller).or_default().push(callee);
-    }
-
     /// The region containing word `addr`, if any.
     pub fn region_of(&self, addr: usize) -> Option<RegionId> {
         self.regions
@@ -136,24 +129,6 @@ impl ProtectionMatrix {
             self.metrics.incr("faults");
             Err(XxiError::invariant(format!(
                 "{domain:?} lacks {kind:?} on {region:?}"
-            )))
-        }
-    }
-
-    /// Check a cross-domain call.
-    pub fn call(&mut self, caller: DomainId, callee: DomainId) -> Result<()> {
-        self.metrics.incr("gate_calls");
-        if self
-            .gates
-            .get(&caller)
-            .map(|v| v.contains(&callee))
-            .unwrap_or(false)
-        {
-            Ok(())
-        } else {
-            self.metrics.incr("gate_faults");
-            Err(XxiError::invariant(format!(
-                "no gate {caller:?} -> {callee:?}"
             )))
         }
     }
@@ -191,7 +166,6 @@ mod tests {
         pm.grant(crypto, scratch, Perms::RW);
         pm.grant(parser, inbuf, Perms::RW);
         pm.grant(parser, scratch, Perms::RW);
-        pm.add_gate(parser, crypto);
         (pm, crypto, parser, keys, inbuf, scratch)
     }
 
@@ -221,14 +195,6 @@ mod tests {
         pm.grant(crypto, RegionId(11), Perms::R);
         assert!(pm.check(crypto, 100, AccessKind::Read).is_ok());
         assert!(pm.check(crypto, 100, AccessKind::Write).is_err());
-    }
-
-    #[test]
-    fn gates_control_cross_domain_calls() {
-        let (mut pm, crypto, parser, ..) = app();
-        assert!(pm.call(parser, crypto).is_ok());
-        assert!(pm.call(crypto, parser).is_err());
-        assert_eq!(pm.metrics.counter("gate_faults"), 1);
     }
 
     #[test]

@@ -17,18 +17,12 @@
 //! * [`node`] — the whole sensor node: sample → (optionally filter/
 //!   compress) → transmit, under three policies; computes battery lifetime
 //!   (experiment E10: on-sensor filtering vs send-raw).
-//! * [`intermittent`] — intermittent computing on harvested power:
-//!   checkpointing progress to NVM so work survives power failures, with
-//!   the forward-progress guarantee tested (§2.1's "leverage intermittent
-//!   power").
 
-pub mod intermittent;
 pub mod mcu;
 pub mod node;
 pub mod power;
 pub mod radio;
 
-pub use intermittent::{IntermittentTask, RunStats};
 pub use mcu::Mcu;
 pub use node::{
     lane_isa, FaultedNodeOutcome, NodeObservation, NodePolicy, SensorNode, SensorNodeConfig,

@@ -16,9 +16,6 @@
 //! * [`offload`] — the eco-system planner of §2.1 "Putting It All
 //!   Together": split computation between a portable device and the cloud
 //!   as connectivity and energy budgets vary (experiment E16).
-//! * [`locality`] — locality-aware task placement on a mesh: assigns tasks
-//!   near their data and prices the communication energy saved versus
-//!   random placement (§2.1's "reasoning about locality").
 //! * [`stm`] — a TL2-style software transactional memory, the programmability
 //!   mechanism §2.4 singles out ("TM ... is now entering the commercial
 //!   mainstream"), with serializability verified under concurrency.
@@ -27,13 +24,11 @@
 //!   deterministic concurrency checker can explore this crate's
 //!   interleavings without changing production code.
 
-pub mod locality; // xxi-allow: model-reach -- pending: fold into E18
 pub mod offload;
 pub mod pool;
 pub mod stm;
 pub mod sync;
 
-pub use locality::{place_greedy, place_random, placement_energy};
 pub use offload::{plan_offload, AppProfile, Decision, DeviceModel, OffloadPlan, Uplink};
 pub use pool::Pool;
 pub use stm::{transfer, Conflict, Tx, TxArray};

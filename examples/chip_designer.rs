@@ -3,14 +3,12 @@
 //! Walks the §2.2 design space for a fixed 200 mm² / 95 W desktop socket
 //! across technology nodes: how many cores fit vs how many can be powered
 //! (dark silicon), which core size wins at which parallel fraction
-//! (Hill–Marty), and what an accelerator does to the energy story.
+//! (Hill–Marty), and how much energy specialization saves per kernel.
 //!
 //! Run with: `cargo run --example chip_designer`
 
 use xxi::accel::ladder::{efficiency_factor, ImplKind, Kernel};
-use xxi::accel::offload::{offload_energy, OffloadConfig};
 use xxi::core::table::{fnum, xfactor};
-use xxi::core::units::Energy;
 use xxi::core::Table;
 use xxi::cpu::chip::{Chip, ChipConfig};
 use xxi::cpu::CoreKind;
@@ -88,20 +86,4 @@ fn main() {
     }
     t.print();
     println!("(vs a big OoO core; the paper's \"100x\" is the fixed-function column)");
-
-    // ---- But coverage caps the system win --------------------------------
-    println!("\n== Amdahl bites back: system energy vs accelerator coverage ==\n");
-    let mut t = Table::new(&["coverage", "system energy gain (100x accel)"]);
-    for c in [0.3, 0.5, 0.8, 0.95, 0.99] {
-        let cfg = OffloadConfig {
-            coverage: c,
-            efficiency: 100.0,
-            invocations: 100,
-        };
-        let ratio = offload_energy(&cfg, Energy(1.0), Energy::ZERO);
-        t.row(&[fnum(c), xfactor(1.0 / ratio)]);
-    }
-    t.print();
-    println!("\nA 100x accelerator covering half the work saves 2x — hence §2.2's call");
-    println!("to \"broaden the class of applicable problems\".");
 }

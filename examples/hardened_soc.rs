@@ -46,16 +46,11 @@ fn main() {
     pm.define_region(RegionId(2), 128, 512).unwrap(); // radio buffers
     pm.grant(pacing, RegionId(1), Perms::RW);
     pm.grant(telemetry, RegionId(2), Perms::RW);
-    pm.add_gate(telemetry, pacing);
     println!(
-        "telemetry reads pacing params: {:?}",
+        "telemetry reads pacing params: {:?}\n",
         pm.check(telemetry, 10, AccessKind::Read)
             .err()
             .map(|e| e.to_string())
-    );
-    println!(
-        "telemetry -> pacing via gate:  {:?}\n",
-        pm.call(telemetry, pacing).is_ok()
     );
 
     println!("== 3. Cache: the shared L1 leaks the patient-key index; partitioned doesn't ==\n");

@@ -61,22 +61,15 @@ fn main() {
     // All-DRAM baseline: every access at DRAM cost.
     let dram_lat_ns = 60.0;
     let hybrid_lat_ns = hybrid.avg_latency().value() * 1e9;
-    let mut t = Table::new(&[
-        "design",
-        "avg latency (ns)",
-        "standing power",
-        "capacity tier",
-    ]);
+    let mut t = Table::new(&["design", "avg latency (ns)", "capacity tier"]);
     t.row(&[
         "all-DRAM (64 GiB)".into(),
         fnum(dram_lat_ns),
-        "3.2 W refresh".into(),
         "volatile".into(),
     ]);
     t.row(&[
         "DRAM 4 MiB + PCM".into(),
         fnum(hybrid_lat_ns),
-        format!("{:.2} W refresh", hybrid.dram_standing_power().value()),
         "non-volatile".into(),
     ]);
     t.print();

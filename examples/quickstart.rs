@@ -7,10 +7,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use xxi::cloud::fanout::{analytic_straggler_prob, fanout_latency};
+use xxi::cloud::fanout::{analytic_straggler_prob, fanout_sweep_on};
 use xxi::cloud::latency::LatencyDist;
 use xxi::core::table::{fnum, xfactor};
-use xxi::core::Table;
+use xxi::core::{Serial, Table};
 use xxi::cpu::cpudb;
 use xxi::tech::{NodeDb, ScalingRule, ScalingTrajectory};
 
@@ -63,11 +63,11 @@ fn main() {
         "p50 (ms)",
         "p99 (ms)",
     ]);
-    for n in [1u32, 10, 100, 1000] {
-        let analytic = analytic_straggler_prob(n, 0.99);
-        let r = fanout_latency(LatencyDist::typical_leaf(), n, 20_000, 42);
+    let dist = LatencyDist::typical_leaf();
+    for r in fanout_sweep_on(dist, &[1, 10, 100, 1000], 20_000, 42, &Serial) {
+        let analytic = analytic_straggler_prob(r.fanout, 0.99);
         t.row(&[
-            n.to_string(),
+            r.fanout.to_string(),
             fnum(analytic),
             fnum(r.frac_hit_by_leaf_p99),
             fnum(r.p50),

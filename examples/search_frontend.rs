@@ -7,13 +7,12 @@
 //!
 //! Run with: `cargo run --example search_frontend`
 
-use xxi::cloud::fanout::fanout_latency;
-use xxi::cloud::hedge::hedge_experiment;
+use xxi::cloud::fanout::fanout_sweep_on;
+use xxi::cloud::hedge::hedge_experiment_on;
 use xxi::cloud::latency::LatencyDist;
-use xxi::cloud::qos::Colocation;
 use xxi::cloud::queueing::MG1Queue;
 use xxi::core::table::fnum;
-use xxi::core::Table;
+use xxi::core::{Serial, Table};
 
 fn main() {
     // ---- Step 1: utilization inflates the leaf tail ---------------------
@@ -37,10 +36,9 @@ fn main() {
     // ---- Step 2: fan-out amplifies the tail ------------------------------
     println!("\n== Query latency vs fan-out (unloaded leaves) ==\n");
     let mut t = Table::new(&["fan-out", "p50 (ms)", "p99 (ms)", "frac > leaf p99"]);
-    for n in [1u32, 10, 50, 100, 500] {
-        let r = fanout_latency(service, n, 20_000, 21);
+    for r in fanout_sweep_on(service, &[1, 10, 50, 100, 500], 20_000, 21, &Serial) {
         t.row(&[
-            n.to_string(),
+            r.fanout.to_string(),
             fnum(r.p50),
             fnum(r.p99),
             fnum(r.frac_hit_by_leaf_p99),
@@ -52,7 +50,7 @@ fn main() {
     println!("\n== Hedged requests (duplicate after the p95 deadline) ==\n");
     let mut rng = xxi::core::Rng64::new(31);
     let base = service.sample_summary(300_000, &mut rng);
-    let hedged = hedge_experiment(service, 0.95, 300_000, 32);
+    let hedged = hedge_experiment_on(service, 0.95, 300_000, 32, &Serial);
     let mut t = Table::new(&["metric", "no hedge", "hedged", "change"]);
     let rows: [(&str, f64, f64); 3] = [
         ("p50 (ms)", base.median(), hedged.p50),
@@ -69,16 +67,6 @@ fn main() {
     }
     t.print();
     println!("extra load from hedging: {:.1}%", hedged.extra_load * 100.0);
-
-    // ---- Step 4: what colocation does to the SLO -------------------------
-    println!("\n== Batch colocation under a latency SLO (§2.4 QoS interface) ==\n");
-    let colo = Colocation::typical();
-    let mut t = Table::new(&["LC SLO (ms)", "max batch occupancy", "LC p99 at that point"]);
-    for slo in [11.0, 15.0, 20.0, 25.0] {
-        let b = colo.max_batch_under_slo(slo);
-        t.row(&[fnum(slo), fnum(b), fnum(colo.lc_p99(b))]);
-    }
-    t.print();
     println!("\nLesson: the tail is a systems property — queueing creates it, fan-out");
-    println!("amplifies it, hedging and QoS-aware colocation manage it.");
+    println!("amplifies it, hedging buys it back.");
 }

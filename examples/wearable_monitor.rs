@@ -11,7 +11,6 @@
 use xxi::core::table::fnum;
 use xxi::core::units::{Energy, Seconds};
 use xxi::core::Table;
-use xxi::sensor::intermittent::IntermittentTask;
 use xxi::sensor::mcu::Mcu;
 use xxi::sensor::node::{NodePolicy, SensorNode, SensorNodeConfig};
 use xxi::sensor::power::Battery;
@@ -56,31 +55,5 @@ fn main() {
     }
     t.print();
 
-    println!("\n== The same device on harvested power (no battery at all) ==\n");
-    // An intermittently-powered version checkpoints its analysis to NVM.
-    let task = IntermittentTask {
-        total_steps: 50_000,
-        e_step: Energy::from_uj(1.0),
-        e_checkpoint: Energy::from_uj(20.0),
-        interval: 200,
-        burst_energy: Energy::from_mj(2.0),
-    };
-    let with_ckpt = task.run(1_000, 7);
-    let without = IntermittentTask {
-        interval: 0,
-        ..task
-    }
-    .run(1_000, 7);
-    println!(
-        "with NVM checkpoints : finished={} bursts={} re-executed {}% extra work",
-        with_ckpt.finished,
-        with_ckpt.bursts,
-        fnum((with_ckpt.steps_executed as f64 / 50_000.0 - 1.0) * 100.0)
-    );
-    println!(
-        "without checkpoints  : finished={} after {} bursts ({} steps burned)",
-        without.finished, without.bursts, without.steps_executed
-    );
-    println!("\nOn-sensor filtering extends life by ~an order of magnitude, and");
-    println!("checkpointing turns intermittent power from Sisyphus into progress.");
+    println!("\nOn-sensor filtering extends life by ~an order of magnitude.");
 }

@@ -17,11 +17,11 @@
 //! | [`mem`] | `xxi-mem` | caches, DRAM, NVM + Start-Gap, hybrid memory, energy ladder |
 //! | [`noc`] | `xxi-noc` | mesh NoC, photonics, 3D stacking, link energy |
 //! | [`cpu`] | `xxi-cpu` | Pollack cores, Hill–Marty, chip composer, CPU-DB attribution |
-//! | [`accel`] | `xxi-accel` | specialization ladder, CGRA, NRE breakeven, offload coverage |
+//! | [`accel`] | `xxi-accel` | specialization ladder, CGRA, NRE breakeven |
 //! | [`rel`] | `xxi-rel` | SECDED ECC, fault injection, Young–Daly, invariant checker |
 //! | [`sec`] | `xxi-sec` | information-flow tracking, protection domains, cache side channels |
 //! | [`approx`] | `xxi-approx` | approximate data types, perforation, quality-energy Pareto |
-//! | [`sensor`] | `xxi-sensor` | harvesting, radios, on-sensor filtering, intermittent computing |
+//! | [`sensor`] | `xxi-sensor` | harvesting, radios, on-sensor filtering |
 //! | [`cloud`] | `xxi-cloud` | tail latency (the 63% claim), hedging, queueing, DC power, QoS |
 //! | [`stack`] | `xxi-stack` | thread-pool runtime, STM, offload planner |
 //!

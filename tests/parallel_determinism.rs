@@ -8,7 +8,7 @@
 //! wall clock and nothing else.
 
 use xxi::cloud::cluster::{cluster_sweep_on, ClusterConfig, Hedging, Routing};
-use xxi::cloud::fanout::{fanout_latency_on, fanout_sweep_on};
+use xxi::cloud::fanout::fanout_sweep_on;
 use xxi::cloud::hedge::hedge_experiment_on;
 use xxi::cloud::latency::LatencyDist;
 use xxi::cloud::queueing::{mg1_sweep_on, MG1Queue};
@@ -19,10 +19,10 @@ use xxi::stack::Pool;
 #[test]
 fn fanout_pool_matches_serial_bit_for_bit() {
     let dist = LatencyDist::typical_leaf();
-    let serial = fanout_latency_on(dist, 50, 30_000, 42, &Serial);
+    let serial = fanout_sweep_on(dist, &[50], 30_000, 42, &Serial).remove(0);
     for threads in [1, 4] {
         let pool = Pool::new(threads);
-        let par = fanout_latency_on(dist, 50, 30_000, 42, &pool);
+        let par = fanout_sweep_on(dist, &[50], 30_000, 42, &pool).remove(0);
         assert_eq!(par.p50.to_bits(), serial.p50.to_bits());
         assert_eq!(par.p99.to_bits(), serial.p99.to_bits());
         assert_eq!(par.mean.to_bits(), serial.mean.to_bits());

@@ -4,9 +4,10 @@
 //! serves the analytics queries with bounded tail latency. The test checks
 //! the *composed* system meets targets no single crate states.
 
-use xxi::cloud::fanout::fanout_latency;
-use xxi::cloud::hedge::hedge_experiment;
+use xxi::cloud::fanout::fanout_sweep_on;
+use xxi::cloud::hedge::hedge_experiment_on;
 use xxi::cloud::latency::LatencyDist;
+use xxi::core::par::Serial;
 use xxi::core::units::{Energy, Seconds};
 use xxi::sensor::mcu::Mcu;
 use xxi::sensor::node::{NodePolicy, SensorNode, SensorNodeConfig};
@@ -90,11 +91,11 @@ fn wearable_fleet_meets_lifetime_and_the_cloud_meets_latency() {
 
     // --- Cloud: population-scale analytics query over 100 leaves --------
     let leaf = LatencyDist::typical_leaf();
-    let no_mitigation = fanout_latency(leaf, 100, 20_000, 99);
+    let no_mitigation = &fanout_sweep_on(leaf, &[100], 20_000, 99, &Serial)[0];
     // Most requests hit the leaf tail…
     assert!(no_mitigation.frac_hit_by_leaf_p99 > 0.6);
     // …but hedging at p95 restores a usable interactive p99.
-    let hedged = hedge_experiment(leaf, 0.95, 200_000, 100);
+    let hedged = hedge_experiment_on(leaf, 0.95, 200_000, 100, &Serial);
     assert!(
         hedged.p999 < 60.0,
         "hedged p999 {} must be interactive",
