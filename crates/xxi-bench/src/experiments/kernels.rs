@@ -101,7 +101,7 @@ const fn k(
 
 /// Every kernel, grouped by layer in stack order.
 #[rustfmt::skip]
-pub static KERNELS: [Kernel; 41] = [
+pub static KERNELS: [Kernel; 42] = [
     k("core/rng-u64", "xoshiro256++: 1M next_u64", "draws", 1_000_000, rng_u64),
     k("core/rng-lognormal", "1M lognormal draws", "draws", 1_000_000, rng_lognormal),
     k("core/zipf", "1M Zipf(0.99) samples over 100k ranks", "samples", 1_000_000, zipf),
@@ -129,6 +129,7 @@ pub static KERNELS: [Kernel; 41] = [
     k("mem/fpc", "FPC-compress 10k cache lines", "lines", 10_000, fpc),
     k("noc/mesh", "NoC: 8x8 uniform mesh at 0.2 flits/node/cycle", "router-cycles", NOC_ROUTER_CYCLES, noc_mesh),
     k("noc/mesh-light", "NoC: 8x8 uniform mesh at 0.02 flits/node/cycle", "router-cycles", NOC_ROUTER_CYCLES, noc_mesh_light),
+    k("noc/mesh-sat", "NoC: 8x8 uniform mesh at 0.4 flits/node/cycle (saturated)", "router-cycles", NOC_ROUTER_CYCLES, noc_mesh_sat),
     k("rel/ecc-encode", "SECDED-encode 10k words", "words", 10_000, ecc_encode),
     k("rel/ecc-decode", "SECDED-decode 10k corrupted words", "words", 10_000, ecc_decode),
     k("cpu/hillmarty-best-r", "Hill-Marty best symmetric core size at n=4096", "scans", 1, hillmarty_best_r),
@@ -345,6 +346,13 @@ fn noc_mesh(_: &RunCtx) -> f64 {
 /// flits, so the switch's fixed per-cycle cost dominates.
 fn noc_mesh_light(_: &RunCtx) -> f64 {
     let config = NocConfig::mesh8x8(Pattern::Uniform, 0.02, 3);
+    NocSim::new(config).run(NOC_WARMUP, NOC_MEASURE).delivered as f64
+}
+
+/// `noc/mesh` at twice the load, past saturation: sources are throttled
+/// and queues stay full, so the move loop dominates.
+fn noc_mesh_sat(_: &RunCtx) -> f64 {
+    let config = NocConfig::mesh8x8(Pattern::Uniform, 0.4, 3);
     NocSim::new(config).run(NOC_WARMUP, NOC_MEASURE).delivered as f64
 }
 

@@ -83,21 +83,9 @@ impl Rng64 {
     }
 
     /// Uniform in `[0, n)`. Uses Lemire's multiply-shift rejection method to
-    /// avoid modulo bias.
+    /// avoid modulo bias; see [`below`].
     pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "below(0) is meaningless");
-        let mut x = self.next_u64();
-        let mut m = (x as u128) * (n as u128);
-        let mut l = m as u64;
-        if l < n {
-            let t = n.wrapping_neg() % n;
-            while l < t {
-                x = self.next_u64();
-                m = (x as u128) * (n as u128);
-                l = m as u64;
-            }
-        }
-        (m >> 64) as u64
+        below(n, &mut || self.next_u64())
     }
 
     /// Uniform integer in the inclusive range `[lo, hi]`.
@@ -161,10 +149,30 @@ impl Rng64 {
     }
 
     /// Pick a uniformly random element.
+    // xxi-allow: model-reach -- tests/properties.rs, xxi-bench tests/cli.rs and the NoC oracle draw with it
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty());
         &xs[self.below(xs.len() as u64) as usize]
     }
+}
+
+/// [`Rng64::below`] on raw draws from `draw`: uniform in `[0, n)` by
+/// Lemire's multiply-shift rejection, taking one draw, or more on the
+/// rare rejection. A caller that buffers an [`Rng64`]'s draws gets the
+/// values `below` would.
+#[inline(always)]
+pub fn below(n: u64, draw: &mut impl FnMut() -> u64) -> u64 {
+    assert!(n > 0, "below(0) is meaningless");
+    let mut m = (draw() as u128) * (n as u128);
+    let mut l = m as u64;
+    if l < n {
+        let t = n.wrapping_neg() % n;
+        while l < t {
+            m = (draw() as u128) * (n as u128);
+            l = m as u64;
+        }
+    }
+    (m >> 64) as u64
 }
 
 /// Lanes in an [`RngLanes`] bank.

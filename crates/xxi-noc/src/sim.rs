@@ -48,6 +48,23 @@
 //! table is needed: each input queue has one upstream output, and that
 //! output forwards at most one flit per cycle.
 //!
+//! The hops run in one kernel, `NocSim::hop`, a loop per winner plane
+//! `(o, p)` that pops, looks up the route and pushes inline, with every
+//! table hoisted out of the loop. Pops and pushes (injection's and
+//! deliveries' too) go through `Queues`, which indexes without bounds
+//! checks. The index invariants are asserted once, in [`NocSim::new`]:
+//! every `route` entry is a port, every `downstream` queue's `upstream` is
+//! the output that feeds it (so a hop hands its push the winner's own
+//! `(router, o)`), every `upstream` lands in `blocked` (the spare word
+//! included), and every destination a source can draw is a node (a
+//! hotspot off the mesh is rejected). The outputs at mesh edges are
+//! blocked from the start and never unblocked, so a winner always has a
+//! downstream queue, and it is not full. Each unchecked index also has a
+//! `debug_assert!`, so the debug-build tests, the oracle comparison among
+//! them, check every one. The kernel adds its link traversals, charge
+//! counts and energy once per call: the same constant, added the same
+//! number of times, gives the same bits.
+//!
 //! **Order.** Hops may apply in any order: a queue is popped at most once
 //! and pushed at most once per cycle, a pop and a push on one queue give
 //! the same contents and the same plane bits in either order, and every
@@ -56,6 +73,22 @@
 //! order) and to the trace. They apply after the hops, in router-ascending
 //! order (a router ejects at most one flit per cycle), so the statistics,
 //! the trace and the ledger see one fixed sequence.
+//!
+//! # How sources inject
+//!
+//! Each cycle every source in turn tosses a coin with probability
+//! `injection_rate`, and a source that hits draws its destination, all
+//! from the simulator's one xoshiro256++ stream, in that order. The stream
+//! is drawn 64 values ahead, and the coins of those 64 values are one
+//! mask, `next_u64() >> 11 < chance_cut(rate)` per bit, tossed when the
+//! block is drawn and again only when the rate's cut changes (a caller
+//! may change the rate between steps). A bit scan runs from hit to hit,
+//! so a source that does not inject costs one buffered value and no
+//! branch of its own. Destination draws (Uniform, Hotspot, Neighbor) take
+//! the next values of the same buffer through [`Pattern::dest`]'s
+//! generator-free form and `xxi_core::rng::below`, the Lemire draw
+//! [`Rng64::below`] makes. Only injection draws from the stream, so each
+//! value lands where the unbuffered loop would have used it.
 //!
 //! Queues are flat ring buffers, `queue_depth` flits each, indexed
 //! `router * 8 + port` (one spare index per router keeps that a shift),
@@ -68,7 +101,7 @@ use crate::topology::{Dir, Mesh};
 use crate::traffic::{neighbors, Pattern};
 use xxi_core::obs::{EnergyLedger, Layer, LogHistogram, Trace};
 use xxi_core::par::{self, Parallelism, Serial};
-use xxi_core::rng::{chance_cut, Rng64};
+use xxi_core::rng::{below, chance_cut, Rng64};
 use xxi_core::time::SimTime;
 use xxi_core::units::Energy;
 
@@ -153,6 +186,191 @@ fn mask(c: bool) -> u64 {
     0u64.wrapping_sub(u64::from(c))
 }
 
+/// Values [`Draws`] holds: one 64-bit coin mask's worth.
+const BLOCK: usize = 64;
+
+/// The simulator's one xoshiro stream, drawn a block ahead. Only
+/// injection draws from it, and it takes every value in stream order, so
+/// the buffer moves no draw. `hits` caches the coin of every buffered
+/// value for one cut.
+struct Draws {
+    rng: Rng64,
+    buf: [u64; BLOCK],
+    /// The next unread value; `< BLOCK` between calls.
+    pos: usize,
+    /// The [`chance_cut`] that `hits` tests.
+    cut: u64,
+    /// Bit `j`: `buf[j] >> 11 < cut`, the coin `Rng64::chance` would toss.
+    hits: u64,
+}
+
+impl Draws {
+    fn new(seed: u64) -> Draws {
+        let mut draws = Draws {
+            rng: Rng64::new(seed),
+            buf: [0; BLOCK],
+            pos: 0,
+            cut: 0,
+            hits: 0,
+        };
+        draws.refill();
+        draws
+    }
+
+    /// Draw the next block and toss its coins.
+    fn refill(&mut self) {
+        let mut hits = 0;
+        for (j, x) in self.buf.iter_mut().enumerate() {
+            *x = self.rng.next_u64();
+            hits |= u64::from(*x >> 11 < self.cut) << j;
+        }
+        (self.pos, self.hits) = (0, hits);
+    }
+
+    /// Test the coins against `cut` from now on.
+    fn set_cut(&mut self, cut: u64) {
+        if cut != self.cut {
+            self.cut = cut;
+            self.hits = (0..BLOCK).fold(0, |m, j| m | u64::from(self.buf[j] >> 11 < cut) << j);
+        }
+    }
+
+    /// The next value of the stream.
+    #[inline(always)]
+    fn next(&mut self) -> u64 {
+        let x = self.buf[self.pos];
+        self.pos += 1;
+        if self.pos == BLOCK {
+            self.refill();
+        }
+        x
+    }
+
+    /// Toss one coin for each source of `src..nodes` in order and stop at
+    /// the first that hits: `Some(that source)`, or `None` when every one
+    /// missed. The misses are skipped by a bit scan of `hits`, so a source
+    /// that does not inject costs one buffered value and no branch of its
+    /// own.
+    #[inline(always)]
+    fn next_hit(&mut self, mut src: usize, nodes: usize) -> Option<usize> {
+        loop {
+            let (left, avail) = (nodes - src, BLOCK - self.pos);
+            // `BLOCK` (never `< avail`) when no buffered coin hits.
+            let k = (self.hits >> self.pos).trailing_zeros() as usize;
+            if k < left.min(avail) {
+                self.pos += k + 1;
+                if self.pos == BLOCK {
+                    self.refill();
+                }
+                return Some(src + k);
+            }
+            if left < avail {
+                self.pos += left;
+                return None;
+            }
+            src += avail;
+            self.refill();
+        }
+    }
+}
+
+/// The queues of a [`NocSim`] and the planes their pops and pushes
+/// update, borrowed apart from the rest of it, so that the hop kernel
+/// holds every table in hand. Indexed without bounds checks: queue
+/// numbers are `< queues`, every `upstream` entry lands in `blocked` (both
+/// asserted in [`NocSim::new`]), flits carry ports `< PORTS`, and the
+/// switch keeps each `head < depth` and `len <= depth`.
+struct Queues<'a> {
+    depth: usize,
+    slots: &'a mut [Flit],
+    head: &'a mut [usize],
+    len: &'a mut [usize],
+    upstream: &'a [usize],
+    req: &'a mut [Planes],
+    blocked: &'a mut [[u64; PORTS]],
+}
+
+impl Queues<'_> {
+    /// Append `f` to queue `q`, which must have a free slot and whose
+    /// upstream output (`upstream[q]`, which the caller has in hand) is
+    /// `u`: a push into an empty queue makes `f` its head, and one that
+    /// fills the queue blocks `u`. The plane updates are unconditional
+    /// writes of a masked bit, which keeps the branches of the hot path
+    /// predictable.
+    #[inline(always)]
+    fn push(&mut self, q: usize, u: usize, f: Flit) {
+        let depth = self.depth;
+        debug_assert!(q < self.len.len() && self.len[q] < depth && self.head[q] < depth);
+        debug_assert!(usize::from(f.out) < PORTS && self.upstream[q] == u);
+        // SAFETY: `q < queues`, the length of `len` and `head`; its head
+        // and length are `< depth`, so `i` is too and the slot index is
+        // `< queues * depth`, the length of `slots`.
+        let len = unsafe {
+            let len = *self.len.get_unchecked(q);
+            let i = *self.head.get_unchecked(q) + len;
+            let i = if i >= depth { i - depth } else { i };
+            *self.slots.get_unchecked_mut(q * depth + i) = f;
+            *self.len.get_unchecked_mut(q) = len + 1;
+            len
+        };
+        let (w, b) = bit(q / STRIDE);
+        let (uw, ub) = bit(u / STRIDE);
+        // SAFETY: `q`'s router is `< nodes`, so its word is `< words`, the
+        // length of `req`; `f.out` and `q % STRIDE` are ports; `upstream`
+        // lands in `blocked` (asserted in `new`).
+        unsafe {
+            *self
+                .req
+                .get_unchecked_mut(w)
+                .get_unchecked_mut(usize::from(f.out))
+                .get_unchecked_mut(q % STRIDE) |= b & mask(len == 0);
+            *self
+                .blocked
+                .get_unchecked_mut(uw)
+                .get_unchecked_mut(u % STRIDE) |= ub & mask(len + 1 == depth);
+        }
+    }
+
+    /// Remove the head of queue `q`, which must be non-empty and whose
+    /// `req` bit the caller has cleared: the next flit, if any, becomes
+    /// the head, and a queue that was full unblocks its upstream output.
+    #[inline(always)]
+    fn pop(&mut self, q: usize) -> Flit {
+        let depth = self.depth;
+        debug_assert!(q < self.len.len() && self.len[q] > 0 && self.head[q] < depth);
+        // SAFETY: as in `push`, and `q < queues` is also the length of
+        // `upstream`; the new head is `< depth` too.
+        let (len, f, out, u) = unsafe {
+            let len = *self.len.get_unchecked(q);
+            let h = *self.head.get_unchecked(q);
+            let f = *self.slots.get_unchecked(q * depth + h);
+            let h = if h + 1 == depth { 0 } else { h + 1 };
+            *self.head.get_unchecked_mut(q) = h;
+            *self.len.get_unchecked_mut(q) = len - 1;
+            // With one flit left the slot at `h` is stale and its bit
+            // masked off.
+            let out = self.slots.get_unchecked(q * depth + h).out;
+            (len, f, usize::from(out), *self.upstream.get_unchecked(q))
+        };
+        let (w, b) = bit(q / STRIDE);
+        let (uw, ub) = bit(u / STRIDE);
+        debug_assert!(out < PORTS && uw < self.blocked.len() && u % STRIDE < PORTS);
+        // SAFETY: as in `push`.
+        unsafe {
+            *self
+                .req
+                .get_unchecked_mut(w)
+                .get_unchecked_mut(out)
+                .get_unchecked_mut(q % STRIDE) |= b & mask(len > 1);
+            *self
+                .blocked
+                .get_unchecked_mut(uw)
+                .get_unchecked_mut(u % STRIDE) &= !(ub & mask(len == depth));
+        }
+        f
+    }
+}
+
 /// Aggregate results of a run.
 ///
 /// The counters cover the measurement window, the `measure` cycles after
@@ -161,9 +379,10 @@ fn mask(c: bool) -> u64 {
 /// injected during warm-up and still in flight when the window opens are
 /// delivered but never offered: `delivered` can exceed
 /// `offered − throttled` by at most the buffer capacity,
-/// `nodes × 7 × queue_depth`. Exactly, `delivered` is the flits in flight
-/// when the window opens, plus `offered − throttled`, minus the flits in
-/// flight when it closes.
+/// `nodes × 7 × queue_depth`. Exactly, every flit is delivered, refused or
+/// still queued:
+///
+/// `delivered + in_flight_close == in_flight_open + offered − throttled`.
 #[derive(Clone, Debug)]
 pub struct NocResult {
     /// Flits ejected during the measurement window, including flits
@@ -190,6 +409,10 @@ pub struct NocResult {
     pub throughput: f64,
     /// Total link traversals (for energy accounting).
     pub link_traversals: u64,
+    /// Flits queued when the measurement window opens.
+    pub in_flight_open: u64,
+    /// Flits queued when it closes.
+    pub in_flight_close: u64,
 }
 
 /// Full telemetry from an observed run: the aggregate result plus the
@@ -241,9 +464,11 @@ pub struct NocSim {
     /// cycles.
     win: Vec<Planes>,
     /// Per source, its [`Dests`] under a Neighbor or Transpose pattern;
-    /// empty for Uniform and Hotspot, which draw through [`Pattern::dest`].
+    /// empty for Uniform and Hotspot, which draw through [`Pattern::dest`]'s
+    /// generator-free form.
     dests: Vec<Dests>,
-    rng: Rng64,
+    /// The injection stream, a block ahead.
+    draws: Draws,
     cycle: u64,
     latency_hist: LogHistogram,
     hops_hist: LogHistogram,
@@ -265,12 +490,23 @@ pub struct NocSim {
 
 impl NocSim {
     /// Build a simulator.
+    ///
+    /// # Panics
+    ///
+    /// If `queue_depth` is 0, `injection_rate` is outside `0..=1`, or a
+    /// hotspot names no node of the mesh.
     pub fn new(cfg: NocConfig) -> NocSim {
         assert!(cfg.queue_depth >= 1);
         assert!((0.0..=1.0).contains(&cfg.injection_rate));
         let mesh = cfg.mesh;
         let nodes = mesh.nodes();
-        let route = (0..nodes)
+        if let Pattern::Hotspot { node, .. } = cfg.pattern {
+            assert!(
+                node < nodes,
+                "hotspot node {node} is not a node of the {nodes}-node mesh"
+            );
+        }
+        let route: Vec<u8> = (0..nodes)
             .flat_map(|cur| (0..nodes).map(move |dest| mesh.route(cur, dest).index() as u8))
             .collect();
         let downstream: Vec<usize> = (0..nodes * STRIDE)
@@ -314,10 +550,22 @@ impl NocSim {
                 blocked[w][out] |= b;
             }
         }
+        // The hop kernel indexes these tables without bounds checks.
+        assert!(route.iter().all(|&out| usize::from(out) < PORTS));
+        assert!(downstream
+            .iter()
+            .enumerate()
+            .all(|(u, &to)| to == NO_QUEUE || upstream[to] == u));
+        assert!(upstream
+            .iter()
+            .all(|&u| u / STRIDE / 64 < blocked.len() && u % STRIDE < PORTS));
+        assert!(dests
+            .iter()
+            .all(|d: &Dests| d.to[..d.n].iter().all(|&to| to < nodes)));
         // Every pointer starts at input 0.
         let rrsel = [[!0, 0, 0, 0, 0, 0, 0]; PORTS];
         NocSim {
-            rng: Rng64::new(cfg.seed),
+            draws: Draws::new(cfg.seed),
             cfg,
             route,
             downstream,
@@ -358,48 +606,17 @@ impl NocSim {
         self.route[router * self.cfg.mesh.nodes() + dest]
     }
 
-    /// Append `f` to queue `q`, which must have a free slot: a push into
-    /// an empty queue makes `f` its head, and one that fills the queue
-    /// blocks its upstream output. The plane updates are unconditional
-    /// writes of a masked bit, which keeps the branches of the hot path
-    /// predictable.
-    #[inline(always)]
-    fn push(&mut self, q: usize, f: Flit) {
-        let depth = self.cfg.queue_depth;
-        let len = self.len[q];
-        debug_assert!(len < depth);
-        let i = self.head[q] + len;
-        let i = if i >= depth { i - depth } else { i };
-        self.slots[q * depth + i] = f;
-        self.len[q] = len + 1;
-        let (w, b) = bit(q / STRIDE);
-        self.req[w][f.out as usize][q % STRIDE] |= b & mask(len == 0);
-        let u = self.upstream[q];
-        let (w, b) = bit(u / STRIDE);
-        self.blocked[w][u % STRIDE] |= b & mask(len + 1 == depth);
-    }
-
-    /// Remove the head of queue `q`, which must be non-empty and whose
-    /// `req` bit the caller has cleared: the next flit, if any, becomes
-    /// the head, and a queue that was full unblocks its upstream output.
-    #[inline(always)]
-    fn pop(&mut self, q: usize) -> Flit {
-        let depth = self.cfg.queue_depth;
-        let len = self.len[q];
-        debug_assert!(len > 0);
-        let f = self.slots[q * depth + self.head[q]];
-        let h = self.head[q] + 1;
-        let h = if h == depth { 0 } else { h };
-        self.head[q] = h;
-        self.len[q] = len - 1;
-        // With one flit left the slot at `h` is stale and its bit masked off.
-        let (w, b) = bit(q / STRIDE);
-        let out = self.slots[q * depth + h].out;
-        self.req[w][out as usize][q % STRIDE] |= b & mask(len > 1);
-        let u = self.upstream[q];
-        let (w, b) = bit(u / STRIDE);
-        self.blocked[w][u % STRIDE] &= !(b & mask(len == depth));
-        f
+    /// The queues and the planes their pops and pushes update.
+    fn queues(&mut self) -> Queues<'_> {
+        Queues {
+            depth: self.cfg.queue_depth,
+            slots: &mut self.slots,
+            head: &mut self.head,
+            len: &mut self.len,
+            upstream: &self.upstream,
+            req: &mut self.req,
+            blocked: &mut self.blocked,
+        }
     }
 
     /// Offer one flit per source with probability `injection_rate`. The
@@ -407,40 +624,40 @@ impl NocSim {
     /// the rate each cycle (a caller may change it between steps).
     fn inject(&mut self) {
         let nodes = self.cfg.mesh.nodes();
-        let cut = chance_cut(self.cfg.injection_rate);
-        for src in 0..nodes {
-            if self.rng.next_u64() >> 11 >= cut {
-                continue;
-            }
+        self.draws.set_cut(chance_cut(self.cfg.injection_rate));
+        let mut start = 0;
+        while let Some(src) = self.draws.next_hit(start, nodes) {
+            start = src + 1;
+            let draws = &mut self.draws;
             let dest = match self.cfg.pattern {
                 Pattern::Neighbor => match self.dests[src] {
                     Dests { n: 0, .. } => continue,
-                    Dests { to, n } => to[self.rng.below(n as u64) as usize],
+                    Dests { to, n } => to[below(n as u64, &mut || draws.next()) as usize],
                 },
                 Pattern::Transpose => match self.dests[src] {
                     Dests { n: 0, .. } => continue,
                     Dests { to, .. } => to[0],
                 },
-                pattern => match pattern.dest(&self.cfg.mesh, src, &mut self.rng) {
+                pattern => match pattern.dest_from(&self.cfg.mesh, src, &mut || draws.next()) {
                     Some(dest) => dest,
                     None => continue,
                 },
             };
+            // The hop kernel's route lookups rely on it.
+            debug_assert!(dest < nodes);
             if self.measuring {
                 self.offered += 1;
             }
             let q = src * STRIDE + LOCAL;
             if self.len[q] < self.cfg.queue_depth {
-                let out = self.out_port(src, dest);
-                self.push(
-                    q,
-                    Flit {
-                        dest,
-                        injected_at: self.cycle,
-                        hops: 0,
-                        out,
-                    },
-                );
+                let f = Flit {
+                    dest,
+                    injected_at: self.cycle,
+                    hops: 0,
+                    out: self.out_port(src, dest),
+                };
+                let u = self.upstream[q];
+                self.queues().push(q, u, f);
             } else if self.measuring {
                 self.throttled += 1;
                 self.trace
@@ -506,19 +723,8 @@ impl NocSim {
     fn apply(&mut self, planes: u64) {
         // The ejection output's seven planes.
         let ejecting = ((1 << PORTS) - 1) << (LOCAL * PORTS);
-        let mut hops = planes & !ejecting;
-        while hops != 0 {
-            let plane = hops.trailing_zeros() as usize;
-            hops &= hops - 1;
-            let (o, p) = (plane / PORTS, plane % PORTS);
-            for w in 0..self.win.len() {
-                let mut m = std::mem::take(&mut self.win[w][o][p]);
-                while m != 0 {
-                    let r = w * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.hop(r * STRIDE + p, self.downstream[r * STRIDE + o]);
-                }
-            }
+        if planes & !ejecting != 0 {
+            self.hop(planes & !ejecting);
         }
         if planes & ejecting == 0 {
             return;
@@ -537,26 +743,91 @@ impl NocSim {
                 m &= m - 1;
                 let p = (0..3).fold(0, |a, i| a | ((index[i] >> b) & 1) << i) as usize;
                 let r = w * 64 + b as usize;
-                let f = self.pop(r * STRIDE + p);
+                let f = self.queues().pop(r * STRIDE + p);
                 debug_assert_eq!(f.dest, r);
                 self.delivered_flit(f);
             }
         }
     }
 
-    /// Move the head of queue `from` one link on, into queue `to`.
-    fn hop(&mut self, from: usize, to: usize) {
-        let mut f = self.pop(from);
-        f.hops += 1;
-        self.link_traversals += 1;
-        if self.measuring {
-            self.link_energy += LINK_HOP_ENERGY;
-            self.link_charges += 1;
-            self.router_energy += ROUTER_ENERGY;
-            self.router_charges += 1;
+    /// Move every winner of the hop planes in `planes` one link on: pop
+    /// the head of its input `p`, look up the output it requests at the
+    /// next router, and push it into the queue that output `o` feeds. The
+    /// counters and energy post once per call.
+    fn hop(&mut self, mut planes: u64) {
+        let nodes = self.cfg.mesh.nodes();
+        let NocSim {
+            cfg,
+            route,
+            downstream,
+            upstream,
+            slots,
+            head,
+            len,
+            req,
+            blocked,
+            win,
+            ..
+        } = self;
+        let mut queues = Queues {
+            depth: cfg.queue_depth,
+            slots,
+            head,
+            len,
+            upstream,
+            req,
+            blocked,
+        };
+        let mut moved = 0u64;
+        while planes != 0 {
+            let plane = planes.trailing_zeros() as usize;
+            planes &= planes - 1;
+            let (o, p) = (plane / PORTS, plane % PORTS);
+            for (w, win) in win.iter_mut().enumerate() {
+                let mut m = std::mem::take(&mut win[o][p]);
+                while m != 0 {
+                    moved += 1;
+                    let r = w * 64 + m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    debug_assert!(r < nodes);
+                    let feed = r * STRIDE + o;
+                    // SAFETY: a winner holds a head flit, so it is a router
+                    // `< nodes` (`req` bits are set only for queues that
+                    // exist), and `feed < queues`, the length of
+                    // `downstream`.
+                    let to = unsafe { *downstream.get_unchecked(feed) };
+                    // Output `o` won, so it is not blocked: it feeds a
+                    // queue (edge outputs are blocked for good in `new`).
+                    debug_assert!(to != NO_QUEUE);
+                    let f = queues.pop(r * STRIDE + p);
+                    let next = to / STRIDE;
+                    debug_assert!(f.dest < nodes);
+                    // SAFETY: `next < nodes` and every injected `dest` is
+                    // `< nodes` (`new` asserts it of the hotspot and of the
+                    // `dests` tables; Uniform draws below `nodes`), so the
+                    // index is `< nodes²`, the length of `route`.
+                    let out = unsafe { *route.get_unchecked(next * nodes + f.dest) };
+                    // Built field by field, so no padding byte is copied.
+                    let f = Flit {
+                        hops: f.hops + 1,
+                        out,
+                        ..f
+                    };
+                    // `new` asserts that `feed` is `to`'s upstream.
+                    queues.push(to, feed, f);
+                }
+            }
         }
-        f.out = self.out_port(to / STRIDE, f.dest);
-        self.push(to, f);
+        self.link_traversals += moved;
+        if self.measuring {
+            // One constant per charge, added in charge order.
+            for _ in 0..moved {
+                self.link_energy += LINK_HOP_ENERGY;
+                self.router_energy += ROUTER_ENERGY;
+            }
+            self.link_charges += moved;
+            self.router_charges += moved;
+        }
     }
 
     fn delivered_flit(&mut self, f: Flit) {
@@ -578,6 +849,11 @@ impl NocSim {
         }
     }
 
+    /// Flits in the buffers: the sum of the queue lengths.
+    fn in_flight(&self) -> u64 {
+        self.len.iter().sum::<usize>() as u64
+    }
+
     /// Run `warmup` cycles unmeasured, then `measure` measured cycles, then
     /// drain-free stop; returns aggregate results.
     pub fn run(self, warmup: u64, measure: u64) -> NocResult {
@@ -593,6 +869,7 @@ impl NocSim {
         }
         self.measuring = true;
         let start = self.cycle;
+        let in_flight_open = self.in_flight();
         for _ in 0..measure {
             self.step();
         }
@@ -610,6 +887,8 @@ impl NocSim {
             mean_hops: self.hops_hist.mean(),
             throughput: self.delivered as f64 / cycles / nodes,
             link_traversals: self.link_traversals,
+            in_flight_open,
+            in_flight_close: self.in_flight(),
         };
         let mut ledger = EnergyLedger::new();
         ledger.charge_batch(
@@ -718,7 +997,7 @@ mod oracle {
     }
 
     pub(super) struct RefSim {
-        cfg: NocConfig,
+        pub(super) cfg: NocConfig,
         routers: Vec<Router>,
         rng: Rng64,
         cycle: u64,
@@ -764,7 +1043,7 @@ mod oracle {
             }
         }
 
-        fn step(&mut self) {
+        pub(super) fn step(&mut self) {
             self.inject();
             self.switch();
             self.cycle += 1;
@@ -923,12 +1202,18 @@ mod oracle {
             }
         }
 
+        fn in_flight(&self) -> u64 {
+            let queued = |r: &Router| r.inputs.iter().map(VecDeque::len).sum::<usize>();
+            self.routers.iter().map(queued).sum::<usize>() as u64
+        }
+
         pub(super) fn run_observed(mut self, warmup: u64, measure: u64) -> NocObservation {
             for _ in 0..warmup {
                 self.step();
             }
             self.measuring = true;
             let start = self.cycle;
+            let in_flight_open = self.in_flight();
             for _ in 0..measure {
                 self.step();
             }
@@ -946,6 +1231,8 @@ mod oracle {
                 mean_hops: self.hops.mean(),
                 throughput: self.delivered as f64 / cycles / nodes,
                 link_traversals: self.link_traversals,
+                in_flight_open,
+                in_flight_close: self.in_flight(),
             };
             NocObservation {
                 result,
@@ -1131,11 +1418,17 @@ mod tests {
     /// (floats by `to_bits`), both histograms, the ledger and the trace.
     fn assert_same(new: &NocObservation, reference: &NocObservation, case: &str) {
         let (a, b) = (&new.result, &reference.result);
-        assert_eq!(
-            (a.delivered, a.offered, a.throttled, a.link_traversals),
-            (b.delivered, b.offered, b.throttled, b.link_traversals),
-            "{case}"
-        );
+        let counts = |r: &NocResult| {
+            [
+                r.delivered,
+                r.offered,
+                r.throttled,
+                r.link_traversals,
+                r.in_flight_open,
+                r.in_flight_close,
+            ]
+        };
+        assert_eq!(counts(a), counts(b), "{case}");
         let floats = |r: &NocResult| {
             [
                 r.mean_latency,
@@ -1284,11 +1577,6 @@ mod tests {
         }
     }
 
-    /// Flits in the buffers: the sum of the queue lengths.
-    fn in_flight(sim: &NocSim) -> u64 {
-        sim.len.iter().sum::<usize>() as u64
-    }
-
     #[test]
     fn the_window_conserves_flits_exactly() {
         // Every flit delivered in the window was in flight when it opened
@@ -1303,22 +1591,110 @@ mod tests {
                 _ => {}
             }
             let (warmup, measure) = (rng.below(200), 1 + rng.below(400));
-            let mut sim = NocSim::new(cfg);
-            for _ in 0..warmup {
-                sim.step();
-            }
-            let open = in_flight(&sim);
-            sim.measuring = true;
-            for _ in 0..measure {
-                sim.step();
-            }
-            let close = in_flight(&sim);
+            let r = NocSim::new(cfg).run(warmup, measure);
             assert_eq!(
-                sim.delivered + close,
-                open + sim.offered - sim.throttled,
+                r.delivered + r.in_flight_close,
+                r.in_flight_open + r.offered - r.throttled,
                 "case {case}: {cfg:?} warmup {warmup} measure {measure}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "hotspot node 16 is not a node of the 16-node mesh")]
+    fn a_hotspot_off_the_mesh_is_rejected() {
+        let pattern = Pattern::Hotspot {
+            node: 16,
+            permille: 500,
+        };
+        NocSim::new(NocConfig {
+            mesh: Mesh::new_2d(4, 4),
+            queue_depth: 4,
+            pattern,
+            injection_rate: 0.1,
+            seed: 1,
+        });
+    }
+
+    #[test]
+    fn coin_blocks_follow_a_rate_changed_between_steps() {
+        // `inject` re-reads the rate every cycle, so a cut cached with a
+        // block of coins must follow it mid-block. Each rate holds for a
+        // different number of cycles, so the changes fall at varying
+        // offsets within a block.
+        let rates = [0.3, 0.0, 1.0, 0.05, 0.3, 0.7, 0.0, 0.01];
+        for (mesh, pattern) in [
+            (Mesh::new_2d(4, 4), Pattern::Uniform),
+            (Mesh::new_3d(5, 3, 2), Pattern::Neighbor),
+            (
+                Mesh::new_2d(8, 9),
+                Pattern::Hotspot {
+                    node: 40,
+                    permille: 300,
+                },
+            ),
+        ] {
+            let cfg = NocConfig {
+                mesh,
+                queue_depth: 2,
+                pattern,
+                injection_rate: rates[0],
+                seed: 5,
+            };
+            let (mut new, mut reference) = (NocSim::new(cfg), oracle::RefSim::new(cfg));
+            new.trace = Trace::enabled();
+            reference.trace = Trace::enabled();
+            for (i, &rate) in rates.iter().enumerate() {
+                new.cfg.injection_rate = rate;
+                reference.cfg.injection_rate = rate;
+                for _ in 0..7 + 3 * i {
+                    new.step();
+                    reference.step();
+                }
+            }
+            let case = format!("{cfg:?}");
+            assert_same(
+                &new.run_observed(0, 50),
+                &reference.run_observed(0, 50),
+                &case,
+            );
+        }
+    }
+
+    #[test]
+    fn a_one_node_mesh_tosses_coins_and_draws_no_destination() {
+        // Uniform on one node: every hit names no destination, so the
+        // stream advances by exactly one coin per cycle.
+        for rate in [0.0, 0.4, 1.0] {
+            let cfg = NocConfig {
+                mesh: Mesh::new_2d(1, 1),
+                queue_depth: 1,
+                pattern: Pattern::Uniform,
+                injection_rate: rate,
+                seed: 3,
+            };
+            assert_same(
+                &NocSim::new(cfg).run_observed(30, 200),
+                &oracle::RefSim::new(cfg).run_observed(30, 200),
+                &format!("{cfg:?}"),
+            );
+        }
+        // The next coin after 230 cycles is the stream's 231st value.
+        let mut sim = NocSim::new(NocConfig {
+            mesh: Mesh::new_2d(1, 1),
+            queue_depth: 1,
+            pattern: Pattern::Uniform,
+            injection_rate: 0.4,
+            seed: 3,
+        });
+        for _ in 0..230 {
+            sim.step();
+        }
+        let mut rng = Rng64::new(3);
+        for _ in 0..230 {
+            rng.next_u64();
+        }
+        assert_eq!(sim.draws.next(), rng.next_u64());
     }
 
     #[test]

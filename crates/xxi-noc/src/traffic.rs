@@ -7,7 +7,7 @@
 //! pattern the paper's locality agenda §2.2 rewards).
 
 use crate::topology::{Dir, Mesh};
-use xxi_core::rng::Rng64;
+use xxi_core::rng::{below, Rng64};
 
 /// Destination-selection pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,18 +32,20 @@ impl Pattern {
     /// Pick a destination for `src`, or `None` if this source does not
     /// inject under the pattern.
     pub fn dest(self, mesh: &Mesh, src: usize, rng: &mut Rng64) -> Option<usize> {
+        self.dest_from(mesh, src, &mut || rng.next_u64())
+    }
+
+    /// [`Pattern::dest`] on raw draws from `draw`, taken in the order
+    /// `dest` takes them from its generator.
+    #[inline(always)]
+    pub(crate) fn dest_from(
+        self,
+        mesh: &Mesh,
+        src: usize,
+        draw: &mut impl FnMut() -> u64,
+    ) -> Option<usize> {
         match self {
-            Pattern::Uniform => {
-                if mesh.nodes() < 2 {
-                    return None;
-                }
-                loop {
-                    let d = rng.below(mesh.nodes() as u64) as usize;
-                    if d != src {
-                        return Some(d);
-                    }
-                }
-            }
+            Pattern::Uniform => uniform(mesh, src, draw),
             Pattern::Transpose => {
                 let (x, y, z) = mesh.coords(src);
                 if x == y || x >= mesh.h || y >= mesh.w {
@@ -53,14 +55,14 @@ impl Pattern {
                 }
             }
             Pattern::Hotspot { node, permille } => {
-                if rng.below(1000) < permille as u64 {
+                if below(1000, draw) < permille as u64 {
                     if node == src {
                         None
                     } else {
                         Some(node)
                     }
                 } else {
-                    Pattern::Uniform.dest(mesh, src, rng)
+                    uniform(mesh, src, draw)
                 }
             }
             Pattern::Neighbor => {
@@ -68,9 +70,23 @@ impl Pattern {
                 if n == 0 {
                     None
                 } else {
-                    Some(*rng.choose(&neighbors[..n]))
+                    Some(neighbors[below(n as u64, draw) as usize])
                 }
             }
+        }
+    }
+}
+
+/// [`Pattern::Uniform`]'s draw: any node but `src`, `None` on one node.
+#[inline(always)]
+fn uniform(mesh: &Mesh, src: usize, draw: &mut impl FnMut() -> u64) -> Option<usize> {
+    if mesh.nodes() < 2 {
+        return None;
+    }
+    loop {
+        let d = below(mesh.nodes() as u64, draw) as usize;
+        if d != src {
+            return Some(d);
         }
     }
 }
