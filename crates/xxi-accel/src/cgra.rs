@@ -71,20 +71,6 @@ impl DataflowGraph {
         (0..self.len()).collect()
     }
 
-    /// A linear chain of `n` dependent ops (worst case for parallelism).
-    pub fn chain(n: usize) -> DataflowGraph {
-        let mut g = DataflowGraph::new();
-        let mut prev: Option<usize> = None;
-        for _ in 0..n {
-            let id = match prev {
-                None => g.op(&[]),
-                Some(p) => g.op(&[p]),
-            };
-            prev = Some(id);
-        }
-        g
-    }
-
     /// A balanced reduction tree over `leaves` inputs.
     pub fn reduction_tree(leaves: usize) -> DataflowGraph {
         assert!(leaves >= 1);
@@ -207,6 +193,20 @@ impl Cgra {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A linear chain of `n` dependent ops (worst case for parallelism).
+    fn chain(n: usize) -> DataflowGraph {
+        let mut g = DataflowGraph::new();
+        let mut prev: Option<usize> = None;
+        for _ in 0..n {
+            let id = match prev {
+                None => g.op(&[]),
+                Some(p) => g.op(&[p]),
+            };
+            prev = Some(id);
+        }
+        g
+    }
     use xxi_tech::node::NodeDb;
 
     fn cgra(w: usize, h: usize) -> Cgra {
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn chain_and_tree_builders() {
-        let chain = DataflowGraph::chain(5);
+        let chain = chain(5);
         assert_eq!(chain.len(), 5);
         assert_eq!(chain.producers(4), &[3]);
         let tree = DataflowGraph::reduction_tree(8);
@@ -245,8 +245,8 @@ mod tests {
     #[test]
     fn mapping_respects_capacity() {
         let c = cgra(2, 2);
-        assert!(c.map(&DataflowGraph::chain(4)).is_ok());
-        assert!(c.map(&DataflowGraph::chain(5)).is_err());
+        assert!(c.map(&chain(4)).is_ok());
+        assert!(c.map(&chain(5)).is_err());
     }
 
     #[test]
@@ -265,7 +265,7 @@ mod tests {
     fn chain_placement_uses_adjacent_fus() {
         // A dependence chain should route mostly single hops.
         let c = cgra(4, 4);
-        let g = DataflowGraph::chain(16);
+        let g = chain(16);
         let m = c.map(&g).unwrap();
         // 15 edges; greedy snake placement keeps mean hop distance small.
         assert!(m.total_hops <= 2 * 15, "hops={}", m.total_hops);
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn routing_energy_visible_for_spread_graphs() {
         let c = cgra(8, 8);
-        let tight = DataflowGraph::chain(8);
+        let tight = chain(8);
         let mt = c.map(&tight).unwrap();
         // A graph where every op depends on op 0 forces long routes.
         let mut star = DataflowGraph::new();

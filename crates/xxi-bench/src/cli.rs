@@ -90,6 +90,10 @@ flags:
 /// argument can make `Pool::new` allocate without bound.
 const MAX_THREADS: usize = 1024;
 
+/// The most measured iterations `--iters` accepts: `xxi bench` keeps one
+/// sample per iteration, so a fixed cap bounds what it allocates.
+const MAX_ITERS: u64 = 1_000_000;
+
 /// Parse the arguments of `xxi <command>` (after the command name)
 /// against the flags [`COMMANDS`] lists for it. Every `--flag value` also
 /// accepts `--flag=value`. Returns an error message for unknown flags,
@@ -163,8 +167,8 @@ fn set_value(f: &mut Flags, name: &str, v: String) -> Result<(), String> {
         }
         "--iters" => {
             f.iters = match v.parse::<u64>() {
-                Ok(n) if n >= 1 => Some(n),
-                _ => return Err(invalid("need an integer >= 1")),
+                Ok(n) if (1..=MAX_ITERS).contains(&n) => Some(n),
+                _ => return Err(invalid(&format!("need an integer from 1 to {MAX_ITERS}"))),
             }
         }
         "--warmup" => f.warmup = Some(v.parse().map_err(|_| invalid("need a u64"))?),
@@ -462,6 +466,10 @@ mod tests {
         assert!(run_flags(&["--threads", "1025"]).is_err());
         assert!(run_flags(&["--threads", "18446744073709551615"]).is_err());
         assert_eq!(run_flags(&["--threads", "1024"]).unwrap().threads, 1024);
+        let iters = |v: &str| parse_flags(&args(&["e1", "--iters", v]), "bench");
+        assert!(iters("18446744073709551615").is_err());
+        assert!(iters("1000001").is_err());
+        assert_eq!(iters("1000000").unwrap().iters, Some(1_000_000));
         assert!(run_flags(&["--seed"]).is_err());
         assert!(run_flags(&["--format", "xml"]).is_err());
         assert!(parse_flags(&args(&["--deny", "errors"]), "src").is_err());

@@ -66,7 +66,7 @@ impl Experiment for E4CommEnergy {
             t.row(&[
                 node.name.to_string(),
                 xfactor(e.dram_to_fma_ratio(&ops)),
-                xfactor(e.operand_traffic(xxi_mem::energy::Level::L2).value() / ops.fp_fma.value()),
+                xfactor(e.l2_operand_traffic().value() / ops.fp_fma.value()),
             ]);
         }
         r.table(t);

@@ -107,11 +107,13 @@ fn unknown_subcommand_prints_usage_and_exits_2() {
 
 #[test]
 fn threads_above_the_cap_exit_2_without_panicking() {
-    let out = xxi(&["run", "e1", "--threads", "18446744073709551615"]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    let err = stderr_of(&out);
-    assert!(err.contains("invalid value for --threads"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
+    for (command, flag) in [("run", "--threads"), ("bench", "--iters")] {
+        let out = xxi(&[command, "e1", flag, "18446744073709551615"]);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(err.contains(&format!("invalid value for {flag}")), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
 }
 
 #[test]

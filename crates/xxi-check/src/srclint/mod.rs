@@ -14,7 +14,7 @@
 //! | `unsafe-audit` | every `unsafe` carries a `// SAFETY:` comment |
 //! | `sync-facade` | xxi-stack synchronization goes through its `sync` facade |
 //! | `panic-path` | `.unwrap()/.expect()` in library code is a warning |
-//! | `model-reach` | every model-crate `pub mod`, and every `pub` item in a reached one, is named by code a report runs |
+//! | `model-reach` | every model-crate `pub mod`, and every `pub` item, variant and field in a reached one, is used by code a report runs (associated items by path, variants built, fields read) |
 //!
 //! Built on a hand-rolled lexer ([`lexer`]) whose token spans provably
 //! tile each file, and a line/region scanner ([`scan`]). Zero

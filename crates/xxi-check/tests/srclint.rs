@@ -289,6 +289,45 @@ fn a_pub_item_no_reached_code_names_is_a_finding() {
     );
 }
 
+/// Path-resolved R7: an associated item counts only as `T::item`,
+/// `Self::item` or (for a method) `.item`; a variant only where reached
+/// code builds it; a field only where reached code reads it.
+#[test]
+fn variants_fields_and_associated_items_resolve_by_path() {
+    let lib = "pub mod shapes;\n";
+    let shapes = "pub enum Mode { Built, Dead, Matched, ViaSelf, ViaGlob }\n\
+                  impl Mode {\n    pub fn fresh() -> Mode { Self::ViaSelf }\n\
+                  pub fn cost(&self) -> u8 { match self { Mode::Matched => 1, _ => 0 } }\n}\n\
+                  pub struct Perms(pub u8);\n\
+                  impl Perms {\n    pub const R: Perms = Perms(1);\n\
+                  pub const RW: Perms = Perms(3);\n}\n\
+                  pub struct Stats { pub read: u8, pub split: u8,\n\
+                  pub tested: u8,\n    pub written: u8 }\n\
+                  #[cfg(test)]\nmod tests {\n    fn t(s: super::Stats) -> u8 { s.tested }\n}\n";
+    let root = "use xxi_mem::shapes::{Mode, Perms, Stats};\nuse xxi_mem::shapes::Mode::*;\n\
+                fn main<R>(_: R) {\n    let m = Mode::Built;\n    let g = ViaGlob;\n\
+                Mode::fresh().cost();\n    let mut s = Stats { read: 0, split: 0, tested: 0, written: 0 };\n\
+                s.written = 1;\n    let Stats { split, .. } = s;\n\
+                if let Mode::Matched = m {}\n    let _ = (s.read, split, g, Perms::RW);\n}\n";
+    let files = [("lib.rs", lib), ("shapes.rs", shapes)];
+    let diags = srclint::lint_files(&workspace(&files, root), None);
+    let found: Vec<(usize, &str)> = diags
+        .iter()
+        .map(|d| (d.line, d.message.split('`').nth(1).unwrap_or_default()))
+        .collect();
+    assert_eq!(
+        found,
+        [
+            (1, "Mode::Dead"),
+            (1, "Mode::Matched"),
+            (8, "pub const R"),
+            (12, "Stats.tested"),
+            (13, "Stats.written"),
+        ],
+        "{diags:#?}"
+    );
+}
+
 #[test]
 fn token_spans_tile_every_workspace_file() {
     for path in workspace_rs_files() {

@@ -159,19 +159,16 @@ pub enum Hedging {
         after_ms: f64,
     },
     /// Hedge at the shard's *online* latency quantile: the delay is the
-    /// shard histogram's `quantile` once `warmup` attempts have been observed,
-    /// `fallback_ms` before that. A fast shard hedges early; a degraded
-    /// shard stops wasting duplicates on a tail that moved.
+    /// shard histogram's `quantile` once 64 attempts (`HEDGE_WARMUP`)
+    /// have been observed, 10 ms (`HEDGE_FALLBACK_MS`) before that. A fast
+    /// shard hedges early; a degraded shard stops wasting duplicates on a
+    /// tail that moved.
     Adaptive {
         /// Quantile of observed attempt latency to hedge at.
         quantile: f64,
-        /// Delay until `warmup` attempts have been observed (ms).
-        fallback_ms: f64,
-        /// Observations required before the quantile is trusted.
-        warmup: u64,
     },
     /// [`Hedging::Adaptive`] with the online delay capped at
-    /// `fallback_ms` — the digest-poisoning guard. The raw adaptive
+    /// the 10 ms fallback — the digest-poisoning guard. The raw adaptive
     /// policy trusts the observed quantile unconditionally, so a
     /// correlated blast window full of stragglers drags the quantile
     /// above the attempt timeout and hedging silently turns itself off
@@ -182,12 +179,15 @@ pub enum Hedging {
     AdaptiveCapped {
         /// Quantile of observed attempt latency to hedge at.
         quantile: f64,
-        /// Warmup delay and the cap on the online delay (ms).
-        fallback_ms: f64,
-        /// Observations required before the quantile is consulted.
-        warmup: u64,
     },
 }
+
+/// The adaptive hedges' delay before [`HEDGE_WARMUP`] attempts have been
+/// observed, and the capped one's ceiling (ms).
+const HEDGE_FALLBACK_MS: f64 = 10.0;
+
+/// Observations the adaptive hedges need before they trust the quantile.
+const HEDGE_WARMUP: u64 = 64;
 
 impl Hedging {
     /// Fixed hedge at `after_ms` ms.
@@ -195,26 +195,17 @@ impl Hedging {
         Hedging::Fixed { after_ms }
     }
 
-    /// Adaptive hedge at `quantile` with the default 10 ms fallback and
-    /// a 64-observation warmup.
+    /// Adaptive hedge at `quantile`.
     pub fn adaptive(quantile: f64) -> Hedging {
         assert!((0.0..1.0).contains(&quantile));
-        Hedging::Adaptive {
-            quantile,
-            fallback_ms: 10.0,
-            warmup: 64,
-        }
+        Hedging::Adaptive { quantile }
     }
 
-    /// [`Hedging::adaptive`] with the online delay capped at the same
-    /// 10 ms fallback (see [`Hedging::AdaptiveCapped`]).
+    /// [`Hedging::adaptive`] with the online delay capped at the fallback
+    /// (see [`Hedging::AdaptiveCapped`]).
     pub fn adaptive_capped(quantile: f64) -> Hedging {
         assert!((0.0..1.0).contains(&quantile));
-        Hedging::AdaptiveCapped {
-            quantile,
-            fallback_ms: 10.0,
-            warmup: 64,
-        }
+        Hedging::AdaptiveCapped { quantile }
     }
 
     /// Human description with parameters, for reports.
@@ -238,27 +229,14 @@ impl Hedging {
         match *self {
             Hedging::None => None,
             Hedging::Fixed { after_ms } => Some(after_ms),
-            Hedging::Adaptive {
-                quantile,
-                fallback_ms,
-                warmup,
-            } => {
-                if digest.count() < warmup {
-                    Some(fallback_ms)
-                } else {
-                    Some(digest.quantile(quantile))
-                }
+            Hedging::Adaptive { .. } | Hedging::AdaptiveCapped { .. }
+                if digest.count() < HEDGE_WARMUP =>
+            {
+                Some(HEDGE_FALLBACK_MS)
             }
-            Hedging::AdaptiveCapped {
-                quantile,
-                fallback_ms,
-                warmup,
-            } => {
-                if digest.count() < warmup {
-                    Some(fallback_ms)
-                } else {
-                    Some(digest.quantile(quantile).min(fallback_ms))
-                }
+            Hedging::Adaptive { quantile } => Some(digest.quantile(quantile)),
+            Hedging::AdaptiveCapped { quantile } => {
+                Some(digest.quantile(quantile).min(HEDGE_FALLBACK_MS))
             }
         }
     }
@@ -2549,21 +2527,13 @@ mod tests {
     ];
 
     /// Every hedging policy; the adaptive one hedges near the 18 ms
-    /// attempt timeout (its fallback is 17 ms, and a p99 of a shard that
-    /// stragglers slow lands past it).
+    /// attempt timeout once warm (a p99 of a shard that stragglers slow
+    /// lands past it).
     const ORACLE_HEDGINGS: [Hedging; 4] = [
         Hedging::None,
         Hedging::Fixed { after_ms: 10.0 },
-        Hedging::Adaptive {
-            quantile: 0.99,
-            fallback_ms: 17.0,
-            warmup: 16,
-        },
-        Hedging::AdaptiveCapped {
-            quantile: 0.8,
-            fallback_ms: 10.0,
-            warmup: 64,
-        },
+        Hedging::Adaptive { quantile: 0.99 },
+        Hedging::AdaptiveCapped { quantile: 0.8 },
     ];
 
     /// Every routing, hedging and retry policy against the reference on

@@ -2,13 +2,13 @@
 //!
 //! Measured leaf-server latencies are well described by a log-normal body
 //! with a heavy straggler tail (GC pauses, background daemons, queueing
-//! spikes). [`LatencyDist`] offers the three shapes the experiments use.
+//! spikes). [`LatencyDist`] offers the two shapes the experiments use.
 //!
 //! [`LatencyDist::sample_max`] is the fan-out kernel: the largest of `n`
 //! draws, bit-identical to folding [`LatencyDist::sample`] with
 //! `f64::max`, and leaving the generator in the same state. Every leaf
-//! still makes its draws, but for the two log-normal shapes only a leaf
-//! that can still be the max is turned into a latency; the exponential
+//! still makes its draws, but for the straggler shape only a leaf that
+//! can still be the max is turned into a latency; the exponential
 //! shape, which no fan-out workload uses, is a plain fold. A body leaf
 //! is `exp(μ + σz)` with `z = box_muller(u, v)`, and
 //! `|z| ≤ sqrt(−2 ln u)`. So a leaf whose `u` lies above
@@ -28,9 +28,9 @@
 //! percentile of many draws, for fan-out's leaf p99 and the hedge
 //! deadlines. It draws a pilot chunk in full, takes a cutoff a safe
 //! margin below the target rank, and then only counts the draws the same
-//! `u` (or exponential) bound puts below the cutoff; the answer is
-//! selected from the few others (see `PILOT_SIGMAS`). It is
-//! bit-identical to selecting from every draw.
+//! `u` bound puts below the cutoff; the answer is selected from the few
+//! others (see `PILOT_SIGMAS`). An exponential's draws are all evaluated.
+//! It is bit-identical to selecting from every draw.
 
 use xxi_core::par::{mc_chunks, Parallelism, MC_GRAIN};
 use xxi_core::rng::{chance_cut, Rng64};
@@ -43,13 +43,6 @@ pub enum LatencyDist {
     Exp {
         /// Mean latency (ms).
         mean_ms: f64,
-    },
-    /// Log-normal parameterized by median and sigma (ln-space).
-    LogNormal {
-        /// Median latency (ms).
-        median_ms: f64,
-        /// ln-space standard deviation.
-        sigma: f64,
     },
     /// Log-normal body; with probability `p_straggler` the response is
     /// instead Pareto-tailed starting at `tail_start_ms`.
@@ -90,9 +83,6 @@ impl LatencyDist {
     pub(crate) fn bits(&self) -> [u64; 6] {
         match *self {
             LatencyDist::Exp { mean_ms } => [0, mean_ms.to_bits(), 0, 0, 0, 0],
-            LatencyDist::LogNormal { median_ms, sigma } => {
-                [1, median_ms.to_bits(), sigma.to_bits(), 0, 0, 0]
-            }
             LatencyDist::WithStragglers {
                 median_ms,
                 sigma,
@@ -100,7 +90,7 @@ impl LatencyDist {
                 tail_start_ms,
                 alpha,
             } => [
-                2,
+                1,
                 median_ms.to_bits(),
                 sigma.to_bits(),
                 p_straggler.to_bits(),
@@ -115,10 +105,6 @@ impl LatencyDist {
         match *self {
             LatencyDist::Exp { mean_ms } => Sampler::Exp {
                 rate: 1.0 / mean_ms,
-            },
-            LatencyDist::LogNormal { median_ms, sigma } => Sampler::LogNormal {
-                mu: median_ms.ln(),
-                sigma,
             },
             LatencyDist::WithStragglers {
                 median_ms,
@@ -140,8 +126,8 @@ impl LatencyDist {
     /// The largest of `n` draws: the bits of
     /// `(0..n).map(|_| self.sample(rng)).fold(f64::MIN, f64::max)`, with
     /// `rng` left in the same state. Each leaf draws exactly what
-    /// [`LatencyDist::sample`] draws, in the same order; for the log-normal
-    /// shapes, leaves that cannot beat the running max are skipped after
+    /// [`LatencyDist::sample`] draws, in the same order; for the straggler
+    /// shape, leaves that cannot beat the running max are skipped after
     /// their draws (see the module doc).
     pub fn sample_max(&self, n: usize, rng: &mut Rng64) -> f64 {
         match *self {
@@ -149,22 +135,13 @@ impl LatencyDist {
                 let s = self.sampler();
                 (0..n).map(|_| s.sample(rng)).fold(f64::MIN, f64::max)
             }
-            LatencyDist::LogNormal { median_ms, sigma } => {
-                lognormal_max(n, median_ms, sigma, None, rng)
-            }
             LatencyDist::WithStragglers {
                 median_ms,
                 sigma,
                 p_straggler,
                 tail_start_ms,
                 alpha,
-            } => lognormal_max(
-                n,
-                median_ms,
-                sigma,
-                Some((p_straggler, tail_start_ms, alpha)),
-                rng,
-            ),
+            } => lognormal_max(n, median_ms, sigma, p_straggler, tail_start_ms, alpha, rng),
         }
     }
 
@@ -273,8 +250,6 @@ impl LatencyDist {
 pub(crate) enum Sampler {
     /// [`LatencyDist::Exp`]: `rate = 1 / mean_ms`.
     Exp { rate: f64 },
-    /// [`LatencyDist::LogNormal`]: `mu = ln(median_ms)`.
-    LogNormal { mu: f64, sigma: f64 },
     /// [`LatencyDist::WithStragglers`]: `mu = ln(median_ms)`,
     /// `inv_alpha = 1 / alpha`.
     WithStragglers {
@@ -293,7 +268,6 @@ impl Sampler {
     pub(crate) fn sample(&self, rng: &mut Rng64) -> f64 {
         match *self {
             Sampler::Exp { rate } => rng.exp(rate),
-            Sampler::LogNormal { mu, sigma } => rng.lognormal(mu, sigma),
             Sampler::WithStragglers {
                 mu,
                 sigma,
@@ -318,8 +292,8 @@ impl Sampler {
 
     /// The screen for the `p`-th percentile at the `pilot`'s cutoff (see
     /// [`PILOT_SIGMAS`]), or with no screen (`cutoff = −∞`). It bounds
-    /// draws only when the cutoff is positive and finite and the shape has
-    /// a bound to screen with (σ > 0); otherwise every draw is evaluated.
+    /// draws only when the cutoff is positive and finite and the shape is
+    /// the log-normal body with σ > 0; otherwise every draw is evaluated.
     fn screen(&self, pilot: &[f64], p: f64, screened: bool) -> Screen {
         let cutoff = if screened {
             pilot_cutoff(pilot, p)
@@ -330,16 +304,10 @@ impl Sampler {
             cutoff,
             below: 0, // no k lies below 0: nothing is screened
         };
-        if !(cutoff > 0.0 && cutoff.is_finite()) {
-            return screen;
-        }
-        match *self {
-            Sampler::Exp { rate } => screen.below = exp_cut(rate, cutoff),
-            Sampler::LogNormal { mu, sigma } | Sampler::WithStragglers { mu, sigma, .. } => {
-                if sigma > 0.0 {
-                    let z = (cutoff.ln() - mu) / sigma;
-                    screen.below = u_cut(normal_cut(z - SCREEN_MARGIN / sigma.min(1.0)));
-                }
+        if let Sampler::WithStragglers { mu, sigma, .. } = *self {
+            if cutoff > 0.0 && cutoff.is_finite() && sigma > 0.0 {
+                let z = (cutoff.ln() - mu) / sigma;
+                screen.below = u_cut(normal_cut(z - SCREEN_MARGIN / sigma.min(1.0)));
             }
         }
         screen
@@ -347,29 +315,16 @@ impl Sampler {
 
     /// `len` draws split at `screen`'s cutoff. Each makes exactly
     /// [`Sampler::sample`]'s draws, in order, so `rng` ends where `len`
-    /// samples leave it. A draw whose uniform `k` lies below
-    /// `screen.below` is counted: an exponential's `u` (its latency is
-    /// nondecreasing in `k`), or a body's Box–Muller `u` (then `|z|` is
-    /// under the cutoff's score less Δ, as in `lognormal_max`). Stragglers
-    /// and every other draw are evaluated and split by value.
+    /// samples leave it. A body draw whose Box–Muller `u` has its integer
+    /// `k` below `screen.below` is counted: its `|z|` is under the cutoff's
+    /// score less Δ, as in `lognormal_max`. Stragglers and every other draw
+    /// are evaluated and split by value.
     fn split_draws(&self, screen: &Screen, len: usize, rng: &mut Rng64) -> Split {
         let mut out = Split::default();
         match *self {
-            Sampler::Exp { rate } => {
+            Sampler::Exp { .. } => {
                 for _ in 0..len {
-                    let k = rng.next_u64() >> 11;
-                    if k < screen.below {
-                        out.below += 1;
-                    } else {
-                        // `rng.exp(rate)` on the same draw; a bad rate has
-                        // already panicked in the pilot.
-                        screen.keep(-(1.0 - unit(k)).ln() / rate, &mut out);
-                    }
-                }
-            }
-            Sampler::LogNormal { mu, sigma } => {
-                for _ in 0..len {
-                    screen.body(mu, sigma, rng, &mut out);
+                    screen.keep(self.sample(rng), &mut out);
                 }
             }
             Sampler::WithStragglers {
@@ -522,22 +477,6 @@ fn u_cut(cut: f64) -> u64 {
     k
 }
 
-/// The `k` below which an exponential draw `−ln(1 − k·2⁻⁵³)/rate` lies
-/// below `cutoff`. The latency is nondecreasing in `k` up to a few ulps
-/// of rounding, so `k` is settled against `cutoff / CUT_SLACK`, with the
-/// draw's own arithmetic: every smaller `k` then lies strictly below
-/// `cutoff`.
-fn exp_cut(rate: f64, cutoff: f64) -> u64 {
-    const TOP: u64 = 1 << 53;
-    let target = cutoff / CUT_SLACK;
-    let x = -(-rate * target).exp_m1();
-    let mut k = (x * TOP as f64).ceil().clamp(0.0, TOP as f64) as u64;
-    while k > 0 && -(1.0 - unit(k - 1)).ln() / rate >= target {
-        k -= 1;
-    }
-    k
-}
-
 /// The screen's margin Δ. It is taken in z-space as Δ / min(σ, 1), so a
 /// skipped leaf sits at least Δ below the running best both in `z` and in
 /// `μ + σz`, the argument of its final `exp`. Why this can never flip the
@@ -588,13 +527,15 @@ fn z_bound(r: f64, v: f64) -> f64 {
     r * c.max(0.0) * V_SLACK.0 + V_SLACK.1
 }
 
-/// [`LatencyDist::sample_max`] for the log-normal body, with the
-/// `(p_straggler, tail_start_ms, alpha)` Pareto tail when given.
+/// [`LatencyDist::sample_max`] for the log-normal body with its
+/// `(p_straggler, tail_start_ms, alpha)` Pareto tail.
 fn lognormal_max(
     n: usize,
     median_ms: f64,
     sigma: f64,
-    tail: Option<(f64, f64, f64)>,
+    p_straggler: f64,
+    tail_start_ms: f64,
+    alpha: f64,
     rng: &mut Rng64,
 ) -> f64 {
     let mu = median_ms.ln();
@@ -605,28 +546,24 @@ fn lognormal_max(
     } else {
         f64::INFINITY
     };
-    // `rng.chance(p)` is `next_u64() >> 11 < coin`; with no tail no coin
-    // is drawn.
-    let tail =
-        tail.map(|(p, tail_start_ms, alpha)| (chance_cut(p), tail_start_ms, alpha, 1.0 / alpha));
+    // `rng.chance(p)` is `next_u64() >> 11 < coin`.
+    let (coin, inv_alpha) = (chance_cut(p_straggler), 1.0 / alpha);
     // `z_cut = z* − Δ`, and `u > normal_cut(z_cut)` is `k_u < u_below`.
     let (mut best, mut z_star, mut z_cut, mut u_below) =
         (f64::MIN, f64::NEG_INFINITY, f64::NEG_INFINITY, 0);
     for _ in 0..n {
-        if let Some((coin, tail_start_ms, alpha, inv_alpha)) = tail {
-            if rng.next_u64() >> 11 < coin {
-                let x = straggler(tail_start_ms, alpha, inv_alpha, rng);
-                if x > best {
-                    best = x;
-                    let z = (x.ln() - mu) / sigma;
-                    if z > z_star {
-                        z_star = z;
-                        z_cut = z_star - delta;
-                        u_below = u_cut(normal_cut(z_cut));
-                    }
+        if rng.next_u64() >> 11 < coin {
+            let x = straggler(tail_start_ms, alpha, inv_alpha, rng);
+            if x > best {
+                best = x;
+                let z = (x.ln() - mu) / sigma;
+                if z > z_star {
+                    z_star = z;
+                    z_cut = z_star - delta;
+                    u_below = u_cut(normal_cut(z_cut));
                 }
-                continue;
             }
+            continue;
         }
         let ku = rng.next_u64() >> 11;
         let kv = rng.next_u64() >> 11;
@@ -659,6 +596,17 @@ mod tests {
     use xxi_core::stats::percentiles;
     use xxi_stack::pool::Pool;
 
+    /// The log-normal body alone: stragglers with probability 0.
+    fn body(median_ms: f64, sigma: f64) -> LatencyDist {
+        LatencyDist::WithStragglers {
+            median_ms,
+            sigma,
+            p_straggler: 0.0,
+            tail_start_ms: 50.0,
+            alpha: 1.5,
+        }
+    }
+
     #[test]
     fn exponential_mean() {
         let mut rng = Rng64::new(1);
@@ -670,23 +618,15 @@ mod tests {
     #[test]
     fn lognormal_median() {
         let mut rng = Rng64::new(2);
-        let d = LatencyDist::LogNormal {
-            median_ms: 5.0,
-            sigma: 0.3,
-        };
-        let s = d.sample_summary(100_001, &mut rng);
+        let s = body(5.0, 0.3).sample_summary(100_001, &mut rng);
         assert!((s.median() - 5.0).abs() < 0.1, "median={}", s.median());
     }
 
     #[test]
     fn stragglers_fatten_the_tail_not_the_median() {
         let mut rng = Rng64::new(3);
-        let body = LatencyDist::LogNormal {
-            median_ms: 5.0,
-            sigma: 0.3,
-        };
         let leaf = LatencyDist::typical_leaf();
-        let sb = body.sample_summary(200_001, &mut rng);
+        let sb = body(5.0, 0.3).sample_summary(200_001, &mut rng);
         let sl = leaf.sample_summary(200_001, &mut rng);
         assert!((sl.median() - sb.median()).abs() < 0.2);
         assert!(
@@ -723,33 +663,18 @@ mod tests {
         (0..n).map(|_| d.sample(rng)).fold(f64::MIN, f64::max)
     }
 
-    /// All three variants, including adversarial ones where body leaves
-    /// often beat stragglers (σ up to 3, the tail starting at or below
-    /// the body median) and σ ≤ 0, where nothing may be skipped.
+    /// Both variants, including adversarial ones where body leaves often
+    /// beat stragglers (σ up to 3, the tail starting at or below the body
+    /// median) and σ ≤ 0, where nothing may be skipped.
     fn oracle_dists() -> Vec<LatencyDist> {
         let mut v = vec![
             LatencyDist::Exp { mean_ms: 3.0 },
             LatencyDist::Exp { mean_ms: 1e-3 },
-            LatencyDist::LogNormal {
-                median_ms: 5.0,
-                sigma: 0.3,
-            },
-            LatencyDist::LogNormal {
-                median_ms: 0.01,
-                sigma: 3.0,
-            },
-            LatencyDist::LogNormal {
-                median_ms: 5.0,
-                sigma: 0.0,
-            },
-            LatencyDist::LogNormal {
-                median_ms: 5.0,
-                sigma: -0.5,
-            },
-            LatencyDist::LogNormal {
-                median_ms: 5.0,
-                sigma: 1e-14,
-            },
+            body(5.0, 0.3),
+            body(0.01, 3.0),
+            body(5.0, 0.0),
+            body(5.0, -0.5),
+            body(5.0, 1e-14),
         ];
         // Stragglers a hair above the body median: the best score sits
         // just above z = 0, where both bounds are at their tightest.
@@ -999,10 +924,7 @@ mod tests {
     /// equals the cutoff, and the screened pass still answers.
     #[test]
     fn a_draw_at_the_cutoff_is_a_candidate() {
-        let d = LatencyDist::LogNormal {
-            median_ms: 5.0,
-            sigma: 0.0,
-        };
+        let d = body(5.0, 0.0);
         let x = d.sample(&mut Rng64::new(1));
         for p in [1.0, 50.0, 99.0] {
             let got = d.select_on(3 * MC_GRAIN, 1, p, true, &Serial);
@@ -1023,7 +945,6 @@ mod tests {
     fn old_sample(d: &LatencyDist, rng: &mut Rng64) -> f64 {
         match *d {
             LatencyDist::Exp { mean_ms } => rng.exp(1.0 / mean_ms),
-            LatencyDist::LogNormal { median_ms, sigma } => rng.lognormal(median_ms.ln(), sigma),
             LatencyDist::WithStragglers {
                 median_ms,
                 sigma,

@@ -11,8 +11,8 @@
 //! plus the datacenter power models behind "memory and storage systems
 //! consume an increasing fraction of the total data center power budget."
 //!
-//! * [`latency`] — server response-time distributions (exponential,
-//!   log-normal, log-normal with a Pareto straggler tail).
+//! * [`latency`] — server response-time distributions (exponential, and
+//!   log-normal with a Pareto straggler tail).
 //! * [`fanout`] — fan-out requests: analytic `1 − p^n` straggler
 //!   probability and Monte Carlo latency-of-max (experiment E9).
 //! * [`queueing`] — an M/G/1 queue, run as a loop over its arrivals,

@@ -724,24 +724,20 @@ mod tests {
     /// setting λ. The last one's services and gaps are a few picoseconds,
     /// so arrivals and completions often share an instant.
     fn oracle_services() -> Vec<(LatencyDist, f64)> {
+        // The log-normal body alone: stragglers with probability 0.
+        let body = |median_ms, sigma| LatencyDist::WithStragglers {
+            median_ms,
+            sigma,
+            p_straggler: 0.0,
+            tail_start_ms: 50.0,
+            alpha: 1.5,
+        };
         let leaf = LatencyDist::typical_leaf();
         let leaf_mean = leaf.sample_summary(10_000, &mut Rng64::new(0)).mean();
         vec![
             (LatencyDist::Exp { mean_ms: 1.0 }, 1.0),
-            (
-                LatencyDist::LogNormal {
-                    median_ms: 1.0,
-                    sigma: 0.0,
-                },
-                1.0,
-            ),
-            (
-                LatencyDist::LogNormal {
-                    median_ms: 1.0,
-                    sigma: 0.3,
-                },
-                1.046,
-            ),
+            (body(1.0, 0.0), 1.0),
+            (body(1.0, 0.3), 1.046),
             (leaf, leaf_mean),
             (LatencyDist::Exp { mean_ms: 2e-9 }, 2e-9),
         ]

@@ -132,14 +132,6 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Build from an explicit component → scope map. Scope ids must be
-    /// dense (`0..=max`); a gap means a scope no fault can ever strike.
-    pub fn new(scope_of: Vec<u32>) -> Topology {
-        assert!(!scope_of.is_empty(), "a topology needs components");
-        let scopes = scope_of.iter().max().unwrap() + 1; // xxi-allow: panic-path -- non-empty is asserted above
-        Topology { scope_of, scopes }
-    }
-
     /// Striped assignment: component `c` lands in scope `c % scopes`.
     /// With components numbered shard-major (replica `r` of shard `s` is
     /// `s * replicas + r`), `striped(components, replicas)` puts replica
@@ -475,7 +467,7 @@ mod tests {
     use super::*;
 
     fn ms(x: u64) -> SimTime {
-        SimTime::from_ms(x)
+        SimTime::from_ns(x * 1_000_000)
     }
 
     #[test]
@@ -661,7 +653,7 @@ mod tests {
         assert_eq!(a.events(), b.events());
         // Same seed, flat topology vs per-component seeded: different
         // substreams, different draws.
-        let flat = Topology::new((0..12).collect());
+        let flat = Topology::blocks(12, 1);
         let c = FaultPlan::correlated(5, ms(500), &flat, 0.5, FaultMix::gray());
         let s = FaultPlan::seeded(5, ms(500), 12, 0.5, FaultMix::gray());
         assert_ne!(c.events(), s.events());

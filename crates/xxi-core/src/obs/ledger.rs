@@ -161,6 +161,7 @@ impl EnergyLedger {
     }
 
     /// Energy attributed to one component (zero if never charged).
+    // xxi-allow: model-reach -- test oracle: the ledger, cloud and NoC tests read one component
     pub fn component(&self, name: &str) -> Energy {
         self.entries
             .get(name)

@@ -20,8 +20,8 @@
 //!
 //! let mut tr = Trace::enabled();
 //! let id = tr.begin("request", "cloud", 0, SimTime::ZERO);
-//! tr.instant("hedge-fired", "cloud", 0, SimTime::from_us(9));
-//! tr.end(id, SimTime::from_us(12));
+//! tr.instant("hedge-fired", "cloud", 0, SimTime::from_ns(9_000));
+//! tr.end(id, SimTime::from_ns(12_000));
 //! let json = tr.chrome_json();
 //! assert!(json.contains("\"ph\":\"X\""));
 //! assert!(json.contains("\"ph\":\"i\""));
@@ -364,13 +364,13 @@ mod tests {
                 "leaf",
                 "cloud",
                 leaf + 1,
-                SimTime::from_us(1),
-                SimTime::from_us(5 + leaf),
+                SimTime::from_ns(1_000),
+                SimTime::from_ns((5 + leaf) * 1_000),
                 &[("leaf", leaf as f64)],
             );
         }
-        tr.instant("hedge-fired", "cloud", 0, SimTime::from_us(9));
-        tr.end(id, SimTime::from_us(12));
+        tr.instant("hedge-fired", "cloud", 0, SimTime::from_ns(9_000));
+        tr.end(id, SimTime::from_ns(12_000));
 
         let json = tr.chrome_json();
         let doc = json::parse(&json)
@@ -420,7 +420,7 @@ mod tests {
             "hedge\\fired",
             "cloud",
             0,
-            SimTime::from_us(9),
+            SimTime::from_ns(9_000),
             &[("leaf", 2.0), ("bad", f64::INFINITY)],
         );
         tr.instant("tick", "sensor\n", 1, SimTime::ZERO);

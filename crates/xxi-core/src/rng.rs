@@ -143,6 +143,7 @@ impl Rng64 {
 
     /// Pareto with minimum `x_min` and shape `alpha` (heavier tail for
     /// smaller `alpha`); models stragglers.
+    // xxi-allow: model-reach -- test oracle: the straggler draw in xxi-cloud's latency tests
     pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
         assert!(x_min > 0.0 && alpha > 0.0);
         x_min / (1.0 - self.next_f64()).powf(1.0 / alpha)

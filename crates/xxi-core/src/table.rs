@@ -162,11 +162,6 @@ impl Table {
         }
         out
     }
-
-    /// Render and print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// Format a float with engineering-style precision: 3 significant-ish

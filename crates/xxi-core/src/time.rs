@@ -36,18 +36,6 @@ impl SimTime {
         checked(ns.checked_mul(1_000))
     }
 
-    /// Construct from microseconds.
-    #[inline]
-    pub const fn from_us(us: u64) -> SimTime {
-        checked(us.checked_mul(1_000_000))
-    }
-
-    /// Construct from milliseconds.
-    #[inline]
-    pub const fn from_ms(ms: u64) -> SimTime {
-        checked(ms.checked_mul(1_000_000_000))
-    }
-
     /// Convert a duration in (fractional) milliseconds to sim time,
     /// rounding to the nearest picosecond. Negative and NaN inputs give
     /// [`SimTime::ZERO`]; inputs past the horizon give [`SimTime::MAX`].
@@ -73,12 +61,6 @@ impl SimTime {
     #[inline]
     pub const fn ps(self) -> u64 {
         self.0
-    }
-
-    /// Value as floating-point nanoseconds.
-    #[inline]
-    pub fn ns(self) -> f64 {
-        self.0 as f64 * 1e-3
     }
 
     /// Value as floating-point microseconds.
@@ -173,8 +155,7 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimTime::from_ns(1), SimTime::from_ps(1_000));
-        assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
-        assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
+        assert_eq!(SimTime::from_ms_f64(1.0), SimTime::from_ns(1_000_000));
     }
 
     #[test]
@@ -194,7 +175,7 @@ mod tests {
 
     #[test]
     fn from_ms_f64_rounds_and_clamps() {
-        assert_eq!(SimTime::from_ms_f64(1.5), SimTime::from_us(1_500));
+        assert_eq!(SimTime::from_ms_f64(1.5), SimTime::from_ns(1_500_000));
         assert_eq!(SimTime::from_ms_f64(0.000_000_000_4), SimTime::ZERO);
         assert_eq!(SimTime::from_ms_f64(0.000_000_000_6), SimTime::from_ps(1));
         assert_eq!(SimTime::from_ms_f64(-3.0), SimTime::ZERO);
@@ -229,21 +210,13 @@ mod tests {
         t += SimTime(5);
         assert_eq!(t, SimTime::MAX);
         assert_eq!(SimTime::MAX - SimTime::MAX, SimTime::ZERO);
-        type Make = fn(u64) -> SimTime;
-        let units: [(Make, u64); 3] = [
-            (SimTime::from_ns, 1_000),
-            (SimTime::from_us, 1_000_000),
-            (SimTime::from_ms, 1_000_000_000),
-        ];
-        for (make, ps_per_unit) in units {
-            let n = u64::MAX / ps_per_unit;
-            assert_eq!(make(n).ps(), n * ps_per_unit);
-        }
+        let n = u64::MAX / 1_000;
+        assert_eq!(SimTime::from_ns(n).ps(), n * 1_000);
     }
 
     #[test]
     fn leaving_the_range_panics_in_every_build() {
-        let cases: [(&str, fn()); 6] = [
+        let cases: [(&str, fn()); 4] = [
             ("MAX + 1", || _ = SimTime::MAX + SimTime(1)),
             ("MAX += 1", || {
                 let mut t = SimTime::MAX;
@@ -251,10 +224,6 @@ mod tests {
             }),
             ("0 - 1", || _ = SimTime::ZERO - SimTime(1)),
             ("from_ns", || _ = SimTime::from_ns(u64::MAX / 1_000 + 1)),
-            ("from_us", || _ = SimTime::from_us(u64::MAX / 1_000_000 + 1)),
-            ("from_ms", || {
-                _ = SimTime::from_ms(u64::MAX / 1_000_000_000 + 1)
-            }),
         ];
         for (name, case) in cases {
             let payload = std::panic::catch_unwind(case).expect_err(name);
@@ -267,9 +236,9 @@ mod tests {
     fn display_picks_sensible_unit() {
         assert_eq!(SimTime::from_ps(5).to_string(), "5ps");
         assert_eq!(SimTime::from_ns(5).to_string(), "5.000ns");
-        assert_eq!(SimTime::from_us(5).to_string(), "5.000us");
-        assert_eq!(SimTime::from_ms(5).to_string(), "5.000ms");
-        assert_eq!(SimTime::from_ms(5_000).to_string(), "5.000s");
+        assert_eq!(SimTime::from_ns(5_000).to_string(), "5.000us");
+        assert_eq!(SimTime::from_ns(5_000_000).to_string(), "5.000ms");
+        assert_eq!(SimTime::from_ns(5_000_000_000).to_string(), "5.000s");
     }
 
     #[test]

@@ -92,6 +92,7 @@ impl CacheConfig {
     }
 
     /// A shared L3 slice: 8 MiB, 64 B lines, 16-way.
+    // xxi-allow: model-reach -- checked by xxi lint (cache-geometry)
     pub fn l3() -> CacheConfig {
         CacheConfig {
             size_bytes: 8 * 1024 * 1024,

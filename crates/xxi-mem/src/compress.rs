@@ -111,40 +111,6 @@ pub fn compression_ratio(line: &Line) -> f64 {
     512.0 / compressed_bits(line) as f64
 }
 
-/// Summary over a stream of lines.
-#[derive(Clone, Debug, Default)]
-pub struct CompressionStats {
-    /// Lines observed.
-    pub lines: u64,
-    /// Total uncompressed bits.
-    pub raw_bits: u64,
-    /// Total compressed bits.
-    pub compressed_bits: u64,
-}
-
-impl CompressionStats {
-    /// New empty accumulator.
-    pub fn new() -> CompressionStats {
-        CompressionStats::default()
-    }
-
-    /// Record one line.
-    pub fn add(&mut self, line: &Line) {
-        self.lines += 1;
-        self.raw_bits += 512;
-        self.compressed_bits += compressed_bits(line) as u64;
-    }
-
-    /// Aggregate ratio.
-    pub fn ratio(&self) -> f64 {
-        if self.compressed_bits == 0 {
-            1.0
-        } else {
-            self.raw_bits as f64 / self.compressed_bits as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,25 +158,6 @@ mod tests {
         }
         let ratio = compression_ratio(&line);
         assert!(ratio > 3.0, "ratio={ratio}");
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut st = CompressionStats::new();
-        st.add(&[0u32; 16]); // highly compressible
-        let mut bad = [0u32; 16];
-        for (i, w) in bad.iter_mut().enumerate() {
-            *w = 0xDEAD_0000u32 | (0xBEEF ^ i as u32) | 0x8000_0000;
-        }
-        st.add(&bad);
-        assert_eq!(st.lines, 2);
-        let r = st.ratio();
-        assert!(r > 1.0, "r={r}");
-    }
-
-    #[test]
-    fn ratio_of_empty_stats_is_one() {
-        assert_eq!(CompressionStats::new().ratio(), 1.0);
     }
 
     #[test]

@@ -9,16 +9,8 @@
 use xxi_core::metrics::Metrics;
 use xxi_core::units::{Energy, Seconds};
 
-/// Row-buffer management policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PagePolicy {
-    /// Keep the row open after an access (bets on locality).
-    Open,
-    /// Precharge immediately after each access (bets against it).
-    Closed,
-}
-
-/// DRAM geometry and timing/energy parameters.
+/// DRAM geometry and timing/energy parameters. The page policy is open:
+/// a row stays open after an access, betting on locality.
 #[derive(Clone, Debug)]
 pub struct DramConfig {
     /// Number of independent banks.
@@ -35,8 +27,6 @@ pub struct DramConfig {
     pub e_activate: Energy,
     /// Energy to transfer one 64-byte burst.
     pub e_burst: Energy,
-    /// Page policy.
-    pub policy: PagePolicy,
 }
 
 impl Default for DramConfig {
@@ -51,7 +41,6 @@ impl Default for DramConfig {
             t_cas: Seconds::from_ns(13.75),
             e_activate: Energy::from_nj(2.0),
             e_burst: Energy::from_nj(6.0),
-            policy: PagePolicy::Open,
         }
     }
 }
@@ -73,8 +62,6 @@ pub struct DramAccess {
     pub latency: Seconds,
     /// Energy consumed by this access (excludes standing refresh).
     pub energy: Energy,
-    /// The access hit an already-open row.
-    pub row_hit: bool,
 }
 
 impl Dram {
@@ -108,18 +95,14 @@ impl Dram {
         let (bank, row) = self.locate(addr);
         let mut latency = self.cfg.t_cas;
         let mut energy = self.cfg.e_burst;
-        let row_hit = match self.open_rows[bank] {
-            Some(open) if open == row => {
-                self.metrics.incr("row_hits");
-                true
-            }
+        match self.open_rows[bank] {
+            Some(open) if open == row => self.metrics.incr("row_hits"),
             Some(_) => {
                 // Conflict: precharge + activate + cas.
                 self.metrics.incr("row_conflicts");
                 self.metrics.incr("activates");
                 latency += self.cfg.t_rp + self.cfg.t_rcd;
                 energy += self.cfg.e_activate;
-                false
             }
             None => {
                 // Miss on a precharged bank: activate + cas.
@@ -127,18 +110,10 @@ impl Dram {
                 self.metrics.incr("activates");
                 latency += self.cfg.t_rcd;
                 energy += self.cfg.e_activate;
-                false
             }
-        };
-        self.open_rows[bank] = match self.cfg.policy {
-            PagePolicy::Open => Some(row),
-            PagePolicy::Closed => None,
-        };
-        DramAccess {
-            latency,
-            energy,
-            row_hit,
         }
+        self.open_rows[bank] = Some(row);
+        DramAccess { latency, energy }
     }
 
     /// Row-buffer hit rate so far.
@@ -168,7 +143,7 @@ mod tests {
         let mut d = Dram::new(DramConfig::default());
         let miss = d.access(0);
         let hit = d.access(64);
-        assert!(!miss.row_hit && hit.row_hit);
+        assert_eq!(d.metrics.counter("row_hits"), 1);
         assert!(hit.latency.value() < miss.latency.value());
         assert!(hit.energy.value() < miss.energy.value());
         // Hit = CAS only.
@@ -186,23 +161,10 @@ mod tests {
         // Two different rows in the same bank: row k and row k + banks.
         d.access(0);
         let conflict = d.access(row_bytes * banks);
-        assert!(!conflict.row_hit);
+        assert_eq!(d.metrics.counter("row_hits"), 0);
         assert_eq!(d.metrics.counter("row_conflicts"), 1);
         // RP + RCD + CAS.
         assert!((conflict.latency.value() - 41.25e-9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn closed_policy_never_row_hits() {
-        let mut d = Dram::new(DramConfig {
-            policy: PagePolicy::Closed,
-            ..DramConfig::default()
-        });
-        for a in (0..4096u64).step_by(64) {
-            d.access(a);
-        }
-        assert_eq!(d.metrics.counter("row_hits"), 0);
-        assert_eq!(d.row_hit_rate(), 0.0);
     }
 
     #[test]
@@ -216,8 +178,9 @@ mod tests {
             d.access(b * row_bytes);
         }
         for b in 0..8u64 {
-            let r = d.access(b * row_bytes + 64);
-            assert!(r.row_hit);
+            d.access(b * row_bytes + 64);
         }
+        assert_eq!(d.metrics.counter("row_hits"), 8);
+        assert_eq!(d.metrics.counter("row_conflicts"), 0);
     }
 }

@@ -81,37 +81,11 @@ impl MemEnergyTable {
         self.dram.value() / ops.fp_fma.value()
     }
 
-    /// Energy to fetch two 64-bit operands and write one result at a given
-    /// level of the hierarchy (3 accesses).
-    pub fn operand_traffic(&self, level: Level) -> Energy {
-        self.level(level) * 3.0
+    /// Energy to fetch two 64-bit operands from L2 and write one result
+    /// back (3 accesses).
+    pub fn l2_operand_traffic(&self) -> Energy {
+        self.l2 * 3.0
     }
-
-    /// Energy of one access at `level`.
-    pub fn level(&self, level: Level) -> Energy {
-        match level {
-            Level::RegisterFile => self.rf,
-            Level::L1 => self.l1,
-            Level::L2 => self.l2,
-            Level::L3 => self.l3,
-            Level::Dram => self.dram,
-        }
-    }
-}
-
-/// Hierarchy levels for [`MemEnergyTable::operand_traffic`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Level {
-    /// Register file.
-    RegisterFile,
-    /// First-level cache.
-    L1,
-    /// Second-level cache.
-    L2,
-    /// Last-level cache.
-    L3,
-    /// Main memory.
-    Dram,
 }
 
 #[cfg(test)]
@@ -151,7 +125,7 @@ mod tests {
         let ratio = t.dram_to_fma_ratio(&ops);
         assert!((100.0..1000.0).contains(&ratio), "DRAM/FMA ratio = {ratio}");
         // Even an L2 operand fetch (3 accesses) exceeds the FMA itself.
-        assert!(t.operand_traffic(Level::L2).value() > ops.fp_fma.value());
+        assert!(t.l2_operand_traffic().value() > ops.fp_fma.value());
     }
 
     #[test]
@@ -183,8 +157,6 @@ mod tests {
     fn operand_traffic_is_three_accesses() {
         let db = NodeDb::standard();
         let t = MemEnergyTable::at(db.by_name("45nm").unwrap());
-        assert!(
-            (t.operand_traffic(Level::RegisterFile).value() - t.rf.value() * 3.0).abs() < 1e-18
-        );
+        assert!((t.l2_operand_traffic().value() - t.l2.value() * 3.0).abs() < 1e-18);
     }
 }

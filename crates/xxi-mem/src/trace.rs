@@ -28,11 +28,6 @@ impl Access {
     pub fn read(addr: u64) -> Access {
         Access { addr, write: false }
     }
-
-    /// A store at `addr`.
-    pub fn write(addr: u64) -> Access {
-        Access { addr, write: true }
-    }
 }
 
 /// Builder for synthetic traces. All generators take a `write_frac` giving

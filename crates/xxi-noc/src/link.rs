@@ -1,4 +1,4 @@
-//! Link latency/energy models: electrical, photonic, TSV, off-chip.
+//! Link energy models: electrical, photonic, TSV, off-chip.
 //!
 //! §2.3: *"Photonic interconnects can be exploited among or even on
 //! chips"*; §1.2: photonics and 3D stacking *"change communication costs
@@ -13,7 +13,7 @@
 //!   links and loses on short or idle ones. Experiment E13 locates the
 //!   crossover.
 //! * **TSVs** (3D stacking) are extremely short vertical wires: near-zero
-//!   energy and delay, but only available between stacked dies.
+//!   energy, but only available between stacked dies.
 //!
 //! Anchors (45 nm era, consistent with the Keckler/ISSCC budgets used in
 //! `xxi-mem::energy`): electrical ≈ 0.2 pJ/bit/mm; photonic ≈ 0.1 pJ/bit
@@ -59,8 +59,6 @@ pub struct Link {
     pub energy_per_bit: Energy,
     /// Standing power (laser/tuning/PLL) drawn even when idle.
     pub standing_power: Power,
-    /// Propagation + serialization latency for a 64-byte flit.
-    pub flit_latency: Seconds,
 }
 
 impl Link {
@@ -77,28 +75,21 @@ impl Link {
                     anchor45::ELECTRICAL_PJ_PER_BIT_MM * mm * logic.sqrt(),
                 ),
                 standing_power: Power::ZERO,
-                // ~100 ps/mm repeated-wire delay + 1 cycle serialization.
-                flit_latency: Seconds::from_ns(0.1 * mm + 0.3),
             },
             LinkKind::Photonic => Link {
                 kind,
                 energy_per_bit: Energy::from_pj(anchor45::PHOTONIC_PJ_PER_BIT * slow),
                 standing_power: Power::from_mw(anchor45::PHOTONIC_STANDING_MW),
-                // Speed-of-light propagation is negligible at chip scale;
-                // E/O + O/E conversion dominates.
-                flit_latency: Seconds::from_ns(1.0),
             },
             LinkKind::Tsv => Link {
                 kind,
                 energy_per_bit: Energy::from_pj(anchor45::TSV_PJ_PER_BIT * logic),
                 standing_power: Power::ZERO,
-                flit_latency: Seconds::from_ns(0.1),
             },
             LinkKind::OffChip => Link {
                 kind,
                 energy_per_bit: Energy::from_pj(anchor45::OFFCHIP_PJ_PER_BIT * slow),
                 standing_power: Power::from_mw(5.0),
-                flit_latency: Seconds::from_ns(4.0),
             },
         }
     }
@@ -147,7 +138,6 @@ mod tests {
         let short = Link::on(&n, LinkKind::Electrical { mm: 1.0 });
         let long = Link::on(&n, LinkKind::Electrical { mm: 10.0 });
         assert!((long.energy_per_bit.value() / short.energy_per_bit.value() - 10.0).abs() < 1e-9);
-        assert!(long.flit_latency.value() > short.flit_latency.value());
     }
 
     #[test]
@@ -193,7 +183,6 @@ mod tests {
         let off = Link::on(&n, LinkKind::OffChip);
         assert!(tsv.energy_per_bit.value() < e1.energy_per_bit.value());
         assert!(e1.energy_per_bit.value() < off.energy_per_bit.value());
-        assert!(tsv.flit_latency.value() < off.flit_latency.value());
     }
 
     #[test]

@@ -393,25 +393,18 @@ pub struct NocResult {
     pub offered: u64,
     /// Offered flits refused because the source queue was full.
     pub throttled: u64,
-    /// Mean packet latency in cycles (measurement phase).
+    /// Mean packet latency in cycles (measurement phase); the quantiles
+    /// are in [`NocObservation::latency`].
     pub mean_latency: f64,
-    /// Median packet latency in cycles.
-    pub p50_latency: f64,
-    /// 99th-percentile packet latency in cycles.
-    pub p99_latency: f64,
-    /// 99.9th-percentile packet latency in cycles.
-    pub p999_latency: f64,
-    /// Max packet latency in cycles.
-    pub max_latency: f64,
-    /// Mean hops per delivered flit.
-    pub mean_hops: f64,
     /// Delivered throughput in flits/node/cycle.
     pub throughput: f64,
     /// Total link traversals (for energy accounting).
     pub link_traversals: u64,
     /// Flits queued when the measurement window opens.
+    // xxi-allow: model-reach -- test oracle: the flit-conservation law above
     pub in_flight_open: u64,
     /// Flits queued when it closes.
+    // xxi-allow: model-reach -- test oracle: the flit-conservation law above
     pub in_flight_close: u64,
 }
 
@@ -880,11 +873,6 @@ impl NocSim {
             offered: self.offered,
             throttled: self.throttled,
             mean_latency: self.latency_hist.mean(),
-            p50_latency: self.latency_hist.p50(),
-            p99_latency: self.latency_hist.p99(),
-            p999_latency: self.latency_hist.p999(),
-            max_latency: self.latency_hist.max(),
-            mean_hops: self.hops_hist.mean(),
             throughput: self.delivered as f64 / cycles / nodes,
             link_traversals: self.link_traversals,
             in_flight_open,
@@ -1224,11 +1212,6 @@ mod oracle {
                 offered: self.offered,
                 throttled: self.throttled,
                 mean_latency: self.latency.mean(),
-                p50_latency: self.latency_hist.p50(),
-                p99_latency: self.latency_hist.p99(),
-                p999_latency: self.latency_hist.p999(),
-                max_latency: self.latency.max(),
-                mean_hops: self.hops.mean(),
                 throughput: self.delivered as f64 / cycles / nodes,
                 link_traversals: self.link_traversals,
                 in_flight_open,
@@ -1253,18 +1236,18 @@ mod tests {
     fn zero_load_latency_matches_hop_count() {
         // A single flit travels hops × 1 cycle per hop + 1 ejection cycle.
         let cfg = NocConfig::mesh8x8(Pattern::Uniform, 0.005, 7);
-        let r = NocSim::new(cfg).run(1_000, 20_000);
+        let obs = NocSim::new(cfg).run_observed(1_000, 20_000);
+        let (r, hops) = (&obs.result, obs.hops.mean());
         assert!(r.delivered > 100);
-        // At near-zero load, latency ≈ mean_hops + small constant.
+        // At near-zero load, latency ≈ mean hops + small constant.
         assert!(
-            (r.mean_latency - r.mean_hops).abs() < 3.0,
-            "lat={} hops={}",
-            r.mean_latency,
-            r.mean_hops
+            (r.mean_latency - hops).abs() < 3.0,
+            "lat={} hops={hops}",
+            r.mean_latency
         );
         // Mean hops ≈ analytic uniform mean (≈ 5.25 for 8×8).
         let expect = Mesh::new_2d(8, 8).mean_hops_uniform();
-        assert!((r.mean_hops - expect).abs() < 0.5, "hops={}", r.mean_hops);
+        assert!((hops - expect).abs() < 0.5, "hops={hops}");
     }
 
     #[test]
@@ -1327,7 +1310,7 @@ mod tests {
             injection_rate: 0.1,
             seed: 12,
         })
-        .run(2_000, 8_000);
+        .run_observed(2_000, 8_000);
         let stacked = NocSim::new(NocConfig {
             mesh: Mesh::new_3d(4, 4, 4),
             queue_depth: 4,
@@ -1335,9 +1318,9 @@ mod tests {
             injection_rate: 0.1,
             seed: 12,
         })
-        .run(2_000, 8_000);
-        assert!(stacked.mean_hops < planar.mean_hops);
-        assert!(stacked.mean_latency < planar.mean_latency);
+        .run_observed(2_000, 8_000);
+        assert!(stacked.hops.mean() < planar.hops.mean());
+        assert!(stacked.result.mean_latency < planar.result.mean_latency);
     }
 
     #[test]
@@ -1379,11 +1362,12 @@ mod tests {
         sim.trace = Trace::enabled();
         let obs = sim.run_observed(1_000, 4_000);
         let r = &obs.result;
-        assert_eq!(obs.latency.count(), r.delivered);
-        assert!(r.p50_latency <= r.p99_latency && r.p99_latency <= r.p999_latency);
-        assert!(r.p50_latency > 0.0 && r.p999_latency <= r.max_latency);
+        let lat = &obs.latency;
+        assert_eq!(lat.count(), r.delivered);
+        assert!(lat.p50() <= lat.p99() && lat.p99() <= lat.p999());
+        assert!(lat.p50() > 0.0 && lat.p999() <= lat.max());
         // Tail sits above the mean in a congested queueing system.
-        assert!(r.p99_latency >= r.mean_latency, "{r:?}");
+        assert!(lat.p99() >= r.mean_latency, "{r:?}");
         // Energy: every measured hop charged a link + router traversal.
         assert!(obs.ledger.component("noc_link").value() > 0.0);
         assert!(obs.ledger.layer_total(Layer::Network).value() == obs.ledger.total_spent().value());
@@ -1400,7 +1384,7 @@ mod tests {
         traced.trace = Trace::enabled();
         let traced = traced.run_observed(500, 2_000);
         assert_eq!(plain.result.delivered, traced.result.delivered);
-        assert_eq!(plain.result.p99_latency, traced.result.p99_latency);
+        assert_eq!(plain.latency.p99(), traced.latency.p99());
         assert_eq!(plain.trace.events_capacity(), 0);
         assert!(!traced.trace.is_empty());
     }
@@ -1429,18 +1413,7 @@ mod tests {
             ]
         };
         assert_eq!(counts(a), counts(b), "{case}");
-        let floats = |r: &NocResult| {
-            [
-                r.mean_latency,
-                r.p50_latency,
-                r.p99_latency,
-                r.p999_latency,
-                r.max_latency,
-                r.mean_hops,
-                r.throughput,
-            ]
-            .map(f64::to_bits)
-        };
+        let floats = |r: &NocResult| [r.mean_latency, r.throughput].map(f64::to_bits);
         assert_eq!(floats(a), floats(b), "{case}");
         // Debug prints every bucket and the exact moments.
         assert_eq!(

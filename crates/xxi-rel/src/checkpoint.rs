@@ -60,6 +60,7 @@ pub struct SimOutcome {
     /// Wall-clock time to finish the job.
     pub wall: Seconds,
     /// Useful compute accomplished (equals the job size).
+    // xxi-allow: model-reach -- checked by xxi lint (rel-checkpoint)
     pub work: Seconds,
     /// Number of failures survived.
     pub failures: u64,

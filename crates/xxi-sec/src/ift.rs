@@ -58,15 +58,6 @@ pub enum Instr {
         /// Right operand.
         b: u8,
     },
-    /// `r[d] = r[a] ^ r[b]` (taint join).
-    Xor {
-        /// Destination.
-        d: u8,
-        /// Left operand.
-        a: u8,
-        /// Right operand.
-        b: u8,
-    },
     /// `r[d] = mem[r[a]]` (value + label from memory, joined with address
     /// taint — pointer taint matters).
     Load {
@@ -231,10 +222,6 @@ impl Machine {
                         self.regs[a as usize].wrapping_add(self.regs[b as usize]);
                     self.propagate2(d, a, b);
                 }
-                Instr::Xor { d, a, b } => {
-                    self.regs[d as usize] = self.regs[a as usize] ^ self.regs[b as usize];
-                    self.propagate2(d, a, b);
-                }
                 Instr::Load { d, a } => {
                     let addr = (self.regs[a as usize] as usize) % self.mem.len();
                     self.regs[d as usize] = self.mem[addr];
@@ -384,7 +371,7 @@ mod tests {
         let prog = [
             In { d: 0 }, // secret
             Const { d: 1, imm: 7 },
-            Xor { d: 2, a: 0, b: 1 }, // "encrypted"? still secret label
+            Add { d: 2, a: 0, b: 1 }, // "masked"? still secret label
             Const { d: 3, imm: 5 },
             Store { a: 3, v: 2 },
             Load { d: 4, a: 3 },

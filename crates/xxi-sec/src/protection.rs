@@ -30,8 +30,6 @@ pub enum AccessKind {
     Read,
     /// Store.
     Write,
-    /// Instruction fetch / call into the region.
-    Execute,
 }
 
 /// Permission bits.
@@ -42,6 +40,7 @@ impl Perms {
     /// No access.
     pub const NONE: Perms = Perms(0);
     /// Read.
+    // xxi-allow: model-reach -- checked by xxi lint (model-constructors: a read grant is no write)
     pub const R: Perms = Perms(1);
     /// Read + write.
     pub const RW: Perms = Perms(3);
@@ -51,7 +50,6 @@ impl Perms {
         let need = match kind {
             AccessKind::Read => 1,
             AccessKind::Write => 2,
-            AccessKind::Execute => 4,
         };
         self.0 & need != 0
     }
@@ -218,8 +216,6 @@ mod tests {
     fn perms_semantics() {
         assert!(Perms::RW.allows(AccessKind::Read));
         assert!(Perms::RW.allows(AccessKind::Write));
-        assert!(!Perms::RW.allows(AccessKind::Execute));
-        assert!(Perms(4).allows(AccessKind::Execute));
         assert!(!Perms::NONE.allows(AccessKind::Read));
         assert!(Perms::R.allows(AccessKind::Read));
     }

@@ -26,8 +26,6 @@ pub struct AttackResult {
     pub inferred_set: usize,
     /// Number of probe misses observed in that set.
     pub signal_misses: u64,
-    /// Total probe misses everywhere else (noise floor).
-    pub noise_misses: u64,
 }
 
 /// The victim: performs one load whose cache set depends on `secret`.
@@ -75,12 +73,9 @@ pub fn prime_probe_attack(cache: &mut Cache, secret: usize) -> AttackResult {
         .max_by_key(|(_, &m)| m)
         .map(|(i, _)| i)
         .unwrap_or(0);
-    let signal = misses[inferred_set];
-    let noise: u64 = misses.iter().sum::<u64>() - signal;
     AttackResult {
         inferred_set,
-        signal_misses: signal,
-        noise_misses: noise,
+        signal_misses: misses[inferred_set],
     }
 }
 
@@ -157,12 +152,9 @@ pub fn prime_probe_attack_partitioned(pc: &mut PartitionedCache, secret: usize) 
         .max_by_key(|(_, &m)| m)
         .map(|(i, _)| i)
         .unwrap_or(0);
-    let signal = misses[inferred_set];
-    let noise: u64 = misses.iter().sum::<u64>() - signal;
     AttackResult {
         inferred_set,
-        signal_misses: signal,
-        noise_misses: noise,
+        signal_misses: misses[inferred_set],
     }
 }
 
@@ -195,7 +187,6 @@ mod tests {
                 "secret {secret} not recovered: {r:?}"
             );
             assert!(r.signal_misses >= 1);
-            assert_eq!(r.noise_misses, 0, "LRU prime+probe is noise-free here");
         }
     }
 
@@ -226,7 +217,6 @@ mod tests {
                 r.signal_misses, 0,
                 "partitioned cache leaked for secret {secret}: {r:?}"
             );
-            assert_eq!(r.noise_misses, 0);
         }
     }
 

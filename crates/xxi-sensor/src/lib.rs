@@ -9,7 +9,7 @@
 //! called out as a defining opportunity. Modules:
 //!
 //! * [`power`] — batteries (finite energy stores) and stochastic energy
-//!   harvesters (solar-like day/night cycles, vibration bursts).
+//!   harvesters (solar-like day/night cycles).
 //! * [`radio`] — radio technologies with per-bit transmit energy, startup
 //!   cost, and data rate (BLE-class, Zigbee-class, LoRa-class, WiFi-class).
 //! * [`mcu`] — the microcontroller: active/sleep power, energy per op,

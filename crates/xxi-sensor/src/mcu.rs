@@ -6,6 +6,7 @@ use xxi_core::units::{Energy, Power};
 #[derive(Clone, Copy, Debug)]
 pub struct Mcu {
     /// Power while actively computing.
+    // xxi-allow: model-reach -- checked by xxi lint (sensor-energy)
     pub active_power: Power,
     /// Power while asleep (RAM retention + RTC).
     pub sleep_power: Power,

@@ -1120,7 +1120,7 @@ mod tests {
             7,
             Trace::disabled(),
         );
-        let h = Harvester::new(HarvestProfile::Constant, Power::from_uw(50.0), 100, 7);
+        let h = Harvester::new(HarvestProfile::Solar, Power::from_uw(50.0), 100, 7);
         let (harvested, obs) = n.run_observed(
             NodePolicy::FilterThenSend,
             small_battery(),
@@ -1469,7 +1469,7 @@ mod tests {
             0,
             Fault::Kill,
         );
-        let harvester = Harvester::new(HarvestProfile::Constant, Power::from_uw(1.0), 10, 5);
+        let harvester = Harvester::new(HarvestProfile::Solar, Power::from_uw(1.0), 10, 5);
         let empty = FaultPlan::new();
         let seed = 31;
         let same = |what: &str, a: String, b: String| assert_eq!(a, b, "{what}");

@@ -1,6 +1,5 @@
 //! Batteries and energy harvesters.
 
-use xxi_core::rng::Rng64;
 use xxi_core::units::{Energy, Power, Seconds};
 
 /// A finite energy store.
@@ -64,72 +63,48 @@ impl Battery {
 pub enum HarvestProfile {
     /// Solar-like: sinusoidal day/night cycle, zero at night.
     Solar,
-    /// Vibration-like: bursty on/off (Markov) supply.
-    Vibration,
-    /// Constant trickle.
-    Constant,
 }
 
-/// A stochastic energy harvester sampled at fixed steps.
+/// An energy harvester sampled at fixed steps.
 #[derive(Clone, Debug)]
 pub struct Harvester {
-    profile: HarvestProfile,
     /// Peak harvest power.
     peak: Power,
-    /// Period of the solar cycle (steps) / mean burst length (vibration).
+    /// Period of the solar cycle (steps).
     period: u64,
-    rng: Rng64,
     /// Steps into the current solar cycle: `step % period`.
     phase: u64,
-    burst_on: bool,
 }
 
 impl Harvester {
-    /// A harvester with `peak` power and characteristic `period` in steps.
-    pub fn new(profile: HarvestProfile, peak: Power, period: u64, seed: u64) -> Harvester {
+    /// A harvester with `peak` power and a solar cycle of `period` steps.
+    /// Solar is the one profile, and its day draws nothing, so neither
+    /// `_profile` nor `_seed` changes what it harvests.
+    pub fn new(_profile: HarvestProfile, peak: Power, period: u64, _seed: u64) -> Harvester {
         assert!(peak.value() >= 0.0 && period > 0);
         Harvester {
-            profile,
             peak,
             period,
-            rng: Rng64::new(seed),
             phase: 0,
-            burst_on: false,
         }
     }
 
     /// Power available during the next step.
     pub fn next_power(&mut self) -> Power {
-        match self.profile {
-            HarvestProfile::Constant => self.peak,
-            HarvestProfile::Solar => {
-                let k = self.phase;
-                self.phase += 1;
-                if self.phase == self.period {
-                    self.phase = 0;
-                }
-                // Daylight only (positive half of the cycle). Past half a
-                // cycle `τ·k/period` lies strictly inside (π, 2π), where
-                // the sine is negative, so it need not be evaluated.
-                let s = if k > self.period / 2 {
-                    0.0
-                } else {
-                    (std::f64::consts::TAU * (k as f64 / self.period as f64)).sin()
-                };
-                self.peak * s.max(0.0)
-            }
-            HarvestProfile::Vibration => {
-                // Two-state Markov chain with mean sojourn = period steps.
-                if self.rng.chance(1.0 / self.period as f64) {
-                    self.burst_on = !self.burst_on;
-                }
-                if self.burst_on {
-                    self.peak
-                } else {
-                    Power::ZERO
-                }
-            }
+        let k = self.phase;
+        self.phase += 1;
+        if self.phase == self.period {
+            self.phase = 0;
         }
+        // Daylight only (positive half of the cycle). Past half a cycle
+        // `τ·k/period` lies strictly inside (π, 2π), where the sine is
+        // negative, so it need not be evaluated.
+        let s = if k > self.period / 2 {
+            0.0
+        } else {
+            (std::f64::consts::TAU * (k as f64 / self.period as f64)).sin()
+        };
+        self.peak * s.max(0.0)
     }
 
     /// Energy harvested over one step of `dt`.
@@ -199,21 +174,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn vibration_is_bursty_with_right_duty() {
-        let mut h = Harvester::new(HarvestProfile::Vibration, Power::from_mw(5.0), 50, 2);
-        let n = 100_000;
-        let on = (0..n).filter(|_| h.next_power().value() > 0.0).count();
-        let duty = on as f64 / n as f64;
-        assert!((duty - 0.5).abs() < 0.05, "duty={duty}");
-    }
-
-    #[test]
-    fn constant_profile_harvest_energy() {
-        let mut h = Harvester::new(HarvestProfile::Constant, Power::from_mw(2.0), 1, 3);
-        let e = h.harvest(Seconds(10.0));
-        assert!((e.value() - 0.02).abs() < 1e-12);
     }
 }

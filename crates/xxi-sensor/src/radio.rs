@@ -32,6 +32,7 @@ pub struct Radio {
     /// burst.
     pub startup: Energy,
     /// Data rate in bits/s.
+    // xxi-allow: model-reach -- checked by xxi lint (sensor-energy)
     pub rate_bps: f64,
 }
 

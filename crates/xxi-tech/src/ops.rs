@@ -13,7 +13,6 @@
 //!
 //! | operation                      | energy  |
 //! |--------------------------------|---------|
-//! | 32-bit integer add             | 0.5 pJ  |
 //! | 64-bit FP multiply-add (FMA)   | 50 pJ   |
 //! | instruction overhead (fetch/decode/schedule/RF) on an OoO core | ~500 pJ |
 //!
@@ -25,9 +24,6 @@ use xxi_core::units::Energy;
 
 /// 45 nm anchor values in picojoules.
 mod anchor45 {
-    pub const INT_ADD_PJ: f64 = 0.5;
-    pub const INT_MUL_PJ: f64 = 3.0;
-    pub const FP_ADD_PJ: f64 = 15.0;
     pub const FP_FMA_PJ: f64 = 50.0;
     /// Per-instruction overhead of a big out-of-order core: fetch, decode,
     /// rename, schedule, register-file and bypass — everything except the
@@ -43,12 +39,6 @@ mod anchor45 {
 /// Per-operation energies on a given technology node.
 #[derive(Clone, Debug)]
 pub struct OpEnergies {
-    /// 32-bit integer add.
-    pub int_add: Energy,
-    /// 32-bit integer multiply.
-    pub int_mul: Energy,
-    /// 64-bit floating-point add.
-    pub fp_add: Energy,
     /// 64-bit floating-point fused multiply-add.
     pub fp_fma: Energy,
     /// Instruction-delivery overhead on an out-of-order core.
@@ -64,9 +54,6 @@ impl OpEnergies {
         let scale = node.gate_energy_rel() / anchor45::GATE_ENERGY_REL;
         let pj = |x: f64| Energy::from_pj(x * scale);
         OpEnergies {
-            int_add: pj(anchor45::INT_ADD_PJ),
-            int_mul: pj(anchor45::INT_MUL_PJ),
-            fp_add: pj(anchor45::FP_ADD_PJ),
             fp_fma: pj(anchor45::FP_FMA_PJ),
             ooo_overhead: pj(anchor45::OOO_OVERHEAD_PJ),
             inorder_overhead: pj(anchor45::INORDER_OVERHEAD_PJ),
@@ -90,7 +77,6 @@ mod tests {
         let db = NodeDb::standard();
         let e = OpEnergies::at(db.by_name("45nm").unwrap());
         assert!((e.fp_fma.pj() - 50.0).abs() < 1e-9);
-        assert!((e.int_add.pj() - 0.5).abs() < 1e-9);
         assert!((e.ooo_overhead.pj() - 500.0).abs() < 1e-9);
     }
 
@@ -129,10 +115,8 @@ mod tests {
         let db = NodeDb::standard();
         for n in db.all() {
             let e = OpEnergies::at(n);
-            assert!(e.int_add.value() < e.int_mul.value());
-            assert!(e.int_mul.value() < e.fp_add.value());
-            assert!(e.fp_add.value() < e.fp_fma.value());
-            assert!(e.fp_fma.value() < e.ooo_overhead.value());
+            assert!(e.fp_fma.value() < e.inorder_overhead.value());
+            assert!(e.inorder_overhead.value() < e.ooo_overhead.value());
         }
     }
 }

@@ -33,7 +33,7 @@ fn main() {
             fnum(chip.dark_fraction()),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
 
     // ---- Core-size choice vs parallel fraction ---------------------------
     println!("\n== Hill-Marty at 22nm: which core size wins? ==\n");
@@ -55,7 +55,7 @@ fn main() {
         let s: Vec<f64> = chips.iter().map(|c| c.speedup(f)).collect();
         t.row(&[fnum(f), fnum(s[0]), fnum(s[1]), fnum(s[2])]);
     }
-    t.print();
+    print!("{}", t.render());
     println!("(speedup relative to one base core; big cores win serial code,");
     println!(" small cores win \"big data = big parallelism\")");
 
@@ -84,6 +84,6 @@ fn main() {
             xfactor(efficiency_factor(node, ImplKind::FixedFunction, k)),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
     println!("(vs a big OoO core; the paper's \"100x\" is the fixed-function column)");
 }

@@ -47,7 +47,7 @@ fn main() {
             xfactor(e.dram_to_fma_ratio(&ops)),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
     println!("(the gap widens every node: communication buys the lunch)");
 
     // ---- 2. Hybrid main memory -------------------------------------------
@@ -72,7 +72,7 @@ fn main() {
         fnum(hybrid_lat_ns),
         "non-volatile".into(),
     ]);
-    t.print();
+    print!("{}", t.render());
     println!(
         "hybrid DRAM hit rate: {:.0}%  (hot Zipf head lives in DRAM)",
         hybrid.dram_hit_rate() * 100.0
@@ -110,7 +110,7 @@ fn main() {
             format!("{:.0}%", ideal / imb * 100.0),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
     println!("\nStart-Gap costs 1% extra writes and recovers most of the device's");
     println!("endurance budget — \"device wear out\" becomes an engineering margin.");
 }

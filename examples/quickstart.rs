@@ -37,7 +37,7 @@ fn main() {
             xfactor(r.full_power_rel),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
     println!(
         "\nFull-die power at 7nm would be {} the 180nm level — \"not viable\".\n",
         xfactor(real.final_power_growth())
@@ -74,6 +74,6 @@ fn main() {
             fnum(r.p99),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
     println!("\nAt fan-out 100 the simulated fraction matches 1 - 0.99^100 = 0.634.");
 }

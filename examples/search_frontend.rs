@@ -31,7 +31,7 @@ fn main() {
         let r = q.run(120_000, 11);
         t.row(&[fnum(rho), fnum(r.mean_ms), fnum(r.p50), fnum(r.p99)]);
     }
-    t.print();
+    print!("{}", t.render());
 
     // ---- Step 2: fan-out amplifies the tail ------------------------------
     println!("\n== Query latency vs fan-out (unloaded leaves) ==\n");
@@ -44,7 +44,7 @@ fn main() {
             fnum(r.frac_hit_by_leaf_p99),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
 
     // ---- Step 3: hedged requests buy the tail back -----------------------
     println!("\n== Hedged requests (duplicate after the p95 deadline) ==\n");
@@ -65,7 +65,7 @@ fn main() {
             format!("{:+.0}%", (after / before - 1.0) * 100.0),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
     println!("extra load from hedging: {:.1}%", hedged.extra_load * 100.0);
     println!("\nLesson: the tail is a systems property — queueing creates it, fan-out");
     println!("amplifies it, hedging buys it back.");

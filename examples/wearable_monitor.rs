@@ -53,7 +53,7 @@ fn main() {
             fnum(filt.recall),
         ]);
     }
-    t.print();
+    print!("{}", t.render());
 
     println!("\nOn-sensor filtering extends life by ~an order of magnitude.");
 }

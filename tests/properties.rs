@@ -384,10 +384,9 @@ fn protection_matrix_is_exact() {
         }
         let probe_domain = rng.below(4) as u32;
         let probe_region = rng.below(4) as u32;
-        let (kind, need) = match rng.below(3) {
+        let (kind, need) = match rng.below(2) {
             0 => (AccessKind::Read, 1u8),
-            1 => (AccessKind::Write, 2),
-            _ => (AccessKind::Execute, 4),
+            _ => (AccessKind::Write, 2),
         };
         let addr = probe_region as usize * 100 + 50;
         let allowed = pm.check(DomainId(probe_domain), addr, kind).is_ok();
@@ -603,7 +602,7 @@ fn fault_injector_accounting_conserved_under_any_advance_schedule() {
     cases(26, |rng| {
         let comps = rng.range_u64(1, 40) as u32;
         let rate = rng.next_f64();
-        let horizon = SimTime::from_ms(rng.range_u64(1, 2_000));
+        let horizon = SimTime::from_ns(rng.range_u64(1, 2_000) * 1_000_000);
         let mix = if rng.chance(0.5) {
             FaultMix::kills_only()
         } else {
@@ -639,7 +638,7 @@ fn seeded_fault_plans_replay_identically() {
         let seed = rng.next_u64();
         let comps = rng.range_u64(1, 60) as u32;
         let rate = rng.next_f64();
-        let horizon = SimTime::from_ms(rng.range_u64(1, 500));
+        let horizon = SimTime::from_ns(rng.range_u64(1, 500) * 1_000_000);
         let a = FaultPlan::seeded(seed, horizon, comps, rate, FaultMix::gray());
         let b = FaultPlan::seeded(seed, horizon, comps, rate, FaultMix::gray());
         assert_eq!(a.len(), b.len());
@@ -667,7 +666,7 @@ fn correlated_fault_plans_blast_whole_scopes_at_one_instant() {
             Topology::blocks(comps, comps.div_ceil(scopes))
         };
         let rate = rng.next_f64();
-        let horizon = SimTime::from_ms(rng.range_u64(1, 2_000));
+        let horizon = SimTime::from_ns(rng.range_u64(1, 2_000) * 1_000_000);
         let mix = if rng.chance(0.5) {
             FaultMix::kills_only()
         } else {
