@@ -291,7 +291,8 @@ fn a_pub_item_no_reached_code_names_is_a_finding() {
 
 /// Path-resolved R7: an associated item counts only as `T::item`,
 /// `Self::item` or (for a method) `.item`; a variant only where reached
-/// code builds it; a field only where reached code reads it.
+/// code builds it; a field only where reached code reads it; an `impl`
+/// does not name its own type.
 #[test]
 fn variants_fields_and_associated_items_resolve_by_path() {
     let lib = "pub mod shapes;\n";
@@ -303,6 +304,7 @@ fn variants_fields_and_associated_items_resolve_by_path() {
                   pub const RW: Perms = Perms(3);\n}\n\
                   pub struct Stats { pub read: u8, pub split: u8,\n\
                   pub tested: u8,\n    pub written: u8 }\n\
+                  pub struct Idle;\nimpl Idle {}\n\
                   #[cfg(test)]\nmod tests {\n    fn t(s: super::Stats) -> u8 { s.tested }\n}\n";
     let root = "use xxi_mem::shapes::{Mode, Perms, Stats};\nuse xxi_mem::shapes::Mode::*;\n\
                 fn main<R>(_: R) {\n    let m = Mode::Built;\n    let g = ViaGlob;\n\
@@ -323,6 +325,7 @@ fn variants_fields_and_associated_items_resolve_by_path() {
             (8, "pub const R"),
             (12, "Stats.tested"),
             (13, "Stats.written"),
+            (14, "pub struct Idle"),
         ],
         "{diags:#?}"
     );
